@@ -10,8 +10,8 @@ flag, so runs are reproducible from the command line alone.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import certificates as cert
 from . import decompose as dec
@@ -109,14 +109,26 @@ def check_normalization(ctx, cache):
     return "unit rescaling invariance holds"
 
 
+def _coarse(ctx, cache):
+    if "coarse" not in cache:
+        cache["coarse"] = dec.decompose_coarse(ctx)
+    return cache["coarse"]
+
+
+def _fine(ctx, cache):
+    if "fine" not in cache:
+        cache["fine"] = dec.decompose_fine(ctx, _coarse(ctx, cache))
+    return cache["fine"]
+
+
 def check_deck_quotient_audit(ctx, cache):
-    d = dec.decompose_coarse(ctx)
+    d = _coarse(ctx, cache)
     assert d.audit.all_pass
     return f"{d.audit.subgroup_count} deck subgroups, all hypotheses pass"
 
 
 def check_fine_decomposition(ctx, cache):
-    d = dec.decompose_fine(ctx)
+    d = _fine(ctx, cache)
     assert d.audit.all_pass
     if d.gamma_refinement is not None:
         assert d.gamma_refinement.all_pass
@@ -125,7 +137,7 @@ def check_fine_decomposition(ctx, cache):
 
 
 def check_dimension_audit(ctx, cache):
-    d = dec.decompose_fine(ctx)
+    d = _fine(ctx, cache)
     info = dec.dimension_audit(d)
     shape = dec.match_group_algebra_shape(d)
     return f"sum mult*dim = {info['total_dimension']}, shape N = {shape['N']}"
@@ -379,9 +391,16 @@ def cmd_sweep(args) -> int:
     if hi > 100_000:
         print(f"error: sweep bound {hi} is above the supported range", file=sys.stderr)
         return 2
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 2
     primes = [p for p in range(lo, hi + 1) if is_prime(p)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(primes), os.cpu_count() or 1)
+    if workers > 1:
+        # imported here so that no other command pays for multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_one, primes))
     else:
         rows = [_sweep_one(p) for p in primes]
@@ -446,7 +465,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="per-prime summaries over a range")
     p_sweep.add_argument("--from", dest="from_", type=int, required=True)
     p_sweep.add_argument("--to", type=int, required=True)
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes; at most one per prime and per CPU are started",
+    )
     p_sweep.add_argument("--format", choices=("text", "json"), default="text")
     p_sweep.set_defaults(fn=cmd_sweep)
 

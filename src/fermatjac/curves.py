@@ -20,7 +20,7 @@ from enum import Enum
 from typing import Optional
 
 from .errors import DegenerateCurveError, NoGammaError, OutOfRangeError
-from .orbits import OrbitClass, PrimeContext, orbit
+from .orbits import PrimeContext, orbit
 
 
 class CurveFamily(Enum):
@@ -185,8 +185,3 @@ def quotient_to_curve(j: int, ctx: PrimeContext) -> CurveSpec:
     alpha = ctx.p - 1 - j
     assert alpha == (-(1 + j)) % ctx.p
     return CurveSpec(context=ctx, family=CurveFamily.P_GONAL, alpha=alpha)
-
-
-def curve_orbit(spec: CurveSpec) -> OrbitClass:
-    assert spec.family is CurveFamily.P_GONAL
-    return orbit(spec.alpha, spec.context)

@@ -108,23 +108,25 @@ def pgonal_fix_table(ctx: PrimeContext, gamma: Optional[int] = None) -> FixTable
     return FixTable(FLAVOR_P_GONAL, p, count, "deck powers fix 3, order-3 maps fix 2")
 
 
-def rh_genus(g_top: int, k: Subgroup, fix: FixTable) -> int:
-    """Quotient genus from the Riemann-Hurwitz formula.
+def riemann_hurwitz(g_top: int, order: int, fix_sum: int) -> int:
+    """Quotient genus g_K from 2 g - 2 = |K| (2 g_K - 2) + fix_sum.
 
-    A non-integral or negative result means the fix table is inconsistent
+    A non-integral or negative result means the fix data is inconsistent
     with the claimed action and is a hard error, never rounded away.
     """
-    total = 0
-    for g in k.element_list:
-        if g.is_identity:
-            continue
-        total += fix.count(g)
-    n = 2 * g_top - 2 - total + 2 * k.order
-    if n < 0 or n % (2 * k.order) != 0:
+    n = 2 * g_top - 2 - fix_sum + 2 * order
+    if n < 0 or n % (2 * order) != 0:
         raise InconsistentRHError(
-            f"2g-2 = {2 * g_top - 2}, |K| = {k.order}, sum fix = {total}: no integer genus"
+            f"2g-2 = {2 * g_top - 2}, |K| = {order}, sum fix = {fix_sum}: no integer genus"
         )
-    return n // (2 * k.order)
+    return n // (2 * order)
+
+
+def rh_genus(g_top: int, k: Subgroup, fix: FixTable) -> int:
+    """Quotient genus from the Riemann-Hurwitz formula, summing the fix
+    table over the non-identity elements of K."""
+    total = sum(fix.count(g) for g in k.element_list if not g.is_identity)
+    return riemann_hurwitz(g_top, k.order, total)
 
 
 def fermat_genus(p: int) -> int:

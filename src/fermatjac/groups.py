@@ -359,24 +359,10 @@ def trivial_subgroup(identity: Element) -> Subgroup:
     return Subgroup((identity,), (identity,))
 
 
-def product_set(k1: Subgroup, k2: Subgroup, method: str = "auto") -> tuple[frozenset, bool]:
-    """Element-wise product K1 K2 and whether K1 K2 = K2 K1 as sets.
-
-    For translation subgroups the two products agree entry by entry
-    because the translation law is componentwise modular addition; the
-    "auto" method exploits that, "brute" always computes both sets.
-    """
+def product_set(k1: Subgroup, k2: Subgroup) -> tuple[frozenset, bool]:
+    """Element-wise product K1 K2 and whether K1 K2 = K2 K1 as sets."""
     if k1.flavor != k2.flavor or k1.p != k2.p:
         raise FlavorMismatchError(f"cannot multiply {k1!r} by {k2!r}")
-    if method not in ("auto", "brute"):
-        raise OutOfRangeError(f"unknown method {method!r}")
-    if (
-        method == "auto"
-        and k1.is_translation_subgroup
-        and k2.is_translation_subgroup
-    ):
-        prod = frozenset(a * b for a in k1 for b in k2)
-        return prod, True
     prod12 = frozenset(a * b for a in k1 for b in k2)
     prod21 = frozenset(b * a for a in k1 for b in k2)
     return prod12, prod12 == prod21

@@ -1,11 +1,18 @@
 """Shared independent oracles for the test suite.
 
 These deliberately avoid the library's own code paths: inverses come from
-a brute-force pair scan, orbits from the closed six-element formula, and
-Moebius maps from Fraction arithmetic on the projective line.
+a brute-force pair scan, orbits from the closed six-element formula,
+Moebius maps from Fraction arithmetic on the projective line, and the
+deck-family audit from explicit element sets.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
+
+from fermatjac.genus import fermat_axis_fix_table, fermat_genus, rh_genus
+from fermatjac.groups import Subgroup, fermat_Hj, joined_subgroup, product_set
+from fermatjac.orbits import make_context
 
 INF = "inf"
 
@@ -78,3 +85,56 @@ def moebius_eval(label_name, x):
             return INF
         return (x - 1) / x
     raise ValueError(label_name)
+
+
+@lru_cache(maxsize=None)
+def object_level_audit(p):
+    """The deck-family audit on explicit element sets, as a summary dict.
+
+    Builds every H_j, compares the two set products of each pair, and
+    takes each pairwise join (the product set, when the two commute) to
+    the Riemann-Hurwitz sum over its elements.  Meant for p <= 31; the
+    summary has the shape of ``KaniRosenAudit.summary()`` with the
+    commutation method "brute".  Cached per p: do not mutate the result.
+    """
+    g_top = fermat_genus(p)
+    fix = fermat_axis_fix_table(make_context(p))
+    family = [fermat_Hj(p, j) for j in range(1, p - 1)]
+    join_genus = {}
+    comm_fail, gz_fail = [], []
+    pairs = list(combinations(range(len(family)), 2))
+    for i, j in pairs:
+        k1, k2 = family[i], family[j]
+        prod, commutes = product_set(k1, k2)
+        if not commutes:
+            comm_fail.append([i + 1, j + 1])
+            prod = joined_subgroup(k1, k2).elements
+        if prod not in join_genus:
+            join_genus[prod] = rh_genus(g_top, Subgroup(k1.generators + k2.generators, prod), fix)
+        if join_genus[prod] != 0:
+            gz_fail.append([i + 1, j + 1])
+    total = sum(rh_genus(g_top, k, fix) for k in family)
+    return {
+        "subgroup_count": len(family),
+        "commuting": {
+            "pairs_checked": len(pairs),
+            "pairs_passed": len(pairs) - len(comm_fail),
+            "method": "brute",
+            "failures": comm_fail,
+        },
+        "genus_zero": {
+            "pairs_checked": len(pairs),
+            "pairs_passed": len(pairs) - len(gz_fail),
+            "failures": gz_fail,
+        },
+        "genus_sum": {"computed": total, "expected": g_top, "ok": total == g_top},
+        "all_pass": not comm_fail and not gz_fail and total == g_top,
+    }
+
+
+def assert_audit_matches_oracle(audit, p):
+    """The line-algebra audit agrees with the object-level one, up to the
+    name of the commutation method."""
+    oracle = object_level_audit(p)
+    expected = {**oracle, "commuting": {**oracle["commuting"], "method": "abelian"}}
+    assert audit.summary() == expected

@@ -24,7 +24,6 @@ from fermatjac.decompose import (
 )
 from fermatjac.genus import (
     coset_genus,
-    fermat_axis_fix_table,
     fermat_full_fix_table,
     fermat_genus,
     fermat_quotient_genus,
@@ -54,7 +53,7 @@ from fermatjac.monomial import (
 )
 from fermatjac.orbits import OrbitKind, make_context, orbit_partition
 
-from helpers import sweep_primes
+from helpers import assert_audit_matches_oracle, sweep_primes
 
 
 def _announce(n, elapsed, detail):
@@ -147,14 +146,10 @@ def test_criterion_4_dimension_audit_sweep(capsys):
 def test_criterion_5_kani_rosen_audit(capsys):
     start = time.perf_counter()
     for p in (5, 7, 11, 13, 19, 31):
-        ctx = make_context(p)
-        subgroups = [fermat_Hj(p, j) for j in range(1, p - 1)]
-        audit = kani_rosen_check(
-            fermat_genus(p), subgroups, fermat_axis_fix_table(ctx), method="brute"
-        )
-        assert all(v.ok for v in audit.commuting_checks)
-        assert all(v.ok for v in audit.genus_zero_checks)
+        audit = kani_rosen_check(make_context(p))
+        assert audit.all_pass
         assert audit.genus_sum_check == (fermat_genus(p), fermat_genus(p), True)
+        assert_audit_matches_oracle(audit, p)
     for p in (7, 13, 19, 31):
         ctx = make_context(p)
         audit = gamma_refinement_audit(ctx)

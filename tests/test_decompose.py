@@ -1,5 +1,13 @@
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import fermatjac
+from fermatjac import decompose as decompose_module
 from fermatjac.curves import CurveFamily, are_isomorphic
 from fermatjac.decompose import (
     DecompositionLevel,
@@ -10,12 +18,12 @@ from fermatjac.decompose import (
     kani_rosen_check,
     match_group_algebra_shape,
 )
-from fermatjac.errors import ShapeMismatchError
-from fermatjac.genus import fermat_axis_fix_table, fermat_genus
-from fermatjac.groups import fermat_Hj, fermat_identity, trivial_subgroup
+from fermatjac.errors import AuditFailError, ShapeMismatchError
+from fermatjac.genus import fermat_genus
+from fermatjac.groups import fermat_u
 from fermatjac.orbits import make_context
 
-from helpers import sweep_primes
+from helpers import assert_audit_matches_oracle, primes_upto, sweep_primes
 
 
 def test_coarse_p7():
@@ -73,31 +81,35 @@ def test_determinism():
     assert d1.audit.summary() == d2.audit.summary()
 
 
-@pytest.mark.parametrize("p", (5, 7, 11, 13))
+@pytest.mark.parametrize("p", [p for p in primes_upto(31) if p >= 5])
 def test_kani_rosen_check_deck_family(p):
-    ctx = make_context(p)
-    subgroups = [fermat_Hj(p, j) for j in range(1, p - 1)]
-    fix = fermat_axis_fix_table(ctx)
-    for method in ("auto", "brute"):
-        audit = kani_rosen_check(fermat_genus(p), subgroups, fix, method=method)
-        assert audit.all_pass
-        npairs = (p - 2) * (p - 3) // 2
-        assert len(audit.commuting_checks) == npairs
-        assert len(audit.genus_zero_checks) == npairs
-        assert audit.genus_sum_check == (fermat_genus(p), fermat_genus(p), True)
-
-
-def test_kani_rosen_check_single_trivial_subgroup():
-    ctx = make_context(7)
-    audit = kani_rosen_check(
-        fermat_genus(7),
-        [trivial_subgroup(fermat_identity(7))],
-        fermat_axis_fix_table(ctx),
-    )
-    # degenerate family: no pairs, and the genus sum is g itself
-    assert audit.commuting_checks == [] and audit.genus_zero_checks == []
-    assert audit.genus_sum_check == (fermat_genus(7), fermat_genus(7), True)
+    audit = kani_rosen_check(make_context(p))
     assert audit.all_pass
+    assert audit.pairs_checked == (p - 2) * (p - 3) // 2
+    assert audit.commuting_checks == [] and audit.genus_zero_checks == []
+    assert audit.genus_sum_check == (fermat_genus(p), fermat_genus(p), True)
+    assert_audit_matches_oracle(audit, p)
+
+
+def test_kani_rosen_check_records_failing_pairs(monkeypatch):
+    # a non-commuting "generator" and a plane of genus 1 make every pair fail
+    p = 7
+    real_rh = decompose_module.riemann_hurwitz
+    monkeypatch.setattr(decompose_module, "fermat_a1", fermat_u)
+    monkeypatch.setattr(
+        decompose_module,
+        "riemann_hurwitz",
+        lambda g, order, fix_sum: 1 if order == p * p else real_rh(g, order, fix_sum),
+    )
+    audit = kani_rosen_check(make_context(p))
+    pairs = [[i, j] for i in range(1, 6) for j in range(i + 1, 6)]
+    summary = audit.summary()
+    assert summary["commuting"] == {
+        "pairs_checked": 10, "pairs_passed": 0, "method": "abelian", "failures": pairs
+    }
+    assert summary["genus_zero"] == {"pairs_checked": 10, "pairs_passed": 0, "failures": pairs}
+    assert {v.detail for v in audit.genus_zero_checks} == {"genus=1"}
+    assert not audit.all_pass
 
 
 @pytest.mark.parametrize("p", (7, 13, 19))
@@ -169,3 +181,33 @@ def test_sweep_invariants_small(p):
         assert b.curve.family is CurveFamily.E_QUOTIENT
     else:
         assert not diffs
+
+
+def test_total_dimension_mismatch_raises(monkeypatch):
+    ctx = make_context(13)
+    coarse = decompose_coarse(ctx)
+    with pytest.raises(AuditFailError, match="fine decomposition has total dimension 30"):
+        decompose_fine(ctx, dataclasses.replace(coarse, factors=coarse.factors[:-1]))
+    monkeypatch.setattr(decompose_module, "_coarse_factors", lambda ctx, part: ())
+    with pytest.raises(AuditFailError, match="coarse decomposition has total dimension 0"):
+        decompose_coarse(ctx)
+
+
+def test_census_mismatch_raises_under_python_O():
+    # Under -O every assert is stripped; the census check must still refuse.
+    script = (
+        "import sys\n"
+        "from fermatjac import cli, curves, decompose\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit(99)\n"
+        "decompose.quotient_to_curve = lambda j, ctx: curves.CurveSpec(\n"
+        "    context=ctx, family=curves.CurveFamily.P_GONAL, alpha=1)\n"
+        "sys.exit(cli.main(['decompose', '--p', '7']))\n"
+    )
+    src = str(Path(fermatjac.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert run.returncode == 3, run.stdout + run.stderr
+    assert "audit failure" in run.stderr and "JF(7)" not in run.stdout

@@ -156,6 +156,75 @@ def test_sweep_parallel_jobs(capsys):
     assert "swept 4 primes: 4 PASS, 0 FAIL" in out
 
 
+def test_sweep_rejects_jobs_below_one(capsys):
+    for jobs in ("0", "-3"):
+        code, _, err = run_cli(capsys, "sweep", "--from", "5", "--to", "7", "--jobs", jobs)
+        assert code == 2 and "--jobs" in err
+
+
+class _RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    started: list = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, workers",
+    [
+        ("1000000", 64, 4),  # bounded by the 4 primes in 5..13
+        ("1000000", 3, 3),  # bounded by the CPU count
+        ("2", 64, 2),  # bounded by --jobs
+        ("1000000", None, None),  # unknown CPU count: serial, no pool
+        ("1", 64, None),  # serial, no pool
+    ],
+)
+def test_sweep_worker_count_is_bounded(capsys, monkeypatch, jobs, cpus, workers):
+    import concurrent.futures
+    import concurrent.futures.process
+
+    from fermatjac import cli as cli_module
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a real process pool was started")
+
+    # the real class refuses too, however the sweep got hold of it
+    monkeypatch.setattr(concurrent.futures.process.ProcessPoolExecutor, "__init__", refuse)
+    monkeypatch.setattr(_RecordingExecutor, "started", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
+    monkeypatch.setattr(cli_module.os, "cpu_count", lambda: cpus)
+    code, out, _ = run_cli(capsys, "sweep", "--from", "5", "--to", "13", "--jobs", jobs)
+    assert code == 0 and "swept 4 primes: 4 PASS, 0 FAIL" in out
+    assert _RecordingExecutor.started == ([] if workers is None else [workers])
+
+
+def test_verify_builds_the_decomposition_once(capsys, monkeypatch):
+    from fermatjac import decompose as decompose_module
+
+    calls = []
+    real = decompose_module.decompose_coarse
+
+    def counting(ctx):
+        calls.append(ctx.p)
+        return real(ctx)
+
+    monkeypatch.setattr(decompose_module, "decompose_coarse", counting)
+    code, _, _ = run_cli(capsys, "verify", "--p", "13")
+    assert code == 0
+    assert calls == [13]
+
+
 def test_audit_failure_exit_code_3(capsys, monkeypatch):
     from fermatjac import report as report_module
     from fermatjac.errors import AuditFailError
