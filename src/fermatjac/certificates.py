@@ -22,14 +22,16 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import FlavorMismatchError
-from .genus import GeneratingTriple, fermat_full_fix_table, fermat_genus
+from .genus import FixTable, GeneratingTriple, fermat_full_fix_table, fermat_genus
 from .groups import (
     FLAVOR_FERMAT,
     FLAVOR_P_GONAL,
     Element,
     Subgroup,
     conjugacy_classes,
+    fermat_coset_labels,
     fermat_elements,
+    fermat_fixed_cosets,
     left_cosets,
     pgonal_elements,
 )
@@ -37,11 +39,15 @@ from .orbits import PrimeContext
 
 
 class ClassData:
-    """Conjugacy classes of one group plus the element -> class index map."""
+    """Conjugacy classes of one group plus the element -> class index map.
+
+    ``classes``, when given, is the result of :func:`conjugacy_classes`
+    for the same group, computed once and shared.
+    """
 
     __slots__ = ("flavor", "p", "gamma", "classes", "class_index", "elements", "identity_index")
 
-    def __init__(self, flavor: str, ctx: PrimeContext, gamma: Optional[int] = None):
+    def __init__(self, flavor: str, ctx: PrimeContext, gamma: Optional[int] = None, classes=None):
         self.flavor = flavor
         self.p = ctx.p
         self.gamma = None
@@ -52,7 +58,7 @@ class ClassData:
             self.elements = tuple(pgonal_elements(ctx, self.gamma))
         else:
             raise FlavorMismatchError(f"unknown flavor {flavor!r}")
-        self.classes = conjugacy_classes(flavor, ctx, gamma)
+        self.classes = conjugacy_classes(flavor, ctx, gamma) if classes is None else classes
         self.class_index = {}
         for i, cls in enumerate(self.classes):
             for g in cls:
@@ -99,15 +105,22 @@ def chi_trivial(data: ClassData) -> ClassFunction:
     return ClassFunction(data, [1] * len(data.classes), "trivial")
 
 
-def chi_rat(ctx: PrimeContext, triple: GeneratingTriple, data: Optional[ClassData] = None) -> ClassFunction:
+def chi_rat(
+    ctx: PrimeContext,
+    triple: GeneratingTriple,
+    data: Optional[ClassData] = None,
+    fix: Optional[FixTable] = None,
+) -> ClassFunction:
     """Trace of the group action on first homology (dimension 2g).
 
     chi(1) = 2g = (p-1)(p-2); chi(g) = 2 - |Fix(g)| otherwise, with the
-    fixed-point counts supplied by the triple fiber model.
+    fixed-point counts supplied by the triple fiber model (``fix``, built
+    here when not given).
     """
     if data is None:
         data = ClassData(FLAVOR_FERMAT, ctx)
-    fix = fermat_full_fix_table(ctx, triple, classes=data.classes)
+    if fix is None:
+        fix = fermat_full_fix_table(ctx, triple, classes=data.classes)
     values = []
     for cls in data.classes:
         rep = cls[0]
@@ -123,13 +136,19 @@ def induced_perm_character(k: Subgroup, data: ClassData) -> ClassFunction:
     cosets each element fixes.  At the identity this is the index."""
     if k.flavor != data.flavor or k.p != data.p:
         raise FlavorMismatchError(f"{k!r} does not live in this group")
-    reps, index_of = left_cosets(k, data.elements)
-    values = []
-    for cls in data.classes:
-        g = cls[0]
-        fixed = sum(1 for i, r in enumerate(reps) if index_of[g * r] == i)
-        values.append(fixed)
-    fn = ClassFunction(data, values, f"perm(G/{k!r})")
+    if k.flavor == FLAVOR_FERMAT:
+        reps, label = fermat_coset_labels(k)
+
+        def fixed(g):
+            return fermat_fixed_cosets(g, reps, label)
+
+    else:
+        reps, index_of = left_cosets(k, data.elements)
+
+        def fixed(g):
+            return sum(1 for i, r in enumerate(reps) if index_of[g * r] == i)
+
+    fn = ClassFunction(data, [fixed(cls[0]) for cls in data.classes], f"perm(G/{k!r})")
     assert fn.at_identity == data.order // k.order
     return fn
 

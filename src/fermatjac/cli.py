@@ -22,8 +22,10 @@ from . import report as rep
 from .curves import MoebiusLabel, moebius_transport, normalize
 from .errors import (
     AuditFailError,
+    CheckFailedError,
     FermatJacError,
     NotPrimeError,
+    OracleDisagreementError,
     OutOfRangeError,
     TooLargeError,
     TooSmallError,
@@ -31,13 +33,19 @@ from .errors import (
 from .orbits import OrbitKind, is_prime, make_context, orbit_partition, s3_apply
 
 FULL_DEPTH_DEFAULT_CAP = 31
+# verify at any depth: the monomial conjugation sweep is O(p log p) with a
+# large constant, about 40 s at p = 19993.
+VERIFY_MAX_P = 20_000
+# sweep --to: a serial sweep over 5..3000 (426 primes) takes about 35 s.
+SWEEP_MAX_TO = 3_000
 
 
 # -- verification checks -------------------------------------------------------
 #
-# Each check returns a detail string and raises AssertionError (or any
-# package error) on failure.  cmd_verify runs them in order and stops at
-# the first failure, naming the check.
+# Each check returns a detail string and raises a package error (or, in
+# the basic checks, AssertionError) on failure.  The full checks raise
+# CheckFailedError, so their verdicts also hold under python -O.  cmd_verify
+# runs the checks in order and stops at the first failure, naming the check.
 
 
 def check_orbit_partition_laws(ctx, cache):
@@ -185,6 +193,11 @@ def check_monomial_relations(ctx, cache):
     return f"R^3, R T = T^(g^2) R, conjugation sweep (l = 0..{p - 1}), epsilon rule"
 
 
+def _require(cond, detail):
+    if not cond:
+        raise CheckFailedError(detail)
+
+
 def check_generating_triple(ctx, cache):
     triple = gen.find_generating_triple(ctx, limit=ctx.p)
     evidence = gen.validate_triple(triple, ctx)
@@ -192,10 +205,27 @@ def check_generating_triple(ctx, cache):
     return f"orders {tuple(evidence['orders'])}, fix(a1) = {evidence['fix_a1']}"
 
 
+def _classes(ctx, cache):
+    if "classes" not in cache:
+        cache["classes"] = grp.conjugacy_classes(grp.FLAVOR_FERMAT, ctx)
+    return cache["classes"]
+
+
+def _full_fix(ctx, cache):
+    if "full_fix" not in cache:
+        cache["full_fix"] = gen.fermat_full_fix_table(ctx, cache["triple"], _classes(ctx, cache))
+    return cache["full_fix"]
+
+
+def _describe(k):
+    gens = ", ".join(str(g.sort_key()) for g in k.generators)
+    return f"the subgroup of order {k.order} generated by {gens}"
+
+
 def check_dual_oracle_genus(ctx, cache):
     p = ctx.p
     triple = cache["triple"]
-    fix = gen.fermat_full_fix_table(ctx, triple)
+    fix = _full_fix(ctx, cache)
     g_top = gen.fermat_genus(p)
     subgroups = grp.all_cyclic_subgroups(grp.FLAVOR_FERMAT, ctx)
     subgroups.append(grp.fermat_H(p))
@@ -210,52 +240,61 @@ def check_dual_oracle_genus(ctx, cache):
                 seen.add(joined.elements)
                 joins.append(joined)
     subgroups.extend(joins)
-    checked = 0
     for k in subgroups:
-        assert gen.rh_genus(g_top, k, fix) == gen.coset_genus(k, triple), f"oracles disagree on {k!r}"
-        checked += 1
-    cache["full_fix"] = fix
-    return f"{checked} subgroups, both oracles agree"
+        rh, coset = gen.rh_genus(g_top, k, fix), gen.coset_genus(k, triple)
+        if rh != coset:
+            raise OracleDisagreementError(
+                f"p = {p}, {_describe(k)}: Riemann-Hurwitz genus {rh}, coset genus {coset}"
+            )
+    return f"{len(subgroups)} subgroups, both oracles agree"
 
 
 def check_fix_table_consistency(ctx, cache):
     p = ctx.p
-    triple = cache["triple"]
-    fix = cache.get("full_fix") or gen.fermat_full_fix_table(ctx, triple)
+    fix = _full_fix(ctx, cache)
     axis = gen.fermat_axis_fix_table(ctx)
     for h in grp.fermat_H(p):
-        if h.is_identity:
-            continue
-        assert fix.count(h) == axis.count(h)
+        if not h.is_identity and fix.count(h) != axis.count(h):
+            raise CheckFailedError(
+                f"p = {p}: fix{h.sort_key()} is {fix.count(h)} in the full table"
+                f" and {axis.count(h)} in the axis table"
+            )
     bound = 2 + 2 * gen.fermat_genus(p)
-    classes = grp.conjugacy_classes(grp.FLAVOR_FERMAT, ctx)
-    for cls in classes:
+    for cls in _classes(ctx, cache):
         rep = cls[0]
         if rep.is_identity:
             continue
         c = fix.count(rep)
-        assert 0 <= c <= bound
-        assert all(fix.count(g) == c for g in cls[1: min(len(cls), 4)])
+        _require(0 <= c <= bound, f"p = {p}: fix{rep.sort_key()} = {c} is outside [0, {bound}]")
+        _require(
+            all(fix.count(g) == c for g in cls[1: min(len(cls), 4)]),
+            f"p = {p}: the fix count is not constant on the class of {rep.sort_key()}",
+        )
     return "axis table matches, Lefschetz bound holds, class-constant"
 
 
 def check_certificates(ctx, cache):
     p = ctx.p
-    triple = cache["triple"]
-    data = cert.ClassData(grp.FLAVOR_FERMAT, ctx)
-    rat = cert.chi_rat(ctx, triple, data)
+    data = cert.ClassData(grp.FLAVOR_FERMAT, ctx, classes=_classes(ctx, cache))
+    rat = cert.chi_rat(ctx, cache["triple"], data, fix=_full_fix(ctx, cache))
     triv = cert.chi_trivial(data)
-    assert rat.at_identity == (p - 1) * (p - 2)
-    assert rat(grp.fermat_a1(p)) == 2 - p
-    assert cert.inner_product(triv, rat) == 0
-    assert cert.inner_product(triv, triv) == 1
+    _require(rat.at_identity == (p - 1) * (p - 2), f"p = {p}: chi_hom(1) = {rat.at_identity}")
+    _require(rat(grp.fermat_a1(p)) == 2 - p, f"p = {p}: chi_hom(a1) = {rat(grp.fermat_a1(p))}")
+    pairing = cert.inner_product(triv, rat)
+    _require(pairing == 0, f"p = {p}: <triv, hom> = {pairing}, expected 0")
+    pairing = cert.inner_product(triv, triv)
+    _require(pairing == 1, f"p = {p}: <triv, triv> = {pairing}, expected 1")
     for j in range(1, p - 1):
         chi = cert.induced_perm_character(grp.fermat_Hj(p, j), data)
         value = cert.inner_product(chi, rat)
-        assert value == p - 1 and value.denominator == 1
-        assert cert.inner_product_by_classes(chi, rat) == value
+        _require(value == p - 1, f"p = {p}: <G/H_{j}, hom> = {value}, expected {p - 1}")
+        by_classes = cert.inner_product_by_classes(chi, rat)
+        _require(
+            by_classes == value,
+            f"p = {p}: <G/H_{j}, hom> is {value} summed by elements and {by_classes} by classes",
+        )
     norm = cert.inner_product(rat, rat)
-    assert norm.denominator == 1 and norm > 0
+    _require(norm.denominator == 1 and norm > 0, f"p = {p}: <hom, hom> = {norm}")
     cache["certificates"] = {
         "pairing_trivial_vs_homology": 0,
         "pairing_deck_vs_homology": p - 1,
@@ -311,6 +350,9 @@ def cmd_decompose(args) -> int:
 
 def cmd_verify(args) -> int:
     ctx = make_context(args.p)
+    if ctx.p > VERIFY_MAX_P:
+        print(f"error: verify is capped at p <= {VERIFY_MAX_P}", file=sys.stderr)
+        return 2
     checks = list(BASIC_CHECKS)
     if args.depth == "full":
         if ctx.p > args.full_cap:
@@ -331,7 +373,10 @@ def cmd_verify(args) -> int:
             if args.format == "text":
                 print(f"PASS {name}: {detail}")
         except (AssertionError, FermatJacError) as exc:
-            results.append({"name": name, "status": "FAIL", "detail": str(exc)})
+            entry = {"name": name, "status": "FAIL", "detail": str(exc)}
+            if isinstance(exc, FermatJacError):
+                entry["code"] = exc.code
+            results.append(entry)
             if args.format == "text":
                 print(f"FAIL {name}: {exc}")
             failed = name
@@ -388,8 +433,8 @@ def cmd_sweep(args) -> int:
     if lo < 5 or hi < lo:
         print(f"error: bad sweep range [{lo}, {hi}]", file=sys.stderr)
         return 2
-    if hi > 100_000:
-        print(f"error: sweep bound {hi} is above the supported range", file=sys.stderr)
+    if hi > SWEEP_MAX_TO:
+        print(f"error: sweep bound {hi} is above the supported bound {SWEEP_MAX_TO}", file=sys.stderr)
         return 2
     if args.jobs < 1:
         print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)

@@ -70,3 +70,14 @@ class AuditFailError(FermatJacError):
 
 class ShapeMismatchError(FermatJacError):
     code = "SHAPE_MISMATCH"
+
+
+class CheckFailedError(FermatJacError):
+    """A verification predicate is false; raised in place of ``assert`` so
+    the verdict also holds under ``python -O``."""
+
+    code = "CHECK_FAILED"
+
+
+class OracleDisagreementError(CheckFailedError):
+    code = "ORACLE_DISAGREEMENT"

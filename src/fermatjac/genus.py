@@ -46,10 +46,13 @@ from .groups import (
     Subgroup,
     conjugacy_classes,
     fermat_a1,
+    fermat_coset_labels,
     fermat_elements,
+    fermat_fixed_cosets,
     fermat_group_order,
     fermat_identity,
-    left_cosets,
+    fermat_index,
+    fermat_left_mul,
     mulclose,
     order,
     subgroup_closure,
@@ -212,29 +215,29 @@ def find_generating_triple(ctx: PrimeContext, limit: int = DEFAULT_TRIPLE_SEARCH
 
 @lru_cache(maxsize=8)
 def _fiber_cosets(triple: GeneratingTriple):
-    """Coset structure of the three cyclic subgroups generated by the
-    triple entries; the fibers over the three cone points."""
-    p = triple.p
-    universe = _sorted_group(p)
+    """Coset labels (reps, label) of the three cyclic subgroups generated
+    by the triple entries; the fibers over the three cone points."""
     fibers = []
     for c, m in triple.entries:
         sub = subgroup_closure([c])
-        assert sub.order == m
-        reps, index_of = left_cosets(sub, universe)
-        fibers.append((tuple(reps), index_of))
+        if sub.order != m:
+            raise InconsistentOrbifoldError(f"{c!r} generates a subgroup of order {sub.order}, not {m}")
+        fibers.append(fermat_coset_labels(sub))
     return tuple(fibers)
+
+
+@lru_cache(maxsize=8)
+def _triple_left_perms(triple: GeneratingTriple) -> tuple[list[int], ...]:
+    """Left multiplication by each triple entry, on element indices."""
+    everything = range(fermat_group_order(triple.p))
+    return tuple(fermat_left_mul(c, everything) for c, _m in triple.entries)
 
 
 def full_fix_count(g: FermatAut, triple: GeneratingTriple) -> int:
     """Fixed points of any non-identity automorphism via the fiber model."""
     if g.is_identity:
         raise IdentityInputError("the identity fixes everything; excluded by definition")
-    total = 0
-    for reps, index_of in _fiber_cosets(triple):
-        for i, r in enumerate(reps):
-            if index_of[g * r] == i:
-                total += 1
-    return total
+    return sum(fermat_fixed_cosets(g, reps, label) for reps, label in _fiber_cosets(triple))
 
 
 def fermat_full_fix_table(ctx: PrimeContext, triple: GeneratingTriple, classes=None) -> FixTable:
@@ -243,20 +246,19 @@ def fermat_full_fix_table(ctx: PrimeContext, triple: GeneratingTriple, classes=N
     p = ctx.p
     if classes is None:
         classes = conjugacy_classes(FLAVOR_FERMAT, ctx)
-    counts: dict[FermatAut, int] = {}
+    counts = [0] * fermat_group_order(p)
     for cls in classes:
         rep = cls[0]
         if rep.is_identity:
             continue
         c = full_fix_count(rep, triple)
         for g in cls:
-            counts[g] = c
+            counts[fermat_index(g)] = c
 
     def count(g: FermatAut) -> int:
-        try:
-            return counts[g]
-        except KeyError:
-            raise OutOfRangeError(f"{g!r} is not in the Fermat group for p = {p}") from None
+        if not isinstance(g, FermatAut) or g.p != p:
+            raise OutOfRangeError(f"{g!r} is not in the Fermat group for p = {p}")
+        return counts[fermat_index(g)]
 
     return FixTable(FLAVOR_FERMAT, p, count, "full table via the triple fiber model")
 
@@ -273,12 +275,11 @@ def coset_genus(k: Subgroup, triple: GeneratingTriple) -> int:
     p = triple.p
     if k.flavor != FLAVOR_FERMAT or k.p != p:
         raise OutOfRangeError(f"{k!r} does not live in the Fermat group for p = {p}")
-    universe = _sorted_group(p)
-    reps, index_of = left_cosets(k, universe)
+    reps, label = fermat_coset_labels(k)
     n = len(reps)
     cycles = 0
-    for c, _m in triple.entries:
-        images = [index_of[c * r] for r in reps]
+    for perm in _triple_left_perms(triple):
+        images = [label[perm[r]] for r in reps]
         seen = [False] * n
         for i in range(n):
             if seen[i]:

@@ -11,14 +11,21 @@ P-gonal flavor: the group generated by the deck transformation T and the
 order-3 map R of the gamma curve, with T^p = R^3 = 1 and
 R T R^(-1) = T^(gamma^2).  An element is T^k R^e.
 
-Subgroups are explicit closed element sets; at desk scale (group orders
-6 p^2 with p <= 31 for full-group work) plain enumeration beats any
-symbolic subgroup machinery.
+Subgroups are explicit closed element sets.  Coset work on the Fermat
+group runs on an integer kernel instead: element (m, n, sigma) is the int
+(m p + n) 6 + sigma, its position in the canonical order of
+:func:`fermat_elements`.  Left multiplication by an element and right
+multiplication by a generator are computed straight from ACTION and
+PERM_MUL as maps on these ints, so no element object is built per entry
+and no Cayley table is ever stored.  The left cosets g K are the orbits
+of right multiplication by the generators of K, labelled in order of
+first appearance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Iterator, Optional
 
 from .errors import FlavorMismatchError, NoGammaError, OutOfRangeError
@@ -457,35 +464,149 @@ def conjugacy_classes(
 
 
 def left_cosets(k: Subgroup, universe: Iterable[Element]):
-    """Left cosets gK in first-appearance order.
+    """Left cosets gK in order of first appearance in the universe.
 
     Returns (reps, index_of): reps[i] is the representative of coset i and
-    index_of maps every element of the universe to its coset index.
+    index_of maps every element of the universe to its coset index.  The
+    object view of :func:`fermat_coset_labels`; a p-gonal coset (the
+    group has order 3p) is taken as the set g K directly.
     """
+    if k.flavor == FLAVOR_FERMAT:
+        _, label = fermat_coset_labels(k)
+
+        def coset(g):
+            return label[fermat_index(g)]
+
+    else:
+
+        def coset(g):
+            return frozenset(g * h for h in k.element_list)
+
+    number: dict = {}
     index_of: dict[Element, int] = {}
     reps: list[Element] = []
     for g in universe:
-        if g in index_of:
-            continue
-        i = len(reps)
-        reps.append(g)
-        for h in k.element_list:
-            index_of[g * h] = i
+        c = coset(g)
+        if c not in number:
+            number[c] = len(reps)
+            reps.append(g)
+        index_of[g] = number[c]
     return reps, index_of
 
 
+# -- integer coset kernel for the Fermat group --------------------------------
+
+
+def fermat_index(g: FermatAut) -> int:
+    """Position of g in the canonical order of :func:`fermat_elements`."""
+    return (g.m * g.p + g.n) * 6 + g.sigma
+
+
+def fermat_left_mul(c: FermatAut, indices: Iterable[int]) -> list[int]:
+    """Indices of c x for the elements x with the given indices.
+
+    Over ``range(6 p^2)`` this is the permutation of left multiplication
+    by c.
+    """
+    p = c.p
+    a, b, cc, d = ACTION[c.sigma]
+    row = PERM_MUL[c.sigma]
+    cm, cn = c.m, c.n
+    out = []
+    for i in indices:
+        mn, s = divmod(i, 6)
+        m, n = divmod(mn, p)
+        out.append((((cm + a * m + b * n) % p) * p + (cn + cc * m + d * n) % p) * 6 + row[s])
+    return out
+
+
+def fermat_right_mul_perm(h: FermatAut) -> list[int]:
+    """The permutation i -> index of x h, x the element with index i.
+
+    (m, n, s) h moves (m, n) by ACTION[s] applied to the translation part
+    of h, which depends on s alone.
+    """
+    p, hm, hn = h.p, h.m, h.n
+    perm = [0] * fermat_group_order(p)
+    for s in range(6):
+        a, b, c, d = ACTION[s]
+        dm, dn = (a * hm + b * hn) % p, (c * hm + d * hn) % p
+        rows = [((m + dm) % p) * p * 6 for m in range(p)]
+        cols = [((n + dn) % p) * 6 + PERM_MUL[s][h.sigma] for n in range(p)]
+        perm[s::6] = [r + c for r in rows for c in cols]
+    return perm
+
+
+def fermat_coset_labels(k: Subgroup) -> tuple[list[int], list[int]]:
+    """Left cosets gK of a Fermat subgroup, on element indices.
+
+    The cosets are the orbits of right multiplication by the generators
+    of K, numbered in order of first appearance.  Returns (reps, label):
+    reps[i] is the smallest index in coset i and label[x] is the coset of
+    index x.  The orbits are the cosets of the subgroup the generators
+    generate; it is K when they lie in K and there are [G:K] orbits.
+    """
+    if k.flavor != FLAVOR_FERMAT:
+        raise FlavorMismatchError(f"{k!r} is not a subgroup of the Fermat group")
+    if any(h not in k for h in k.generators):
+        raise OutOfRangeError(f"the generators of {k!r} do not lie in it")
+    perms = [fermat_right_mul_perm(h) for h in k.generators if not h.is_identity]
+    cycle = perms[0] if len(perms) == 1 else None
+    label = [-1] * fermat_group_order(k.p)
+    reps: list[int] = []
+    for g in range(len(label)):
+        if label[g] >= 0:
+            continue
+        i = len(reps)
+        reps.append(g)
+        label[g] = i
+        if cycle is not None:  # K is cyclic: the coset is one cycle of its generator
+            y = cycle[g]
+            while y != g:
+                label[y] = i
+                y = cycle[y]
+            continue
+        orbit = [g]
+        for x in orbit:
+            for perm in perms:
+                y = perm[x]
+                if label[y] < 0:
+                    label[y] = i
+                    orbit.append(y)
+    if len(reps) * k.order != len(label):
+        raise OutOfRangeError(f"{k!r} is not generated by its generators: {len(reps)} cosets")
+    return reps, label
+
+
+def fermat_fixed_cosets(g: FermatAut, reps: list[int], label: list[int]) -> int:
+    """Number of cosets x K that g fixes, for cosets from fermat_coset_labels."""
+    return sum(1 for i, y in enumerate(fermat_left_mul(g, reps)) if label[y] == i)
+
+
 def all_cyclic_subgroups(flavor: str, ctx: PrimeContext, gamma: Optional[int] = None) -> list[Subgroup]:
-    """Every cyclic subgroup, including the trivial one, deduplicated."""
+    """Every cyclic subgroup, including the trivial one, deduplicated.
+
+    Listed in canonical order of the first element generating each; that
+    element is the subgroup's generator.  An element that generates a
+    subgroup already listed (some power g^k with k prime to the order of
+    g) is skipped without a closure.
+    """
     if flavor == FLAVOR_FERMAT:
         universe = fermat_elements(ctx.p)
     else:
         universe = pgonal_elements(ctx, gamma)
-    seen: dict[frozenset, Subgroup] = {}
+    subgroups = []
+    listed: set[Element] = set()
     for g in universe:
-        sub = subgroup_closure([g])
-        if sub.elements not in seen:
-            seen[sub.elements] = sub
-    return list(seen.values())
+        if g in listed:
+            continue
+        powers = [g]
+        while not powers[-1].is_identity:
+            powers.append(powers[-1] * g)
+        n = len(powers)
+        listed.update(x for k, x in enumerate(powers, 1) if gcd(k, n) == 1)
+        subgroups.append(Subgroup((g,), powers))
+    return subgroups
 
 
 # -- derivation of the hard-coded S3 action -----------------------------------

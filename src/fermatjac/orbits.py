@@ -19,14 +19,17 @@ Jacobian factors assembled in :mod:`fermatjac.decompose`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
 from .errors import NotPrimeError, OutOfRangeError, TooLargeError, TooSmallError
 
-# Keeps the gamma scan and the O(p^2) subgroup sweeps at desk scale.
-MAX_P = 1_000_003
+# The largest p any command accepts.  Every step of orbits and decompose
+# is O(p); decompose --p 100003 (p = 1 mod 3, the slower residue) takes
+# about 15 s and 170 MB.  The verify and sweep commands have lower caps
+# in cli.py.
+MAX_P = 100_003
 
 
 def is_prime(n: int) -> bool:
@@ -175,6 +178,11 @@ class OrbitPartition:
 
     context: PrimeContext
     orbits: tuple[OrbitClass, ...]
+    _orbit_of: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        index = {a: o for o in self.orbits for a in o.elements}
+        object.__setattr__(self, "_orbit_of", index)
 
     @property
     def generic_count(self) -> int:
@@ -182,10 +190,10 @@ class OrbitPartition:
 
     def orbit_of(self, alpha: int) -> OrbitClass:
         self.context.require_X(alpha)
-        for o in self.orbits:
-            if alpha in o.elements:
-                return o
-        raise AssertionError(f"partition does not cover {alpha}")
+        try:
+            return self._orbit_of[alpha]
+        except KeyError:
+            raise AssertionError(f"partition does not cover {alpha}") from None
 
 
 def orbit_partition(ctx: PrimeContext) -> OrbitPartition:

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own code paths: inverses come from
 a brute-force pair scan, orbits from the closed six-element formula,
-Moebius maps from Fraction arithmetic on the projective line, and the
-deck-family audit from explicit element sets.
+Moebius maps from Fraction arithmetic on the projective line, the
+deck-family audit from explicit element sets, and cosets from products
+of element objects.
 """
 
 from fractions import Fraction
@@ -11,7 +12,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from fermatjac.genus import fermat_axis_fix_table, fermat_genus, rh_genus
-from fermatjac.groups import Subgroup, fermat_Hj, joined_subgroup, product_set
+from fermatjac.groups import Subgroup, fermat_elements, fermat_Hj, joined_subgroup, product_set
 from fermatjac.orbits import make_context
 
 INF = "inf"
@@ -138,3 +139,54 @@ def assert_audit_matches_oracle(audit, p):
     oracle = object_level_audit(p)
     expected = {**oracle, "commuting": {**oracle["commuting"], "method": "abelian"}}
     assert audit.summary() == expected
+
+
+def object_left_cosets(k, universe):
+    """Left cosets gK in first-appearance order, built by multiplying
+    element objects: (reps, index_of), index_of mapping every element of
+    every coset to the coset's number."""
+    index_of = {}
+    reps = []
+    for g in universe:
+        if g in index_of:
+            continue
+        i = len(reps)
+        reps.append(g)
+        for h in k.element_list:
+            index_of[g * h] = i
+    return reps, index_of
+
+
+def object_coset_genus(k, triple):
+    """The coset genus (2 + [G:K] - cycles) / 2 of K, counting the cycles
+    of the three triple entries on object-level cosets."""
+    reps, index_of = object_left_cosets(k, fermat_elements(k.p))
+    cycles = 0
+    for c, _ in triple.entries:
+        images = [index_of[c * r] for r in reps]
+        seen = [False] * len(reps)
+        for i in range(len(reps)):
+            if not seen[i]:
+                cycles += 1
+                j = i
+                while not seen[j]:
+                    seen[j] = True
+                    j = images[j]
+    num = 2 + len(reps) - cycles
+    assert num >= 0 and num % 2 == 0
+    return num // 2
+
+
+def object_fixed_cosets(k, classes):
+    """The permutation character of G/K on each class: the number of
+    object-level cosets the class's first member fixes.  Slow; p <= 7."""
+    reps, index_of = object_left_cosets(k, fermat_elements(k.p))
+    return [sum(1 for i, r in enumerate(reps) if index_of[cls[0] * r] == i) for cls in classes]
+
+
+def object_perm_character(k, classes):
+    """The permutation character of G/K on each class by Frobenius'
+    formula |G| |C n K| / (|C| |K|), from the class and subgroup element
+    sets alone."""
+    order = 6 * k.p * k.p
+    return [order * sum(1 for g in cls if g in k) // (len(cls) * k.order) for cls in classes]

@@ -22,6 +22,13 @@ def test_golden_decompose_json(capsys, p):
     assert out == (GOLDEN / f"decompose_p{p}.json").read_text()
 
 
+@pytest.mark.parametrize("p", (7, 13))
+def test_golden_verify_full_json(capsys, p):
+    code, out, _ = run_cli(capsys, "verify", "--p", str(p), "--depth", "full", "--format", "json")
+    assert code == 0
+    assert out == (GOLDEN / f"verify_p{p}_full.json").read_text()
+
+
 def test_json_roundtrip(capsys):
     code, out, _ = run_cli(capsys, "decompose", "--p", "13", "--format", "json")
     assert code == 0
@@ -88,6 +95,24 @@ def test_invalid_input_exit_code_2(capsys):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert err
+
+
+def test_measured_bounds_exit_code_2(capsys):
+    from fermatjac.cli import SWEEP_MAX_TO, VERIFY_MAX_P
+    from fermatjac.orbits import MAX_P, is_prime
+
+    assert make_context(MAX_P).p == MAX_P
+    over_max = next(q for q in range(MAX_P + 1, 2 * MAX_P) if is_prime(q))
+    over_verify = next(q for q in range(VERIFY_MAX_P + 1, 2 * VERIFY_MAX_P) if is_prime(q))
+    for argv in (
+        ["decompose", "--p", str(over_max)],
+        ["orbits", "--p", str(over_max)],
+        ["verify", "--p", str(over_verify)],
+        ["sweep", "--from", "5", "--to", str(SWEEP_MAX_TO + 1)],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and "error" in err
 
 
 def test_usage_error_exit_code_2(capsys):
@@ -274,3 +299,77 @@ def test_factor_entry_hyperelliptic_metadata(capsys):
     assert c1["hyperelliptic_model"] == "w^2 = u^7 - 1"
     c2 = report["decompositions"]["coarse"]["factors"][1]
     assert "hyperelliptic_model" not in c2
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count the calls of module.name, wherever the package bound it."""
+    import sys
+
+    real = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "fermatjac" or mod_name.startswith("fermatjac."):
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+def test_verify_full_builds_classes_and_fix_table_once(capsys, monkeypatch):
+    from fermatjac import genus as genus_module
+    from fermatjac import groups as groups_module
+
+    classes = _count_calls(monkeypatch, groups_module, "conjugacy_classes")
+    tables = _count_calls(monkeypatch, genus_module, "fermat_full_fix_table")
+    code, _, _ = run_cli(capsys, "verify", "--p", "13", "--depth", "full")
+    assert code == 0
+    assert len(classes) == 1 and len(tables) == 1
+
+
+def test_oracle_disagreement_is_a_typed_failure(capsys, monkeypatch):
+    from fermatjac import genus as genus_module
+
+    real = genus_module.coset_genus
+    # off by one on every subgroup but the trivial one, which the
+    # generating-triple check uses
+    monkeypatch.setattr(genus_module, "coset_genus", lambda k, triple: real(k, triple) + (k.order > 1))
+    code, out, err = run_cli(capsys, "verify", "--p", "7", "--depth", "full", "--format", "json")
+    assert code == 4
+    assert "dual-oracle-genus" in err
+    failed = rep.parse(out)["checks"][-1]
+    assert failed["name"] == "dual-oracle-genus" and failed["status"] == "FAIL"
+    assert failed["code"] == "ORACLE_DISAGREEMENT"
+    assert failed["detail"].startswith("p = 7, the subgroup of order ")
+    assert "Riemann-Hurwitz genus" in failed["detail"] and "coset genus" in failed["detail"]
+
+
+def test_oracle_disagreement_fails_under_python_O():
+    # Under -O every assert is stripped; the dual-oracle check must still refuse.
+    import os
+    import subprocess
+    import sys
+
+    import fermatjac
+
+    script = (
+        "import sys\n"
+        "from fermatjac import cli, genus\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit(99)\n"
+        "real = genus.coset_genus\n"
+        "genus.coset_genus = lambda k, triple: real(k, triple) + (k.order > 1)\n"
+        "sys.exit(cli.main(['verify', '--p', '7', '--depth', 'full']))\n"
+    )
+    src = str(Path(fermatjac.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert run.returncode == 4, run.stdout + run.stderr
+    assert "FAIL dual-oracle-genus: p = 7, the subgroup of order" in run.stdout
+    assert "verification failed at check: dual-oracle-genus" in run.stderr
