@@ -12,8 +12,9 @@ coset actions gives exact rational certificates:
 (the second by Frobenius reciprocity: the pairing computes the dimension
 of the K-fixed subspace of homology).  For each free deck subgroup the
 value is p - 1, twice the quotient genus.  Inner products are computed
-by literal summation over all group elements with Fraction arithmetic;
-a class-weighted evaluation exists as a cross-check.
+by literal summation over all group elements, each read through the
+class of its element index, and are exact Fractions; a class-weighted
+evaluation exists as a cross-check.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .errors import FlavorMismatchError
+from .errors import CheckFailedError, FlavorMismatchError, ShapeMismatchError
 from .genus import FixTable, GeneratingTriple, fermat_full_fix_table, fermat_genus
 from .groups import (
     FLAVOR_FERMAT,
@@ -29,47 +30,47 @@ from .groups import (
     Element,
     Subgroup,
     conjugacy_classes,
+    element_index,
     fermat_coset_labels,
-    fermat_elements,
     fermat_fixed_cosets,
+    flavor_of,
     left_cosets,
-    pgonal_elements,
 )
 from .orbits import PrimeContext
 
 
 class ClassData:
-    """Conjugacy classes of one group plus the element -> class index map.
+    """Conjugacy classes of one group plus the class of every element.
 
+    ``class_of[i]`` is the number of the class of the element with index
+    i (:func:`groups.element_index`); the identity has index 0.
     ``classes``, when given, is the result of :func:`conjugacy_classes`
     for the same group, computed once and shared.
     """
 
-    __slots__ = ("flavor", "p", "gamma", "classes", "class_index", "elements", "identity_index")
+    __slots__ = ("flavor", "p", "gamma", "classes", "class_of")
 
     def __init__(self, flavor: str, ctx: PrimeContext, gamma: Optional[int] = None, classes=None):
         self.flavor = flavor
         self.p = ctx.p
         self.gamma = None
-        if flavor == FLAVOR_FERMAT:
-            self.elements = tuple(fermat_elements(ctx.p))
-        elif flavor == FLAVOR_P_GONAL:
+        if flavor == FLAVOR_P_GONAL:
             self.gamma = ctx.gamma if gamma is None else gamma
-            self.elements = tuple(pgonal_elements(ctx, self.gamma))
-        else:
+        elif flavor != FLAVOR_FERMAT:
             raise FlavorMismatchError(f"unknown flavor {flavor!r}")
         self.classes = conjugacy_classes(flavor, ctx, gamma) if classes is None else classes
-        self.class_index = {}
+        self.class_of = [0] * sum(map(len, self.classes))
         for i, cls in enumerate(self.classes):
             for g in cls:
-                self.class_index[g] = i
-        self.identity_index = next(
-            i for i, cls in enumerate(self.classes) if cls[0].is_identity
-        )
+                self.class_of[element_index(g)] = i
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.class_of)
+
+    @property
+    def identity_index(self) -> int:
+        return self.class_of[0]
 
     def compatible_with(self, other: "ClassData") -> bool:
         return (
@@ -85,13 +86,17 @@ class ClassFunction:
     __slots__ = ("data", "values", "name")
 
     def __init__(self, data: ClassData, values, name: str = ""):
-        assert len(values) == len(data.classes)
+        if len(values) != len(data.classes):
+            raise ShapeMismatchError(f"{len(values)} values for {len(data.classes)} classes")
         self.data = data
         self.values = tuple(values)
         self.name = name
 
     def __call__(self, g: Element):
-        return self.values[self.data.class_index[g]]
+        data = self.data
+        if flavor_of(g) != data.flavor or g.p != data.p or getattr(g, "gamma", None) != data.gamma:
+            raise FlavorMismatchError(f"{g!r} is not in the group of {self!r}")
+        return self.values[data.class_of[element_index(g)]]
 
     @property
     def at_identity(self):
@@ -143,13 +148,16 @@ def induced_perm_character(k: Subgroup, data: ClassData) -> ClassFunction:
             return fermat_fixed_cosets(g, reps, label)
 
     else:
-        reps, index_of = left_cosets(k, data.elements)
+        reps, index_of = left_cosets(k, (g for cls in data.classes for g in cls))
 
         def fixed(g):
             return sum(1 for i, r in enumerate(reps) if index_of[g * r] == i)
 
     fn = ClassFunction(data, [fixed(cls[0]) for cls in data.classes], f"perm(G/{k!r})")
-    assert fn.at_identity == data.order // k.order
+    if fn.at_identity * k.order != data.order:
+        raise CheckFailedError(
+            f"{fn.at_identity} cosets of {k!r} in a group of order {data.order}"
+        )
     return fn
 
 
@@ -162,10 +170,8 @@ def inner_product(f1: ClassFunction, f2: ClassFunction) -> Fraction:
     """
     if not f1.data.compatible_with(f2.data):
         raise FlavorMismatchError("inner product of class functions on different groups")
-    total = 0
-    for g in f1.data.elements:
-        total += f1(g) * f2(g)
-    return Fraction(total, f1.data.order)
+    v1, v2 = f1.values, f2.values
+    return Fraction(sum(v1[c] * v2[c] for c in f1.data.class_of), f1.data.order)
 
 
 def inner_product_by_classes(f1: ClassFunction, f2: ClassFunction) -> Fraction:

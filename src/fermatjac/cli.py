@@ -33,6 +33,11 @@ from .errors import (
 from .orbits import OrbitKind, is_prime, make_context, orbit_partition, s3_apply
 
 FULL_DEPTH_DEFAULT_CAP = 31
+# verify --full-cap: full-group work grows about as p^4 (each of the
+# O(p^2) cyclic subgroups gets a coset labelling of all 6 p^2 elements);
+# about 35 s at p = 61 and 57 s at p = 67, too close to a minute to hold
+# when the machine runs slower.
+FULL_DEPTH_MAX_P = 61
 # verify at any depth: the monomial conjugation sweep is O(p log p) with a
 # large constant, about 40 s at p = 19993.
 VERIFY_MAX_P = 20_000
@@ -42,29 +47,44 @@ SWEEP_MAX_TO = 3_000
 
 # -- verification checks -------------------------------------------------------
 #
-# Each check returns a detail string and raises a package error (or, in
-# the basic checks, AssertionError) on failure.  The full checks raise
-# CheckFailedError, so their verdicts also hold under python -O.  cmd_verify
-# runs the checks in order and stops at the first failure, naming the check.
+# Each check returns a detail string and raises a package error on
+# failure: a false predicate raises CheckFailedError through _require, so
+# every verdict also holds under python -O.  cmd_verify runs the checks in
+# order and stops at the first failure, naming the check.
+
+
+def _require(cond, detail):
+    if not cond:
+        raise CheckFailedError(detail)
 
 
 def check_orbit_partition_laws(ctx, cache):
+    p = ctx.p
     part = orbit_partition(ctx)
     sizes = [o.size for o in part.orbits]
-    assert sum(sizes) == ctx.p - 2
-    assert all(s in (2, 3, 6) for s in sizes)
-    assert sum(1 for o in part.orbits if o.kind is OrbitKind.SPECIAL_ONE) == 1
+    _require(sum(sizes) == p - 2, f"p = {p}: the orbit sizes sum to {sum(sizes)}, not {p - 2}")
+    bad = [s for s in sizes if s not in (2, 3, 6)]
+    _require(not bad, f"p = {p}: orbit sizes {bad} are not 2, 3 or 6")
+    special = sum(1 for o in part.orbits if o.kind is OrbitKind.SPECIAL_ONE)
+    _require(special == 1, f"p = {p}: {special} orbits of the special kind, expected 1")
     gamma_orbits = [o for o in part.orbits if o.kind is OrbitKind.GAMMA]
-    assert len(gamma_orbits) == (1 if ctx.has_gamma else 0)
+    _require(
+        len(gamma_orbits) == (1 if ctx.has_gamma else 0),
+        f"p = {p}: {len(gamma_orbits)} gamma orbits with has_gamma = {ctx.has_gamma}",
+    )
     if ctx.has_gamma:
         for g in gamma_orbits[0].elements:
-            assert (g * g + g + 1) % ctx.p == 0
-    expected_generic = (ctx.p - 7) // 6 if ctx.has_gamma else (ctx.p - 5) // 6
-    assert part.generic_count == expected_generic
+            _require((g * g + g + 1) % p == 0, f"p = {p}: gamma orbit member {g} is not a root of g^2+g+1")
+    expected_generic = (p - 7) // 6 if ctx.has_gamma else (p - 5) // 6
+    _require(
+        part.generic_count == expected_generic,
+        f"p = {p}: {part.generic_count} generic orbits, expected {expected_generic}",
+    )
     for o in part.orbits:
         for a in o.elements:
-            assert s3_apply("U", a, ctx) in o.elements
-            assert s3_apply("V", a, ctx) in o.elements
+            for name in ("U", "V"):
+                image = s3_apply(name, a, ctx)
+                _require(image in o.elements, f"p = {p}: {name}({a}) = {image} leaves the orbit {o.elements}")
     return f"{len(part.orbits)} orbits, {expected_generic} generic"
 
 
@@ -72,10 +92,10 @@ def check_s3_relations(ctx, cache):
     for a in range(1, ctx.p - 1):
         u1 = s3_apply("U", a, ctx)
         u2 = s3_apply("U", u1, ctx)
-        assert s3_apply("U", u2, ctx) == a
-        assert s3_apply("V", s3_apply("V", a, ctx), ctx) == a
+        _require(s3_apply("U", u2, ctx) == a, f"p = {ctx.p}: U^3 moves {a}")
+        _require(s3_apply("V", s3_apply("V", a, ctx), ctx) == a, f"p = {ctx.p}: V^2 moves {a}")
         uv = s3_apply("U", s3_apply("V", a, ctx), ctx)
-        assert s3_apply("U", s3_apply("V", uv, ctx), ctx) == a
+        _require(s3_apply("U", s3_apply("V", uv, ctx), ctx) == a, f"p = {ctx.p}: (UV)^2 moves {a}")
     return f"U^3 = V^2 = (UV)^2 = id on all {ctx.p - 2} points"
 
 
@@ -84,28 +104,32 @@ def check_moebius_transport(ctx, cache):
 
     from .orbits import orbit
 
+    p = ctx.p
     labels = list(MoebiusLabel)
-    for a in range(1, ctx.p - 1):
+    for a in range(1, p - 1):
         o = orbit(a, ctx)
         images = Counter(moebius_transport(a, lab, ctx) for lab in labels)
-        assert set(images) == set(o.elements)
+        _require(set(images) == set(o.elements), f"p = {p}: the six images of {a} are not its orbit {o.elements}")
         mult = 6 // o.size
-        assert all(c == mult for c in images.values())
+        _require(
+            all(c == mult for c in images.values()),
+            f"p = {p}: the images of {a} are not each hit {mult} times",
+        )
     for f in labels:
         for g in labels:
             fg = f.compose(g)
-            for a in (1, 2, ctx.p - 2):
+            for a in (1, 2, p - 2):
                 lhs = moebius_transport(a, fg, ctx)
                 rhs = moebius_transport(moebius_transport(a, f, ctx), g, ctx)
-                assert lhs == rhs
+                _require(lhs == rhs, f"p = {p}: transport by {f.name} then {g.name} at {a}: {lhs} != {rhs}")
     return "six images enumerate each orbit; composition consistent"
 
 
 def check_normalization(ctx, cache):
     p = ctx.p
     for a in range(1, p - 1):
-        assert normalize(a, 1, ctx).alpha == a
-        assert normalize(1, a, ctx).alpha == ctx.inv(a)
+        _require(normalize(a, 1, ctx).alpha == a, f"p = {p}: normalize({a}, 1) is not {a}")
+        _require(normalize(1, a, ctx).alpha == ctx.inv(a), f"p = {p}: normalize(1, {a}) is not 1/{a}")
     deltas = range(1, p) if p <= 31 else (2, 3, p - 1)
     for delta in deltas:
         for a in (1, 2, p - 2):
@@ -113,7 +137,10 @@ def check_normalization(ctx, cache):
                 da, db = delta * a % p, delta * b % p
                 if (a + b) % p == 0 or da == 0 or db == 0:
                     continue
-                assert normalize(da, db, ctx).alpha == normalize(a, b, ctx).alpha
+                _require(
+                    normalize(da, db, ctx).alpha == normalize(a, b, ctx).alpha,
+                    f"p = {p}: normalize({a}, {b}) changes under rescaling by {delta}",
+                )
     return "unit rescaling invariance holds"
 
 
@@ -131,15 +158,20 @@ def _fine(ctx, cache):
 
 def check_deck_quotient_audit(ctx, cache):
     d = _coarse(ctx, cache)
-    assert d.audit.all_pass
+    a = d.audit
+    _require(
+        a.all_pass,
+        f"p = {ctx.p}: the deck-family audit fails: {len(a.commuting_checks)} non-commuting pairs,"
+        f" {len(a.genus_zero_checks)} pairs of nonzero genus, genus sum {a.genus_sum_check[:2]}",
+    )
     return f"{d.audit.subgroup_count} deck subgroups, all hypotheses pass"
 
 
 def check_fine_decomposition(ctx, cache):
     d = _fine(ctx, cache)
-    assert d.audit.all_pass
+    _require(d.audit.all_pass, f"p = {ctx.p}: the fine decomposition's deck-family audit fails")
     if d.gamma_refinement is not None:
-        assert d.gamma_refinement.all_pass
+        _require(d.gamma_refinement.all_pass, f"p = {ctx.p}: the gamma refinement audit fails")
         return "gamma factor refined; quotient-genus identities pass"
     return "no gamma root; fine = coarse"
 
@@ -154,10 +186,10 @@ def check_dimension_audit(ctx, cache):
 def check_monomial_relations(ctx, cache):
     p = ctx.p
     jmap = mono.build_J(ctx)
-    assert mono.verify_curve_automorphism(jmap)
-    assert mono.compose(jmap, jmap) == mono.identity_map(p, 1)
+    _require(mono.verify_curve_automorphism(jmap), f"p = {p}: J does not preserve the curve")
+    _require(mono.compose(jmap, jmap) == mono.identity_map(p, 1), f"p = {p}: J^2 is not the identity")
     t1 = mono.build_T(ctx, gamma=1)
-    assert mono.map_power(t1, p) == mono.identity_map(p, 1)
+    _require(mono.map_power(t1, p) == mono.identity_map(p, 1), f"p = {p}: T^p is not the identity")
     block = {
         "J": jmap.render(),
         "relations": {"J^2 = id": True, "J preserves the curve": True, "T^p = id": True},
@@ -168,17 +200,23 @@ def check_monomial_relations(ctx, cache):
         return "J and T certified on the hyperelliptic curve; no gamma root"
     g = ctx.gamma
     parity = mono.epsilon_parity_report(ctx)
-    assert parity["rule_matches"]
-    assert mono.verify_relation([("R", 3)], [], ctx)
-    assert mono.verify_relation([("R", 1), ("T", 1)], [("T", g * g), ("R", 1)], ctx)
+    _require(parity["rule_matches"], f"p = {p}: the epsilon parity rule does not match: {parity}")
+    _require(mono.verify_relation([("R", 3)], [], ctx), f"p = {p}: R^3 is not the identity")
+    _require(
+        mono.verify_relation([("R", 1), ("T", 1)], [("T", g * g), ("R", 1)], ctx),
+        f"p = {p}: R T != T^(gamma^2) R",
+    )
     for l in range(p):
-        assert mono.verify_relation(
-            [("T", -l), ("R", 1), ("T", l)],
-            [("T", l * (g * g - 1)), ("R", 1)],
-            ctx,
+        _require(
+            mono.verify_relation(
+                [("T", -l), ("R", 1), ("T", l)],
+                [("T", l * (g * g - 1)), ("R", 1)],
+                ctx,
+            ),
+            f"p = {p}: T^(-l) R T^l != T^(l (gamma^2 - 1)) R at l = {l}",
         )
     tg = mono.build_T(ctx)
-    assert mono.map_power(tg, p) == mono.identity_map(p, g)
+    _require(mono.map_power(tg, p) == mono.identity_map(p, g), f"p = {p}: T^p is not the identity (gamma = {g})")
     block["T"] = tg.render()
     block["R"] = mono.build_R(ctx).render()
     block["epsilon"] = parity
@@ -191,11 +229,6 @@ def check_monomial_relations(ctx, cache):
         }
     )
     return f"R^3, R T = T^(g^2) R, conjugation sweep (l = 0..{p - 1}), epsilon rule"
-
-
-def _require(cond, detail):
-    if not cond:
-        raise CheckFailedError(detail)
 
 
 def check_generating_triple(ctx, cache):
@@ -227,19 +260,14 @@ def check_dual_oracle_genus(ctx, cache):
     triple = cache["triple"]
     fix = _full_fix(ctx, cache)
     g_top = gen.fermat_genus(p)
+    h = grp.fermat_H(p)
     subgroups = grp.all_cyclic_subgroups(grp.FLAVOR_FERMAT, ctx)
-    subgroups.append(grp.fermat_H(p))
-    hj = [grp.fermat_Hj(p, j) for j in range(1, p - 1)]
-    subgroups.extend(hj)
-    seen = set()
-    joins = []
-    for i in range(len(hj)):
-        for j in range(i + 1, len(hj)):
-            joined = grp.joined_subgroup(hj[i], hj[j])
-            if joined.elements not in seen:
-                seen.add(joined.elements)
-                joins.append(joined)
-    subgroups.extend(joins)
+    subgroups.append(h)
+    subgroups.extend(grp.fermat_Hj(p, j) for j in range(1, p - 1))
+    # H_i and H_j are the lines through (1, 1+i) and (1, 1+j) in F_p^2,
+    # with determinant j - i, a unit for i != j: every pairwise join is
+    # the plane H, listed once more as the joins' entry.
+    subgroups.append(h)
     for k in subgroups:
         rh, coset = gen.rh_genus(g_top, k, fix), gen.coset_genus(k, triple)
         if rh != coset:
@@ -349,6 +377,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.full_cap > FULL_DEPTH_MAX_P:
+        print(f"error: --full-cap {args.full_cap} is above the supported bound {FULL_DEPTH_MAX_P}", file=sys.stderr)
+        return 2
     ctx = make_context(args.p)
     if ctx.p > VERIFY_MAX_P:
         print(f"error: verify is capped at p <= {VERIFY_MAX_P}", file=sys.stderr)
@@ -502,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--full-cap",
         type=int,
         default=FULL_DEPTH_DEFAULT_CAP,
-        help="largest p allowed at depth=full (full-group enumeration)",
+        help=f"largest p allowed at depth=full (full-group enumeration), at most {FULL_DEPTH_MAX_P}",
     )
     p_ver.add_argument("--format", choices=("text", "json"), default="text")
     p_ver.set_defaults(fn=cmd_verify)

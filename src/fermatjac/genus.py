@@ -46,13 +46,15 @@ from .groups import (
     Subgroup,
     conjugacy_classes,
     fermat_a1,
+    fermat_closure,
     fermat_coset_labels,
-    fermat_elements,
+    fermat_element,
     fermat_fixed_cosets,
     fermat_group_order,
     fermat_identity,
     fermat_index,
     fermat_left_mul,
+    fermat_order,
     mulclose,
     order,
     subgroup_closure,
@@ -180,36 +182,34 @@ class GeneratingTriple:
         }
 
 
-@lru_cache(maxsize=8)
-def _sorted_group(p: int) -> tuple[FermatAut, ...]:
-    return tuple(fermat_elements(p))
-
-
 def find_generating_triple(ctx: PrimeContext, limit: int = DEFAULT_TRIPLE_SEARCH_BOUND) -> GeneratingTriple:
     """First (2, 3, 2p) generating triple in the canonical element order.
 
     Deterministic, so reports citing the triple reproduce run to run.
     The exhaustive search is bounded to keep full-group work desk-scale.
+    It runs on element indices: orders come from the group law and
+    generation is an index closure; :func:`validate_triple` rechecks the
+    result with element objects.
     """
     p = ctx.p
     if p > limit:
         raise TooLargeError(
             f"triple search for p = {p} exceeds the bound {limit}; raise the limit explicitly"
         )
-    universe = _sorted_group(p)
-    order2 = [g for g in universe if order(g) == 2]
-    order3 = [g for g in universe if order(g) == 3]
-    target = fermat_group_order(p)
-    for c2 in order2:
-        for c3 in order3:
-            prod = c2 * c3
-            if order(prod) != 2 * p:
+    n = fermat_group_order(p)
+    orders = [fermat_order(p, i) for i in range(n)]
+    order3 = [i for i in range(n) if orders[i] == 3]
+    for i2 in range(n):
+        if orders[i2] != 2:
+            continue
+        c2 = fermat_element(p, i2)
+        for i3, prod in zip(order3, fermat_left_mul(c2, order3)):
+            if orders[prod] != 2 * p:
                 continue
-            if len(mulclose([c2, c3])) != target:
+            c3 = fermat_element(p, i3)
+            if len(fermat_closure((c2, c3))) != n:
                 continue
-            triple = GeneratingTriple(c2, c3, prod.inverse())
-            assert (c2 * c3 * triple.c2p).is_identity
-            return triple
+            return GeneratingTriple(c2, c3, fermat_element(p, prod).inverse())
     raise SearchExhaustedError(f"no (2, 3, 2p) generating triple found for p = {p}")
 
 

@@ -11,15 +11,23 @@ P-gonal flavor: the group generated by the deck transformation T and the
 order-3 map R of the gamma curve, with T^p = R^3 = 1 and
 R T R^(-1) = T^(gamma^2).  An element is T^k R^e.
 
-Subgroups are explicit closed element sets.  Coset work on the Fermat
-group runs on an integer kernel instead: element (m, n, sigma) is the int
-(m p + n) 6 + sigma, its position in the canonical order of
-:func:`fermat_elements`.  Left multiplication by an element and right
-multiplication by a generator are computed straight from ACTION and
-PERM_MUL as maps on these ints, so no element object is built per entry
-and no Cayley table is ever stored.  The left cosets g K are the orbits
-of right multiplication by the generators of K, labelled in order of
-first appearance.
+Subgroups are explicit closed element sets.  Full-group work runs on an
+integer kernel instead: element (m, n, sigma) of the Fermat group is the
+int (m p + n) 6 + sigma and T^k R^e of the p-gonal group is 3 k + e,
+each its position in the canonical element order.  For the Fermat group,
+left multiplication by an element and right multiplication by a
+generator are computed straight from ACTION and PERM_MUL as maps on
+these ints, so no element object is built per entry and no Cayley table
+is ever stored.  On that kernel:
+
+- the left cosets g K are the orbits of right multiplication by the
+  generators of K, labelled in order of first appearance;
+- element orders come from the group law (:func:`fermat_order`), and
+  the subgroup generated by a few elements is a closure under left
+  multiplication (:func:`fermat_closure`);
+- the conjugacy classes are the orbits of conjugation by the group
+  generators; the p-gonal classes take the same orbit walk, with its
+  3p conjugation maps read off element objects.
 """
 
 from __future__ import annotations
@@ -432,34 +440,44 @@ def conjugacy_classes(
 
     Classes are closed under conjugation by the group generators, which
     generates the full conjugation action.  Ordered by first appearance
-    of a member in the canonical element order; members sorted.
+    of a member in the canonical element order; members sorted.  The
+    orbits are walked on element indices (:func:`element_index`).
     """
     if flavor == FLAVOR_FERMAT:
-        universe = list(fermat_elements(ctx.p))
-        gens = fermat_generators(ctx.p)
+        p = ctx.p
+        everything = range(fermat_group_order(p))
+        conj = []
+        for t in fermat_generators(p):
+            right = fermat_right_mul_perm(t.inverse())
+            conj.append([right[y] for y in fermat_left_mul(t, everything)])
+
+        def element(i: int) -> Element:
+            return fermat_element(p, i)
+
     elif flavor == FLAVOR_P_GONAL:
         g = _resolve_gamma(ctx, gamma)
         universe = list(pgonal_elements(ctx, g))
-        gens = (pgonal_T(ctx, g), pgonal_R(ctx, g))
+        conj = [
+            [element_index(t * x * t.inverse()) for x in universe]
+            for t in (pgonal_T(ctx, g), pgonal_R(ctx, g))
+        ]
+        element = universe.__getitem__
     else:
         raise FlavorMismatchError(f"unknown flavor {flavor!r}")
-    gen_invs = [(t, t.inverse()) for t in gens]
-    seen: set[Element] = set()
+    seen = bytearray(len(conj[0]))
     classes = []
-    for g0 in universe:
-        if g0 in seen:
+    for g0 in range(len(seen)):
+        if seen[g0]:
             continue
-        cls = {g0}
-        frontier = [g0]
-        while frontier:
-            x = frontier.pop()
-            for t, t_inv in gen_invs:
-                y = t * x * t_inv
-                if y not in cls:
-                    cls.add(y)
-                    frontier.append(y)
-        seen |= cls
-        classes.append(tuple(sorted(cls, key=lambda e: e.sort_key())))
+        seen[g0] = 1
+        cls = [g0]
+        for x in cls:
+            for perm in conj:
+                y = perm[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    cls.append(y)
+        classes.append(tuple(element(i) for i in sorted(cls)))
     return tuple(classes)
 
 
@@ -500,6 +518,60 @@ def left_cosets(k: Subgroup, universe: Iterable[Element]):
 def fermat_index(g: FermatAut) -> int:
     """Position of g in the canonical order of :func:`fermat_elements`."""
     return (g.m * g.p + g.n) * 6 + g.sigma
+
+
+def element_index(g: Element) -> int:
+    """Position of g in the canonical element order of its group:
+    (m p + n) 6 + sigma in the Fermat group, 3 k + e in the p-gonal one."""
+    if isinstance(g, FermatAut):
+        return fermat_index(g)
+    return 3 * g.k + g.e
+
+
+def fermat_element(p: int, i: int) -> FermatAut:
+    """The element with index i; inverse to :func:`fermat_index`."""
+    mn, s = divmod(i, 6)
+    return FermatAut(p, *divmod(mn, p), s)
+
+
+def fermat_order(p: int, i: int) -> int:
+    """Order of the element with index i, from the group law.
+
+    A translation other than 1 has order p and a 3-cycle order 3
+    ((1 + A + A^2) x = 0 for its matrix A).  The square of x sigma, sigma
+    a transposition with matrix A, is the translation (I + A) x, so the
+    order is 2 when that vanishes and 2p otherwise.
+    """
+    mn, s = divmod(i, 6)
+    if s == PERM_ID:
+        return 1 if mn == 0 else p
+    if s in (PERM_U, PERM_U2):
+        return 3
+    m, n = divmod(mn, p)
+    a, b, c, d = ACTION[s]
+    if ((1 + a) * m + b * n) % p == 0 and (c * m + (1 + d) * n) % p == 0:
+        return 2
+    return 2 * p
+
+
+def fermat_closure(generators: Iterable[FermatAut]) -> list[int]:
+    """Indices of the subgroup the generators generate, in order of
+    discovery: the closure of {1} under left multiplication by each."""
+    gens = list(generators)
+    seen = bytearray(fermat_group_order(gens[0].p))
+    seen[0] = 1
+    members = [0]
+    frontier = members[:]
+    while frontier:
+        new = []
+        for c in gens:
+            for y in fermat_left_mul(c, frontier):
+                if not seen[y]:
+                    seen[y] = 1
+                    new.append(y)
+        members.extend(new)
+        frontier = new
+    return members
 
 
 def fermat_left_mul(c: FermatAut, indices: Iterable[int]) -> list[int]:

@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: inverses come from
 a brute-force pair scan, orbits from the closed six-element formula,
 Moebius maps from Fraction arithmetic on the projective line, the
-deck-family audit from explicit element sets, and cosets from products
+deck-family audit from explicit element sets, and cosets, conjugacy
+classes, element orders and the generating-triple search from products
 of element objects.
 """
 
@@ -11,8 +12,21 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from fermatjac.genus import fermat_axis_fix_table, fermat_genus, rh_genus
-from fermatjac.groups import Subgroup, fermat_elements, fermat_Hj, joined_subgroup, product_set
+from fermatjac.genus import GeneratingTriple, fermat_axis_fix_table, fermat_genus, rh_genus
+from fermatjac.groups import (
+    FLAVOR_FERMAT,
+    Subgroup,
+    fermat_elements,
+    fermat_generators,
+    fermat_Hj,
+    joined_subgroup,
+    mulclose,
+    order,
+    pgonal_elements,
+    pgonal_R,
+    pgonal_T,
+    product_set,
+)
 from fermatjac.orbits import make_context
 
 INF = "inf"
@@ -190,3 +204,55 @@ def object_perm_character(k, classes):
     sets alone."""
     order = 6 * k.p * k.p
     return [order * sum(1 for g in cls if g in k) // (len(cls) * k.order) for cls in classes]
+
+
+def object_generating_triple(p):
+    """The first (2, 3, 2p) generating triple in canonical order, with
+    orders from repeated multiplication and generation from an
+    object-level closure."""
+    universe = list(fermat_elements(p))
+    order2 = [g for g in universe if order(g) == 2]
+    order3 = [g for g in universe if order(g) == 3]
+    for c2 in order2:
+        for c3 in order3:
+            prod = c2 * c3
+            if order(prod) == 2 * p and len(mulclose([c2, c3])) == len(universe):
+                return GeneratingTriple(c2, c3, prod.inverse())
+    return None
+
+
+def object_conjugacy_classes(flavor, ctx):
+    """Conjugacy classes as sets closed under conjugation by the group
+    generators, in order of first appearance, members sorted."""
+    if flavor == FLAVOR_FERMAT:
+        universe = list(fermat_elements(ctx.p))
+        gens = fermat_generators(ctx.p)
+    else:
+        universe = list(pgonal_elements(ctx))
+        gens = (pgonal_T(ctx), pgonal_R(ctx))
+    seen = set()
+    classes = []
+    for g0 in universe:
+        if g0 in seen:
+            continue
+        cls = {g0}
+        frontier = [g0]
+        while frontier:
+            x = frontier.pop()
+            for t in gens:
+                y = t * x * t.inverse()
+                if y not in cls:
+                    cls.add(y)
+                    frontier.append(y)
+        seen |= cls
+        classes.append(tuple(sorted(cls, key=lambda e: e.sort_key())))
+    return tuple(classes)
+
+
+def object_inner_product(f1, f2, universe):
+    """(1/|G|) sum of f1(g) f2(g) over the element objects of the group,
+    each looked up in an element -> class dict built from the classes."""
+    class_of = {g: i for i, cls in enumerate(f1.data.classes) for g in cls}
+    universe = list(universe)
+    total = sum(f1.values[class_of[g]] * f2.values[class_of[g]] for g in universe)
+    return Fraction(total, len(universe))

@@ -8,7 +8,7 @@ from fermatjac.certificates import (
     inner_product,
     inner_product_by_classes,
 )
-from fermatjac.errors import FlavorMismatchError
+from fermatjac.errors import CheckFailedError, FlavorMismatchError, ShapeMismatchError
 from fermatjac.genus import (
     coset_genus,
     fermat_genus,
@@ -111,6 +111,22 @@ def test_flavor_mismatch():
         inner_product(chi_trivial(d5), chi_trivial(d7))
     with pytest.raises(FlavorMismatchError):
         induced_perm_character(fermat_Hj(7, 1), d5)
+    with pytest.raises(FlavorMismatchError):
+        chi_trivial(d5)(fermat_a1(7))
+
+
+def test_malformed_class_functions_are_typed_errors():
+    from fermatjac.certificates import ClassFunction
+    from fermatjac.groups import FLAVOR_P_GONAL, Subgroup, pgonal_identity, pgonal_T
+
+    d5 = ClassData(FLAVOR_FERMAT, make_context(5))
+    with pytest.raises(ShapeMismatchError):
+        ClassFunction(d5, [1, 2])
+    # {1, T} is not closed, so its 21 translates are not 21 / 2 cosets
+    ctx = make_context(7)
+    not_a_group = Subgroup((pgonal_T(ctx),), (pgonal_identity(ctx), pgonal_T(ctx)))
+    with pytest.raises(CheckFailedError):
+        induced_perm_character(not_a_group, ClassData(FLAVOR_P_GONAL, ctx))
 
 
 def test_pgonal_class_data_and_pairing():

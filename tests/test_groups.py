@@ -157,7 +157,7 @@ def test_subgroup_closure_basics():
         subgroup_closure([])
 
 
-@pytest.mark.parametrize("p", (5, 7, 13))
+@pytest.mark.parametrize("p", (5, 7, 11, 13))
 def test_Hj_family(p):
     axes = {
         frozenset(subgroup_closure([fermat_a1(p)]).elements),

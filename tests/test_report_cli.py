@@ -142,9 +142,15 @@ def test_verify_full_p7_json(capsys):
 
 
 def test_verify_full_cap(capsys):
+    from fermatjac.cli import FULL_DEPTH_MAX_P
+
     code, _, err = run_cli(capsys, "verify", "--p", "37", "--depth", "full")
     assert code == 2
     assert "full-cap" in err or "capped" in err
+    for cap in (FULL_DEPTH_MAX_P + 1, 1000):
+        code, out, err = run_cli(capsys, "verify", "--p", "997", "--depth", "full", "--full-cap", str(cap))
+        assert code == 2, cap
+        assert out == "" and "--full-cap" in err
 
 
 def test_verify_basic_p19(capsys):
@@ -302,14 +308,15 @@ def test_factor_entry_hyperelliptic_metadata(capsys):
 
 
 def _count_calls(monkeypatch, module, name):
-    """Count the calls of module.name, wherever the package bound it."""
+    """Record the positional arguments of each call of module.name,
+    wherever the package bound it."""
     import sys
 
     real = getattr(module, name)
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(name)
+        calls.append(args)
         return real(*args, **kwargs)
 
     for mod_name, mod in list(sys.modules.items()):
@@ -329,6 +336,17 @@ def test_verify_full_builds_classes_and_fix_table_once(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "verify", "--p", "13", "--depth", "full")
     assert code == 0
     assert len(classes) == 1 and len(tables) == 1
+
+
+def test_verify_full_builds_no_deck_joins(capsys, monkeypatch):
+    # every join H_i v H_j is the plane H (determinant j - i); only the
+    # gamma refinement joins subgroups, and those live in the p-gonal group
+    from fermatjac import groups as groups_module
+
+    joins = _count_calls(monkeypatch, groups_module, "joined_subgroup")
+    code, _, _ = run_cli(capsys, "verify", "--p", "13", "--depth", "full")
+    assert code == 0
+    assert [k.flavor for call in joins for k in call] == [groups_module.FLAVOR_P_GONAL] * 6
 
 
 def test_oracle_disagreement_is_a_typed_failure(capsys, monkeypatch):
@@ -373,3 +391,30 @@ def test_oracle_disagreement_fails_under_python_O():
     assert run.returncode == 4, run.stdout + run.stderr
     assert "FAIL dual-oracle-genus: p = 7, the subgroup of order" in run.stdout
     assert "verification failed at check: dual-oracle-genus" in run.stderr
+
+
+def test_basic_check_fails_under_python_O():
+    # an S3 action that leaves the orbits: orbit-partition-laws must refuse
+    # even with every assert stripped
+    import os
+    import subprocess
+    import sys
+
+    import fermatjac
+
+    script = (
+        "import sys\n"
+        "from fermatjac import cli\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit(99)\n"
+        "cli.s3_apply = lambda name, a, ctx: (a + 1) % ctx.p\n"
+        "sys.exit(cli.main(['verify', '--p', '7']))\n"
+    )
+    src = str(Path(fermatjac.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert run.returncode == 4, run.stdout + run.stderr
+    assert "FAIL orbit-partition-laws: p = 7: U(1) = 2 leaves the orbit" in run.stdout
+    assert "verification failed at check: orbit-partition-laws" in run.stderr
