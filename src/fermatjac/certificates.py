@@ -11,10 +11,11 @@ coset actions gives exact rational certificates:
 
 (the second by Frobenius reciprocity: the pairing computes the dimension
 of the K-fixed subspace of homology).  For each free deck subgroup the
-value is p - 1, twice the quotient genus.  Inner products are computed
-by literal summation over all group elements, each read through the
-class of its element index, and are exact Fractions; a class-weighted
-evaluation exists as a cross-check.
+value is p - 1, twice the quotient genus.  Permutation characters come
+from Frobenius' formula over the classes K meets (:class:`ClassData`),
+and inner products are class-weighted sums, exact Fractions.  The test
+suite checks both against the literal constructions: fixed cosets of an
+explicit coset labelling, and a sum over all group elements.
 """
 
 from __future__ import annotations
@@ -24,60 +25,8 @@ from typing import Optional
 
 from .errors import CheckFailedError, FlavorMismatchError, ShapeMismatchError
 from .genus import FixTable, GeneratingTriple, fermat_full_fix_table, fermat_genus
-from .groups import (
-    FLAVOR_FERMAT,
-    FLAVOR_P_GONAL,
-    Element,
-    Subgroup,
-    conjugacy_classes,
-    element_index,
-    fermat_coset_labels,
-    fermat_fixed_cosets,
-    flavor_of,
-    left_cosets,
-)
+from .groups import FLAVOR_FERMAT, ClassData, Element, Subgroup, element_index, flavor_of
 from .orbits import PrimeContext
-
-
-class ClassData:
-    """Conjugacy classes of one group plus the class of every element.
-
-    ``class_of[i]`` is the number of the class of the element with index
-    i (:func:`groups.element_index`); the identity has index 0.
-    ``classes``, when given, is the result of :func:`conjugacy_classes`
-    for the same group, computed once and shared.
-    """
-
-    __slots__ = ("flavor", "p", "gamma", "classes", "class_of")
-
-    def __init__(self, flavor: str, ctx: PrimeContext, gamma: Optional[int] = None, classes=None):
-        self.flavor = flavor
-        self.p = ctx.p
-        self.gamma = None
-        if flavor == FLAVOR_P_GONAL:
-            self.gamma = ctx.gamma if gamma is None else gamma
-        elif flavor != FLAVOR_FERMAT:
-            raise FlavorMismatchError(f"unknown flavor {flavor!r}")
-        self.classes = conjugacy_classes(flavor, ctx, gamma) if classes is None else classes
-        self.class_of = [0] * sum(map(len, self.classes))
-        for i, cls in enumerate(self.classes):
-            for g in cls:
-                self.class_of[element_index(g)] = i
-
-    @property
-    def order(self) -> int:
-        return len(self.class_of)
-
-    @property
-    def identity_index(self) -> int:
-        return self.class_of[0]
-
-    def compatible_with(self, other: "ClassData") -> bool:
-        return (
-            self.flavor == other.flavor
-            and self.p == other.p
-            and self.gamma == other.gamma
-        )
 
 
 class ClassFunction:
@@ -125,7 +74,7 @@ def chi_rat(
     if data is None:
         data = ClassData(FLAVOR_FERMAT, ctx)
     if fix is None:
-        fix = fermat_full_fix_table(ctx, triple, classes=data.classes)
+        fix = fermat_full_fix_table(ctx, triple, data)
     values = []
     for cls in data.classes:
         rep = cls[0]
@@ -138,22 +87,16 @@ def chi_rat(
 
 def induced_perm_character(k: Subgroup, data: ClassData) -> ClassFunction:
     """Permutation character of the action on cosets of K: the number of
-    cosets each element fixes.  At the identity this is the index."""
+    cosets each element fixes, by Frobenius' formula.  At the identity
+    this is the index."""
     if k.flavor != data.flavor or k.p != data.p:
         raise FlavorMismatchError(f"{k!r} does not live in this group")
-    if k.flavor == FLAVOR_FERMAT:
-        reps, label = fermat_coset_labels(k)
-
-        def fixed(g):
-            return fermat_fixed_cosets(g, reps, label)
-
-    else:
-        reps, index_of = left_cosets(k, (g for cls in data.classes for g in cls))
-
-        def fixed(g):
-            return sum(1 for i, r in enumerate(reps) if index_of[g * r] == i)
-
-    fn = ClassFunction(data, [fixed(cls[0]) for cls in data.classes], f"perm(G/{k!r})")
+    if data.order % k.order:
+        raise CheckFailedError(f"{k!r} has order {k.order}, which does not divide {data.order}")
+    values = [0] * len(data.classes)
+    for c, f in data.fixed_cosets(data.class_counts(k.element_list), k.order).items():
+        values[c] = f
+    fn = ClassFunction(data, values, f"perm(G/{k!r})")
     if fn.at_identity * k.order != data.order:
         raise CheckFailedError(
             f"{fn.at_identity} cosets of {k!r} in a group of order {data.order}"
@@ -162,23 +105,13 @@ def induced_perm_character(k: Subgroup, data: ClassData) -> ClassFunction:
 
 
 def inner_product(f1: ClassFunction, f2: ClassFunction) -> Fraction:
-    """(1/|G|) sum over all group elements of f1(g) f2(g), exactly.
+    """(1/|G|) sum over all group elements of f1(g) f2(g), exactly, taken
+    class by class: each class contributes its size times the product.
 
     Integer-valued class functions are self-conjugate, so no conjugation
-    appears.  Summation is over elements, not classes, by design; see
-    :func:`inner_product_by_classes` for the cross-check.
+    appears.
     """
     if not f1.data.compatible_with(f2.data):
         raise FlavorMismatchError("inner product of class functions on different groups")
-    v1, v2 = f1.values, f2.values
-    return Fraction(sum(v1[c] * v2[c] for c in f1.data.class_of), f1.data.order)
-
-
-def inner_product_by_classes(f1: ClassFunction, f2: ClassFunction) -> Fraction:
-    """Class-weighted evaluation of the same pairing."""
-    if not f1.data.compatible_with(f2.data):
-        raise FlavorMismatchError("inner product of class functions on different groups")
-    total = 0
-    for i, cls in enumerate(f1.data.classes):
-        total += len(cls) * f1.values[i] * f2.values[i]
+    total = sum(n * a * b for n, a, b in zip(f1.data.sizes, f1.values, f2.values))
     return Fraction(total, f1.data.order)

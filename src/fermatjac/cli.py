@@ -33,11 +33,10 @@ from .errors import (
 from .orbits import OrbitKind, is_prime, make_context, orbit_partition, s3_apply
 
 FULL_DEPTH_DEFAULT_CAP = 31
-# verify --full-cap: full-group work grows about as p^4 (each of the
-# O(p^2) cyclic subgroups gets a coset labelling of all 6 p^2 elements);
-# about 35 s at p = 61 and 57 s at p = 67, too close to a minute to hold
-# when the machine runs slower.
-FULL_DEPTH_MAX_P = 61
+# verify --full-cap: the full checks hold the 6 p^2 group elements, their
+# classes and the O(p^2) cyclic subgroups, so memory grows as p^2 and
+# binds first: 18 s and 182 MB at p = 263, 208 MB at p = 283.
+FULL_DEPTH_MAX_P = 263
 # verify at any depth: the monomial conjugation sweep is O(p log p) with a
 # large constant, about 40 s at p = 19993.
 VERIFY_MAX_P = 20_000
@@ -231,22 +230,22 @@ def check_monomial_relations(ctx, cache):
     return f"R^3, R T = T^(g^2) R, conjugation sweep (l = 0..{p - 1}), epsilon rule"
 
 
+def _class_data(ctx, cache):
+    if "class_data" not in cache:
+        cache["class_data"] = grp.ClassData(grp.FLAVOR_FERMAT, ctx)
+    return cache["class_data"]
+
+
 def check_generating_triple(ctx, cache):
     triple = gen.find_generating_triple(ctx, limit=ctx.p)
-    evidence = gen.validate_triple(triple, ctx)
+    evidence = gen.validate_triple(triple, ctx, _class_data(ctx, cache))
     cache["triple"] = triple
     return f"orders {tuple(evidence['orders'])}, fix(a1) = {evidence['fix_a1']}"
 
 
-def _classes(ctx, cache):
-    if "classes" not in cache:
-        cache["classes"] = grp.conjugacy_classes(grp.FLAVOR_FERMAT, ctx)
-    return cache["classes"]
-
-
 def _full_fix(ctx, cache):
     if "full_fix" not in cache:
-        cache["full_fix"] = gen.fermat_full_fix_table(ctx, cache["triple"], _classes(ctx, cache))
+        cache["full_fix"] = gen.fermat_full_fix_table(ctx, cache["triple"], _class_data(ctx, cache))
     return cache["full_fix"]
 
 
@@ -258,6 +257,7 @@ def _describe(k):
 def check_dual_oracle_genus(ctx, cache):
     p = ctx.p
     triple = cache["triple"]
+    data = _class_data(ctx, cache)
     fix = _full_fix(ctx, cache)
     g_top = gen.fermat_genus(p)
     h = grp.fermat_H(p)
@@ -269,7 +269,7 @@ def check_dual_oracle_genus(ctx, cache):
     # the plane H, listed once more as the joins' entry.
     subgroups.append(h)
     for k in subgroups:
-        rh, coset = gen.rh_genus(g_top, k, fix), gen.coset_genus(k, triple)
+        rh, coset = gen.rh_genus(g_top, k, fix), gen.coset_genus(k, triple, data)
         if rh != coset:
             raise OracleDisagreementError(
                 f"p = {p}, {_describe(k)}: Riemann-Hurwitz genus {rh}, coset genus {coset}"
@@ -288,7 +288,7 @@ def check_fix_table_consistency(ctx, cache):
                 f" and {axis.count(h)} in the axis table"
             )
     bound = 2 + 2 * gen.fermat_genus(p)
-    for cls in _classes(ctx, cache):
+    for cls in _class_data(ctx, cache).classes:
         rep = cls[0]
         if rep.is_identity:
             continue
@@ -303,7 +303,7 @@ def check_fix_table_consistency(ctx, cache):
 
 def check_certificates(ctx, cache):
     p = ctx.p
-    data = cert.ClassData(grp.FLAVOR_FERMAT, ctx, classes=_classes(ctx, cache))
+    data = _class_data(ctx, cache)
     rat = cert.chi_rat(ctx, cache["triple"], data, fix=_full_fix(ctx, cache))
     triv = cert.chi_trivial(data)
     _require(rat.at_identity == (p - 1) * (p - 2), f"p = {p}: chi_hom(1) = {rat.at_identity}")
@@ -316,11 +316,6 @@ def check_certificates(ctx, cache):
         chi = cert.induced_perm_character(grp.fermat_Hj(p, j), data)
         value = cert.inner_product(chi, rat)
         _require(value == p - 1, f"p = {p}: <G/H_{j}, hom> = {value}, expected {p - 1}")
-        by_classes = cert.inner_product_by_classes(chi, rat)
-        _require(
-            by_classes == value,
-            f"p = {p}: <G/H_{j}, hom> is {value} summed by elements and {by_classes} by classes",
-        )
     norm = cert.inner_product(rat, rat)
     _require(norm.denominator == 1 and norm > 0, f"p = {p}: <hom, hom> = {norm}")
     cache["certificates"] = {

@@ -128,6 +128,8 @@ def normalize(alpha: int, beta: int, ctx: PrimeContext) -> CurveSpec:
             f"alpha + beta = 0 mod {p}: the cyclic cover degenerates"
         )
     exponent = alpha * ctx.inv(beta) % p
+    # can't happen: alpha / beta is a unit, and it is -1 only when
+    # alpha + beta = 0, which was refused above
     assert ctx.in_X(exponent)
     return CurveSpec(context=ctx, family=CurveFamily.P_GONAL, alpha=exponent)
 
@@ -168,6 +170,8 @@ def genus_of(spec: CurveSpec) -> int:
     p = spec.context.p
     if spec.family is CurveFamily.FERMAT:
         return (p - 1) * (p - 2) // 2
+    # can't happen, either assert: p is an odd prime, and CurveSpec refuses
+    # an E quotient unless p = 1 mod 3
     if spec.family is CurveFamily.P_GONAL:
         assert (p - 1) % 2 == 0
         return (p - 1) // 2
@@ -183,5 +187,6 @@ def quotient_to_curve(j: int, ctx: PrimeContext) -> CurveSpec:
     """
     ctx.require_X(j)
     alpha = ctx.p - 1 - j
+    # can't happen: p - 1 - j = -(1 + j) mod p for every j
     assert alpha == (-(1 + j)) % ctx.p
     return CurveSpec(context=ctx, family=CurveFamily.P_GONAL, alpha=alpha)

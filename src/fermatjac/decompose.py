@@ -36,7 +36,7 @@ from itertools import combinations
 from typing import Optional
 
 from .curves import CurveFamily, CurveSpec, are_isomorphic, genus_of, quotient_to_curve
-from .errors import AuditFailError, ShapeMismatchError
+from .errors import AuditFailError, OutOfRangeError, ShapeMismatchError
 from .genus import (
     fermat_axis_fix_table,
     fermat_genus,
@@ -337,7 +337,11 @@ def decompose_fine(
     """
     if coarse is None:
         coarse = decompose_coarse(ctx)
-    assert coarse.context.p == ctx.p and coarse.level is DecompositionLevel.COARSE
+    if coarse.context.p != ctx.p or coarse.level is not DecompositionLevel.COARSE:
+        raise OutOfRangeError(
+            f"decompose_fine at p = {ctx.p} needs the coarse decomposition at that p,"
+            f" got the {coarse.level.value} one at p = {coarse.context.p}"
+        )
     if not ctx.has_gamma:
         return IsogenyDecomposition(
             context=ctx,

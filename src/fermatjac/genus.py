@@ -15,20 +15,32 @@ ramification bookkeeping collapses to a cycle count:
 
     g_K = (2 + [G:K] - total number of cycles of the three entries) / 2.
 
+No coset is listed.  An entry c of order m has (1/m) sum over d < m of
+fix(c^d) cycles on G/K (Burnside's lemma), and c^d fixes
+|G| |C n K| / (|C| |K|) cosets, C its conjugacy class (Frobenius'
+formula for permutation characters; Isaacs, *Character Theory of Finite
+Groups*, ch. 5).  So the oracle reads the classes of the m powers of each
+entry and the classes of the elements of K, O(|K| + 2p) per subgroup.
+A quotient or a Burnside total that is not an integer is an error.
+
 The triple also extends the known fixed-point data from the translation
 subgroup to the whole group: every point with nontrivial stabilizer sits
 in one of three special fibers, each a coset space of a cyclic subgroup
-generated by a triple entry, so |Fix(g)| is the number of cosets g fixes.
-Both oracles must agree on every subgroup; the test suite enforces this.
+generated by a triple entry, so |Fix(g)| is the number of cosets g fixes,
+again by Frobenius' formula.  Both oracles must agree on every subgroup;
+the test suite enforces this, and compares both with explicit coset
+labellings.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
 from .errors import (
+    FlavorMismatchError,
     IdentityInputError,
     InconsistentOrbifoldError,
     InconsistentRHError,
@@ -40,16 +52,14 @@ from .errors import (
 from .groups import (
     FLAVOR_FERMAT,
     FLAVOR_P_GONAL,
+    ClassData,
     Element,
     FermatAut,
     PGonalAut,
     Subgroup,
-    conjugacy_classes,
     fermat_a1,
     fermat_closure,
-    fermat_coset_labels,
     fermat_element,
-    fermat_fixed_cosets,
     fermat_group_order,
     fermat_identity,
     fermat_index,
@@ -57,7 +67,6 @@ from .groups import (
     fermat_order,
     mulclose,
     order,
-    subgroup_closure,
     trivial_subgroup,
 )
 from .orbits import PrimeContext
@@ -214,56 +223,61 @@ def find_generating_triple(ctx: PrimeContext, limit: int = DEFAULT_TRIPLE_SEARCH
 
 
 @lru_cache(maxsize=8)
-def _fiber_cosets(triple: GeneratingTriple):
-    """Coset labels (reps, label) of the three cyclic subgroups generated
-    by the triple entries; the fibers over the three cone points."""
-    fibers = []
+def _power_class_counts(triple: GeneratingTriple, data: ClassData) -> tuple[tuple[int, Counter], ...]:
+    """For each triple entry c of order m: m and the class counts of its
+    powers c^0, ..., c^(m-1), the elements of the fiber subgroup <c>."""
+    if data.flavor != FLAVOR_FERMAT or data.p != triple.p:
+        raise FlavorMismatchError(
+            f"class data for the {data.flavor} group at p = {data.p} cannot serve a triple at p = {triple.p}"
+        )
+    entries = []
     for c, m in triple.entries:
-        sub = subgroup_closure([c])
-        if sub.order != m:
-            raise InconsistentOrbifoldError(f"{c!r} generates a subgroup of order {sub.order}, not {m}")
-        fibers.append(fermat_coset_labels(sub))
-    return tuple(fibers)
+        powers = [fermat_identity(c.p)]
+        x = c
+        while not x.is_identity:
+            powers.append(x)
+            x = x * c
+        if len(powers) != m:
+            raise InconsistentOrbifoldError(f"{c!r} generates a subgroup of order {len(powers)}, not {m}")
+        entries.append((m, data.class_counts(powers)))
+    return tuple(entries)
 
 
-@lru_cache(maxsize=8)
-def _triple_left_perms(triple: GeneratingTriple) -> tuple[list[int], ...]:
-    """Left multiplication by each triple entry, on element indices."""
-    everything = range(fermat_group_order(triple.p))
-    return tuple(fermat_left_mul(c, everything) for c, _m in triple.entries)
+def _fiber_fix(triple: GeneratingTriple, data: ClassData) -> list[int]:
+    """|Fix(g)| for the members g of each class: the cosets of the three
+    fiber subgroups <c> that g fixes, by Frobenius' formula."""
+    fix = [0] * len(data.classes)
+    for m, counts in _power_class_counts(triple, data):
+        for c, f in data.fixed_cosets(counts, m).items():
+            fix[c] += f
+    return fix
 
 
-def full_fix_count(g: FermatAut, triple: GeneratingTriple) -> int:
+def full_fix_count(g: FermatAut, triple: GeneratingTriple, data: ClassData) -> int:
     """Fixed points of any non-identity automorphism via the fiber model."""
     if g.is_identity:
         raise IdentityInputError("the identity fixes everything; excluded by definition")
-    return sum(fermat_fixed_cosets(g, reps, label) for reps, label in _fiber_cosets(triple))
+    if g.p != data.p:
+        raise OutOfRangeError(f"{g!r} is not in the Fermat group for p = {data.p}")
+    return _fiber_fix(triple, data)[data.class_of[fermat_index(g)]]
 
 
-def fermat_full_fix_table(ctx: PrimeContext, triple: GeneratingTriple, classes=None) -> FixTable:
+def fermat_full_fix_table(ctx: PrimeContext, triple: GeneratingTriple, data: ClassData) -> FixTable:
     """Fix counts on all of the Fermat group, computed once per conjugacy
     class (fixed-point counts are class functions)."""
     p = ctx.p
-    if classes is None:
-        classes = conjugacy_classes(FLAVOR_FERMAT, ctx)
-    counts = [0] * fermat_group_order(p)
-    for cls in classes:
-        rep = cls[0]
-        if rep.is_identity:
-            continue
-        c = full_fix_count(rep, triple)
-        for g in cls:
-            counts[fermat_index(g)] = c
+    fix = _fiber_fix(triple, data)
+    class_of = data.class_of
 
     def count(g: FermatAut) -> int:
         if not isinstance(g, FermatAut) or g.p != p:
             raise OutOfRangeError(f"{g!r} is not in the Fermat group for p = {p}")
-        return counts[fermat_index(g)]
+        return fix[class_of[fermat_index(g)]]
 
     return FixTable(FLAVOR_FERMAT, p, count, "full table via the triple fiber model")
 
 
-def coset_genus(k: Subgroup, triple: GeneratingTriple) -> int:
+def coset_genus(k: Subgroup, triple: GeneratingTriple, data: ClassData) -> int:
     """Genus of the quotient by K from the triple's coset action.
 
     For each triple entry acting on the cosets G/K, a cycle of length L
@@ -271,33 +285,34 @@ def coset_genus(k: Subgroup, triple: GeneratingTriple) -> int:
     bookkeeping reduces the orbifold Euler characteristic computation to
 
         g = (2 + [G:K] - total number of cycles) / 2.
+
+    An entry c of order m has (1/m) sum over d < m of fix(c^d) cycles
+    (Burnside), each fix count from the classes K meets (Frobenius).
     """
     p = triple.p
     if k.flavor != FLAVOR_FERMAT or k.p != p:
         raise OutOfRangeError(f"{k!r} does not live in the Fermat group for p = {p}")
-    reps, label = fermat_coset_labels(k)
-    n = len(reps)
+    entries = _power_class_counts(triple, data)
+    fixed = data.fixed_cosets(data.class_counts(k.element_list), k.order)
+    index = fixed.get(data.identity_index, 0)
     cycles = 0
-    for perm in _triple_left_perms(triple):
-        images = [label[perm[r]] for r in reps]
-        seen = [False] * n
-        for i in range(n):
-            if seen[i]:
-                continue
-            cycles += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = images[j]
-    num = 2 + n - cycles
+    for m, counts in entries:
+        total = sum(counts[c] * f for c, f in fixed.items())
+        if total % m:
+            raise InconsistentOrbifoldError(
+                f"p = {p}, |K| = {k.order}: an entry of order {m} fixes {total} cosets over its powers,"
+                f" not a multiple of {m}"
+            )
+        cycles += total // m
+    num = 2 + index - cycles
     if num < 0 or num % 2 != 0:
         raise InconsistentOrbifoldError(
-            f"[G:K] = {n}, cycles = {cycles}: orbifold count gives no integer genus"
+            f"[G:K] = {index}, cycles = {cycles}: orbifold count gives no integer genus"
         )
     return num // 2
 
 
-def validate_triple(triple: GeneratingTriple, ctx: PrimeContext) -> dict:
+def validate_triple(triple: GeneratingTriple, ctx: PrimeContext, data: ClassData) -> dict:
     """Recheck every defining property of a generating triple.
 
     Returns the validation evidence; raises on any failure.  Includes the
@@ -317,10 +332,10 @@ def validate_triple(triple: GeneratingTriple, ctx: PrimeContext) -> dict:
     euler = 2 * order_g - sum((order_g // m) * (m - 1) for _, m in triple.entries)
     if euler != 2 - 2 * g_top:
         raise InconsistentOrbifoldError(f"Euler audit failed: {euler} != {2 - 2 * g_top}")
-    fix_a1 = full_fix_count(fermat_a1(p), triple)
+    fix_a1 = full_fix_count(fermat_a1(p), triple, data)
     if fix_a1 != p:
         raise InconsistentOrbifoldError(f"fiber model gives fix(a1) = {fix_a1}, expected {p}")
-    trivial_genus = coset_genus(trivial_subgroup(fermat_identity(p)), triple)
+    trivial_genus = coset_genus(trivial_subgroup(fermat_identity(p)), triple, data)
     if trivial_genus != g_top:
         raise InconsistentOrbifoldError(
             f"coset genus of the trivial subgroup is {trivial_genus}, expected {g_top}"

@@ -20,23 +20,25 @@ generator are computed straight from ACTION and PERM_MUL as maps on
 these ints, so no element object is built per entry and no Cayley table
 is ever stored.  On that kernel:
 
-- the left cosets g K are the orbits of right multiplication by the
-  generators of K, labelled in order of first appearance;
 - element orders come from the group law (:func:`fermat_order`), and
   the subgroup generated by a few elements is a closure under left
   multiplication (:func:`fermat_closure`);
 - the conjugacy classes are the orbits of conjugation by the group
   generators; the p-gonal classes take the same orbit walk, with its
-  3p conjugation maps read off element objects.
+  3p conjugation maps read off element objects;
+- :class:`ClassData` maps every index to its class, and counts the
+  cosets of K an element fixes by Frobenius' formula from the classes K
+  meets, so no coset G/K is ever listed.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator, Optional
 
-from .errors import FlavorMismatchError, NoGammaError, OutOfRangeError
+from .errors import FlavorMismatchError, InconsistentOrbifoldError, NoGammaError, OutOfRangeError
 from .orbits import PrimeContext
 
 FLAVOR_FERMAT = "fermat"
@@ -481,30 +483,91 @@ def conjugacy_classes(
     return tuple(classes)
 
 
+class ClassData:
+    """Conjugacy classes of one group plus the class of every element.
+
+    ``classes`` is the result of :func:`conjugacy_classes`, ``sizes`` the
+    class sizes, and ``class_of[i]`` the number of the class of the
+    element with index i (:func:`element_index`); the identity has
+    index 0.
+
+    The class data answers every question about the coset action of G on
+    G/K without listing a coset, by Frobenius' formula for permutation
+    characters (Isaacs, *Character Theory of Finite Groups*, ch. 5): an
+    element x fixes |G| |x^G n K| / (|x^G| |K|) cosets.
+    """
+
+    __slots__ = ("flavor", "p", "gamma", "classes", "class_of", "sizes")
+
+    def __init__(self, flavor: str, ctx: PrimeContext, gamma: Optional[int] = None):
+        self.flavor = flavor
+        self.p = ctx.p
+        self.gamma = None
+        if flavor == FLAVOR_P_GONAL:
+            self.gamma = ctx.gamma if gamma is None else gamma
+        elif flavor != FLAVOR_FERMAT:
+            raise FlavorMismatchError(f"unknown flavor {flavor!r}")
+        self.classes = conjugacy_classes(flavor, ctx, gamma)
+        self.sizes = tuple(map(len, self.classes))
+        self.class_of = [0] * sum(self.sizes)
+        for i, cls in enumerate(self.classes):
+            for g in cls:
+                self.class_of[element_index(g)] = i
+
+    @property
+    def order(self) -> int:
+        return len(self.class_of)
+
+    @property
+    def identity_index(self) -> int:
+        return self.class_of[0]
+
+    def compatible_with(self, other: "ClassData") -> bool:
+        return (
+            self.flavor == other.flavor
+            and self.p == other.p
+            and self.gamma == other.gamma
+        )
+
+    def class_counts(self, elements: Iterable[Element]) -> Counter:
+        """Class number -> how many of the elements lie in that class;
+        over the elements of K, the numbers |C n K|."""
+        class_of = self.class_of
+        return Counter(class_of[element_index(g)] for g in elements)
+
+    def fixed_cosets(self, counts: Counter, k_order: int) -> dict[int, int]:
+        """Frobenius' formula: class number C -> the number of cosets of K
+        that a member of C fixes, |G| counts[C] / (|C| |K|), for the
+        classes K meets (``counts`` from :meth:`class_counts`).  Every
+        other class fixes no coset.  A quotient that is not an integer
+        means the class data or K is not what it claims to be, and raises.
+        """
+        fixed = {}
+        for c, n in counts.items():
+            q, r = divmod(self.order * n, self.sizes[c] * k_order)
+            if r:
+                raise InconsistentOrbifoldError(
+                    f"p = {self.p}: |G| |C n K| / (|C| |K|) = {self.order} * {n} / ({self.sizes[c]} * {k_order})"
+                    f" is not an integer for class {c}"
+                )
+            fixed[c] = q
+        return fixed
+
+
 def left_cosets(k: Subgroup, universe: Iterable[Element]):
     """Left cosets gK in order of first appearance in the universe.
 
     Returns (reps, index_of): reps[i] is the representative of coset i and
-    index_of maps every element of the universe to its coset index.  The
-    object view of :func:`fermat_coset_labels`; a p-gonal coset (the
-    group has order 3p) is taken as the set g K directly.
+    index_of maps every element of the universe to its coset index.  Each
+    coset is taken as the set g K of element objects, so this costs
+    |universe| |K| products; the full-depth checks never list cosets (see
+    :class:`ClassData`).
     """
-    if k.flavor == FLAVOR_FERMAT:
-        _, label = fermat_coset_labels(k)
-
-        def coset(g):
-            return label[fermat_index(g)]
-
-    else:
-
-        def coset(g):
-            return frozenset(g * h for h in k.element_list)
-
     number: dict = {}
     index_of: dict[Element, int] = {}
     reps: list[Element] = []
     for g in universe:
-        c = coset(g)
+        c = frozenset(g * h for h in k.element_list)
         if c not in number:
             number[c] = len(reps)
             reps.append(g)
@@ -609,52 +672,6 @@ def fermat_right_mul_perm(h: FermatAut) -> list[int]:
     return perm
 
 
-def fermat_coset_labels(k: Subgroup) -> tuple[list[int], list[int]]:
-    """Left cosets gK of a Fermat subgroup, on element indices.
-
-    The cosets are the orbits of right multiplication by the generators
-    of K, numbered in order of first appearance.  Returns (reps, label):
-    reps[i] is the smallest index in coset i and label[x] is the coset of
-    index x.  The orbits are the cosets of the subgroup the generators
-    generate; it is K when they lie in K and there are [G:K] orbits.
-    """
-    if k.flavor != FLAVOR_FERMAT:
-        raise FlavorMismatchError(f"{k!r} is not a subgroup of the Fermat group")
-    if any(h not in k for h in k.generators):
-        raise OutOfRangeError(f"the generators of {k!r} do not lie in it")
-    perms = [fermat_right_mul_perm(h) for h in k.generators if not h.is_identity]
-    cycle = perms[0] if len(perms) == 1 else None
-    label = [-1] * fermat_group_order(k.p)
-    reps: list[int] = []
-    for g in range(len(label)):
-        if label[g] >= 0:
-            continue
-        i = len(reps)
-        reps.append(g)
-        label[g] = i
-        if cycle is not None:  # K is cyclic: the coset is one cycle of its generator
-            y = cycle[g]
-            while y != g:
-                label[y] = i
-                y = cycle[y]
-            continue
-        orbit = [g]
-        for x in orbit:
-            for perm in perms:
-                y = perm[x]
-                if label[y] < 0:
-                    label[y] = i
-                    orbit.append(y)
-    if len(reps) * k.order != len(label):
-        raise OutOfRangeError(f"{k!r} is not generated by its generators: {len(reps)} cosets")
-    return reps, label
-
-
-def fermat_fixed_cosets(g: FermatAut, reps: list[int], label: list[int]) -> int:
-    """Number of cosets x K that g fixes, for cosets from fermat_coset_labels."""
-    return sum(1 for i, y in enumerate(fermat_left_mul(g, reps)) if label[y] == i)
-
-
 def all_cyclic_subgroups(flavor: str, ctx: PrimeContext, gamma: Optional[int] = None) -> list[Subgroup]:
     """Every cyclic subgroup, including the trivial one, deduplicated.
 
@@ -705,6 +722,7 @@ class _ProjMonomialMap:
         self.rho = tuple(rho)
 
     def __mul__(self, other):
+        # can't happen: derive_s3_action multiplies maps of one p only
         assert self.p == other.p
         exps = tuple(
             (self.exps[j] + other.exps[self.rho[j]]) % self.p for j in range(3)
@@ -740,6 +758,7 @@ def derive_s3_action(p: int) -> tuple[tuple[int, int, int, int], ...]:
         return _ProjMonomialMap(p, (m, n, 0), (0, 1, 2))
 
     def read_translation(g):
+        # can't happen: a coordinate permutation conjugates a scaling map to one
         assert g.rho == (0, 1, 2), "conjugate is not a pure scaling map"
         m = (g.exps[0] - g.exps[2]) % p
         n = (g.exps[1] - g.exps[2]) % p
@@ -747,6 +766,7 @@ def derive_s3_action(p: int) -> tuple[tuple[int, int, int, int], ...]:
 
     u_map = _ProjMonomialMap(p, (0, 0, 0), (2, 0, 1))
     v_map = _ProjMonomialMap(p, (0, 0, 0), (1, 0, 2))
+    # can't happen: a 3-cycle and a transposition of the coordinates
     assert u_map * u_map * u_map == ident and v_map * v_map == ident
 
     maps = {

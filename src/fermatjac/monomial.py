@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .curves import MoebiusLabel
-from .errors import FlavorMismatchError, NoGammaError, NonMonomialError, OutOfRangeError
+from .errors import CheckFailedError, FlavorMismatchError, NoGammaError, NonMonomialError, OutOfRangeError
 from .orbits import PrimeContext
 
 
@@ -134,6 +134,8 @@ def _substitute(
     out = mf_mul(out, mf_pow(x_val, f.a, p, gamma), p, gamma)
     out = mf_mul(out, mf_pow(x_minus_one, f.b, p, gamma), p, gamma)
     if f.d:
+        # can't happen: compose passes None only for an x image, and x
+        # images never involve y
         assert y_val is not None
         out = mf_mul(out, mf_pow(y_val, f.d, p, gamma), p, gamma)
     return out
@@ -203,6 +205,7 @@ def build_R(ctx: PrimeContext, gamma: Optional[int] = None, epsilon: Optional[in
     g = _resolve(ctx, gamma)
     p = ctx.p
     quot, rem = divmod(g * g + g + 1, p)
+    # can't happen: _resolve only returns roots of g^2 + g + 1 mod p
     assert rem == 0
     if epsilon is None:
         epsilon = 1 if g % 2 == 0 else 2
@@ -270,7 +273,11 @@ def epsilon_parity_report(ctx: PrimeContext, gamma: Optional[int] = None) -> dic
     """
     g = _resolve(ctx, gamma)
     passing = [eps for eps in (1, 2) if verify_curve_automorphism(build_R(ctx, g, epsilon=eps))]
-    assert len(passing) == 1, f"expected exactly one passing parity, got {passing}"
+    if len(passing) != 1:
+        raise CheckFailedError(
+            f"p = {ctx.p}, gamma = {g}: expected exactly one sign parity to preserve the curve,"
+            f" got {passing}"
+        )
     return {
         "gamma": g,
         "passing_epsilon": passing[0],

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .errors import NotPrimeError, OutOfRangeError, TooLargeError, TooSmallError
+from .errors import AuditFailError, NotPrimeError, OutOfRangeError, TooLargeError, TooSmallError
 
 # The largest p any command accepts.  Every step of orbits and decompose
 # is O(p); decompose --p 100003 (p = 1 mod 3, the slower residue) takes
@@ -114,6 +114,8 @@ def make_context(p: int) -> PrimeContext:
     gamma_pair = None
     if residue == 1:
         roots = [g for g in range(1, p - 1) if (g * g + g + 1) % p == 0]
+        # can't happen: for a prime p = 1 mod 3, g^2 + g + 1 has exactly two
+        # roots mod p, -1 - g being the other root and g (-1 - g) = 1
         assert len(roots) == 2, f"expected two roots mod {p}, found {roots}"
         lo, hi = sorted(roots)
         assert hi == p - 1 - lo and lo * hi % p == 1
@@ -161,13 +163,18 @@ def orbit(alpha: int, ctx: PrimeContext) -> OrbitClass:
     size = len(elements)
     if size == 3:
         expected = tuple(sorted((1, ctx.p - 2, (ctx.p - 1) // 2)))
-        assert elements == expected, f"size-3 orbit {elements} is not O(1)"
+        if elements != expected:
+            raise AuditFailError(f"p = {ctx.p}: size-3 orbit {elements} is not O(1) = {expected}")
         kind = OrbitKind.SPECIAL_ONE
     elif size == 2:
-        assert ctx.has_gamma and elements == ctx.gamma_pair
+        if not (ctx.has_gamma and elements == ctx.gamma_pair):
+            raise AuditFailError(
+                f"p = {ctx.p}: size-2 orbit {elements} is not the gamma pair {ctx.gamma_pair}"
+            )
         kind = OrbitKind.GAMMA
     else:
-        assert size == 6, f"impossible orbit size {size} for {alpha} mod {ctx.p}"
+        if size != 6:
+            raise AuditFailError(f"p = {ctx.p}: impossible orbit size {size} for {alpha}")
         kind = OrbitKind.GENERIC
     return OrbitClass(representative=elements[0], elements=elements, kind=kind)
 
@@ -193,7 +200,7 @@ class OrbitPartition:
         try:
             return self._orbit_of[alpha]
         except KeyError:
-            raise AssertionError(f"partition does not cover {alpha}") from None
+            raise AuditFailError(f"p = {self.context.p}: the partition does not cover {alpha}") from None
 
 
 def orbit_partition(ctx: PrimeContext) -> OrbitPartition:
@@ -205,6 +212,7 @@ def orbit_partition(ctx: PrimeContext) -> OrbitPartition:
         o = orbit(a, ctx)
         orbits.append(o)
         covered.update(o.elements)
-    assert len(covered) == ctx.p - 2
+    if len(covered) != ctx.p - 2:
+        raise AuditFailError(f"p = {ctx.p}: the orbits cover {len(covered)} points, not {ctx.p - 2}")
     orbits.sort(key=lambda o: o.representative)
     return OrbitPartition(context=ctx, orbits=tuple(orbits))

@@ -5,20 +5,27 @@ a brute-force pair scan, orbits from the closed six-element formula,
 Moebius maps from Fraction arithmetic on the projective line, the
 deck-family audit from explicit element sets, and cosets, conjugacy
 classes, element orders and the generating-triple search from products
-of element objects.
+of element objects.  The coset action of the full Fermat group, which the
+package computes from conjugacy classes, is here labelled coset by coset.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
+from fermatjac.errors import FlavorMismatchError, OutOfRangeError
 from fermatjac.genus import GeneratingTriple, fermat_axis_fix_table, fermat_genus, rh_genus
 from fermatjac.groups import (
     FLAVOR_FERMAT,
+    FermatAut,
     Subgroup,
+    fermat_a1,
     fermat_elements,
     fermat_generators,
+    fermat_group_order,
     fermat_Hj,
+    fermat_left_mul,
+    fermat_right_mul_perm,
     joined_subgroup,
     mulclose,
     order,
@@ -26,6 +33,7 @@ from fermatjac.groups import (
     pgonal_R,
     pgonal_T,
     product_set,
+    subgroup_closure,
 )
 from fermatjac.orbits import make_context
 
@@ -256,3 +264,153 @@ def object_inner_product(f1, f2, universe):
     universe = list(universe)
     total = sum(f1.values[class_of[g]] * f2.values[class_of[g]] for g in universe)
     return Fraction(total, len(universe))
+
+
+# -- explicit coset labelling on element indices ------------------------------
+#
+# The coset action as the package computed it before it turned to class
+# arithmetic: cosets are labelled one by one on the integer kernel, and
+# every fixed coset and cycle is counted on the labels.  The oracle for
+# coset_genus, the full fix table and induced_perm_character.
+
+
+def fermat_coset_labels(k):
+    """Left cosets gK of a Fermat subgroup, on element indices.
+
+    The cosets are the orbits of right multiplication by the generators
+    of K, numbered in order of first appearance.  Returns (reps, label):
+    reps[i] is the smallest index in coset i and label[x] is the coset of
+    index x.  Refuses a subgroup whose generators lie outside it or do
+    not generate it.
+    """
+    if k.flavor != FLAVOR_FERMAT:
+        raise FlavorMismatchError(f"{k!r} is not a subgroup of the Fermat group")
+    if any(h not in k for h in k.generators):
+        raise OutOfRangeError(f"the generators of {k!r} do not lie in it")
+    perms = [fermat_right_mul_perm(h) for h in k.generators if not h.is_identity]
+    cycle = perms[0] if len(perms) == 1 else None
+    label = [-1] * fermat_group_order(k.p)
+    reps = []
+    for g in range(len(label)):
+        if label[g] >= 0:
+            continue
+        i = len(reps)
+        reps.append(g)
+        label[g] = i
+        if cycle is not None:  # K is cyclic: the coset is one cycle of its generator
+            y = cycle[g]
+            while y != g:
+                label[y] = i
+                y = cycle[y]
+            continue
+        orbit = [g]
+        for x in orbit:
+            for perm in perms:
+                y = perm[x]
+                if label[y] < 0:
+                    label[y] = i
+                    orbit.append(y)
+    if len(reps) * k.order != len(label):
+        raise OutOfRangeError(f"{k!r} is not generated by its generators: {len(reps)} cosets")
+    return reps, label
+
+
+def fermat_fixed_cosets(g, reps, label):
+    """Number of cosets x K that g fixes, for cosets from fermat_coset_labels."""
+    return sum(1 for i, y in enumerate(fermat_left_mul(g, reps)) if label[y] == i)
+
+
+@lru_cache(maxsize=4)
+def _triple_left_perms(triple):
+    """Left multiplication by each triple entry, on element indices."""
+    everything = range(fermat_group_order(triple.p))
+    return tuple(fermat_left_mul(c, everything) for c, _m in triple.entries)
+
+
+def labelled_coset_genus(k, triple):
+    """(2 + [G:K] - cycles) / 2, with the cycles of each triple entry
+    counted on the labelled cosets of K."""
+    reps, label = fermat_coset_labels(k)
+    cycles = 0
+    for perm in _triple_left_perms(triple):
+        images = [label[perm[r]] for r in reps]
+        seen = [False] * len(reps)
+        for i in range(len(reps)):
+            if not seen[i]:
+                cycles += 1
+                j = i
+                while not seen[j]:
+                    seen[j] = True
+                    j = images[j]
+    num = 2 + len(reps) - cycles
+    assert num >= 0 and num % 2 == 0
+    return num // 2
+
+
+@lru_cache(maxsize=4)
+def _fiber_cosets(triple):
+    """Labelled cosets of the three cyclic subgroups <c> of the triple
+    entries: the fibers over the three cone points."""
+    fibers = []
+    for c, m in triple.entries:
+        sub = subgroup_closure([c])
+        assert sub.order == m
+        fibers.append(fermat_coset_labels(sub))
+    return fibers
+
+
+def labelled_fix_count(g, triple):
+    """|Fix(g)| in the fiber model: the labelled cosets of the three
+    fiber subgroups that g fixes."""
+    return sum(fermat_fixed_cosets(g, reps, label) for reps, label in _fiber_cosets(triple))
+
+
+def labelled_perm_character(k, classes):
+    """The permutation character of G/K on each class: the labelled
+    cosets of K that the class's first member fixes."""
+    reps, label = fermat_coset_labels(k)
+    return [fermat_fixed_cosets(cls[0], reps, label) for cls in classes]
+
+
+def element_inner_product(f1, f2):
+    """(1/|G|) sum over every element index i of f1 f2 at the class of i."""
+    v1, v2 = f1.values, f2.values
+    return Fraction(sum(v1[c] * v2[c] for c in f1.data.class_of), f1.data.order)
+
+
+def merge_axis_class(real):
+    """conjugacy_classes with the class of a1 (an axis translation)
+    merged into the class of a1 a2^2 (off the axes)."""
+
+    def merged(flavor, ctx, gamma=None):
+        classes = list(real(flavor, ctx, gamma))
+        if flavor != FLAVOR_FERMAT:
+            return tuple(classes)
+        p = ctx.p
+        i = next(n for n, cls in enumerate(classes) if fermat_a1(p) in cls)
+        j = next(n for n, cls in enumerate(classes) if FermatAut(p, 1, 2, 0) in cls)
+        classes[j] = tuple(sorted(classes[i] + classes[j], key=lambda g: g.sort_key()))
+        del classes[i]
+        return tuple(classes)
+
+    return merged
+
+
+def run_under_O(script):
+    """Run a Python script with ``python -O``, the package and these
+    helpers on the path; the script exits 99 if asserts are not stripped
+    after all."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import fermatjac
+
+    prelude = "import sys\nif not sys.flags.optimize:\n    sys.exit(99)\n"
+    src = str(Path(fermatjac.__file__).resolve().parents[1])
+    here = str(Path(__file__).resolve().parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, here, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-O", "-c", prelude + script], capture_output=True, text=True, env=env, timeout=120
+    )

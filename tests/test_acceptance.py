@@ -168,8 +168,9 @@ def test_criterion_6_dual_oracle_genus(capsys):
     for p in (5, 7, 13):
         ctx = make_context(p)
         triple = find_generating_triple(ctx)
-        assert coset_genus(trivial_subgroup(fermat_identity(p)), triple) == fermat_genus(p)
-        fix = fermat_full_fix_table(ctx, triple)
+        data = ClassData(FLAVOR_FERMAT, ctx)
+        assert coset_genus(trivial_subgroup(fermat_identity(p)), triple, data) == fermat_genus(p)
+        fix = fermat_full_fix_table(ctx, triple, data)
         g_top = fermat_genus(p)
         subgroups = all_cyclic_subgroups(FLAVOR_FERMAT, ctx)
         subgroups.append(fermat_H(p))
@@ -183,7 +184,7 @@ def test_criterion_6_dual_oracle_genus(capsys):
                     seen.add(joined.elements)
                     subgroups.append(joined)
         for k in subgroups:
-            assert rh_genus(g_top, k, fix) == coset_genus(k, triple)
+            assert rh_genus(g_top, k, fix) == coset_genus(k, triple, data)
             checked += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0

@@ -6,7 +6,6 @@ from fermatjac.certificates import (
     chi_trivial,
     induced_perm_character,
     inner_product,
-    inner_product_by_classes,
 )
 from fermatjac.errors import CheckFailedError, FlavorMismatchError, ShapeMismatchError
 from fermatjac.genus import (
@@ -26,6 +25,8 @@ from fermatjac.groups import (
     trivial_subgroup,
 )
 from fermatjac.orbits import make_context
+
+from helpers import element_inner_product
 
 
 @pytest.fixture(scope="module", params=(5, 7))
@@ -82,7 +83,7 @@ def test_induced_vs_homology_pairing_Hj(setup):
         value = inner_product(chi, rat)
         assert value == p - 1
         assert value.denominator == 1
-        assert inner_product_by_classes(chi, rat) == value
+        assert element_inner_product(chi, rat) == value
 
 
 def test_pairing_equals_twice_quotient_genus(setup):
@@ -94,7 +95,7 @@ def test_pairing_equals_twice_quotient_genus(setup):
     subgroups.append(fermat_H(p))
     for k in subgroups:
         chi = induced_perm_character(k, data)
-        assert inner_product(chi, rat) == 2 * coset_genus(k, triple)
+        assert inner_product(chi, rat) == 2 * coset_genus(k, triple, data)
 
 
 def test_perm_character_at_Hj_p5():
@@ -147,5 +148,5 @@ def test_pgonal_class_data_and_pairing():
         values.append(7 - 1 if rep.is_identity else 2 - fix.count(rep))
     hom = ClassFunction(data, values, "pgonal homology")
     assert inner_product(chi_trivial(data), hom) == 0
-    assert inner_product_by_classes(chi_trivial(data), hom) == 0
+    assert element_inner_product(chi_trivial(data), hom) == 0
     assert hom(pgonal_T(ctx)) == -1

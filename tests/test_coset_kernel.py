@@ -1,10 +1,11 @@
 """The integer kernel against element objects.
 
 The kernel's permutations must agree with FermatAut multiplication, its
-cosets with object-level cosets, its orders, conjugacy classes and
-generating triple with the object-level versions, and the coset oracle,
-permutation characters and pairings built on it with the object-level
-paths in helpers.py.
+orders, conjugacy classes and generating triple with the object-level
+versions, and the coset oracle, permutation characters and pairings
+built on it with the object-level paths in helpers.py.  The coset
+labelling on indices in helpers.py, the oracle of test_class_oracle.py,
+must agree with object-level cosets.
 """
 
 import pytest
@@ -27,7 +28,6 @@ from fermatjac.groups import (
     conjugacy_classes,
     element_index,
     fermat_closure,
-    fermat_coset_labels,
     fermat_element,
     fermat_elements,
     fermat_generators,
@@ -47,6 +47,7 @@ from fermatjac.groups import (
 from fermatjac.orbits import make_context
 
 from helpers import (
+    fermat_coset_labels,
     object_conjugacy_classes,
     object_coset_genus,
     object_fixed_cosets,
@@ -167,7 +168,7 @@ def test_kernel_matches_object_level_oracles(p):
     triple = find_generating_triple(ctx)
     data = ClassData(FLAVOR_FERMAT, ctx)
     for k in all_cyclic_subgroups(FLAVOR_FERMAT, ctx):
-        assert coset_genus(k, triple) == object_coset_genus(k, triple)
+        assert coset_genus(k, triple, data) == object_coset_genus(k, triple)
         values = list(induced_perm_character(k, data).values)
         assert values == object_perm_character(k, data.classes)
         if p <= 7:

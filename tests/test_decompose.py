@@ -18,7 +18,7 @@ from fermatjac.decompose import (
     kani_rosen_check,
     match_group_algebra_shape,
 )
-from fermatjac.errors import AuditFailError, ShapeMismatchError
+from fermatjac.errors import AuditFailError, OutOfRangeError, ShapeMismatchError
 from fermatjac.genus import fermat_genus
 from fermatjac.groups import fermat_u
 from fermatjac.orbits import make_context
@@ -211,3 +211,11 @@ def test_census_mismatch_raises_under_python_O():
     )
     assert run.returncode == 3, run.stdout + run.stderr
     assert "audit failure" in run.stderr and "JF(7)" not in run.stdout
+
+
+def test_decompose_fine_refuses_a_foreign_coarse_decomposition():
+    coarse13 = decompose_coarse(make_context(13))
+    with pytest.raises(OutOfRangeError):
+        decompose_fine(make_context(7), coarse13)
+    with pytest.raises(OutOfRangeError):
+        decompose_fine(make_context(13), decompose_fine(make_context(13), coarse13))

@@ -21,6 +21,7 @@ from fermatjac.genus import (
 )
 from fermatjac.groups import (
     FLAVOR_FERMAT,
+    ClassData,
     all_cyclic_subgroups,
     conjugacy_classes,
     conjugate,
@@ -100,7 +101,8 @@ def test_find_generating_triple_properties():
     for p in (5, 7):
         ctx = make_context(p)
         triple = find_generating_triple(ctx)
-        evidence = validate_triple(triple, ctx)
+        data = ClassData(FLAVOR_FERMAT, ctx)
+        evidence = validate_triple(triple, ctx, data)
         assert evidence["orders"] == [2, 3, 2 * p]
         assert evidence["fix_a1"] == p
         assert evidence["trivial_subgroup_genus"] == fermat_genus(p)
@@ -116,19 +118,21 @@ def test_find_generating_triple_bound():
 def test_full_fix_count_examples():
     ctx = make_context(7)
     triple = find_generating_triple(ctx)
-    assert full_fix_count(fermat_a1(7), triple) == 7
+    data = ClassData(FLAVOR_FERMAT, ctx)
+    assert full_fix_count(fermat_a1(7), triple, data) == 7
     # a free translation fixes nothing
     free = fermat_Hj(7, 1).element_list[1]
-    assert full_fix_count(free, triple) == 0
+    assert full_fix_count(free, triple, data) == 0
     with pytest.raises(IdentityInputError):
-        full_fix_count(fermat_identity(7), triple)
+        full_fix_count(fermat_identity(7), triple, data)
 
 
 def test_full_table_matches_axis_table_on_H():
     for p in (5, 7):
         ctx = make_context(p)
         triple = find_generating_triple(ctx)
-        full = fermat_full_fix_table(ctx, triple)
+        data = ClassData(FLAVOR_FERMAT, ctx)
+        full = fermat_full_fix_table(ctx, triple, data)
         axis = fermat_axis_fix_table(ctx)
         for h in fermat_H(p):
             if not h.is_identity:
@@ -138,7 +142,8 @@ def test_full_table_matches_axis_table_on_H():
 def test_fix_counts_conjugation_invariant_exhaustive_p5():
     ctx = make_context(5)
     triple = find_generating_triple(ctx)
-    fix = fermat_full_fix_table(ctx, triple)
+    data = ClassData(FLAVOR_FERMAT, ctx)
+    fix = fermat_full_fix_table(ctx, triple, data)
     els = list(fermat_elements(5))
     for g in els:
         if g.is_identity:
@@ -152,7 +157,8 @@ def test_lefschetz_bound():
     for p in (5, 7):
         ctx = make_context(p)
         triple = find_generating_triple(ctx)
-        fix = fermat_full_fix_table(ctx, triple)
+        data = ClassData(FLAVOR_FERMAT, ctx)
+        fix = fermat_full_fix_table(ctx, triple, data)
         bound = 2 + 2 * fermat_genus(p)
         for cls in conjugacy_classes(FLAVOR_FERMAT, ctx):
             if not cls[0].is_identity:
@@ -165,7 +171,8 @@ def test_total_fix_count_identity():
     for p in (5, 7):
         ctx = make_context(p)
         triple = find_generating_triple(ctx)
-        fix = fermat_full_fix_table(ctx, triple)
+        data = ClassData(FLAVOR_FERMAT, ctx)
+        fix = fermat_full_fix_table(ctx, triple, data)
         total = sum(
             fix.count(g) for g in fermat_elements(p) if not g.is_identity
         )
@@ -176,11 +183,12 @@ def test_coset_genus_full_group_and_trivial():
     for p in (5, 7):
         ctx = make_context(p)
         triple = find_generating_triple(ctx)
+        data = ClassData(FLAVOR_FERMAT, ctx)
         gens = [fermat_a1(p), fermat_u(p), fermat_v(p)]
         full = subgroup_closure(gens)
         assert full.order == fermat_group_order(p)
-        assert coset_genus(full, triple) == 0
-        assert coset_genus(trivial_subgroup(fermat_identity(p)), triple) == fermat_genus(p)
+        assert coset_genus(full, triple, data) == 0
+        assert coset_genus(trivial_subgroup(fermat_identity(p)), triple, data) == fermat_genus(p)
 
 
 @pytest.mark.parametrize("p", (5, 7))
@@ -189,7 +197,8 @@ def test_dual_oracle_agreement(p):
     coset count, over every cyclic subgroup plus H, H_j, and the joins."""
     ctx = make_context(p)
     triple = find_generating_triple(ctx)
-    fix = fermat_full_fix_table(ctx, triple)
+    data = ClassData(FLAVOR_FERMAT, ctx)
+    fix = fermat_full_fix_table(ctx, triple, data)
     g_top = fermat_genus(p)
     subgroups = all_cyclic_subgroups(FLAVOR_FERMAT, ctx)
     subgroups.append(fermat_H(p))
@@ -199,7 +208,7 @@ def test_dual_oracle_agreement(p):
         for j in range(i + 1, len(hj)):
             subgroups.append(joined_subgroup(hj[i], hj[j]))
     for k in subgroups:
-        assert rh_genus(g_top, k, fix) == coset_genus(k, triple)
+        assert rh_genus(g_top, k, fix) == coset_genus(k, triple, data)
 
 
 def test_euler_characteristic_audit():

@@ -1,7 +1,14 @@
 import pytest
 
 from fermatjac.curves import MoebiusLabel
-from fermatjac.errors import FlavorMismatchError, NoGammaError, NonMonomialError, OutOfRangeError
+from fermatjac import monomial as monomial_module
+from fermatjac.errors import (
+    CheckFailedError,
+    FlavorMismatchError,
+    NoGammaError,
+    NonMonomialError,
+    OutOfRangeError,
+)
 from fermatjac.groups import pgonal_elements
 from fermatjac.monomial import (
     MOEBIUS_MONOMIALS,
@@ -23,6 +30,8 @@ from fermatjac.monomial import (
     word_map,
 )
 from fermatjac.orbits import make_context
+
+from helpers import run_under_O
 
 
 def test_reduce_curve_relation():
@@ -247,3 +256,27 @@ def test_render_strings():
     assert MonomialFunction(1, 0, 0, 0, 0).render() == "1"
     assert MonomialFunction(-1, 0, 0, 0, 0).render() == "-1"
     assert MonomialFunction(-1, 2, -1, 3, 1).render() == "-w^2*x^-1*(x-1)^3*y"
+
+
+@pytest.mark.parametrize("verdict, passing", ((True, "[1, 2]"), (False, "[]")))
+def test_epsilon_parity_needs_exactly_one(monkeypatch, verdict, passing):
+    monkeypatch.setattr(monomial_module, "verify_curve_automorphism", lambda f: verdict)
+    ctx = make_context(13)
+    with pytest.raises(CheckFailedError, match=rf"p = 13, gamma = {ctx.gamma}: .* got \{passing}"):
+        epsilon_parity_report(ctx)
+
+
+@pytest.mark.parametrize("verdict", (True, False))
+def test_epsilon_parity_fails_verify_under_python_O(verdict):
+    # always False already fails at "J preserves the curve", before the
+    # parity count; either way the check fails with no traceback
+    run = run_under_O(
+        "from fermatjac import cli, monomial\n"
+        f"monomial.verify_curve_automorphism = lambda f: {verdict}\n"
+        "sys.exit(cli.main(['verify', '--p', '13']))\n"
+    )
+    assert run.returncode == 4, run.stdout + run.stderr
+    assert "FAIL monomial-relations: p = 13" in run.stdout
+    assert "Traceback" not in run.stderr
+    if verdict:
+        assert "expected exactly one sign parity to preserve the curve, got [1, 2]" in run.stdout

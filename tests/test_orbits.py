@@ -1,16 +1,18 @@
 import pytest
 
-from fermatjac.errors import NotPrimeError, OutOfRangeError, TooLargeError, TooSmallError
+from fermatjac import orbits as orbits_module
+from fermatjac.errors import AuditFailError, NotPrimeError, OutOfRangeError, TooLargeError, TooSmallError
 from fermatjac.orbits import (
     MAX_P,
     OrbitKind,
+    OrbitPartition,
     make_context,
     orbit,
     orbit_partition,
     s3_apply,
 )
 
-from helpers import brute_inverse_table, orbit_formula, sweep_primes
+from helpers import brute_inverse_table, orbit_formula, run_under_O, sweep_primes
 
 
 def test_make_context_p7_gamma_pair():
@@ -155,3 +157,27 @@ def test_partition_orbit_lookup():
     part = orbit_partition(make_context(13))
     assert part.orbit_of(9).representative == 3
     assert part.orbit_of(11).kind is OrbitKind.SPECIAL_ONE
+
+
+def test_orbit_census_failures_are_audit_errors(monkeypatch):
+    ctx = make_context(7)
+    # X_7 = {1, ..., 5} as one cycle: an orbit of size 5
+    monkeypatch.setattr(orbits_module, "s3_apply", lambda name, a, ctx: a % (ctx.p - 2) + 1)
+    with pytest.raises(AuditFailError, match="impossible orbit size 5"):
+        orbit(1, ctx)
+    monkeypatch.undo()
+    part = orbit_partition(ctx)
+    partial = OrbitPartition(context=ctx, orbits=part.orbits[:1])
+    with pytest.raises(AuditFailError, match="does not cover"):
+        partial.orbit_of(part.orbits[1].representative)
+
+
+def test_orbit_census_fails_decompose_under_python_O():
+    run = run_under_O(
+        "from fermatjac import cli, orbits\n"
+        "orbits.s3_apply = lambda name, a, ctx: a % (ctx.p - 2) + 1\n"
+        "sys.exit(cli.main(['decompose', '--p', '7']))\n"
+    )
+    assert run.returncode == 3, run.stdout + run.stderr
+    assert "audit failure: p = 7: impossible orbit size 5 for 1" in run.stderr
+    assert "Traceback" not in run.stderr

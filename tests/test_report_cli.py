@@ -355,7 +355,7 @@ def test_oracle_disagreement_is_a_typed_failure(capsys, monkeypatch):
     real = genus_module.coset_genus
     # off by one on every subgroup but the trivial one, which the
     # generating-triple check uses
-    monkeypatch.setattr(genus_module, "coset_genus", lambda k, triple: real(k, triple) + (k.order > 1))
+    monkeypatch.setattr(genus_module, "coset_genus", lambda k, triple, data: real(k, triple, data) + (k.order > 1))
     code, out, err = run_cli(capsys, "verify", "--p", "7", "--depth", "full", "--format", "json")
     assert code == 4
     assert "dual-oracle-genus" in err
@@ -380,7 +380,7 @@ def test_oracle_disagreement_fails_under_python_O():
         "if not sys.flags.optimize:\n"
         "    sys.exit(99)\n"
         "real = genus.coset_genus\n"
-        "genus.coset_genus = lambda k, triple: real(k, triple) + (k.order > 1)\n"
+        "genus.coset_genus = lambda k, triple, data: real(k, triple, data) + (k.order > 1)\n"
         "sys.exit(cli.main(['verify', '--p', '7', '--depth', 'full']))\n"
     )
     src = str(Path(fermatjac.__file__).resolve().parents[1])
