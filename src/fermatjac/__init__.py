@@ -38,12 +38,10 @@ from .genus import (
 )
 from .groups import (
     FermatAut,
+    Group,
     PGonalAut,
     Subgroup,
     conjugacy_classes,
-    conjugate,
-    inverse,
-    multiply,
     order,
     pgonal_K,
     product_set,

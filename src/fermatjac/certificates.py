@@ -25,7 +25,7 @@ from typing import Optional
 
 from .errors import CheckFailedError, FlavorMismatchError, ShapeMismatchError
 from .genus import FixTable, GeneratingTriple, fermat_full_fix_table, fermat_genus
-from .groups import FLAVOR_FERMAT, ClassData, Element, Subgroup, element_index, flavor_of
+from .groups import FLAVOR_FERMAT, IDENTITY, ClassData, Element, Subgroup
 from .orbits import PrimeContext
 
 
@@ -42,10 +42,7 @@ class ClassFunction:
         self.name = name
 
     def __call__(self, g: Element):
-        data = self.data
-        if flavor_of(g) != data.flavor or g.p != data.p or getattr(g, "gamma", None) != data.gamma:
-            raise FlavorMismatchError(f"{g!r} is not in the group of {self!r}")
-        return self.values[data.class_of[element_index(g)]]
+        return self.values[self.data.class_of[self.data.group.index(g)]]
 
     @property
     def at_identity(self):
@@ -75,13 +72,9 @@ def chi_rat(
         data = ClassData(FLAVOR_FERMAT, ctx)
     if fix is None:
         fix = fermat_full_fix_table(ctx, triple, data)
-    values = []
-    for cls in data.classes:
-        rep = cls[0]
-        if rep.is_identity:
-            values.append(2 * fermat_genus(ctx.p))
-        else:
-            values.append(2 - fix.count(rep))
+    if fix.group != data.group:
+        raise FlavorMismatchError(f"{fix!r} does not live in {data.group}")
+    values = [2 * fermat_genus(ctx.p) if c[0] == IDENTITY else 2 - fix.at(c[0]) for c in data.classes]
     return ClassFunction(data, values, "homology")
 
 
@@ -89,12 +82,12 @@ def induced_perm_character(k: Subgroup, data: ClassData) -> ClassFunction:
     """Permutation character of the action on cosets of K: the number of
     cosets each element fixes, by Frobenius' formula.  At the identity
     this is the index."""
-    if k.flavor != data.flavor or k.p != data.p:
-        raise FlavorMismatchError(f"{k!r} does not live in this group")
+    if k.group != data.group:
+        raise FlavorMismatchError(f"{k!r} does not live in {data.group}")
     if data.order % k.order:
         raise CheckFailedError(f"{k!r} has order {k.order}, which does not divide {data.order}")
     values = [0] * len(data.classes)
-    for c, f in data.fixed_cosets(data.class_counts(k.element_list), k.order).items():
+    for c, f in data.fixed_cosets(data.class_counts(k.indices), k.order).items():
         values[c] = f
     fn = ClassFunction(data, values, f"perm(G/{k!r})")
     if fn.at_identity * k.order != data.order:
@@ -111,7 +104,7 @@ def inner_product(f1: ClassFunction, f2: ClassFunction) -> Fraction:
     Integer-valued class functions are self-conjugate, so no conjugation
     appears.
     """
-    if not f1.data.compatible_with(f2.data):
+    if f1.data.group != f2.data.group:
         raise FlavorMismatchError("inner product of class functions on different groups")
     total = sum(n * a * b for n, a, b in zip(f1.data.sizes, f1.values, f2.values))
     return Fraction(total, f1.data.order)

@@ -33,9 +33,10 @@ from .errors import (
 from .orbits import OrbitKind, is_prime, make_context, orbit_partition, s3_apply
 
 FULL_DEPTH_DEFAULT_CAP = 31
-# verify --full-cap: the full checks hold the 6 p^2 group elements, their
-# classes and the O(p^2) cyclic subgroups, so memory grows as p^2 and
-# binds first: 18 s and 182 MB at p = 263, 208 MB at p = 283.
+# verify --full-cap: the full checks hold the class of each of the 6 p^2
+# group elements and the O(p^2) cyclic subgroups as index tuples, so
+# memory grows as p^2: 10 s and 123 MB at p = 263, 12 s and 136 MB at
+# p = 283.
 FULL_DEPTH_MAX_P = 263
 # verify at any depth: the monomial conjugation sweep is O(p log p) with a
 # large constant, about 40 s at p = 19993.
@@ -250,7 +251,7 @@ def _full_fix(ctx, cache):
 
 
 def _describe(k):
-    gens = ", ".join(str(g.sort_key()) for g in k.generators)
+    gens = ", ".join(str(k.group.coordinates(i)) for i in k.generators)
     return f"the subgroup of order {k.order} generated by {gens}"
 
 
@@ -281,22 +282,23 @@ def check_fix_table_consistency(ctx, cache):
     p = ctx.p
     fix = _full_fix(ctx, cache)
     axis = gen.fermat_axis_fix_table(ctx)
+    where = fix.group.coordinates
     for h in grp.fermat_H(p):
-        if not h.is_identity and fix.count(h) != axis.count(h):
+        if h != grp.IDENTITY and fix.at(h) != axis.at(h):
             raise CheckFailedError(
-                f"p = {p}: fix{h.sort_key()} is {fix.count(h)} in the full table"
-                f" and {axis.count(h)} in the axis table"
+                f"p = {p}: fix{where(h)} is {fix.at(h)} in the full table"
+                f" and {axis.at(h)} in the axis table"
             )
     bound = 2 + 2 * gen.fermat_genus(p)
     for cls in _class_data(ctx, cache).classes:
         rep = cls[0]
-        if rep.is_identity:
+        if rep == grp.IDENTITY:
             continue
-        c = fix.count(rep)
-        _require(0 <= c <= bound, f"p = {p}: fix{rep.sort_key()} = {c} is outside [0, {bound}]")
+        c = fix.at(rep)
+        _require(0 <= c <= bound, f"p = {p}: fix{where(rep)} = {c} is outside [0, {bound}]")
         _require(
-            all(fix.count(g) == c for g in cls[1: min(len(cls), 4)]),
-            f"p = {p}: the fix count is not constant on the class of {rep.sort_key()}",
+            all(fix.at(g) == c for g in cls[1: min(len(cls), 4)]),
+            f"p = {p}: the fix count is not constant on the class of {where(rep)}",
         )
     return "axis table matches, Lefschetz bound holds, class-constant"
 

@@ -66,16 +66,11 @@ _BY_PERM = {label.perm: label for label in MoebiusLabel}
 @dataclass(frozen=True)
 class CurveSpec:
     """A curve descriptor: the Fermat curve, a canonical C_alpha, or the
-    genus-(p-1)/6 quotient E_gamma of the gamma curve.
-
-    beta is retained for the general p-gonal form but every stored spec
-    is canonical, so beta is always 1.
-    """
+    genus-(p-1)/6 quotient E_gamma of the gamma curve."""
 
     context: PrimeContext
     family: CurveFamily
     alpha: Optional[int] = None
-    beta: int = 1
 
     def __post_init__(self):
         p = self.context.p
@@ -83,8 +78,6 @@ class CurveSpec:
             if self.alpha is not None:
                 raise OutOfRangeError("Fermat curve takes no exponent")
         elif self.family is CurveFamily.P_GONAL:
-            if self.beta != 1:
-                raise OutOfRangeError("stored p-gonal specs are canonical (beta = 1)")
             self.context.require_X(self.alpha)
         elif self.family is CurveFamily.E_QUOTIENT:
             if not self.context.has_gamma:

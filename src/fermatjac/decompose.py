@@ -30,12 +30,13 @@ the set-commutation verdict carried alongside as data.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
 from typing import Optional
 
-from .curves import CurveFamily, CurveSpec, are_isomorphic, genus_of, quotient_to_curve
+from .curves import CurveFamily, CurveSpec, genus_of, quotient_to_curve
 from .errors import AuditFailError, OutOfRangeError, ShapeMismatchError
 from .genus import (
     fermat_axis_fix_table,
@@ -44,15 +45,7 @@ from .genus import (
     rh_genus,
     riemann_hurwitz,
 )
-from .groups import (
-    PERM_ID,
-    FermatAut,
-    fermat_a1,
-    fermat_a2,
-    joined_subgroup,
-    pgonal_K,
-    product_set,
-)
+from .groups import fermat_a1, fermat_a2, fermat_translation, joined_subgroup, pgonal_K, product_set
 from .orbits import OrbitKind, OrbitPartition, PrimeContext, orbit_partition
 
 
@@ -142,7 +135,7 @@ def kani_rosen_check(ctx: PrimeContext) -> KaniRosenAudit:
     fix = fermat_axis_fix_table(ctx)
 
     def line_fix_sum(a: int, b: int) -> int:
-        return (p - 1) * fix.count(FermatAut(p, a, b, PERM_ID))
+        return (p - 1) * fix.at(fermat_translation(p, a, b))
 
     plane_fix = line_fix_sum(0, 1) + sum(line_fix_sum(1, t) for t in range(p))
     plane_genus = riemann_hurwitz(g_top, p * p, plane_fix)
@@ -282,18 +275,15 @@ def _coarse_factors(ctx: PrimeContext, partition: OrbitPartition) -> tuple[Isoge
 def _fermat_family_audit(ctx: PrimeContext, partition: OrbitPartition) -> KaniRosenAudit:
     audit = kani_rosen_check(ctx)
     # Factor multiplicities come from grouping the p-2 deck quotients by
-    # isomorphism class: each orbit must receive exactly orbit-size many.
-    counts: dict[int, int] = {}
-    for j in range(1, ctx.p - 1):
-        spec = quotient_to_curve(j, ctx)
-        rep = partition.orbit_of(spec.alpha).representative
-        if not are_isomorphic(spec.alpha, rep, ctx):
-            raise AuditFailError(f"deck quotient {j} is not isomorphic to C({rep})")
-        counts[rep] = counts.get(rep, 0) + 1
+    # isomorphism class, the orbit of the quotient's exponent: each orbit
+    # must receive exactly orbit-size many.
+    counts = Counter(
+        partition.orbit_of(quotient_to_curve(j, ctx).alpha).representative for j in range(1, ctx.p - 1)
+    )
     expected = {o.representative: o.size for o in partition.orbits}
     if counts != expected:
         raise AuditFailError(
-            f"deck quotients per isomorphism class {counts} != orbit sizes {expected}"
+            f"deck quotients per isomorphism class {dict(counts)} != orbit sizes {expected}"
         )
     return audit
 

@@ -50,21 +50,17 @@ from .errors import (
     TooLargeError,
 )
 from .groups import (
-    FLAVOR_FERMAT,
     FLAVOR_P_GONAL,
+    IDENTITY,
+    PERM_ID,
     ClassData,
     Element,
     FermatAut,
-    PGonalAut,
+    Group,
     Subgroup,
     fermat_a1,
-    fermat_closure,
-    fermat_element,
-    fermat_group_order,
-    fermat_identity,
-    fermat_index,
-    fermat_left_mul,
     fermat_order,
+    make_group,
     mulclose,
     order,
     trivial_subgroup,
@@ -75,25 +71,29 @@ DEFAULT_TRIPLE_SEARCH_BOUND = 31
 
 
 class FixTable:
-    """Fixed-point counts for non-identity elements of a group action.
+    """Fixed-point counts for the non-identity elements of a group action.
 
-    ``count`` raises on the identity (excluded by definition) and on
-    elements outside the table's domain.
+    ``count_fn`` maps an element index to its count; :meth:`at` reads the
+    table by index and :meth:`count` by element.  Both raise on the
+    identity (excluded by definition) and on elements outside the
+    table's domain.
     """
 
-    def __init__(self, flavor: str, p: int, count_fn: Callable[[Element], int], description: str):
-        self.flavor = flavor
-        self.p = p
+    def __init__(self, group: Group, count_fn: Callable[[int], int], description: str):
+        self.group = group
         self._count_fn = count_fn
         self.description = description
 
-    def count(self, g: Element) -> int:
-        if g.is_identity:
+    def at(self, i: int) -> int:
+        if i == IDENTITY:
             raise IdentityInputError("fix tables exclude the identity")
-        return self._count_fn(g)
+        return self._count_fn(i)
+
+    def count(self, g: Element) -> int:
+        return self.at(self.group.index(g))
 
     def __repr__(self):
-        return f"FixTable({self.description!r}, p={self.p})"
+        return f"FixTable({self.description!r}, p={self.group.p})"
 
 
 def fermat_axis_fix_table(ctx: PrimeContext) -> FixTable:
@@ -111,15 +111,8 @@ def pgonal_fix_table(ctx: PrimeContext, gamma: Optional[int] = None) -> FixTable
     """Fixed points on the gamma curve: T^k fixes the three points over
     the branch values; every order-3 element fixes exactly two points
     (all are conjugate to R or R^2, and conjugate maps fix equally many)."""
-    p = ctx.p
-    g0 = ctx.gamma if gamma is None else gamma
-
-    def count(g: PGonalAut) -> int:
-        if not isinstance(g, PGonalAut) or g.p != p or g.gamma != g0:
-            raise OutOfRangeError(f"{g!r} is not in the p-gonal group (p={p}, gamma={g0})")
-        return 3 if g.e == 0 else 2
-
-    return FixTable(FLAVOR_P_GONAL, p, count, "deck powers fix 3, order-3 maps fix 2")
+    group = make_group(FLAVOR_P_GONAL, ctx, gamma)
+    return FixTable(group, lambda i: 3 if group.is_translation(i) else 2, "deck powers fix 3, order-3 maps fix 2")
 
 
 def riemann_hurwitz(g_top: int, order: int, fix_sum: int) -> int:
@@ -139,7 +132,9 @@ def riemann_hurwitz(g_top: int, order: int, fix_sum: int) -> int:
 def rh_genus(g_top: int, k: Subgroup, fix: FixTable) -> int:
     """Quotient genus from the Riemann-Hurwitz formula, summing the fix
     table over the non-identity elements of K."""
-    total = sum(fix.count(g) for g in k.element_list if not g.is_identity)
+    if k.group != fix.group:
+        raise OutOfRangeError(f"{k!r} is not in the group of {fix!r}")
+    total = sum(fix.at(i) for i in k.indices if i != IDENTITY)
     return riemann_hurwitz(g_top, k.order, total)
 
 
@@ -156,14 +151,15 @@ def fermat_quotient_genus(k: Subgroup) -> int:
 
 @lru_cache(maxsize=None)
 def _axis_table_for(p: int) -> FixTable:
-    def count(g: FermatAut) -> int:
-        if not isinstance(g, FermatAut) or g.p != p:
-            raise OutOfRangeError(f"{g!r} is not in the Fermat group for p = {p}")
-        if not g.is_translation:
-            raise NotSubgroupOfHError(f"{g!r} lies outside the translation subgroup")
-        return p if (g.m == 0 or g.n == 0 or g.m == g.n) else 0
+    group = Group(p)
 
-    return FixTable(FLAVOR_FERMAT, p, count, "axis translations fix p points each")
+    def count(i: int) -> int:
+        m, n, sigma = group.coordinates(i)
+        if sigma != PERM_ID:
+            raise NotSubgroupOfHError(f"{group.element(i)!r} lies outside the translation subgroup")
+        return p if (m == 0 or n == 0 or m == n) else 0
+
+    return FixTable(group, count, "axis translations fix p points each")
 
 
 @dataclass(frozen=True)
@@ -205,20 +201,21 @@ def find_generating_triple(ctx: PrimeContext, limit: int = DEFAULT_TRIPLE_SEARCH
         raise TooLargeError(
             f"triple search for p = {p} exceeds the bound {limit}; raise the limit explicitly"
         )
-    n = fermat_group_order(p)
+    group = Group(p)
+    n = group.order
     orders = [fermat_order(p, i) for i in range(n)]
     order3 = [i for i in range(n) if orders[i] == 3]
     for i2 in range(n):
         if orders[i2] != 2:
             continue
-        c2 = fermat_element(p, i2)
-        for i3, prod in zip(order3, fermat_left_mul(c2, order3)):
+        c2 = group.element(i2)
+        for i3, prod in zip(order3, c2.left_mul(order3)):
             if orders[prod] != 2 * p:
                 continue
-            c3 = fermat_element(p, i3)
-            if len(fermat_closure((c2, c3))) != n:
+            c3 = group.element(i3)
+            if len(group.closure((c2, c3))) != n:
                 continue
-            return GeneratingTriple(c2, c3, fermat_element(p, prod).inverse())
+            return GeneratingTriple(c2, c3, group.element(prod).inverse())
     raise SearchExhaustedError(f"no (2, 3, 2p) generating triple found for p = {p}")
 
 
@@ -226,17 +223,11 @@ def find_generating_triple(ctx: PrimeContext, limit: int = DEFAULT_TRIPLE_SEARCH
 def _power_class_counts(triple: GeneratingTriple, data: ClassData) -> tuple[tuple[int, Counter], ...]:
     """For each triple entry c of order m: m and the class counts of its
     powers c^0, ..., c^(m-1), the elements of the fiber subgroup <c>."""
-    if data.flavor != FLAVOR_FERMAT or data.p != triple.p:
-        raise FlavorMismatchError(
-            f"class data for the {data.flavor} group at p = {data.p} cannot serve a triple at p = {triple.p}"
-        )
+    if data.group != Group(triple.p):
+        raise FlavorMismatchError(f"class data for {data.group} cannot serve a triple at p = {triple.p}")
     entries = []
     for c, m in triple.entries:
-        powers = [fermat_identity(c.p)]
-        x = c
-        while not x.is_identity:
-            powers.append(x)
-            x = x * c
+        powers = data.group.closure([c])
         if len(powers) != m:
             raise InconsistentOrbifoldError(f"{c!r} generates a subgroup of order {len(powers)}, not {m}")
         entries.append((m, data.class_counts(powers)))
@@ -255,26 +246,18 @@ def _fiber_fix(triple: GeneratingTriple, data: ClassData) -> list[int]:
 
 def full_fix_count(g: FermatAut, triple: GeneratingTriple, data: ClassData) -> int:
     """Fixed points of any non-identity automorphism via the fiber model."""
-    if g.is_identity:
+    i = data.group.index(g)
+    if i == IDENTITY:
         raise IdentityInputError("the identity fixes everything; excluded by definition")
-    if g.p != data.p:
-        raise OutOfRangeError(f"{g!r} is not in the Fermat group for p = {data.p}")
-    return _fiber_fix(triple, data)[data.class_of[fermat_index(g)]]
+    return _fiber_fix(triple, data)[data.class_of[i]]
 
 
 def fermat_full_fix_table(ctx: PrimeContext, triple: GeneratingTriple, data: ClassData) -> FixTable:
     """Fix counts on all of the Fermat group, computed once per conjugacy
     class (fixed-point counts are class functions)."""
-    p = ctx.p
     fix = _fiber_fix(triple, data)
     class_of = data.class_of
-
-    def count(g: FermatAut) -> int:
-        if not isinstance(g, FermatAut) or g.p != p:
-            raise OutOfRangeError(f"{g!r} is not in the Fermat group for p = {p}")
-        return fix[class_of[fermat_index(g)]]
-
-    return FixTable(FLAVOR_FERMAT, p, count, "full table via the triple fiber model")
+    return FixTable(data.group, lambda i: fix[class_of[i]], "full table via the triple fiber model")
 
 
 def coset_genus(k: Subgroup, triple: GeneratingTriple, data: ClassData) -> int:
@@ -290,10 +273,10 @@ def coset_genus(k: Subgroup, triple: GeneratingTriple, data: ClassData) -> int:
     (Burnside), each fix count from the classes K meets (Frobenius).
     """
     p = triple.p
-    if k.flavor != FLAVOR_FERMAT or k.p != p:
+    if k.group != Group(p):
         raise OutOfRangeError(f"{k!r} does not live in the Fermat group for p = {p}")
     entries = _power_class_counts(triple, data)
-    fixed = data.fixed_cosets(data.class_counts(k.element_list), k.order)
+    fixed = data.fixed_cosets(data.class_counts(k.indices), k.order)
     index = fixed.get(data.identity_index, 0)
     cycles = 0
     for m, counts in entries:
@@ -320,22 +303,23 @@ def validate_triple(triple: GeneratingTriple, ctx: PrimeContext, data: ClassData
     and the known fixed-point count of the scaling generator.
     """
     p = ctx.p
+    group = Group(p)
     orders = tuple(order(c) for c, _ in triple.entries)
     if orders != (2, 3, 2 * p):
         raise InconsistentOrbifoldError(f"triple orders {orders} != (2, 3, {2 * p})")
     if not (triple.c2 * triple.c3 * triple.c2p).is_identity:
         raise InconsistentOrbifoldError("triple product is not the identity")
-    if len(mulclose([triple.c2, triple.c3])) != fermat_group_order(p):
+    order_g = group.order
+    if len(mulclose([triple.c2, triple.c3])) != order_g:
         raise InconsistentOrbifoldError("triple does not generate the group")
     g_top = fermat_genus(p)
-    order_g = fermat_group_order(p)
     euler = 2 * order_g - sum((order_g // m) * (m - 1) for _, m in triple.entries)
     if euler != 2 - 2 * g_top:
         raise InconsistentOrbifoldError(f"Euler audit failed: {euler} != {2 - 2 * g_top}")
     fix_a1 = full_fix_count(fermat_a1(p), triple, data)
     if fix_a1 != p:
         raise InconsistentOrbifoldError(f"fiber model gives fix(a1) = {fix_a1}, expected {p}")
-    trivial_genus = coset_genus(trivial_subgroup(fermat_identity(p)), triple, data)
+    trivial_genus = coset_genus(trivial_subgroup(group), triple, data)
     if trivial_genus != g_top:
         raise InconsistentOrbifoldError(
             f"coset genus of the trivial subgroup is {trivial_genus}, expected {g_top}"

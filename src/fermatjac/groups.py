@@ -11,24 +11,28 @@ P-gonal flavor: the group generated by the deck transformation T and the
 order-3 map R of the gamma curve, with T^p = R^3 = 1 and
 R T R^(-1) = T^(gamma^2).  An element is T^k R^e.
 
-Subgroups are explicit closed element sets.  Full-group work runs on an
-integer kernel instead: element (m, n, sigma) of the Fermat group is the
-int (m p + n) 6 + sigma and T^k R^e of the p-gonal group is 3 k + e,
-each its position in the canonical element order.  For the Fermat group,
-left multiplication by an element and right multiplication by a
-generator are computed straight from ACTION and PERM_MUL as maps on
-these ints, so no element object is built per entry and no Cayley table
-is ever stored.  On that kernel:
+Both groups run on one integer kernel.  A :class:`Group` numbers its
+elements by their position in the canonical element order: a1^m a2^n
+sigma is (m p + n) 6 + sigma and T^k R^e is 3 k + e, so the identity is
+:data:`IDENTITY` = 0 in both.  Only this module knows that layout:
+:meth:`Group.index` and :meth:`Group.coordinates` translate between
+elements and indices, and an element multiplies indices from the left
+(``left_mul``) or the right (``right_mul_perm``) straight from the group
+law, so no element object is built per entry and no Cayley table is
+ever stored.  On that kernel:
 
-- element orders come from the group law (:func:`fermat_order`), and
-  the subgroup generated by a few elements is a closure under left
-  multiplication (:func:`fermat_closure`);
+- a :class:`Subgroup` is the sorted tuple of its element indices, and
+  the subgroup some elements generate is their closure under left
+  multiplication (:meth:`Group.closure`); for one element, its powers;
 - the conjugacy classes are the orbits of conjugation by the group
-  generators; the p-gonal classes take the same orbit walk, with its
-  3p conjugation maps read off element objects;
+  generators, one walk for either group;
 - :class:`ClassData` maps every index to its class, and counts the
   cosets of K an element fixes by Frobenius' formula from the classes K
   meets, so no coset G/K is ever listed.
+
+:class:`FermatAut` and :class:`PGonalAut` stay the value type of the
+public inputs, the rendering and the generating triple; :func:`order`
+and :func:`mulclose` work on them for independent rechecks.
 """
 
 from __future__ import annotations
@@ -43,6 +47,9 @@ from .orbits import PrimeContext
 
 FLAVOR_FERMAT = "fermat"
 FLAVOR_P_GONAL = "p_gonal"
+
+# The index of the identity in either group.
+IDENTITY = 0
 
 # The six permutations of the index triple (1, 2, 3), 0-based, in a fixed
 # canonical order: id, u, u^2, v, uv, u^2 v.  PERMS[s][i] is the image of i.
@@ -104,6 +111,10 @@ class FermatAut:
         return FermatAut(p, (-(a * self.m + b * self.n)) % p, (-(c * self.m + d * self.n)) % p, s)
 
     @property
+    def group(self) -> "Group":
+        return Group(self.p)
+
+    @property
     def is_identity(self) -> bool:
         return self.m == 0 and self.n == 0 and self.sigma == PERM_ID
 
@@ -113,6 +124,36 @@ class FermatAut:
 
     def sort_key(self):
         return (self.m, self.n, self.sigma)
+
+    def left_mul(self, indices: Iterable[int]) -> list[int]:
+        """Indices of self x for the elements x with the given indices;
+        over ``range(6 p^2)``, the permutation of left multiplication."""
+        p = self.p
+        a, b, cc, d = ACTION[self.sigma]
+        row = PERM_MUL[self.sigma]
+        cm, cn = self.m, self.n
+        out = []
+        for i in indices:
+            mn, s = divmod(i, 6)
+            m, n = divmod(mn, p)
+            out.append((((cm + a * m + b * n) % p) * p + (cn + cc * m + d * n) % p) * 6 + row[s])
+        return out
+
+    def right_mul_perm(self) -> list[int]:
+        """The permutation i -> index of x self, x the element with index i.
+
+        (m, n, s) self moves (m, n) by ACTION[s] applied to the translation
+        part of self, which depends on s alone.
+        """
+        p, hm, hn = self.p, self.m, self.n
+        perm = [0] * fermat_group_order(p)
+        for s in range(6):
+            a, b, c, d = ACTION[s]
+            dm, dn = (a * hm + b * hn) % p, (c * hm + d * hn) % p
+            rows = [((m + dm) % p) * p * 6 for m in range(p)]
+            cols = [((n + dn) % p) * 6 + PERM_MUL[s][self.sigma] for n in range(p)]
+            perm[s::6] = [r + c for r in rows for c in cols]
+        return perm
 
     def __repr__(self):
         return f"FermatAut(p={self.p}, m={self.m}, n={self.n}, sigma={self.sigma})"
@@ -154,6 +195,10 @@ class PGonalAut:
         )
 
     @property
+    def group(self) -> "Group":
+        return Group(self.p, self.gamma)
+
+    @property
     def is_identity(self) -> bool:
         return self.k == 0 and self.e == 0
 
@@ -164,24 +209,24 @@ class PGonalAut:
     def sort_key(self):
         return (self.k, self.e)
 
+    def left_mul(self, indices: Iterable[int]) -> list[int]:
+        """Indices of self x for the elements x with the given indices:
+        T^k R^e T^k' R^e' = T^(k + gamma^(2e) k') R^(e + e')."""
+        p, k, e = self.p, self.k, self.e
+        scale = pow(self.gamma, 2 * e, p)
+        return [3 * ((k + scale * (i // 3)) % p) + (e + i % 3) % 3 for i in indices]
+
+    def right_mul_perm(self) -> list[int]:
+        """The permutation i -> index of x self, x the element with index i."""
+        p, k, e = self.p, self.k, self.e
+        shift = [pow(self.gamma, 2 * r, p) * k for r in range(3)]
+        return [3 * ((i // 3 + shift[i % 3]) % p) + (i % 3 + e) % 3 for i in range(3 * p)]
+
     def __repr__(self):
         return f"PGonalAut(p={self.p}, gamma={self.gamma}, k={self.k}, e={self.e})"
 
 
 Element = FermatAut | PGonalAut
-
-
-def multiply(g: Element, h: Element) -> Element:
-    return g * h
-
-
-def inverse(g: Element) -> Element:
-    return g.inverse()
-
-
-def conjugate(g: Element, h: Element) -> Element:
-    """g h g^(-1)."""
-    return g * h * g.inverse()
 
 
 def order(g: Element) -> int:
@@ -193,18 +238,116 @@ def order(g: Element) -> int:
     return n
 
 
-def flavor_of(g: Element) -> str:
-    return FLAVOR_FERMAT if isinstance(g, FermatAut) else FLAVOR_P_GONAL
+# -- the integer kernel -------------------------------------------------------
 
 
-def _check_same_flavor(elements: Iterable[Element]) -> None:
-    it = iter(elements)
-    first = next(it)
-    for g in it:
-        if type(g) is not type(first) or g.p != first.p:
-            raise FlavorMismatchError(f"mixed elements {first!r} and {g!r}")
-        if isinstance(g, PGonalAut) and g.gamma != first.gamma:
-            raise FlavorMismatchError(f"mixed gamma roots {first!r} and {g!r}")
+@dataclass(frozen=True)
+class Group:
+    """The Fermat group at p (``gamma`` None) or the p-gonal group of the
+    root gamma, its elements numbered 0, ..., order - 1 in canonical order."""
+
+    p: int
+    gamma: Optional[int] = None
+
+    @property
+    def flavor(self) -> str:
+        return FLAVOR_FERMAT if self.gamma is None else FLAVOR_P_GONAL
+
+    @property
+    def order(self) -> int:
+        return fermat_group_order(self.p) if self.gamma is None else pgonal_group_order(self.p)
+
+    @property
+    def generators(self) -> tuple[Element, ...]:
+        """a1, a2, u, v, or T, R."""
+        if self.gamma is None:
+            return fermat_generators(self.p)
+        return PGonalAut(self.p, self.gamma, 1, 0), PGonalAut(self.p, self.gamma, 0, 1)
+
+    def index(self, g: Element) -> int:
+        """The index of g, which must lie in this group."""
+        if getattr(g, "group", None) != self:
+            raise FlavorMismatchError(f"{g!r} is not in {self}")
+        if self.gamma is None:
+            return (g.m * self.p + g.n) * 6 + g.sigma
+        return 3 * g.k + g.e
+
+    def coordinates(self, i: int) -> tuple[int, ...]:
+        """The normal form of the element with index i: (m, n, sigma) or (k, e)."""
+        if self.gamma is None:
+            mn, s = divmod(i, 6)
+            return (*divmod(mn, self.p), s)
+        return divmod(i, 3)
+
+    def element(self, i: int) -> Element:
+        """The element with index i."""
+        if self.gamma is None:
+            return FermatAut(self.p, *self.coordinates(i))
+        return PGonalAut(self.p, self.gamma, *self.coordinates(i))
+
+    def is_translation(self, i: int) -> bool:
+        """Whether the element with index i lies in the translation subgroup H, or in <T>."""
+        return i % (6 if self.gamma is None else 3) == 0
+
+    def closure(self, generators: Iterable[Element]) -> list[int]:
+        """Indices of the subgroup the elements generate, in order of
+        discovery: the closure of {1} under left multiplication by each.
+        For a single element g that is its powers 1, g, g^2, ...
+        """
+        gens = tuple(generators)
+        seen = {IDENTITY}
+        members = [IDENTITY]
+        frontier = [IDENTITY]
+        while frontier:
+            new = []
+            for c in gens:
+                for y in c.left_mul(frontier):
+                    if y not in seen:
+                        seen.add(y)
+                        new.append(y)
+            members.extend(new)
+            frontier = new
+        return members
+
+    def __str__(self):
+        if self.gamma is None:
+            return f"the Fermat group at p = {self.p}"
+        return f"the p-gonal group at p = {self.p}, gamma = {self.gamma}"
+
+
+def make_group(flavor: str, ctx: PrimeContext, gamma: Optional[int] = None) -> Group:
+    """The group of the flavor at ctx.p; a p-gonal group takes the given
+    root, or ctx's default one."""
+    if flavor == FLAVOR_FERMAT:
+        return Group(ctx.p)
+    if flavor == FLAVOR_P_GONAL:
+        return Group(ctx.p, _resolve_gamma(ctx, gamma))
+    raise FlavorMismatchError(f"unknown flavor {flavor!r}")
+
+
+def fermat_translation(p: int, m: int, n: int) -> int:
+    """Index of the translation a1^m a2^n in the Fermat group."""
+    return (m % p * p + n % p) * 6
+
+
+def fermat_order(p: int, i: int) -> int:
+    """Order of the element with index i, from the group law.
+
+    A translation other than 1 has order p and a 3-cycle order 3
+    ((1 + A + A^2) x = 0 for its matrix A).  The square of x sigma, sigma
+    a transposition with matrix A, is the translation (I + A) x, so the
+    order is 2 when that vanishes and 2p otherwise.
+    """
+    mn, s = divmod(i, 6)
+    if s == PERM_ID:
+        return 1 if mn == 0 else p
+    if s in (PERM_U, PERM_U2):
+        return 3
+    m, n = divmod(mn, p)
+    a, b, c, d = ACTION[s]
+    if ((1 + a) * m + b * n) % p == 0 and (c * m + (1 + d) * n) % p == 0:
+        return 2
+    return 2 * p
 
 
 # -- Fermat flavor constructors ---------------------------------------------
@@ -288,62 +431,56 @@ def pgonal_elements(ctx: PrimeContext, gamma: Optional[int] = None) -> Iterator[
 
 
 class Subgroup:
-    """A subgroup held as an explicitly closed, canonically sorted element set.
+    """A subgroup of a :class:`Group`, held as the sorted indices of its
+    elements; ``generators`` are the indices of the elements it was
+    generated from.
 
-    Equality and hashing go by the element set alone, so closures reached
-    from different generating sets compare equal.
+    Equality and hashing go by the group and the index set alone, so
+    closures reached from different generating sets compare equal.
     """
 
-    __slots__ = ("generators", "elements", "element_list", "_is_translation")
+    __slots__ = ("group", "generators", "indices")
 
-    def __init__(self, generators: Iterable[Element], elements: Iterable[Element]):
+    def __init__(self, group: Group, generators: Iterable[int], indices: Iterable[int]):
+        self.group = group
         self.generators = tuple(generators)
-        self.elements = frozenset(elements)
-        self.element_list = tuple(sorted(self.elements, key=lambda g: g.sort_key()))
-        self._is_translation = all(g.is_translation for g in self.element_list)
+        self.indices = tuple(sorted(indices))
 
-    def __contains__(self, g) -> bool:
-        return g in self.elements
+    def __contains__(self, i: int) -> bool:
+        return i in self.indices
 
     def __iter__(self):
-        return iter(self.element_list)
-
-    def __len__(self) -> int:
-        return len(self.elements)
+        return iter(self.indices)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.indices)
 
     @property
     def p(self) -> int:
-        return self.element_list[0].p
+        return self.group.p
 
     @property
     def flavor(self) -> str:
-        return flavor_of(self.element_list[0])
-
-    @property
-    def identity(self) -> Element:
-        g = self.element_list[0]
-        return g * g.inverse()
+        return self.group.flavor
 
     @property
     def is_translation_subgroup(self) -> bool:
-        return self._is_translation
+        return all(map(self.group.is_translation, self.indices))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Subgroup) and self.elements == other.elements
+        return isinstance(other, Subgroup) and self.group == other.group and self.indices == other.indices
 
     def __hash__(self) -> int:
-        return hash(self.elements)
+        return hash((self.group, self.indices))
 
     def __repr__(self):
         return f"Subgroup(order={self.order}, flavor={self.flavor!r}, p={self.p})"
 
 
 def mulclose(generators: Iterable[Element]) -> set[Element]:
-    """Smallest multiplicatively closed set containing the generators.
+    """Smallest multiplicatively closed set of element objects containing
+    the generators; the object-level recheck of :meth:`Group.closure`.
 
     Finite and made of invertible elements, so it is automatically a group.
     """
@@ -365,37 +502,40 @@ def mulclose(generators: Iterable[Element]) -> set[Element]:
 
 
 def subgroup_closure(generators: Iterable[Element]) -> Subgroup:
+    """The subgroup the elements generate; they must share one group."""
     gens = tuple(generators)
     if not gens:
         raise OutOfRangeError("subgroup_closure needs at least one generator")
-    _check_same_flavor(gens)
-    return Subgroup(gens, mulclose(gens))
+    group = gens[0].group
+    return Subgroup(group, [group.index(g) for g in gens], group.closure(gens))
 
 
-def trivial_subgroup(identity: Element) -> Subgroup:
-    return Subgroup((identity,), (identity,))
+def trivial_subgroup(group: Group) -> Subgroup:
+    return Subgroup(group, (IDENTITY,), (IDENTITY,))
 
 
 def product_set(k1: Subgroup, k2: Subgroup) -> tuple[frozenset, bool]:
-    """Element-wise product K1 K2 and whether K1 K2 = K2 K1 as sets."""
-    if k1.flavor != k2.flavor or k1.p != k2.p:
+    """Index set of the element-wise product K1 K2, and whether
+    K1 K2 = K2 K1 as sets."""
+    if k1.group != k2.group:
         raise FlavorMismatchError(f"cannot multiply {k1!r} by {k2!r}")
-    prod12 = frozenset(a * b for a in k1 for b in k2)
-    prod21 = frozenset(b * a for a in k1 for b in k2)
+    element = k1.group.element
+    prod12 = frozenset(y for a in k1 for y in element(a).left_mul(k2.indices))
+    prod21 = frozenset(y for b in k2 for y in element(b).left_mul(k1.indices))
     return prod12, prod12 == prod21
 
 
 def joined_subgroup(k1: Subgroup, k2: Subgroup) -> Subgroup:
     """The subgroup generated by K1 and K2 together."""
-    if k1.elements == k2.elements:
+    if k1 == k2:
         return k1
-    return subgroup_closure(tuple(k1.generators) + tuple(k2.generators))
+    return subgroup_closure(k.group.element(i) for k in (k1, k2) for i in k.generators)
 
 
 def fermat_H(p: int) -> Subgroup:
     """The translation subgroup of order p^2."""
-    els = [FermatAut(p, m, n, PERM_ID) for m in range(p) for n in range(p)]
-    return Subgroup((fermat_a1(p), fermat_a2(p)), els)
+    group = Group(p)
+    return Subgroup(group, map(group.index, group.generators[:2]), range(0, group.order, 6))
 
 
 def fermat_Hj(p: int, j: int) -> Subgroup:
@@ -406,17 +546,13 @@ def fermat_Hj(p: int, j: int) -> Subgroup:
     """
     if not 1 <= j <= p - 2:
         raise OutOfRangeError(f"j = {j} not in {{1,...,{p - 2}}}")
-    gen = FermatAut(p, 1, (1 + j) % p, PERM_ID)
-    els = [FermatAut(p, k, k * (1 + j) % p, PERM_ID) for k in range(p)]
-    return Subgroup((gen,), els)
+    line = [fermat_translation(p, k, k * (1 + j)) for k in range(p)]
+    return Subgroup(Group(p), line[1:2], line)
 
 
 def pgonal_group(ctx: PrimeContext, gamma: Optional[int] = None) -> Subgroup:
-    g = _resolve_gamma(ctx, gamma)
-    return Subgroup(
-        (pgonal_T(ctx, g), pgonal_R(ctx, g)),
-        pgonal_elements(ctx, g),
-    )
+    group = make_group(FLAVOR_P_GONAL, ctx, gamma)
+    return Subgroup(group, map(group.index, group.generators), range(group.order))
 
 
 def pgonal_K(i: int, ctx: PrimeContext, gamma: Optional[int] = None) -> Subgroup:
@@ -432,43 +568,74 @@ def pgonal_K(i: int, ctx: PrimeContext, gamma: Optional[int] = None) -> Subgroup
     return subgroup_closure([gen])
 
 
+def all_cyclic_subgroups(flavor: str, ctx: PrimeContext, gamma: Optional[int] = None) -> list[Subgroup]:
+    """Every cyclic subgroup, including the trivial one, deduplicated.
+
+    Listed in canonical order of the first element generating each; that
+    element is the subgroup's generator, and its powers are walked on
+    indices.  An element that generates a subgroup already listed (some
+    power g^k with k prime to the order of g) is skipped without a walk.
+    """
+    group = make_group(flavor, ctx, gamma)
+    listed = bytearray(group.order)
+    subgroups = []
+    for i in range(group.order):
+        if listed[i]:
+            continue
+        powers = group.closure([group.element(i)])
+        n = len(powers)
+        for k in range(1, n + 1):
+            if gcd(k, n) == 1:
+                listed[powers[k % n]] = 1
+        subgroups.append(Subgroup(group, (i,), powers))
+    return subgroups
+
+
+def left_cosets(k: Subgroup, universe: Iterable[Element]):
+    """Left cosets gK of element objects, in order of first appearance in
+    the universe.
+
+    Returns (reps, index_of): reps[i] is the representative of coset i and
+    index_of maps every element of the universe to its coset index.  Each
+    coset is taken as the set g K of element objects, so this costs
+    |universe| |K| products; the full-depth checks never list cosets (see
+    :class:`ClassData`).
+    """
+    members = [k.group.element(i) for i in k]
+    number: dict = {}
+    index_of: dict[Element, int] = {}
+    reps: list[Element] = []
+    for g in universe:
+        c = frozenset(g * h for h in members)
+        if c not in number:
+            number[c] = len(reps)
+            reps.append(g)
+        index_of[g] = number[c]
+    return reps, index_of
+
+
 # -- conjugacy classes --------------------------------------------------------
 
 
 def conjugacy_classes(
     flavor: str, ctx: PrimeContext, gamma: Optional[int] = None
-) -> tuple[tuple[Element, ...], ...]:
-    """Partition of the group into conjugacy classes.
+) -> tuple[tuple[int, ...], ...]:
+    """Partition of the group into conjugacy classes of element indices.
 
     Classes are closed under conjugation by the group generators, which
-    generates the full conjugation action.  Ordered by first appearance
-    of a member in the canonical element order; members sorted.  The
-    orbits are walked on element indices (:func:`element_index`).
+    generates the full conjugation action, so each class is an orbit of
+    the maps x -> t x t^(-1) on indices.  Ordered by smallest member;
+    members sorted.
     """
-    if flavor == FLAVOR_FERMAT:
-        p = ctx.p
-        everything = range(fermat_group_order(p))
-        conj = []
-        for t in fermat_generators(p):
-            right = fermat_right_mul_perm(t.inverse())
-            conj.append([right[y] for y in fermat_left_mul(t, everything)])
-
-        def element(i: int) -> Element:
-            return fermat_element(p, i)
-
-    elif flavor == FLAVOR_P_GONAL:
-        g = _resolve_gamma(ctx, gamma)
-        universe = list(pgonal_elements(ctx, g))
-        conj = [
-            [element_index(t * x * t.inverse()) for x in universe]
-            for t in (pgonal_T(ctx, g), pgonal_R(ctx, g))
-        ]
-        element = universe.__getitem__
-    else:
-        raise FlavorMismatchError(f"unknown flavor {flavor!r}")
-    seen = bytearray(len(conj[0]))
+    group = make_group(flavor, ctx, gamma)
+    everything = range(group.order)
+    conj = []
+    for t in group.generators:
+        right = t.inverse().right_mul_perm()
+        conj.append([right[y] for y in t.left_mul(everything)])
+    seen = bytearray(group.order)
     classes = []
-    for g0 in range(len(seen)):
+    for g0 in everything:
         if seen[g0]:
             continue
         seen[g0] = 1
@@ -479,7 +646,7 @@ def conjugacy_classes(
                 if not seen[y]:
                     seen[y] = 1
                     cls.append(y)
-        classes.append(tuple(element(i) for i in sorted(cls)))
+        classes.append(tuple(sorted(cls)))
     return tuple(classes)
 
 
@@ -488,8 +655,7 @@ class ClassData:
 
     ``classes`` is the result of :func:`conjugacy_classes`, ``sizes`` the
     class sizes, and ``class_of[i]`` the number of the class of the
-    element with index i (:func:`element_index`); the identity has
-    index 0.
+    element with index i.
 
     The class data answers every question about the coset action of G on
     G/K without listing a coset, by Frobenius' formula for permutation
@@ -497,22 +663,16 @@ class ClassData:
     element x fixes |G| |x^G n K| / (|x^G| |K|) cosets.
     """
 
-    __slots__ = ("flavor", "p", "gamma", "classes", "class_of", "sizes")
+    __slots__ = ("group", "classes", "class_of", "sizes")
 
     def __init__(self, flavor: str, ctx: PrimeContext, gamma: Optional[int] = None):
-        self.flavor = flavor
-        self.p = ctx.p
-        self.gamma = None
-        if flavor == FLAVOR_P_GONAL:
-            self.gamma = ctx.gamma if gamma is None else gamma
-        elif flavor != FLAVOR_FERMAT:
-            raise FlavorMismatchError(f"unknown flavor {flavor!r}")
+        self.group = make_group(flavor, ctx, gamma)
         self.classes = conjugacy_classes(flavor, ctx, gamma)
         self.sizes = tuple(map(len, self.classes))
         self.class_of = [0] * sum(self.sizes)
-        for i, cls in enumerate(self.classes):
-            for g in cls:
-                self.class_of[element_index(g)] = i
+        for c, cls in enumerate(self.classes):
+            for i in cls:
+                self.class_of[i] = c
 
     @property
     def order(self) -> int:
@@ -520,20 +680,12 @@ class ClassData:
 
     @property
     def identity_index(self) -> int:
-        return self.class_of[0]
+        return self.class_of[IDENTITY]
 
-    def compatible_with(self, other: "ClassData") -> bool:
-        return (
-            self.flavor == other.flavor
-            and self.p == other.p
-            and self.gamma == other.gamma
-        )
-
-    def class_counts(self, elements: Iterable[Element]) -> Counter:
-        """Class number -> how many of the elements lie in that class;
-        over the elements of K, the numbers |C n K|."""
-        class_of = self.class_of
-        return Counter(class_of[element_index(g)] for g in elements)
+    def class_counts(self, indices: Iterable[int]) -> Counter:
+        """Class number -> how many of the indexed elements lie in that
+        class; over the elements of K, the numbers |C n K|."""
+        return Counter(map(self.class_of.__getitem__, indices))
 
     def fixed_cosets(self, counts: Counter, k_order: int) -> dict[int, int]:
         """Frobenius' formula: class number C -> the number of cosets of K
@@ -547,155 +699,11 @@ class ClassData:
             q, r = divmod(self.order * n, self.sizes[c] * k_order)
             if r:
                 raise InconsistentOrbifoldError(
-                    f"p = {self.p}: |G| |C n K| / (|C| |K|) = {self.order} * {n} / ({self.sizes[c]} * {k_order})"
+                    f"p = {self.group.p}: |G| |C n K| / (|C| |K|) = {self.order} * {n} / ({self.sizes[c]} * {k_order})"
                     f" is not an integer for class {c}"
                 )
             fixed[c] = q
         return fixed
-
-
-def left_cosets(k: Subgroup, universe: Iterable[Element]):
-    """Left cosets gK in order of first appearance in the universe.
-
-    Returns (reps, index_of): reps[i] is the representative of coset i and
-    index_of maps every element of the universe to its coset index.  Each
-    coset is taken as the set g K of element objects, so this costs
-    |universe| |K| products; the full-depth checks never list cosets (see
-    :class:`ClassData`).
-    """
-    number: dict = {}
-    index_of: dict[Element, int] = {}
-    reps: list[Element] = []
-    for g in universe:
-        c = frozenset(g * h for h in k.element_list)
-        if c not in number:
-            number[c] = len(reps)
-            reps.append(g)
-        index_of[g] = number[c]
-    return reps, index_of
-
-
-# -- integer coset kernel for the Fermat group --------------------------------
-
-
-def fermat_index(g: FermatAut) -> int:
-    """Position of g in the canonical order of :func:`fermat_elements`."""
-    return (g.m * g.p + g.n) * 6 + g.sigma
-
-
-def element_index(g: Element) -> int:
-    """Position of g in the canonical element order of its group:
-    (m p + n) 6 + sigma in the Fermat group, 3 k + e in the p-gonal one."""
-    if isinstance(g, FermatAut):
-        return fermat_index(g)
-    return 3 * g.k + g.e
-
-
-def fermat_element(p: int, i: int) -> FermatAut:
-    """The element with index i; inverse to :func:`fermat_index`."""
-    mn, s = divmod(i, 6)
-    return FermatAut(p, *divmod(mn, p), s)
-
-
-def fermat_order(p: int, i: int) -> int:
-    """Order of the element with index i, from the group law.
-
-    A translation other than 1 has order p and a 3-cycle order 3
-    ((1 + A + A^2) x = 0 for its matrix A).  The square of x sigma, sigma
-    a transposition with matrix A, is the translation (I + A) x, so the
-    order is 2 when that vanishes and 2p otherwise.
-    """
-    mn, s = divmod(i, 6)
-    if s == PERM_ID:
-        return 1 if mn == 0 else p
-    if s in (PERM_U, PERM_U2):
-        return 3
-    m, n = divmod(mn, p)
-    a, b, c, d = ACTION[s]
-    if ((1 + a) * m + b * n) % p == 0 and (c * m + (1 + d) * n) % p == 0:
-        return 2
-    return 2 * p
-
-
-def fermat_closure(generators: Iterable[FermatAut]) -> list[int]:
-    """Indices of the subgroup the generators generate, in order of
-    discovery: the closure of {1} under left multiplication by each."""
-    gens = list(generators)
-    seen = bytearray(fermat_group_order(gens[0].p))
-    seen[0] = 1
-    members = [0]
-    frontier = members[:]
-    while frontier:
-        new = []
-        for c in gens:
-            for y in fermat_left_mul(c, frontier):
-                if not seen[y]:
-                    seen[y] = 1
-                    new.append(y)
-        members.extend(new)
-        frontier = new
-    return members
-
-
-def fermat_left_mul(c: FermatAut, indices: Iterable[int]) -> list[int]:
-    """Indices of c x for the elements x with the given indices.
-
-    Over ``range(6 p^2)`` this is the permutation of left multiplication
-    by c.
-    """
-    p = c.p
-    a, b, cc, d = ACTION[c.sigma]
-    row = PERM_MUL[c.sigma]
-    cm, cn = c.m, c.n
-    out = []
-    for i in indices:
-        mn, s = divmod(i, 6)
-        m, n = divmod(mn, p)
-        out.append((((cm + a * m + b * n) % p) * p + (cn + cc * m + d * n) % p) * 6 + row[s])
-    return out
-
-
-def fermat_right_mul_perm(h: FermatAut) -> list[int]:
-    """The permutation i -> index of x h, x the element with index i.
-
-    (m, n, s) h moves (m, n) by ACTION[s] applied to the translation part
-    of h, which depends on s alone.
-    """
-    p, hm, hn = h.p, h.m, h.n
-    perm = [0] * fermat_group_order(p)
-    for s in range(6):
-        a, b, c, d = ACTION[s]
-        dm, dn = (a * hm + b * hn) % p, (c * hm + d * hn) % p
-        rows = [((m + dm) % p) * p * 6 for m in range(p)]
-        cols = [((n + dn) % p) * 6 + PERM_MUL[s][h.sigma] for n in range(p)]
-        perm[s::6] = [r + c for r in rows for c in cols]
-    return perm
-
-
-def all_cyclic_subgroups(flavor: str, ctx: PrimeContext, gamma: Optional[int] = None) -> list[Subgroup]:
-    """Every cyclic subgroup, including the trivial one, deduplicated.
-
-    Listed in canonical order of the first element generating each; that
-    element is the subgroup's generator.  An element that generates a
-    subgroup already listed (some power g^k with k prime to the order of
-    g) is skipped without a closure.
-    """
-    if flavor == FLAVOR_FERMAT:
-        universe = fermat_elements(ctx.p)
-    else:
-        universe = pgonal_elements(ctx, gamma)
-    subgroups = []
-    listed: set[Element] = set()
-    for g in universe:
-        if g in listed:
-            continue
-        powers = [g]
-        while not powers[-1].is_identity:
-            powers.append(powers[-1] * g)
-        n = len(powers)
-        listed.update(x for k, x in enumerate(powers, 1) if gcd(k, n) == 1)
-        subgroups.append(Subgroup((g,), powers))
-    return subgroups
 
 
 # -- derivation of the hard-coded S3 action -----------------------------------

@@ -14,25 +14,21 @@ from functools import lru_cache
 from itertools import combinations
 
 from fermatjac.errors import FlavorMismatchError, OutOfRangeError
-from fermatjac.genus import GeneratingTriple, fermat_axis_fix_table, fermat_genus, rh_genus
+from fermatjac.genus import GeneratingTriple, fermat_axis_fix_table, fermat_genus, riemann_hurwitz
 from fermatjac.groups import (
     FLAVOR_FERMAT,
+    IDENTITY,
+    PERM_ID,
     FermatAut,
-    Subgroup,
     fermat_a1,
     fermat_elements,
     fermat_generators,
     fermat_group_order,
-    fermat_Hj,
-    fermat_left_mul,
-    fermat_right_mul_perm,
-    joined_subgroup,
     mulclose,
     order,
     pgonal_elements,
     pgonal_R,
     pgonal_T,
-    product_set,
     subgroup_closure,
 )
 from fermatjac.orbits import make_context
@@ -114,29 +110,34 @@ def moebius_eval(label_name, x):
 def object_level_audit(p):
     """The deck-family audit on explicit element sets, as a summary dict.
 
-    Builds every H_j, compares the two set products of each pair, and
-    takes each pairwise join (the product set, when the two commute) to
-    the Riemann-Hurwitz sum over its elements.  Meant for p <= 31; the
-    summary has the shape of ``KaniRosenAudit.summary()`` with the
-    commutation method "brute".  Cached per p: do not mutate the result.
+    Builds every H_j as the closure of its generator a1 a2^(1+j), compares
+    the two set products of each pair, and takes each pairwise join (the
+    product set, when the two commute) to the Riemann-Hurwitz sum over
+    its elements.  Meant for p <= 31; the summary has the shape of
+    ``KaniRosenAudit.summary()`` with the commutation method "brute".
+    Cached per p: do not mutate the result.
     """
     g_top = fermat_genus(p)
     fix = fermat_axis_fix_table(make_context(p))
-    family = [fermat_Hj(p, j) for j in range(1, p - 1)]
+
+    def genus(elements):
+        return riemann_hurwitz(g_top, len(elements), sum(fix.count(g) for g in elements if not g.is_identity))
+
+    family = [frozenset(mulclose([FermatAut(p, 1, (1 + j) % p, PERM_ID)])) for j in range(1, p - 1)]
     join_genus = {}
     comm_fail, gz_fail = [], []
     pairs = list(combinations(range(len(family)), 2))
     for i, j in pairs:
         k1, k2 = family[i], family[j]
-        prod, commutes = product_set(k1, k2)
-        if not commutes:
+        prod = frozenset(a * b for a in k1 for b in k2)
+        if prod != frozenset(b * a for a in k1 for b in k2):
             comm_fail.append([i + 1, j + 1])
-            prod = joined_subgroup(k1, k2).elements
+            prod = frozenset(mulclose(k1 | k2))
         if prod not in join_genus:
-            join_genus[prod] = rh_genus(g_top, Subgroup(k1.generators + k2.generators, prod), fix)
+            join_genus[prod] = genus(prod)
         if join_genus[prod] != 0:
             gz_fail.append([i + 1, j + 1])
-    total = sum(rh_genus(g_top, k, fix) for k in family)
+    total = sum(genus(k) for k in family)
     return {
         "subgroup_count": len(family),
         "commuting": {
@@ -163,18 +164,34 @@ def assert_audit_matches_oracle(audit, p):
     assert audit.summary() == expected
 
 
+@lru_cache(maxsize=8)
+def canonical_elements(group):
+    """The element objects of a group in canonical order, from the
+    enumerations alone: position i holds the element with index i."""
+    if group.gamma is None:
+        return tuple(fermat_elements(group.p))
+    return tuple(pgonal_elements(make_context(group.p), group.gamma))
+
+
+def subgroup_elements(k):
+    """The element objects of K, read off the canonical order by index."""
+    universe = canonical_elements(k.group)
+    return [universe[i] for i in k]
+
+
 def object_left_cosets(k, universe):
     """Left cosets gK in first-appearance order, built by multiplying
     element objects: (reps, index_of), index_of mapping every element of
     every coset to the coset's number."""
     index_of = {}
     reps = []
+    members = subgroup_elements(k)
     for g in universe:
         if g in index_of:
             continue
         i = len(reps)
         reps.append(g)
-        for h in k.element_list:
+        for h in members:
             index_of[g * h] = i
     return reps, index_of
 
@@ -200,15 +217,17 @@ def object_coset_genus(k, triple):
 
 
 def object_fixed_cosets(k, classes):
-    """The permutation character of G/K on each class: the number of
-    object-level cosets the class's first member fixes.  Slow; p <= 7."""
-    reps, index_of = object_left_cosets(k, fermat_elements(k.p))
-    return [sum(1 for i, r in enumerate(reps) if index_of[cls[0] * r] == i) for cls in classes]
+    """The permutation character of G/K on each class of indices: the
+    number of object-level cosets the class's first member fixes.  Slow;
+    p <= 7."""
+    universe = canonical_elements(k.group)
+    reps, index_of = object_left_cosets(k, universe)
+    return [sum(1 for i, r in enumerate(reps) if index_of[universe[cls[0]] * r] == i) for cls in classes]
 
 
 def object_perm_character(k, classes):
     """The permutation character of G/K on each class by Frobenius'
-    formula |G| |C n K| / (|C| |K|), from the class and subgroup element
+    formula |G| |C n K| / (|C| |K|), from the class and subgroup index
     sets alone."""
     order = 6 * k.p * k.p
     return [order * sum(1 for g in cls if g in k) // (len(cls) * k.order) for cls in classes]
@@ -230,8 +249,10 @@ def object_generating_triple(p):
 
 
 def object_conjugacy_classes(flavor, ctx):
-    """Conjugacy classes as sets closed under conjugation by the group
-    generators, in order of first appearance, members sorted."""
+    """Conjugacy classes as sets of element objects closed under
+    conjugation by the group generators, in order of first appearance;
+    each class given as the sorted positions of its members in the
+    canonical element order."""
     if flavor == FLAVOR_FERMAT:
         universe = list(fermat_elements(ctx.p))
         gens = fermat_generators(ctx.p)
@@ -253,15 +274,17 @@ def object_conjugacy_classes(flavor, ctx):
                     cls.add(y)
                     frontier.append(y)
         seen |= cls
-        classes.append(tuple(sorted(cls, key=lambda e: e.sort_key())))
-    return tuple(classes)
+        classes.append(cls)
+    position = {g: i for i, g in enumerate(universe)}
+    return tuple(tuple(sorted(position[g] for g in cls)) for cls in classes)
 
 
 def object_inner_product(f1, f2, universe):
     """(1/|G|) sum of f1(g) f2(g) over the element objects of the group,
-    each looked up in an element -> class dict built from the classes."""
-    class_of = {g: i for i, cls in enumerate(f1.data.classes) for g in cls}
+    each looked up in an element -> class dict built from the classes
+    (given by the canonical positions of their members)."""
     universe = list(universe)
+    class_of = {universe[i]: c for c, cls in enumerate(f1.data.classes) for i in cls}
     total = sum(f1.values[class_of[g]] * f2.values[class_of[g]] for g in universe)
     return Fraction(total, len(universe))
 
@@ -287,7 +310,7 @@ def fermat_coset_labels(k):
         raise FlavorMismatchError(f"{k!r} is not a subgroup of the Fermat group")
     if any(h not in k for h in k.generators):
         raise OutOfRangeError(f"the generators of {k!r} do not lie in it")
-    perms = [fermat_right_mul_perm(h) for h in k.generators if not h.is_identity]
+    perms = [k.group.element(h).right_mul_perm() for h in k.generators if h != IDENTITY]
     cycle = perms[0] if len(perms) == 1 else None
     label = [-1] * fermat_group_order(k.p)
     reps = []
@@ -317,14 +340,14 @@ def fermat_coset_labels(k):
 
 def fermat_fixed_cosets(g, reps, label):
     """Number of cosets x K that g fixes, for cosets from fermat_coset_labels."""
-    return sum(1 for i, y in enumerate(fermat_left_mul(g, reps)) if label[y] == i)
+    return sum(1 for i, y in enumerate(g.left_mul(reps)) if label[y] == i)
 
 
 @lru_cache(maxsize=4)
 def _triple_left_perms(triple):
     """Left multiplication by each triple entry, on element indices."""
     everything = range(fermat_group_order(triple.p))
-    return tuple(fermat_left_mul(c, everything) for c, _m in triple.entries)
+    return tuple(c.left_mul(everything) for c, _m in triple.entries)
 
 
 def labelled_coset_genus(k, triple):
@@ -366,10 +389,10 @@ def labelled_fix_count(g, triple):
 
 
 def labelled_perm_character(k, classes):
-    """The permutation character of G/K on each class: the labelled
-    cosets of K that the class's first member fixes."""
+    """The permutation character of G/K on each class of indices: the
+    labelled cosets of K that the class's first member fixes."""
     reps, label = fermat_coset_labels(k)
-    return [fermat_fixed_cosets(cls[0], reps, label) for cls in classes]
+    return [fermat_fixed_cosets(k.group.element(cls[0]), reps, label) for cls in classes]
 
 
 def element_inner_product(f1, f2):
@@ -386,10 +409,11 @@ def merge_axis_class(real):
         classes = list(real(flavor, ctx, gamma))
         if flavor != FLAVOR_FERMAT:
             return tuple(classes)
-        p = ctx.p
-        i = next(n for n, cls in enumerate(classes) if fermat_a1(p) in cls)
-        j = next(n for n, cls in enumerate(classes) if FermatAut(p, 1, 2, 0) in cls)
-        classes[j] = tuple(sorted(classes[i] + classes[j], key=lambda g: g.sort_key()))
+        universe = list(fermat_elements(ctx.p))
+        a1, off_axis = universe.index(fermat_a1(ctx.p)), universe.index(FermatAut(ctx.p, 1, 2, 0))
+        i = next(n for n, cls in enumerate(classes) if a1 in cls)
+        j = next(n for n, cls in enumerate(classes) if off_axis in cls)
+        classes[j] = tuple(sorted(classes[i] + classes[j]))
         del classes[i]
         return tuple(classes)
 

@@ -15,12 +15,13 @@ from fermatjac.genus import (
 )
 from fermatjac.groups import (
     FLAVOR_FERMAT,
+    IDENTITY,
+    Group,
     all_cyclic_subgroups,
     fermat_H,
     fermat_Hj,
     fermat_a1,
     fermat_group_order,
-    fermat_identity,
     subgroup_closure,
     trivial_subgroup,
 )
@@ -44,7 +45,7 @@ def test_chi_rat_values(setup):
     assert rat.at_identity == (p - 1) * (p - 2) == 2 * fermat_genus(p)
     assert rat(fermat_a1(p)) == 2 - p
     # a freely acting translation contributes trace 2
-    free = fermat_Hj(p, 1).element_list[1]
+    free = Group(p).element(fermat_Hj(p, 1).indices[1])
     assert rat(free) == 2
 
 
@@ -67,7 +68,7 @@ def test_induced_character_identities(setup):
     assert full.order == fermat_group_order(p)
     chi_full = induced_perm_character(full, data)
     assert chi_full.values == chi_trivial(data).values
-    chi_reg = induced_perm_character(trivial_subgroup(fermat_identity(p)), data)
+    chi_reg = induced_perm_character(trivial_subgroup(Group(p)), data)
     assert chi_reg.at_identity == fermat_group_order(p)
     assert all(
         v == 0 for i, v in enumerate(chi_reg.values) if i != data.identity_index
@@ -118,14 +119,16 @@ def test_flavor_mismatch():
 
 def test_malformed_class_functions_are_typed_errors():
     from fermatjac.certificates import ClassFunction
-    from fermatjac.groups import FLAVOR_P_GONAL, Subgroup, pgonal_identity, pgonal_T
+    from fermatjac.groups import FLAVOR_P_GONAL, Subgroup, pgonal_T
 
     d5 = ClassData(FLAVOR_FERMAT, make_context(5))
     with pytest.raises(ShapeMismatchError):
         ClassFunction(d5, [1, 2])
     # {1, T} is not closed, so its 21 translates are not 21 / 2 cosets
     ctx = make_context(7)
-    not_a_group = Subgroup((pgonal_T(ctx),), (pgonal_identity(ctx), pgonal_T(ctx)))
+    group = Group(7, ctx.gamma)
+    t = group.index(pgonal_T(ctx))
+    not_a_group = Subgroup(group, (t,), (IDENTITY, t))
     with pytest.raises(CheckFailedError):
         induced_perm_character(not_a_group, ClassData(FLAVOR_P_GONAL, ctx))
 
@@ -145,7 +148,7 @@ def test_pgonal_class_data_and_pairing():
     values = []
     for cls in data.classes:
         rep = cls[0]
-        values.append(7 - 1 if rep.is_identity else 2 - fix.count(rep))
+        values.append(7 - 1 if rep == IDENTITY else 2 - fix.at(rep))
     hom = ClassFunction(data, values, "pgonal homology")
     assert inner_product(chi_trivial(data), hom) == 0
     assert element_inner_product(chi_trivial(data), hom) == 0

@@ -15,12 +15,12 @@ from fermatjac.errors import InconsistentOrbifoldError
 from fermatjac.genus import coset_genus, fermat_full_fix_table, find_generating_triple
 from fermatjac.groups import (
     FLAVOR_FERMAT,
+    IDENTITY,
     ClassData,
     all_cyclic_subgroups,
     fermat_a1,
     fermat_H,
     fermat_Hj,
-    fermat_index,
     subgroup_closure,
 )
 from fermatjac.orbits import make_context
@@ -41,7 +41,7 @@ def test_class_arithmetic_matches_coset_labelling(p):
     triple = find_generating_triple(ctx)
     data = ClassData(FLAVOR_FERMAT, ctx)
     fix = fermat_full_fix_table(ctx, triple, data)
-    reps = [cls[0] for cls in data.classes if not cls[0].is_identity]
+    reps = [data.group.element(cls[0]) for cls in data.classes if cls[0] != IDENTITY]
     assert [fix.count(g) for g in reps] == [labelled_fix_count(g, triple) for g in reps]
     hj = [fermat_Hj(p, j) for j in range(1, p - 1)]
     for k in all_cyclic_subgroups(FLAVOR_FERMAT, ctx) + [fermat_H(p)] + hj:
@@ -57,7 +57,7 @@ def test_non_integral_frobenius_quotient_raises():
     ctx = make_context(7)
     triple = find_generating_triple(ctx)
     data = ClassData(FLAVOR_FERMAT, ctx)
-    c = data.class_of[fermat_index(fermat_a1(7))]
+    c = data.class_of[data.group.index(fermat_a1(7))]
     assert data.sizes[c] == 3
     data.sizes = data.sizes[:c] + (4,) + data.sizes[c + 1:]
     k = subgroup_closure([fermat_a1(7)])

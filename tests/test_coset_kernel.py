@@ -1,11 +1,12 @@
 """The integer kernel against element objects.
 
-The kernel's permutations must agree with FermatAut multiplication, its
-orders, conjugacy classes and generating triple with the object-level
-versions, and the coset oracle, permutation characters and pairings
-built on it with the object-level paths in helpers.py.  The coset
-labelling on indices in helpers.py, the oracle of test_class_oracle.py,
-must agree with object-level cosets.
+The kernel's permutations must agree with FermatAut and PGonalAut
+multiplication, its closures with object-level closures, its orders,
+conjugacy classes and generating triple with the object-level versions,
+and the coset oracle, permutation characters and pairings built on it
+with the object-level paths in helpers.py.  The coset labelling on
+indices in helpers.py, the oracle of test_class_oracle.py, must agree
+with object-level cosets.
 """
 
 import pytest
@@ -23,30 +24,31 @@ from fermatjac.genus import coset_genus, find_generating_triple, pgonal_fix_tabl
 from fermatjac.groups import (
     FLAVOR_FERMAT,
     FLAVOR_P_GONAL,
+    IDENTITY,
+    Group,
     Subgroup,
     all_cyclic_subgroups,
     conjugacy_classes,
-    element_index,
-    fermat_closure,
-    fermat_element,
     fermat_elements,
     fermat_generators,
     fermat_H,
     fermat_Hj,
-    fermat_index,
-    fermat_left_mul,
     fermat_order,
-    fermat_right_mul_perm,
+    joined_subgroup,
     left_cosets,
+    mulclose,
     order,
     pgonal_group,
     pgonal_K,
     pgonal_elements,
+    pgonal_R,
+    pgonal_T,
     subgroup_closure,
 )
 from fermatjac.orbits import make_context
 
 from helpers import (
+    canonical_elements,
     fermat_coset_labels,
     object_conjugacy_classes,
     object_coset_genus,
@@ -56,15 +58,31 @@ from helpers import (
     object_left_cosets,
     object_perm_character,
     primes_upto,
+    subgroup_elements,
 )
+
+# The Fermat groups at p = 5, 7 and the p-gonal group of each root for
+# every prime 7 <= p <= 31 with p = 1 mod 3.
+FERMAT_GROUPS = [pytest.param(Group(p), id=str(p)) for p in (5, 7)]
+PGONAL_GROUPS = [
+    pytest.param(Group(p, gamma), id=f"pgonal-{p}-{gamma}")
+    for p in (7, 13, 19, 31)
+    for gamma in make_context(p).gamma_pair
+]
 
 
 @pytest.mark.parametrize("p", (5, 7))
 def test_index_is_the_canonical_order(p):
+    group = Group(p)
     els = list(fermat_elements(p))
-    assert [fermat_index(g) for g in els] == list(range(6 * p * p))
-    assert [fermat_element(p, i) for i in range(6 * p * p)] == els
-    assert [element_index(g) for g in pgonal_elements(make_context(7))] == list(range(21))
+    assert [group.index(g) for g in els] == list(range(6 * p * p))
+    assert [group.element(i) for i in range(6 * p * p)] == els
+    ctx = make_context(7)
+    for gamma in ctx.gamma_pair:
+        group = Group(7, gamma)
+        els = list(pgonal_elements(ctx, gamma))
+        assert [group.index(g) for g in els] == list(range(21))
+        assert [group.element(i) for i in range(21)] == els
 
 
 @pytest.mark.parametrize("p", (5, 7, 11, 13))
@@ -72,13 +90,39 @@ def test_orders_from_the_group_law(p):
     assert [fermat_order(p, i) for i in range(6 * p * p)] == [order(g) for g in fermat_elements(p)]
 
 
-@pytest.mark.parametrize("p", (5, 7))
-def test_closure_matches_object_closure(p):
-    gens = fermat_generators(p)
-    for sub_gens in ([gens[0]], gens[:2], gens[2:], [gens[0] * gens[2]], gens):
-        members = fermat_closure(sub_gens)
-        assert sorted(members) == sorted(fermat_index(g) for g in subgroup_closure(sub_gens))
+def _object_set(k):
+    return frozenset(subgroup_elements(k))
+
+
+@pytest.mark.parametrize("group", FERMAT_GROUPS + PGONAL_GROUPS)
+def test_closure_matches_object_closure(group):
+    """subgroup_closure, the cyclic subgroups and, in the p-gonal group,
+    pgonal_K and joined_subgroup give the element sets of mulclose."""
+    gens = group.generators
+    for sub_gens in ([gens[0]], [gens[-1]], gens[:2], gens[2:], [gens[0] * gens[-1]], gens):
+        if not sub_gens:
+            continue
+        members = group.closure(sub_gens)
         assert len(set(members)) == len(members)
+        assert _object_set(subgroup_closure(sub_gens)) == mulclose(sub_gens)
+    universe = canonical_elements(group)
+    ctx = make_context(group.p)
+    cyclic = all_cyclic_subgroups(group.flavor, ctx, group.gamma)
+    assert {_object_set(k) for k in cyclic} == {frozenset(mulclose([g])) for g in universe}
+    assert len(cyclic) == len({k.indices for k in cyclic})
+    for k in cyclic:
+        assert _object_set(k) == mulclose([universe[k.generators[0]]])
+    if group.gamma is None:
+        return
+    t, gen = pgonal_T(ctx, group.gamma), pgonal_R(ctx, group.gamma)
+    ks = [pgonal_K(i, ctx, group.gamma) for i in (1, 2, 3)]
+    for k in ks:  # K_i = T^(-(i-1)) <R> T^(i-1)
+        assert _object_set(k) == mulclose([gen])
+        gen = t.inverse() * gen * t
+    for i in range(3):
+        for j in range(3):
+            joined = _object_set(joined_subgroup(ks[i], ks[j]))
+            assert joined == mulclose(subgroup_elements(ks[i]) + subgroup_elements(ks[j]))
 
 
 @pytest.mark.parametrize("p", [q for q in primes_upto(19) if q >= 5])
@@ -108,21 +152,24 @@ def test_inner_product_matches_object_element_sum(p):
     ctx = make_context(7)
     data = ClassData(FLAVOR_P_GONAL, ctx)
     fix = pgonal_fix_table(ctx)
-    hom = ClassFunction(data, [6 if c[0].is_identity else 2 - fix.count(c[0]) for c in data.classes])
+    hom = ClassFunction(data, [6 if c[0] == IDENTITY else 2 - fix.at(c[0]) for c in data.classes])
     for k in (pgonal_K(1, ctx), pgonal_group(ctx)):
         chi = induced_perm_character(k, data)
         assert inner_product(chi, hom) == object_inner_product(chi, hom, pgonal_elements(ctx))
 
 
-@pytest.mark.parametrize("p", (5, 7))
-def test_permutations_match_object_multiplication(p):
-    els = list(fermat_elements(p))
+@pytest.mark.parametrize("group", FERMAT_GROUPS + PGONAL_GROUPS)
+def test_permutations_match_object_multiplication(group):
+    """Left and right multiplication on indices against __mul__: in the
+    p-gonal group on every pair of elements."""
+    els = list(canonical_elements(group))
     everything = range(len(els))
-    for c in els[::11] + list(fermat_generators(p)):
-        left = fermat_left_mul(c, everything)
-        right = fermat_right_mul_perm(c)
-        assert left == [fermat_index(c * x) for x in els]
-        assert right == [fermat_index(x * c) for x in els]
+    multipliers = els if group.gamma is not None else els[::11] + list(group.generators)
+    for c in multipliers:
+        left = c.left_mul(everything)
+        right = c.right_mul_perm()
+        assert left == [group.index(c * x) for x in els]
+        assert right == [group.index(x * c) for x in els]
         assert sorted(left) == sorted(right) == list(everything)
 
 
@@ -134,7 +181,7 @@ def test_coset_labels_match_object_cosets(p):
     for k in subgroups:
         reps, label = fermat_coset_labels(k)
         obj_reps, index_of = object_left_cosets(k, els)
-        assert reps == [fermat_index(g) for g in obj_reps]
+        assert reps == [Group(p).index(g) for g in obj_reps]
         assert label == [index_of[g] for g in els]
         assert left_cosets(k, els) == (obj_reps, {g: index_of[g] for g in els})
 
@@ -152,10 +199,10 @@ def test_coset_labels_refuse_bad_subgroups():
     h1 = fermat_Hj(p, 1)
     # generators that generate less than the element set
     with pytest.raises(OutOfRangeError):
-        fermat_coset_labels(Subgroup((h1.identity,), h1.elements))
+        fermat_coset_labels(Subgroup(h1.group, (IDENTITY,), h1.indices))
     # a generator outside the element set
     with pytest.raises(OutOfRangeError):
-        fermat_coset_labels(Subgroup(fermat_Hj(p, 2).generators, h1.elements))
+        fermat_coset_labels(Subgroup(h1.group, fermat_Hj(p, 2).generators, h1.indices))
     with pytest.raises(FlavorMismatchError):
         fermat_coset_labels(pgonal_K(1, make_context(7)))
 

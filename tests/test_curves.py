@@ -149,8 +149,6 @@ def test_curvespec_validation():
         CurveSpec(ctx7, CurveFamily.E_QUOTIENT, alpha=3)
     with pytest.raises(NoGammaError):
         CurveSpec(make_context(5), CurveFamily.E_QUOTIENT, alpha=2)
-    with pytest.raises(OutOfRangeError):
-        CurveSpec(ctx7, CurveFamily.P_GONAL, alpha=2, beta=3)
 
 
 def test_describe_strings():

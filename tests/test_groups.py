@@ -5,16 +5,16 @@ from fermatjac.groups import (
     ACTION,
     FLAVOR_FERMAT,
     FLAVOR_P_GONAL,
+    IDENTITY,
     PERM_ID,
     PERM_MUL,
     PERM_U,
     PERM_V,
     FermatAut,
+    Group,
     PGonalAut,
-    Subgroup,
     all_cyclic_subgroups,
     conjugacy_classes,
-    conjugate,
     derive_s3_action,
     fermat_H,
     fermat_Hj,
@@ -26,10 +26,8 @@ from fermatjac.groups import (
     fermat_identity,
     fermat_u,
     fermat_v,
-    inverse,
     joined_subgroup,
     left_cosets,
-    multiply,
     order,
     pgonal_K,
     pgonal_R,
@@ -78,12 +76,12 @@ def test_conjugation_cycles_the_scaling_generators():
     p = 5
     u, v = fermat_u(p), fermat_v(p)
     a1, a2, a3 = fermat_a1(p), fermat_a2(p), fermat_a3(p)
-    assert conjugate(u, a1) == a2
-    assert conjugate(u, a2) == a3
-    assert conjugate(u, a3) == a1
-    assert conjugate(v, a1) == a2
-    assert conjugate(v, a2) == a1
-    assert conjugate(v, a3) == a3
+    assert u * a1 * u.inverse() == a2
+    assert u * a2 * u.inverse() == a3
+    assert u * a3 * u.inverse() == a1
+    assert v * a1 * v.inverse() == a2
+    assert v * a2 * v.inverse() == a1
+    assert v * a3 * v.inverse() == a3
     assert (a1 * a2 * a3).is_identity
 
 
@@ -123,12 +121,12 @@ def test_pgonal_axioms_exhaustive_p7():
 def test_multiply_identity_and_orders():
     p = 7
     a1 = fermat_a1(p)
-    assert multiply(a1, fermat_identity(p)) == a1
+    assert a1 * fermat_identity(p) == a1
     assert order(fermat_v(p)) == 2
     assert order(fermat_u(p)) == 3
     assert order(a1) == p
     assert order(fermat_identity(p)) == 1
-    assert inverse(a1) == FermatAut(p, p - 1, 0, PERM_ID)
+    assert a1.inverse() == FermatAut(p, p - 1, 0, PERM_ID)
 
 
 def test_flavor_mismatch_errors():
@@ -160,21 +158,21 @@ def test_subgroup_closure_basics():
 @pytest.mark.parametrize("p", (5, 7, 11, 13))
 def test_Hj_family(p):
     axes = {
-        frozenset(subgroup_closure([fermat_a1(p)]).elements),
-        frozenset(subgroup_closure([fermat_a2(p)]).elements),
-        frozenset(subgroup_closure([fermat_a1(p) * fermat_a2(p)]).elements),
+        subgroup_closure([fermat_a1(p)]).indices,
+        subgroup_closure([fermat_a2(p)]).indices,
+        subgroup_closure([fermat_a1(p) * fermat_a2(p)]).indices,
     }
     subs = [fermat_Hj(p, j) for j in range(1, p - 1)]
-    assert len({s.elements for s in subs}) == p - 2
+    assert len({s.indices for s in subs}) == p - 2
     for s in subs:
         assert s.order == p
-        assert s.elements not in axes
+        assert s.indices not in axes
         # free action: no member sits on a fixed-point axis
-        for g in s:
+        for g in map(s.group.element, s):
             if not g.is_identity:
                 assert not (g.m == 0 or g.n == 0 or g.m == g.n)
         # direct construction agrees with generic closure
-        assert s == subgroup_closure([s.generators[0]])
+        assert s == subgroup_closure([s.group.element(s.generators[0])])
     h = fermat_H(p)
     for i in range(len(subs)):
         for j in range(i + 1, len(subs)):
@@ -187,10 +185,10 @@ def test_product_set_idempotent_and_H():
     p = 5
     k1, k2 = fermat_Hj(p, 1), fermat_Hj(p, 2)
     prod, commutes = product_set(k1, k1)
-    assert commutes and prod == k1.elements
+    assert commutes and prod == frozenset(k1.indices)
     prod, commutes = product_set(k1, k2)
     assert commutes
-    assert prod == fermat_H(p).elements
+    assert prod == frozenset(fermat_H(p).indices)
 
 
 def test_product_set_flavor_guard():
@@ -204,21 +202,24 @@ def test_pgonal_K_structure(p):
     gamma = ctx.gamma
     t = pgonal_T(ctx)
     ks = [pgonal_K(i, ctx) for i in (1, 2, 3)]
+    group = Group(p, gamma)
     for k in ks:
         assert k.order == 3
-    assert ks[0].elements == frozenset(
-        {pgonal_identity(ctx), pgonal_R(ctx), pgonal_R(ctx) * pgonal_R(ctx)}
-    )
+
+    def elements(k):
+        return set(map(group.element, k))
+
+    assert elements(ks[0]) == {pgonal_identity(ctx), pgonal_R(ctx), pgonal_R(ctx) * pgonal_R(ctx)}
     # K_{i+1} = T^(-i) K_1 T^i
     t_inv = t.inverse()
-    conj = ks[0]
+    conj = elements(ks[0])
     for i in (1, 2):
-        conj = Subgroup(conj.generators, {t_inv * g * t for g in conj.elements})
-        assert conj.elements == ks[i].elements
+        conj = {t_inv * g * t for g in conj}
+        assert conj == elements(ks[i])
     # p = 7, gamma = 2: the K_2 generator is T^3 R
     if p == 7:
-        assert PGonalAut(7, 2, 3, 1) in ks[1]
-    assert len({k.elements for k in ks}) == 3
+        assert group.index(PGonalAut(7, 2, 3, 1)) in ks[1]
+    assert len({k.indices for k in ks}) == 3
 
 
 def test_pgonal_K_set_products_do_not_commute():
@@ -276,7 +277,8 @@ def test_conjugacy_classes_pgonal():
     sizes = sorted(len(c) for c in classes)
     assert sizes == [1, 3, 3, 7, 7]
     order3 = [c for c in classes if len(c) == 7]
-    assert all(g.e != 0 for c in order3 for g in c)
+    group = Group(7, ctx.gamma)
+    assert all(group.element(i).e != 0 for c in order3 for i in c)
     assert sum(len(c) for c in classes) == 21
 
 
@@ -285,7 +287,7 @@ def test_conjugacy_classes_fermat_p5():
     classes = conjugacy_classes(FLAVOR_FERMAT, ctx)
     assert sum(len(c) for c in classes) == 150
     identity_classes = [c for c in classes if len(c) == 1]
-    assert len(identity_classes) == 1 and identity_classes[0][0].is_identity
+    assert len(identity_classes) == 1 and identity_classes[0][0] == IDENTITY
     for c in classes:
         assert 150 % len(c) == 0
     # class membership is conjugation-invariant (exhaustive)
@@ -293,9 +295,10 @@ def test_conjugacy_classes_fermat_p5():
     for i, c in enumerate(classes):
         for g in c:
             index[g] = i
+    group = Group(5)
     for g in fermat_elements(5):
         for h in list(fermat_elements(5))[::7]:
-            assert index[conjugate(h, g)] == index[g]
+            assert index[group.index(h * g * h.inverse())] == index[group.index(g)]
 
 
 def test_left_cosets():
