@@ -20,7 +20,6 @@ from .decompose import (
     decompose_fine,
     dimension_audit,
     kani_rosen_check,
-    match_group_algebra_shape,
 )
 from .errors import FermatJacError
 from .genus import (
@@ -44,7 +43,6 @@ from .groups import (
     conjugacy_classes,
     order,
     pgonal_K,
-    product_set,
     subgroup_closure,
 )
 from .monomial import (

@@ -66,10 +66,15 @@ def chi_rat(
 
     chi(1) = 2g = (p-1)(p-2); chi(g) = 2 - |Fix(g)| otherwise, with the
     fixed-point counts supplied by the triple fiber model (``fix``, built
-    here when not given).
+    here when not given).  The context, the triple and the class data
+    must share one p.
     """
     if data is None:
         data = ClassData(FLAVOR_FERMAT, ctx)
+    if not ctx.p == triple.p == data.group.p:
+        raise FlavorMismatchError(
+            f"the context at p = {ctx.p} cannot serve a triple at p = {triple.p} with class data for {data.group}"
+        )
     if fix is None:
         fix = fermat_full_fix_table(ctx, triple, data)
     if fix.group != data.group:

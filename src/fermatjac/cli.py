@@ -178,8 +178,7 @@ def check_fine_decomposition(ctx, cache):
 
 def check_dimension_audit(ctx, cache):
     d = _fine(ctx, cache)
-    info = dec.dimension_audit(d)
-    shape = dec.match_group_algebra_shape(d)
+    info, shape = dec.dimension_audit(d)
     return f"sum mult*dim = {info['total_dimension']}, shape N = {shape['N']}"
 
 
@@ -442,7 +441,6 @@ def _sweep_one(p: int) -> dict:
         coarse = dec.decompose_coarse(ctx)
         fine = dec.decompose_fine(ctx, coarse)
         dec.dimension_audit(fine)
-        dec.match_group_algebra_shape(fine)
         row.update(
             {
                 "orbits": len(part.orbits),

@@ -254,7 +254,10 @@ def full_fix_count(g: FermatAut, triple: GeneratingTriple, data: ClassData) -> i
 
 def fermat_full_fix_table(ctx: PrimeContext, triple: GeneratingTriple, data: ClassData) -> FixTable:
     """Fix counts on all of the Fermat group, computed once per conjugacy
-    class (fixed-point counts are class functions)."""
+    class (fixed-point counts are class functions).  The context, the
+    triple and the class data must share one p."""
+    if triple.p != ctx.p:
+        raise FlavorMismatchError(f"a triple at p = {triple.p} cannot serve the context at p = {ctx.p}")
     fix = _fiber_fix(triple, data)
     class_of = data.class_of
     return FixTable(data.group, lambda i: fix[class_of[i]], "full table via the triple fiber model")

@@ -122,9 +122,6 @@ class FermatAut:
     def is_translation(self) -> bool:
         return self.sigma == PERM_ID
 
-    def sort_key(self):
-        return (self.m, self.n, self.sigma)
-
     def left_mul(self, indices: Iterable[int]) -> list[int]:
         """Indices of self x for the elements x with the given indices;
         over ``range(6 p^2)``, the permutation of left multiplication."""
@@ -205,9 +202,6 @@ class PGonalAut:
     @property
     def is_translation(self) -> bool:
         return self.e == 0
-
-    def sort_key(self):
-        return (self.k, self.e)
 
     def left_mul(self, indices: Iterable[int]) -> list[int]:
         """Indices of self x for the elements x with the given indices:
@@ -321,7 +315,7 @@ def make_group(flavor: str, ctx: PrimeContext, gamma: Optional[int] = None) -> G
     if flavor == FLAVOR_FERMAT:
         return Group(ctx.p)
     if flavor == FLAVOR_P_GONAL:
-        return Group(ctx.p, _resolve_gamma(ctx, gamma))
+        return Group(ctx.p, resolve_gamma(ctx, gamma))
     raise FlavorMismatchError(f"unknown flavor {flavor!r}")
 
 
@@ -396,7 +390,8 @@ def fermat_elements(p: int) -> Iterator[FermatAut]:
 # -- p-gonal flavor constructors ---------------------------------------------
 
 
-def _resolve_gamma(ctx: PrimeContext, gamma: Optional[int]) -> int:
+def resolve_gamma(ctx: PrimeContext, gamma: Optional[int]) -> int:
+    """The given root of g^2 + g + 1 mod p, or ctx's conventional one."""
     if gamma is None:
         return ctx.gamma  # raises NoGammaError when absent
     if not ctx.has_gamma or gamma not in ctx.gamma_pair:
@@ -405,15 +400,15 @@ def _resolve_gamma(ctx: PrimeContext, gamma: Optional[int]) -> int:
 
 
 def pgonal_identity(ctx: PrimeContext, gamma: Optional[int] = None) -> PGonalAut:
-    return PGonalAut(ctx.p, _resolve_gamma(ctx, gamma), 0, 0)
+    return PGonalAut(ctx.p, resolve_gamma(ctx, gamma), 0, 0)
 
 
 def pgonal_T(ctx: PrimeContext, gamma: Optional[int] = None) -> PGonalAut:
-    return PGonalAut(ctx.p, _resolve_gamma(ctx, gamma), 1, 0)
+    return PGonalAut(ctx.p, resolve_gamma(ctx, gamma), 1, 0)
 
 
 def pgonal_R(ctx: PrimeContext, gamma: Optional[int] = None) -> PGonalAut:
-    return PGonalAut(ctx.p, _resolve_gamma(ctx, gamma), 0, 1)
+    return PGonalAut(ctx.p, resolve_gamma(ctx, gamma), 0, 1)
 
 
 def pgonal_group_order(p: int) -> int:
@@ -421,7 +416,7 @@ def pgonal_group_order(p: int) -> int:
 
 
 def pgonal_elements(ctx: PrimeContext, gamma: Optional[int] = None) -> Iterator[PGonalAut]:
-    g = _resolve_gamma(ctx, gamma)
+    g = resolve_gamma(ctx, gamma)
     for k in range(ctx.p):
         for e in range(3):
             yield PGonalAut(ctx.p, g, k, e)
@@ -514,24 +509,6 @@ def trivial_subgroup(group: Group) -> Subgroup:
     return Subgroup(group, (IDENTITY,), (IDENTITY,))
 
 
-def product_set(k1: Subgroup, k2: Subgroup) -> tuple[frozenset, bool]:
-    """Index set of the element-wise product K1 K2, and whether
-    K1 K2 = K2 K1 as sets."""
-    if k1.group != k2.group:
-        raise FlavorMismatchError(f"cannot multiply {k1!r} by {k2!r}")
-    element = k1.group.element
-    prod12 = frozenset(y for a in k1 for y in element(a).left_mul(k2.indices))
-    prod21 = frozenset(y for b in k2 for y in element(b).left_mul(k1.indices))
-    return prod12, prod12 == prod21
-
-
-def joined_subgroup(k1: Subgroup, k2: Subgroup) -> Subgroup:
-    """The subgroup generated by K1 and K2 together."""
-    if k1 == k2:
-        return k1
-    return subgroup_closure(k.group.element(i) for k in (k1, k2) for i in k.generators)
-
-
 def fermat_H(p: int) -> Subgroup:
     """The translation subgroup of order p^2."""
     group = Group(p)
@@ -562,7 +539,7 @@ def pgonal_K(i: int, ctx: PrimeContext, gamma: Optional[int] = None) -> Subgroup
     """
     if i not in (1, 2, 3):
         raise OutOfRangeError(f"i = {i} not in {{1, 2, 3}}")
-    g = _resolve_gamma(ctx, gamma)
+    g = resolve_gamma(ctx, gamma)
     p = ctx.p
     gen = PGonalAut(p, g, (i - 1) * (g * g - 1) % p, 1)
     return subgroup_closure([gen])

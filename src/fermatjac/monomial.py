@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .curves import MoebiusLabel
-from .errors import CheckFailedError, FlavorMismatchError, NoGammaError, NonMonomialError, OutOfRangeError
+from .errors import CheckFailedError, FlavorMismatchError, NonMonomialError, OutOfRangeError
+from .groups import resolve_gamma
 from .orbits import PrimeContext
 
 
@@ -171,14 +172,6 @@ def map_power(m: MonomialMap, e: int) -> MonomialMap:
     return result
 
 
-def _resolve(ctx: PrimeContext, gamma: Optional[int]) -> int:
-    if gamma is None:
-        return ctx.gamma
-    if not ctx.has_gamma or gamma not in ctx.gamma_pair:
-        raise NoGammaError(f"{gamma} is not a root of g^2+g+1 mod {ctx.p}")
-    return gamma
-
-
 def build_T(ctx: PrimeContext, gamma: Optional[int] = None) -> MonomialMap:
     """T(x, y) = (x, w y), the deck transformation of the degree-p cover.
 
@@ -202,10 +195,10 @@ def build_R(ctx: PrimeContext, gamma: Optional[int] = None, epsilon: Optional[in
     else 2"; passing epsilon explicitly lets tests certify that exactly
     one parity yields a curve automorphism.
     """
-    g = _resolve(ctx, gamma)
+    g = resolve_gamma(ctx, gamma)
     p = ctx.p
     quot, rem = divmod(g * g + g + 1, p)
-    # can't happen: _resolve only returns roots of g^2 + g + 1 mod p
+    # can't happen: resolve_gamma only returns roots of g^2 + g + 1 mod p
     assert rem == 0
     if epsilon is None:
         epsilon = 1 if g % 2 == 0 else 2
@@ -245,7 +238,7 @@ def word_map(word: Iterable[tuple[str, int]], ctx: PrimeContext, gamma: Optional
     """Compose a word in T and R, written left to right as functions
     (the rightmost letter acts first).  Exponents reduce mod the letter's
     order, so negative powers are fine."""
-    g = _resolve(ctx, gamma)
+    g = resolve_gamma(ctx, gamma)
     letters = {"T": (build_T(ctx, g), ctx.p), "R": (build_R(ctx, g), 3)}
     m = identity_map(ctx.p, g)
     for letter, exp in word:
@@ -271,7 +264,7 @@ def epsilon_parity_report(ctx: PrimeContext, gamma: Optional[int] = None) -> dic
 
     Certifies the parity rule computationally instead of trusting it.
     """
-    g = _resolve(ctx, gamma)
+    g = resolve_gamma(ctx, gamma)
     passing = [eps for eps in (1, 2) if verify_curve_automorphism(build_R(ctx, g, epsilon=eps))]
     if len(passing) != 1:
         raise CheckFailedError(

@@ -14,12 +14,10 @@ import json
 
 from .curves import CurveFamily
 from .decompose import (
-    DecompositionLevel,
     IsogenyDecomposition,
     decompose_coarse,
     decompose_fine,
     dimension_audit,
-    match_group_algebra_shape,
 )
 from .orbits import OrbitPartition, PrimeContext, orbit_partition
 
@@ -63,18 +61,19 @@ def _factor_entry(f) -> dict:
 
 
 def _decomposition_entry(d: IsogenyDecomposition) -> dict:
+    dimensions, shape = dimension_audit(d)
     entry = {
         "level": d.level.value,
         "product": d.render(),
         "factors": [_factor_entry(f) for f in d.factors],
         "total_dimension": d.total_dimension,
         "audit": d.audit.summary(),
-        "dimension_audit": dimension_audit(d),
+        "dimension_audit": dimensions,
     }
     if d.gamma_refinement is not None:
         entry["gamma_refinement"] = d.gamma_refinement.summary()
-    if d.level is DecompositionLevel.FINE:
-        entry["group_algebra_shape"] = match_group_algebra_shape(d)
+    if shape is not None:
+        entry["group_algebra_shape"] = shape
     return entry
 
 

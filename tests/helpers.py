@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: inverses come from
 a brute-force pair scan, orbits from the closed six-element formula,
 Moebius maps from Fraction arithmetic on the projective line, the
-deck-family audit from explicit element sets, and cosets, conjugacy
+deck-family audit and the joins and set products of the K family from
+explicit element sets, and cosets, conjugacy
 classes, element orders and the generating-triple search from products
 of element objects.  The coset action of the full Fermat group, which the
 package computes from conjugacy classes, is here labelled coset by coset.
@@ -14,7 +15,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from fermatjac.errors import FlavorMismatchError, OutOfRangeError
-from fermatjac.genus import GeneratingTriple, fermat_axis_fix_table, fermat_genus, riemann_hurwitz
+from fermatjac.genus import GeneratingTriple, fermat_axis_fix_table, fermat_genus, pgonal_fix_table, riemann_hurwitz
 from fermatjac.groups import (
     FLAVOR_FERMAT,
     IDENTITY,
@@ -154,6 +155,39 @@ def object_level_audit(p):
         "genus_sum": {"computed": total, "expected": g_top, "ok": total == g_top},
         "all_pass": not comm_fail and not gz_fail and total == g_top,
     }
+
+
+def object_K_family(p, gamma):
+    """K_1 = <R> and K_(i+1) = T^(-i) K_1 T^i, as sets of element objects."""
+    ctx = make_context(p)
+    t, r = pgonal_T(ctx, gamma), pgonal_R(ctx, gamma)
+    family = [frozenset(mulclose([r]))]
+    for _ in range(2):
+        family.append(frozenset(t.inverse() * g * t for g in family[-1]))
+    return family
+
+
+def object_gamma_pairs(p, gamma, family=None):
+    """For each pair i < j of the K family (``object_K_family`` unless
+    given), on element objects: the pair, the order and Riemann-Hurwitz
+    genus of the join mulclose(K_i u K_j), the size of the set product
+    K_i K_j, and whether K_i K_j = K_j K_i as sets."""
+    fix = pgonal_fix_table(make_context(p), gamma)
+    family = family or object_K_family(p, gamma)
+    rows = []
+    for i, j in combinations(range(3), 2):
+        join = mulclose(family[i] | family[j])
+        genus = riemann_hurwitz((p - 1) // 2, len(join), sum(fix.count(g) for g in join if not g.is_identity))
+        prod = {a * b for a in family[i] for b in family[j]}
+        commutes = prod == {b * a for a in family[i] for b in family[j]}
+        rows.append(((i + 1, j + 1), len(join), genus, len(prod), commutes))
+    return rows
+
+
+def joined(k1, k2):
+    """The subgroup K1 and K2 generate, as the kernel closure of their
+    generators together."""
+    return subgroup_closure(k.group.element(i) for k in (k1, k2) for i in k.generators)
 
 
 def assert_audit_matches_oracle(audit, p):

@@ -20,7 +20,6 @@ from fermatjac.decompose import (
     dimension_audit,
     gamma_refinement_audit,
     kani_rosen_check,
-    match_group_algebra_shape,
 )
 from fermatjac.genus import (
     coset_genus,
@@ -37,7 +36,6 @@ from fermatjac.groups import (
     fermat_H,
     fermat_Hj,
     fermat_a1,
-    joined_subgroup,
     trivial_subgroup,
 )
 from fermatjac.monomial import (
@@ -53,7 +51,7 @@ from fermatjac.monomial import (
 )
 from fermatjac.orbits import OrbitKind, make_context, orbit_partition
 
-from helpers import assert_audit_matches_oracle, sweep_primes
+from helpers import assert_audit_matches_oracle, joined, sweep_primes
 
 
 def _announce(n, elapsed, detail):
@@ -125,9 +123,8 @@ def test_criterion_4_dimension_audit_sweep(capsys):
         fine = decompose_fine(ctx)
         g = fermat_genus(p)
         assert fine.total_dimension == g
-        info = dimension_audit(fine)
+        info, shape = dimension_audit(fine)
         assert info["ok"] and info["total_dimension"] == g
-        shape = match_group_algebra_shape(fine)
         half = (p - 1) // 2
         exp3 = [f for f in fine.factors if f.multiplicity == 3]
         assert len(exp3) == 1 and exp3[0].dimension == half
@@ -179,10 +176,10 @@ def test_criterion_6_dual_oracle_genus(capsys):
         seen = set()
         for i in range(len(hj)):
             for j in range(i + 1, len(hj)):
-                joined = joined_subgroup(hj[i], hj[j])
-                if joined.indices not in seen:
-                    seen.add(joined.indices)
-                    subgroups.append(joined)
+                join = joined(hj[i], hj[j])
+                if join.indices not in seen:
+                    seen.add(join.indices)
+                    subgroups.append(join)
         for k in subgroups:
             assert rh_genus(g_top, k, fix) == coset_genus(k, triple, data)
             checked += 1

@@ -10,6 +10,7 @@ from fermatjac.certificates import (
 from fermatjac.errors import CheckFailedError, FlavorMismatchError, ShapeMismatchError
 from fermatjac.genus import (
     coset_genus,
+    fermat_full_fix_table,
     fermat_genus,
     find_generating_triple,
 )
@@ -115,6 +116,21 @@ def test_flavor_mismatch():
         induced_perm_character(fermat_Hj(7, 1), d5)
     with pytest.raises(FlavorMismatchError):
         chi_trivial(d5)(fermat_a1(7))
+
+
+def test_chi_rat_refuses_a_foreign_context():
+    # chi(1) = 2g would come from the context and every other value from
+    # the class data: p = 7 against the data at p = 13 gave chi(1) = 30
+    ctx7, ctx13 = make_context(7), make_context(13)
+    triple, data = find_generating_triple(ctx13), ClassData(FLAVOR_FERMAT, ctx13)
+    fix = fermat_full_fix_table(ctx13, triple, data)
+    with pytest.raises(FlavorMismatchError, match="the context at p = 7"):
+        chi_rat(ctx7, triple, data)
+    with pytest.raises(FlavorMismatchError):
+        chi_rat(ctx7, triple, data, fix=fix)
+    with pytest.raises(FlavorMismatchError):
+        chi_rat(ctx13, triple, ClassData(FLAVOR_FERMAT, ctx7))
+    assert chi_rat(ctx13, triple, data, fix=fix).at_identity == 12 * 11
 
 
 def test_malformed_class_functions_are_typed_errors():

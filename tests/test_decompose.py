@@ -16,14 +16,20 @@ from fermatjac.decompose import (
     dimension_audit,
     gamma_refinement_audit,
     kani_rosen_check,
-    match_group_algebra_shape,
 )
-from fermatjac.errors import AuditFailError, OutOfRangeError, ShapeMismatchError
+from fermatjac.errors import AuditFailError, OutOfRangeError
 from fermatjac.genus import fermat_genus
 from fermatjac.groups import fermat_u
 from fermatjac.orbits import make_context
 
-from helpers import assert_audit_matches_oracle, primes_upto, sweep_primes
+from helpers import (
+    assert_audit_matches_oracle,
+    object_gamma_pairs,
+    object_K_family,
+    primes_upto,
+    run_under_O,
+    sweep_primes,
+)
 
 
 def test_coarse_p7():
@@ -126,29 +132,94 @@ def test_gamma_refinement_audit(p):
     assert audit.set_products_commute and all(not v.ok for v in audit.set_products_commute)
 
 
+@pytest.mark.parametrize("p", [q for q in primes_upto(31) if q % 3 == 1])
+def test_gamma_refinement_matches_object_joins(p):
+    """The audit's pair genera and set-commutation verdicts, read off the
+    subgroup lattice, against mulclose joins and set products of element
+    objects, for either root (a context naming it as the conventional one)."""
+    roots = make_context(p).gamma_pair
+    for pair in (roots, roots[::-1]):
+        ctx = dataclasses.replace(make_context(p), gamma_pair=pair)
+        audit = gamma_refinement_audit(ctx)
+        assert audit.all_pass
+        oracle = object_gamma_pairs(p, ctx.gamma)
+        assert [(v.pair, v.detail) for v in audit.pair_genus_zero_checks] == [
+            (pair, f"genus={genus}") for pair, _, genus, _, _ in oracle
+        ]
+        assert [(v.pair, v.ok) for v in audit.set_products_commute] == [
+            (pair, commutes) for pair, _, _, _, commutes in oracle
+        ]
+        assert {(order, size) for _, order, _, size, _ in oracle} == {(3 * p, 9)}
+
+
+def test_equal_K_subgroups_fail_the_gamma_gate(monkeypatch):
+    # K_1 for every i: the quotient genera and their sum still pass, but
+    # each pair joins to K_1 itself, of genus (p-1)/6, and commutes
+    p = 13
+    real = decompose_module.pgonal_K
+    monkeypatch.setattr(decompose_module, "pgonal_K", lambda i, ctx, gamma=None: real(1, ctx, gamma))
+    ctx = make_context(p)
+    audit = gamma_refinement_audit(ctx)
+    assert all(ok for (_, _, _, ok) in audit.quotient_genus_checks) and audit.genus_sum_check[2]
+    k1 = object_K_family(p, ctx.gamma)[0]
+    oracle = object_gamma_pairs(p, ctx.gamma, family=[k1] * 3)
+    assert [(v.pair, v.ok, v.detail) for v in audit.pair_genus_zero_checks] == [
+        (pair, False, f"genus={genus}") for pair, _, genus, _, _ in oracle
+    ]
+    assert {v.detail for v in audit.pair_genus_zero_checks} == {f"genus={(p - 1) // 6}"}
+    assert all(v.ok for v in audit.set_products_commute)
+    assert not audit.all_pass
+    with pytest.raises(AuditFailError, match="gamma refinement hypotheses failed for p = 13"):
+        decompose_fine(ctx)
+
+
+def test_equal_K_subgroups_exit_3_under_python_O():
+    run = run_under_O(
+        "from fermatjac import cli, decompose\n"
+        "real = decompose.pgonal_K\n"
+        "decompose.pgonal_K = lambda i, ctx, gamma=None: real(1, ctx, gamma)\n"
+        "sys.exit(cli.main(['decompose', '--p', '13']))\n"
+    )
+    assert run.returncode == 3, run.stdout + run.stderr
+    assert "audit failure: gamma refinement hypotheses failed for p = 13" in run.stderr
+    assert "Traceback" not in run.stderr and "JE(" not in run.stdout
+
+
 def test_dimension_audit_examples():
-    assert dimension_audit(decompose_fine(make_context(7)))["total_dimension"] == 15
-    assert dimension_audit(decompose_coarse(make_context(7)))["total_dimension"] == 15
-    assert dimension_audit(decompose_coarse(make_context(11)))["total_dimension"] == 45
+    assert dimension_audit(decompose_fine(make_context(7)))[0]["total_dimension"] == 15
+    assert dimension_audit(decompose_coarse(make_context(7)))[0]["total_dimension"] == 15
+    assert dimension_audit(decompose_coarse(make_context(11)))[0]["total_dimension"] == 45
 
 
 def test_match_group_algebra_shape_p7():
     d = decompose_fine(make_context(7))
-    shape = match_group_algebra_shape(d)
+    _, shape = dimension_audit(d)
     assert shape["B0"] == "JC(1)" and shape["B"] == "JE(2)"
     assert shape["B_j"] == [] and shape["N"] == 0
     assert shape["dimensions"] == {"B0": 3, "B": 1, "B_j": 3}
 
 
 def test_match_group_algebra_shape_no_gamma():
-    shape = match_group_algebra_shape(decompose_fine(make_context(11)))
+    _, shape = dimension_audit(decompose_fine(make_context(11)))
     assert shape["B"] is None
     assert shape["N"] == 1 and shape["B_j"] == ["JC(2)"]
 
 
 def test_match_group_algebra_shape_rejects_coarse():
-    with pytest.raises(ShapeMismatchError):
-        match_group_algebra_shape(decompose_coarse(make_context(7)))
+    # the coarse level has no shape block, and coarse factors do not fit
+    # the fine shape: JC(2)^2 has no slot there
+    coarse = decompose_coarse(make_context(7))
+    assert dimension_audit(coarse)[1] is None
+    with pytest.raises(AuditFailError, match=r"JC\(2\)\^2 of dimension 3 has no slot"):
+        dimension_audit(dataclasses.replace(coarse, level=DecompositionLevel.FINE))
+
+
+def test_dimension_audit_counts_the_gamma_slot():
+    # at p = 13, 18 + 4 * 12 = 66 = the genus: the total holds, the shape does not
+    fine = decompose_fine(make_context(13))
+    b0, e, _ = fine.factors
+    with pytest.raises(AuditFailError, match=r"expected 1 gamma factor\(s\) of multiplicity 6 and dimension 2, found 4"):
+        dimension_audit(dataclasses.replace(fine, factors=(b0, e, e, e, e)))
 
 
 def test_factors_pairwise_nonisomorphic():
@@ -168,8 +239,7 @@ def test_sweep_invariants_small(p):
     fine = decompose_fine(ctx, coarse)
     assert coarse.audit.all_pass and fine.audit.all_pass
     assert coarse.total_dimension == fine.total_dimension == fermat_genus(p)
-    dimension_audit(fine)
-    match_group_algebra_shape(fine)
+    assert dimension_audit(fine)[1]["N"] == len(fine.factors) - 1 - ctx.has_gamma
     # multiplicities are orbit sizes; levels differ only on the gamma factor
     diffs = [
         (a, b) for a, b in zip(coarse.factors, fine.factors) if a != b

@@ -1,6 +1,7 @@
 import pytest
 
 from fermatjac.errors import (
+    FlavorMismatchError,
     IdentityInputError,
     InconsistentRHError,
     NotSubgroupOfHError,
@@ -34,13 +35,14 @@ from fermatjac.groups import (
     fermat_identity,
     fermat_u,
     fermat_v,
-    joined_subgroup,
     pgonal_K,
     pgonal_group,
     subgroup_closure,
     trivial_subgroup,
 )
 from fermatjac.orbits import make_context
+
+from helpers import joined
 
 
 def test_rh_genus_free_deck_subgroup():
@@ -140,6 +142,16 @@ def test_full_table_matches_axis_table_on_H():
                 assert full.at(h) == axis.at(h)
 
 
+def test_full_fix_table_refuses_a_foreign_context():
+    ctx13 = make_context(13)
+    triple, data = find_generating_triple(ctx13), ClassData(FLAVOR_FERMAT, ctx13)
+    with pytest.raises(FlavorMismatchError, match="p = 13 cannot serve the context at p = 7"):
+        fermat_full_fix_table(make_context(7), triple, data)
+    with pytest.raises(FlavorMismatchError):
+        fermat_full_fix_table(ctx13, triple, ClassData(FLAVOR_FERMAT, make_context(7)))
+    assert fermat_full_fix_table(ctx13, triple, data).count(fermat_a1(13)) == 13
+
+
 def test_fix_counts_conjugation_invariant_exhaustive_p5():
     ctx = make_context(5)
     triple = find_generating_triple(ctx)
@@ -207,7 +219,7 @@ def test_dual_oracle_agreement(p):
     subgroups.extend(hj)
     for i in range(len(hj)):
         for j in range(i + 1, len(hj)):
-            subgroups.append(joined_subgroup(hj[i], hj[j]))
+            subgroups.append(joined(hj[i], hj[j]))
     for k in subgroups:
         assert rh_genus(g_top, k, fix) == coset_genus(k, triple, data)
 

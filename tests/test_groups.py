@@ -26,7 +26,6 @@ from fermatjac.groups import (
     fermat_identity,
     fermat_u,
     fermat_v,
-    joined_subgroup,
     left_cosets,
     order,
     pgonal_K,
@@ -34,10 +33,11 @@ from fermatjac.groups import (
     pgonal_T,
     pgonal_elements,
     pgonal_identity,
-    product_set,
     subgroup_closure,
 )
 from fermatjac.orbits import make_context
+
+from helpers import joined, object_gamma_pairs
 
 
 def test_s3_action_rederived_from_projective_maps():
@@ -176,24 +176,9 @@ def test_Hj_family(p):
     h = fermat_H(p)
     for i in range(len(subs)):
         for j in range(i + 1, len(subs)):
-            assert joined_subgroup(subs[i], subs[j]) == h
+            assert joined(subs[i], subs[j]) == h
     with pytest.raises(OutOfRangeError):
         fermat_Hj(p, p - 1)
-
-
-def test_product_set_idempotent_and_H():
-    p = 5
-    k1, k2 = fermat_Hj(p, 1), fermat_Hj(p, 2)
-    prod, commutes = product_set(k1, k1)
-    assert commutes and prod == frozenset(k1.indices)
-    prod, commutes = product_set(k1, k2)
-    assert commutes
-    assert prod == frozenset(fermat_H(p).indices)
-
-
-def test_product_set_flavor_guard():
-    with pytest.raises(FlavorMismatchError):
-        product_set(fermat_H(5), fermat_H(7))
 
 
 @pytest.mark.parametrize("p", (7, 13))
@@ -223,19 +208,15 @@ def test_pgonal_K_structure(p):
 
 
 def test_pgonal_K_set_products_do_not_commute():
-    """Exact computation: the pairwise set products K_i K_j and K_j K_i
-    differ, for either root; each pair still generates the whole group.
-    """
+    """On element objects: the pairwise set products K_i K_j have 9
+    elements and differ from K_j K_i, for either root; each pair still
+    generates the whole group (Lagrange, as the audit reads it)."""
     for p in (7, 13, 19):
-        ctx = make_context(p)
-        for gamma in ctx.gamma_pair:
-            ks = [pgonal_K(i, ctx, gamma) for i in (1, 2, 3)]
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    prod, commutes = product_set(ks[i], ks[j])
-                    assert not commutes
-                    assert len(prod) == 9
-                    assert joined_subgroup(ks[i], ks[j]).order == 3 * p
+        for gamma in make_context(p).gamma_pair:
+            for _pair, order_, _genus, size, commutes in object_gamma_pairs(p, gamma):
+                assert not commutes
+                assert size == 9
+                assert order_ == 3 * p
 
 
 def test_pgonal_K_requires_gamma():

@@ -339,14 +339,15 @@ def test_verify_full_builds_classes_and_fix_table_once(capsys, monkeypatch):
 
 
 def test_verify_full_builds_no_deck_joins(capsys, monkeypatch):
-    # every join H_i v H_j is the plane H (determinant j - i); only the
-    # gamma refinement joins subgroups, and those live in the p-gonal group
+    # every join H_i v H_j is the plane H (determinant j - i) and every
+    # join of two distinct K_i the whole p-gonal group (Lagrange), so no
+    # join is built: the only closures are the three cyclic K_i
     from fermatjac import groups as groups_module
 
-    joins = _count_calls(monkeypatch, groups_module, "joined_subgroup")
+    closures = _count_calls(monkeypatch, groups_module, "subgroup_closure")
     code, _, _ = run_cli(capsys, "verify", "--p", "13", "--depth", "full")
     assert code == 0
-    assert [k.flavor for call in joins for k in call] == [groups_module.FLAVOR_P_GONAL] * 6
+    assert [len(gens) for (gens,) in closures] == [1, 1, 1]
 
 
 def test_oracle_disagreement_is_a_typed_failure(capsys, monkeypatch):
