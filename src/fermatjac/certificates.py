@@ -21,7 +21,6 @@ explicit coset labelling, and a sum over all group elements.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 from .errors import CheckFailedError, FlavorMismatchError, ShapeMismatchError
 from .genus import FixTable, GeneratingTriple, fermat_full_fix_table, fermat_genus
@@ -59,8 +58,8 @@ def chi_trivial(data: ClassData) -> ClassFunction:
 def chi_rat(
     ctx: PrimeContext,
     triple: GeneratingTriple,
-    data: Optional[ClassData] = None,
-    fix: Optional[FixTable] = None,
+    data: ClassData | None = None,
+    fix: FixTable | None = None,
 ) -> ClassFunction:
     """Trace of the group action on first homology (dimension 2g).
 

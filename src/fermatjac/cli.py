@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 
 from . import certificates as cert
 from . import decompose as dec
@@ -30,7 +31,7 @@ from .errors import (
     TooLargeError,
     TooSmallError,
 )
-from .orbits import OrbitKind, is_prime, make_context, orbit_partition, s3_apply
+from .orbits import OrbitKind, is_prime, make_context, orbit, orbit_partition, s3_apply
 
 FULL_DEPTH_DEFAULT_CAP = 31
 # verify --full-cap: the full checks hold the class of each of the 6 p^2
@@ -41,7 +42,7 @@ FULL_DEPTH_MAX_P = 263
 # verify at any depth: the monomial conjugation sweep is O(p log p) with a
 # large constant, about 40 s at p = 19993.
 VERIFY_MAX_P = 20_000
-# sweep --to: a serial sweep over 5..3000 (426 primes) takes about 35 s.
+# sweep --to: a serial sweep over 5..3000 (426 primes) takes about 16 s.
 SWEEP_MAX_TO = 3_000
 
 
@@ -100,10 +101,6 @@ def check_s3_relations(ctx, cache):
 
 
 def check_moebius_transport(ctx, cache):
-    from collections import Counter
-
-    from .orbits import orbit
-
     p = ctx.p
     labels = list(MoebiusLabel)
     for a in range(1, p - 1):

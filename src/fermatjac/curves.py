@@ -15,12 +15,11 @@ function fields lives in :mod:`fermatjac.monomial`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 from .errors import DegenerateCurveError, NoGammaError, OutOfRangeError
 from .orbits import PrimeContext, orbit
+from .records import FrozenRecord, set_field
 
 
 class CurveFamily(Enum):
@@ -63,29 +62,27 @@ class MoebiusLabel(Enum):
 _BY_PERM = {label.perm: label for label in MoebiusLabel}
 
 
-@dataclass(frozen=True)
-class CurveSpec:
+class CurveSpec(FrozenRecord):
     """A curve descriptor: the Fermat curve, a canonical C_alpha, or the
     genus-(p-1)/6 quotient E_gamma of the gamma curve."""
 
-    context: PrimeContext
-    family: CurveFamily
-    alpha: Optional[int] = None
+    __slots__ = _fields = ("context", "family", "alpha")
 
-    def __post_init__(self):
-        p = self.context.p
-        if self.family is CurveFamily.FERMAT:
-            if self.alpha is not None:
+    def __init__(self, context: PrimeContext, family: CurveFamily, alpha: int | None = None):
+        p = context.p
+        if family is CurveFamily.FERMAT:
+            if alpha is not None:
                 raise OutOfRangeError("Fermat curve takes no exponent")
-        elif self.family is CurveFamily.P_GONAL:
-            self.context.require_X(self.alpha)
-        elif self.family is CurveFamily.E_QUOTIENT:
-            if not self.context.has_gamma:
+        elif family is CurveFamily.P_GONAL:
+            context.require_X(alpha)
+        elif family is CurveFamily.E_QUOTIENT:
+            if not context.has_gamma:
                 raise NoGammaError(f"p = {p} = 2 mod 3 admits no quotient curve E")
-            if self.alpha not in self.context.gamma_pair:
-                raise OutOfRangeError(
-                    f"E exponent {self.alpha} is not a root of g^2+g+1 mod {p}"
-                )
+            if alpha not in context.gamma_pair:
+                raise OutOfRangeError(f"E exponent {alpha} is not a root of g^2+g+1 mod {p}")
+        set_field(self, "context", context)
+        set_field(self, "family", family)
+        set_field(self, "alpha", alpha)
 
     def describe(self) -> str:
         p = self.context.p
@@ -163,11 +160,10 @@ def genus_of(spec: CurveSpec) -> int:
     p = spec.context.p
     if spec.family is CurveFamily.FERMAT:
         return (p - 1) * (p - 2) // 2
-    # can't happen, either assert: p is an odd prime, and CurveSpec refuses
-    # an E quotient unless p = 1 mod 3
     if spec.family is CurveFamily.P_GONAL:
-        assert (p - 1) % 2 == 0
+        assert (p - 1) % 2 == 0  # can't happen: p is an odd prime
         return (p - 1) // 2
+    # can't happen: CurveSpec refuses an E quotient unless p = 1 mod 3
     assert (p - 1) % 6 == 0, f"p = {p} = 2 mod 3 has no E quotient"
     return (p - 1) // 6
 

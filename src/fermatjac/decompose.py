@@ -33,10 +33,8 @@ test suite confirms both facts on element objects.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
-from typing import Optional
 
 from .curves import CurveFamily, CurveSpec, genus_of, quotient_to_curve
 from .errors import AuditFailError, OutOfRangeError
@@ -49,6 +47,7 @@ from .genus import (
 )
 from .groups import fermat_a1, fermat_a2, fermat_translation, pgonal_group, pgonal_K
 from .orbits import OrbitKind, OrbitPartition, PrimeContext, orbit_partition
+from .records import FrozenRecord, Record, set_field
 
 
 class DecompositionLevel(Enum):
@@ -56,11 +55,13 @@ class DecompositionLevel(Enum):
     FINE = "fine"
 
 
-@dataclass(frozen=True)
-class IsogenyFactor:
-    curve: CurveSpec
-    multiplicity: int
-    dimension: int
+class IsogenyFactor(FrozenRecord):
+    __slots__ = _fields = ("curve", "multiplicity", "dimension")
+
+    def __init__(self, curve: CurveSpec, multiplicity: int, dimension: int):
+        set_field(self, "curve", curve)
+        set_field(self, "multiplicity", multiplicity)
+        set_field(self, "dimension", dimension)
 
     def symbol(self) -> str:
         tag = "JE" if self.curve.family is CurveFamily.E_QUOTIENT else "JC"
@@ -70,15 +71,16 @@ class IsogenyFactor:
         return f"{self.symbol()}^{self.multiplicity}"
 
 
-@dataclass
-class PairVerdict:
-    pair: tuple[int, int]
-    ok: bool
-    detail: str = ""
+class PairVerdict(Record):
+    __slots__ = _fields = ("pair", "ok", "detail")
+
+    def __init__(self, pair: tuple[int, int], ok: bool, detail: str = ""):
+        self.pair = pair
+        self.ok = ok
+        self.detail = detail
 
 
-@dataclass
-class KaniRosenAudit:
+class KaniRosenAudit(Record):
     """Evidence for the three decomposition-criterion hypotheses.
 
     Each pair of the family is checked, but only failing pairs are kept:
@@ -86,11 +88,16 @@ class KaniRosenAudit:
     ``pairs_checked`` counts every pair.
     """
 
-    subgroup_count: int
-    pairs_checked: int
-    commuting_checks: list[PairVerdict]
-    genus_zero_checks: list[PairVerdict]
-    genus_sum_check: tuple[int, int, bool]  # (computed sum, expected genus, ok)
+    __slots__ = _fields = ("subgroup_count", "pairs_checked", "commuting_checks", "genus_zero_checks",
+                           "genus_sum_check")
+
+    def __init__(self, subgroup_count: int, pairs_checked: int, commuting_checks: list[PairVerdict],
+                 genus_zero_checks: list[PairVerdict], genus_sum_check: tuple[int, int, bool]):
+        self.subgroup_count = subgroup_count
+        self.pairs_checked = pairs_checked
+        self.commuting_checks = commuting_checks
+        self.genus_zero_checks = genus_zero_checks
+        self.genus_sum_check = genus_sum_check  # (computed sum, expected genus, ok)
 
     @property
     def all_pass(self) -> bool:
@@ -162,8 +169,7 @@ def kani_rosen_check(ctx: PrimeContext) -> KaniRosenAudit:
     )
 
 
-@dataclass
-class GammaRefinementAudit:
+class GammaRefinementAudit(Record):
     """Evidence for replacing the gamma-curve factor by E^6.
 
     ``set_products_commute`` records the honest set-level comparison of
@@ -171,10 +177,16 @@ class GammaRefinementAudit:
     quotient-genus identities, which hold.
     """
 
-    quotient_genus_checks: list[tuple[int, int, int, bool]]  # (i, genus, expected, ok)
-    pair_genus_zero_checks: list[PairVerdict]
-    genus_sum_check: tuple[int, int, bool]
-    set_products_commute: list[PairVerdict] = field(default_factory=list)
+    __slots__ = _fields = ("quotient_genus_checks", "pair_genus_zero_checks", "genus_sum_check",
+                           "set_products_commute")
+
+    def __init__(self, quotient_genus_checks: list[tuple[int, int, int, bool]],
+                 pair_genus_zero_checks: list[PairVerdict], genus_sum_check: tuple[int, int, bool],
+                 set_products_commute: list[PairVerdict] | None = None):
+        self.quotient_genus_checks = quotient_genus_checks  # (i, genus, expected, ok)
+        self.pair_genus_zero_checks = pair_genus_zero_checks
+        self.genus_sum_check = genus_sum_check
+        self.set_products_commute = [] if set_products_commute is None else set_products_commute
 
     @property
     def all_pass(self) -> bool:
@@ -239,13 +251,16 @@ def gamma_refinement_audit(ctx: PrimeContext) -> GammaRefinementAudit:
     )
 
 
-@dataclass
-class IsogenyDecomposition:
-    context: PrimeContext
-    level: DecompositionLevel
-    factors: tuple[IsogenyFactor, ...]
-    audit: KaniRosenAudit
-    gamma_refinement: Optional[GammaRefinementAudit] = None
+class IsogenyDecomposition(Record):
+    __slots__ = _fields = ("context", "level", "factors", "audit", "gamma_refinement")
+
+    def __init__(self, context: PrimeContext, level: DecompositionLevel, factors: tuple[IsogenyFactor, ...],
+                 audit: KaniRosenAudit, gamma_refinement: GammaRefinementAudit | None = None):
+        self.context = context
+        self.level = level
+        self.factors = factors
+        self.audit = audit
+        self.gamma_refinement = gamma_refinement
 
     @property
     def total_dimension(self) -> int:
@@ -315,7 +330,7 @@ def decompose_coarse(ctx: PrimeContext) -> IsogenyDecomposition:
 
 
 def decompose_fine(
-    ctx: PrimeContext, coarse: Optional[IsogenyDecomposition] = None
+    ctx: PrimeContext, coarse: IsogenyDecomposition | None = None
 ) -> IsogenyDecomposition:
     """Coarse decomposition with the gamma factor replaced by E^6.
 
@@ -358,7 +373,7 @@ def decompose_fine(
     )
 
 
-def dimension_audit(d: IsogenyDecomposition) -> tuple[dict, Optional[dict]]:
+def dimension_audit(d: IsogenyDecomposition) -> tuple[dict, dict | None]:
     """Exact dimension bookkeeping against the genus of the Fermat curve,
     and at the fine level the representation-indexed factor shape.
 

@@ -35,9 +35,8 @@ labellings.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Callable
 from functools import lru_cache
-from typing import Callable, Optional
 
 from .errors import (
     FlavorMismatchError,
@@ -66,6 +65,7 @@ from .groups import (
     trivial_subgroup,
 )
 from .orbits import PrimeContext
+from .records import FrozenRecord, set_field
 
 DEFAULT_TRIPLE_SEARCH_BOUND = 31
 
@@ -107,7 +107,7 @@ def fermat_axis_fix_table(ctx: PrimeContext) -> FixTable:
     return _axis_table_for(ctx.p)
 
 
-def pgonal_fix_table(ctx: PrimeContext, gamma: Optional[int] = None) -> FixTable:
+def pgonal_fix_table(ctx: PrimeContext, gamma: int | None = None) -> FixTable:
     """Fixed points on the gamma curve: T^k fixes the three points over
     the branch values; every order-3 element fixes exactly two points
     (all are conjugate to R or R^2, and conjugate maps fix equally many)."""
@@ -162,13 +162,15 @@ def _axis_table_for(p: int) -> FixTable:
     return FixTable(group, count, "axis translations fix p points each")
 
 
-@dataclass(frozen=True)
-class GeneratingTriple:
+class GeneratingTriple(FrozenRecord):
     """Elements of orders (2, 3, 2p) with product 1 generating the group."""
 
-    c2: FermatAut
-    c3: FermatAut
-    c2p: FermatAut
+    __slots__ = _fields = ("c2", "c3", "c2p")
+
+    def __init__(self, c2: FermatAut, c3: FermatAut, c2p: FermatAut):
+        set_field(self, "c2", c2)
+        set_field(self, "c3", c3)
+        set_field(self, "c2p", c2p)
 
     @property
     def p(self) -> int:

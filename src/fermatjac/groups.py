@@ -38,12 +38,12 @@ and :func:`mulclose` work on them for independent rechecks.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from math import gcd
-from typing import Iterable, Iterator, Optional
 
 from .errors import FlavorMismatchError, InconsistentOrbifoldError, NoGammaError, OutOfRangeError
 from .orbits import PrimeContext
+from .records import FrozenRecord, set_field
 
 FLAVOR_FERMAT = "fermat"
 FLAVOR_P_GONAL = "p_gonal"
@@ -83,14 +83,24 @@ ACTION = tuple(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class FermatAut:
+class FermatAut(FrozenRecord):
     """a1^m a2^n sigma, with sigma an index into PERMS."""
 
-    p: int
-    m: int
-    n: int
-    sigma: int
+    __slots__ = _fields = ("p", "m", "n", "sigma")
+
+    def __init__(self, p: int, m: int, n: int, sigma: int):
+        set_field(self, "p", p)
+        set_field(self, "m", m)
+        set_field(self, "n", n)
+        set_field(self, "sigma", sigma)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.m == other.m and self.n == other.n and self.sigma == other.sigma and self.p == other.p
+
+    def __hash__(self):
+        return hash((self.p, self.m, self.n, self.sigma))
 
     def __mul__(self, other: "FermatAut") -> "FermatAut":
         if not isinstance(other, FermatAut) or other.p != self.p:
@@ -152,18 +162,25 @@ class FermatAut:
             perm[s::6] = [r + c for r in rows for c in cols]
         return perm
 
-    def __repr__(self):
-        return f"FermatAut(p={self.p}, m={self.m}, n={self.n}, sigma={self.sigma})"
 
-
-@dataclass(frozen=True, slots=True)
-class PGonalAut:
+class PGonalAut(FrozenRecord):
     """T^k R^e on the gamma curve; the group law depends on the chosen root."""
 
-    p: int
-    gamma: int
-    k: int
-    e: int
+    __slots__ = _fields = ("p", "gamma", "k", "e")
+
+    def __init__(self, p: int, gamma: int, k: int, e: int):
+        set_field(self, "p", p)
+        set_field(self, "gamma", gamma)
+        set_field(self, "k", k)
+        set_field(self, "e", e)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.k == other.k and self.e == other.e and self.p == other.p and self.gamma == other.gamma
+
+    def __hash__(self):
+        return hash((self.p, self.gamma, self.k, self.e))
 
     def __mul__(self, other: "PGonalAut") -> "PGonalAut":
         if (
@@ -216,9 +233,6 @@ class PGonalAut:
         shift = [pow(self.gamma, 2 * r, p) * k for r in range(3)]
         return [3 * ((i // 3 + shift[i % 3]) % p) + (i % 3 + e) % 3 for i in range(3 * p)]
 
-    def __repr__(self):
-        return f"PGonalAut(p={self.p}, gamma={self.gamma}, k={self.k}, e={self.e})"
-
 
 Element = FermatAut | PGonalAut
 
@@ -235,13 +249,23 @@ def order(g: Element) -> int:
 # -- the integer kernel -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Group:
+class Group(FrozenRecord):
     """The Fermat group at p (``gamma`` None) or the p-gonal group of the
     root gamma, its elements numbered 0, ..., order - 1 in canonical order."""
 
-    p: int
-    gamma: Optional[int] = None
+    __slots__ = _fields = ("p", "gamma")
+
+    def __init__(self, p: int, gamma: int | None = None):
+        set_field(self, "p", p)
+        set_field(self, "gamma", gamma)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p and self.gamma == other.gamma
+
+    def __hash__(self):
+        return hash((self.p, self.gamma))
 
     @property
     def flavor(self) -> str:
@@ -309,7 +333,7 @@ class Group:
         return f"the p-gonal group at p = {self.p}, gamma = {self.gamma}"
 
 
-def make_group(flavor: str, ctx: PrimeContext, gamma: Optional[int] = None) -> Group:
+def make_group(flavor: str, ctx: PrimeContext, gamma: int | None = None) -> Group:
     """The group of the flavor at ctx.p; a p-gonal group takes the given
     root, or ctx's default one."""
     if flavor == FLAVOR_FERMAT:
@@ -390,7 +414,7 @@ def fermat_elements(p: int) -> Iterator[FermatAut]:
 # -- p-gonal flavor constructors ---------------------------------------------
 
 
-def resolve_gamma(ctx: PrimeContext, gamma: Optional[int]) -> int:
+def resolve_gamma(ctx: PrimeContext, gamma: int | None) -> int:
     """The given root of g^2 + g + 1 mod p, or ctx's conventional one."""
     if gamma is None:
         return ctx.gamma  # raises NoGammaError when absent
@@ -399,15 +423,15 @@ def resolve_gamma(ctx: PrimeContext, gamma: Optional[int]) -> int:
     return gamma
 
 
-def pgonal_identity(ctx: PrimeContext, gamma: Optional[int] = None) -> PGonalAut:
+def pgonal_identity(ctx: PrimeContext, gamma: int | None = None) -> PGonalAut:
     return PGonalAut(ctx.p, resolve_gamma(ctx, gamma), 0, 0)
 
 
-def pgonal_T(ctx: PrimeContext, gamma: Optional[int] = None) -> PGonalAut:
+def pgonal_T(ctx: PrimeContext, gamma: int | None = None) -> PGonalAut:
     return PGonalAut(ctx.p, resolve_gamma(ctx, gamma), 1, 0)
 
 
-def pgonal_R(ctx: PrimeContext, gamma: Optional[int] = None) -> PGonalAut:
+def pgonal_R(ctx: PrimeContext, gamma: int | None = None) -> PGonalAut:
     return PGonalAut(ctx.p, resolve_gamma(ctx, gamma), 0, 1)
 
 
@@ -415,7 +439,7 @@ def pgonal_group_order(p: int) -> int:
     return 3 * p
 
 
-def pgonal_elements(ctx: PrimeContext, gamma: Optional[int] = None) -> Iterator[PGonalAut]:
+def pgonal_elements(ctx: PrimeContext, gamma: int | None = None) -> Iterator[PGonalAut]:
     g = resolve_gamma(ctx, gamma)
     for k in range(ctx.p):
         for e in range(3):
@@ -527,12 +551,12 @@ def fermat_Hj(p: int, j: int) -> Subgroup:
     return Subgroup(Group(p), line[1:2], line)
 
 
-def pgonal_group(ctx: PrimeContext, gamma: Optional[int] = None) -> Subgroup:
+def pgonal_group(ctx: PrimeContext, gamma: int | None = None) -> Subgroup:
     group = make_group(FLAVOR_P_GONAL, ctx, gamma)
     return Subgroup(group, map(group.index, group.generators), range(group.order))
 
 
-def pgonal_K(i: int, ctx: PrimeContext, gamma: Optional[int] = None) -> Subgroup:
+def pgonal_K(i: int, ctx: PrimeContext, gamma: int | None = None) -> Subgroup:
     """The order-3 subgroup K_i = T^(-(i-1)) <R> T^(i-1), i in {1, 2, 3}.
 
     K_i is generated by T^((i-1)(gamma^2 - 1)) R.
@@ -545,7 +569,7 @@ def pgonal_K(i: int, ctx: PrimeContext, gamma: Optional[int] = None) -> Subgroup
     return subgroup_closure([gen])
 
 
-def all_cyclic_subgroups(flavor: str, ctx: PrimeContext, gamma: Optional[int] = None) -> list[Subgroup]:
+def all_cyclic_subgroups(flavor: str, ctx: PrimeContext, gamma: int | None = None) -> list[Subgroup]:
     """Every cyclic subgroup, including the trivial one, deduplicated.
 
     Listed in canonical order of the first element generating each; that
@@ -595,7 +619,7 @@ def left_cosets(k: Subgroup, universe: Iterable[Element]):
 
 
 def conjugacy_classes(
-    flavor: str, ctx: PrimeContext, gamma: Optional[int] = None
+    flavor: str, ctx: PrimeContext, gamma: int | None = None
 ) -> tuple[tuple[int, ...], ...]:
     """Partition of the group into conjugacy classes of element indices.
 
@@ -642,7 +666,7 @@ class ClassData:
 
     __slots__ = ("group", "classes", "class_of", "sizes")
 
-    def __init__(self, flavor: str, ctx: PrimeContext, gamma: Optional[int] = None):
+    def __init__(self, flavor: str, ctx: PrimeContext, gamma: int | None = None):
         self.group = make_group(flavor, ctx, gamma)
         self.classes = conjugacy_classes(flavor, ctx, gamma)
         self.sizes = tuple(map(len, self.classes))

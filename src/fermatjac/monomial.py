@@ -18,24 +18,35 @@ arithmetic, with no polynomial algebra and no floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from collections.abc import Iterable
 
 from .curves import MoebiusLabel
 from .errors import CheckFailedError, FlavorMismatchError, NonMonomialError, OutOfRangeError
 from .groups import resolve_gamma
 from .orbits import PrimeContext
+from .records import FrozenRecord, set_field
 
 
-@dataclass(frozen=True, slots=True)
-class MonomialFunction:
+class MonomialFunction(FrozenRecord):
     """sign * w^omega * x^a * (x-1)^b * y^d in normal form (0 <= d < p)."""
 
-    sign: int
-    omega: int
-    a: int
-    b: int
-    d: int
+    __slots__ = _fields = ("sign", "omega", "a", "b", "d")
+
+    def __init__(self, sign: int, omega: int, a: int, b: int, d: int):
+        set_field(self, "sign", sign)
+        set_field(self, "omega", omega)
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "d", d)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a == other.a and self.b == other.b and self.d == other.d
+                and self.omega == other.omega and self.sign == other.sign)
+
+    def __hash__(self):
+        return hash((self.sign, self.omega, self.a, self.b, self.d))
 
     def render(self) -> str:
         parts = []
@@ -93,22 +104,22 @@ MOEBIUS_MONOMIALS = {
 _LABEL_OF_MONOMIAL = {mono: label for label, (mono, _) in MOEBIUS_MONOMIALS.items()}
 
 
-@dataclass(frozen=True, slots=True)
-class MonomialMap:
+class MonomialMap(FrozenRecord):
     """A self-map (x, y) -> (x_image, y_image) of the gamma curve.
 
     The x-image must be one of the six Moebius monomials; the y-image is
     any monomial.  Composition stays inside this set.
     """
 
-    p: int
-    gamma: int
-    x_image: MonomialFunction
-    y_image: MonomialFunction
+    __slots__ = _fields = ("p", "gamma", "x_image", "y_image")
 
-    def __post_init__(self):
-        if self.x_image not in _LABEL_OF_MONOMIAL:
-            raise NonMonomialError(f"x-image {self.x_image!r} is not a Moebius monomial")
+    def __init__(self, p: int, gamma: int, x_image: MonomialFunction, y_image: MonomialFunction):
+        if x_image not in _LABEL_OF_MONOMIAL:
+            raise NonMonomialError(f"x-image {x_image!r} is not a Moebius monomial")
+        set_field(self, "p", p)
+        set_field(self, "gamma", gamma)
+        set_field(self, "x_image", x_image)
+        set_field(self, "y_image", y_image)
 
     @property
     def x_label(self) -> MoebiusLabel:
@@ -126,7 +137,7 @@ def _substitute(
     f: MonomialFunction,
     x_val: MonomialFunction,
     x_minus_one: MonomialFunction,
-    y_val: Optional[MonomialFunction],
+    y_val: MonomialFunction | None,
     p: int,
     gamma: int,
 ) -> MonomialFunction:
@@ -172,7 +183,7 @@ def map_power(m: MonomialMap, e: int) -> MonomialMap:
     return result
 
 
-def build_T(ctx: PrimeContext, gamma: Optional[int] = None) -> MonomialMap:
+def build_T(ctx: PrimeContext, gamma: int | None = None) -> MonomialMap:
     """T(x, y) = (x, w y), the deck transformation of the degree-p cover.
 
     T exists on every curve of the family; gamma here is the exponent of
@@ -187,7 +198,7 @@ def build_T(ctx: PrimeContext, gamma: Optional[int] = None) -> MonomialMap:
     return MonomialMap(ctx.p, g, _mono(1, 1, 0), MonomialFunction(1, 1, 0, 0, 1))
 
 
-def build_R(ctx: PrimeContext, gamma: Optional[int] = None, epsilon: Optional[int] = None) -> MonomialMap:
+def build_R(ctx: PrimeContext, gamma: int | None = None, epsilon: int | None = None) -> MonomialMap:
     """The order-3 map R(x, y) = (1/(1-x), (-1)^eps x^((g^2+g+1)/p) / y^(g+1)).
 
     The exponent (g^2+g+1)/p is an exact integer because p divides
@@ -234,7 +245,7 @@ def verify_curve_automorphism(m: MonomialMap) -> bool:
     return lhs == rhs
 
 
-def word_map(word: Iterable[tuple[str, int]], ctx: PrimeContext, gamma: Optional[int] = None) -> MonomialMap:
+def word_map(word: Iterable[tuple[str, int]], ctx: PrimeContext, gamma: int | None = None) -> MonomialMap:
     """Compose a word in T and R, written left to right as functions
     (the rightmost letter acts first).  Exponents reduce mod the letter's
     order, so negative powers are fine."""
@@ -253,13 +264,13 @@ def verify_relation(
     lhs: Iterable[tuple[str, int]],
     rhs: Iterable[tuple[str, int]],
     ctx: PrimeContext,
-    gamma: Optional[int] = None,
+    gamma: int | None = None,
 ) -> bool:
     """Exact normal-form equality of two words in T and R."""
     return word_map(lhs, ctx, gamma) == word_map(rhs, ctx, gamma)
 
 
-def epsilon_parity_report(ctx: PrimeContext, gamma: Optional[int] = None) -> dict:
+def epsilon_parity_report(ctx: PrimeContext, gamma: int | None = None) -> dict:
     """Try both sign parities for R; exactly one must preserve the curve.
 
     Certifies the parity rule computationally instead of trusting it.

@@ -19,15 +19,14 @@ Jacobian factors assembled in :mod:`fermatjac.decompose`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
 
-from .errors import AuditFailError, NotPrimeError, OutOfRangeError, TooLargeError, TooSmallError
+from .errors import AuditFailError, NoGammaError, NotPrimeError, OutOfRangeError, TooLargeError, TooSmallError
+from .records import FrozenRecord, set_field
 
 # The largest p any command accepts.  Every step of orbits and decompose
-# is O(p); decompose --p 100003 (p = 1 mod 3, the slower residue) takes
-# about 15 s and 170 MB.  The verify and sweep commands have lower caps
+# is O(p); decompose --p 100003 --format json (p = 1 mod 3, the slower
+# residue) takes about 3 s and 130 MB.  verify and sweep have lower caps
 # in cli.py.
 MAX_P = 100_003
 
@@ -54,8 +53,7 @@ class OrbitKind(Enum):
     GENERIC = "generic"
 
 
-@dataclass(frozen=True)
-class PrimeContext:
+class PrimeContext(FrozenRecord):
     """A prime p >= 5 plus the root pair of g^2 + g + 1 = 0 mod p, if any.
 
     ``gamma_pair`` holds both roots, smaller first; it is present exactly
@@ -65,9 +63,12 @@ class PrimeContext:
     orbit and isomorphic curves.
     """
 
-    p: int
-    residue_class_mod_3: int
-    gamma_pair: Optional[tuple[int, int]]
+    __slots__ = _fields = ("p", "residue_class_mod_3", "gamma_pair")
+
+    def __init__(self, p: int, residue_class_mod_3: int, gamma_pair: tuple[int, int] | None):
+        set_field(self, "p", p)
+        set_field(self, "residue_class_mod_3", residue_class_mod_3)
+        set_field(self, "gamma_pair", gamma_pair)
 
     @property
     def has_gamma(self) -> bool:
@@ -77,8 +78,6 @@ class PrimeContext:
     def gamma(self) -> int:
         """The conventional (smaller) root."""
         if self.gamma_pair is None:
-            from .errors import NoGammaError
-
             raise NoGammaError(f"p = {self.p} = 2 mod 3 has no root of g^2+g+1")
         return self.gamma_pair[0]
 
@@ -118,7 +117,7 @@ def make_context(p: int) -> PrimeContext:
         # roots mod p, -1 - g being the other root and g (-1 - g) = 1
         assert len(roots) == 2, f"expected two roots mod {p}, found {roots}"
         lo, hi = sorted(roots)
-        assert hi == p - 1 - lo and lo * hi % p == 1
+        assert hi == p - 1 - lo and lo * hi % p == 1  # can't happen, as above
         gamma_pair = (lo, hi)
     return PrimeContext(p=p, residue_class_mod_3=residue, gamma_pair=gamma_pair)
 
@@ -134,13 +133,15 @@ def s3_apply(generator: str, alpha: int, ctx: PrimeContext) -> int:
     raise OutOfRangeError(f"unknown generator {generator!r}, expected 'U' or 'V'")
 
 
-@dataclass(frozen=True)
-class OrbitClass:
+class OrbitClass(FrozenRecord):
     """One orbit on X_p: sorted elements, smallest member as representative."""
 
-    representative: int
-    elements: tuple[int, ...]
-    kind: OrbitKind
+    __slots__ = _fields = ("representative", "elements", "kind")
+
+    def __init__(self, representative: int, elements: tuple[int, ...], kind: OrbitKind):
+        set_field(self, "representative", representative)
+        set_field(self, "elements", elements)
+        set_field(self, "kind", kind)
 
     @property
     def size(self) -> int:
@@ -179,17 +180,17 @@ def orbit(alpha: int, ctx: PrimeContext) -> OrbitClass:
     return OrbitClass(representative=elements[0], elements=elements, kind=kind)
 
 
-@dataclass(frozen=True)
-class OrbitPartition:
-    """The full orbit decomposition of X_p, orbits sorted by representative."""
+class OrbitPartition(FrozenRecord):
+    """The full orbit decomposition of X_p, orbits sorted by representative;
+    ``_orbit_of`` indexes the orbits by element and is not a field."""
 
-    context: PrimeContext
-    orbits: tuple[OrbitClass, ...]
-    _orbit_of: dict = field(init=False, repr=False, compare=False)
+    _fields = ("context", "orbits")
+    __slots__ = (*_fields, "_orbit_of")
 
-    def __post_init__(self):
-        index = {a: o for o in self.orbits for a in o.elements}
-        object.__setattr__(self, "_orbit_of", index)
+    def __init__(self, context: PrimeContext, orbits: tuple[OrbitClass, ...]):
+        set_field(self, "context", context)
+        set_field(self, "orbits", orbits)
+        set_field(self, "_orbit_of", {a: o for o in orbits for a in o.elements})
 
     @property
     def generic_count(self) -> int:

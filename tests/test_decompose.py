@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import subprocess
 import sys
@@ -11,6 +10,7 @@ from fermatjac import decompose as decompose_module
 from fermatjac.curves import CurveFamily, are_isomorphic
 from fermatjac.decompose import (
     DecompositionLevel,
+    IsogenyDecomposition,
     decompose_coarse,
     decompose_fine,
     dimension_audit,
@@ -20,7 +20,7 @@ from fermatjac.decompose import (
 from fermatjac.errors import AuditFailError, OutOfRangeError
 from fermatjac.genus import fermat_genus
 from fermatjac.groups import fermat_u
-from fermatjac.orbits import make_context
+from fermatjac.orbits import PrimeContext, make_context
 
 from helpers import (
     assert_audit_matches_oracle,
@@ -139,7 +139,7 @@ def test_gamma_refinement_matches_object_joins(p):
     objects, for either root (a context naming it as the conventional one)."""
     roots = make_context(p).gamma_pair
     for pair in (roots, roots[::-1]):
-        ctx = dataclasses.replace(make_context(p), gamma_pair=pair)
+        ctx = PrimeContext(p, p % 3, pair)
         audit = gamma_refinement_audit(ctx)
         assert audit.all_pass
         oracle = object_gamma_pairs(p, ctx.gamma)
@@ -211,7 +211,11 @@ def test_match_group_algebra_shape_rejects_coarse():
     coarse = decompose_coarse(make_context(7))
     assert dimension_audit(coarse)[1] is None
     with pytest.raises(AuditFailError, match=r"JC\(2\)\^2 of dimension 3 has no slot"):
-        dimension_audit(dataclasses.replace(coarse, level=DecompositionLevel.FINE))
+        dimension_audit(
+            IsogenyDecomposition(
+                coarse.context, DecompositionLevel.FINE, coarse.factors, coarse.audit, coarse.gamma_refinement
+            )
+        )
 
 
 def test_dimension_audit_counts_the_gamma_slot():
@@ -219,7 +223,9 @@ def test_dimension_audit_counts_the_gamma_slot():
     fine = decompose_fine(make_context(13))
     b0, e, _ = fine.factors
     with pytest.raises(AuditFailError, match=r"expected 1 gamma factor\(s\) of multiplicity 6 and dimension 2, found 4"):
-        dimension_audit(dataclasses.replace(fine, factors=(b0, e, e, e, e)))
+        dimension_audit(
+            IsogenyDecomposition(fine.context, fine.level, (b0, e, e, e, e), fine.audit, fine.gamma_refinement)
+        )
 
 
 def test_factors_pairwise_nonisomorphic():
@@ -257,7 +263,12 @@ def test_total_dimension_mismatch_raises(monkeypatch):
     ctx = make_context(13)
     coarse = decompose_coarse(ctx)
     with pytest.raises(AuditFailError, match="fine decomposition has total dimension 30"):
-        decompose_fine(ctx, dataclasses.replace(coarse, factors=coarse.factors[:-1]))
+        decompose_fine(
+            ctx,
+            IsogenyDecomposition(
+                coarse.context, coarse.level, coarse.factors[:-1], coarse.audit, coarse.gamma_refinement
+            ),
+        )
     monkeypatch.setattr(decompose_module, "_coarse_factors", lambda ctx, part: ())
     with pytest.raises(AuditFailError, match="coarse decomposition has total dimension 0"):
         decompose_coarse(ctx)
