@@ -31,7 +31,6 @@ from .genus import (
     fermat_genus,
     fermat_quotient_genus,
     find_generating_triple,
-    full_fix_count,
     pgonal_fix_table,
     rh_genus,
 )

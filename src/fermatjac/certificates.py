@@ -22,10 +22,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import CheckFailedError, FlavorMismatchError, ShapeMismatchError
-from .genus import FixTable, GeneratingTriple, fermat_full_fix_table, fermat_genus
-from .groups import FLAVOR_FERMAT, IDENTITY, ClassData, Element, Subgroup
-from .orbits import PrimeContext
+from .errors import CheckFailedError, GroupMismatchError, ShapeMismatchError
+from .genus import FixTable, fermat_genus
+from .groups import IDENTITY, ClassData, Element, Subgroup
 
 
 class ClassFunction:
@@ -55,30 +54,17 @@ def chi_trivial(data: ClassData) -> ClassFunction:
     return ClassFunction(data, [1] * len(data.classes), "trivial")
 
 
-def chi_rat(
-    ctx: PrimeContext,
-    triple: GeneratingTriple,
-    data: ClassData | None = None,
-    fix: FixTable | None = None,
-) -> ClassFunction:
-    """Trace of the group action on first homology (dimension 2g).
+def chi_rat(fix: FixTable, data: ClassData) -> ClassFunction:
+    """Trace of the Fermat group's action on first homology (dimension 2g).
 
     chi(1) = 2g = (p-1)(p-2); chi(g) = 2 - |Fix(g)| otherwise, with the
-    fixed-point counts supplied by the triple fiber model (``fix``, built
-    here when not given).  The context, the triple and the class data
-    must share one p.
+    fixed-point counts of the full fix table of the triple fiber model.
+    The table and the class data must live in one Fermat group.
     """
-    if data is None:
-        data = ClassData(FLAVOR_FERMAT, ctx)
-    if not ctx.p == triple.p == data.group.p:
-        raise FlavorMismatchError(
-            f"the context at p = {ctx.p} cannot serve a triple at p = {triple.p} with class data for {data.group}"
-        )
-    if fix is None:
-        fix = fermat_full_fix_table(ctx, triple, data)
-    if fix.group != data.group:
-        raise FlavorMismatchError(f"{fix!r} does not live in {data.group}")
-    values = [2 * fermat_genus(ctx.p) if c[0] == IDENTITY else 2 - fix.at(c[0]) for c in data.classes]
+    group = data.group
+    if fix.group != group or group.gamma is not None:
+        raise GroupMismatchError(f"{fix!r} and class data for {group} do not share one Fermat group")
+    values = [2 * fermat_genus(group.p) if c[0] == IDENTITY else 2 - fix.at(c[0]) for c in data.classes]
     return ClassFunction(data, values, "homology")
 
 
@@ -87,7 +73,7 @@ def induced_perm_character(k: Subgroup, data: ClassData) -> ClassFunction:
     cosets each element fixes, by Frobenius' formula.  At the identity
     this is the index."""
     if k.group != data.group:
-        raise FlavorMismatchError(f"{k!r} does not live in {data.group}")
+        raise GroupMismatchError(f"{k!r} does not live in {data.group}")
     if data.order % k.order:
         raise CheckFailedError(f"{k!r} has order {k.order}, which does not divide {data.order}")
     values = [0] * len(data.classes)
@@ -109,6 +95,6 @@ def inner_product(f1: ClassFunction, f2: ClassFunction) -> Fraction:
     appears.
     """
     if f1.data.group != f2.data.group:
-        raise FlavorMismatchError("inner product of class functions on different groups")
+        raise GroupMismatchError("inner product of class functions on different groups")
     total = sum(n * a * b for n, a, b in zip(f1.data.sizes, f1.values, f2.values))
     return Fraction(total, f1.data.order)

@@ -149,7 +149,7 @@ def _coarse(ctx, cache):
 
 def _fine(ctx, cache):
     if "fine" not in cache:
-        cache["fine"] = dec.decompose_fine(ctx, _coarse(ctx, cache))
+        cache["fine"] = dec.decompose_fine(_coarse(ctx, cache))
     return cache["fine"]
 
 
@@ -229,21 +229,15 @@ def check_monomial_relations(ctx, cache):
 
 def _class_data(ctx, cache):
     if "class_data" not in cache:
-        cache["class_data"] = grp.ClassData(grp.FLAVOR_FERMAT, ctx)
+        cache["class_data"] = grp.ClassData(grp.Group(ctx.p))
     return cache["class_data"]
 
 
 def check_generating_triple(ctx, cache):
     triple = gen.find_generating_triple(ctx, limit=ctx.p)
-    evidence = gen.validate_triple(triple, ctx, _class_data(ctx, cache))
-    cache["triple"] = triple
+    evidence = gen.validate_triple(triple, _class_data(ctx, cache))
+    cache["triple"], cache["full_fix"] = triple, evidence["fix_table"]
     return f"orders {tuple(evidence['orders'])}, fix(a1) = {evidence['fix_a1']}"
-
-
-def _full_fix(ctx, cache):
-    if "full_fix" not in cache:
-        cache["full_fix"] = gen.fermat_full_fix_table(ctx, cache["triple"], _class_data(ctx, cache))
-    return cache["full_fix"]
 
 
 def _describe(k):
@@ -255,10 +249,10 @@ def check_dual_oracle_genus(ctx, cache):
     p = ctx.p
     triple = cache["triple"]
     data = _class_data(ctx, cache)
-    fix = _full_fix(ctx, cache)
+    fix = cache["full_fix"]
     g_top = gen.fermat_genus(p)
     h = grp.fermat_H(p)
-    subgroups = grp.all_cyclic_subgroups(grp.FLAVOR_FERMAT, ctx)
+    subgroups = grp.all_cyclic_subgroups(data.group)
     subgroups.append(h)
     subgroups.extend(grp.fermat_Hj(p, j) for j in range(1, p - 1))
     # H_i and H_j are the lines through (1, 1+i) and (1, 1+j) in F_p^2,
@@ -276,7 +270,7 @@ def check_dual_oracle_genus(ctx, cache):
 
 def check_fix_table_consistency(ctx, cache):
     p = ctx.p
-    fix = _full_fix(ctx, cache)
+    fix = cache["full_fix"]
     axis = gen.fermat_axis_fix_table(ctx)
     where = fix.group.coordinates
     for h in grp.fermat_H(p):
@@ -302,7 +296,7 @@ def check_fix_table_consistency(ctx, cache):
 def check_certificates(ctx, cache):
     p = ctx.p
     data = _class_data(ctx, cache)
-    rat = cert.chi_rat(ctx, cache["triple"], data, fix=_full_fix(ctx, cache))
+    rat = cert.chi_rat(cache["full_fix"], data)
     triv = cert.chi_trivial(data)
     _require(rat.at_identity == (p - 1) * (p - 2), f"p = {p}: chi_hom(1) = {rat.at_identity}")
     _require(rat(grp.fermat_a1(p)) == 2 - p, f"p = {p}: chi_hom(a1) = {rat(grp.fermat_a1(p))}")
@@ -436,7 +430,7 @@ def _sweep_one(p: int) -> dict:
         part = orbit_partition(ctx)
         check_orbit_partition_laws(ctx, {})
         coarse = dec.decompose_coarse(ctx)
-        fine = dec.decompose_fine(ctx, coarse)
+        fine = dec.decompose_fine(coarse)
         dec.dimension_audit(fine)
         row.update(
             {

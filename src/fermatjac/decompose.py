@@ -329,20 +329,12 @@ def decompose_coarse(ctx: PrimeContext) -> IsogenyDecomposition:
     )
 
 
-def decompose_fine(
-    ctx: PrimeContext, coarse: IsogenyDecomposition | None = None
-) -> IsogenyDecomposition:
-    """Coarse decomposition with the gamma factor replaced by E^6.
-
-    Pass a previously computed coarse decomposition to reuse its audit.
-    """
-    if coarse is None:
-        coarse = decompose_coarse(ctx)
-    if coarse.context.p != ctx.p or coarse.level is not DecompositionLevel.COARSE:
-        raise OutOfRangeError(
-            f"decompose_fine at p = {ctx.p} needs the coarse decomposition at that p,"
-            f" got the {coarse.level.value} one at p = {coarse.context.p}"
-        )
+def decompose_fine(coarse: IsogenyDecomposition) -> IsogenyDecomposition:
+    """The coarse decomposition with the gamma factor replaced by E^6,
+    reusing the coarse audit."""
+    ctx = coarse.context
+    if coarse.level is not DecompositionLevel.COARSE:
+        raise OutOfRangeError(f"decompose_fine needs a coarse decomposition, got the {coarse.level.value} one")
     if not ctx.has_gamma:
         return IsogenyDecomposition(
             context=ctx,

@@ -32,8 +32,8 @@ class DegenerateCurveError(FermatJacError):
     code = "DEGENERATE"
 
 
-class FlavorMismatchError(FermatJacError):
-    code = "FLAVOR_MISMATCH"
+class GroupMismatchError(FermatJacError):
+    code = "GROUP_MISMATCH"
 
 
 class NoGammaError(FermatJacError):

@@ -39,7 +39,7 @@ from collections.abc import Callable
 from functools import lru_cache
 
 from .errors import (
-    FlavorMismatchError,
+    GroupMismatchError,
     IdentityInputError,
     InconsistentOrbifoldError,
     InconsistentRHError,
@@ -49,7 +49,6 @@ from .errors import (
     TooLargeError,
 )
 from .groups import (
-    FLAVOR_P_GONAL,
     IDENTITY,
     PERM_ID,
     ClassData,
@@ -59,9 +58,9 @@ from .groups import (
     Subgroup,
     fermat_a1,
     fermat_order,
-    make_group,
     mulclose,
     order,
+    resolve_gamma,
     trivial_subgroup,
 )
 from .orbits import PrimeContext
@@ -75,18 +74,21 @@ class FixTable:
 
     ``count_fn`` maps an element index to its count; :meth:`at` reads the
     table by index and :meth:`count` by element.  Both raise on the
-    identity (excluded by definition) and on elements outside the
-    table's domain.
+    identity (excluded by definition), on indices outside the group and
+    on elements outside the table's domain.
     """
 
     def __init__(self, group: Group, count_fn: Callable[[int], int], description: str):
         self.group = group
         self._count_fn = count_fn
+        self._order = group.order
         self.description = description
 
     def at(self, i: int) -> int:
-        if i == IDENTITY:
-            raise IdentityInputError("fix tables exclude the identity")
+        if not 0 < i < self._order:
+            if i == IDENTITY:
+                raise IdentityInputError("fix tables exclude the identity")
+            raise OutOfRangeError(f"index {i} is not an element of {self.group}")
         return self._count_fn(i)
 
     def count(self, g: Element) -> int:
@@ -111,7 +113,7 @@ def pgonal_fix_table(ctx: PrimeContext, gamma: int | None = None) -> FixTable:
     """Fixed points on the gamma curve: T^k fixes the three points over
     the branch values; every order-3 element fixes exactly two points
     (all are conjugate to R or R^2, and conjugate maps fix equally many)."""
-    group = make_group(FLAVOR_P_GONAL, ctx, gamma)
+    group = Group(ctx.p, resolve_gamma(ctx, gamma))
     return FixTable(group, lambda i: 3 if group.is_translation(i) else 2, "deck powers fix 3, order-3 maps fix 2")
 
 
@@ -226,7 +228,7 @@ def _power_class_counts(triple: GeneratingTriple, data: ClassData) -> tuple[tupl
     """For each triple entry c of order m: m and the class counts of its
     powers c^0, ..., c^(m-1), the elements of the fiber subgroup <c>."""
     if data.group != Group(triple.p):
-        raise FlavorMismatchError(f"class data for {data.group} cannot serve a triple at p = {triple.p}")
+        raise GroupMismatchError(f"class data for {data.group} cannot serve a triple at p = {triple.p}")
     entries = []
     for c, m in triple.entries:
         powers = data.group.closure([c])
@@ -246,20 +248,10 @@ def _fiber_fix(triple: GeneratingTriple, data: ClassData) -> list[int]:
     return fix
 
 
-def full_fix_count(g: FermatAut, triple: GeneratingTriple, data: ClassData) -> int:
-    """Fixed points of any non-identity automorphism via the fiber model."""
-    i = data.group.index(g)
-    if i == IDENTITY:
-        raise IdentityInputError("the identity fixes everything; excluded by definition")
-    return _fiber_fix(triple, data)[data.class_of[i]]
-
-
-def fermat_full_fix_table(ctx: PrimeContext, triple: GeneratingTriple, data: ClassData) -> FixTable:
+def fermat_full_fix_table(triple: GeneratingTriple, data: ClassData) -> FixTable:
     """Fix counts on all of the Fermat group, computed once per conjugacy
-    class (fixed-point counts are class functions).  The context, the
-    triple and the class data must share one p."""
-    if triple.p != ctx.p:
-        raise FlavorMismatchError(f"a triple at p = {triple.p} cannot serve the context at p = {ctx.p}")
+    class (fixed-point counts are class functions).  The triple and the
+    class data must share one group."""
     fix = _fiber_fix(triple, data)
     class_of = data.class_of
     return FixTable(data.group, lambda i: fix[class_of[i]], "full table via the triple fiber model")
@@ -300,14 +292,15 @@ def coset_genus(k: Subgroup, triple: GeneratingTriple, data: ClassData) -> int:
     return num // 2
 
 
-def validate_triple(triple: GeneratingTriple, ctx: PrimeContext, data: ClassData) -> dict:
+def validate_triple(triple: GeneratingTriple, data: ClassData) -> dict:
     """Recheck every defining property of a generating triple.
 
     Returns the validation evidence; raises on any failure.  Includes the
     Euler-characteristic audit 2 - 2g = 2|G| - sum [G:<c_i>] (m_i - 1)
-    and the known fixed-point count of the scaling generator.
+    and the known fixed-point count of the scaling generator, read off
+    the full fix table, which the evidence carries as ``fix_table``.
     """
-    p = ctx.p
+    p = triple.p
     group = Group(p)
     orders = tuple(order(c) for c, _ in triple.entries)
     if orders != (2, 3, 2 * p):
@@ -321,7 +314,8 @@ def validate_triple(triple: GeneratingTriple, ctx: PrimeContext, data: ClassData
     euler = 2 * order_g - sum((order_g // m) * (m - 1) for _, m in triple.entries)
     if euler != 2 - 2 * g_top:
         raise InconsistentOrbifoldError(f"Euler audit failed: {euler} != {2 - 2 * g_top}")
-    fix_a1 = full_fix_count(fermat_a1(p), triple, data)
+    fix = fermat_full_fix_table(triple, data)
+    fix_a1 = fix.count(fermat_a1(p))
     if fix_a1 != p:
         raise InconsistentOrbifoldError(f"fiber model gives fix(a1) = {fix_a1}, expected {p}")
     trivial_genus = coset_genus(trivial_subgroup(group), triple, data)
@@ -334,4 +328,5 @@ def validate_triple(triple: GeneratingTriple, ctx: PrimeContext, data: ClassData
         "euler_count": euler,
         "fix_a1": fix_a1,
         "trivial_subgroup_genus": trivial_genus,
+        "fix_table": fix,
     }

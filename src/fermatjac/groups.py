@@ -1,15 +1,17 @@
-"""Concrete engine for the two finite automorphism groups in play.
+"""Concrete engine for the two finite automorphism groups in play, each
+named by one :class:`Group`.
 
-Fermat flavor: the full automorphism group of the degree-p Fermat curve,
-a semidirect product of Z_p^2 (scaling generators a1, a2, with a3 defined
-by a1 a2 a3 = 1) by S3 (coordinate permutations u, v).  An element is
-stored in the normal form a1^m a2^n * sigma.  The S3 action on exponent
-pairs is hard-coded in ACTION below; it is re-derived from the explicit
-projective coordinate maps by a unit test, via :func:`derive_s3_action`.
+The Fermat group ``Group(p)`` is the full automorphism group of the
+degree-p Fermat curve, a semidirect product of Z_p^2 (scaling generators
+a1, a2, with a3 defined by a1 a2 a3 = 1) by S3 (coordinate permutations
+u, v).  An element is stored in the normal form a1^m a2^n * sigma.  The
+S3 action on exponent pairs is hard-coded in ACTION below; it is
+re-derived from the explicit projective coordinate maps by a unit test,
+via :func:`derive_s3_action`.
 
-P-gonal flavor: the group generated by the deck transformation T and the
-order-3 map R of the gamma curve, with T^p = R^3 = 1 and
-R T R^(-1) = T^(gamma^2).  An element is T^k R^e.
+The p-gonal group ``Group(p, gamma)`` is generated by the deck
+transformation T and the order-3 map R of the gamma curve, with
+T^p = R^3 = 1 and R T R^(-1) = T^(gamma^2).  An element is T^k R^e.
 
 Both groups run on one integer kernel.  A :class:`Group` numbers its
 elements by their position in the canonical element order: a1^m a2^n
@@ -41,12 +43,9 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from math import gcd
 
-from .errors import FlavorMismatchError, InconsistentOrbifoldError, NoGammaError, OutOfRangeError
+from .errors import GroupMismatchError, InconsistentOrbifoldError, NoGammaError, OutOfRangeError
 from .orbits import PrimeContext
 from .records import FrozenRecord, set_field
-
-FLAVOR_FERMAT = "fermat"
-FLAVOR_P_GONAL = "p_gonal"
 
 # The index of the identity in either group.
 IDENTITY = 0
@@ -104,7 +103,7 @@ class FermatAut(FrozenRecord):
 
     def __mul__(self, other: "FermatAut") -> "FermatAut":
         if not isinstance(other, FermatAut) or other.p != self.p:
-            raise FlavorMismatchError(f"cannot multiply {self!r} by {other!r}")
+            raise GroupMismatchError(f"cannot multiply {self!r} by {other!r}")
         a, b, c, d = ACTION[self.sigma]
         p = self.p
         return FermatAut(
@@ -188,7 +187,7 @@ class PGonalAut(FrozenRecord):
             or other.p != self.p
             or other.gamma != self.gamma
         ):
-            raise FlavorMismatchError(f"cannot multiply {self!r} by {other!r}")
+            raise GroupMismatchError(f"cannot multiply {self!r} by {other!r}")
         p = self.p
         # R^e T^k R^(-e) = T^(k gamma^(2e))
         return PGonalAut(
@@ -251,11 +250,14 @@ def order(g: Element) -> int:
 
 class Group(FrozenRecord):
     """The Fermat group at p (``gamma`` None) or the p-gonal group of the
-    root gamma, its elements numbered 0, ..., order - 1 in canonical order."""
+    root gamma, its elements numbered 0, ..., order - 1 in canonical order.
+    A gamma that is not a root of g^2 + g + 1 mod p in 1..p-2 raises."""
 
     __slots__ = _fields = ("p", "gamma")
 
     def __init__(self, p: int, gamma: int | None = None):
+        if gamma is not None and not (0 < gamma < p - 1 and (gamma * gamma + gamma + 1) % p == 0):
+            raise NoGammaError(f"{gamma} is not a root of g^2+g+1 mod {p}")
         set_field(self, "p", p)
         set_field(self, "gamma", gamma)
 
@@ -266,10 +268,6 @@ class Group(FrozenRecord):
 
     def __hash__(self):
         return hash((self.p, self.gamma))
-
-    @property
-    def flavor(self) -> str:
-        return FLAVOR_FERMAT if self.gamma is None else FLAVOR_P_GONAL
 
     @property
     def order(self) -> int:
@@ -285,7 +283,7 @@ class Group(FrozenRecord):
     def index(self, g: Element) -> int:
         """The index of g, which must lie in this group."""
         if getattr(g, "group", None) != self:
-            raise FlavorMismatchError(f"{g!r} is not in {self}")
+            raise GroupMismatchError(f"{g!r} is not in {self}")
         if self.gamma is None:
             return (g.m * self.p + g.n) * 6 + g.sigma
         return 3 * g.k + g.e
@@ -333,16 +331,6 @@ class Group(FrozenRecord):
         return f"the p-gonal group at p = {self.p}, gamma = {self.gamma}"
 
 
-def make_group(flavor: str, ctx: PrimeContext, gamma: int | None = None) -> Group:
-    """The group of the flavor at ctx.p; a p-gonal group takes the given
-    root, or ctx's default one."""
-    if flavor == FLAVOR_FERMAT:
-        return Group(ctx.p)
-    if flavor == FLAVOR_P_GONAL:
-        return Group(ctx.p, resolve_gamma(ctx, gamma))
-    raise FlavorMismatchError(f"unknown flavor {flavor!r}")
-
-
 def fermat_translation(p: int, m: int, n: int) -> int:
     """Index of the translation a1^m a2^n in the Fermat group."""
     return (m % p * p + n % p) * 6
@@ -368,7 +356,7 @@ def fermat_order(p: int, i: int) -> int:
     return 2 * p
 
 
-# -- Fermat flavor constructors ---------------------------------------------
+# -- Fermat group constructors ---------------------------------------------
 
 
 def fermat_identity(p: int) -> FermatAut:
@@ -411,16 +399,13 @@ def fermat_elements(p: int) -> Iterator[FermatAut]:
                 yield FermatAut(p, m, n, s)
 
 
-# -- p-gonal flavor constructors ---------------------------------------------
+# -- p-gonal group constructors ---------------------------------------------
 
 
 def resolve_gamma(ctx: PrimeContext, gamma: int | None) -> int:
-    """The given root of g^2 + g + 1 mod p, or ctx's conventional one."""
-    if gamma is None:
-        return ctx.gamma  # raises NoGammaError when absent
-    if not ctx.has_gamma or gamma not in ctx.gamma_pair:
-        raise NoGammaError(f"{gamma} is not a root of g^2+g+1 mod {ctx.p}")
-    return gamma
+    """The given root of g^2 + g + 1 mod p, as :class:`Group` checks it,
+    or ctx's conventional one; either raises NoGammaError when absent."""
+    return ctx.gamma if gamma is None else Group(ctx.p, gamma).gamma
 
 
 def pgonal_identity(ctx: PrimeContext, gamma: int | None = None) -> PGonalAut:
@@ -480,10 +465,6 @@ class Subgroup:
         return self.group.p
 
     @property
-    def flavor(self) -> str:
-        return self.group.flavor
-
-    @property
     def is_translation_subgroup(self) -> bool:
         return all(map(self.group.is_translation, self.indices))
 
@@ -494,7 +475,7 @@ class Subgroup:
         return hash((self.group, self.indices))
 
     def __repr__(self):
-        return f"Subgroup(order={self.order}, flavor={self.flavor!r}, p={self.p})"
+        return f"Subgroup(order={self.order}, group={self.group!r})"
 
 
 def mulclose(generators: Iterable[Element]) -> set[Element]:
@@ -552,7 +533,7 @@ def fermat_Hj(p: int, j: int) -> Subgroup:
 
 
 def pgonal_group(ctx: PrimeContext, gamma: int | None = None) -> Subgroup:
-    group = make_group(FLAVOR_P_GONAL, ctx, gamma)
+    group = Group(ctx.p, resolve_gamma(ctx, gamma))
     return Subgroup(group, map(group.index, group.generators), range(group.order))
 
 
@@ -569,7 +550,7 @@ def pgonal_K(i: int, ctx: PrimeContext, gamma: int | None = None) -> Subgroup:
     return subgroup_closure([gen])
 
 
-def all_cyclic_subgroups(flavor: str, ctx: PrimeContext, gamma: int | None = None) -> list[Subgroup]:
+def all_cyclic_subgroups(group: Group) -> list[Subgroup]:
     """Every cyclic subgroup, including the trivial one, deduplicated.
 
     Listed in canonical order of the first element generating each; that
@@ -577,7 +558,6 @@ def all_cyclic_subgroups(flavor: str, ctx: PrimeContext, gamma: int | None = Non
     indices.  An element that generates a subgroup already listed (some
     power g^k with k prime to the order of g) is skipped without a walk.
     """
-    group = make_group(flavor, ctx, gamma)
     listed = bytearray(group.order)
     subgroups = []
     for i in range(group.order):
@@ -618,9 +598,7 @@ def left_cosets(k: Subgroup, universe: Iterable[Element]):
 # -- conjugacy classes --------------------------------------------------------
 
 
-def conjugacy_classes(
-    flavor: str, ctx: PrimeContext, gamma: int | None = None
-) -> tuple[tuple[int, ...], ...]:
+def conjugacy_classes(group: Group) -> tuple[tuple[int, ...], ...]:
     """Partition of the group into conjugacy classes of element indices.
 
     Classes are closed under conjugation by the group generators, which
@@ -628,7 +606,6 @@ def conjugacy_classes(
     the maps x -> t x t^(-1) on indices.  Ordered by smallest member;
     members sorted.
     """
-    group = make_group(flavor, ctx, gamma)
     everything = range(group.order)
     conj = []
     for t in group.generators:
@@ -666,9 +643,9 @@ class ClassData:
 
     __slots__ = ("group", "classes", "class_of", "sizes")
 
-    def __init__(self, flavor: str, ctx: PrimeContext, gamma: int | None = None):
-        self.group = make_group(flavor, ctx, gamma)
-        self.classes = conjugacy_classes(flavor, ctx, gamma)
+    def __init__(self, group: Group):
+        self.group = group
+        self.classes = conjugacy_classes(group)
         self.sizes = tuple(map(len, self.classes))
         self.class_of = [0] * sum(self.sizes)
         for c, cls in enumerate(self.classes):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .curves import MoebiusLabel
-from .errors import CheckFailedError, FlavorMismatchError, NonMonomialError, OutOfRangeError
+from .errors import CheckFailedError, GroupMismatchError, NonMonomialError, OutOfRangeError
 from .groups import resolve_gamma
 from .orbits import PrimeContext
 from .records import FrozenRecord, set_field
@@ -157,7 +157,7 @@ def compose(outer: MonomialMap, inner: MonomialMap) -> MonomialMap:
     """outer after inner.  Closure of the x-part is re-checked on every
     composition; leaving the Moebius set would be a bug, not bad input."""
     if (outer.p, outer.gamma) != (inner.p, inner.gamma):
-        raise FlavorMismatchError(
+        raise GroupMismatchError(
             f"map on (p={outer.p}, gamma={outer.gamma}) composed with (p={inner.p}, gamma={inner.gamma})"
         )
     p, gamma = outer.p, outer.gamma

@@ -111,7 +111,7 @@ def decompose_report(ctx: PrimeContext, level: str = "both") -> dict:
     if level in ("coarse", "both"):
         decompositions["coarse"] = _decomposition_entry(coarse)
     if level in ("fine", "both"):
-        decompositions["fine"] = _decomposition_entry(decompose_fine(ctx, coarse))
+        decompositions["fine"] = _decomposition_entry(decompose_fine(coarse))
     report["decompositions"] = decompositions
     return report
 
@@ -121,14 +121,15 @@ def _orbit_line(o: dict) -> str:
     return f"{{{elements}}} size={o['size']} {o['kind']}"
 
 
+def _header_lines(report: dict) -> list[str]:
+    """The p line and the gamma-pair line that open every text report."""
+    gamma = report["gamma"]
+    pair = f"({gamma['root']}, {gamma['inverse_root']})" if gamma else "none"
+    return [f"p = {report['p']} ({report['residue_mod_3']} mod 3)", f"gamma pair: {pair}"]
+
+
 def render_orbits_text(report: dict) -> str:
-    lines = [f"p = {report['p']} ({report['residue_mod_3']} mod 3)"]
-    if report["gamma"]:
-        lines.append(
-            f"gamma pair: ({report['gamma']['root']}, {report['gamma']['inverse_root']})"
-        )
-    else:
-        lines.append("gamma pair: none")
+    lines = _header_lines(report)
     lines.append(f"orbit census: {len(report['orbits'])} orbits on X_p = {{1..{report['p'] - 2}}}")
     for o in report["orbits"]:
         lines.append("  " + _orbit_line(o))
@@ -140,13 +141,7 @@ def render_orbits_text(report: dict) -> str:
 
 
 def render_decompose_text(report: dict) -> str:
-    lines = [f"p = {report['p']} ({report['residue_mod_3']} mod 3)"]
-    if report["gamma"]:
-        lines.append(
-            f"gamma pair: ({report['gamma']['root']}, {report['gamma']['inverse_root']})"
-        )
-    else:
-        lines.append("gamma pair: none")
+    lines = _header_lines(report)
     orbit_bits = "; ".join(_orbit_line(o) for o in report["orbits"])
     lines.append(f"orbits ({len(report['orbits'])}): {orbit_bits}")
     for level in ("coarse", "fine"):

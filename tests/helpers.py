@@ -14,16 +14,14 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from fermatjac.errors import FlavorMismatchError, OutOfRangeError
+from fermatjac.errors import GroupMismatchError, OutOfRangeError
 from fermatjac.genus import GeneratingTriple, fermat_axis_fix_table, fermat_genus, pgonal_fix_table, riemann_hurwitz
 from fermatjac.groups import (
-    FLAVOR_FERMAT,
     IDENTITY,
     PERM_ID,
     FermatAut,
     fermat_a1,
     fermat_elements,
-    fermat_generators,
     fermat_group_order,
     mulclose,
     order,
@@ -282,17 +280,13 @@ def object_generating_triple(p):
     return None
 
 
-def object_conjugacy_classes(flavor, ctx):
+def object_conjugacy_classes(group):
     """Conjugacy classes as sets of element objects closed under
     conjugation by the group generators, in order of first appearance;
     each class given as the sorted positions of its members in the
     canonical element order."""
-    if flavor == FLAVOR_FERMAT:
-        universe = list(fermat_elements(ctx.p))
-        gens = fermat_generators(ctx.p)
-    else:
-        universe = list(pgonal_elements(ctx))
-        gens = (pgonal_T(ctx), pgonal_R(ctx))
+    universe = canonical_elements(group)
+    gens = group.generators
     seen = set()
     classes = []
     for g0 in universe:
@@ -340,8 +334,8 @@ def fermat_coset_labels(k):
     index x.  Refuses a subgroup whose generators lie outside it or do
     not generate it.
     """
-    if k.flavor != FLAVOR_FERMAT:
-        raise FlavorMismatchError(f"{k!r} is not a subgroup of the Fermat group")
+    if k.group.gamma is not None:
+        raise GroupMismatchError(f"{k!r} is not a subgroup of the Fermat group")
     if any(h not in k for h in k.generators):
         raise OutOfRangeError(f"the generators of {k!r} do not lie in it")
     perms = [k.group.element(h).right_mul_perm() for h in k.generators if h != IDENTITY]
@@ -439,12 +433,12 @@ def merge_axis_class(real):
     """conjugacy_classes with the class of a1 (an axis translation)
     merged into the class of a1 a2^2 (off the axes)."""
 
-    def merged(flavor, ctx, gamma=None):
-        classes = list(real(flavor, ctx, gamma))
-        if flavor != FLAVOR_FERMAT:
+    def merged(group):
+        classes = list(real(group))
+        if group.gamma is not None:
             return tuple(classes)
-        universe = list(fermat_elements(ctx.p))
-        a1, off_axis = universe.index(fermat_a1(ctx.p)), universe.index(FermatAut(ctx.p, 1, 2, 0))
+        universe = list(fermat_elements(group.p))
+        a1, off_axis = universe.index(fermat_a1(group.p)), universe.index(FermatAut(group.p, 1, 2, 0))
         i = next(n for n, cls in enumerate(classes) if a1 in cls)
         j = next(n for n, cls in enumerate(classes) if off_axis in cls)
         classes[j] = tuple(sorted(classes[i] + classes[j]))

@@ -16,6 +16,7 @@ from fermatjac.certificates import (
 )
 from fermatjac.cli import main
 from fermatjac.decompose import (
+    decompose_coarse,
     decompose_fine,
     dimension_audit,
     gamma_refinement_audit,
@@ -30,7 +31,6 @@ from fermatjac.genus import (
     rh_genus,
 )
 from fermatjac.groups import (
-    FLAVOR_FERMAT,
     Group,
     all_cyclic_subgroups,
     fermat_H,
@@ -120,7 +120,7 @@ def test_criterion_4_dimension_audit_sweep(capsys):
     primes = sweep_primes(199)
     for p in primes:
         ctx = make_context(p)
-        fine = decompose_fine(ctx)
+        fine = decompose_fine(decompose_coarse(ctx))
         g = fermat_genus(p)
         assert fine.total_dimension == g
         info, shape = dimension_audit(fine)
@@ -165,11 +165,11 @@ def test_criterion_6_dual_oracle_genus(capsys):
     for p in (5, 7, 13):
         ctx = make_context(p)
         triple = find_generating_triple(ctx)
-        data = ClassData(FLAVOR_FERMAT, ctx)
+        data = ClassData(Group(ctx.p))
         assert coset_genus(trivial_subgroup(Group(p)), triple, data) == fermat_genus(p)
-        fix = fermat_full_fix_table(ctx, triple, data)
+        fix = fermat_full_fix_table(triple, data)
         g_top = fermat_genus(p)
-        subgroups = all_cyclic_subgroups(FLAVOR_FERMAT, ctx)
+        subgroups = all_cyclic_subgroups(Group(ctx.p))
         subgroups.append(fermat_H(p))
         hj = [fermat_Hj(p, j) for j in range(1, p - 1)]
         subgroups.extend(hj)
@@ -222,8 +222,8 @@ def test_criterion_8_certificate_suite(capsys):
     for p in (5, 7, 13):
         ctx = make_context(p)
         triple = find_generating_triple(ctx)
-        data = ClassData(FLAVOR_FERMAT, ctx)
-        rat = chi_rat(ctx, triple, data)
+        data = ClassData(Group(ctx.p))
+        rat = chi_rat(fermat_full_fix_table(triple, data), data)
         triv = chi_trivial(data)
         assert inner_product(triv, rat) == 0
         assert rat(fermat_a1(p)) == 2 - p

@@ -7,7 +7,7 @@ from fermatjac.certificates import (
     induced_perm_character,
     inner_product,
 )
-from fermatjac.errors import CheckFailedError, FlavorMismatchError, ShapeMismatchError
+from fermatjac.errors import CheckFailedError, GroupMismatchError, ShapeMismatchError
 from fermatjac.genus import (
     coset_genus,
     fermat_full_fix_table,
@@ -15,7 +15,6 @@ from fermatjac.genus import (
     find_generating_triple,
 )
 from fermatjac.groups import (
-    FLAVOR_FERMAT,
     IDENTITY,
     Group,
     all_cyclic_subgroups,
@@ -36,13 +35,13 @@ def setup(request):
     p = request.param
     ctx = make_context(p)
     triple = find_generating_triple(ctx)
-    data = ClassData(FLAVOR_FERMAT, ctx)
+    data = ClassData(Group(ctx.p))
     return p, ctx, triple, data
 
 
 def test_chi_rat_values(setup):
     p, ctx, triple, data = setup
-    rat = chi_rat(ctx, triple, data)
+    rat = chi_rat(fermat_full_fix_table(triple, data), data)
     assert rat.at_identity == (p - 1) * (p - 2) == 2 * fermat_genus(p)
     assert rat(fermat_a1(p)) == 2 - p
     # a freely acting translation contributes trace 2
@@ -52,7 +51,7 @@ def test_chi_rat_values(setup):
 
 def test_trivial_pairings(setup):
     p, ctx, triple, data = setup
-    rat = chi_rat(ctx, triple, data)
+    rat = chi_rat(fermat_full_fix_table(triple, data), data)
     triv = chi_trivial(data)
     assert inner_product(triv, rat) == 0
     assert inner_product(triv, triv) == 1
@@ -78,7 +77,7 @@ def test_induced_character_identities(setup):
 
 def test_induced_vs_homology_pairing_Hj(setup):
     p, ctx, triple, data = setup
-    rat = chi_rat(ctx, triple, data)
+    rat = chi_rat(fermat_full_fix_table(triple, data), data)
     for j in range(1, p - 1):
         chi = induced_perm_character(fermat_Hj(p, j), data)
         assert chi.at_identity == 6 * p
@@ -92,8 +91,8 @@ def test_pairing_equals_twice_quotient_genus(setup):
     """Frobenius reciprocity loop: <Ind_K 1, hom> = 2 genus(quotient by K)
     across subgroup families, tying three modules together."""
     p, ctx, triple, data = setup
-    rat = chi_rat(ctx, triple, data)
-    subgroups = all_cyclic_subgroups(FLAVOR_FERMAT, ctx)
+    rat = chi_rat(fermat_full_fix_table(triple, data), data)
+    subgroups = all_cyclic_subgroups(Group(ctx.p))
     subgroups.append(fermat_H(p))
     for k in subgroups:
         chi = induced_perm_character(k, data)
@@ -102,42 +101,42 @@ def test_pairing_equals_twice_quotient_genus(setup):
 
 def test_perm_character_at_Hj_p5():
     ctx = make_context(5)
-    data = ClassData(FLAVOR_FERMAT, ctx)
+    data = ClassData(Group(ctx.p))
     chi = induced_perm_character(fermat_Hj(5, 1), data)
     assert chi.at_identity == 30
 
 
 def test_flavor_mismatch():
     ctx5, ctx7 = make_context(5), make_context(7)
-    d5, d7 = ClassData(FLAVOR_FERMAT, ctx5), ClassData(FLAVOR_FERMAT, ctx7)
-    with pytest.raises(FlavorMismatchError):
+    d5, d7 = ClassData(Group(ctx5.p)), ClassData(Group(ctx7.p))
+    with pytest.raises(GroupMismatchError):
         inner_product(chi_trivial(d5), chi_trivial(d7))
-    with pytest.raises(FlavorMismatchError):
+    with pytest.raises(GroupMismatchError):
         induced_perm_character(fermat_Hj(7, 1), d5)
-    with pytest.raises(FlavorMismatchError):
+    with pytest.raises(GroupMismatchError):
         chi_trivial(d5)(fermat_a1(7))
 
 
 def test_chi_rat_refuses_a_foreign_context():
-    # chi(1) = 2g would come from the context and every other value from
-    # the class data: p = 7 against the data at p = 13 gave chi(1) = 30
-    ctx7, ctx13 = make_context(7), make_context(13)
-    triple, data = find_generating_triple(ctx13), ClassData(FLAVOR_FERMAT, ctx13)
-    fix = fermat_full_fix_table(ctx13, triple, data)
-    with pytest.raises(FlavorMismatchError, match="the context at p = 7"):
-        chi_rat(ctx7, triple, data)
-    with pytest.raises(FlavorMismatchError):
-        chi_rat(ctx7, triple, data, fix=fix)
-    with pytest.raises(FlavorMismatchError):
-        chi_rat(ctx13, triple, ClassData(FLAVOR_FERMAT, ctx7))
-    assert chi_rat(ctx13, triple, data, fix=fix).at_identity == 12 * 11
+    # chi(1) = 2g comes from the class data's group and every other value
+    # from the fix table: both must be the one Fermat group
+    from fermatjac.genus import pgonal_fix_table
+
+    ctx13 = make_context(13)
+    triple, data = find_generating_triple(ctx13), ClassData(Group(13))
+    fix = fermat_full_fix_table(triple, data)
+    with pytest.raises(GroupMismatchError):
+        chi_rat(fix, ClassData(Group(7)))
+    with pytest.raises(GroupMismatchError):
+        chi_rat(pgonal_fix_table(ctx13), ClassData(Group(13, ctx13.gamma)))
+    assert chi_rat(fix, data).at_identity == 12 * 11
 
 
 def test_malformed_class_functions_are_typed_errors():
     from fermatjac.certificates import ClassFunction
-    from fermatjac.groups import FLAVOR_P_GONAL, Subgroup, pgonal_T
+    from fermatjac.groups import Subgroup, pgonal_T
 
-    d5 = ClassData(FLAVOR_FERMAT, make_context(5))
+    d5 = ClassData(Group(5))
     with pytest.raises(ShapeMismatchError):
         ClassFunction(d5, [1, 2])
     # {1, T} is not closed, so its 21 translates are not 21 / 2 cosets
@@ -146,14 +145,14 @@ def test_malformed_class_functions_are_typed_errors():
     t = group.index(pgonal_T(ctx))
     not_a_group = Subgroup(group, (t,), (IDENTITY, t))
     with pytest.raises(CheckFailedError):
-        induced_perm_character(not_a_group, ClassData(FLAVOR_P_GONAL, ctx))
+        induced_perm_character(not_a_group, ClassData(Group(ctx.p, ctx.gamma)))
 
 
 def test_pgonal_class_data_and_pairing():
-    from fermatjac.groups import FLAVOR_P_GONAL, pgonal_T
+    from fermatjac.groups import pgonal_T
 
     ctx = make_context(7)
-    data = ClassData(FLAVOR_P_GONAL, ctx)
+    data = ClassData(Group(ctx.p, ctx.gamma))
     assert data.order == 21
     # homology character from the fixed-point data: p-1 at 1, -1 on T
     # powers, 0 on order-3 maps; pairing with the trivial character is 0

@@ -14,9 +14,9 @@ from fermatjac.certificates import induced_perm_character
 from fermatjac.errors import InconsistentOrbifoldError
 from fermatjac.genus import coset_genus, fermat_full_fix_table, find_generating_triple
 from fermatjac.groups import (
-    FLAVOR_FERMAT,
     IDENTITY,
     ClassData,
+    Group,
     all_cyclic_subgroups,
     fermat_a1,
     fermat_H,
@@ -39,12 +39,12 @@ from helpers import (
 def test_class_arithmetic_matches_coset_labelling(p):
     ctx = make_context(p)
     triple = find_generating_triple(ctx)
-    data = ClassData(FLAVOR_FERMAT, ctx)
-    fix = fermat_full_fix_table(ctx, triple, data)
+    data = ClassData(Group(ctx.p))
+    fix = fermat_full_fix_table(triple, data)
     reps = [data.group.element(cls[0]) for cls in data.classes if cls[0] != IDENTITY]
     assert [fix.count(g) for g in reps] == [labelled_fix_count(g, triple) for g in reps]
     hj = [fermat_Hj(p, j) for j in range(1, p - 1)]
-    for k in all_cyclic_subgroups(FLAVOR_FERMAT, ctx) + [fermat_H(p)] + hj:
+    for k in all_cyclic_subgroups(Group(ctx.p)) + [fermat_H(p)] + hj:
         assert coset_genus(k, triple, data) == labelled_coset_genus(k, triple)
     for k in [fermat_H(p)] + hj:
         chi = induced_perm_character(k, data)
@@ -56,7 +56,7 @@ def test_non_integral_frobenius_quotient_raises():
     # cosets; claiming a fourth member gives 294 / 28, not an integer
     ctx = make_context(7)
     triple = find_generating_triple(ctx)
-    data = ClassData(FLAVOR_FERMAT, ctx)
+    data = ClassData(Group(ctx.p))
     c = data.class_of[data.group.index(fermat_a1(7))]
     assert data.sizes[c] == 3
     data.sizes = data.sizes[:c] + (4,) + data.sizes[c + 1:]

@@ -19,11 +19,9 @@ from fermatjac.certificates import (
     induced_perm_character,
     inner_product,
 )
-from fermatjac.errors import FlavorMismatchError, OutOfRangeError
-from fermatjac.genus import coset_genus, find_generating_triple, pgonal_fix_table
+from fermatjac.errors import GroupMismatchError, OutOfRangeError
+from fermatjac.genus import coset_genus, fermat_full_fix_table, find_generating_triple, pgonal_fix_table
 from fermatjac.groups import (
-    FLAVOR_FERMAT,
-    FLAVOR_P_GONAL,
     IDENTITY,
     Group,
     Subgroup,
@@ -107,7 +105,7 @@ def test_closure_matches_object_closure(group):
         assert _object_set(subgroup_closure(sub_gens)) == mulclose(sub_gens)
     universe = canonical_elements(group)
     ctx = make_context(group.p)
-    cyclic = all_cyclic_subgroups(group.flavor, ctx, group.gamma)
+    cyclic = all_cyclic_subgroups(group)
     assert {_object_set(k) for k in cyclic} == {frozenset(mulclose([g])) for g in universe}
     assert len(cyclic) == len({k.indices for k in cyclic})
     for k in cyclic:
@@ -133,16 +131,16 @@ def test_triple_search_matches_object_search(p):
 @pytest.mark.parametrize("p", (5, 7, 11, 13))
 def test_conjugacy_classes_match_object_classes(p):
     ctx = make_context(p)
-    assert conjugacy_classes(FLAVOR_FERMAT, ctx) == object_conjugacy_classes(FLAVOR_FERMAT, ctx)
+    assert conjugacy_classes(Group(ctx.p)) == object_conjugacy_classes(Group(ctx.p))
     if ctx.has_gamma:
-        assert conjugacy_classes(FLAVOR_P_GONAL, ctx) == object_conjugacy_classes(FLAVOR_P_GONAL, ctx)
+        assert conjugacy_classes(Group(ctx.p, ctx.gamma)) == object_conjugacy_classes(Group(ctx.p, ctx.gamma))
 
 
 @pytest.mark.parametrize("p", (5, 7))
 def test_inner_product_matches_object_element_sum(p):
     ctx = make_context(p)
-    data = ClassData(FLAVOR_FERMAT, ctx)
-    rat = chi_rat(ctx, find_generating_triple(ctx), data)
+    data = ClassData(Group(ctx.p))
+    rat = chi_rat(fermat_full_fix_table(find_generating_triple(ctx), data), data)
     s3 = subgroup_closure(fermat_generators(p)[2:])
     fns = [chi_trivial(data), rat] + [induced_perm_character(k, data) for k in (fermat_Hj(p, 1), fermat_H(p), s3)]
     for f1 in fns:
@@ -150,7 +148,7 @@ def test_inner_product_matches_object_element_sum(p):
             assert inner_product(f1, f2) == object_inner_product(f1, f2, fermat_elements(p))
     # the p-gonal group takes the same index path
     ctx = make_context(7)
-    data = ClassData(FLAVOR_P_GONAL, ctx)
+    data = ClassData(Group(ctx.p, ctx.gamma))
     fix = pgonal_fix_table(ctx)
     hom = ClassFunction(data, [6 if c[0] == IDENTITY else 2 - fix.at(c[0]) for c in data.classes])
     for k in (pgonal_K(1, ctx), pgonal_group(ctx)):
@@ -176,7 +174,7 @@ def test_permutations_match_object_multiplication(group):
 @pytest.mark.parametrize("p", (5, 7))
 def test_coset_labels_match_object_cosets(p):
     els = list(fermat_elements(p))
-    subgroups = all_cyclic_subgroups(FLAVOR_FERMAT, make_context(p))
+    subgroups = all_cyclic_subgroups(Group(p))
     subgroups += [fermat_H(p), fermat_Hj(p, 1), subgroup_closure(fermat_generators(p)[2:])]
     for k in subgroups:
         reps, label = fermat_coset_labels(k)
@@ -203,7 +201,7 @@ def test_coset_labels_refuse_bad_subgroups():
     # a generator outside the element set
     with pytest.raises(OutOfRangeError):
         fermat_coset_labels(Subgroup(h1.group, fermat_Hj(p, 2).generators, h1.indices))
-    with pytest.raises(FlavorMismatchError):
+    with pytest.raises(GroupMismatchError):
         fermat_coset_labels(pgonal_K(1, make_context(7)))
 
 
@@ -213,8 +211,8 @@ def test_kernel_matches_object_level_oracles(p):
     against object-level cosets and Frobenius' formula."""
     ctx = make_context(p)
     triple = find_generating_triple(ctx)
-    data = ClassData(FLAVOR_FERMAT, ctx)
-    for k in all_cyclic_subgroups(FLAVOR_FERMAT, ctx):
+    data = ClassData(Group(ctx.p))
+    for k in all_cyclic_subgroups(Group(ctx.p)):
         assert coset_genus(k, triple, data) == object_coset_genus(k, triple)
         values = list(induced_perm_character(k, data).values)
         assert values == object_perm_character(k, data.classes)

@@ -56,7 +56,7 @@ def test_coarse_p13():
 
 
 def test_fine_p7():
-    d = decompose_fine(make_context(7))
+    d = decompose_fine(decompose_coarse(make_context(7)))
     assert d.render() == "JF(7) ~ JC(1)^3 x JE(2)^6"
     e = d.factors[1]
     assert e.curve.family is CurveFamily.E_QUOTIENT
@@ -66,7 +66,8 @@ def test_fine_p7():
 
 def test_fine_p11_identical_to_coarse():
     ctx = make_context(11)
-    coarse, fine = decompose_coarse(ctx), decompose_fine(ctx)
+    coarse = decompose_coarse(ctx)
+    fine = decompose_fine(coarse)
     assert fine.factors == coarse.factors
     assert fine.level is DecompositionLevel.FINE
     assert fine.gamma_refinement is None
@@ -74,14 +75,14 @@ def test_fine_p11_identical_to_coarse():
 
 
 def test_fine_p13():
-    d = decompose_fine(make_context(13))
+    d = decompose_fine(decompose_coarse(make_context(13)))
     assert d.render() == "JF(13) ~ JC(1)^3 x JE(3)^6 x JC(2)^6"
     assert sum(f.multiplicity * f.dimension for f in d.factors) == 18 + 12 + 36 == 66
 
 
 def test_determinism():
     ctx = make_context(13)
-    d1, d2 = decompose_fine(ctx), decompose_fine(ctx)
+    d1, d2 = decompose_fine(decompose_coarse(ctx)), decompose_fine(decompose_coarse(ctx))
     assert d1.render() == d2.render()
     assert d1.factors == d2.factors
     assert d1.audit.summary() == d2.audit.summary()
@@ -170,7 +171,7 @@ def test_equal_K_subgroups_fail_the_gamma_gate(monkeypatch):
     assert all(v.ok for v in audit.set_products_commute)
     assert not audit.all_pass
     with pytest.raises(AuditFailError, match="gamma refinement hypotheses failed for p = 13"):
-        decompose_fine(ctx)
+        decompose_fine(decompose_coarse(ctx))
 
 
 def test_equal_K_subgroups_exit_3_under_python_O():
@@ -186,13 +187,13 @@ def test_equal_K_subgroups_exit_3_under_python_O():
 
 
 def test_dimension_audit_examples():
-    assert dimension_audit(decompose_fine(make_context(7)))[0]["total_dimension"] == 15
+    assert dimension_audit(decompose_fine(decompose_coarse(make_context(7))))[0]["total_dimension"] == 15
     assert dimension_audit(decompose_coarse(make_context(7)))[0]["total_dimension"] == 15
     assert dimension_audit(decompose_coarse(make_context(11)))[0]["total_dimension"] == 45
 
 
 def test_match_group_algebra_shape_p7():
-    d = decompose_fine(make_context(7))
+    d = decompose_fine(decompose_coarse(make_context(7)))
     _, shape = dimension_audit(d)
     assert shape["B0"] == "JC(1)" and shape["B"] == "JE(2)"
     assert shape["B_j"] == [] and shape["N"] == 0
@@ -200,7 +201,7 @@ def test_match_group_algebra_shape_p7():
 
 
 def test_match_group_algebra_shape_no_gamma():
-    _, shape = dimension_audit(decompose_fine(make_context(11)))
+    _, shape = dimension_audit(decompose_fine(decompose_coarse(make_context(11))))
     assert shape["B"] is None
     assert shape["N"] == 1 and shape["B_j"] == ["JC(2)"]
 
@@ -220,7 +221,7 @@ def test_match_group_algebra_shape_rejects_coarse():
 
 def test_dimension_audit_counts_the_gamma_slot():
     # at p = 13, 18 + 4 * 12 = 66 = the genus: the total holds, the shape does not
-    fine = decompose_fine(make_context(13))
+    fine = decompose_fine(decompose_coarse(make_context(13)))
     b0, e, _ = fine.factors
     with pytest.raises(AuditFailError, match=r"expected 1 gamma factor\(s\) of multiplicity 6 and dimension 2, found 4"):
         dimension_audit(
@@ -242,7 +243,7 @@ def test_factors_pairwise_nonisomorphic():
 def test_sweep_invariants_small(p):
     ctx = make_context(p)
     coarse = decompose_coarse(ctx)
-    fine = decompose_fine(ctx, coarse)
+    fine = decompose_fine(coarse)
     assert coarse.audit.all_pass and fine.audit.all_pass
     assert coarse.total_dimension == fine.total_dimension == fermat_genus(p)
     assert dimension_audit(fine)[1]["N"] == len(fine.factors) - 1 - ctx.has_gamma
@@ -264,7 +265,6 @@ def test_total_dimension_mismatch_raises(monkeypatch):
     coarse = decompose_coarse(ctx)
     with pytest.raises(AuditFailError, match="fine decomposition has total dimension 30"):
         decompose_fine(
-            ctx,
             IsogenyDecomposition(
                 coarse.context, coarse.level, coarse.factors[:-1], coarse.audit, coarse.gamma_refinement
             ),
@@ -295,8 +295,6 @@ def test_census_mismatch_raises_under_python_O():
 
 
 def test_decompose_fine_refuses_a_foreign_coarse_decomposition():
-    coarse13 = decompose_coarse(make_context(13))
-    with pytest.raises(OutOfRangeError):
-        decompose_fine(make_context(7), coarse13)
-    with pytest.raises(OutOfRangeError):
-        decompose_fine(make_context(13), decompose_fine(make_context(13), coarse13))
+    fine13 = decompose_fine(decompose_coarse(make_context(13)))
+    with pytest.raises(OutOfRangeError, match="needs a coarse decomposition, got the fine one"):
+        decompose_fine(fine13)

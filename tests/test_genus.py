@@ -1,10 +1,11 @@
 import pytest
 
 from fermatjac.errors import (
-    FlavorMismatchError,
+    GroupMismatchError,
     IdentityInputError,
     InconsistentRHError,
     NotSubgroupOfHError,
+    OutOfRangeError,
     TooLargeError,
 )
 from fermatjac.genus import (
@@ -15,13 +16,11 @@ from fermatjac.genus import (
     fermat_genus,
     fermat_quotient_genus,
     find_generating_triple,
-    full_fix_count,
     pgonal_fix_table,
     rh_genus,
     validate_triple,
 )
 from fermatjac.groups import (
-    FLAVOR_FERMAT,
     IDENTITY,
     ClassData,
     Group,
@@ -104,11 +103,12 @@ def test_find_generating_triple_properties():
     for p in (5, 7):
         ctx = make_context(p)
         triple = find_generating_triple(ctx)
-        data = ClassData(FLAVOR_FERMAT, ctx)
-        evidence = validate_triple(triple, ctx, data)
+        data = ClassData(Group(ctx.p))
+        evidence = validate_triple(triple, data)
         assert evidence["orders"] == [2, 3, 2 * p]
         assert evidence["fix_a1"] == p
         assert evidence["trivial_subgroup_genus"] == fermat_genus(p)
+        assert evidence["fix_table"].count(fermat_a1(p)) == p
         # deterministic: the search re-finds the same triple
         assert find_generating_triple(ctx) == triple
 
@@ -121,21 +121,21 @@ def test_find_generating_triple_bound():
 def test_full_fix_count_examples():
     ctx = make_context(7)
     triple = find_generating_triple(ctx)
-    data = ClassData(FLAVOR_FERMAT, ctx)
-    assert full_fix_count(fermat_a1(7), triple, data) == 7
+    fix = fermat_full_fix_table(triple, ClassData(Group(ctx.p)))
+    assert fix.count(fermat_a1(7)) == 7
     # a free translation fixes nothing
     free = Group(7).element(fermat_Hj(7, 1).indices[1])
-    assert full_fix_count(free, triple, data) == 0
+    assert fix.count(free) == 0
     with pytest.raises(IdentityInputError):
-        full_fix_count(fermat_identity(7), triple, data)
+        fix.count(fermat_identity(7))
 
 
 def test_full_table_matches_axis_table_on_H():
     for p in (5, 7):
         ctx = make_context(p)
         triple = find_generating_triple(ctx)
-        data = ClassData(FLAVOR_FERMAT, ctx)
-        full = fermat_full_fix_table(ctx, triple, data)
+        data = ClassData(Group(ctx.p))
+        full = fermat_full_fix_table(triple, data)
         axis = fermat_axis_fix_table(ctx)
         for h in fermat_H(p):
             if h != IDENTITY:
@@ -144,19 +144,35 @@ def test_full_table_matches_axis_table_on_H():
 
 def test_full_fix_table_refuses_a_foreign_context():
     ctx13 = make_context(13)
-    triple, data = find_generating_triple(ctx13), ClassData(FLAVOR_FERMAT, ctx13)
-    with pytest.raises(FlavorMismatchError, match="p = 13 cannot serve the context at p = 7"):
-        fermat_full_fix_table(make_context(7), triple, data)
-    with pytest.raises(FlavorMismatchError):
-        fermat_full_fix_table(ctx13, triple, ClassData(FLAVOR_FERMAT, make_context(7)))
-    assert fermat_full_fix_table(ctx13, triple, data).count(fermat_a1(13)) == 13
+    triple, data = find_generating_triple(ctx13), ClassData(Group(ctx13.p))
+    with pytest.raises(GroupMismatchError):
+        fermat_full_fix_table(triple, ClassData(Group(7)))
+    with pytest.raises(GroupMismatchError):
+        validate_triple(triple, ClassData(Group(7)))
+    assert fermat_full_fix_table(triple, data).count(fermat_a1(13)) == 13
+
+
+def test_fix_tables_refuse_indices_outside_the_group():
+    # p = 7: the Fermat group has 294 elements and the p-gonal group 21;
+    # unchecked, the p-gonal table read 21 and -4 as 3 and 2, the axis
+    # table 1764 as 7, and the full table wrapped -1 around
+    ctx = make_context(7)
+    full = fermat_full_fix_table(find_generating_triple(ctx), ClassData(Group(7)))
+    pgonal, axis = pgonal_fix_table(ctx), fermat_axis_fix_table(ctx)
+    for table, bad in ((pgonal, (21, -4, -1, 22)), (axis, (1764, 294, -6)), (full, (-1, 294, 295))):
+        for i in bad:
+            with pytest.raises(OutOfRangeError):
+                table.at(i)
+        with pytest.raises(IdentityInputError):
+            table.at(IDENTITY)
+    assert (pgonal.at(20), axis.at(288), full.at(293)) == (2, 7, full.count(Group(7).element(293)))
 
 
 def test_fix_counts_conjugation_invariant_exhaustive_p5():
     ctx = make_context(5)
     triple = find_generating_triple(ctx)
-    data = ClassData(FLAVOR_FERMAT, ctx)
-    fix = fermat_full_fix_table(ctx, triple, data)
+    data = ClassData(Group(ctx.p))
+    fix = fermat_full_fix_table(triple, data)
     els = list(fermat_elements(5))
     for g in els:
         if g.is_identity:
@@ -170,10 +186,10 @@ def test_lefschetz_bound():
     for p in (5, 7):
         ctx = make_context(p)
         triple = find_generating_triple(ctx)
-        data = ClassData(FLAVOR_FERMAT, ctx)
-        fix = fermat_full_fix_table(ctx, triple, data)
+        data = ClassData(Group(ctx.p))
+        fix = fermat_full_fix_table(triple, data)
         bound = 2 + 2 * fermat_genus(p)
-        for cls in conjugacy_classes(FLAVOR_FERMAT, ctx):
+        for cls in conjugacy_classes(Group(ctx.p)):
             if cls[0] != IDENTITY:
                 assert 0 <= fix.at(cls[0]) <= bound
 
@@ -184,8 +200,8 @@ def test_total_fix_count_identity():
     for p in (5, 7):
         ctx = make_context(p)
         triple = find_generating_triple(ctx)
-        data = ClassData(FLAVOR_FERMAT, ctx)
-        fix = fermat_full_fix_table(ctx, triple, data)
+        data = ClassData(Group(ctx.p))
+        fix = fermat_full_fix_table(triple, data)
         total = sum(
             fix.count(g) for g in fermat_elements(p) if not g.is_identity
         )
@@ -196,7 +212,7 @@ def test_coset_genus_full_group_and_trivial():
     for p in (5, 7):
         ctx = make_context(p)
         triple = find_generating_triple(ctx)
-        data = ClassData(FLAVOR_FERMAT, ctx)
+        data = ClassData(Group(ctx.p))
         gens = [fermat_a1(p), fermat_u(p), fermat_v(p)]
         full = subgroup_closure(gens)
         assert full.order == fermat_group_order(p)
@@ -210,10 +226,10 @@ def test_dual_oracle_agreement(p):
     coset count, over every cyclic subgroup plus H, H_j, and the joins."""
     ctx = make_context(p)
     triple = find_generating_triple(ctx)
-    data = ClassData(FLAVOR_FERMAT, ctx)
-    fix = fermat_full_fix_table(ctx, triple, data)
+    data = ClassData(Group(ctx.p))
+    fix = fermat_full_fix_table(triple, data)
     g_top = fermat_genus(p)
-    subgroups = all_cyclic_subgroups(FLAVOR_FERMAT, ctx)
+    subgroups = all_cyclic_subgroups(Group(ctx.p))
     subgroups.append(fermat_H(p))
     hj = [fermat_Hj(p, j) for j in range(1, p - 1)]
     subgroups.extend(hj)

@@ -1,15 +1,14 @@
 import pytest
 
-from fermatjac.errors import FlavorMismatchError, NoGammaError, OutOfRangeError
+from fermatjac.errors import GroupMismatchError, NoGammaError, OutOfRangeError
 from fermatjac.groups import (
     ACTION,
-    FLAVOR_FERMAT,
-    FLAVOR_P_GONAL,
     IDENTITY,
     PERM_ID,
     PERM_MUL,
     PERM_U,
     PERM_V,
+    ClassData,
     FermatAut,
     Group,
     PGonalAut,
@@ -131,13 +130,13 @@ def test_multiply_identity_and_orders():
 
 def test_flavor_mismatch_errors():
     ctx = make_context(7)
-    with pytest.raises(FlavorMismatchError):
+    with pytest.raises(GroupMismatchError):
         fermat_a1(7) * fermat_a1(11)
-    with pytest.raises(FlavorMismatchError):
+    with pytest.raises(GroupMismatchError):
         fermat_a1(7) * pgonal_T(ctx)
-    with pytest.raises(FlavorMismatchError):
+    with pytest.raises(GroupMismatchError):
         pgonal_T(ctx, 2) * pgonal_T(ctx, 4)
-    with pytest.raises(FlavorMismatchError):
+    with pytest.raises(GroupMismatchError):
         subgroup_closure([fermat_a1(5), fermat_a1(7)])
 
 
@@ -219,6 +218,19 @@ def test_pgonal_K_set_products_do_not_commute():
                 assert order_ == 3 * p
 
 
+def test_group_refuses_a_gamma_that_is_not_a_root():
+    # the roots of g^2 + g + 1 mod 7 are 2 and 4; 9 = 2 mod 7 lies outside 1..p-2
+    for gamma in (3, 0, 1, 5, 6, 9, -5):
+        with pytest.raises(NoGammaError):
+            Group(7, gamma)
+    with pytest.raises(NoGammaError):
+        ClassData(Group(7, 3))
+    with pytest.raises(NoGammaError):
+        Group(5, 1)  # p = 2 mod 3 has no root
+    assert Group(7, 2).order == Group(7, 4).order == 21
+    assert Group(7, 2) != Group(7, 4)
+
+
 def test_pgonal_K_requires_gamma():
     with pytest.raises(NoGammaError):
         pgonal_K(1, make_context(5))
@@ -254,7 +266,7 @@ def test_pgonal_conjugation_identity():
 
 def test_conjugacy_classes_pgonal():
     ctx = make_context(7)
-    classes = conjugacy_classes(FLAVOR_P_GONAL, ctx)
+    classes = conjugacy_classes(Group(ctx.p, ctx.gamma))
     sizes = sorted(len(c) for c in classes)
     assert sizes == [1, 3, 3, 7, 7]
     order3 = [c for c in classes if len(c) == 7]
@@ -265,7 +277,7 @@ def test_conjugacy_classes_pgonal():
 
 def test_conjugacy_classes_fermat_p5():
     ctx = make_context(5)
-    classes = conjugacy_classes(FLAVOR_FERMAT, ctx)
+    classes = conjugacy_classes(Group(ctx.p))
     assert sum(len(c) for c in classes) == 150
     identity_classes = [c for c in classes if len(c) == 1]
     assert len(identity_classes) == 1 and identity_classes[0][0] == IDENTITY
@@ -294,7 +306,7 @@ def test_left_cosets():
 
 
 def test_all_cyclic_subgroups_p5():
-    subs = all_cyclic_subgroups(FLAVOR_FERMAT, make_context(5))
+    subs = all_cyclic_subgroups(Group(5))
     orders = sorted(s.order for s in subs)
     assert orders[0] == 1
     assert set(orders) == {1, 2, 3, 5, 10}

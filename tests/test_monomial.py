@@ -4,7 +4,7 @@ from fermatjac.curves import MoebiusLabel
 from fermatjac import monomial as monomial_module
 from fermatjac.errors import (
     CheckFailedError,
-    FlavorMismatchError,
+    GroupMismatchError,
     NoGammaError,
     NonMonomialError,
     OutOfRangeError,
@@ -128,7 +128,7 @@ def test_compose_identity_and_inverse_powers():
 
 def test_compose_flavor_guard():
     ctx7, ctx13 = make_context(7), make_context(13)
-    with pytest.raises(FlavorMismatchError):
+    with pytest.raises(GroupMismatchError):
         compose(build_T(ctx7), build_T(ctx13))
     with pytest.raises(OutOfRangeError):
         map_power(build_T(ctx7), -1)
