@@ -35,12 +35,12 @@ from .orbits import OrbitKind, is_prime, make_context, orbit, orbit_partition, s
 
 FULL_DEPTH_DEFAULT_CAP = 31
 # verify --full-cap: the full checks hold the class of each of the 6 p^2
-# group elements and the O(p^2) cyclic subgroups as index tuples, so
-# memory grows as p^2: 10 s and 123 MB at p = 263, 12 s and 136 MB at
-# p = 283.
+# group elements, and building the classes holds four conjugation maps
+# of that size, so memory grows as p^2: 3 s and 101 MB at p = 263.  The
+# genus oracles take one cyclic subgroup per conjugacy class.
 FULL_DEPTH_MAX_P = 263
-# verify at any depth: the monomial conjugation sweep is O(p log p) with a
-# large constant, about 40 s at p = 19993.
+# verify at any depth: the monomial conjugation sweep costs five map
+# compositions per l = 0..p-1, about 4 s at p = 19993.
 VERIFY_MAX_P = 20_000
 # sweep --to: a serial sweep over 5..3000 (426 primes) takes about 16 s.
 SWEEP_MAX_TO = 3_000
@@ -202,15 +202,8 @@ def check_monomial_relations(ctx, cache):
         mono.verify_relation([("R", 1), ("T", 1)], [("T", g * g), ("R", 1)], ctx),
         f"p = {p}: R T != T^(gamma^2) R",
     )
-    for l in range(p):
-        _require(
-            mono.verify_relation(
-                [("T", -l), ("R", 1), ("T", l)],
-                [("T", l * (g * g - 1)), ("R", 1)],
-                ctx,
-            ),
-            f"p = {p}: T^(-l) R T^l != T^(l (gamma^2 - 1)) R at l = {l}",
-        )
+    for l, lhs, rhs in mono.conjugation_sweep(ctx):
+        _require(lhs == rhs, f"p = {p}: T^(-l) R T^l != T^(l (gamma^2 - 1)) R at l = {l}")
     tg = mono.build_T(ctx)
     _require(mono.map_power(tg, p) == mono.identity_map(p, g), f"p = {p}: T^p is not the identity (gamma = {g})")
     block["T"] = tg.render()
@@ -252,7 +245,12 @@ def check_dual_oracle_genus(ctx, cache):
     fix = cache["full_fix"]
     g_top = gen.fermat_genus(p)
     h = grp.fermat_H(p)
-    subgroups = grp.all_cyclic_subgroups(data.group)
+    # Conjugate subgroups meet the same classes, so both oracles read the
+    # same numbers off them: one cyclic subgroup per conjugacy class
+    # stands for all (fix-table-consistency checks that the classes are
+    # closed under conjugation).
+    subgroups = grp.cyclic_subgroup_classes(data)
+    classes = len(subgroups)
     subgroups.append(h)
     subgroups.extend(grp.fermat_Hj(p, j) for j in range(1, p - 1))
     # H_i and H_j are the lines through (1, 1+i) and (1, 1+j) in F_p^2,
@@ -265,7 +263,7 @@ def check_dual_oracle_genus(ctx, cache):
             raise OracleDisagreementError(
                 f"p = {p}, {_describe(k)}: Riemann-Hurwitz genus {rh}, coset genus {coset}"
             )
-    return f"{len(subgroups)} subgroups, both oracles agree"
+    return f"{classes} cyclic subgroups, one per conjugacy class, H and the {p - 2} H_j: both oracles agree"
 
 
 def check_fix_table_consistency(ctx, cache):
@@ -280,16 +278,25 @@ def check_fix_table_consistency(ctx, cache):
                 f" and {axis.at(h)} in the axis table"
             )
     bound = 2 + 2 * gen.fermat_genus(p)
-    for cls in _class_data(ctx, cache).classes:
+    data = _class_data(ctx, cache)
+    for cls in data.classes:
         rep = cls[0]
         if rep == grp.IDENTITY:
             continue
         c = fix.at(rep)
         _require(0 <= c <= bound, f"p = {p}: fix{where(rep)} = {c} is outside [0, {bound}]")
-        _require(
-            all(fix.at(g) == c for g in cls[1: min(len(cls), 4)]),
-            f"p = {p}: the fix count is not constant on the class of {where(rep)}",
-        )
+    # The table reads one count per class and the dual-oracle check takes
+    # one subgroup per class: both stand for every element only if
+    # conjugation by each generator keeps every element in its class.
+    class_of = data.class_of
+    for t in data.group.generators:
+        conj = grp.conjugation_map(t)
+        if [class_of[y] for y in conj] != class_of:
+            i = next(i for i, y in enumerate(conj) if class_of[y] != class_of[i])
+            raise CheckFailedError(
+                f"p = {p}: conjugation by {where(data.group.index(t))} moves {where(i)}"
+                f" out of its class, to {where(conj[i])}"
+            )
     return "axis table matches, Lefschetz bound holds, class-constant"
 
 
@@ -491,9 +498,37 @@ def cmd_sweep(args) -> int:
     return 0 if passed == len(rows) else 4
 
 
+def _terminal_columns() -> int:
+    """The width ``shutil.get_terminal_size`` reports: ``COLUMNS`` when it
+    is a positive integer, else the size of the terminal on stdout, else
+    80."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+        except (AttributeError, ValueError, OSError):
+            columns = 0
+    return columns or 80
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's formatter with the same default width, found without
+    importing ``shutil``: argparse builds a formatter on every
+    ``add_argument``, and ``shutil`` brings zlib, bz2, lzma and fnmatch."""
+
+    def __init__(self, prog, indent_increment=2, max_help_position=24, width=None):
+        if width is None:
+            width = _terminal_columns() - 2
+        super().__init__(prog, indent_increment, max_help_position, width)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fermatjac",
+        formatter_class=_HelpFormatter,
         description=(
             "Exact verification of the isogeny decomposition of Fermat-curve "
             "Jacobians into Jacobians of cyclic p-gonal curves."
@@ -501,18 +536,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_orbits = sub.add_parser("orbits", help="orbit census of X_p")
+    p_orbits = sub.add_parser("orbits", help="orbit census of X_p", formatter_class=_HelpFormatter)
     p_orbits.add_argument("--p", type=int, required=True, help="prime >= 5")
     p_orbits.add_argument("--format", choices=("text", "json"), default="text")
     p_orbits.set_defaults(fn=cmd_orbits)
 
-    p_dec = sub.add_parser("decompose", help="emit the verified decomposition")
+    p_dec = sub.add_parser("decompose", help="emit the verified decomposition", formatter_class=_HelpFormatter)
     p_dec.add_argument("--p", type=int, required=True, help="prime >= 5")
     p_dec.add_argument("--level", choices=("coarse", "fine", "both"), default="both")
     p_dec.add_argument("--format", choices=("text", "json"), default="text")
     p_dec.set_defaults(fn=cmd_decompose)
 
-    p_ver = sub.add_parser("verify", help="run the self-verification suite")
+    p_ver = sub.add_parser("verify", help="run the self-verification suite", formatter_class=_HelpFormatter)
     p_ver.add_argument("--p", type=int, required=True, help="prime >= 5")
     p_ver.add_argument("--depth", choices=("basic", "full"), default="basic")
     p_ver.add_argument(
@@ -524,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--format", choices=("text", "json"), default="text")
     p_ver.set_defaults(fn=cmd_verify)
 
-    p_sweep = sub.add_parser("sweep", help="per-prime summaries over a range")
+    p_sweep = sub.add_parser("sweep", help="per-prime summaries over a range", formatter_class=_HelpFormatter)
     p_sweep.add_argument("--from", dest="from_", type=int, required=True)
     p_sweep.add_argument("--to", type=int, required=True)
     p_sweep.add_argument(

@@ -51,6 +51,11 @@ from .errors import (
 from .groups import (
     IDENTITY,
     PERM_ID,
+    PERM_U,
+    PERM_U2,
+    PERM_U2V,
+    PERM_UV,
+    PERM_V,
     ClassData,
     Element,
     FermatAut,
@@ -58,9 +63,8 @@ from .groups import (
     Subgroup,
     fermat_a1,
     fermat_order,
-    mulclose,
-    order,
     resolve_gamma,
+    s3_stable_lines,
     trivial_subgroup,
 )
 from .orbits import PrimeContext
@@ -196,9 +200,9 @@ def find_generating_triple(ctx: PrimeContext, limit: int = DEFAULT_TRIPLE_SEARCH
 
     Deterministic, so reports citing the triple reproduce run to run.
     The exhaustive search is bounded to keep full-group work desk-scale.
-    It runs on element indices: orders come from the group law and
-    generation is an index closure; :func:`validate_triple` rechecks the
-    result with element objects.
+    It runs on element indices with orders from the group law, and takes
+    generation from the argument of :func:`generation_gap`, not from a
+    closure.
     """
     p = ctx.p
     if p > limit:
@@ -207,20 +211,49 @@ def find_generating_triple(ctx: PrimeContext, limit: int = DEFAULT_TRIPLE_SEARCH
         )
     group = Group(p)
     n = group.order
-    orders = [fermat_order(p, i) for i in range(n)]
-    order3 = [i for i in range(n) if orders[i] == 3]
     for i2 in range(n):
-        if orders[i2] != 2:
+        if fermat_order(p, i2) != 2:
             continue
         c2 = group.element(i2)
-        for i3, prod in zip(order3, c2.left_mul(order3)):
-            if orders[prod] != 2 * p:
+        for i3 in range(n):
+            if fermat_order(p, i3) != 3:
                 continue
-            c3 = group.element(i3)
-            if len(group.closure((c2, c3))) != n:
+            prod = c2.left_mul((i3,))[0]
+            if fermat_order(p, prod) != 2 * p:
                 continue
-            return GeneratingTriple(c2, c3, group.element(prod).inverse())
+            triple = GeneratingTriple(c2, group.element(i3), group.element(prod).inverse())
+            if generation_gap(triple) is None:
+                return triple
     raise SearchExhaustedError(f"no (2, 3, 2p) generating triple found for p = {p}")
+
+
+def generation_gap(triple: GeneratingTriple) -> str | None:
+    """The first hypothesis of the generation argument that the triple
+    fails, or None when the argument shows that c2 and c3 generate the
+    Fermat group G.
+
+    The argument, for a triple with product 1: c2 maps to a transposition
+    and c3 to a 3-cycle of S3, which generate S3, so <c2, c3> maps onto
+    S3.  Its meet N with the translation subgroup H = F_p^2 is normal in
+    <c2, c3>, and an element x sigma conjugates H as the matrix of sigma
+    does, so N is a subspace of F_p^2 stable under all of S3.  N holds
+    c2p^2, a nonzero translation, because c2p = (c2 c3)^(-1) lies in
+    <c2, c3>.  When no line of F_p^2 is S3-stable, N is therefore H, and
+    <c2, c3> has order |H| |S3| = 6 p^2 = |G|.  Each hypothesis costs
+    O(1) but the last, which tries all p + 1 lines.
+    """
+    c2, c3, c2p = triple.c2, triple.c3, triple.c2p
+    if c2.sigma not in (PERM_V, PERM_UV, PERM_U2V):
+        return f"c2 = {c2!r} does not map to a transposition"
+    if c3.sigma not in (PERM_U, PERM_U2):
+        return f"c3 = {c3!r} does not map to a 3-cycle"
+    square = c2p * c2p
+    if not square.is_translation or square.is_identity:
+        return f"c2p^2 = {square!r} is not a nonzero translation"
+    lines = s3_stable_lines(triple.p)
+    if lines:
+        return f"the line through {lines[0]} of F_p^2 is stable under S3"
+    return None
 
 
 @lru_cache(maxsize=8)
@@ -293,7 +326,9 @@ def coset_genus(k: Subgroup, triple: GeneratingTriple, data: ClassData) -> int:
 
 
 def validate_triple(triple: GeneratingTriple, data: ClassData) -> dict:
-    """Recheck every defining property of a generating triple.
+    """Recheck every defining property of a generating triple: the orders
+    from the group law, the product, and generation by the argument of
+    :func:`generation_gap`.
 
     Returns the validation evidence; raises on any failure.  Includes the
     Euler-characteristic audit 2 - 2g = 2|G| - sum [G:<c_i>] (m_i - 1)
@@ -302,14 +337,15 @@ def validate_triple(triple: GeneratingTriple, data: ClassData) -> dict:
     """
     p = triple.p
     group = Group(p)
-    orders = tuple(order(c) for c, _ in triple.entries)
+    orders = tuple(fermat_order(p, group.index(c)) for c, _ in triple.entries)
     if orders != (2, 3, 2 * p):
         raise InconsistentOrbifoldError(f"triple orders {orders} != (2, 3, {2 * p})")
     if not (triple.c2 * triple.c3 * triple.c2p).is_identity:
         raise InconsistentOrbifoldError("triple product is not the identity")
+    gap = generation_gap(triple)
+    if gap is not None:
+        raise InconsistentOrbifoldError(f"triple does not generate the group: {gap}")
     order_g = group.order
-    if len(mulclose([triple.c2, triple.c3])) != order_g:
-        raise InconsistentOrbifoldError("triple does not generate the group")
     g_top = fermat_genus(p)
     euler = 2 * order_g - sum((order_g // m) * (m - 1) for _, m in triple.entries)
     if euler != 2 - 2 * g_top:

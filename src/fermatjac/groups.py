@@ -30,11 +30,15 @@ ever stored.  On that kernel:
   generators, one walk for either group;
 - :class:`ClassData` maps every index to its class, and counts the
   cosets of K an element fixes by Frobenius' formula from the classes K
-  meets, so no coset G/K is ever listed.
+  meets, so no coset G/K is ever listed;
+- :func:`cyclic_subgroup_classes` takes one cyclic subgroup per
+  conjugacy class of them, where :func:`all_cyclic_subgroups` lists
+  every one.
 
 :class:`FermatAut` and :class:`PGonalAut` stay the value type of the
 public inputs, the rendering and the generating triple; :func:`order`
-and :func:`mulclose` work on them for independent rechecks.
+and :func:`mulclose` work on them, and only the tests call them, as
+independent oracles.
 """
 
 from __future__ import annotations
@@ -145,6 +149,17 @@ class FermatAut(FrozenRecord):
             out.append((((cm + a * m + b * n) % p) * p + (cn + cc * m + d * n) % p) * 6 + row[s])
         return out
 
+    def left_mul_perm(self) -> list[int]:
+        """``left_mul`` over the whole group: the translation part of self x
+        depends on that of x alone, so it is computed once per (m, n)."""
+        p, cm, cn = self.p, self.m, self.n
+        a, b, c, d = ACTION[self.sigma]
+        row = PERM_MUL[self.sigma]
+        moved = [
+            (((cm + a * m + b * n) % p) * p + (cn + c * m + d * n) % p) * 6 for m in range(p) for n in range(p)
+        ]
+        return [x + r for x in moved for r in row]
+
     def right_mul_perm(self) -> list[int]:
         """The permutation i -> index of x self, x the element with index i.
 
@@ -162,12 +177,19 @@ class FermatAut(FrozenRecord):
         return perm
 
 
+def _require_gamma_root(p: int, gamma: int) -> None:
+    if not (0 < gamma < p - 1 and (gamma * gamma + gamma + 1) % p == 0):
+        raise NoGammaError(f"{gamma} is not a root of g^2+g+1 mod {p}")
+
+
 class PGonalAut(FrozenRecord):
-    """T^k R^e on the gamma curve; the group law depends on the chosen root."""
+    """T^k R^e on the gamma curve; the group law depends on the chosen root,
+    and a gamma that is not a root of g^2 + g + 1 mod p in 1..p-2 raises."""
 
     __slots__ = _fields = ("p", "gamma", "k", "e")
 
     def __init__(self, p: int, gamma: int, k: int, e: int):
+        _require_gamma_root(p, gamma)
         set_field(self, "p", p)
         set_field(self, "gamma", gamma)
         set_field(self, "k", k)
@@ -226,6 +248,10 @@ class PGonalAut(FrozenRecord):
         scale = pow(self.gamma, 2 * e, p)
         return [3 * ((k + scale * (i // 3)) % p) + (e + i % 3) % 3 for i in indices]
 
+    def left_mul_perm(self) -> list[int]:
+        """``left_mul`` over the whole group."""
+        return self.left_mul(range(pgonal_group_order(self.p)))
+
     def right_mul_perm(self) -> list[int]:
         """The permutation i -> index of x self, x the element with index i."""
         p, k, e = self.p, self.k, self.e
@@ -256,8 +282,8 @@ class Group(FrozenRecord):
     __slots__ = _fields = ("p", "gamma")
 
     def __init__(self, p: int, gamma: int | None = None):
-        if gamma is not None and not (0 < gamma < p - 1 and (gamma * gamma + gamma + 1) % p == 0):
-            raise NoGammaError(f"{gamma} is not a root of g^2+g+1 mod {p}")
+        if gamma is not None:
+            _require_gamma_root(p, gamma)
         set_field(self, "p", p)
         set_field(self, "gamma", gamma)
 
@@ -354,6 +380,24 @@ def fermat_order(p: int, i: int) -> int:
     if ((1 + a) * m + b * n) % p == 0 and (c * m + (1 + d) * n) % p == 0:
         return 2
     return 2 * p
+
+
+def s3_stable_lines(p: int) -> list[tuple[int, int]]:
+    """Spanning vectors of the lines of F_p^2 that the matrices of u and v
+    (ACTION) both map to themselves, trying all p + 1 lines.
+
+    Conjugation by x sigma acts on the translation subgroup H = F_p^2 as
+    the matrix of sigma, so these are the order-p subgroups of H normal
+    in the whole group.  None for p >= 5, where F_p^2 is an irreducible
+    S3-module; the line through (1, 2) at p = 3.
+    """
+
+    def keeps(s: int, x: int, y: int) -> bool:
+        a, b, c, d = ACTION[s]
+        return (x * (c * x + d * y) - y * (a * x + b * y)) % p == 0
+
+    lines = [(1, t) for t in range(p)] + [(0, 1)]
+    return [(x, y) for x, y in lines if keeps(PERM_U, x, y) and keeps(PERM_V, x, y)]
 
 
 # -- Fermat group constructors ---------------------------------------------
@@ -557,6 +601,8 @@ def all_cyclic_subgroups(group: Group) -> list[Subgroup]:
     element is the subgroup's generator, and its powers are walked on
     indices.  An element that generates a subgroup already listed (some
     power g^k with k prime to the order of g) is skipped without a walk.
+    ``verify`` takes one per class (:func:`cyclic_subgroup_classes`); the
+    tests hold the two lists against each other.
     """
     listed = bytearray(group.order)
     subgroups = []
@@ -598,6 +644,12 @@ def left_cosets(k: Subgroup, universe: Iterable[Element]):
 # -- conjugacy classes --------------------------------------------------------
 
 
+def conjugation_map(t: Element) -> list[int]:
+    """The permutation x -> t x t^(-1) of the indices of t's group."""
+    right = t.inverse().right_mul_perm()
+    return [right[y] for y in t.left_mul_perm()]
+
+
 def conjugacy_classes(group: Group) -> tuple[tuple[int, ...], ...]:
     """Partition of the group into conjugacy classes of element indices.
 
@@ -606,14 +658,10 @@ def conjugacy_classes(group: Group) -> tuple[tuple[int, ...], ...]:
     the maps x -> t x t^(-1) on indices.  Ordered by smallest member;
     members sorted.
     """
-    everything = range(group.order)
-    conj = []
-    for t in group.generators:
-        right = t.inverse().right_mul_perm()
-        conj.append([right[y] for y in t.left_mul(everything)])
+    conj = [conjugation_map(t) for t in group.generators]
     seen = bytearray(group.order)
     classes = []
-    for g0 in everything:
+    for g0 in range(group.order):
         if seen[g0]:
             continue
         seen[g0] = 1
@@ -682,6 +730,33 @@ class ClassData:
                 )
             fixed[c] = q
         return fixed
+
+
+def cyclic_subgroup_classes(data: ClassData) -> list[Subgroup]:
+    """One cyclic subgroup from each conjugacy class of cyclic subgroups,
+    the trivial one first.
+
+    <g> and <h> are conjugate exactly when h is conjugate to a generator
+    g^k of <g>, gcd(k, |g|) = 1.  So the classes are walked in order: the
+    powers of the smallest member of a class not yet covered are a new
+    representative, and the classes of its generators become covered.
+    That gives one subgroup per class when the classes of ``data`` are
+    the conjugation orbits, as :func:`conjugacy_classes` builds them;
+    ``verify`` tests on every element that no conjugation leaves a class.
+    """
+    group, class_of = data.group, data.class_of
+    covered = bytearray(len(data.classes))
+    subgroups = []
+    for c, cls in enumerate(data.classes):
+        if covered[c]:
+            continue
+        powers = group.closure([group.element(cls[0])])
+        n = len(powers)
+        for k in range(1, n + 1):
+            if gcd(k, n) == 1:
+                covered[class_of[powers[k % n]]] = 1
+        subgroups.append(Subgroup(group, cls[:1], powers))
+    return subgroups
 
 
 # -- derivation of the hard-coded S3 action -----------------------------------

@@ -18,7 +18,7 @@ arithmetic, with no polynomial algebra and no floating point anywhere.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from .curves import MoebiusLabel
 from .errors import CheckFailedError, GroupMismatchError, NonMonomialError, OutOfRangeError
@@ -268,6 +268,27 @@ def verify_relation(
 ) -> bool:
     """Exact normal-form equality of two words in T and R."""
     return word_map(lhs, ctx, gamma) == word_map(rhs, ctx, gamma)
+
+
+def conjugation_sweep(ctx: PrimeContext) -> Iterator[tuple[int, MonomialMap, MonomialMap]]:
+    """(l, T^(-l) R T^l, T^(l (gamma^2 - 1)) R) for l = 0, ..., p-1 and
+    ctx's gamma: both sides of the conjugation relation as maps, equal to
+    the :func:`word_map` of each word.
+
+    The powers of T are running products, each advanced by one
+    composition per step, so a step costs five compositions where two
+    :func:`verify_relation` words rebuild three powers through
+    :func:`map_power`.  The relation follows from R T = T^(gamma^2) R by
+    induction on l, so comparing the sides tests the calculus itself:
+    that composition is associative on normal forms, which are canonical.
+    """
+    p, g = ctx.p, ctx.gamma
+    t, r = build_T(ctx), build_R(ctx)
+    t_inv, t_shift = map_power(t, p - 1), map_power(t, (g * g - 1) % p)
+    pos = neg = shift = identity_map(p, g)
+    for l in range(p):
+        yield l, compose(compose(neg, r), pos), compose(shift, r)
+        pos, neg, shift = compose(pos, t), compose(neg, t_inv), compose(shift, t_shift)
 
 
 def epsilon_parity_report(ctx: PrimeContext, gamma: int | None = None) -> dict:

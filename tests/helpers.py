@@ -448,6 +448,23 @@ def merge_axis_class(real):
     return merged
 
 
+def split_generic_class(real):
+    """conjugacy_classes with the class of a1 a2^2 (a translation off the
+    axes, in a class of six) split into two halves of three."""
+
+    def split(group):
+        classes = list(real(group))
+        if group.gamma is not None:
+            return tuple(classes)
+        off_axis = list(fermat_elements(group.p)).index(FermatAut(group.p, 1, 2, 0))
+        i = next(n for n, cls in enumerate(classes) if off_axis in cls)
+        cls = classes[i]
+        classes[i:i + 1] = [cls[:len(cls) // 2], cls[len(cls) // 2:]]
+        return tuple(sorted(classes))
+
+    return split
+
+
 def run_under_O(script):
     """Run a Python script with ``python -O``, the package and these
     helpers on the path; the script exits 99 if asserts are not stripped

@@ -27,6 +27,7 @@ from fermatjac.groups import (
     Subgroup,
     all_cyclic_subgroups,
     conjugacy_classes,
+    conjugation_map,
     fermat_elements,
     fermat_generators,
     fermat_H,
@@ -123,8 +124,10 @@ def test_closure_matches_object_closure(group):
             assert _object_set(subgroup_closure(both)) == mulclose(both)
 
 
-@pytest.mark.parametrize("p", [q for q in primes_upto(19) if q >= 5])
+@pytest.mark.parametrize("p", [q for q in primes_upto(31) if q >= 5])
 def test_triple_search_matches_object_search(p):
+    # the search takes generation from the argument, the object search
+    # from a closure of element objects
     assert find_generating_triple(make_context(p)) == object_generating_triple(p)
 
 
@@ -158,8 +161,8 @@ def test_inner_product_matches_object_element_sum(p):
 
 @pytest.mark.parametrize("group", FERMAT_GROUPS + PGONAL_GROUPS)
 def test_permutations_match_object_multiplication(group):
-    """Left and right multiplication on indices against __mul__: in the
-    p-gonal group on every pair of elements."""
+    """Left and right multiplication and conjugation on indices against
+    __mul__: in the p-gonal group on every pair of elements."""
     els = list(canonical_elements(group))
     everything = range(len(els))
     multipliers = els if group.gamma is not None else els[::11] + list(group.generators)
@@ -169,6 +172,8 @@ def test_permutations_match_object_multiplication(group):
         assert left == [group.index(c * x) for x in els]
         assert right == [group.index(x * c) for x in els]
         assert sorted(left) == sorted(right) == list(everything)
+        assert c.left_mul_perm() == left
+        assert conjugation_map(c) == [group.index(c * x * c.inverse()) for x in els]
 
 
 @pytest.mark.parametrize("p", (5, 7))

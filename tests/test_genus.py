@@ -1,8 +1,11 @@
 import pytest
 
+from fermatjac import cli
+from fermatjac import genus as genus_module
 from fermatjac.errors import (
     GroupMismatchError,
     IdentityInputError,
+    InconsistentOrbifoldError,
     InconsistentRHError,
     NotSubgroupOfHError,
     OutOfRangeError,
@@ -10,12 +13,14 @@ from fermatjac.errors import (
 )
 from fermatjac.genus import (
     FixTable,
+    GeneratingTriple,
     coset_genus,
     fermat_axis_fix_table,
     fermat_full_fix_table,
     fermat_genus,
     fermat_quotient_genus,
     find_generating_triple,
+    generation_gap,
     pgonal_fix_table,
     rh_genus,
     validate_triple,
@@ -111,6 +116,30 @@ def test_find_generating_triple_properties():
         assert evidence["fix_table"].count(fermat_a1(p)) == p
         # deterministic: the search re-finds the same triple
         assert find_generating_triple(ctx) == triple
+
+
+def test_generation_gap_names_the_failed_hypothesis():
+    p = 7
+    triple = find_generating_triple(make_context(p))
+    assert generation_gap(triple) is None
+    u, v, a1 = fermat_u(p), fermat_v(p), fermat_a1(p)
+    # v and u generate S3 alone: c2p = (v u)^(-1) has order 2, so c2p^2 = 1
+    assert "c2p^2" in generation_gap(GeneratingTriple(v, u, (v * u).inverse()))
+    assert "transposition" in generation_gap(GeneratingTriple(a1, u, (a1 * u).inverse()))
+    assert "3-cycle" in generation_gap(GeneratingTriple(v, a1, (v * a1).inverse()))
+
+
+def test_a_stable_line_refutes_generation(capsys, monkeypatch):
+    # with an S3-stable line the argument proves nothing: validate_triple
+    # refuses the triple and the search finds none
+    triple = find_generating_triple(make_context(7))
+    monkeypatch.setattr(genus_module, "s3_stable_lines", lambda p: [(1, 0)])
+    with pytest.raises(InconsistentOrbifoldError, match="does not generate"):
+        validate_triple(triple, ClassData(Group(7)))
+    code = cli.main(["verify", "--p", "7", "--depth", "full"])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert "FAIL generating-triple: no (2, 3, 2p) generating triple found for p = 7" in out
 
 
 def test_find_generating_triple_bound():

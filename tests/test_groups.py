@@ -32,6 +32,7 @@ from fermatjac.groups import (
     pgonal_T,
     pgonal_elements,
     pgonal_identity,
+    s3_stable_lines,
     subgroup_closure,
 )
 from fermatjac.orbits import make_context
@@ -229,6 +230,36 @@ def test_group_refuses_a_gamma_that_is_not_a_root():
         Group(5, 1)  # p = 2 mod 3 has no root
     assert Group(7, 2).order == Group(7, 4).order == 21
     assert Group(7, 2) != Group(7, 4)
+
+
+def test_pgonal_aut_refuses_a_gamma_that_is_not_a_root():
+    # at p = 5 with gamma = 2 the "group law" is not associative
+    with pytest.raises(NoGammaError):
+        PGonalAut(5, 2, 0, 0)
+    for gamma in (0, 1, 3, 5, 6, 9):
+        with pytest.raises(NoGammaError):
+            PGonalAut(7, gamma, 1, 0)
+    assert PGonalAut(7, 2, 1, 0).group == Group(7, 2)
+    assert PGonalAut(7, 4, 0, 1).group == Group(7, 4)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
+def test_s3_stable_lines_match_object_conjugation(p):
+    """The lines of F_p^2 that conjugation by u and v maps to themselves,
+    found on element objects: a line is stable when the conjugates of
+    its spanning translation lie on it."""
+
+    def on_line(g, x, y):
+        return g.sigma == PERM_ID and (g.m * y - g.n * x) % p == 0
+
+    lines = [(1, t) for t in range(p)] + [(0, 1)]
+    stable = [
+        (x, y)
+        for x, y in lines
+        if all(on_line(s * FermatAut(p, x, y, PERM_ID) * s.inverse(), x, y) for s in (fermat_u(p), fermat_v(p)))
+    ]
+    assert s3_stable_lines(p) == stable
+    assert stable == ([(1, 2)] if p == 3 else [])
 
 
 def test_pgonal_K_requires_gamma():

@@ -18,6 +18,7 @@ from fermatjac.monomial import (
     build_R,
     build_T,
     compose,
+    conjugation_sweep,
     epsilon_parity_report,
     identity_map,
     make_monomial,
@@ -212,6 +213,21 @@ def test_relations(p):
         )
     assert verify_relation([("T", p)], [], ctx)
     assert not verify_relation([("R", 1)], [("R", 2)], ctx)
+
+
+@pytest.mark.parametrize("p", (7, 13, 19, 31))
+def test_conjugation_sweep_matches_verify_relation(p):
+    """The running products are the word maps of both sides at every l,
+    and their verdict is verify_relation's."""
+    ctx = make_context(p)
+    g = ctx.gamma
+    ls = []
+    for l, lhs, rhs in conjugation_sweep(ctx):
+        ls.append(l)
+        lhs_word, rhs_word = [("T", -l), ("R", 1), ("T", l)], [("T", l * (g * g - 1)), ("R", 1)]
+        assert lhs == word_map(lhs_word, ctx) and rhs == word_map(rhs_word, ctx)
+        assert (lhs == rhs) is verify_relation(lhs_word, rhs_word, ctx) is True
+    assert ls == list(range(p))
 
 
 def test_word_map_rejects_unknown_letter():

@@ -419,3 +419,46 @@ def test_basic_check_fails_under_python_O():
     assert run.returncode == 4, run.stdout + run.stderr
     assert "FAIL orbit-partition-laws: p = 7: U(1) = 2 leaves the orbit" in run.stdout
     assert "verification failed at check: orbit-partition-laws" in run.stderr
+
+
+@pytest.mark.parametrize("columns", ("60", None))
+@pytest.mark.parametrize("command", ((), ("orbits",), ("decompose",), ("verify",), ("sweep",)))
+def test_help_matches_the_stock_formatter(capsys, monkeypatch, columns, command):
+    import argparse
+
+    from fermatjac import cli
+
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    helps = []
+    for formatter in (cli._HelpFormatter, argparse.HelpFormatter):
+        monkeypatch.setattr(cli, "_HelpFormatter", formatter)
+        with pytest.raises(SystemExit):
+            main([*command, "--help"])
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1]
+    assert "usage: fermatjac" in helps[0]
+
+
+def test_cli_imports_no_shutil():
+    # argparse's stock formatter imports shutil (and zlib, bz2, lzma) to
+    # read the terminal width; -S keeps site-packages from importing it
+    import subprocess
+    import sys
+
+    import fermatjac
+
+    src = str(Path(fermatjac.__file__).resolve().parents[1])
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from fermatjac import cli\n"
+        "code = cli.main(['decompose', '--p', '7'])\n"
+        "print(sorted(m for m in ('shutil', 'bz2', 'lzma', 'zlib') if m in sys.modules))\n"
+        "sys.exit(code)\n"
+    )
+    run = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
