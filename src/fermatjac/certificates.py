@@ -13,7 +13,8 @@ coset actions gives exact rational certificates:
 of the K-fixed subspace of homology).  For each free deck subgroup the
 value is p - 1, twice the quotient genus.  Permutation characters come
 from Frobenius' formula over the classes K meets (:class:`ClassData`),
-and inner products are class-weighted sums, exact Fractions.  The test
+and inner products are class-weighted sums over the classes where both
+functions are nonzero, exact Fractions.  The test
 suite checks both against the literal constructions: fixed cosets of an
 explicit coset labelling, and a sum over all group elements.
 """
@@ -28,30 +29,46 @@ from .groups import IDENTITY, ClassData, Element, Subgroup
 
 
 class ClassFunction:
-    """An integer-valued function constant on conjugacy classes."""
+    """An integer-valued function constant on conjugacy classes, held by
+    its support: ``support`` maps each class where the function is not
+    zero to its value there.  ``values`` lists one value per class."""
 
-    __slots__ = ("data", "values", "name")
+    __slots__ = ("data", "support", "name")
 
     def __init__(self, data: ClassData, values, name: str = ""):
-        if len(values) != len(data.classes):
-            raise ShapeMismatchError(f"{len(values)} values for {len(data.classes)} classes")
+        if len(values) != len(data.reps):
+            raise ShapeMismatchError(f"{len(values)} values for {len(data.reps)} classes")
         self.data = data
-        self.values = tuple(values)
+        self.support = {c: v for c, v in enumerate(values) if v}
         self.name = name
 
+    @classmethod
+    def on_support(cls, data: ClassData, support: dict[int, int], name: str = "") -> "ClassFunction":
+        """The function with the given values on the given classes and 0
+        on every other class."""
+        fn = cls.__new__(cls)
+        fn.data = data
+        fn.support = {c: v for c, v in support.items() if v}
+        fn.name = name
+        return fn
+
+    @property
+    def values(self) -> tuple:
+        return tuple(self.support.get(c, 0) for c in range(len(self.data.reps)))
+
     def __call__(self, g: Element):
-        return self.values[self.data.class_of[self.data.group.index(g)]]
+        return self.support.get(self.data.class_of[self.data.group.index(g)], 0)
 
     @property
     def at_identity(self):
-        return self.values[self.data.identity_index]
+        return self.support.get(self.data.identity_index, 0)
 
     def __repr__(self):
         return f"ClassFunction({self.name!r}, dim={self.at_identity})"
 
 
 def chi_trivial(data: ClassData) -> ClassFunction:
-    return ClassFunction(data, [1] * len(data.classes), "trivial")
+    return ClassFunction(data, [1] * len(data.reps), "trivial")
 
 
 def chi_rat(fix: FixTable, data: ClassData) -> ClassFunction:
@@ -64,22 +81,21 @@ def chi_rat(fix: FixTable, data: ClassData) -> ClassFunction:
     group = data.group
     if fix.group != group or group.gamma is not None:
         raise GroupMismatchError(f"{fix!r} and class data for {group} do not share one Fermat group")
-    values = [2 * fermat_genus(group.p) if c[0] == IDENTITY else 2 - fix.at(c[0]) for c in data.classes]
+    values = [2 * fermat_genus(group.p) if r == IDENTITY else 2 - fix.at(r) for r in data.reps]
     return ClassFunction(data, values, "homology")
 
 
 def induced_perm_character(k: Subgroup, data: ClassData) -> ClassFunction:
     """Permutation character of the action on cosets of K: the number of
-    cosets each element fixes, by Frobenius' formula.  At the identity
+    cosets each element fixes, by Frobenius' formula.  It vanishes off
+    the classes K meets, so it is built on those alone.  At the identity
     this is the index."""
     if k.group != data.group:
         raise GroupMismatchError(f"{k!r} does not live in {data.group}")
     if data.order % k.order:
         raise CheckFailedError(f"{k!r} has order {k.order}, which does not divide {data.order}")
-    values = [0] * len(data.classes)
-    for c, f in data.fixed_cosets(data.class_counts(k.indices), k.order).items():
-        values[c] = f
-    fn = ClassFunction(data, values, f"perm(G/{k!r})")
+    fixed = data.fixed_cosets(data.class_counts(k.indices), k.order)
+    fn = ClassFunction.on_support(data, fixed, f"perm(G/{k!r})")
     if fn.at_identity * k.order != data.order:
         raise CheckFailedError(
             f"{fn.at_identity} cosets of {k!r} in a group of order {data.order}"
@@ -90,11 +106,15 @@ def induced_perm_character(k: Subgroup, data: ClassData) -> ClassFunction:
 def inner_product(f1: ClassFunction, f2: ClassFunction) -> Fraction:
     """(1/|G|) sum over all group elements of f1(g) f2(g), exactly, taken
     class by class: each class contributes its size times the product.
+    Only the classes where both are nonzero contribute, so the sum runs
+    over the smaller support.
 
     Integer-valued class functions are self-conjugate, so no conjugation
     appears.
     """
     if f1.data.group != f2.data.group:
         raise GroupMismatchError("inner product of class functions on different groups")
-    total = sum(n * a * b for n, a, b in zip(f1.data.sizes, f1.values, f2.values))
+    small, large = sorted((f1.support, f2.support), key=len)
+    sizes = f1.data.sizes
+    total = sum(sizes[c] * v * large.get(c, 0) for c, v in small.items())
     return Fraction(total, f1.data.order)

@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 from collections import Counter
+from itertools import chain
 
 from . import certificates as cert
 from . import decompose as dec
@@ -31,17 +32,15 @@ from .errors import (
     TooLargeError,
     TooSmallError,
 )
-from .orbits import OrbitKind, is_prime, make_context, orbit, orbit_partition, s3_apply
+from .orbits import OrbitKind, is_prime, make_context, orbit_partition, s3_apply
 
 FULL_DEPTH_DEFAULT_CAP = 31
 # verify --full-cap: the full checks hold the class of each of the 6 p^2
-# group elements, and building the classes holds four conjugation maps
-# of that size, so memory grows as p^2: 3 s and 101 MB at p = 263.  The
-# genus oracles take one cyclic subgroup per conjugacy class.
-FULL_DEPTH_MAX_P = 263
-# verify at any depth: the monomial conjugation sweep costs five map
-# compositions per l = 0..p-1, about 4 s at p = 19993.
-VERIFY_MAX_P = 20_000
+# group elements (classes by rule, no conjugation maps) and the p^2
+# translations, so time and memory grow as p^2: 0.6 s and 30 MB at
+# p = 263, 14 s and 160 MB at p = 997.  The genus oracles take one cyclic
+# subgroup per conjugacy class.
+FULL_DEPTH_MAX_P = 997
 # sweep --to: a serial sweep over 5..3000 (426 primes) takes about 16 s.
 SWEEP_MAX_TO = 3_000
 
@@ -59,9 +58,15 @@ def _require(cond, detail):
         raise CheckFailedError(detail)
 
 
+def _partition(ctx, cache):
+    if "partition" not in cache:
+        cache["partition"] = orbit_partition(ctx)
+    return cache["partition"]
+
+
 def check_orbit_partition_laws(ctx, cache):
     p = ctx.p
-    part = orbit_partition(ctx)
+    part = _partition(ctx, cache)
     sizes = [o.size for o in part.orbits]
     _require(sum(sizes) == p - 2, f"p = {p}: the orbit sizes sum to {sum(sizes)}, not {p - 2}")
     bad = [s for s in sizes if s not in (2, 3, 6)]
@@ -103,8 +108,9 @@ def check_s3_relations(ctx, cache):
 def check_moebius_transport(ctx, cache):
     p = ctx.p
     labels = list(MoebiusLabel)
+    part = _partition(ctx, cache)
     for a in range(1, p - 1):
-        o = orbit(a, ctx)
+        o = part.orbit_of(a)
         images = Counter(moebius_transport(a, lab, ctx) for lab in labels)
         _require(set(images) == set(o.elements), f"p = {p}: the six images of {a} are not its orbit {o.elements}")
         mult = 6 // o.size
@@ -143,7 +149,7 @@ def check_normalization(ctx, cache):
 
 def _coarse(ctx, cache):
     if "coarse" not in cache:
-        cache["coarse"] = dec.decompose_coarse(ctx)
+        cache["coarse"] = dec.decompose_coarse(ctx, _partition(ctx, cache))
     return cache["coarse"]
 
 
@@ -251,13 +257,12 @@ def check_dual_oracle_genus(ctx, cache):
     # closed under conjugation).
     subgroups = grp.cyclic_subgroup_classes(data)
     classes = len(subgroups)
-    subgroups.append(h)
-    subgroups.extend(grp.fermat_Hj(p, j) for j in range(1, p - 1))
     # H_i and H_j are the lines through (1, 1+i) and (1, 1+j) in F_p^2,
     # with determinant j - i, a unit for i != j: every pairwise join is
-    # the plane H, listed once more as the joins' entry.
-    subgroups.append(h)
-    for k in subgroups:
+    # the plane H, listed once more as the joins' entry.  The H_j are
+    # built one at a time.
+    deck = (grp.fermat_Hj(p, j) for j in range(1, p - 1))
+    for k in chain(subgroups, [h], deck, [h]):
         rh, coset = gen.rh_genus(g_top, k, fix), gen.coset_genus(k, triple, data)
         if rh != coset:
             raise OracleDisagreementError(
@@ -267,6 +272,25 @@ def check_dual_oracle_genus(ctx, cache):
 
 
 def check_fix_table_consistency(ctx, cache):
+    """The full fix table agrees with the axis table on H and meets the
+    Lefschetz bound 0 <= fix <= 2 + 2g on every class, and the classes
+    are the conjugacy classes.
+
+    The table reads one count per class and the dual-oracle check takes
+    one subgroup per class, so both stand for every element only if no
+    conjugation moves an element out of its class.  The classes come from
+    a rule (see :mod:`fermatjac.groups`), so that is checked by argument,
+    in O(p^2), rather than element by element: conjugation by a
+    translation w sends x s to (x + (I - A_s) w) s and conjugation by
+    sigma sends it to (A_sigma x)(sigma s sigma^(-1)), so the rule's
+    labels are invariant exactly when the translation labels are
+    invariant under A_u and A_v, the square rule M_tau of each
+    transposition tau has M_tau (I - A_tau) = 0 and moves with A_sigma,
+    and ACTION respects PERM_MUL on all 36 products.  det(I - A_rho) != 0
+    for both 3-cycles makes their elements one class, and every class
+    size must be one the rule gives (1, 3, 6, 3p, 2p^2), summing to |G|,
+    which catches merged classes alongside Frobenius' integrality.
+    """
     p = ctx.p
     fix = cache["full_fix"]
     axis = gen.fermat_axis_fix_table(ctx)
@@ -279,24 +303,11 @@ def check_fix_table_consistency(ctx, cache):
             )
     bound = 2 + 2 * gen.fermat_genus(p)
     data = _class_data(ctx, cache)
-    for cls in data.classes:
-        rep = cls[0]
-        if rep == grp.IDENTITY:
-            continue
+    for rep in data.reps[1:]:  # reps[0] is the identity
         c = fix.at(rep)
         _require(0 <= c <= bound, f"p = {p}: fix{where(rep)} = {c} is outside [0, {bound}]")
-    # The table reads one count per class and the dual-oracle check takes
-    # one subgroup per class: both stand for every element only if
-    # conjugation by each generator keeps every element in its class.
-    class_of = data.class_of
-    for t in data.group.generators:
-        conj = grp.conjugation_map(t)
-        if [class_of[y] for y in conj] != class_of:
-            i = next(i for i, y in enumerate(conj) if class_of[y] != class_of[i])
-            raise CheckFailedError(
-                f"p = {p}: conjugation by {where(data.group.index(t))} moves {where(i)}"
-                f" out of its class, to {where(conj[i])}"
-            )
+    gap = grp.class_rule_gap(data)
+    _require(gap is None, f"p = {p}: {gap}")
     return "axis table matches, Lefschetz bound holds, class-constant"
 
 
@@ -322,7 +333,7 @@ def check_certificates(ctx, cache):
         "pairing_deck_vs_homology": p - 1,
         "homology_self_pairing": int(norm),
         "chi_homology_at_scaling_generator": 2 - p,
-        "conjugacy_class_count": len(data.classes),
+        "conjugacy_class_count": len(data.reps),
     }
     return f"<triv,hom> = 0, <G/H_j,hom> = {p - 1} for all j, <hom,hom> = {norm}"
 
@@ -375,9 +386,6 @@ def cmd_verify(args) -> int:
         print(f"error: --full-cap {args.full_cap} is above the supported bound {FULL_DEPTH_MAX_P}", file=sys.stderr)
         return 2
     ctx = make_context(args.p)
-    if ctx.p > VERIFY_MAX_P:
-        print(f"error: verify is capped at p <= {VERIFY_MAX_P}", file=sys.stderr)
-        return 2
     checks = list(BASIC_CHECKS)
     if args.depth == "full":
         if ctx.p > args.full_cap:
@@ -434,14 +442,14 @@ def _sweep_one(p: int) -> dict:
     ctx = make_context(p)
     row = {"p": p, "residue_mod_3": ctx.residue_class_mod_3}
     try:
-        part = orbit_partition(ctx)
-        check_orbit_partition_laws(ctx, {})
-        coarse = dec.decompose_coarse(ctx)
+        cache: dict = {}
+        check_orbit_partition_laws(ctx, cache)
+        coarse = _coarse(ctx, cache)
         fine = dec.decompose_fine(coarse)
         dec.dimension_audit(fine)
         row.update(
             {
-                "orbits": len(part.orbits),
+                "orbits": len(_partition(ctx, cache).orbits),
                 "coarse": coarse.render(),
                 "fine": fine.render(),
                 "status": "PASS",

@@ -308,14 +308,16 @@ def _require_total_dimension(d: IsogenyDecomposition) -> IsogenyDecomposition:
     return d
 
 
-def decompose_coarse(ctx: PrimeContext) -> IsogenyDecomposition:
-    """One Jacobian factor per exponent orbit, multiplicity = orbit size.
+def decompose_coarse(ctx: PrimeContext, partition: OrbitPartition | None = None) -> IsogenyDecomposition:
+    """One Jacobian factor per exponent orbit, multiplicity = orbit size,
+    from ctx's orbit partition (built here when not given).
 
     Emitted only with a fully passing audit; an audit failure would mean
     the verified hypotheses are wrong and is raised, never reported as a
     decomposition.
     """
-    partition = orbit_partition(ctx)
+    if partition is None:
+        partition = orbit_partition(ctx)
     audit = _fermat_family_audit(ctx, partition)
     if not audit.all_pass:
         raise AuditFailError(f"decomposition hypotheses failed for p = {ctx.p}")

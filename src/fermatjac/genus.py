@@ -274,7 +274,7 @@ def _power_class_counts(triple: GeneratingTriple, data: ClassData) -> tuple[tupl
 def _fiber_fix(triple: GeneratingTriple, data: ClassData) -> list[int]:
     """|Fix(g)| for the members g of each class: the cosets of the three
     fiber subgroups <c> that g fixes, by Frobenius' formula."""
-    fix = [0] * len(data.classes)
+    fix = [0] * len(data.reps)
     for m, counts in _power_class_counts(triple, data):
         for c, f in data.fixed_cosets(counts, m).items():
             fix[c] += f

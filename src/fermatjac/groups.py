@@ -26,8 +26,16 @@ ever stored.  On that kernel:
 - a :class:`Subgroup` is the sorted tuple of its element indices, and
   the subgroup some elements generate is their closure under left
   multiplication (:meth:`Group.closure`); for one element, its powers;
-- the conjugacy classes are the orbits of conjugation by the group
-  generators, one walk for either group;
+- the conjugacy classes follow a rule.  Write a Fermat element as
+  x sigma, x in F_p^2 and A = ACTION[sigma]: a translation's class is
+  the S3-orbit of x; the 3-cycle elements form one class (I - A is
+  invertible for a 3-cycle when p != 3, and v conjugates u to u^2); and
+  for a transposition the class of x sigma is given by the S3-orbit of
+  its square (x sigma)^2 = (I + A) x.  In the p-gonal group, T^k is
+  classed by the orbit of k under multiplication by gamma^2, and each
+  e != 0 gives one class of T^k R^e.  :func:`class_rule_gap` checks the
+  Fermat rule by argument; the orbit walk over the conjugation maps
+  (:func:`conjugacy_classes`) is the tests' oracle for it;
 - :class:`ClassData` maps every index to its class, and counts the
   cosets of K an element fixes by Frobenius' formula from the classes K
   meets, so no coset G/K is ever listed;
@@ -656,7 +664,9 @@ def conjugacy_classes(group: Group) -> tuple[tuple[int, ...], ...]:
     Classes are closed under conjugation by the group generators, which
     generates the full conjugation action, so each class is an orbit of
     the maps x -> t x t^(-1) on indices.  Ordered by smallest member;
-    members sorted.
+    members sorted.  The orbit walk holds four maps of the group's size;
+    :class:`ClassData` takes the classes from their closed form, and the
+    tests hold the two against each other.
     """
     conj = [conjugation_map(t) for t in group.generators]
     seen = bytearray(group.order)
@@ -676,12 +686,69 @@ def conjugacy_classes(group: Group) -> tuple[tuple[int, ...], ...]:
     return tuple(classes)
 
 
+def square_matrix(s: int) -> tuple[int, int, int, int]:
+    """I + A for A = ACTION[s], as (a, b, c, d): (x sigma)^2 is the
+    translation (I + A) x times sigma^2."""
+    a, b, c, d = ACTION[s]
+    return (1 + a, b, c, 1 + d)
+
+
+def _positions(matrix: tuple[int, ...], p: int) -> Iterator[int]:
+    """The position of M x for each vector x = (m, n) of F_p^2, in order
+    of the position m p + n of x."""
+    a, b, c, d = matrix
+    return (((a * m + b * n) % p) * p + (c * m + d * n) % p for m in range(p) for n in range(p))
+
+
+def translation_orbit_reps(p: int) -> list[int]:
+    """For each vector (m, n) of F_p^2, at position m p + n, the smallest
+    position in its orbit under the matrices of ACTION."""
+    rep = [-1] * (p * p)
+    for x in range(p * p):
+        if rep[x] < 0:
+            m, n = divmod(x, p)
+            for a, b, c, d in ACTION:
+                rep[((a * m + b * n) % p) * p + (c * m + d * n) % p] = x
+    return rep
+
+
+def _fermat_class_keys(p: int) -> list[int]:
+    """The class rule of the Fermat group as one key per element index
+    (m p + n) 6 + sigma: the S3-orbit of x = m p + n for sigma = 1 (keys
+    below p^2), 2 p^2 for a 3-cycle, and for a transposition the orbit of
+    the square (I + A) x, shifted by p^2."""
+    n = p * p
+    keys = [2 * n] * (6 * n)
+    orbit = translation_orbit_reps(p)
+    keys[PERM_ID::6] = orbit
+    shifted = {r: n + r for r in set(orbit)}
+    square_key = list(map(shifted.__getitem__, orbit))
+    for s in (PERM_V, PERM_UV, PERM_U2V):
+        keys[s::6] = map(square_key.__getitem__, _positions(square_matrix(s), p))
+    return keys
+
+
+def _pgonal_class_keys(group: Group) -> list[int]:
+    """The class rule of the p-gonal group as one key per element index
+    3 k + e: the orbit of k under multiplication by gamma^2 for e = 0
+    (keys below p), and one class for each e != 0."""
+    p = group.p
+    g2 = group.gamma * group.gamma % p
+    keys = [0, p, p + 1] * p
+    keys[0::3] = [min(k, k * g2 % p, k * g2 * g2 % p) for k in range(p)]
+    return keys
+
+
 class ClassData:
     """Conjugacy classes of one group plus the class of every element.
 
-    ``classes`` is the result of :func:`conjugacy_classes`, ``sizes`` the
-    class sizes, and ``class_of[i]`` the number of the class of the
-    element with index i.
+    ``class_of[i]`` is the number of the class of the element with index
+    i, ``reps[c]`` the smallest member of class c and ``sizes[c]`` its
+    size.  Classes are numbered by smallest member, as
+    :func:`conjugacy_classes` orders them, but no member list is built:
+    the rule of the module docs gives each element a key, and a class is
+    numbered at its first index.  :func:`class_rule_gap` checks that the
+    rule's labels are invariant under conjugation.
 
     The class data answers every question about the coset action of G on
     G/K without listing a coset, by Frobenius' formula for permutation
@@ -689,16 +756,25 @@ class ClassData:
     element x fixes |G| |x^G n K| / (|x^G| |K|) cosets.
     """
 
-    __slots__ = ("group", "classes", "class_of", "sizes")
+    __slots__ = ("group", "reps", "class_of", "sizes")
 
     def __init__(self, group: Group):
         self.group = group
-        self.classes = conjugacy_classes(group)
-        self.sizes = tuple(map(len, self.classes))
-        self.class_of = [0] * sum(self.sizes)
-        for c, cls in enumerate(self.classes):
-            for i in cls:
-                self.class_of[i] = c
+        keys = _fermat_class_keys(group.p) if group.gamma is None else _pgonal_class_keys(group)
+        # key -> the first index with that key, read backwards so that
+        # the first index is written last
+        first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+        order = sorted(first, key=first.__getitem__)
+        self.reps = tuple(map(first.__getitem__, order))
+        number = {key: c for c, key in enumerate(order)}
+        # the keys become class numbers in place, a slice at a time, so no
+        # second list of the group's size is held
+        step = 1 << 16
+        for lo in range(0, len(keys), step):
+            keys[lo:lo + step] = map(number.__getitem__, keys[lo:lo + step])
+        self.class_of = keys
+        counts = Counter(keys)
+        self.sizes = tuple(counts[c] for c in range(len(order)))
 
     @property
     def order(self) -> int:
@@ -732,6 +808,79 @@ class ClassData:
         return fixed
 
 
+def _mat_mul(x: tuple[int, ...], y: tuple[int, ...], p: int) -> tuple[int, int, int, int]:
+    a, b, c, d = x
+    e, f, g, h = y
+    return ((a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p)
+
+
+def class_rule_gap(data: ClassData) -> str | None:
+    """The first hypothesis of the Fermat group's class rule that the
+    class data fails, or None when its labels are conjugation-invariant
+    and its class sizes are those of the rule.
+
+    Write an element as x s, x in F_p^2 and A_s = ACTION[s].  Conjugation
+    by a translation w sends x s to (x + (I - A_s) w) s, and conjugation
+    by sigma sends x s to (A_sigma x)(sigma s sigma^(-1)).  The rule
+    labels x by its S3-orbit, every 3-cycle element alike, and x tau, tau
+    a transposition, by the S3-orbit of its square M_tau x, M =
+    :func:`square_matrix`.  So the labels are conjugation-invariant
+    exactly when:
+
+    - ACTION respects PERM_MUL on all 36 products, so every A_sigma is a
+      product of A_u and A_v, and a conjugate of a 3-cycle or of a
+      transposition is one again;
+    - the labels of the p^2 translations are invariant under A_u and A_v;
+    - M_tau (I - A_tau) = 0 for each transposition tau, so conjugation by
+      a translation keeps the square (for M = I + A this is A_tau^2 = I),
+      and M_(sigma tau sigma^-1) A_sigma = A_sigma M_tau, so conjugation
+      by sigma moves the square by A_sigma, within its orbit.
+
+    The 3-cycle elements are one class, not several, because I - A_rho
+    is invertible mod p for both 3-cycles (so conjugation by translations
+    reaches every x rho) and a transposition conjugates u to u^2; that
+    needs det(I - A_rho) != 0 mod p.  Classes the rule merged would have
+    sizes outside the rule's 1, 3, 6, 3p and 2p^2, which sum to |G|.
+    Each hypothesis costs O(1) but the translation labels, O(p^2).
+    """
+    group = data.group
+    if group.gamma is not None:
+        raise GroupMismatchError(f"the class rule of the Fermat group does not serve {group}")
+    p = group.p
+    where = group.coordinates
+    for s in range(6):
+        for t in range(6):
+            if _mat_mul(ACTION[s], ACTION[t], p) != tuple(x % p for x in ACTION[PERM_MUL[s][t]]):
+                return f"ACTION[{s}] ACTION[{t}] is not ACTION[{PERM_MUL[s][t]}]"
+    labels = data.class_of[::6]
+    for s in (PERM_U, PERM_V):
+        image = list(_positions(ACTION[s], p))
+        if list(map(labels.__getitem__, image)) != labels:
+            x = next(x for x, y in enumerate(image) if labels[y] != labels[x])
+            return f"conjugation by {where(s)} moves {where(6 * x)} out of its class, to {where(6 * image[x])}"
+    for t in (PERM_V, PERM_UV, PERM_U2V):
+        a, b, c, d = ACTION[t]
+        if _mat_mul(square_matrix(t), (1 - a, -b, -c, 1 - d), p) != (0, 0, 0, 0):
+            return f"the square rule of sigma = {t} is not constant on its translation conjugates"
+        for s in range(6):
+            conj = PERM_MUL[PERM_MUL[s][t]][PERM_INV[s]]
+            if _mat_mul(square_matrix(conj), ACTION[s], p) != _mat_mul(ACTION[s], square_matrix(t), p):
+                return f"conjugation by sigma = {s} does not move the square rule of sigma = {t} by ACTION[{s}]"
+    for s in (PERM_U, PERM_U2):
+        a, b, c, d = ACTION[s]
+        if ((1 - a) * (1 - d) - b * c) % p == 0:
+            return f"I - ACTION[{s}] is singular mod {p}"
+    if PERM_MUL[PERM_MUL[PERM_V][PERM_U]][PERM_INV[PERM_V]] != PERM_U2:
+        return "v does not conjugate u to u^2"
+    allowed = (1, 3, 6, 3 * p, 2 * p * p)
+    bad = sorted({n for n in data.sizes if n not in allowed})
+    if bad:
+        return f"class sizes {bad} are not among the rule's {allowed}"
+    if sum(data.sizes) != group.order:
+        return f"the class sizes sum to {sum(data.sizes)}, not {group.order}"
+    return None
+
+
 def cyclic_subgroup_classes(data: ClassData) -> list[Subgroup]:
     """One cyclic subgroup from each conjugacy class of cyclic subgroups,
     the trivial one first.
@@ -741,21 +890,21 @@ def cyclic_subgroup_classes(data: ClassData) -> list[Subgroup]:
     powers of the smallest member of a class not yet covered are a new
     representative, and the classes of its generators become covered.
     That gives one subgroup per class when the classes of ``data`` are
-    the conjugation orbits, as :func:`conjugacy_classes` builds them;
-    ``verify`` tests on every element that no conjugation leaves a class.
+    the conjugacy classes; ``verify`` checks their rule by the argument
+    of :func:`class_rule_gap`.
     """
     group, class_of = data.group, data.class_of
-    covered = bytearray(len(data.classes))
+    covered = bytearray(len(data.reps))
     subgroups = []
-    for c, cls in enumerate(data.classes):
+    for c, rep in enumerate(data.reps):
         if covered[c]:
             continue
-        powers = group.closure([group.element(cls[0])])
+        powers = group.closure([group.element(rep)])
         n = len(powers)
         for k in range(1, n + 1):
             if gcd(k, n) == 1:
                 covered[class_of[powers[k % n]]] = 1
-        subgroups.append(Subgroup(group, cls[:1], powers))
+        subgroups.append(Subgroup(group, (rep,), powers))
     return subgroups
 
 

@@ -141,16 +141,41 @@ def _substitute(
     p: int,
     gamma: int,
 ) -> MonomialFunction:
-    """Evaluate f at x := x_val, y := y_val (monomial in, monomial out)."""
-    out = MonomialFunction(f.sign, f.omega % p, 0, 0, 0)
-    out = mf_mul(out, mf_pow(x_val, f.a, p, gamma), p, gamma)
-    out = mf_mul(out, mf_pow(x_minus_one, f.b, p, gamma), p, gamma)
-    if f.d:
-        # can't happen: compose passes None only for an x image, and x
-        # images never involve y
-        assert y_val is not None
-        out = mf_mul(out, mf_pow(y_val, f.d, p, gamma), p, gamma)
-    return out
+    """Evaluate f at x := X, y := Y (monomial in, monomial out), X = x_val
+    and X - 1 = x_minus_one Moebius monomials, which carry no w and no y.
+
+    Every exponent of the result is linear in f's: with f = sign w^omega
+    x^a (x-1)^b y^d, the sign is sign X.sign^a (X-1).sign^b Y.sign^d, the
+    w-exponent omega + d Y.omega, the x-exponent a X.a + b (X-1).a + d Y.a
+    (and likewise for x - 1), and the y-exponent d Y.d.  One
+    normalization at the end gives the same normal form as multiplying
+    the powers one by one: the rewrite y^p = x^gamma (x-1) is additive and
+    normal forms are canonical.
+    """
+    a, b, d = f.a, f.b, f.d
+    sign = f.sign
+    if a & 1:
+        sign *= x_val.sign
+    if b & 1:
+        sign *= x_minus_one.sign
+    if not d:
+        return make_monomial(
+            sign, f.omega, a * x_val.a + b * x_minus_one.a, a * x_val.b + b * x_minus_one.b, 0, p, gamma
+        )
+    # can't happen: compose passes None only for an x image, and x
+    # images never involve y
+    assert y_val is not None
+    if d & 1:
+        sign *= y_val.sign
+    return make_monomial(
+        sign,
+        f.omega + d * y_val.omega,
+        a * x_val.a + b * x_minus_one.a + d * y_val.a,
+        a * x_val.b + b * x_minus_one.b + d * y_val.b,
+        d * y_val.d,
+        p,
+        gamma,
+    )
 
 
 def compose(outer: MonomialMap, inner: MonomialMap) -> MonomialMap:

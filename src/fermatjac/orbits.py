@@ -24,10 +24,11 @@ from enum import Enum
 from .errors import AuditFailError, NoGammaError, NotPrimeError, OutOfRangeError, TooLargeError, TooSmallError
 from .records import FrozenRecord, set_field
 
-# The largest p any command accepts.  Every step of orbits and decompose
-# is O(p); decompose --p 100003 --format json (p = 1 mod 3, the slower
-# residue) takes about 3 s and 130 MB.  verify and sweep have lower caps
-# in cli.py.
+# The largest p any command accepts.  Every step of orbits, decompose
+# and basic verify is O(p); at p = 100003 (p = 1 mod 3, the slower
+# residue) decompose --format json takes about 2 s and 133 MB, and
+# verify 10-13 s and 44 MB.  sweep and verify --depth full have lower
+# caps in cli.py.
 MAX_P = 100_003
 
 
@@ -160,7 +161,13 @@ def orbit(alpha: int, ctx: PrimeContext) -> OrbitClass:
             if b not in seen:
                 seen.add(b)
                 frontier.append(b)
-    elements = tuple(sorted(seen))
+    return _classify(tuple(sorted(seen)), alpha, ctx)
+
+
+def _classify(elements: tuple[int, ...], alpha: int, ctx: PrimeContext) -> OrbitClass:
+    """The orbit of alpha with the given sorted elements, its kind read
+    off its size; a size or a special orbit other than the known ones
+    raises."""
     size = len(elements)
     if size == 3:
         expected = tuple(sorted((1, ctx.p - 2, (ctx.p - 1) // 2)))
@@ -204,16 +211,30 @@ class OrbitPartition(FrozenRecord):
             raise AuditFailError(f"p = {self.context.p}: the partition does not cover {alpha}") from None
 
 
+def inverse_table(p: int) -> list[int]:
+    """inv[a] = a^(-1) mod p for a = 1, ..., p-1 (inv[0] = 0), in O(p):
+    p = (p // a) a + p mod a gives a^(-1) = -(p // a) (p mod a)^(-1)."""
+    inv = [0, 1] + [0] * (p - 2)
+    for a in range(2, p):
+        inv[a] = -(p // a) * inv[p % a] % p
+    return inv
+
+
 def orbit_partition(ctx: PrimeContext) -> OrbitPartition:
+    """Every orbit on X_p, each read off the six-element formula of the
+    module docs with an O(p) inverse table, in order of representative."""
+    p = ctx.p
+    inv = inverse_table(p)
     orbits = []
-    covered: set[int] = set()
-    for a in range(1, ctx.p - 1):
-        if a in covered:
+    covered = bytearray(p)
+    for a in range(1, p - 1):
+        if covered[a]:
             continue
-        o = orbit(a, ctx)
-        orbits.append(o)
-        covered.update(o.elements)
-    if len(covered) != ctx.p - 2:
-        raise AuditFailError(f"p = {ctx.p}: the orbits cover {len(covered)} points, not {ctx.p - 2}")
-    orbits.sort(key=lambda o: o.representative)
+        s = a + 1
+        elements = tuple(sorted({a, inv[a], p - s, p - inv[s], -inv[a] * s % p, -a * inv[s] % p}))
+        orbits.append(_classify(elements, a, ctx))
+        for b in elements:
+            covered[b] = 1
+    if sum(covered) != p - 2:
+        raise AuditFailError(f"p = {p}: the orbits cover {sum(covered)} points, not {p - 2}")
     return OrbitPartition(context=ctx, orbits=tuple(orbits))

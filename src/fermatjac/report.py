@@ -77,8 +77,7 @@ def _decomposition_entry(d: IsogenyDecomposition) -> dict:
     return entry
 
 
-def base_report(ctx: PrimeContext) -> dict:
-    partition = orbit_partition(ctx)
+def base_report(ctx: PrimeContext, partition: OrbitPartition) -> dict:
     gamma = None
     if ctx.has_gamma:
         gamma = {"root": ctx.gamma_pair[0], "inverse_root": ctx.gamma_pair[1]}
@@ -98,16 +97,17 @@ def base_report(ctx: PrimeContext) -> dict:
 
 
 def orbits_report(ctx: PrimeContext) -> dict:
-    report = base_report(ctx)
+    report = base_report(ctx, orbit_partition(ctx))
     report["command"] = "orbits"
     return report
 
 
 def decompose_report(ctx: PrimeContext, level: str = "both") -> dict:
-    report = base_report(ctx)
+    partition = orbit_partition(ctx)
+    report = base_report(ctx, partition)
     report["command"] = "decompose"
     decompositions = {}
-    coarse = decompose_coarse(ctx)
+    coarse = decompose_coarse(ctx, partition)
     if level in ("coarse", "both"):
         decompositions["coarse"] = _decomposition_entry(coarse)
     if level in ("fine", "both"):

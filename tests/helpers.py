@@ -17,10 +17,11 @@ from itertools import combinations
 from fermatjac.errors import GroupMismatchError, OutOfRangeError
 from fermatjac.genus import GeneratingTriple, fermat_axis_fix_table, fermat_genus, pgonal_fix_table, riemann_hurwitz
 from fermatjac.groups import (
+    ACTION,
     IDENTITY,
     PERM_ID,
+    PERM_UV,
     FermatAut,
-    fermat_a1,
     fermat_elements,
     fermat_group_order,
     mulclose,
@@ -30,6 +31,7 @@ from fermatjac.groups import (
     pgonal_T,
     subgroup_closure,
 )
+from fermatjac.monomial import MonomialFunction, mf_mul, mf_pow
 from fermatjac.orbits import make_context
 
 INF = "inf"
@@ -312,7 +314,7 @@ def object_inner_product(f1, f2, universe):
     each looked up in an element -> class dict built from the classes
     (given by the canonical positions of their members)."""
     universe = list(universe)
-    class_of = {universe[i]: c for c, cls in enumerate(f1.data.classes) for i in cls}
+    class_of = {universe[i]: c for c, cls in enumerate(class_members(f1.data)) for i in cls}
     total = sum(f1.values[class_of[g]] * f2.values[class_of[g]] for g in universe)
     return Fraction(total, len(universe))
 
@@ -429,40 +431,69 @@ def element_inner_product(f1, f2):
     return Fraction(sum(v1[c] * v2[c] for c in f1.data.class_of), f1.data.order)
 
 
-def merge_axis_class(real):
-    """conjugacy_classes with the class of a1 (an axis translation)
-    merged into the class of a1 a2^2 (off the axes)."""
+def class_members(data):
+    """The members of each class of ``data``, read off ``class_of``."""
+    members = [[] for _ in data.reps]
+    for i, c in enumerate(data.class_of):
+        members[c].append(i)
+    return tuple(map(tuple, members))
 
-    def merged(group):
-        classes = list(real(group))
-        if group.gamma is not None:
-            return tuple(classes)
-        universe = list(fermat_elements(group.p))
-        a1, off_axis = universe.index(fermat_a1(group.p)), universe.index(FermatAut(group.p, 1, 2, 0))
-        i = next(n for n, cls in enumerate(classes) if a1 in cls)
-        j = next(n for n, cls in enumerate(classes) if off_axis in cls)
-        classes[j] = tuple(sorted(classes[i] + classes[j]))
-        del classes[i]
-        return tuple(classes)
+
+def merge_axis_class(real):
+    """translation_orbit_reps with the orbit of a1 (an axis translation)
+    labelled as the orbit of a1 a2^2 (off the axes): the classes of both
+    translations, and of the transposition elements whose squares lie in
+    them, merge."""
+
+    def merged(p):
+        labels = list(real(p))
+        axis, off_axis = labels[p], labels[p + 2]  # the positions of (1, 0) and (1, 2)
+        return [off_axis if r == axis else r for r in labels]
 
     return merged
 
 
 def split_generic_class(real):
-    """conjugacy_classes with the class of a1 a2^2 (a translation off the
-    axes, in a class of six) split into two halves of three."""
+    """translation_orbit_reps with the orbit of a1 a2^2 (a translation off
+    the axes, an orbit of six) split into two halves of three, the second
+    labelled by its own smallest position."""
 
-    def split(group):
-        classes = list(real(group))
-        if group.gamma is not None:
-            return tuple(classes)
-        off_axis = list(fermat_elements(group.p)).index(FermatAut(group.p, 1, 2, 0))
-        i = next(n for n, cls in enumerate(classes) if off_axis in cls)
-        cls = classes[i]
-        classes[i:i + 1] = [cls[:len(cls) // 2], cls[len(cls) // 2:]]
-        return tuple(sorted(classes))
+    def split(p):
+        labels = list(real(p))
+        members = sorted(x for x, r in enumerate(labels) if r == labels[p + 2])
+        for x in members[3:]:
+            labels[x] = members[3]
+        return labels
 
     return split
+
+
+def square_minus(s):
+    """square_matrix with (I - A) x in place of the square (I + A) x of
+    x sigma."""
+    a, b, c, d = ACTION[s]
+    return (1 - a, -b, -c, 1 - d)
+
+
+def square_doubled_for_uv(s):
+    """square_matrix with the square of x uv doubled: every class keeps
+    its size, but the uv part of a class is no longer the conjugate of
+    its v part."""
+    a, b, c, d = ACTION[s]
+    k = 2 if s == PERM_UV else 1
+    return (k * (1 + a), k * b, k * c, k * (1 + d))
+
+
+def substitute_by_chain(f, x_val, x_minus_one, y_val, p, gamma):
+    """f(x := X, y := Y) as a chain of normalized products: the sign and
+    w-part of f, times X^a, times (X - 1)^b, times Y^d, each power and
+    product put in normal form on its own."""
+    out = MonomialFunction(f.sign, f.omega % p, 0, 0, 0)
+    out = mf_mul(out, mf_pow(x_val, f.a, p, gamma), p, gamma)
+    out = mf_mul(out, mf_pow(x_minus_one, f.b, p, gamma), p, gamma)
+    if f.d:
+        out = mf_mul(out, mf_pow(y_val, f.d, p, gamma), p, gamma)
+    return out
 
 
 def run_under_O(script):

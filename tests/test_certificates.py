@@ -161,8 +161,7 @@ def test_pgonal_class_data_and_pairing():
 
     fix = pgonal_fix_table(ctx)
     values = []
-    for cls in data.classes:
-        rep = cls[0]
+    for rep in data.reps:
         values.append(7 - 1 if rep == IDENTITY else 2 - fix.at(rep))
     hom = ClassFunction(data, values, "pgonal homology")
     assert inner_product(chi_trivial(data), hom) == 0

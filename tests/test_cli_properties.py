@@ -14,7 +14,8 @@ import io
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fermatjac.cli import FULL_DEPTH_MAX_P, SWEEP_MAX_TO, VERIFY_MAX_P, main
+from fermatjac import cli
+from fermatjac.cli import FULL_DEPTH_MAX_P, SWEEP_MAX_TO, main
 from fermatjac.orbits import MAX_P, is_prime
 
 SMALL = 61
@@ -71,12 +72,23 @@ def test_p_above_max_p_exits_2(command, above):
 
 
 @PROPERTY
-@given(above=st.integers(min_value=1, max_value=MAX_P - VERIFY_MAX_P))
+@given(above=st.integers(min_value=1, max_value=10**6))
 @example(above=1)
-@example(above=next_prime(VERIFY_MAX_P + 1) - VERIFY_MAX_P)
+@example(above=next_prime(MAX_P + 1) - MAX_P)
 def test_verify_above_its_cap_exits_2(above):
-    code, _, err = run("verify", f"--p={VERIFY_MAX_P + above}")
+    # verify has no cap of its own: MAX_P bounds it as it bounds every command
+    code, out, err = run("verify", f"--p={MAX_P + above}")
     assert_clean(code, err, (2,))
+    assert f"exceeds the supported bound {MAX_P}" in err and not out
+
+
+def test_verify_accepts_every_prime_up_to_max_p(monkeypatch):
+    # with the checks stubbed out, only a cap could refuse these
+    monkeypatch.setattr(cli, "BASIC_CHECKS", [])
+    for p in (next_prime(20_001), MAX_P):
+        code, out, err = run("verify", f"--p={p}")
+        assert_clean(code, err, (0,))
+        assert f"all 0 checks passed (p={p}, depth=basic)" in out
 
 
 ENDPOINTS = st.integers(min_value=-10**4, max_value=10**4) | st.integers(min_value=0, max_value=SMALL)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fermatjac.curves import MoebiusLabel
@@ -32,7 +34,7 @@ from fermatjac.monomial import (
 )
 from fermatjac.orbits import make_context
 
-from helpers import run_under_O
+from helpers import run_under_O, substitute_by_chain
 
 
 def test_reduce_curve_relation():
@@ -228,6 +230,45 @@ def test_conjugation_sweep_matches_verify_relation(p):
         assert lhs == word_map(lhs_word, ctx) and rhs == word_map(rhs_word, ctx)
         assert (lhs == rhs) is verify_relation(lhs_word, rhs_word, ctx) is True
     assert ls == list(range(p))
+
+
+@pytest.mark.parametrize("p", (7, 13, 19, 31))
+def test_one_step_substitution_matches_the_chain(p):
+    """_substitute normalizes once; the chain normalizes every power and
+    product.  Normal forms are canonical, so both must agree, for random
+    monomials and every Moebius x-image, with and without y."""
+    g = make_context(p).gamma
+    rng = random.Random(p)
+
+    def monomial(d_range):
+        return MonomialFunction(
+            rng.choice((1, -1)), rng.randrange(-3 * p, 3 * p), rng.randrange(-40, 40),
+            rng.randrange(-40, 40), rng.randrange(*d_range),
+        )
+
+    for _ in range(400):
+        f, y = monomial((-3 * p, 3 * p)), monomial((-3 * p, 3 * p))
+        x, x_minus_one = rng.choice(list(MOEBIUS_MONOMIALS.values()))
+        assert monomial_module._substitute(f, x, x_minus_one, y, p, g) == substitute_by_chain(f, x, x_minus_one, y, p, g)
+        f = monomial((0, 1))
+        assert monomial_module._substitute(f, x, x_minus_one, None, p, g) == substitute_by_chain(f, x, x_minus_one, None, p, g)
+
+
+@pytest.mark.parametrize("p", (7, 13, 19, 31))
+def test_one_step_substitution_matches_the_chain_in_the_sweep(monkeypatch, p):
+    calls = []
+    real = monomial_module._substitute
+
+    def both(*args):
+        out = real(*args)
+        assert out == substitute_by_chain(*args), args
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(monomial_module, "_substitute", both)
+    for l, lhs, rhs in conjugation_sweep(make_context(p)):
+        assert lhs == rhs, l
+    assert len(calls) >= 10 * p
 
 
 def test_word_map_rejects_unknown_letter():

@@ -6,6 +6,7 @@ from fermatjac.orbits import (
     MAX_P,
     OrbitKind,
     OrbitPartition,
+    inverse_table,
     make_context,
     orbit,
     orbit_partition,
@@ -111,6 +112,23 @@ def test_orbit_matches_formula_oracle(p):
         assert set(orbit(a, ctx).elements) == orbit_formula(a, p)
 
 
+@pytest.mark.parametrize("p", sweep_primes(199))
+def test_inverse_table_matches_brute_force(p):
+    assert inverse_table(p)[1:] == [brute_inverse_table(p)[a] for a in range(1, p)]
+
+
+@pytest.mark.parametrize("p", sweep_primes(199))
+def test_partition_matches_the_closure_orbits(p):
+    """The six-element formula with the inverse table gives the orbits
+    the closure under U and V gives, with the same kinds, in order."""
+    ctx = make_context(p)
+    closure = {}
+    for a in range(1, p - 1):
+        o = orbit(a, ctx)
+        closure[o.representative] = o
+    assert orbit_partition(ctx).orbits == tuple(closure[r] for r in sorted(closure))
+
+
 def test_orbit_partition_examples():
     assert [o.elements for o in orbit_partition(make_context(7)).orbits] == [
         (1, 3, 5),
@@ -173,11 +191,26 @@ def test_orbit_census_failures_are_audit_errors(monkeypatch):
 
 
 def test_orbit_census_fails_decompose_under_python_O():
+    # every a its own "inverse": the formula gives O(1) = {1, 5}, which is
+    # not the gamma pair (2, 4)
     run = run_under_O(
         "from fermatjac import cli, orbits\n"
-        "orbits.s3_apply = lambda name, a, ctx: a % (ctx.p - 2) + 1\n"
+        "orbits.inverse_table = lambda p: list(range(p))\n"
         "sys.exit(cli.main(['decompose', '--p', '7']))\n"
     )
     assert run.returncode == 3, run.stdout + run.stderr
-    assert "audit failure: p = 7: impossible orbit size 5 for 1" in run.stderr
+    assert "audit failure: p = 7: size-2 orbit (1, 5) is not the gamma pair (2, 4)" in run.stderr
+    assert "Traceback" not in run.stderr
+
+
+def test_broken_orbit_closure_fails_verify_under_python_O():
+    # the partition comes from the formula; the closure under U and V is
+    # what the orbit-partition-laws check holds it against
+    run = run_under_O(
+        "from fermatjac import cli, orbits\n"
+        "cli.s3_apply = lambda name, a, ctx: a % (ctx.p - 2) + 1\n"
+        "sys.exit(cli.main(['verify', '--p', '7']))\n"
+    )
+    assert run.returncode == 4, run.stdout + run.stderr
+    assert "FAIL orbit-partition-laws: p = 7: U(1) = 2 leaves the orbit (1, 3, 5)" in run.stdout
     assert "Traceback" not in run.stderr

@@ -98,16 +98,16 @@ def test_invalid_input_exit_code_2(capsys):
 
 
 def test_measured_bounds_exit_code_2(capsys):
-    from fermatjac.cli import SWEEP_MAX_TO, VERIFY_MAX_P
+    from fermatjac.cli import SWEEP_MAX_TO
     from fermatjac.orbits import MAX_P, is_prime
 
     assert make_context(MAX_P).p == MAX_P
     over_max = next(q for q in range(MAX_P + 1, 2 * MAX_P) if is_prime(q))
-    over_verify = next(q for q in range(VERIFY_MAX_P + 1, 2 * VERIFY_MAX_P) if is_prime(q))
+    # verify has no cap of its own any more: MAX_P bounds every command
     for argv in (
         ["decompose", "--p", str(over_max)],
         ["orbits", "--p", str(over_max)],
-        ["verify", "--p", str(over_verify)],
+        ["verify", "--p", str(over_max)],
         ["sweep", "--from", "5", "--to", str(SWEEP_MAX_TO + 1)],
     ):
         code, out, err = run_cli(capsys, *argv)
@@ -246,9 +246,9 @@ def test_verify_builds_the_decomposition_once(capsys, monkeypatch):
     calls = []
     real = decompose_module.decompose_coarse
 
-    def counting(ctx):
+    def counting(ctx, *partition):
         calls.append(ctx.p)
-        return real(ctx)
+        return real(ctx, *partition)
 
     monkeypatch.setattr(decompose_module, "decompose_coarse", counting)
     code, _, _ = run_cli(capsys, "verify", "--p", "13")
@@ -260,7 +260,7 @@ def test_audit_failure_exit_code_3(capsys, monkeypatch):
     from fermatjac import report as report_module
     from fermatjac.errors import AuditFailError
 
-    def broken(ctx):
+    def broken(ctx, *partition):
         raise AuditFailError("forced for the exit-code contract")
 
     monkeypatch.setattr(report_module, "decompose_coarse", broken)
@@ -331,11 +331,22 @@ def test_verify_full_builds_classes_and_fix_table_once(capsys, monkeypatch):
     from fermatjac import genus as genus_module
     from fermatjac import groups as groups_module
 
-    classes = _count_calls(monkeypatch, groups_module, "conjugacy_classes")
+    # the classes come from their rule: no orbit walk, no conjugation map
+    walks = _count_calls(monkeypatch, groups_module, "conjugacy_classes")
+    maps = _count_calls(monkeypatch, groups_module, "conjugation_map")
     tables = _count_calls(monkeypatch, genus_module, "fermat_full_fix_table")
+    built = []
+    init = groups_module.ClassData.__init__
+
+    def counting_init(self, group):
+        built.append(group)
+        init(self, group)
+
+    monkeypatch.setattr(groups_module.ClassData, "__init__", counting_init)
     code, _, _ = run_cli(capsys, "verify", "--p", "13", "--depth", "full")
     assert code == 0
-    assert len(classes) == 1 and len(tables) == 1
+    assert len(built) == 1 and len(tables) == 1
+    assert walks == [] and maps == []
 
 
 def test_verify_full_builds_no_deck_joins(capsys, monkeypatch):
