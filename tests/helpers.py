@@ -514,3 +514,72 @@ def run_under_O(script):
     return subprocess.run(
         [sys.executable, "-O", "-c", prelude + script], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+# -- the argparse parser as the package built it before its flag table -------
+#
+# The oracle for cli._parse_argv, the help screens and the refusals: the
+# parser built add_argument by add_argument, with argparse's stock
+# formatter (which reads the terminal width through shutil).
+
+
+def reference_parser():
+    import argparse
+
+    from fermatjac.cli import (
+        FULL_DEPTH_DEFAULT_CAP,
+        FULL_DEPTH_MAX_P,
+        cmd_decompose,
+        cmd_orbits,
+        cmd_sweep,
+        cmd_verify,
+    )
+
+    _HelpFormatter = argparse.HelpFormatter
+
+    parser = argparse.ArgumentParser(
+        prog="fermatjac",
+        formatter_class=_HelpFormatter,
+        description=(
+            "Exact verification of the isogeny decomposition of Fermat-curve "
+            "Jacobians into Jacobians of cyclic p-gonal curves."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_orbits = sub.add_parser("orbits", help="orbit census of X_p", formatter_class=_HelpFormatter)
+    p_orbits.add_argument("--p", type=int, required=True, help="prime >= 5")
+    p_orbits.add_argument("--format", choices=("text", "json"), default="text")
+    p_orbits.set_defaults(fn=cmd_orbits)
+
+    p_dec = sub.add_parser("decompose", help="emit the verified decomposition", formatter_class=_HelpFormatter)
+    p_dec.add_argument("--p", type=int, required=True, help="prime >= 5")
+    p_dec.add_argument("--level", choices=("coarse", "fine", "both"), default="both")
+    p_dec.add_argument("--format", choices=("text", "json"), default="text")
+    p_dec.set_defaults(fn=cmd_decompose)
+
+    p_ver = sub.add_parser("verify", help="run the self-verification suite", formatter_class=_HelpFormatter)
+    p_ver.add_argument("--p", type=int, required=True, help="prime >= 5")
+    p_ver.add_argument("--depth", choices=("basic", "full"), default="basic")
+    p_ver.add_argument(
+        "--full-cap",
+        type=int,
+        default=FULL_DEPTH_DEFAULT_CAP,
+        help=f"largest p allowed at depth=full (full-group enumeration), at most {FULL_DEPTH_MAX_P}",
+    )
+    p_ver.add_argument("--format", choices=("text", "json"), default="text")
+    p_ver.set_defaults(fn=cmd_verify)
+
+    p_sweep = sub.add_parser("sweep", help="per-prime summaries over a range", formatter_class=_HelpFormatter)
+    p_sweep.add_argument("--from", dest="from_", type=int, required=True)
+    p_sweep.add_argument("--to", type=int, required=True)
+    p_sweep.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes; at most one per prime and per CPU are started",
+    )
+    p_sweep.add_argument("--format", choices=("text", "json"), default="text")
+    p_sweep.set_defaults(fn=cmd_sweep)
+
+    return parser

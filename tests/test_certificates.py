@@ -56,7 +56,7 @@ def test_trivial_pairings(setup):
     assert inner_product(triv, rat) == 0
     assert inner_product(triv, triv) == 1
     norm = inner_product(rat, rat)
-    assert norm.denominator == 1 and norm > 0
+    assert type(norm) is int and norm > 0
 
 
 def test_induced_character_identities(setup):
@@ -83,7 +83,7 @@ def test_induced_vs_homology_pairing_Hj(setup):
         assert chi.at_identity == 6 * p
         value = inner_product(chi, rat)
         assert value == p - 1
-        assert value.denominator == 1
+        assert type(value) is int
         assert element_inner_product(chi, rat) == value
 
 
@@ -146,6 +146,18 @@ def test_malformed_class_functions_are_typed_errors():
     not_a_group = Subgroup(group, (t,), (IDENTITY, t))
     with pytest.raises(CheckFailedError):
         induced_perm_character(not_a_group, ClassData(Group(ctx.p, ctx.gamma)))
+
+
+def test_inner_product_refuses_a_non_integral_pairing():
+    # a class function on one non-central class C pairs with the trivial
+    # character to |C| / |G|, which is no integer
+    from fermatjac.certificates import ClassFunction
+
+    data = ClassData(Group(5))
+    c = next(c for c, size in enumerate(data.sizes) if size > 1)
+    one_class = ClassFunction.on_support(data, {c: 1}, "one class")
+    with pytest.raises(CheckFailedError, match="<one class, trivial> = "):
+        inner_product(one_class, chi_trivial(data))
 
 
 def test_pgonal_class_data_and_pairing():

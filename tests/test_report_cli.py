@@ -455,21 +455,27 @@ def test_help_matches_the_stock_formatter(capsys, monkeypatch, columns, command)
 
 def test_cli_imports_no_shutil():
     # argparse's stock formatter imports shutil (and zlib, bz2, lzma) to
-    # read the terminal width; -S keeps site-packages from importing it
+    # read the terminal width, and argparse itself brings gettext, locale
+    # and warnings; a well-formed command line never builds the parser,
+    # and pairings are integers, not Fractions (fractions brings decimal).
+    # -S keeps site-packages from importing any of them.  One fresh
+    # process per command line, in one test so that its id stays put.
     import subprocess
     import sys
 
     import fermatjac
 
     src = str(Path(fermatjac.__file__).resolve().parents[1])
-    script = (
-        "import sys\n"
-        f"sys.path.insert(0, {src!r})\n"
-        "from fermatjac import cli\n"
-        "code = cli.main(['decompose', '--p', '7'])\n"
-        "print(sorted(m for m in ('shutil', 'bz2', 'lzma', 'zlib') if m in sys.modules))\n"
-        "sys.exit(code)\n"
-    )
-    run = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "[]"
+    unwanted = ("shutil", "bz2", "lzma", "zlib", "argparse", "gettext", "locale", "warnings", "fractions", "decimal")
+    for argv in (["decompose", "--p", "7"], ["verify", "--p", "13", "--depth", "full", "--format", "json"]):
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "from fermatjac import cli\n"
+            f"code = cli.main({argv!r})\n"
+            f"print(sorted(m for m in {unwanted!r} if m in sys.modules))\n"
+            "sys.exit(code)\n"
+        )
+        run = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "[]", argv
