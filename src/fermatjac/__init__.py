@@ -35,12 +35,9 @@ from .genus import (
     rh_genus,
 )
 from .groups import (
-    FermatAut,
     Group,
-    PGonalAut,
     Subgroup,
     conjugacy_classes,
-    order,
     pgonal_K,
     subgroup_closure,
 )

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from .errors import CheckFailedError, GroupMismatchError, ShapeMismatchError
 from .genus import FixTable, fermat_genus
-from .groups import IDENTITY, ClassData, Element, Subgroup
+from .groups import IDENTITY, ClassData, Subgroup
 
 
 class ClassFunction:
@@ -54,8 +54,10 @@ class ClassFunction:
     def values(self) -> tuple:
         return tuple(self.support.get(c, 0) for c in range(len(self.data.reps)))
 
-    def __call__(self, g: Element):
-        return self.support.get(self.data.class_of[self.data.group.index(g)], 0)
+    def __call__(self, i: int):
+        """The value at the element with index i; an index outside the
+        group raises."""
+        return self.support.get(self.data.class_of[self.data.group.check_index(i)], 0)
 
     @property
     def at_identity(self):

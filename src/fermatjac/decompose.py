@@ -45,7 +45,7 @@ from .genus import (
     rh_genus,
     riemann_hurwitz,
 )
-from .groups import fermat_a1, fermat_a2, fermat_translation, pgonal_group, pgonal_K
+from .groups import Group, fermat_translation, pgonal_group, pgonal_K
 from .orbits import OrbitKind, OrbitPartition, PrimeContext, orbit_partition
 from .records import FrozenRecord, Record, set_field
 
@@ -150,9 +150,10 @@ def kani_rosen_check(ctx: PrimeContext) -> KaniRosenAudit:
     line_genera = [riemann_hurwitz(g_top, p, line_fix_sum(1, 1 + j)) for j in range(1, p - 1)]
 
     n = len(line_genera)
-    a1, a2 = fermat_a1(p), fermat_a2(p)
+    group = Group(p)
+    a1, a2 = group.generators[:2]
     commuting = []
-    if a1 * a2 != a2 * a1:
+    if group.mul(a1, a2) != group.mul(a2, a1):
         commuting = [PairVerdict(pair, False) for pair in combinations(range(1, n + 1), 2)]
     genus_zero = []
     if plane_genus:

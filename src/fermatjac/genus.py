@@ -57,12 +57,10 @@ from .groups import (
     PERM_UV,
     PERM_V,
     ClassData,
-    Element,
-    FermatAut,
     Group,
     Subgroup,
-    fermat_a1,
     fermat_order,
+    fermat_translation,
     resolve_gamma,
     s3_stable_lines,
     trivial_subgroup,
@@ -77,9 +75,9 @@ class FixTable:
     """Fixed-point counts for the non-identity elements of a group action.
 
     ``count_fn`` maps an element index to its count; :meth:`at` reads the
-    table by index and :meth:`count` by element.  Both raise on the
-    identity (excluded by definition), on indices outside the group and
-    on elements outside the table's domain.
+    table by index.  It raises on the identity (excluded by definition),
+    on indices outside the group and on elements outside the table's
+    domain.
     """
 
     def __init__(self, group: Group, count_fn: Callable[[int], int], description: str):
@@ -94,9 +92,6 @@ class FixTable:
                 raise IdentityInputError("fix tables exclude the identity")
             raise OutOfRangeError(f"index {i} is not an element of {self.group}")
         return self._count_fn(i)
-
-    def count(self, g: Element) -> int:
-        return self.at(self.group.index(g))
 
     def __repr__(self):
         return f"FixTable({self.description!r}, p={self.group.p})"
@@ -162,37 +157,33 @@ def _axis_table_for(p: int) -> FixTable:
     def count(i: int) -> int:
         m, n, sigma = group.coordinates(i)
         if sigma != PERM_ID:
-            raise NotSubgroupOfHError(f"{group.element(i)!r} lies outside the translation subgroup")
+            raise NotSubgroupOfHError(f"{(m, n, sigma)} lies outside the translation subgroup")
         return p if (m == 0 or n == 0 or m == n) else 0
 
     return FixTable(group, count, "axis translations fix p points each")
 
 
 class GeneratingTriple(FrozenRecord):
-    """Elements of orders (2, 3, 2p) with product 1 generating the group."""
+    """Indices of elements of orders (2, 3, 2p) of the Fermat group at p,
+    with product 1, generating the group.  An index outside the group
+    raises."""
 
-    __slots__ = _fields = ("c2", "c3", "c2p")
+    __slots__ = _fields = ("p", "c2", "c3", "c2p")
 
-    def __init__(self, c2: FermatAut, c3: FermatAut, c2p: FermatAut):
-        set_field(self, "c2", c2)
-        set_field(self, "c3", c3)
-        set_field(self, "c2p", c2p)
+    def __init__(self, p: int, c2: int, c3: int, c2p: int):
+        group = Group(p)
+        set_field(self, "p", p)
+        set_field(self, "c2", group.check_index(c2))
+        set_field(self, "c3", group.check_index(c3))
+        set_field(self, "c2p", group.check_index(c2p))
 
     @property
-    def p(self) -> int:
-        return self.c2.p
-
-    @property
-    def entries(self) -> tuple[tuple[FermatAut, int], ...]:
-        p = self.p
-        return ((self.c2, 2), (self.c3, 3), (self.c2p, 2 * p))
+    def entries(self) -> tuple[tuple[int, int], ...]:
+        return ((self.c2, 2), (self.c3, 3), (self.c2p, 2 * self.p))
 
     def as_dict(self) -> dict:
-        return {
-            "c2": [self.c2.m, self.c2.n, self.c2.sigma],
-            "c3": [self.c3.m, self.c3.n, self.c3.sigma],
-            "c2p": [self.c2p.m, self.c2p.n, self.c2p.sigma],
-        }
+        where = Group(self.p).coordinates
+        return {"c2": list(where(self.c2)), "c3": list(where(self.c3)), "c2p": list(where(self.c2p))}
 
 
 def find_generating_triple(ctx: PrimeContext, limit: int = DEFAULT_TRIPLE_SEARCH_BOUND) -> GeneratingTriple:
@@ -211,17 +202,17 @@ def find_generating_triple(ctx: PrimeContext, limit: int = DEFAULT_TRIPLE_SEARCH
         )
     group = Group(p)
     n = group.order
-    for i2 in range(n):
-        if fermat_order(p, i2) != 2:
+    for c2 in range(n):
+        if fermat_order(p, c2) != 2:
             continue
-        c2 = group.element(i2)
-        for i3 in range(n):
-            if fermat_order(p, i3) != 3:
+        for c3 in range(n):
+            if fermat_order(p, c3) != 3:
                 continue
-            prod = c2.left_mul((i3,))[0]
+            prod = group.mul(c2, c3)
             if fermat_order(p, prod) != 2 * p:
                 continue
-            triple = GeneratingTriple(c2, group.element(i3), group.element(prod).inverse())
+            # c2p = (c2 c3)^(-1) = c3^(-1) c2^(-1) = c3^2 c2
+            triple = GeneratingTriple(p, c2, c3, group.mul(group.mul(c3, c3), c2))
             if generation_gap(triple) is None:
                 return triple
     raise SearchExhaustedError(f"no (2, 3, 2p) generating triple found for p = {p}")
@@ -242,14 +233,16 @@ def generation_gap(triple: GeneratingTriple) -> str | None:
     <c2, c3> has order |H| |S3| = 6 p^2 = |G|.  Each hypothesis costs
     O(1) but the last, which tries all p + 1 lines.
     """
-    c2, c3, c2p = triple.c2, triple.c3, triple.c2p
-    if c2.sigma not in (PERM_V, PERM_UV, PERM_U2V):
-        return f"c2 = {c2!r} does not map to a transposition"
-    if c3.sigma not in (PERM_U, PERM_U2):
-        return f"c3 = {c3!r} does not map to a 3-cycle"
-    square = c2p * c2p
-    if not square.is_translation or square.is_identity:
-        return f"c2p^2 = {square!r} is not a nonzero translation"
+    group = Group(triple.p)
+    where = group.coordinates
+    c2, c3, c2p = where(triple.c2), where(triple.c3), where(triple.c2p)
+    if c2[2] not in (PERM_V, PERM_UV, PERM_U2V):
+        return f"c2 = {c2} does not map to a transposition"
+    if c3[2] not in (PERM_U, PERM_U2):
+        return f"c3 = {c3} does not map to a 3-cycle"
+    square = group.mul(triple.c2p, triple.c2p)
+    if not group.is_translation(square) or square == IDENTITY:
+        return f"c2p^2 = {where(square)} is not a nonzero translation"
     lines = s3_stable_lines(triple.p)
     if lines:
         return f"the line through {lines[0]} of F_p^2 is stable under S3"
@@ -266,7 +259,9 @@ def _power_class_counts(triple: GeneratingTriple, data: ClassData) -> tuple[tupl
     for c, m in triple.entries:
         powers = data.group.closure([c])
         if len(powers) != m:
-            raise InconsistentOrbifoldError(f"{c!r} generates a subgroup of order {len(powers)}, not {m}")
+            raise InconsistentOrbifoldError(
+                f"{data.group.coordinates(c)} generates a subgroup of order {len(powers)}, not {m}"
+            )
         entries.append((m, data.class_counts(powers)))
     return tuple(entries)
 
@@ -337,11 +332,15 @@ def validate_triple(triple: GeneratingTriple, data: ClassData) -> dict:
     """
     p = triple.p
     group = Group(p)
-    orders = tuple(fermat_order(p, group.index(c)) for c, _ in triple.entries)
+    named = ", ".join(str(group.coordinates(c)) for c, _ in triple.entries)
+    orders = tuple(fermat_order(p, c) for c, _ in triple.entries)
     if orders != (2, 3, 2 * p):
-        raise InconsistentOrbifoldError(f"triple orders {orders} != (2, 3, {2 * p})")
-    if not (triple.c2 * triple.c3 * triple.c2p).is_identity:
-        raise InconsistentOrbifoldError("triple product is not the identity")
+        raise InconsistentOrbifoldError(f"the triple {named} has orders {orders}, not (2, 3, {2 * p})")
+    product = group.mul(group.mul(triple.c2, triple.c3), triple.c2p)
+    if product != IDENTITY:
+        raise InconsistentOrbifoldError(
+            f"the triple {named} has product {group.coordinates(product)}, not the identity"
+        )
     gap = generation_gap(triple)
     if gap is not None:
         raise InconsistentOrbifoldError(f"triple does not generate the group: {gap}")
@@ -351,7 +350,7 @@ def validate_triple(triple: GeneratingTriple, data: ClassData) -> dict:
     if euler != 2 - 2 * g_top:
         raise InconsistentOrbifoldError(f"Euler audit failed: {euler} != {2 - 2 * g_top}")
     fix = fermat_full_fix_table(triple, data)
-    fix_a1 = fix.count(fermat_a1(p))
+    fix_a1 = fix.at(fermat_translation(p, 1, 0))
     if fix_a1 != p:
         raise InconsistentOrbifoldError(f"fiber model gives fix(a1) = {fix_a1}, expected {p}")
     trivial_genus = coset_genus(trivial_subgroup(group), triple, data)

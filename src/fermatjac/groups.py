@@ -5,9 +5,8 @@ The Fermat group ``Group(p)`` is the full automorphism group of the
 degree-p Fermat curve, a semidirect product of Z_p^2 (scaling generators
 a1, a2, with a3 defined by a1 a2 a3 = 1) by S3 (coordinate permutations
 u, v).  An element is stored in the normal form a1^m a2^n * sigma.  The
-S3 action on exponent pairs is hard-coded in ACTION below; it is
-re-derived from the explicit projective coordinate maps by a unit test,
-via :func:`derive_s3_action`.
+S3 action on exponent pairs is hard-coded in ACTION below; a unit test
+re-derives it from the explicit projective coordinate maps.
 
 The p-gonal group ``Group(p, gamma)`` is generated by the deck
 transformation T and the order-3 map R of the gamma curve, with
@@ -16,12 +15,11 @@ T^p = R^3 = 1 and R T R^(-1) = T^(gamma^2).  An element is T^k R^e.
 Both groups run on one integer kernel.  A :class:`Group` numbers its
 elements by their position in the canonical element order: a1^m a2^n
 sigma is (m p + n) 6 + sigma and T^k R^e is 3 k + e, so the identity is
-:data:`IDENTITY` = 0 in both.  Only this module knows that layout:
-:meth:`Group.index` and :meth:`Group.coordinates` translate between
-elements and indices, and an element multiplies indices from the left
-(``left_mul``) or the right (``right_mul_perm``) straight from the group
-law, so no element object is built per entry and no Cayley table is
-ever stored.  On that kernel:
+:data:`IDENTITY` = 0 in both.  The index is the only element value.
+Only this module knows that layout: :meth:`Group.coordinates` gives the
+normal form of an index, and :meth:`Group.left_mul` multiplies indices
+straight from the group law, written once for each group, so no Cayley
+table is ever stored.  On that kernel:
 
 - a :class:`Subgroup` is the sorted tuple of its element indices, and
   the subgroup some elements generate is their closure under left
@@ -42,11 +40,6 @@ ever stored.  On that kernel:
 - :func:`cyclic_subgroup_classes` takes one cyclic subgroup per
   conjugacy class of them, where :func:`all_cyclic_subgroups` lists
   every one.
-
-:class:`FermatAut` and :class:`PGonalAut` stay the value type of the
-public inputs, the rendering and the generating triple; :func:`order`
-and :func:`mulclose` work on them, and only the tests call them, as
-independent oracles.
 """
 
 from __future__ import annotations
@@ -94,191 +87,6 @@ ACTION = tuple(
 )
 
 
-class FermatAut(FrozenRecord):
-    """a1^m a2^n sigma, with sigma an index into PERMS."""
-
-    __slots__ = _fields = ("p", "m", "n", "sigma")
-
-    def __init__(self, p: int, m: int, n: int, sigma: int):
-        set_field(self, "p", p)
-        set_field(self, "m", m)
-        set_field(self, "n", n)
-        set_field(self, "sigma", sigma)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.m == other.m and self.n == other.n and self.sigma == other.sigma and self.p == other.p
-
-    def __hash__(self):
-        return hash((self.p, self.m, self.n, self.sigma))
-
-    def __mul__(self, other: "FermatAut") -> "FermatAut":
-        if not isinstance(other, FermatAut) or other.p != self.p:
-            raise GroupMismatchError(f"cannot multiply {self!r} by {other!r}")
-        a, b, c, d = ACTION[self.sigma]
-        p = self.p
-        return FermatAut(
-            p,
-            (self.m + a * other.m + b * other.n) % p,
-            (self.n + c * other.m + d * other.n) % p,
-            PERM_MUL[self.sigma][other.sigma],
-        )
-
-    def inverse(self) -> "FermatAut":
-        s = PERM_INV[self.sigma]
-        a, b, c, d = ACTION[s]
-        p = self.p
-        return FermatAut(p, (-(a * self.m + b * self.n)) % p, (-(c * self.m + d * self.n)) % p, s)
-
-    @property
-    def group(self) -> "Group":
-        return Group(self.p)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.m == 0 and self.n == 0 and self.sigma == PERM_ID
-
-    @property
-    def is_translation(self) -> bool:
-        return self.sigma == PERM_ID
-
-    def left_mul(self, indices: Iterable[int]) -> list[int]:
-        """Indices of self x for the elements x with the given indices;
-        over ``range(6 p^2)``, the permutation of left multiplication."""
-        p = self.p
-        a, b, cc, d = ACTION[self.sigma]
-        row = PERM_MUL[self.sigma]
-        cm, cn = self.m, self.n
-        out = []
-        for i in indices:
-            mn, s = divmod(i, 6)
-            m, n = divmod(mn, p)
-            out.append((((cm + a * m + b * n) % p) * p + (cn + cc * m + d * n) % p) * 6 + row[s])
-        return out
-
-    def left_mul_perm(self) -> list[int]:
-        """``left_mul`` over the whole group: the translation part of self x
-        depends on that of x alone, so it is computed once per (m, n)."""
-        p, cm, cn = self.p, self.m, self.n
-        a, b, c, d = ACTION[self.sigma]
-        row = PERM_MUL[self.sigma]
-        moved = [
-            (((cm + a * m + b * n) % p) * p + (cn + c * m + d * n) % p) * 6 for m in range(p) for n in range(p)
-        ]
-        return [x + r for x in moved for r in row]
-
-    def right_mul_perm(self) -> list[int]:
-        """The permutation i -> index of x self, x the element with index i.
-
-        (m, n, s) self moves (m, n) by ACTION[s] applied to the translation
-        part of self, which depends on s alone.
-        """
-        p, hm, hn = self.p, self.m, self.n
-        perm = [0] * fermat_group_order(p)
-        for s in range(6):
-            a, b, c, d = ACTION[s]
-            dm, dn = (a * hm + b * hn) % p, (c * hm + d * hn) % p
-            rows = [((m + dm) % p) * p * 6 for m in range(p)]
-            cols = [((n + dn) % p) * 6 + PERM_MUL[s][self.sigma] for n in range(p)]
-            perm[s::6] = [r + c for r in rows for c in cols]
-        return perm
-
-
-def _require_gamma_root(p: int, gamma: int) -> None:
-    if not (0 < gamma < p - 1 and (gamma * gamma + gamma + 1) % p == 0):
-        raise NoGammaError(f"{gamma} is not a root of g^2+g+1 mod {p}")
-
-
-class PGonalAut(FrozenRecord):
-    """T^k R^e on the gamma curve; the group law depends on the chosen root,
-    and a gamma that is not a root of g^2 + g + 1 mod p in 1..p-2 raises."""
-
-    __slots__ = _fields = ("p", "gamma", "k", "e")
-
-    def __init__(self, p: int, gamma: int, k: int, e: int):
-        _require_gamma_root(p, gamma)
-        set_field(self, "p", p)
-        set_field(self, "gamma", gamma)
-        set_field(self, "k", k)
-        set_field(self, "e", e)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.k == other.k and self.e == other.e and self.p == other.p and self.gamma == other.gamma
-
-    def __hash__(self):
-        return hash((self.p, self.gamma, self.k, self.e))
-
-    def __mul__(self, other: "PGonalAut") -> "PGonalAut":
-        if (
-            not isinstance(other, PGonalAut)
-            or other.p != self.p
-            or other.gamma != self.gamma
-        ):
-            raise GroupMismatchError(f"cannot multiply {self!r} by {other!r}")
-        p = self.p
-        # R^e T^k R^(-e) = T^(k gamma^(2e))
-        return PGonalAut(
-            p,
-            self.gamma,
-            (self.k + pow(self.gamma, 2 * self.e, p) * other.k) % p,
-            (self.e + other.e) % 3,
-        )
-
-    def inverse(self) -> "PGonalAut":
-        p = self.p
-        e_inv = (-self.e) % 3
-        return PGonalAut(
-            p,
-            self.gamma,
-            (-pow(self.gamma, 2 * e_inv, p) * self.k) % p,
-            e_inv,
-        )
-
-    @property
-    def group(self) -> "Group":
-        return Group(self.p, self.gamma)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.k == 0 and self.e == 0
-
-    @property
-    def is_translation(self) -> bool:
-        return self.e == 0
-
-    def left_mul(self, indices: Iterable[int]) -> list[int]:
-        """Indices of self x for the elements x with the given indices:
-        T^k R^e T^k' R^e' = T^(k + gamma^(2e) k') R^(e + e')."""
-        p, k, e = self.p, self.k, self.e
-        scale = pow(self.gamma, 2 * e, p)
-        return [3 * ((k + scale * (i // 3)) % p) + (e + i % 3) % 3 for i in indices]
-
-    def left_mul_perm(self) -> list[int]:
-        """``left_mul`` over the whole group."""
-        return self.left_mul(range(pgonal_group_order(self.p)))
-
-    def right_mul_perm(self) -> list[int]:
-        """The permutation i -> index of x self, x the element with index i."""
-        p, k, e = self.p, self.k, self.e
-        shift = [pow(self.gamma, 2 * r, p) * k for r in range(3)]
-        return [3 * ((i // 3 + shift[i % 3]) % p) + (i % 3 + e) % 3 for i in range(3 * p)]
-
-
-Element = FermatAut | PGonalAut
-
-
-def order(g: Element) -> int:
-    n = 1
-    x = g
-    while not x.is_identity:
-        x = x * g
-        n += 1
-    return n
-
-
 # -- the integer kernel -------------------------------------------------------
 
 
@@ -290,8 +98,8 @@ class Group(FrozenRecord):
     __slots__ = _fields = ("p", "gamma")
 
     def __init__(self, p: int, gamma: int | None = None):
-        if gamma is not None:
-            _require_gamma_root(p, gamma)
+        if gamma is not None and not (0 < gamma < p - 1 and (gamma * gamma + gamma + 1) % p == 0):
+            raise NoGammaError(f"{gamma} is not a root of g^2+g+1 mod {p}")
         set_field(self, "p", p)
         set_field(self, "gamma", gamma)
 
@@ -305,22 +113,25 @@ class Group(FrozenRecord):
 
     @property
     def order(self) -> int:
-        return fermat_group_order(self.p) if self.gamma is None else pgonal_group_order(self.p)
+        return 6 * self.p * self.p if self.gamma is None else 3 * self.p
 
     @property
-    def generators(self) -> tuple[Element, ...]:
-        """a1, a2, u, v, or T, R."""
+    def generators(self) -> tuple[int, ...]:
+        """The indices of a1, a2, u, v, or of T, R."""
         if self.gamma is None:
-            return fermat_generators(self.p)
-        return PGonalAut(self.p, self.gamma, 1, 0), PGonalAut(self.p, self.gamma, 0, 1)
+            return fermat_translation(self.p, 1, 0), fermat_translation(self.p, 0, 1), PERM_U, PERM_V
+        return 3, 1
 
-    def index(self, g: Element) -> int:
-        """The index of g, which must lie in this group."""
-        if getattr(g, "group", None) != self:
-            raise GroupMismatchError(f"{g!r} is not in {self}")
-        if self.gamma is None:
-            return (g.m * self.p + g.n) * 6 + g.sigma
-        return 3 * g.k + g.e
+    @property
+    def translations(self) -> range:
+        """The indices of the translation subgroup H, or of <T>, the identity first."""
+        return range(0, self.order, 6 if self.gamma is None else 3)
+
+    def check_index(self, i: int) -> int:
+        """i, when it indexes an element; OutOfRangeError otherwise."""
+        if not 0 <= i < self.order:
+            raise OutOfRangeError(f"index {i} is not an element of {self}")
+        return i
 
     def coordinates(self, i: int) -> tuple[int, ...]:
         """The normal form of the element with index i: (m, n, sigma) or (k, e)."""
@@ -329,20 +140,45 @@ class Group(FrozenRecord):
             return (*divmod(mn, self.p), s)
         return divmod(i, 3)
 
-    def element(self, i: int) -> Element:
-        """The element with index i."""
-        if self.gamma is None:
-            return FermatAut(self.p, *self.coordinates(i))
-        return PGonalAut(self.p, self.gamma, *self.coordinates(i))
-
     def is_translation(self, i: int) -> bool:
         """Whether the element with index i lies in the translation subgroup H, or in <T>."""
         return i % (6 if self.gamma is None else 3) == 0
 
-    def closure(self, generators: Iterable[Element]) -> list[int]:
-        """Indices of the subgroup the elements generate, in order of
-        discovery: the closure of {1} under left multiplication by each.
-        For a single element g that is its powers 1, g, g^2, ...
+    def left_mul(self, g: int, indices: Iterable[int]) -> list[int]:
+        """Indices of g x for the elements x with the given indices; over
+        ``range(order)``, the permutation of left multiplication by g.
+
+        The group law: a1^m a2^n s times a1^m' a2^n' s' is a1^m'' a2^n''
+        (s s'), (m'', n'') = (m, n) + ACTION[s] (m', n'); and T^k R^e
+        T^k' R^e' = T^(k + gamma^(2e) k') R^(e + e'), as R^e T^k' R^(-e) =
+        T^(k' gamma^(2e)).
+        """
+        p = self.p
+        self.check_index(g)
+        if self.gamma is not None:
+            k, e = divmod(g, 3)
+            scale = pow(self.gamma, 2 * e, p)
+            return [3 * ((k + scale * (i // 3)) % p) + (e + i % 3) % 3 for i in indices]
+        mn, s = divmod(g, 6)
+        cm, cn = divmod(mn, p)
+        a, b, c, d = ACTION[s]
+        row = PERM_MUL[s]
+        out = []
+        for i in indices:
+            mn, t = divmod(i, 6)
+            m, n = divmod(mn, p)
+            out.append((((cm + a * m + b * n) % p) * p + (cn + c * m + d * n) % p) * 6 + row[t])
+        return out
+
+    def mul(self, g: int, h: int) -> int:
+        """The index of g h."""
+        return self.left_mul(g, (h,))[0]
+
+    def closure(self, generators: Iterable[int]) -> list[int]:
+        """Indices of the subgroup the indexed elements generate, in order
+        of discovery: the closure of {1} under left multiplication by each.
+        For a single element g that is its powers 1, g, g^2, ..., so the
+        last is g^(-1).
         """
         gens = tuple(generators)
         seen = {IDENTITY}
@@ -351,7 +187,7 @@ class Group(FrozenRecord):
         while frontier:
             new = []
             for c in gens:
-                for y in c.left_mul(frontier):
+                for y in self.left_mul(c, frontier):
                     if y not in seen:
                         seen.add(y)
                         new.append(y)
@@ -408,79 +244,10 @@ def s3_stable_lines(p: int) -> list[tuple[int, int]]:
     return [(x, y) for x, y in lines if keeps(PERM_U, x, y) and keeps(PERM_V, x, y)]
 
 
-# -- Fermat group constructors ---------------------------------------------
-
-
-def fermat_identity(p: int) -> FermatAut:
-    return FermatAut(p, 0, 0, PERM_ID)
-
-
-def fermat_a1(p: int) -> FermatAut:
-    return FermatAut(p, 1, 0, PERM_ID)
-
-
-def fermat_a2(p: int) -> FermatAut:
-    return FermatAut(p, 0, 1, PERM_ID)
-
-
-def fermat_a3(p: int) -> FermatAut:
-    return FermatAut(p, p - 1, p - 1, PERM_ID)
-
-
-def fermat_u(p: int) -> FermatAut:
-    return FermatAut(p, 0, 0, PERM_U)
-
-
-def fermat_v(p: int) -> FermatAut:
-    return FermatAut(p, 0, 0, PERM_V)
-
-
-def fermat_generators(p: int) -> tuple[FermatAut, ...]:
-    return (fermat_a1(p), fermat_a2(p), fermat_u(p), fermat_v(p))
-
-
-def fermat_group_order(p: int) -> int:
-    return 6 * p * p
-
-
-def fermat_elements(p: int) -> Iterator[FermatAut]:
-    """All 6 p^2 elements in canonical (m, n, sigma) order."""
-    for m in range(p):
-        for n in range(p):
-            for s in range(6):
-                yield FermatAut(p, m, n, s)
-
-
-# -- p-gonal group constructors ---------------------------------------------
-
-
 def resolve_gamma(ctx: PrimeContext, gamma: int | None) -> int:
     """The given root of g^2 + g + 1 mod p, as :class:`Group` checks it,
     or ctx's conventional one; either raises NoGammaError when absent."""
     return ctx.gamma if gamma is None else Group(ctx.p, gamma).gamma
-
-
-def pgonal_identity(ctx: PrimeContext, gamma: int | None = None) -> PGonalAut:
-    return PGonalAut(ctx.p, resolve_gamma(ctx, gamma), 0, 0)
-
-
-def pgonal_T(ctx: PrimeContext, gamma: int | None = None) -> PGonalAut:
-    return PGonalAut(ctx.p, resolve_gamma(ctx, gamma), 1, 0)
-
-
-def pgonal_R(ctx: PrimeContext, gamma: int | None = None) -> PGonalAut:
-    return PGonalAut(ctx.p, resolve_gamma(ctx, gamma), 0, 1)
-
-
-def pgonal_group_order(p: int) -> int:
-    return 3 * p
-
-
-def pgonal_elements(ctx: PrimeContext, gamma: int | None = None) -> Iterator[PGonalAut]:
-    g = resolve_gamma(ctx, gamma)
-    for k in range(ctx.p):
-        for e in range(3):
-            yield PGonalAut(ctx.p, g, k, e)
 
 
 # -- subgroups ----------------------------------------------------------------
@@ -530,36 +297,13 @@ class Subgroup:
         return f"Subgroup(order={self.order}, group={self.group!r})"
 
 
-def mulclose(generators: Iterable[Element]) -> set[Element]:
-    """Smallest multiplicatively closed set of element objects containing
-    the generators; the object-level recheck of :meth:`Group.closure`.
-
-    Finite and made of invertible elements, so it is automatically a group.
-    """
-    gens = list(generators)
-    els: set[Element] = set(gens)
-    ident = gens[0] * gens[0].inverse()
-    els.add(ident)
-    frontier = list(els)
-    while frontier:
-        new = []
-        for a in gens:
-            for b in frontier:
-                c = a * b
-                if c not in els:
-                    els.add(c)
-                    new.append(c)
-        frontier = new
-    return els
-
-
-def subgroup_closure(generators: Iterable[Element]) -> Subgroup:
-    """The subgroup the elements generate; they must share one group."""
+# bench/tracer.py looks this name up with getattr.
+def subgroup_closure(group: Group, generators: Iterable[int]) -> Subgroup:
+    """The subgroup of the group that the indexed elements generate."""
     gens = tuple(generators)
     if not gens:
         raise OutOfRangeError("subgroup_closure needs at least one generator")
-    group = gens[0].group
-    return Subgroup(group, [group.index(g) for g in gens], group.closure(gens))
+    return Subgroup(group, gens, group.closure(gens))
 
 
 def trivial_subgroup(group: Group) -> Subgroup:
@@ -569,7 +313,7 @@ def trivial_subgroup(group: Group) -> Subgroup:
 def fermat_H(p: int) -> Subgroup:
     """The translation subgroup of order p^2."""
     group = Group(p)
-    return Subgroup(group, map(group.index, group.generators[:2]), range(0, group.order, 6))
+    return Subgroup(group, group.generators[:2], group.translations)
 
 
 def fermat_Hj(p: int, j: int) -> Subgroup:
@@ -586,22 +330,23 @@ def fermat_Hj(p: int, j: int) -> Subgroup:
 
 def pgonal_group(ctx: PrimeContext, gamma: int | None = None) -> Subgroup:
     group = Group(ctx.p, resolve_gamma(ctx, gamma))
-    return Subgroup(group, map(group.index, group.generators), range(group.order))
+    return Subgroup(group, group.generators, range(group.order))
 
 
 def pgonal_K(i: int, ctx: PrimeContext, gamma: int | None = None) -> Subgroup:
     """The order-3 subgroup K_i = T^(-(i-1)) <R> T^(i-1), i in {1, 2, 3}.
 
-    K_i is generated by T^((i-1)(gamma^2 - 1)) R.
+    K_i is generated by T^((i-1)(gamma^2 - 1)) R, of index 3 k + 1 for
+    its T-exponent k.
     """
     if i not in (1, 2, 3):
         raise OutOfRangeError(f"i = {i} not in {{1, 2, 3}}")
     g = resolve_gamma(ctx, gamma)
     p = ctx.p
-    gen = PGonalAut(p, g, (i - 1) * (g * g - 1) % p, 1)
-    return subgroup_closure([gen])
+    return subgroup_closure(Group(p, g), [3 * ((i - 1) * (g * g - 1) % p) + 1])
 
 
+# bench/tracer.py looks this name up with getattr; only the tests call it otherwise.
 def all_cyclic_subgroups(group: Group) -> list[Subgroup]:
     """Every cyclic subgroup, including the trivial one, deduplicated.
 
@@ -617,7 +362,7 @@ def all_cyclic_subgroups(group: Group) -> list[Subgroup]:
     for i in range(group.order):
         if listed[i]:
             continue
-        powers = group.closure([group.element(i)])
+        powers = group.closure([i])
         n = len(powers)
         for k in range(1, n + 1):
             if gcd(k, n) == 1:
@@ -626,22 +371,22 @@ def all_cyclic_subgroups(group: Group) -> list[Subgroup]:
     return subgroups
 
 
-def left_cosets(k: Subgroup, universe: Iterable[Element]):
-    """Left cosets gK of element objects, in order of first appearance in
-    the universe.
+# bench/tracer.py looks this name up with getattr; only the tests call it otherwise.
+def left_cosets(k: Subgroup, universe: Iterable[int]):
+    """Left cosets gK for the indices g of the universe, in order of first
+    appearance.
 
     Returns (reps, index_of): reps[i] is the representative of coset i and
-    index_of maps every element of the universe to its coset index.  Each
-    coset is taken as the set g K of element objects, so this costs
-    |universe| |K| products; the full-depth checks never list cosets (see
-    :class:`ClassData`).
+    index_of maps every index of the universe to its coset number.  Each
+    coset is taken as the set g K, so this costs |universe| |K| products;
+    the full-depth checks never list cosets (see :class:`ClassData`).
     """
-    members = [k.group.element(i) for i in k]
+    group = k.group
     number: dict = {}
-    index_of: dict[Element, int] = {}
-    reps: list[Element] = []
+    index_of: dict[int, int] = {}
+    reps: list[int] = []
     for g in universe:
-        c = frozenset(g * h for h in members)
+        c = frozenset(group.left_mul(g, k.indices))
         if c not in number:
             number[c] = len(reps)
             reps.append(g)
@@ -652,23 +397,22 @@ def left_cosets(k: Subgroup, universe: Iterable[Element]):
 # -- conjugacy classes --------------------------------------------------------
 
 
-def conjugation_map(t: Element) -> list[int]:
-    """The permutation x -> t x t^(-1) of the indices of t's group."""
-    right = t.inverse().right_mul_perm()
-    return [right[y] for y in t.left_mul_perm()]
-
-
+# bench/tracer.py looks this name up with getattr; only the tests call it otherwise.
 def conjugacy_classes(group: Group) -> tuple[tuple[int, ...], ...]:
     """Partition of the group into conjugacy classes of element indices.
 
     Classes are closed under conjugation by the group generators, which
     generates the full conjugation action, so each class is an orbit of
-    the maps x -> t x t^(-1) on indices.  Ordered by smallest member;
-    members sorted.  The orbit walk holds four maps of the group's size;
-    :class:`ClassData` takes the classes from their closed form, and the
-    tests hold the two against each other.
+    the maps x -> t x t^(-1) on indices, t^(-1) the last power of t.
+    Ordered by smallest member; members sorted.  The orbit walk holds one
+    map per generator, of the group's size; :class:`ClassData` takes the
+    classes from their closed form, and the tests hold the two against
+    each other.
     """
-    conj = [conjugation_map(t) for t in group.generators]
+    conj = []
+    for t in group.generators:
+        t_inv = group.closure([t])[-1]
+        conj.append([group.mul(y, t_inv) for y in group.left_mul(t, range(group.order))])
     seen = bytearray(group.order)
     classes = []
     for g0 in range(group.order):
@@ -900,98 +644,10 @@ def cyclic_subgroup_classes(data: ClassData) -> list[Subgroup]:
     for c, rep in enumerate(data.reps):
         if covered[c]:
             continue
-        powers = group.closure([group.element(rep)])
+        powers = group.closure([rep])
         n = len(powers)
         for k in range(1, n + 1):
             if gcd(k, n) == 1:
                 covered[class_of[powers[k % n]]] = 1
         subgroups.append(Subgroup(group, (rep,), powers))
     return subgroups
-
-
-# -- derivation of the hard-coded S3 action -----------------------------------
-#
-# The curve automorphisms generating the group act on projective
-# coordinates [w0 : w1 : w2] as monomial maps: a coordinate permutation
-# combined with scaling individual coordinates by powers of the primitive
-# p-th root of unity.  Composing those maps is exact integer arithmetic,
-# which lets us recompute the conjugation action of u and v on the
-# scaling part and check it against ACTION.
-
-
-class _ProjMonomialMap:
-    """[w0:w1:w2] -> [w_rho(0) scaled, ...]: coordinate j of the image is
-    zeta^exps[j] * w_rho[j].  Equality is projective (up to a common
-    zeta power)."""
-
-    __slots__ = ("p", "exps", "rho")
-
-    def __init__(self, p, exps, rho):
-        self.p = p
-        base = exps[0]
-        self.exps = tuple((e - base) % p for e in exps)
-        self.rho = tuple(rho)
-
-    def __mul__(self, other):
-        # can't happen: derive_s3_action multiplies maps of one p only
-        assert self.p == other.p
-        exps = tuple(
-            (self.exps[j] + other.exps[self.rho[j]]) % self.p for j in range(3)
-        )
-        rho = tuple(other.rho[self.rho[j]] for j in range(3))
-        return _ProjMonomialMap(self.p, exps, rho)
-
-    def inverse(self):
-        rho_inv = [0, 0, 0]
-        for j, i in enumerate(self.rho):
-            rho_inv[i] = j
-        exps = tuple((-self.exps[rho_inv[j]]) % self.p for j in range(3))
-        return _ProjMonomialMap(self.p, exps, rho_inv)
-
-    def __eq__(self, other):
-        return self.exps == other.exps and self.rho == other.rho
-
-    def __hash__(self):
-        return hash((self.exps, self.rho))
-
-
-def derive_s3_action(p: int) -> tuple[tuple[int, int, int, int], ...]:
-    """Recompute ACTION from the projective coordinate maps.
-
-    u: [w0:w1:w2] -> [w2:w0:w1], v: [w0:w1:w2] -> [w1:w0:w2], and
-    a1, a2 scale w0 resp. w1 by the root of unity.  Conjugating a1^m a2^n
-    by each permutation map and reading the scaling exponents back off
-    yields the 2x2 matrices that FermatAut multiplication hard-codes.
-    """
-    ident = _ProjMonomialMap(p, (0, 0, 0), (0, 1, 2))
-
-    def translation(m, n):
-        return _ProjMonomialMap(p, (m, n, 0), (0, 1, 2))
-
-    def read_translation(g):
-        # can't happen: a coordinate permutation conjugates a scaling map to one
-        assert g.rho == (0, 1, 2), "conjugate is not a pure scaling map"
-        m = (g.exps[0] - g.exps[2]) % p
-        n = (g.exps[1] - g.exps[2]) % p
-        return m, n
-
-    u_map = _ProjMonomialMap(p, (0, 0, 0), (2, 0, 1))
-    v_map = _ProjMonomialMap(p, (0, 0, 0), (1, 0, 2))
-    # can't happen: a 3-cycle and a transposition of the coordinates
-    assert u_map * u_map * u_map == ident and v_map * v_map == ident
-
-    maps = {
-        PERM_ID: ident,
-        PERM_U: u_map,
-        PERM_U2: u_map * u_map,
-        PERM_V: v_map,
-        PERM_UV: u_map * v_map,
-        PERM_U2V: u_map * u_map * v_map,
-    }
-    derived = []
-    for s in range(6):
-        g = maps[s]
-        col1 = read_translation(g * translation(1, 0) * g.inverse())
-        col2 = read_translation(g * translation(0, 1) * g.inverse())
-        derived.append((col1[0], col2[0], col1[1], col2[1]))
-    return tuple(tuple(x % p for x in row) for row in derived)

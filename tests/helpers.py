@@ -8,33 +8,336 @@ explicit element sets, and cosets, conjugacy
 classes, element orders and the generating-triple search from products
 of element objects.  The coset action of the full Fermat group, which the
 package computes from conjugacy classes, is here labelled coset by coset.
+
+The element objects (:class:`FermatAut`, :class:`PGonalAut`) carry a
+group law of their own, apart from the package's index kernel
+(``Group.left_mul``): they are the object-level oracle it is checked
+against, and :func:`index_of` reads an object's index off the canonical
+enumeration (:func:`canonical_elements`).
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from fermatjac.errors import GroupMismatchError, OutOfRangeError
+from fermatjac.errors import GroupMismatchError, NoGammaError, OutOfRangeError
 from fermatjac.genus import GeneratingTriple, fermat_axis_fix_table, fermat_genus, pgonal_fix_table, riemann_hurwitz
 from fermatjac.groups import (
     ACTION,
     IDENTITY,
     PERM_ID,
+    PERM_INV,
+    PERM_MUL,
+    PERM_U,
+    PERM_U2,
+    PERM_U2V,
     PERM_UV,
-    FermatAut,
-    fermat_elements,
-    fermat_group_order,
-    mulclose,
-    order,
-    pgonal_elements,
-    pgonal_R,
-    pgonal_T,
+    PERM_V,
+    Group,
+    resolve_gamma,
     subgroup_closure,
 )
 from fermatjac.monomial import MonomialFunction, mf_mul, mf_pow
 from fermatjac.orbits import make_context
+from fermatjac.records import FrozenRecord, set_field
 
 INF = "inf"
+
+
+# -- element objects: the object-level oracle of the index kernel ------------
+
+
+class FermatAut(FrozenRecord):
+    """a1^m a2^n sigma, with sigma an index into PERMS."""
+
+    __slots__ = _fields = ("p", "m", "n", "sigma")
+
+    def __init__(self, p, m, n, sigma):
+        set_field(self, "p", p)
+        set_field(self, "m", m)
+        set_field(self, "n", n)
+        set_field(self, "sigma", sigma)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.m == other.m and self.n == other.n and self.sigma == other.sigma and self.p == other.p
+
+    def __hash__(self):
+        return hash((self.p, self.m, self.n, self.sigma))
+
+    def __mul__(self, other):
+        if not isinstance(other, FermatAut) or other.p != self.p:
+            raise GroupMismatchError(f"cannot multiply {self!r} by {other!r}")
+        a, b, c, d = ACTION[self.sigma]
+        p = self.p
+        return FermatAut(
+            p,
+            (self.m + a * other.m + b * other.n) % p,
+            (self.n + c * other.m + d * other.n) % p,
+            PERM_MUL[self.sigma][other.sigma],
+        )
+
+    def inverse(self):
+        s = PERM_INV[self.sigma]
+        a, b, c, d = ACTION[s]
+        p = self.p
+        return FermatAut(p, (-(a * self.m + b * self.n)) % p, (-(c * self.m + d * self.n)) % p, s)
+
+    @property
+    def group(self):
+        return Group(self.p)
+
+    @property
+    def is_identity(self):
+        return self.m == 0 and self.n == 0 and self.sigma == PERM_ID
+
+
+class PGonalAut(FrozenRecord):
+    """T^k R^e on the gamma curve; the group law depends on the chosen root,
+    and a gamma that is not a root of g^2 + g + 1 mod p in 1..p-2 raises."""
+
+    __slots__ = _fields = ("p", "gamma", "k", "e")
+
+    def __init__(self, p, gamma, k, e):
+        if not (0 < gamma < p - 1 and (gamma * gamma + gamma + 1) % p == 0):
+            raise NoGammaError(f"{gamma} is not a root of g^2+g+1 mod {p}")
+        set_field(self, "p", p)
+        set_field(self, "gamma", gamma)
+        set_field(self, "k", k)
+        set_field(self, "e", e)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.k == other.k and self.e == other.e and self.p == other.p and self.gamma == other.gamma
+
+    def __hash__(self):
+        return hash((self.p, self.gamma, self.k, self.e))
+
+    def __mul__(self, other):
+        if not isinstance(other, PGonalAut) or other.p != self.p or other.gamma != self.gamma:
+            raise GroupMismatchError(f"cannot multiply {self!r} by {other!r}")
+        p = self.p
+        # R^e T^k R^(-e) = T^(k gamma^(2e))
+        return PGonalAut(p, self.gamma, (self.k + pow(self.gamma, 2 * self.e, p) * other.k) % p, (self.e + other.e) % 3)
+
+    def inverse(self):
+        p = self.p
+        e_inv = (-self.e) % 3
+        return PGonalAut(p, self.gamma, (-pow(self.gamma, 2 * e_inv, p) * self.k) % p, e_inv)
+
+    @property
+    def group(self):
+        return Group(self.p, self.gamma)
+
+    @property
+    def is_identity(self):
+        return self.k == 0 and self.e == 0
+
+
+
+def order(g):
+    n = 1
+    x = g
+    while not x.is_identity:
+        x = x * g
+        n += 1
+    return n
+
+
+def mulclose(generators):
+    """Smallest multiplicatively closed set of element objects containing
+    the generators; the object-level recheck of ``Group.closure``.
+
+    Finite and made of invertible elements, so it is automatically a group.
+    """
+    gens = list(generators)
+    els = set(gens)
+    els.add(gens[0] * gens[0].inverse())
+    frontier = list(els)
+    while frontier:
+        new = []
+        for a in gens:
+            for b in frontier:
+                c = a * b
+                if c not in els:
+                    els.add(c)
+                    new.append(c)
+        frontier = new
+    return els
+
+
+def fermat_identity(p):
+    return FermatAut(p, 0, 0, PERM_ID)
+
+
+def fermat_a1(p):
+    return FermatAut(p, 1, 0, PERM_ID)
+
+
+def fermat_a2(p):
+    return FermatAut(p, 0, 1, PERM_ID)
+
+
+def fermat_a3(p):
+    return FermatAut(p, p - 1, p - 1, PERM_ID)
+
+
+def fermat_u(p):
+    return FermatAut(p, 0, 0, PERM_U)
+
+
+def fermat_v(p):
+    return FermatAut(p, 0, 0, PERM_V)
+
+
+def fermat_generators(p):
+    return (fermat_a1(p), fermat_a2(p), fermat_u(p), fermat_v(p))
+
+
+def fermat_elements(p):
+    """All 6 p^2 elements in canonical (m, n, sigma) order."""
+    for m in range(p):
+        for n in range(p):
+            for s in range(6):
+                yield FermatAut(p, m, n, s)
+
+
+def pgonal_identity(ctx, gamma=None):
+    return PGonalAut(ctx.p, resolve_gamma(ctx, gamma), 0, 0)
+
+
+def pgonal_T(ctx, gamma=None):
+    return PGonalAut(ctx.p, resolve_gamma(ctx, gamma), 1, 0)
+
+
+def pgonal_R(ctx, gamma=None):
+    return PGonalAut(ctx.p, resolve_gamma(ctx, gamma), 0, 1)
+
+
+def pgonal_elements(ctx, gamma=None):
+    g = resolve_gamma(ctx, gamma)
+    for k in range(ctx.p):
+        for e in range(3):
+            yield PGonalAut(ctx.p, g, k, e)
+
+
+def object_generators(group):
+    """a1, a2, u, v, or T, R, as element objects."""
+    if group.gamma is None:
+        return fermat_generators(group.p)
+    ctx = make_context(group.p)
+    return pgonal_T(ctx, group.gamma), pgonal_R(ctx, group.gamma)
+
+
+@lru_cache(maxsize=8)
+def canonical_elements(group):
+    """The element objects of a group in canonical order, from the
+    enumerations alone: position i holds the element with index i."""
+    if group.gamma is None:
+        return tuple(fermat_elements(group.p))
+    return tuple(pgonal_elements(make_context(group.p), group.gamma))
+
+
+@lru_cache(maxsize=8)
+def _positions(group):
+    return {g: i for i, g in enumerate(canonical_elements(group))}
+
+
+def index_of(g):
+    """The index of an element object: its position in the canonical order."""
+    return _positions(g.group)[g]
+
+
+def subgroup_elements(k):
+    """The element objects of K, read off the canonical order by index."""
+    universe = canonical_elements(k.group)
+    return [universe[i] for i in k]
+
+
+# -- derivation of the hard-coded S3 action ---------------------------------
+#
+# The curve automorphisms generating the group act on projective
+# coordinates [w0 : w1 : w2] as monomial maps: a coordinate permutation
+# combined with scaling individual coordinates by powers of the primitive
+# p-th root of unity.  Composing those maps is exact integer arithmetic,
+# which lets us recompute the conjugation action of u and v on the
+# scaling part and check it against ACTION.
+
+
+class _ProjMonomialMap:
+    """[w0:w1:w2] -> [w_rho(0) scaled, ...]: coordinate j of the image is
+    zeta^exps[j] * w_rho[j].  Equality is projective (up to a common
+    zeta power)."""
+
+    __slots__ = ("p", "exps", "rho")
+
+    def __init__(self, p, exps, rho):
+        self.p = p
+        base = exps[0]
+        self.exps = tuple((e - base) % p for e in exps)
+        self.rho = tuple(rho)
+
+    def __mul__(self, other):
+        # can't happen: derive_s3_action multiplies maps of one p only
+        assert self.p == other.p
+        exps = tuple((self.exps[j] + other.exps[self.rho[j]]) % self.p for j in range(3))
+        rho = tuple(other.rho[self.rho[j]] for j in range(3))
+        return _ProjMonomialMap(self.p, exps, rho)
+
+    def inverse(self):
+        rho_inv = [0, 0, 0]
+        for j, i in enumerate(self.rho):
+            rho_inv[i] = j
+        exps = tuple((-self.exps[rho_inv[j]]) % self.p for j in range(3))
+        return _ProjMonomialMap(self.p, exps, rho_inv)
+
+    def __eq__(self, other):
+        return self.exps == other.exps and self.rho == other.rho
+
+    def __hash__(self):
+        return hash((self.exps, self.rho))
+
+
+def derive_s3_action(p):
+    """Recompute ACTION from the projective coordinate maps.
+
+    u: [w0:w1:w2] -> [w2:w0:w1], v: [w0:w1:w2] -> [w1:w0:w2], and
+    a1, a2 scale w0 resp. w1 by the root of unity.  Conjugating a1^m a2^n
+    by each permutation map and reading the scaling exponents back off
+    yields the 2x2 matrices that the group law hard-codes.
+    """
+    ident = _ProjMonomialMap(p, (0, 0, 0), (0, 1, 2))
+
+    def translation(m, n):
+        return _ProjMonomialMap(p, (m, n, 0), (0, 1, 2))
+
+    def read_translation(g):
+        # can't happen: a coordinate permutation conjugates a scaling map to one
+        assert g.rho == (0, 1, 2), "conjugate is not a pure scaling map"
+        return (g.exps[0] - g.exps[2]) % p, (g.exps[1] - g.exps[2]) % p
+
+    u_map = _ProjMonomialMap(p, (0, 0, 0), (2, 0, 1))
+    v_map = _ProjMonomialMap(p, (0, 0, 0), (1, 0, 2))
+    # can't happen: a 3-cycle and a transposition of the coordinates
+    assert u_map * u_map * u_map == ident and v_map * v_map == ident
+    maps = {
+        PERM_ID: ident,
+        PERM_U: u_map,
+        PERM_U2: u_map * u_map,
+        PERM_V: v_map,
+        PERM_UV: u_map * v_map,
+        PERM_U2V: u_map * u_map * v_map,
+    }
+    derived = []
+    for s in range(6):
+        g = maps[s]
+        col1 = read_translation(g * translation(1, 0) * g.inverse())
+        col2 = read_translation(g * translation(0, 1) * g.inverse())
+        derived.append((col1[0], col2[0], col1[1], col2[1]))
+    return tuple(tuple(x % p for x in row) for row in derived)
+
 
 
 def primes_upto(n):
@@ -122,7 +425,7 @@ def object_level_audit(p):
     fix = fermat_axis_fix_table(make_context(p))
 
     def genus(elements):
-        return riemann_hurwitz(g_top, len(elements), sum(fix.count(g) for g in elements if not g.is_identity))
+        return riemann_hurwitz(g_top, len(elements), sum(fix.at(index_of(g)) for g in elements if not g.is_identity))
 
     family = [frozenset(mulclose([FermatAut(p, 1, (1 + j) % p, PERM_ID)])) for j in range(1, p - 1)]
     join_genus = {}
@@ -177,7 +480,7 @@ def object_gamma_pairs(p, gamma, family=None):
     rows = []
     for i, j in combinations(range(3), 2):
         join = mulclose(family[i] | family[j])
-        genus = riemann_hurwitz((p - 1) // 2, len(join), sum(fix.count(g) for g in join if not g.is_identity))
+        genus = riemann_hurwitz((p - 1) // 2, len(join), sum(fix.at(index_of(g)) for g in join if not g.is_identity))
         prod = {a * b for a in family[i] for b in family[j]}
         commutes = prod == {b * a for a in family[i] for b in family[j]}
         rows.append(((i + 1, j + 1), len(join), genus, len(prod), commutes))
@@ -187,7 +490,7 @@ def object_gamma_pairs(p, gamma, family=None):
 def joined(k1, k2):
     """The subgroup K1 and K2 generate, as the kernel closure of their
     generators together."""
-    return subgroup_closure(k.group.element(i) for k in (k1, k2) for i in k.generators)
+    return subgroup_closure(k1.group, k1.generators + k2.generators)
 
 
 def assert_audit_matches_oracle(audit, p):
@@ -196,21 +499,6 @@ def assert_audit_matches_oracle(audit, p):
     oracle = object_level_audit(p)
     expected = {**oracle, "commuting": {**oracle["commuting"], "method": "abelian"}}
     assert audit.summary() == expected
-
-
-@lru_cache(maxsize=8)
-def canonical_elements(group):
-    """The element objects of a group in canonical order, from the
-    enumerations alone: position i holds the element with index i."""
-    if group.gamma is None:
-        return tuple(fermat_elements(group.p))
-    return tuple(pgonal_elements(make_context(group.p), group.gamma))
-
-
-def subgroup_elements(k):
-    """The element objects of K, read off the canonical order by index."""
-    universe = canonical_elements(k.group)
-    return [universe[i] for i in k]
 
 
 def object_left_cosets(k, universe):
@@ -233,10 +521,11 @@ def object_left_cosets(k, universe):
 def object_coset_genus(k, triple):
     """The coset genus (2 + [G:K] - cycles) / 2 of K, counting the cycles
     of the three triple entries on object-level cosets."""
-    reps, index_of = object_left_cosets(k, fermat_elements(k.p))
+    universe = canonical_elements(k.group)
+    reps, index_of = object_left_cosets(k, universe)
     cycles = 0
     for c, _ in triple.entries:
-        images = [index_of[c * r] for r in reps]
+        images = [index_of[universe[c] * r] for r in reps]
         seen = [False] * len(reps)
         for i in range(len(reps)):
             if not seen[i]:
@@ -278,7 +567,7 @@ def object_generating_triple(p):
         for c3 in order3:
             prod = c2 * c3
             if order(prod) == 2 * p and len(mulclose([c2, c3])) == len(universe):
-                return GeneratingTriple(c2, c3, prod.inverse())
+                return GeneratingTriple(p, index_of(c2), index_of(c3), index_of(prod.inverse()))
     return None
 
 
@@ -288,7 +577,7 @@ def object_conjugacy_classes(group):
     each class given as the sorted positions of its members in the
     canonical element order."""
     universe = canonical_elements(group)
-    gens = group.generators
+    gens = object_generators(group)
     seen = set()
     classes = []
     for g0 in universe:
@@ -327,6 +616,22 @@ def object_inner_product(f1, f2, universe):
 # coset_genus, the full fix table and induced_perm_character.
 
 
+def right_mul_perm(group, h):
+    """The permutation i -> index of x h of a Fermat group, x the element
+    with index i = (m p + n) 6 + s: x h moves (m, n) by ACTION[s] applied
+    to the translation part of h, which depends on s alone."""
+    p = group.p
+    hm, hn, hs = group.coordinates(h)
+    perm = [0] * group.order
+    for s in range(6):
+        a, b, c, d = ACTION[s]
+        dm, dn = (a * hm + b * hn) % p, (c * hm + d * hn) % p
+        rows = [((m + dm) % p) * p * 6 for m in range(p)]
+        cols = [((n + dn) % p) * 6 + PERM_MUL[s][hs] for n in range(p)]
+        perm[s::6] = [r + c for r in rows for c in cols]
+    return perm
+
+
 def fermat_coset_labels(k):
     """Left cosets gK of a Fermat subgroup, on element indices.
 
@@ -336,13 +641,14 @@ def fermat_coset_labels(k):
     index x.  Refuses a subgroup whose generators lie outside it or do
     not generate it.
     """
-    if k.group.gamma is not None:
+    group = k.group
+    if group.gamma is not None:
         raise GroupMismatchError(f"{k!r} is not a subgroup of the Fermat group")
     if any(h not in k for h in k.generators):
         raise OutOfRangeError(f"the generators of {k!r} do not lie in it")
-    perms = [k.group.element(h).right_mul_perm() for h in k.generators if h != IDENTITY]
+    perms = [right_mul_perm(group, h) for h in k.generators if h != IDENTITY]
     cycle = perms[0] if len(perms) == 1 else None
-    label = [-1] * fermat_group_order(k.p)
+    label = [-1] * group.order
     reps = []
     for g in range(len(label)):
         if label[g] >= 0:
@@ -368,16 +674,16 @@ def fermat_coset_labels(k):
     return reps, label
 
 
-def fermat_fixed_cosets(g, reps, label):
+def fermat_fixed_cosets(group, g, reps, label):
     """Number of cosets x K that g fixes, for cosets from fermat_coset_labels."""
-    return sum(1 for i, y in enumerate(g.left_mul(reps)) if label[y] == i)
+    return sum(1 for i, y in enumerate(group.left_mul(g, reps)) if label[y] == i)
 
 
 @lru_cache(maxsize=4)
 def _triple_left_perms(triple):
     """Left multiplication by each triple entry, on element indices."""
-    everything = range(fermat_group_order(triple.p))
-    return tuple(c.left_mul(everything) for c, _m in triple.entries)
+    group = Group(triple.p)
+    return tuple(group.left_mul(c, range(group.order)) for c, _m in triple.entries)
 
 
 def labelled_coset_genus(k, triple):
@@ -406,23 +712,24 @@ def _fiber_cosets(triple):
     entries: the fibers over the three cone points."""
     fibers = []
     for c, m in triple.entries:
-        sub = subgroup_closure([c])
+        sub = subgroup_closure(Group(triple.p), [c])
         assert sub.order == m
         fibers.append(fermat_coset_labels(sub))
     return fibers
 
 
 def labelled_fix_count(g, triple):
-    """|Fix(g)| in the fiber model: the labelled cosets of the three
-    fiber subgroups that g fixes."""
-    return sum(fermat_fixed_cosets(g, reps, label) for reps, label in _fiber_cosets(triple))
+    """|Fix(g)| in the fiber model, g an index: the labelled cosets of the
+    three fiber subgroups that g fixes."""
+    group = Group(triple.p)
+    return sum(fermat_fixed_cosets(group, g, reps, label) for reps, label in _fiber_cosets(triple))
 
 
 def labelled_perm_character(k, classes):
     """The permutation character of G/K on each class of indices: the
     labelled cosets of K that the class's first member fixes."""
     reps, label = fermat_coset_labels(k)
-    return [fermat_fixed_cosets(k.group.element(cls[0]), reps, label) for cls in classes]
+    return [fermat_fixed_cosets(k.group, cls[0], reps, label) for cls in classes]
 
 
 def element_inner_product(f1, f2):

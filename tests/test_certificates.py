@@ -7,7 +7,7 @@ from fermatjac.certificates import (
     induced_perm_character,
     inner_product,
 )
-from fermatjac.errors import CheckFailedError, GroupMismatchError, ShapeMismatchError
+from fermatjac.errors import CheckFailedError, GroupMismatchError, OutOfRangeError, ShapeMismatchError
 from fermatjac.genus import (
     coset_genus,
     fermat_full_fix_table,
@@ -20,14 +20,12 @@ from fermatjac.groups import (
     all_cyclic_subgroups,
     fermat_H,
     fermat_Hj,
-    fermat_a1,
-    fermat_group_order,
     subgroup_closure,
     trivial_subgroup,
 )
 from fermatjac.orbits import make_context
 
-from helpers import element_inner_product
+from helpers import element_inner_product, fermat_a1, fermat_u, fermat_v, index_of, pgonal_T
 
 
 @pytest.fixture(scope="module", params=(5, 7))
@@ -43,10 +41,9 @@ def test_chi_rat_values(setup):
     p, ctx, triple, data = setup
     rat = chi_rat(fermat_full_fix_table(triple, data), data)
     assert rat.at_identity == (p - 1) * (p - 2) == 2 * fermat_genus(p)
-    assert rat(fermat_a1(p)) == 2 - p
+    assert rat(index_of(fermat_a1(p))) == 2 - p
     # a freely acting translation contributes trace 2
-    free = Group(p).element(fermat_Hj(p, 1).indices[1])
-    assert rat(free) == 2
+    assert rat(fermat_Hj(p, 1).indices[1]) == 2
 
 
 def test_trivial_pairings(setup):
@@ -61,15 +58,13 @@ def test_trivial_pairings(setup):
 
 def test_induced_character_identities(setup):
     p, ctx, triple, data = setup
-    from fermatjac.groups import fermat_u, fermat_v
-
     # K = G gives the trivial character, K = 1 the regular character
-    full = subgroup_closure([fermat_a1(p), fermat_u(p), fermat_v(p)])
-    assert full.order == fermat_group_order(p)
+    full = subgroup_closure(Group(p), map(index_of, (fermat_a1(p), fermat_u(p), fermat_v(p))))
+    assert full.order == 6 * p * p
     chi_full = induced_perm_character(full, data)
     assert chi_full.values == chi_trivial(data).values
     chi_reg = induced_perm_character(trivial_subgroup(Group(p)), data)
-    assert chi_reg.at_identity == fermat_group_order(p)
+    assert chi_reg.at_identity == 6 * p * p
     assert all(
         v == 0 for i, v in enumerate(chi_reg.values) if i != data.identity_index
     )
@@ -113,8 +108,20 @@ def test_flavor_mismatch():
         inner_product(chi_trivial(d5), chi_trivial(d7))
     with pytest.raises(GroupMismatchError):
         induced_perm_character(fermat_Hj(7, 1), d5)
-    with pytest.raises(GroupMismatchError):
-        chi_trivial(d5)(fermat_a1(7))
+
+
+def test_class_functions_refuse_indices_outside_the_group():
+    # without the check, -1 would read the class of the last element and 150 raise IndexError
+    data = ClassData(Group(5))
+    triv = chi_trivial(data)
+    for bad in (-1, -150, 150, 294):
+        with pytest.raises(OutOfRangeError):
+            triv(bad)
+    assert triv(149) == triv(IDENTITY) == 1
+    pgonal = chi_trivial(ClassData(Group(7, 2)))
+    for bad in (-1, 21):
+        with pytest.raises(OutOfRangeError):
+            pgonal(bad)
 
 
 def test_chi_rat_refuses_a_foreign_context():
@@ -134,7 +141,7 @@ def test_chi_rat_refuses_a_foreign_context():
 
 def test_malformed_class_functions_are_typed_errors():
     from fermatjac.certificates import ClassFunction
-    from fermatjac.groups import Subgroup, pgonal_T
+    from fermatjac.groups import Subgroup
 
     d5 = ClassData(Group(5))
     with pytest.raises(ShapeMismatchError):
@@ -142,7 +149,7 @@ def test_malformed_class_functions_are_typed_errors():
     # {1, T} is not closed, so its 21 translates are not 21 / 2 cosets
     ctx = make_context(7)
     group = Group(7, ctx.gamma)
-    t = group.index(pgonal_T(ctx))
+    t = index_of(pgonal_T(ctx))
     not_a_group = Subgroup(group, (t,), (IDENTITY, t))
     with pytest.raises(CheckFailedError):
         induced_perm_character(not_a_group, ClassData(Group(ctx.p, ctx.gamma)))
@@ -161,8 +168,6 @@ def test_inner_product_refuses_a_non_integral_pairing():
 
 
 def test_pgonal_class_data_and_pairing():
-    from fermatjac.groups import pgonal_T
-
     ctx = make_context(7)
     data = ClassData(Group(ctx.p, ctx.gamma))
     assert data.order == 21
@@ -178,4 +183,4 @@ def test_pgonal_class_data_and_pairing():
     hom = ClassFunction(data, values, "pgonal homology")
     assert inner_product(chi_trivial(data), hom) == 0
     assert element_inner_product(chi_trivial(data), hom) == 0
-    assert hom(pgonal_T(ctx)) == -1
+    assert hom(index_of(pgonal_T(ctx))) == -1

@@ -30,7 +30,6 @@ from fermatjac.groups import (
     class_rule_gap,
     conjugacy_classes,
     cyclic_subgroup_classes,
-    fermat_a1,
     fermat_H,
     fermat_Hj,
     fermat_order,
@@ -40,6 +39,8 @@ from fermatjac.orbits import make_context
 
 from helpers import (
     class_members,
+    fermat_a1,
+    index_of,
     labelled_coset_genus,
     labelled_fix_count,
     labelled_perm_character,
@@ -60,8 +61,8 @@ def test_class_arithmetic_matches_coset_labelling(p):
     triple = find_generating_triple(ctx)
     data = ClassData(Group(ctx.p))
     fix = fermat_full_fix_table(triple, data)
-    reps = [data.group.element(r) for r in data.reps if r != IDENTITY]
-    assert [fix.count(g) for g in reps] == [labelled_fix_count(g, triple) for g in reps]
+    reps = [r for r in data.reps if r != IDENTITY]
+    assert [fix.at(r) for r in reps] == [labelled_fix_count(r, triple) for r in reps]
     hj = [fermat_Hj(p, j) for j in range(1, p - 1)]
     for k in all_cyclic_subgroups(Group(ctx.p)) + [fermat_H(p)] + hj:
         assert coset_genus(k, triple, data) == labelled_coset_genus(k, triple)
@@ -79,10 +80,11 @@ def test_non_integral_frobenius_quotient_raises():
     ctx = make_context(7)
     triple = find_generating_triple(ctx)
     data = ClassData(Group(ctx.p))
-    c = data.class_of[data.group.index(fermat_a1(7))]
+    a1 = index_of(fermat_a1(7))
+    c = data.class_of[a1]
     assert data.sizes[c] == 3
     data.sizes = data.sizes[:c] + (4,) + data.sizes[c + 1:]
-    k = subgroup_closure([fermat_a1(7)])
+    k = subgroup_closure(data.group, [a1])
     with pytest.raises(InconsistentOrbifoldError):
         coset_genus(k, triple, data)
     with pytest.raises(InconsistentOrbifoldError):
@@ -252,19 +254,18 @@ def test_patched_action_entry_fails_verify_under_python_O():
 
 def test_verify_full_builds_no_closure_of_two_elements(capsys, monkeypatch):
     """Generation is proved by argument and the oracles run on class
-    representatives: no object closure, no list of every cyclic subgroup
-    and no index closure of two or more elements."""
+    representatives: no list of every cyclic subgroup and no closure of
+    two or more elements."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("called")
 
-    for name in ("mulclose", "all_cyclic_subgroups"):
-        real = getattr(groups_module, name)
-        for mod_name, mod in list(sys.modules.items()):
-            if mod_name == "fermatjac" or mod_name.startswith("fermatjac."):
-                for attr, value in list(vars(mod).items()):
-                    if value is real:
-                        monkeypatch.setattr(mod, attr, refuse)
+    real = groups_module.all_cyclic_subgroups
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "fermatjac" or mod_name.startswith("fermatjac."):
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, refuse)
     closure = Group.closure
 
     def one_element_closure(self, generators):

@@ -1,7 +1,8 @@
 """The integer kernel against element objects.
 
-The kernel's permutations must agree with FermatAut and PGonalAut
-multiplication, its closures with object-level closures, its orders,
+The kernel's left multiplication must agree with the multiplication of
+the element objects in helpers.py, its closures with object-level
+closures, its orders,
 conjugacy classes and generating triple with the object-level versions,
 and the coset oracle, permutation characters and pairings built on it
 with the object-level paths in helpers.py.  The coset labelling on
@@ -27,20 +28,12 @@ from fermatjac.groups import (
     Subgroup,
     all_cyclic_subgroups,
     conjugacy_classes,
-    conjugation_map,
-    fermat_elements,
-    fermat_generators,
     fermat_H,
     fermat_Hj,
     fermat_order,
     left_cosets,
-    mulclose,
-    order,
     pgonal_group,
     pgonal_K,
-    pgonal_elements,
-    pgonal_R,
-    pgonal_T,
     subgroup_closure,
 )
 from fermatjac.orbits import make_context
@@ -48,6 +41,11 @@ from fermatjac.orbits import make_context
 from helpers import (
     canonical_elements,
     fermat_coset_labels,
+    fermat_elements,
+    fermat_generators,
+    index_of,
+    mulclose,
+    object_generators,
     object_conjugacy_classes,
     object_coset_genus,
     object_fixed_cosets,
@@ -55,7 +53,10 @@ from helpers import (
     object_inner_product,
     object_left_cosets,
     object_perm_character,
+    order,
+    pgonal_elements,
     primes_upto,
+    right_mul_perm,
     subgroup_elements,
 )
 
@@ -73,14 +74,12 @@ PGONAL_GROUPS = [
 def test_index_is_the_canonical_order(p):
     group = Group(p)
     els = list(fermat_elements(p))
-    assert [group.index(g) for g in els] == list(range(6 * p * p))
-    assert [group.element(i) for i in range(6 * p * p)] == els
+    assert [group.coordinates(i) for i in range(6 * p * p)] == [(g.m, g.n, g.sigma) for g in els]
     ctx = make_context(7)
     for gamma in ctx.gamma_pair:
         group = Group(7, gamma)
         els = list(pgonal_elements(ctx, gamma))
-        assert [group.index(g) for g in els] == list(range(21))
-        assert [group.element(i) for i in range(21)] == els
+        assert [group.coordinates(i) for i in range(21)] == [(g.k, g.e) for g in els]
 
 
 @pytest.mark.parametrize("p", (5, 7, 11, 13))
@@ -97,13 +96,15 @@ def test_closure_matches_object_closure(group):
     """subgroup_closure, the cyclic subgroups and, in the p-gonal group,
     pgonal_K and the closures of each pair of K_i give the element sets
     of mulclose."""
-    gens = group.generators
+    gens = object_generators(group)
+    assert group.generators == tuple(map(index_of, gens))
     for sub_gens in ([gens[0]], [gens[-1]], gens[:2], gens[2:], [gens[0] * gens[-1]], gens):
         if not sub_gens:
             continue
-        members = group.closure(sub_gens)
+        indices = list(map(index_of, sub_gens))
+        members = group.closure(indices)
         assert len(set(members)) == len(members)
-        assert _object_set(subgroup_closure(sub_gens)) == mulclose(sub_gens)
+        assert _object_set(subgroup_closure(group, indices)) == mulclose(sub_gens)
     universe = canonical_elements(group)
     ctx = make_context(group.p)
     cyclic = all_cyclic_subgroups(group)
@@ -113,7 +114,7 @@ def test_closure_matches_object_closure(group):
         assert _object_set(k) == mulclose([universe[k.generators[0]]])
     if group.gamma is None:
         return
-    t, gen = pgonal_T(ctx, group.gamma), pgonal_R(ctx, group.gamma)
+    t, gen = gens
     ks = [pgonal_K(i, ctx, group.gamma) for i in (1, 2, 3)]
     for k in ks:  # K_i = T^(-(i-1)) <R> T^(i-1)
         assert _object_set(k) == mulclose([gen])
@@ -121,7 +122,7 @@ def test_closure_matches_object_closure(group):
     for i in range(3):
         for j in range(3):
             both = subgroup_elements(ks[i]) + subgroup_elements(ks[j])
-            assert _object_set(subgroup_closure(both)) == mulclose(both)
+            assert _object_set(subgroup_closure(group, map(index_of, both))) == mulclose(both)
 
 
 @pytest.mark.parametrize("p", [q for q in primes_upto(31) if q >= 5])
@@ -144,7 +145,7 @@ def test_inner_product_matches_object_element_sum(p):
     ctx = make_context(p)
     data = ClassData(Group(ctx.p))
     rat = chi_rat(fermat_full_fix_table(find_generating_triple(ctx), data), data)
-    s3 = subgroup_closure(fermat_generators(p)[2:])
+    s3 = subgroup_closure(Group(p), map(index_of, fermat_generators(p)[2:]))
     fns = [chi_trivial(data), rat] + [induced_perm_character(k, data) for k in (fermat_Hj(p, 1), fermat_H(p), s3)]
     for f1 in fns:
         for f2 in fns:
@@ -161,40 +162,42 @@ def test_inner_product_matches_object_element_sum(p):
 
 @pytest.mark.parametrize("group", FERMAT_GROUPS + PGONAL_GROUPS)
 def test_permutations_match_object_multiplication(group):
-    """Left and right multiplication and conjugation on indices against
-    __mul__: in the p-gonal group on every pair of elements."""
+    """Left multiplication on indices, the kernel's group law, against
+    __mul__: in the p-gonal group on every pair of elements.  In the
+    Fermat group, also the right multiplication of the coset labelling."""
     els = list(canonical_elements(group))
     everything = range(len(els))
-    multipliers = els if group.gamma is not None else els[::11] + list(group.generators)
+    multipliers = els if group.gamma is not None else els[::11] + list(object_generators(group))
     for c in multipliers:
-        left = c.left_mul(everything)
-        right = c.right_mul_perm()
-        assert left == [group.index(c * x) for x in els]
-        assert right == [group.index(x * c) for x in els]
-        assert sorted(left) == sorted(right) == list(everything)
-        assert c.left_mul_perm() == left
-        assert conjugation_map(c) == [group.index(c * x * c.inverse()) for x in els]
+        i = index_of(c)
+        left = group.left_mul(i, everything)
+        assert left == [index_of(c * x) for x in els]
+        assert sorted(left) == list(everything)
+        assert [group.mul(i, x) for x in everything[::7]] == left[::7]
+        if group.gamma is None:
+            assert right_mul_perm(group, i) == [index_of(x * c) for x in els]
 
 
 @pytest.mark.parametrize("p", (5, 7))
 def test_coset_labels_match_object_cosets(p):
     els = list(fermat_elements(p))
     subgroups = all_cyclic_subgroups(Group(p))
-    subgroups += [fermat_H(p), fermat_Hj(p, 1), subgroup_closure(fermat_generators(p)[2:])]
+    subgroups += [fermat_H(p), fermat_Hj(p, 1), subgroup_closure(Group(p), Group(p).generators[2:])]
     for k in subgroups:
         reps, label = fermat_coset_labels(k)
-        obj_reps, index_of = object_left_cosets(k, els)
-        assert reps == [Group(p).index(g) for g in obj_reps]
-        assert label == [index_of[g] for g in els]
-        assert left_cosets(k, els) == (obj_reps, {g: index_of[g] for g in els})
+        obj_reps, coset_of = object_left_cosets(k, els)
+        assert reps == list(map(index_of, obj_reps))
+        assert label == [coset_of[g] for g in els]
+        assert left_cosets(k, range(len(els))) == (reps, dict(enumerate(label)))
 
 
 def test_left_cosets_pgonal_wrapper():
     ctx = make_context(7)
     els = list(pgonal_elements(ctx))
     for k in [pgonal_K(i, ctx) for i in (1, 2, 3)] + [pgonal_group(ctx)]:
-        reps, index_of = object_left_cosets(k, els)
-        assert left_cosets(k, els) == (reps, {g: index_of[g] for g in els})
+        reps, coset_of = object_left_cosets(k, els)
+        expected = (list(map(index_of, reps)), {i: coset_of[g] for i, g in enumerate(els)})
+        assert left_cosets(k, range(len(els))) == expected
 
 
 def test_coset_labels_refuse_bad_subgroups():

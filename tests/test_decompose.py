@@ -19,7 +19,7 @@ from fermatjac.decompose import (
 )
 from fermatjac.errors import AuditFailError, OutOfRangeError
 from fermatjac.genus import fermat_genus
-from fermatjac.groups import fermat_u
+from fermatjac.groups import Group
 from fermatjac.orbits import PrimeContext, make_context
 
 from helpers import (
@@ -102,7 +102,8 @@ def test_kani_rosen_check_records_failing_pairs(monkeypatch):
     # a non-commuting "generator" and a plane of genus 1 make every pair fail
     p = 7
     real_rh = decompose_module.riemann_hurwitz
-    monkeypatch.setattr(decompose_module, "fermat_a1", fermat_u)
+    _, a2, u, v = Group(p).generators
+    monkeypatch.setattr(Group, "generators", property(lambda self: (u, a2, u, v)))
     monkeypatch.setattr(
         decompose_module,
         "riemann_hurwitz",

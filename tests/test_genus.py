@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from fermatjac import cli
@@ -33,12 +35,7 @@ from fermatjac.groups import (
     conjugacy_classes,
     fermat_H,
     fermat_Hj,
-    fermat_a1,
-    fermat_elements,
-    fermat_group_order,
-    fermat_identity,
-    fermat_u,
-    fermat_v,
+    fermat_order,
     pgonal_K,
     pgonal_group,
     subgroup_closure,
@@ -46,7 +43,7 @@ from fermatjac.groups import (
 )
 from fermatjac.orbits import make_context
 
-from helpers import joined
+from helpers import fermat_a1, fermat_elements, fermat_u, fermat_v, index_of, joined, labelled_fix_count
 
 
 def test_rh_genus_free_deck_subgroup():
@@ -99,7 +96,7 @@ def test_fermat_quotient_genus():
 
 
 def test_fermat_quotient_genus_rejects_nontranslations():
-    sub = subgroup_closure([fermat_u(7)])
+    sub = subgroup_closure(Group(7), [index_of(fermat_u(7))])
     with pytest.raises(NotSubgroupOfHError):
         fermat_quotient_genus(sub)
 
@@ -113,7 +110,7 @@ def test_find_generating_triple_properties():
         assert evidence["orders"] == [2, 3, 2 * p]
         assert evidence["fix_a1"] == p
         assert evidence["trivial_subgroup_genus"] == fermat_genus(p)
-        assert evidence["fix_table"].count(fermat_a1(p)) == p
+        assert evidence["fix_table"].at(index_of(fermat_a1(p))) == p
         # deterministic: the search re-finds the same triple
         assert find_generating_triple(ctx) == triple
 
@@ -123,10 +120,14 @@ def test_generation_gap_names_the_failed_hypothesis():
     triple = find_generating_triple(make_context(p))
     assert generation_gap(triple) is None
     u, v, a1 = fermat_u(p), fermat_v(p), fermat_a1(p)
+
+    def gap(c2, c3):
+        return generation_gap(GeneratingTriple(p, index_of(c2), index_of(c3), index_of((c2 * c3).inverse())))
+
     # v and u generate S3 alone: c2p = (v u)^(-1) has order 2, so c2p^2 = 1
-    assert "c2p^2" in generation_gap(GeneratingTriple(v, u, (v * u).inverse()))
-    assert "transposition" in generation_gap(GeneratingTriple(a1, u, (a1 * u).inverse()))
-    assert "3-cycle" in generation_gap(GeneratingTriple(v, a1, (v * a1).inverse()))
+    assert gap(v, u) == "c2p^2 = (0, 0, 0) is not a nonzero translation"
+    assert gap(a1, u) == "c2 = (1, 0, 0) does not map to a transposition"
+    assert gap(v, a1) == "c3 = (1, 0, 0) does not map to a 3-cycle"
 
 
 def test_a_stable_line_refutes_generation(capsys, monkeypatch):
@@ -142,6 +143,48 @@ def test_a_stable_line_refutes_generation(capsys, monkeypatch):
     assert "FAIL generating-triple: no (2, 3, 2p) generating triple found for p = 7" in out
 
 
+def test_a_patched_triple_fails_verify_naming_coordinates(capsys, monkeypatch):
+    # c2p swapped for another element of order 2p: the orders hold, the
+    # product does not, and the detail names the elements by normal form
+    real = genus_module.find_generating_triple
+
+    def patched(ctx, limit):
+        triple = real(ctx, limit)
+        other = next(i for i in range(Group(ctx.p).order) if i != triple.c2p and fermat_order(ctx.p, i) == 14)
+        return GeneratingTriple(ctx.p, triple.c2, triple.c3, other)
+
+    monkeypatch.setattr(genus_module, "find_generating_triple", patched)
+    code = cli.main(["verify", "--p", "7", "--depth", "full", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 4
+    failed = json.loads(out)["checks"][-1]
+    assert (failed["name"], failed["status"], failed["code"]) == ("generating-triple", "FAIL", "INCONSISTENT_ORBIFOLD")
+    assert failed["detail"] == "the triple (0, 0, 3), (0, 1, 1), (0, 1, 3) has product (0, 6, 2), not the identity"
+    assert "FermatAut(" not in out + err and "Traceback" not in err
+
+
+def test_triple_failures_name_coordinates():
+    ctx = make_context(7)
+    triple, data = find_generating_triple(ctx), ClassData(Group(7))
+    swapped = GeneratingTriple(7, triple.c2p, triple.c3, triple.c2)
+    named = r"\(6, 0, 5\), \(0, 1, 1\), \(0, 0, 3\)"
+    with pytest.raises(InconsistentOrbifoldError, match=rf"^the triple {named} has orders \(14, 3, 2\), not \(2, 3, 14\)$"):
+        validate_triple(swapped, data)
+    with pytest.raises(InconsistentOrbifoldError, match=r"^\(6, 0, 5\) generates a subgroup of order 14, not 2$"):
+        fermat_full_fix_table(swapped, data)
+    with pytest.raises(NotSubgroupOfHError, match=r"^\(0, 0, 1\) lies outside the translation subgroup$"):
+        fermat_axis_fix_table(ctx).at(1)
+
+
+def test_generating_triple_refuses_indices_outside_the_group():
+    for bad in (-1, 294, 295):
+        with pytest.raises(OutOfRangeError):
+            GeneratingTriple(7, 3, 7, bad)
+        with pytest.raises(OutOfRangeError):
+            GeneratingTriple(7, bad, 7, 257)
+    assert GeneratingTriple(7, 3, 7, 257) == find_generating_triple(make_context(7))
+
+
 def test_find_generating_triple_bound():
     with pytest.raises(TooLargeError):
         find_generating_triple(make_context(37))
@@ -151,12 +194,11 @@ def test_full_fix_count_examples():
     ctx = make_context(7)
     triple = find_generating_triple(ctx)
     fix = fermat_full_fix_table(triple, ClassData(Group(ctx.p)))
-    assert fix.count(fermat_a1(7)) == 7
+    assert fix.at(index_of(fermat_a1(7))) == 7
     # a free translation fixes nothing
-    free = Group(7).element(fermat_Hj(7, 1).indices[1])
-    assert fix.count(free) == 0
+    assert fix.at(fermat_Hj(7, 1).indices[1]) == 0
     with pytest.raises(IdentityInputError):
-        fix.count(fermat_identity(7))
+        fix.at(IDENTITY)
 
 
 def test_full_table_matches_axis_table_on_H():
@@ -178,7 +220,7 @@ def test_full_fix_table_refuses_a_foreign_context():
         fermat_full_fix_table(triple, ClassData(Group(7)))
     with pytest.raises(GroupMismatchError):
         validate_triple(triple, ClassData(Group(7)))
-    assert fermat_full_fix_table(triple, data).count(fermat_a1(13)) == 13
+    assert fermat_full_fix_table(triple, data).at(index_of(fermat_a1(13))) == 13
 
 
 def test_fix_tables_refuse_indices_outside_the_group():
@@ -186,7 +228,8 @@ def test_fix_tables_refuse_indices_outside_the_group():
     # unchecked, the p-gonal table read 21 and -4 as 3 and 2, the axis
     # table 1764 as 7, and the full table wrapped -1 around
     ctx = make_context(7)
-    full = fermat_full_fix_table(find_generating_triple(ctx), ClassData(Group(7)))
+    triple = find_generating_triple(ctx)
+    full = fermat_full_fix_table(triple, ClassData(Group(7)))
     pgonal, axis = pgonal_fix_table(ctx), fermat_axis_fix_table(ctx)
     for table, bad in ((pgonal, (21, -4, -1, 22)), (axis, (1764, 294, -6)), (full, (-1, 294, 295))):
         for i in bad:
@@ -194,7 +237,7 @@ def test_fix_tables_refuse_indices_outside_the_group():
                 table.at(i)
         with pytest.raises(IdentityInputError):
             table.at(IDENTITY)
-    assert (pgonal.at(20), axis.at(288), full.at(293)) == (2, 7, full.count(Group(7).element(293)))
+    assert (pgonal.at(20), axis.at(288), full.at(293)) == (2, 7, labelled_fix_count(293, triple))
 
 
 def test_fix_counts_conjugation_invariant_exhaustive_p5():
@@ -206,9 +249,9 @@ def test_fix_counts_conjugation_invariant_exhaustive_p5():
     for g in els:
         if g.is_identity:
             continue
-        c = fix.count(g)
+        c = fix.at(index_of(g))
         for h in els:
-            assert fix.count(h * g * h.inverse()) == c
+            assert fix.at(index_of(h * g * h.inverse())) == c
 
 
 def test_lefschetz_bound():
@@ -231,9 +274,7 @@ def test_total_fix_count_identity():
         triple = find_generating_triple(ctx)
         data = ClassData(Group(ctx.p))
         fix = fermat_full_fix_table(triple, data)
-        total = sum(
-            fix.count(g) for g in fermat_elements(p) if not g.is_identity
-        )
+        total = sum(fix.at(i) for i in range(1, 6 * p * p))
         assert total == 13 * p * p - 3 * p
 
 
@@ -243,8 +284,8 @@ def test_coset_genus_full_group_and_trivial():
         triple = find_generating_triple(ctx)
         data = ClassData(Group(ctx.p))
         gens = [fermat_a1(p), fermat_u(p), fermat_v(p)]
-        full = subgroup_closure(gens)
-        assert full.order == fermat_group_order(p)
+        full = subgroup_closure(Group(p), map(index_of, gens))
+        assert full.order == 6 * p * p
         assert coset_genus(full, triple, data) == 0
         assert coset_genus(trivial_subgroup(Group(p)), triple, data) == fermat_genus(p)
 
@@ -272,7 +313,7 @@ def test_dual_oracle_agreement(p):
 def test_euler_characteristic_audit():
     for p in (5, 7, 13):
         ctx = make_context(p)
-        order_g = fermat_group_order(p)
+        order_g = 6 * p * p
         # 2 - 2g = 2|G| - sum over cone points of [G:<c_i>] (m_i - 1)
         deficit = sum((order_g // m) * (m - 1) for m in (2, 3, 2 * p))
         assert 2 * order_g - deficit == 2 - 2 * fermat_genus(p)
@@ -281,9 +322,9 @@ def test_euler_characteristic_audit():
 def test_pgonal_fix_table_domain():
     ctx = make_context(7)
     fix = pgonal_fix_table(ctx)
-    from fermatjac.groups import pgonal_T, pgonal_R, pgonal_identity
+    from helpers import pgonal_R, pgonal_T
 
-    assert fix.count(pgonal_T(ctx)) == 3
-    assert fix.count(pgonal_R(ctx)) == 2
+    assert fix.at(index_of(pgonal_T(ctx))) == 3
+    assert fix.at(index_of(pgonal_R(ctx))) == 2
     with pytest.raises(IdentityInputError):
-        fix.count(pgonal_identity(ctx))
+        fix.at(IDENTITY)

@@ -9,35 +9,39 @@ from fermatjac.groups import (
     PERM_U,
     PERM_V,
     ClassData,
-    FermatAut,
     Group,
-    PGonalAut,
     all_cyclic_subgroups,
     conjugacy_classes,
-    derive_s3_action,
     fermat_H,
     fermat_Hj,
-    fermat_a1,
-    fermat_a2,
-    fermat_a3,
-    fermat_elements,
-    fermat_group_order,
-    fermat_identity,
-    fermat_u,
-    fermat_v,
     left_cosets,
-    order,
     pgonal_K,
-    pgonal_R,
-    pgonal_T,
-    pgonal_elements,
-    pgonal_identity,
     s3_stable_lines,
     subgroup_closure,
 )
 from fermatjac.orbits import make_context
 
-from helpers import joined, object_gamma_pairs
+from helpers import (
+    FermatAut,
+    PGonalAut,
+    derive_s3_action,
+    fermat_a1,
+    fermat_a2,
+    fermat_a3,
+    fermat_elements,
+    fermat_identity,
+    fermat_u,
+    fermat_v,
+    index_of,
+    joined,
+    object_gamma_pairs,
+    order,
+    pgonal_elements,
+    pgonal_identity,
+    pgonal_R,
+    pgonal_T,
+    subgroup_elements,
+)
 
 
 def test_s3_action_rederived_from_projective_maps():
@@ -86,14 +90,19 @@ def test_conjugation_cycles_the_scaling_generators():
 
 
 def test_group_axioms_exhaustive_p5_via_cayley_table():
+    """The kernel's law, as a Cayley table of left multiplications, is a
+    group law with identity IDENTITY; it is the element objects' law."""
     p = 5
+    group = Group(p)
     els = list(fermat_elements(p))
     assert len(els) == 150
-    index = {g: i for i, g in enumerate(els)}
-    table = [[index[a * b] for b in els] for a in els]
-    ident = index[fermat_identity(p)]
+    table = [group.left_mul(a, range(150)) for a in range(150)]
+    assert table == [[index_of(a * b) for b in els] for a in els]
+    ident = index_of(fermat_identity(p))
+    assert ident == IDENTITY
     for i, g in enumerate(els):
         assert table[i][ident] == i == table[ident][i]
+        assert sorted(table[i]) == list(range(150))
         assert (g * g.inverse()).is_identity
         assert (g.inverse() * g).is_identity
     for i in range(150):
@@ -111,11 +120,16 @@ def test_pgonal_axioms_exhaustive_p7():
     els = list(pgonal_elements(ctx))
     assert len(els) == 21
     ident = pgonal_identity(ctx)
+    group = Group(7, ctx.gamma)
     for g in els:
         assert (g * g.inverse()) == ident
         for h in els:
             for k in els:
                 assert (g * h) * k == g * (h * k)
+    for g in range(21):
+        for h in range(21):
+            gh = group.mul(g, h)
+            assert group.left_mul(gh, range(21)) == group.left_mul(g, group.left_mul(h, range(21)))
 
 
 def test_multiply_identity_and_orders():
@@ -137,30 +151,43 @@ def test_flavor_mismatch_errors():
         fermat_a1(7) * pgonal_T(ctx)
     with pytest.raises(GroupMismatchError):
         pgonal_T(ctx, 2) * pgonal_T(ctx, 4)
-    with pytest.raises(GroupMismatchError):
-        subgroup_closure([fermat_a1(5), fermat_a1(7)])
+    # an index is read in the group it is given to, and refused outside it
+    for group in (Group(5), Group(7, 2)):
+        for bad in (-1, group.order):
+            with pytest.raises(OutOfRangeError):
+                subgroup_closure(group, [bad])
+            with pytest.raises(OutOfRangeError):
+                group.left_mul(bad, [IDENTITY])
+            with pytest.raises(OutOfRangeError):
+                group.mul(bad, IDENTITY)
 
 
 def test_subgroup_closure_basics():
     p = 7
-    triv = subgroup_closure([fermat_identity(p)])
+    group = Group(p)
+    a1, a2, u, v = group.generators
+    assert group.generators == tuple(map(index_of, (fermat_a1(p), fermat_a2(p), fermat_u(p), fermat_v(p))))
+    triv = subgroup_closure(group, [IDENTITY])
     assert triv.order == 1
-    h = subgroup_closure([fermat_a1(p), fermat_a2(p)])
+    h = subgroup_closure(group, [a1, a2])
     assert h.order == p * p
     assert h == fermat_H(p)
     assert h.is_translation_subgroup
-    full = subgroup_closure([fermat_a1(p), fermat_a2(p), fermat_u(p), fermat_v(p)])
-    assert full.order == fermat_group_order(p)
+    assert tuple(group.translations) == h.indices
+    full = subgroup_closure(group, [a1, a2, u, v])
+    assert full.order == 6 * p * p
     with pytest.raises(OutOfRangeError):
-        subgroup_closure([])
+        subgroup_closure(group, [])
 
 
 @pytest.mark.parametrize("p", (5, 7, 11, 13))
 def test_Hj_family(p):
+    group = Group(p)
+    a1, a2 = group.generators[:2]
     axes = {
-        subgroup_closure([fermat_a1(p)]).indices,
-        subgroup_closure([fermat_a2(p)]).indices,
-        subgroup_closure([fermat_a1(p) * fermat_a2(p)]).indices,
+        subgroup_closure(group, [a1]).indices,
+        subgroup_closure(group, [a2]).indices,
+        subgroup_closure(group, [group.mul(a1, a2)]).indices,
     }
     subs = [fermat_Hj(p, j) for j in range(1, p - 1)]
     assert len({s.indices for s in subs}) == p - 2
@@ -168,11 +195,11 @@ def test_Hj_family(p):
         assert s.order == p
         assert s.indices not in axes
         # free action: no member sits on a fixed-point axis
-        for g in map(s.group.element, s):
+        for g in subgroup_elements(s):
             if not g.is_identity:
                 assert not (g.m == 0 or g.n == 0 or g.m == g.n)
         # direct construction agrees with generic closure
-        assert s == subgroup_closure([s.group.element(s.generators[0])])
+        assert s == subgroup_closure(group, s.generators[:1])
     h = fermat_H(p)
     for i in range(len(subs)):
         for j in range(i + 1, len(subs)):
@@ -192,7 +219,7 @@ def test_pgonal_K_structure(p):
         assert k.order == 3
 
     def elements(k):
-        return set(map(group.element, k))
+        return set(subgroup_elements(k))
 
     assert elements(ks[0]) == {pgonal_identity(ctx), pgonal_R(ctx), pgonal_R(ctx) * pgonal_R(ctx)}
     # K_{i+1} = T^(-i) K_1 T^i
@@ -203,7 +230,7 @@ def test_pgonal_K_structure(p):
         assert conj == elements(ks[i])
     # p = 7, gamma = 2: the K_2 generator is T^3 R
     if p == 7:
-        assert group.index(PGonalAut(7, 2, 3, 1)) in ks[1]
+        assert index_of(PGonalAut(7, 2, 3, 1)) in ks[1]
     assert len({k.indices for k in ks}) == 3
 
 
@@ -302,7 +329,7 @@ def test_conjugacy_classes_pgonal():
     assert sizes == [1, 3, 3, 7, 7]
     order3 = [c for c in classes if len(c) == 7]
     group = Group(7, ctx.gamma)
-    assert all(group.element(i).e != 0 for c in order3 for i in c)
+    assert all(group.coordinates(i)[1] != 0 for c in order3 for i in c)
     assert sum(len(c) for c in classes) == 21
 
 
@@ -319,21 +346,19 @@ def test_conjugacy_classes_fermat_p5():
     for i, c in enumerate(classes):
         for g in c:
             index[g] = i
-    group = Group(5)
     for g in fermat_elements(5):
         for h in list(fermat_elements(5))[::7]:
-            assert index[group.index(h * g * h.inverse())] == index[group.index(g)]
+            assert index[index_of(h * g * h.inverse())] == index[index_of(g)]
 
 
 def test_left_cosets():
     p = 5
     h1 = fermat_Hj(p, 1)
-    universe = list(fermat_elements(p))
-    reps, index_of = left_cosets(h1, universe)
-    assert len(reps) == fermat_group_order(p) // p
-    assert len(index_of) == fermat_group_order(p)
+    reps, coset_of = left_cosets(h1, range(6 * p * p))
+    assert len(reps) == 6 * p
+    assert len(coset_of) == 6 * p * p
     for i, r in enumerate(reps):
-        assert index_of[r] == i
+        assert coset_of[r] == i
 
 
 def test_all_cyclic_subgroups_p5():

@@ -11,7 +11,6 @@ from fermatjac.errors import (
     NonMonomialError,
     OutOfRangeError,
 )
-from fermatjac.groups import pgonal_elements
 from fermatjac.monomial import (
     MOEBIUS_MONOMIALS,
     MonomialFunction,
@@ -34,7 +33,7 @@ from fermatjac.monomial import (
 )
 from fermatjac.orbits import make_context
 
-from helpers import run_under_O, substitute_by_chain
+from helpers import pgonal_elements, run_under_O, substitute_by_chain
 
 
 def test_reduce_curve_relation():

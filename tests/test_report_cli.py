@@ -331,9 +331,8 @@ def test_verify_full_builds_classes_and_fix_table_once(capsys, monkeypatch):
     from fermatjac import genus as genus_module
     from fermatjac import groups as groups_module
 
-    # the classes come from their rule: no orbit walk, no conjugation map
+    # the classes come from their rule: no orbit walk
     walks = _count_calls(monkeypatch, groups_module, "conjugacy_classes")
-    maps = _count_calls(monkeypatch, groups_module, "conjugation_map")
     tables = _count_calls(monkeypatch, genus_module, "fermat_full_fix_table")
     built = []
     init = groups_module.ClassData.__init__
@@ -346,7 +345,7 @@ def test_verify_full_builds_classes_and_fix_table_once(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "verify", "--p", "13", "--depth", "full")
     assert code == 0
     assert len(built) == 1 and len(tables) == 1
-    assert walks == [] and maps == []
+    assert walks == []
 
 
 def test_verify_full_builds_no_deck_joins(capsys, monkeypatch):
@@ -358,7 +357,7 @@ def test_verify_full_builds_no_deck_joins(capsys, monkeypatch):
     closures = _count_calls(monkeypatch, groups_module, "subgroup_closure")
     code, _, _ = run_cli(capsys, "verify", "--p", "13", "--depth", "full")
     assert code == 0
-    assert [len(gens) for (gens,) in closures] == [1, 1, 1]
+    assert [len(gens) for (_group, gens) in closures] == [1, 1, 1]
 
 
 def test_oracle_disagreement_is_a_typed_failure(capsys, monkeypatch):
