@@ -76,18 +76,10 @@ def check_orbit_partition_laws(ctx, cache):
     part = _partition(ctx, cache)
     sizes = [o.size for o in part.orbits]
     _require(sum(sizes) == p - 2, f"p = {p}: the orbit sizes sum to {sum(sizes)}, not {p - 2}")
-    bad = [s for s in sizes if s not in (2, 3, 6)]
-    _require(not bad, f"p = {p}: orbit sizes {bad} are not 2, 3 or 6")
     special = sum(1 for o in part.orbits if o.kind is OrbitKind.SPECIAL_ONE)
     _require(special == 1, f"p = {p}: {special} orbits of the special kind, expected 1")
-    gamma_orbits = [o for o in part.orbits if o.kind is OrbitKind.GAMMA]
-    _require(
-        len(gamma_orbits) == (1 if ctx.has_gamma else 0),
-        f"p = {p}: {len(gamma_orbits)} gamma orbits with has_gamma = {ctx.has_gamma}",
-    )
-    if ctx.has_gamma:
-        for g in gamma_orbits[0].elements:
-            _require((g * g + g + 1) % p == 0, f"p = {p}: gamma orbit member {g} is not a root of g^2+g+1")
+    gamma = sum(1 for o in part.orbits if o.kind is OrbitKind.GAMMA)
+    _require(gamma == ctx.has_gamma, f"p = {p}: {gamma} gamma orbits with has_gamma = {ctx.has_gamma}")
     expected_generic = (p - 7) // 6 if ctx.has_gamma else (p - 5) // 6
     _require(
         part.generic_count == expected_generic,
@@ -167,21 +159,13 @@ def _fine(ctx, cache):
 
 
 def check_deck_quotient_audit(ctx, cache):
-    d = _coarse(ctx, cache)
-    a = d.audit
-    _require(
-        a.all_pass,
-        f"p = {ctx.p}: the deck-family audit fails: {len(a.commuting_checks)} non-commuting pairs,"
-        f" {len(a.genus_zero_checks)} pairs of nonzero genus, genus sum {a.genus_sum_check[:2]}",
-    )
-    return f"{d.audit.subgroup_count} deck subgroups, all hypotheses pass"
+    # decompose_coarse and decompose_fine raise AuditFailError, naming the
+    # failed hypothesis, unless their audits pass
+    return f"{_coarse(ctx, cache).audit.subgroup_count} deck subgroups, all hypotheses pass"
 
 
 def check_fine_decomposition(ctx, cache):
-    d = _fine(ctx, cache)
-    _require(d.audit.all_pass, f"p = {ctx.p}: the fine decomposition's deck-family audit fails")
-    if d.gamma_refinement is not None:
-        _require(d.gamma_refinement.all_pass, f"p = {ctx.p}: the gamma refinement audit fails")
+    if _fine(ctx, cache).gamma_refinement is not None:
         return "gamma factor refined; quotient-genus identities pass"
     return "no gamma root; fine = coarse"
 
@@ -240,7 +224,7 @@ def _class_data(ctx, cache):
 
 
 def check_generating_triple(ctx, cache):
-    triple = gen.find_generating_triple(ctx, limit=ctx.p)
+    triple = gen.find_generating_triple(ctx)
     evidence = gen.validate_triple(triple, _class_data(ctx, cache))
     cache["triple"], cache["full_fix"] = triple, evidence["fix_table"]
     return f"orders {tuple(evidence['orders'])}, fix(a1) = {evidence['fix_a1']}"
@@ -266,10 +250,9 @@ def check_dual_oracle_genus(ctx, cache):
     classes = len(subgroups)
     # H_i and H_j are the lines through (1, 1+i) and (1, 1+j) in F_p^2,
     # with determinant j - i, a unit for i != j: every pairwise join is
-    # the plane H, listed once more as the joins' entry.  The H_j are
-    # built one at a time.
+    # the plane H, already listed.  The H_j are built one at a time.
     deck = (grp.fermat_Hj(p, j) for j in range(1, p - 1))
-    for k in chain(subgroups, [h], deck, [h]):
+    for k in chain(subgroups, [h], deck):
         rh, coset = gen.rh_genus(g_top, k, fix), gen.coset_genus(k, triple, data)
         if rh != coset:
             raise OracleDisagreementError(
@@ -322,25 +305,18 @@ def check_certificates(ctx, cache):
     p = ctx.p
     data = _class_data(ctx, cache)
     rat = cert.chi_rat(cache["full_fix"], data)
-    triv = cert.chi_trivial(data)
-    _require(rat.at_identity == (p - 1) * (p - 2), f"p = {p}: chi_hom(1) = {rat.at_identity}")
-    a1 = grp.fermat_translation(p, 1, 0)
-    _require(rat(a1) == 2 - p, f"p = {p}: chi_hom(a1) = {rat(a1)}")
-    pairing = cert.inner_product(triv, rat)
+    pairing = cert.inner_product(cert.chi_trivial(data), rat)
     _require(pairing == 0, f"p = {p}: <triv, hom> = {pairing}, expected 0")
-    pairing = cert.inner_product(triv, triv)
-    _require(pairing == 1, f"p = {p}: <triv, triv> = {pairing}, expected 1")
     for j in range(1, p - 1):
         chi = cert.induced_perm_character(grp.fermat_Hj(p, j), data)
         value = cert.inner_product(chi, rat)
         _require(value == p - 1, f"p = {p}: <G/H_{j}, hom> = {value}, expected {p - 1}")
     norm = cert.inner_product(rat, rat)
-    _require(norm > 0, f"p = {p}: <hom, hom> = {norm}")
     cache["certificates"] = {
         "pairing_trivial_vs_homology": 0,
         "pairing_deck_vs_homology": p - 1,
         "homology_self_pairing": norm,
-        "chi_homology_at_scaling_generator": 2 - p,
+        "chi_homology_at_scaling_generator": rat(grp.fermat_translation(p, 1, 0)),
         "conjugacy_class_count": len(data.reps),
     }
     return f"<triv,hom> = 0, <G/H_j,hom> = {p - 1} for all j, <hom,hom> = {norm}"
@@ -600,32 +576,6 @@ def _parse_argv(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(command=argv[0], **values, fn=handler)
 
 
-def _terminal_columns() -> int:
-    """The width ``shutil.get_terminal_size`` reports: ``COLUMNS`` when it
-    is a positive integer, else the size of the terminal on stdout, else
-    80."""
-    try:
-        columns = int(os.environ["COLUMNS"])
-    except (KeyError, ValueError):
-        columns = 0
-    if columns <= 0:
-        try:
-            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
-        except (AttributeError, ValueError, OSError):
-            columns = 0
-    return columns or 80
-
-
-def _HelpFormatter(prog):
-    """argparse's formatter at the width it would pick, found without
-    importing ``shutil``: argparse builds a formatter on every
-    ``add_argument``, and ``shutil`` brings zlib, bz2, lzma and fnmatch.
-    argparse only ever calls ``formatter_class(prog=...)``."""
-    import argparse
-
-    return argparse.HelpFormatter(prog, width=_terminal_columns() - 2)
-
-
 def build_parser():
     """The argparse parser of :data:`COMMANDS`, for help screens and
     refusals and for every argv that :func:`_parse_argv` declines."""
@@ -633,7 +583,6 @@ def build_parser():
 
     parser = argparse.ArgumentParser(
         prog="fermatjac",
-        formatter_class=_HelpFormatter,
         description=(
             "Exact verification of the isogeny decomposition of Fermat-curve "
             "Jacobians into Jacobians of cyclic p-gonal curves."
@@ -641,7 +590,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_, handler, flags) in COMMANDS.items():
-        command = sub.add_parser(name, help=help_, formatter_class=_HelpFormatter)
+        command = sub.add_parser(name, help=help_)
         for flag, kwargs in flags:
             command.add_argument(flag, **kwargs)
         command.set_defaults(fn=handler)

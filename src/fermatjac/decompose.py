@@ -80,6 +80,11 @@ class PairVerdict(Record):
         self.detail = detail
 
 
+def _sum_failure(check: tuple[int, int, bool]) -> str | None:
+    total, expected, ok = check
+    return None if ok else f"genus sum {total} != {expected}"
+
+
 class KaniRosenAudit(Record):
     """Evidence for the three decomposition-criterion hypotheses.
 
@@ -100,8 +105,17 @@ class KaniRosenAudit(Record):
         self.genus_sum_check = genus_sum_check  # (computed sum, expected genus, ok)
 
     @property
+    def failure(self) -> str | None:
+        """The first failed hypothesis with both of its values, or None."""
+        if self.commuting_checks:
+            return self.commuting_checks[0].detail
+        if self.genus_zero_checks:  # every pair joins to the plane H
+            return f"the plane H has quotient {self.genus_zero_checks[0].detail}, not genus=0"
+        return _sum_failure(self.genus_sum_check)
+
+    @property
     def all_pass(self) -> bool:
-        return not self.commuting_checks and not self.genus_zero_checks and self.genus_sum_check[2]
+        return self.failure is None
 
     def summary(self) -> dict:
         def pairs(failures: list[PairVerdict]) -> dict:
@@ -153,8 +167,10 @@ def kani_rosen_check(ctx: PrimeContext) -> KaniRosenAudit:
     group = Group(p)
     a1, a2 = group.generators[:2]
     commuting = []
-    if group.mul(a1, a2) != group.mul(a2, a1):
-        commuting = [PairVerdict(pair, False) for pair in combinations(range(1, n + 1), 2)]
+    a1a2, a2a1 = group.mul(a1, a2), group.mul(a2, a1)
+    if a1a2 != a2a1:
+        detail = f"a1 a2 = {group.coordinates(a1a2)} != a2 a1 = {group.coordinates(a2a1)}"
+        commuting = [PairVerdict(pair, False, detail) for pair in combinations(range(1, n + 1), 2)]
     genus_zero = []
     if plane_genus:
         genus_zero = [
@@ -190,13 +206,20 @@ class GammaRefinementAudit(Record):
         self.set_products_commute = [] if set_products_commute is None else set_products_commute
 
     @property
+    def failure(self) -> str | None:
+        """The first failed genus identity with both of its values, or None."""
+        for i, g, expected, ok in self.quotient_genus_checks:
+            if not ok:
+                return f"K{i} has quotient genus {g}, not {expected}"
+        for v in self.pair_genus_zero_checks:
+            if not v.ok:
+                return f"K{v.pair[0]} K{v.pair[1]} has quotient {v.detail}, not genus=0"
+        return _sum_failure(self.genus_sum_check)
+
+    @property
     def all_pass(self) -> bool:
         """Gate for emission: the genus identities only (see module docs)."""
-        return (
-            all(ok for (_, _, _, ok) in self.quotient_genus_checks)
-            and all(v.ok for v in self.pair_genus_zero_checks)
-            and self.genus_sum_check[2]
-        )
+        return self.failure is None
 
     def summary(self) -> dict:
         return {
@@ -320,8 +343,8 @@ def decompose_coarse(ctx: PrimeContext, partition: OrbitPartition | None = None)
     if partition is None:
         partition = orbit_partition(ctx)
     audit = _fermat_family_audit(ctx, partition)
-    if not audit.all_pass:
-        raise AuditFailError(f"decomposition hypotheses failed for p = {ctx.p}")
+    if audit.failure is not None:
+        raise AuditFailError(f"decomposition hypotheses failed for p = {ctx.p}: {audit.failure}")
     return _require_total_dimension(
         IsogenyDecomposition(
             context=ctx,
@@ -346,8 +369,8 @@ def decompose_fine(coarse: IsogenyDecomposition) -> IsogenyDecomposition:
             audit=coarse.audit,
         )
     refinement = gamma_refinement_audit(ctx)
-    if not refinement.all_pass:
-        raise AuditFailError(f"gamma refinement hypotheses failed for p = {ctx.p}")
+    if refinement.failure is not None:
+        raise AuditFailError(f"gamma refinement hypotheses failed for p = {ctx.p}: {refinement.failure}")
     factors = []
     for f in coarse.factors:
         if f.multiplicity == 2:

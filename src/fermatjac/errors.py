@@ -48,10 +48,6 @@ class NotSubgroupOfHError(FermatJacError):
     code = "NOT_SUBGROUP_OF_H"
 
 
-class SearchExhaustedError(FermatJacError):
-    code = "SEARCH_EXHAUSTED"
-
-
 class InconsistentOrbifoldError(FermatJacError):
     code = "INCONSISTENT_ORBIFOLD"
 

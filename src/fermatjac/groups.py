@@ -134,15 +134,18 @@ class Group(FrozenRecord):
         return i
 
     def coordinates(self, i: int) -> tuple[int, ...]:
-        """The normal form of the element with index i: (m, n, sigma) or (k, e)."""
-        if self.gamma is None:
-            mn, s = divmod(i, 6)
-            return (*divmod(mn, self.p), s)
-        return divmod(i, 3)
+        """The normal form of the element with index i: (m, n, sigma) or
+        (k, e).  An index outside the group raises: i lies in
+        ``range(order)`` exactly when m, or k, lies in ``range(p)``."""
+        where = (*divmod(i // 6, self.p), i % 6) if self.gamma is None else divmod(i, 3)
+        if not 0 <= where[0] < self.p:
+            raise OutOfRangeError(f"index {i} is not an element of {self}")
+        return where
 
     def is_translation(self, i: int) -> bool:
-        """Whether the element with index i lies in the translation subgroup H, or in <T>."""
-        return i % (6 if self.gamma is None else 3) == 0
+        """Whether the element with index i lies in the translation subgroup H,
+        or in <T>; an index outside the group raises."""
+        return self.check_index(i) % (6 if self.gamma is None else 3) == 0
 
     def left_mul(self, g: int, indices: Iterable[int]) -> list[int]:
         """Indices of g x for the elements x with the given indices; over
@@ -212,9 +215,10 @@ def fermat_order(p: int, i: int) -> int:
     A translation other than 1 has order p and a 3-cycle order 3
     ((1 + A + A^2) x = 0 for its matrix A).  The square of x sigma, sigma
     a transposition with matrix A, is the translation (I + A) x, so the
-    order is 2 when that vanishes and 2p otherwise.
+    order is 2 when that vanishes and 2p otherwise.  An index outside the
+    group raises.
     """
-    mn, s = divmod(i, 6)
+    mn, s = divmod(Group(p).check_index(i), 6)
     if s == PERM_ID:
         return 1 if mn == 0 else p
     if s in (PERM_U, PERM_U2):

@@ -146,7 +146,7 @@ def test_one_cyclic_subgroup_per_class_stands_for_all(p):
     going by the classes of its generators (the elements of order |K|),
     and both oracles give it the values they give that representative."""
     data = ClassData(Group(p))
-    triple = find_generating_triple(make_context(p), limit=p)
+    triple = find_generating_triple(make_context(p))
     fix = fermat_full_fix_table(triple, data)
     g_top = fermat_genus(p)
 

@@ -127,8 +127,9 @@ def test_closure_matches_object_closure(group):
 
 @pytest.mark.parametrize("p", [q for q in primes_upto(31) if q >= 5])
 def test_triple_search_matches_object_search(p):
-    # the search takes generation from the argument, the object search
-    # from a closure of element objects
+    # the closed form is the first triple of the object search, which
+    # takes orders by repeated multiplication and generation from a
+    # closure of element objects
     assert find_generating_triple(make_context(p)) == object_generating_triple(p)
 
 

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import fermatjac
+from fermatjac import cli
 from fermatjac import decompose as decompose_module
 from fermatjac.curves import CurveFamily, are_isomorphic
 from fermatjac.decompose import (
@@ -118,6 +120,55 @@ def test_kani_rosen_check_records_failing_pairs(monkeypatch):
     assert summary["genus_zero"] == {"pairs_checked": 10, "pairs_passed": 0, "failures": pairs}
     assert {v.detail for v in audit.genus_zero_checks} == {"genus=1"}
     assert not audit.all_pass
+
+
+def test_audit_failures_name_the_hypothesis_and_both_values(capsys, monkeypatch):
+    # a non-commuting "generator": verify exits 4 and decompose exits 3,
+    # and both say which hypothesis failed
+    p = 7
+    _, a2, u, v = Group(p).generators
+    monkeypatch.setattr(Group, "generators", property(lambda self: (u, a2, u, v)))
+    why = "a1 a2 = (6, 6, 1) != a2 a1 = (0, 1, 1)"
+    assert kani_rosen_check(make_context(p)).failure == why
+    assert cli.main(["verify", "--p", "7", "--format", "json"]) == 4
+    out, err = capsys.readouterr()
+    failed = json.loads(out)["checks"][-1]
+    assert (failed["name"], failed["code"]) == ("deck-quotient-audit", "AUDIT_FAIL")
+    assert failed["detail"] == f"decomposition hypotheses failed for p = 7: {why}"
+    assert cli.main(["decompose", "--p", "7"]) == 3
+    out, err = capsys.readouterr()
+    assert err == f"audit failure: decomposition hypotheses failed for p = 7: {why}\n"
+
+
+def test_audit_failure_details(monkeypatch):
+    # each failed genus identity is named with both of its values
+    p = 7
+    ctx = make_context(p)
+    real_rh, real_rh_genus = decompose_module.riemann_hurwitz, decompose_module.rh_genus
+
+    def shifted(plane, line):
+        return lambda g, order, fix_sum: real_rh(g, order, fix_sum) + (plane if order == p * p else line)
+
+    monkeypatch.setattr(decompose_module, "riemann_hurwitz", shifted(1, 0))
+    assert kani_rosen_check(ctx).failure == "the plane H has quotient genus=1, not genus=0"
+    monkeypatch.setattr(decompose_module, "riemann_hurwitz", shifted(0, 1))
+    assert kani_rosen_check(ctx).failure == "genus sum 20 != 15"
+    with pytest.raises(AuditFailError, match="^decomposition hypotheses failed for p = 7: genus sum 20 != 15$"):
+        decompose_coarse(ctx)
+    monkeypatch.setattr(decompose_module, "riemann_hurwitz", real_rh)
+    coarse = decompose_coarse(ctx)
+    # the order-3 K_i get genus 2, the whole group stays at 0
+    monkeypatch.setattr(
+        decompose_module, "rh_genus", lambda g, k, fix: real_rh_genus(g, k, fix) + (k.order == 3)
+    )
+    assert gamma_refinement_audit(ctx).failure == "K1 has quotient genus 2, not 1"
+    with pytest.raises(AuditFailError, match="^gamma refinement hypotheses failed for p = 7: K1 has quotient"):
+        decompose_fine(coarse)
+    # the whole group gets genus 1: every pair of distinct K_i joins to it
+    monkeypatch.setattr(
+        decompose_module, "rh_genus", lambda g, k, fix: real_rh_genus(g, k, fix) + (k.order == 3 * p)
+    )
+    assert gamma_refinement_audit(ctx).failure == "K1 K2 has quotient genus=1, not genus=0"
 
 
 @pytest.mark.parametrize("p", (7, 13, 19))

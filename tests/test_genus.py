@@ -11,7 +11,6 @@ from fermatjac.errors import (
     InconsistentRHError,
     NotSubgroupOfHError,
     OutOfRangeError,
-    TooLargeError,
 )
 from fermatjac.genus import (
     FixTable,
@@ -41,7 +40,7 @@ from fermatjac.groups import (
     subgroup_closure,
     trivial_subgroup,
 )
-from fermatjac.orbits import make_context
+from fermatjac.orbits import is_prime, make_context
 
 from helpers import fermat_a1, fermat_elements, fermat_u, fermat_v, index_of, joined, labelled_fix_count
 
@@ -111,8 +110,19 @@ def test_find_generating_triple_properties():
         assert evidence["fix_a1"] == p
         assert evidence["trivial_subgroup_genus"] == fermat_genus(p)
         assert evidence["fix_table"].at(index_of(fermat_a1(p))) == p
-        # deterministic: the search re-finds the same triple
+        # deterministic: the closed form gives the same triple again
         assert find_generating_triple(ctx) == triple
+
+
+def test_closed_form_triple_holds_for_every_prime_up_to_997():
+    # the hypotheses validate_triple checks at run time, without its
+    # O(p^2) class data: the orders from the group law, the product and
+    # the generation argument
+    for p in (q for q in range(5, 998) if is_prime(q)):
+        group, triple = Group(p), find_generating_triple(make_context(p))
+        assert tuple(fermat_order(p, c) for c, _ in triple.entries) == (2, 3, 2 * p)
+        assert group.mul(group.mul(triple.c2, triple.c3), triple.c2p) == IDENTITY
+        assert generation_gap(triple) is None
 
 
 def test_generation_gap_names_the_failed_hypothesis():
@@ -132,7 +142,7 @@ def test_generation_gap_names_the_failed_hypothesis():
 
 def test_a_stable_line_refutes_generation(capsys, monkeypatch):
     # with an S3-stable line the argument proves nothing: validate_triple
-    # refuses the triple and the search finds none
+    # refuses the closed-form triple, naming the failed hypothesis
     triple = find_generating_triple(make_context(7))
     monkeypatch.setattr(genus_module, "s3_stable_lines", lambda p: [(1, 0)])
     with pytest.raises(InconsistentOrbifoldError, match="does not generate"):
@@ -140,7 +150,8 @@ def test_a_stable_line_refutes_generation(capsys, monkeypatch):
     code = cli.main(["verify", "--p", "7", "--depth", "full"])
     out, err = capsys.readouterr()
     assert code == 4
-    assert "FAIL generating-triple: no (2, 3, 2p) generating triple found for p = 7" in out
+    detail = "triple does not generate the group: the line through (1, 0) of F_p^2 is stable under S3"
+    assert f"FAIL generating-triple: {detail}" in out
 
 
 def test_a_patched_triple_fails_verify_naming_coordinates(capsys, monkeypatch):
@@ -148,8 +159,8 @@ def test_a_patched_triple_fails_verify_naming_coordinates(capsys, monkeypatch):
     # product does not, and the detail names the elements by normal form
     real = genus_module.find_generating_triple
 
-    def patched(ctx, limit):
-        triple = real(ctx, limit)
+    def patched(ctx):
+        triple = real(ctx)
         other = next(i for i in range(Group(ctx.p).order) if i != triple.c2p and fermat_order(ctx.p, i) == 14)
         return GeneratingTriple(ctx.p, triple.c2, triple.c3, other)
 
@@ -185,9 +196,14 @@ def test_generating_triple_refuses_indices_outside_the_group():
     assert GeneratingTriple(7, 3, 7, 257) == find_generating_triple(make_context(7))
 
 
-def test_find_generating_triple_bound():
-    with pytest.raises(TooLargeError):
-        find_generating_triple(make_context(37))
+def test_helper_oracles_refuse_inconsistent_input():
+    # a triple with its entries of orders 2 and 2p swapped: the fiber
+    # oracle in helpers.py asserts that each entry has its stated order,
+    # and that assert fires under python -O too, because conftest.py
+    # registers helpers for assertion rewriting
+    t = find_generating_triple(make_context(5))
+    with pytest.raises(AssertionError):
+        labelled_fix_count(1, GeneratingTriple(5, t.c2p, t.c3, t.c2))
 
 
 def test_full_fix_count_examples():

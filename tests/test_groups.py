@@ -14,6 +14,7 @@ from fermatjac.groups import (
     conjugacy_classes,
     fermat_H,
     fermat_Hj,
+    fermat_order,
     left_cosets,
     pgonal_K,
     s3_stable_lines,
@@ -160,6 +161,28 @@ def test_flavor_mismatch_errors():
                 group.left_mul(bad, [IDENTITY])
             with pytest.raises(OutOfRangeError):
                 group.mul(bad, IDENTITY)
+
+
+@pytest.mark.parametrize("gamma", (None, 2))
+def test_index_readers_refuse_indices_outside_the_group(gamma):
+    # p = 7: unchecked, fermat_order(7, 294) read 7, coordinates(-1) read
+    # (-1, 6, 5) and is_translation(-6) read True
+    group = Group(7, gamma)
+    for bad in (-1, -6 if gamma is None else -3, group.order, group.order + 1):
+        with pytest.raises(OutOfRangeError):
+            group.coordinates(bad)
+        with pytest.raises(OutOfRangeError):
+            group.is_translation(bad)
+        if gamma is None:
+            with pytest.raises(OutOfRangeError):
+                fermat_order(7, bad)
+    last = group.order - 1
+    assert (group.coordinates(IDENTITY), group.coordinates(last)) == (
+        ((0, 0, 0), (6, 6, 5)) if gamma is None else ((0, 0), (6, 2))
+    )
+    assert group.is_translation(IDENTITY) and not group.is_translation(last)
+    if gamma is None:
+        assert (fermat_order(7, IDENTITY), fermat_order(7, last)) == (1, 14)
 
 
 def test_subgroup_closure_basics():
