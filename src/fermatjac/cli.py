@@ -16,7 +16,6 @@ same table, which prints the help screens and the refusals.
 
 from __future__ import annotations
 
-import os
 import sys
 from collections import Counter
 from itertools import chain
@@ -41,12 +40,11 @@ from .errors import (
 )
 from .orbits import OrbitKind, is_prime, make_context, orbit_partition, s3_apply
 
-FULL_DEPTH_DEFAULT_CAP = 31
-# verify --full-cap: the full checks hold the class of each of the 6 p^2
+# verify --depth full: the full checks hold the class of each of the 6 p^2
 # group elements (classes by rule, no conjugation maps) and the p^2
-# translations, so time and memory grow as p^2: 0.6 s and 30 MB at
-# p = 263, 14 s and 160 MB at p = 997.  The genus oracles take one cyclic
-# subgroup per conjugacy class.
+# translations, so time and memory grow as p^2: 0.6 s and 24 MB at
+# p = 263, 8-10 s and 157 MB at p = 997.  The genus oracles and the
+# certificates take one cyclic subgroup per conjugacy class.
 FULL_DEPTH_MAX_P = 997
 # sweep --to: a serial sweep over 5..3000 (426 primes) takes 6-10 s.
 SWEEP_MAX_TO = 3_000
@@ -248,17 +246,21 @@ def check_dual_oracle_genus(ctx, cache):
     # closed under conjugation).
     subgroups = grp.cyclic_subgroup_classes(data)
     classes = len(subgroups)
-    # H_i and H_j are the lines through (1, 1+i) and (1, 1+j) in F_p^2,
-    # with determinant j - i, a unit for i != j: every pairwise join is
-    # the plane H, already listed.  The H_j are built one at a time.
-    deck = (grp.fermat_Hj(p, j) for j in range(1, p - 1))
-    for k in chain(subgroups, [h], deck):
+    # The deck lines H_j, j = 1..p-2, are the lines through (1, 1+j) in
+    # F_p^2.  Each is cyclic, so conjugate to a representative generated
+    # by some (m, n) off the three axes (m, n != 0, m != n): the H_j with
+    # 1 + j = n/m.  Each join H_i H_j is H (determinant j - i).
+    deck = cache["deck"] = []
+    for k in chain(subgroups, [h]):
         rh, coset = gen.rh_genus(g_top, k, fix), gen.coset_genus(k, triple, data)
         if rh != coset:
             raise OracleDisagreementError(
                 f"p = {p}, {_describe(k)}: Riemann-Hurwitz genus {rh}, coset genus {coset}"
             )
-    return f"{classes} cyclic subgroups, one per conjugacy class, H and the {p - 2} H_j: both oracles agree"
+        m, n, s = k.group.coordinates(k.generators[0])
+        if s == grp.PERM_ID and m and n and m != n:
+            deck.append(n * pow(m, -1, p) % p - 1)
+    return f"{classes} cyclic subgroups, one per conjugacy class ({len(deck)} of them deck lines), and H: both oracles agree"
 
 
 def check_fix_table_consistency(ctx, cache):
@@ -307,7 +309,16 @@ def check_certificates(ctx, cache):
     rat = cert.chi_rat(cache["full_fix"], data)
     pairing = cert.inner_product(cert.chi_trivial(data), rat)
     _require(pairing == 0, f"p = {p}: <triv, hom> = {pairing}, expected 0")
-    for j in range(1, p - 1):
+    # Conjugate subgroups have one permutation character, so the deck
+    # classes stand for all p - 2 lines H_j.  They are one per exponent
+    # orbit through alpha = p - 1 - j, which ties ACTION to U and V.
+    deck, part = cache["deck"], _partition(ctx, cache)
+    orbits, hit = set(part.orbits), {part.orbit_of(p - 1 - j) for j in deck}
+    _require(
+        len(deck) == len(orbits) and hit == orbits,
+        f"p = {p}: {len(deck)} deck line classes meet {len(hit)} of the {len(orbits)} exponent orbits",
+    )
+    for j in deck:
         chi = cert.induced_perm_character(grp.fermat_Hj(p, j), data)
         value = cert.inner_product(chi, rat)
         _require(value == p - 1, f"p = {p}: <G/H_{j}, hom> = {value}, expected {p - 1}")
@@ -366,19 +377,11 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.full_cap > FULL_DEPTH_MAX_P:
-        print(f"error: --full-cap {args.full_cap} is above the supported bound {FULL_DEPTH_MAX_P}", file=sys.stderr)
-        return 2
     ctx = make_context(args.p)
     checks = list(BASIC_CHECKS)
     if args.depth == "full":
-        if ctx.p > args.full_cap:
-            print(
-                f"error: depth=full is capped at p <= {args.full_cap}"
-                f" (override with --full-cap)",
-                file=sys.stderr,
-            )
-            return 2
+        if ctx.p > FULL_DEPTH_MAX_P:
+            raise TooLargeError(f"p = {ctx.p} exceeds the full-depth bound {FULL_DEPTH_MAX_P}")
         checks += FULL_CHECKS
     cache: dict = {}
     results = []
@@ -452,19 +455,7 @@ def cmd_sweep(args) -> int:
     if hi > SWEEP_MAX_TO:
         print(f"error: sweep bound {hi} is above the supported bound {SWEEP_MAX_TO}", file=sys.stderr)
         return 2
-    if args.jobs < 1:
-        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-        return 2
-    primes = [p for p in range(lo, hi + 1) if is_prime(p)]
-    workers = min(args.jobs, len(primes), os.cpu_count() or 1)
-    if workers > 1:
-        # imported here so that no other command pays for multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_one, primes))
-    else:
-        rows = [_sweep_one(p) for p in primes]
+    rows = [_sweep_one(p) for p in range(lo, hi + 1) if is_prime(p)]
     passed = sum(1 for r in rows if r["status"] == "PASS")
     report = {
         "schema_version": rep.SCHEMA_VERSION,
@@ -506,19 +497,7 @@ COMMANDS = {
     "verify": (
         "run the self-verification suite",
         cmd_verify,
-        (
-            _P,
-            ("--depth", {"choices": ("basic", "full"), "default": "basic"}),
-            (
-                "--full-cap",
-                {
-                    "type": int,
-                    "default": FULL_DEPTH_DEFAULT_CAP,
-                    "help": f"largest p allowed at depth=full (full-group enumeration), at most {FULL_DEPTH_MAX_P}",
-                },
-            ),
-            _FORMAT,
-        ),
+        (_P, ("--depth", {"choices": ("basic", "full"), "default": "basic"}), _FORMAT),
     ),
     "sweep": (
         "per-prime summaries over a range",
@@ -526,14 +505,6 @@ COMMANDS = {
         (
             ("--from", {"dest": "from_", "type": int, "required": True}),
             ("--to", {"type": int, "required": True}),
-            (
-                "--jobs",
-                {
-                    "type": int,
-                    "default": 1,
-                    "help": "worker processes; at most one per prime and per CPU are started",
-                },
-            ),
             _FORMAT,
         ),
     ),

@@ -775,6 +775,23 @@ def split_generic_class(real):
     return split
 
 
+def drop_deck_class(real):
+    """cyclic_subgroup_classes without its last deck representative, the
+    cyclic subgroup of a translation (m, n) off the three axes."""
+
+    def dropped(data):
+        subgroups = list(real(data))
+        deck = []
+        for i, k in enumerate(subgroups):
+            m, n, s = data.group.coordinates(k.generators[0])
+            if s == PERM_ID and m and n and m != n:
+                deck.append(i)
+        del subgroups[deck[-1]]
+        return subgroups
+
+    return dropped
+
+
 def square_minus(s):
     """square_matrix with (I - A) x in place of the square (I + A) x of
     x sigma."""
@@ -833,14 +850,7 @@ def run_under_O(script):
 def reference_parser():
     import argparse
 
-    from fermatjac.cli import (
-        FULL_DEPTH_DEFAULT_CAP,
-        FULL_DEPTH_MAX_P,
-        cmd_decompose,
-        cmd_orbits,
-        cmd_sweep,
-        cmd_verify,
-    )
+    from fermatjac.cli import cmd_decompose, cmd_orbits, cmd_sweep, cmd_verify
 
     _HelpFormatter = argparse.HelpFormatter
 
@@ -868,24 +878,12 @@ def reference_parser():
     p_ver = sub.add_parser("verify", help="run the self-verification suite", formatter_class=_HelpFormatter)
     p_ver.add_argument("--p", type=int, required=True, help="prime >= 5")
     p_ver.add_argument("--depth", choices=("basic", "full"), default="basic")
-    p_ver.add_argument(
-        "--full-cap",
-        type=int,
-        default=FULL_DEPTH_DEFAULT_CAP,
-        help=f"largest p allowed at depth=full (full-group enumeration), at most {FULL_DEPTH_MAX_P}",
-    )
     p_ver.add_argument("--format", choices=("text", "json"), default="text")
     p_ver.set_defaults(fn=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="per-prime summaries over a range", formatter_class=_HelpFormatter)
     p_sweep.add_argument("--from", dest="from_", type=int, required=True)
     p_sweep.add_argument("--to", type=int, required=True)
-    p_sweep.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes; at most one per prime and per CPU are started",
-    )
     p_sweep.add_argument("--format", choices=("text", "json"), default="text")
     p_sweep.set_defaults(fn=cmd_sweep)
 

@@ -35,10 +35,11 @@ from fermatjac.groups import (
     fermat_order,
     subgroup_closure,
 )
-from fermatjac.orbits import make_context
+from fermatjac.orbits import make_context, orbit_partition
 
 from helpers import (
     class_members,
+    drop_deck_class,
     fermat_a1,
     index_of,
     labelled_coset_genus,
@@ -166,6 +167,51 @@ def test_one_cyclic_subgroup_per_class_stands_for_all(p):
         assert len(matches) == 1, k
         assert oracles(k) == values[matches[0]]
     assert len(reps) == {13: 8, 31: 11, 61: 16}.get(p, len(reps))
+
+
+@pytest.mark.parametrize("p", [q for q in primes_upto(199) if q >= 5])
+def test_deck_line_orbits_are_the_exponent_orbits(p):
+    """The S3-orbits of the p - 2 deck lines H_j, the lines through
+    (1, 1 + j), walked under the matrices of ACTION, are the orbits of
+    orbit_partition through alpha = p - 1 - j; so one deck line per class
+    of cyclic subgroups stands for one exponent orbit."""
+
+    def j_of(x, y):  # the line through (x, y) is H_j with 1 + j = y/x
+        return y * pow(x, -1, p) % p - 1
+
+    orbits, seen = set(), set()
+    for j in range(1, p - 1):
+        if j not in seen:
+            lines = {j_of(a + b * (1 + j), c + d * (1 + j)) for a, b, c, d in ACTION}
+            assert lines <= set(range(1, p - 1))
+            seen |= lines
+            orbits.add(frozenset(p - 1 - i for i in lines))
+    assert orbits == {frozenset(o.elements) for o in orbit_partition(make_context(p)).orbits}
+
+
+def test_a_dropped_deck_class_fails_verify(capsys, monkeypatch):
+    # one deck representative fewer: the oracles agree on what is left,
+    # but the certificates count the deck classes against the orbits
+    monkeypatch.setattr(groups_module, "cyclic_subgroup_classes", drop_deck_class(groups_module.cyclic_subgroup_classes))
+    code = cli.main(["verify", "--p", "13", "--depth", "full"])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert "PASS dual-oracle-genus" in out
+    assert "FAIL certificates: p = 13: 2 deck line classes meet 2 of the 3 exponent orbits" in out
+    assert "verification failed at check: certificates" in err
+    assert "Traceback" not in err
+
+
+def test_a_dropped_deck_class_fails_verify_under_python_O():
+    run = run_under_O(
+        "from fermatjac import cli, groups\n"
+        "from helpers import drop_deck_class\n"
+        "groups.cyclic_subgroup_classes = drop_deck_class(groups.cyclic_subgroup_classes)\n"
+        "sys.exit(cli.main(['verify', '--p', '13', '--depth', 'full']))\n"
+    )
+    assert run.returncode == 4, run.stdout + run.stderr
+    assert "FAIL certificates: p = 13: 2 deck line classes meet 2 of the 3 exponent orbits" in run.stdout
+    assert "Traceback" not in run.stderr
 
 
 def test_split_class_fails_verify(capsys, monkeypatch):

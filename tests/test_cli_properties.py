@@ -2,10 +2,10 @@
 
 Every input, accepted or refused, must end in exit code 0 or 2 with no
 traceback.  The inputs are bad primes (composite, negative, below 5),
-reversed and out-of-range sweep ranges, non-positive ``--jobs``, every
-advertised bound plus one and ``--full-cap`` below p.  Accepted examples
-stay at p <= 61, so each runs in milliseconds; a refused input is refused
-before any work, so no command ever runs at a large bound.
+reversed and out-of-range sweep ranges, every advertised bound plus one
+and full depth above its bound.  Accepted examples stay at p <= 61, so
+each runs in milliseconds; a refused input is refused before any work, so
+no command ever runs at a large bound.
 
 The flag-table parser must agree with the argparse parser the package
 built before it (``helpers.reference_parser``) on every command line it
@@ -129,34 +129,35 @@ def test_sweep_ranges_exit_0_or_2(lo, hi):
 
 
 @PROPERTY
-@given(jobs=st.integers(min_value=-10**6, max_value=0), hi=st.integers(min_value=5, max_value=SMALL))
-def test_sweep_jobs_below_one_exits_2(jobs, hi):
-    code, _, err = run("sweep", "--from=5", f"--to={hi}", f"--jobs={jobs}")
+@given(n=st.integers(min_value=FULL_DEPTH_MAX_P + 1, max_value=MAX_P))
+@example(n=FULL_DEPTH_MAX_P + 1)
+@example(n=MAX_P)
+def test_full_cap_below_p_exits_2(n):
+    # FULL_DEPTH_MAX_P caps full depth below every larger prime, which
+    # is refused before any check runs
+    p = next_prime(n)
+    assume(p <= MAX_P)
+    code, out, err = run("verify", f"--p={p}", "--depth=full")
     assert_clean(code, err, (2,))
-    assert "--jobs must be at least 1" in err
+    assert err == f"error: p = {p} exceeds the full-depth bound {FULL_DEPTH_MAX_P}\n" and not out
 
 
-@PROPERTY
-@given(above=st.integers(min_value=1, max_value=10**6), p=st.sampled_from([5, 7, 13]))
-@example(above=1, p=7)
-def test_full_cap_above_its_bound_exits_2(above, p):
-    code, _, err = run("verify", f"--p={p}", "--depth=full", f"--full-cap={FULL_DEPTH_MAX_P + above}")
-    assert_clean(code, err, (2,))
-
-
-@PROPERTY
-@given(p=st.sampled_from([q for q in range(5, SMALL + 1) if is_prime(q)]), data=st.data())
-def test_full_cap_below_p_exits_2(p, data):
-    cap = data.draw(st.integers(min_value=-10**6, max_value=p - 1))
-    code, _, err = run("verify", f"--p={p}", "--depth=full", f"--full-cap={cap}")
-    assert_clean(code, err, (2,))
-    assert f"capped at p <= {cap}" in err
+@pytest.mark.parametrize("flag", ("--full-cap", "--jobs"))
+def test_removed_flags_are_unknown(flag):
+    # verify --full-cap and sweep --jobs are gone: argparse refuses them,
+    # at any value, as it refuses any flag no command has
+    for argv in (["verify", "--p", "7", "--depth", "full"], ["sweep", "--from", "5", "--to", "13"]):
+        for value in ("997", "1", "0"):
+            assert cli._parse_argv([*argv, flag, value]) is None
+            code, out, err = run(*argv, flag, value)
+            assert code == 2 and not out
+            assert f"error: unrecognized arguments: {flag} {value}" in err
 
 
 # -- the flag-table parser against the reference parser -----------------------
 
 COMMANDS = ["orbits", "decompose", "verify", "sweep"]
-FLAGS = ["--p", "--format", "--level", "--depth", "--full-cap", "--from", "--to", "--jobs"]
+FLAGS = ["--p", "--format", "--level", "--depth", "--from", "--to"]
 CHOICES = ["text", "json", "coarse", "fine", "both", "basic", "full"]
 INTS = ["13", "7", "5", "0", "-7", "013", "31", "100003"]
 JUNK = ["-h", "--help", "--", "--p=13", "--fo", "--full", "-p", "x", "", "1.5", " 13", "Text"]
@@ -247,7 +248,7 @@ REFUSED = [
     ["verify", "--p", "7", "--depth", "deep"],
     ["verify", "--p", "7", "--full", "x"],
     ["sweep", "--from", "5"],
-    ["sweep", "--from", "5", "--to", "7", "--jobs"],
+    ["sweep", "--from", "5", "--to", "7", "--format"],
 ]
 
 
@@ -269,7 +270,8 @@ WELL_FORMED = [
     ["decompose", "--p", "397", "--level", "both", "--format", "json"],
     ["decompose", "--p", "409", "--level", "both", "--format", "json"],
     ["verify", "--p", "13", "--depth", "full", "--format", "json"],
-    ["verify", "--p", "997", "--depth", "full", "--full-cap", "997"],
+    ["verify", "--p", "997", "--depth", "full"],
+    ["verify", "--p", "1009", "--depth", "full"],
     ["verify", "--p", "100003"],
     ["decompose", "--p", "100003", "--format", "json"],
     ["sweep", "--from", "5", "--to", "3000"],
@@ -278,7 +280,7 @@ WELL_FORMED = [
     ["decompose", "--p", "13", "--format", "json"],
     ["verify", "--p", "7", "--depth", "full"],
     ["verify", "--p", "19", "--depth", "basic"],
-    ["sweep", "--from", "5", "--to", "199", "--jobs", "4"],
+    ["sweep", "--from", "5", "--to", "199"],
 ]
 
 

@@ -281,6 +281,21 @@ def test_dimension_audit_counts_the_gamma_slot():
         )
 
 
+@pytest.mark.parametrize("p", (7, 11, 13))
+@pytest.mark.parametrize("level", ("coarse", "fine"))
+def test_dimension_audit_refuses_a_wrong_total_naming_its_slot(p, level):
+    # the slot template fixes the total, so a hand-built decomposition
+    # whose total is not the genus fails on a slot, not on the sum
+    coarse = decompose_coarse(make_context(p))
+    d = coarse if level == "coarse" else decompose_fine(coarse)
+    b0, *rest = d.factors
+    for factors in ((b0, b0, *rest), tuple(rest), d.factors[:-1]):
+        wrong = IsogenyDecomposition(d.context, d.level, factors, d.audit, d.gamma_refinement)
+        assert wrong.total_dimension != fermat_genus(p)
+        with pytest.raises(AuditFailError, match=r"^expected (exactly one|\d+) (multiplicity-[36]|gamma) (generic )?factor"):
+            dimension_audit(wrong)
+
+
 def test_factors_pairwise_nonisomorphic():
     for p in (13, 19, 31):
         ctx = make_context(p)

@@ -141,16 +141,24 @@ def test_verify_full_p7_json(capsys):
     assert report["provenance"]["triple"]["c2"] == [0, 0, 3]
 
 
-def test_verify_full_cap(capsys):
+def test_verify_full_cap(capsys, monkeypatch):
+    # FULL_DEPTH_MAX_P = 997 is the one bound of full depth: the next
+    # prime, 1009, is refused before any class is built, and p = 37 runs
+    # with no flag
+    from fermatjac import groups as groups_module
     from fermatjac.cli import FULL_DEPTH_MAX_P
 
-    code, _, err = run_cli(capsys, "verify", "--p", "37", "--depth", "full")
-    assert code == 2
-    assert "full-cap" in err or "capped" in err
-    for cap in (FULL_DEPTH_MAX_P + 1, 1000):
-        code, out, err = run_cli(capsys, "verify", "--p", "997", "--depth", "full", "--full-cap", str(cap))
-        assert code == 2, cap
-        assert out == "" and "--full-cap" in err
+    def refuse(self, group):
+        raise AssertionError("ClassData was built")
+
+    monkeypatch.setattr(groups_module.ClassData, "__init__", refuse)
+    code, out, err = run_cli(capsys, "verify", "--p", "1009", "--depth", "full")
+    assert FULL_DEPTH_MAX_P == 997
+    assert code == 2 and out == ""
+    assert err == "error: p = 1009 exceeds the full-depth bound 997\n"
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "verify", "--p", "37", "--depth", "full")
+    assert code == 0 and "all 12 checks passed (p=37, depth=full)" in out
 
 
 def test_verify_basic_p19(capsys):
@@ -179,65 +187,6 @@ def test_sweep_row_matches_decompose(capsys):
 def test_sweep_bad_range(capsys):
     code, _, err = run_cli(capsys, "sweep", "--from", "11", "--to", "5")
     assert code == 2 and err
-
-
-def test_sweep_parallel_jobs(capsys):
-    code, out, _ = run_cli(capsys, "sweep", "--from", "5", "--to", "13", "--jobs", "2")
-    assert code == 0
-    assert "swept 4 primes: 4 PASS, 0 FAIL" in out
-
-
-def test_sweep_rejects_jobs_below_one(capsys):
-    for jobs in ("0", "-3"):
-        code, _, err = run_cli(capsys, "sweep", "--from", "5", "--to", "7", "--jobs", jobs)
-        assert code == 2 and "--jobs" in err
-
-
-class _RecordingExecutor:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
-
-    started: list = []
-
-    def __init__(self, max_workers):
-        self.started.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-@pytest.mark.parametrize(
-    "jobs, cpus, workers",
-    [
-        ("1000000", 64, 4),  # bounded by the 4 primes in 5..13
-        ("1000000", 3, 3),  # bounded by the CPU count
-        ("2", 64, 2),  # bounded by --jobs
-        ("1000000", None, None),  # unknown CPU count: serial, no pool
-        ("1", 64, None),  # serial, no pool
-    ],
-)
-def test_sweep_worker_count_is_bounded(capsys, monkeypatch, jobs, cpus, workers):
-    import concurrent.futures
-    import concurrent.futures.process
-
-    from fermatjac import cli as cli_module
-
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("a real process pool was started")
-
-    # the real class refuses too, however the sweep got hold of it
-    monkeypatch.setattr(concurrent.futures.process.ProcessPoolExecutor, "__init__", refuse)
-    monkeypatch.setattr(_RecordingExecutor, "started", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingExecutor)
-    monkeypatch.setattr(cli_module.os, "cpu_count", lambda: cpus)
-    code, out, _ = run_cli(capsys, "sweep", "--from", "5", "--to", "13", "--jobs", jobs)
-    assert code == 0 and "swept 4 primes: 4 PASS, 0 FAIL" in out
-    assert _RecordingExecutor.started == ([] if workers is None else [workers])
 
 
 def test_verify_builds_the_decomposition_once(capsys, monkeypatch):
@@ -346,6 +295,24 @@ def test_verify_full_builds_classes_and_fix_table_once(capsys, monkeypatch):
     assert code == 0
     assert len(built) == 1 and len(tables) == 1
     assert walks == []
+
+
+@pytest.mark.parametrize("p, subgroups, deck", ((7, 8, 2), (13, 9, 3)))
+def test_verify_full_takes_each_deck_line_once_per_class(capsys, monkeypatch, p, subgroups, deck):
+    # both oracles run on one cyclic subgroup per class and on H (the
+    # trivial subgroup once more in validate_triple), and the certificates
+    # pair hom with one H_j per deck class, one per exponent orbit
+    from fermatjac import certificates as certificates_module
+    from fermatjac import genus as genus_module
+    from fermatjac.orbits import orbit_partition
+
+    cosets = _count_calls(monkeypatch, genus_module, "coset_genus")
+    characters = _count_calls(monkeypatch, certificates_module, "induced_perm_character")
+    code, _, _ = run_cli(capsys, "verify", "--p", str(p), "--depth", "full")
+    assert code == 0
+    assert len(cosets) == subgroups + 1 and cosets[0][0].order == 1
+    assert len(characters) == deck == len(orbit_partition(make_context(p)).orbits)
+    assert all(k.order == p and k.is_translation_subgroup for (k, _data) in characters)
 
 
 def test_verify_full_builds_no_deck_joins(capsys, monkeypatch):
