@@ -17,9 +17,7 @@ same table, which prints the help screens and the refusals.
 from __future__ import annotations
 
 import sys
-from collections import Counter
 from itertools import chain
-from types import SimpleNamespace
 
 from . import certificates as cert
 from . import decompose as dec
@@ -43,7 +41,7 @@ from .orbits import OrbitKind, is_prime, make_context, orbit_partition, s3_apply
 # verify --depth full: the full checks hold the class of each of the 6 p^2
 # group elements (classes by rule, no conjugation maps) and the p^2
 # translations, so time and memory grow as p^2: 0.6 s and 24 MB at
-# p = 263, 8-10 s and 157 MB at p = 997.  The genus oracles and the
+# p = 263, 6-8 s and 135 MB at p = 997.  The genus oracles and the
 # certificates take one cyclic subgroup per conjugacy class.
 FULL_DEPTH_MAX_P = 997
 # sweep --to: a serial sweep over 5..3000 (426 primes) takes 6-10 s.
@@ -108,11 +106,11 @@ def check_moebius_transport(ctx, cache):
     part = _partition(ctx, cache)
     for a in range(1, p - 1):
         o = part.orbit_of(a)
-        images = Counter(moebius_transport(a, lab, ctx) for lab in labels)
+        images = [moebius_transport(a, lab, ctx) for lab in labels]
         _require(set(images) == set(o.elements), f"p = {p}: the six images of {a} are not its orbit {o.elements}")
         mult = 6 // o.size
         _require(
-            all(c == mult for c in images.values()),
+            all(images.count(b) == mult for b in images),
             f"p = {p}: the images of {a} are not each hit {mult} times",
         )
     for f in labels:
@@ -511,7 +509,12 @@ COMMANDS = {
 }
 
 
-def _parse_argv(argv: list[str]) -> SimpleNamespace | None:
+class _Args:
+    def __init__(self, **values):
+        self.__dict__.update(values)
+
+
+def _parse_argv(argv: list[str]) -> _Args | None:
     """The namespace of a canonical command line, COMMAND (--flag VALUE)*,
     exactly as argparse would build it; None for any other argv, which
     argparse then parses, helps or refuses.
@@ -544,7 +547,7 @@ def _parse_argv(argv: list[str]) -> SimpleNamespace | None:
         kwargs.get("dest", flag[2:].replace("-", "_")): given.get(flag, kwargs.get("default"))
         for flag, kwargs in flags
     }
-    return SimpleNamespace(command=argv[0], **values, fn=handler)
+    return _Args(command=argv[0], **values, fn=handler)
 
 
 def build_parser():

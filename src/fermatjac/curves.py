@@ -15,20 +15,18 @@ function fields lives in :mod:`fermatjac.monomial`.
 
 from __future__ import annotations
 
-from enum import Enum
-
 from .errors import DegenerateCurveError, NoGammaError, OutOfRangeError
 from .orbits import PrimeContext, orbit
-from .records import FrozenRecord, set_field
+from .records import Const, FrozenRecord, set_field
 
 
-class CurveFamily(Enum):
+class CurveFamily(Const):
     FERMAT = "fermat"
     P_GONAL = "p_gonal"
     E_QUOTIENT = "e_quotient"
 
 
-class MoebiusLabel(Enum):
+class MoebiusLabel(Const):
     """The six Moebius transformations preserving {0, 1, oo}.
 
     Each value records the permutation induced on the points, indexed

@@ -32,8 +32,6 @@ test suite confirms both facts on element objects.
 
 from __future__ import annotations
 
-from collections import Counter
-from enum import Enum
 from itertools import combinations
 
 from .curves import CurveFamily, CurveSpec, genus_of, quotient_to_curve
@@ -47,10 +45,10 @@ from .genus import (
 )
 from .groups import Group, fermat_translation, pgonal_group, pgonal_K
 from .orbits import OrbitKind, OrbitPartition, PrimeContext, orbit_partition
-from .records import FrozenRecord, Record, set_field
+from .records import Const, FrozenRecord, Record, set_field
 
 
-class DecompositionLevel(Enum):
+class DecompositionLevel(Const):
     COARSE = "coarse"
     FINE = "fine"
 
@@ -312,9 +310,10 @@ def _fermat_family_audit(ctx: PrimeContext, partition: OrbitPartition) -> KaniRo
     # Factor multiplicities come from grouping the p-2 deck quotients by
     # isomorphism class, the orbit of the quotient's exponent: each orbit
     # must receive exactly orbit-size many.
-    counts = Counter(
-        partition.orbit_of(quotient_to_curve(j, ctx).alpha).representative for j in range(1, ctx.p - 1)
-    )
+    counts: dict[int, int] = {}
+    for j in range(1, ctx.p - 1):
+        rep = partition.orbit_of(quotient_to_curve(j, ctx).alpha).representative
+        counts[rep] = counts.get(rep, 0) + 1
     expected = {o.representative: o.size for o in partition.orbits}
     if counts != expected:
         raise AuditFailError(

@@ -34,10 +34,6 @@ labellings.
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Callable
-from functools import lru_cache
-
 from .errors import (
     GroupMismatchError,
     IdentityInputError,
@@ -147,7 +143,6 @@ def fermat_quotient_genus(k: Subgroup) -> int:
     return rh_genus(fermat_genus(k.p), k, _axis_table_for(k.p))
 
 
-@lru_cache(maxsize=None)
 def _axis_table_for(p: int) -> FixTable:
     group = Group(p)
 
@@ -231,10 +226,15 @@ def generation_gap(triple: GeneratingTriple) -> str | None:
     return None
 
 
-@lru_cache(maxsize=8)
-def _power_class_counts(triple: GeneratingTriple, data: ClassData) -> tuple[tuple[int, Counter], ...]:
+_POWER_COUNTS: dict = {}  # _power_class_counts by (triple, class data), for the eight latest pairs
+
+
+def _power_class_counts(triple: GeneratingTriple, data: ClassData) -> tuple[tuple[int, dict[int, int]], ...]:
     """For each triple entry c of order m: m and the class counts of its
     powers c^0, ..., c^(m-1), the elements of the fiber subgroup <c>."""
+    key = (triple, data)
+    if key in _POWER_COUNTS:
+        return _POWER_COUNTS[key]
     if data.group != Group(triple.p):
         raise GroupMismatchError(f"class data for {data.group} cannot serve a triple at p = {triple.p}")
     entries = []
@@ -245,7 +245,10 @@ def _power_class_counts(triple: GeneratingTriple, data: ClassData) -> tuple[tupl
                 f"{data.group.coordinates(c)} generates a subgroup of order {len(powers)}, not {m}"
             )
         entries.append((m, data.class_counts(powers)))
-    return tuple(entries)
+    if len(_POWER_COUNTS) == 8:
+        del _POWER_COUNTS[next(iter(_POWER_COUNTS))]
+    _POWER_COUNTS[key] = entries = tuple(entries)
+    return entries
 
 
 def _fiber_fix(triple: GeneratingTriple, data: ClassData) -> list[int]:
@@ -287,7 +290,7 @@ def coset_genus(k: Subgroup, triple: GeneratingTriple, data: ClassData) -> int:
     index = fixed.get(data.identity_index, 0)
     cycles = 0
     for m, counts in entries:
-        total = sum(counts[c] * f for c, f in fixed.items())
+        total = sum(counts.get(c, 0) * f for c, f in fixed.items())
         if total % m:
             raise InconsistentOrbifoldError(
                 f"p = {p}, |K| = {k.order}: an entry of order {m} fixes {total} cosets over its powers,"

@@ -44,8 +44,6 @@ table is ever stored.  On that kernel:
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Iterable, Iterator
 from math import gcd
 
 from .errors import GroupMismatchError, InconsistentOrbifoldError, NoGammaError, OutOfRangeError
@@ -460,31 +458,46 @@ def translation_orbit_reps(p: int) -> list[int]:
     return rep
 
 
-def _fermat_class_keys(p: int) -> list[int]:
+def _fermat_class_keys(p: int) -> tuple[list[int], dict[int, int]]:
     """The class rule of the Fermat group as one key per element index
     (m p + n) 6 + sigma: the S3-orbit of x = m p + n for sigma = 1 (keys
     below p^2), 2 p^2 for a 3-cycle, and for a transposition the orbit of
-    the square (I + A) x, shifted by p^2."""
+    the square (I + A) x, shifted by p^2.  Also the number of indices with
+    each key, counted on the translations and on the image of each square
+    M, which M hits p^2 / |image| times per point (a singular M has the
+    multiples of its columns for image)."""
     n = p * p
     keys = [2 * n] * (6 * n)
     orbit = translation_orbit_reps(p)
     keys[PERM_ID::6] = orbit
-    shifted = {r: n + r for r in set(orbit)}
+    counts = dict.fromkeys(orbit, 0)
+    for r in orbit:
+        counts[r] += 1
+    shifted = {r: n + r for r in counts}
     square_key = list(map(shifted.__getitem__, orbit))
+    counts[2 * n] = 2 * n
     for s in (PERM_V, PERM_UV, PERM_U2V):
-        keys[s::6] = map(square_key.__getitem__, _positions(square_matrix(s), p))
-    return keys
+        a, b, c, d = square = square_matrix(s)
+        keys[s::6] = map(square_key.__getitem__, _positions(square, p))
+        multiples = {(t * u % p) * p + t * v % p for u, v in ((a, c), (b, d)) for t in range(p)}
+        image = range(n) if (a * d - b * c) % p else multiples
+        for key in map(square_key.__getitem__, image):
+            counts[key] = counts.get(key, 0) + n // len(image)
+    return keys, counts
 
 
-def _pgonal_class_keys(group: Group) -> list[int]:
+def _pgonal_class_keys(group: Group) -> tuple[list[int], dict[int, int]]:
     """The class rule of the p-gonal group as one key per element index
     3 k + e: the orbit of k under multiplication by gamma^2 for e = 0
-    (keys below p), and one class for each e != 0."""
+    (keys below p), and one class for each e != 0; and the number of
+    indices with each key (gamma^2 has order 3)."""
     p = group.p
     g2 = group.gamma * group.gamma % p
     keys = [0, p, p + 1] * p
     keys[0::3] = [min(k, k * g2 % p, k * g2 * g2 % p) for k in range(p)]
-    return keys
+    counts = dict.fromkeys(keys[0::3], 3)
+    counts.update({0: 1, p: p, p + 1: p})
+    return keys, counts
 
 
 class ClassData:
@@ -508,12 +521,13 @@ class ClassData:
 
     def __init__(self, group: Group):
         self.group = group
-        keys = _fermat_class_keys(group.p) if group.gamma is None else _pgonal_class_keys(group)
+        keys, counts = _fermat_class_keys(group.p) if group.gamma is None else _pgonal_class_keys(group)
         # key -> the first index with that key, read backwards so that
         # the first index is written last
         first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
         order = sorted(first, key=first.__getitem__)
         self.reps = tuple(map(first.__getitem__, order))
+        self.sizes = tuple(map(counts.__getitem__, order))
         number = {key: c for c, key in enumerate(order)}
         # the keys become class numbers in place, a slice at a time, so no
         # second list of the group's size is held
@@ -521,8 +535,6 @@ class ClassData:
         for lo in range(0, len(keys), step):
             keys[lo:lo + step] = map(number.__getitem__, keys[lo:lo + step])
         self.class_of = keys
-        counts = Counter(keys)
-        self.sizes = tuple(counts[c] for c in range(len(order)))
 
     @property
     def order(self) -> int:
@@ -532,12 +544,15 @@ class ClassData:
     def identity_index(self) -> int:
         return self.class_of[IDENTITY]
 
-    def class_counts(self, indices: Iterable[int]) -> Counter:
+    def class_counts(self, indices: Iterable[int]) -> dict[int, int]:
         """Class number -> how many of the indexed elements lie in that
         class; over the elements of K, the numbers |C n K|."""
-        return Counter(map(self.class_of.__getitem__, indices))
+        counts: dict[int, int] = {}
+        for c in map(self.class_of.__getitem__, indices):
+            counts[c] = counts.get(c, 0) + 1
+        return counts
 
-    def fixed_cosets(self, counts: Counter, k_order: int) -> dict[int, int]:
+    def fixed_cosets(self, counts: dict[int, int], k_order: int) -> dict[int, int]:
         """Frobenius' formula: class number C -> the number of cosets of K
         that a member of C fixes, |G| counts[C] / (|C| |K|), for the
         classes K meets (``counts`` from :meth:`class_counts`).  Every
@@ -607,6 +622,7 @@ def class_rule_gap(data: ClassData) -> str | None:
         if list(map(labels.__getitem__, image)) != labels:
             x = next(x for x, y in enumerate(image) if labels[y] != labels[x])
             return f"conjugation by {where(s)} moves {where(6 * x)} out of its class, to {where(6 * image[x])}"
+        del image  # p^2 fresh ints: free them before the next image is built
     for t in (PERM_V, PERM_UV, PERM_U2V):
         a, b, c, d = ACTION[t]
         if _mat_mul(square_matrix(t), (1 - a, -b, -c, 1 - d), p) != (0, 0, 0, 0):

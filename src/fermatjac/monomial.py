@@ -18,8 +18,6 @@ arithmetic, with no polynomial algebra and no floating point anywhere.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-
 from .curves import MoebiusLabel
 from .errors import CheckFailedError, GroupMismatchError, NonMonomialError, OutOfRangeError
 from .groups import resolve_gamma

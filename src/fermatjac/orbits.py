@@ -19,14 +19,12 @@ Jacobian factors assembled in :mod:`fermatjac.decompose`.
 
 from __future__ import annotations
 
-from enum import Enum
-
 from .errors import AuditFailError, NoGammaError, NotPrimeError, OutOfRangeError, TooLargeError, TooSmallError
-from .records import FrozenRecord, set_field
+from .records import Const, FrozenRecord, set_field
 
 # The largest p any command accepts.  Every step of orbits, decompose
 # and basic verify is O(p); at p = 100003 (p = 1 mod 3, the slower
-# residue) decompose --format json takes about 2 s and 133 MB, and
+# residue) decompose --format json takes about 1.5 s and 82 MB, and
 # verify 10-13 s and 44 MB.  sweep and verify --depth full have lower
 # caps in cli.py.
 MAX_P = 100_003
@@ -48,7 +46,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class OrbitKind(Enum):
+class OrbitKind(Const):
     SPECIAL_ONE = "special_one"
     GAMMA = "gamma"
     GENERIC = "generic"

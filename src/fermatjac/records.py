@@ -36,3 +36,30 @@ class FrozenRecord(Record):
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _ConstType(type):
+    def __iter__(cls):
+        return (v for v in vars(cls).values() if type(v) is cls)
+
+
+class Const(metaclass=_ConstType):
+    """Named constants in place of an Enum.  Each upper-case attribute of
+    a subclass becomes a member with ``.name`` and ``.value`` (passed
+    unpacked to the subclass ``__init__``, if any), iterated in order,
+    shown as ``<Class.NAME: value>`` and kept by copy and pickle."""
+
+    def __init_subclass__(cls):
+        for name, value in list(vars(cls).items()):
+            if name.isupper():
+                member = object.__new__(cls)
+                member.name, member.value = name, value
+                if "__init__" in vars(cls):
+                    member.__init__(*value)
+                setattr(cls, name, member)
+
+    def __repr__(self):
+        return f"<{self.__class__.__name__}.{self.name}: {self.value!r}>"
+
+    def __reduce__(self):
+        return getattr, (self.__class__, self.name)

@@ -10,8 +10,6 @@ its own labelled line in the factor grammar
 
 from __future__ import annotations
 
-import json
-
 from .curves import CurveFamily
 from .decompose import (
     IsogenyDecomposition,
@@ -24,12 +22,54 @@ from .orbits import OrbitPartition, PrimeContext, orbit_partition
 SCHEMA_VERSION = "1"
 
 
+# json's short escapes; other characters outside ' '..'~' become \uXXXX
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"}
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _escape(c: str) -> str:
+    n = ord(c)
+    if c in _ESCAPES or 0x20 <= n < 0x7F:
+        return _ESCAPES.get(c, c)
+    if n < 0x10000:
+        return f"\\u{n:04x}"
+    return f"\\u{0xD7C0 + (n >> 10):04x}\\u{0xDC00 | n & 0x3FF:04x}"  # a surrogate pair
+
+
+def _scalar(value) -> str:
+    if isinstance(value, str):
+        if not (value.isascii() and value.isprintable()) or '"' in value or "\\" in value:
+            value = "".join(map(_escape, value))
+        return '"' + value + '"'
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NONFINITE.get(text, text)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _json(value, indent: str) -> str:
+    """The JSON of value at the depth of ``indent``, a newline and spaces."""
+    if not isinstance(value, (dict, list, tuple)):
+        return _scalar(value)
+    inner = indent + "  "
+    sep = "," + inner
+    if isinstance(value, dict):
+        # a key that is not a str is written as the string of its JSON
+        pairs = [(k if isinstance(k, str) else _scalar(k), v) for k, v in sorted(value.items())]
+        ends, body = "{}", sep.join([f"{_scalar(k)}: {_json(v, inner)}" for k, v in pairs])
+    else:
+        ends, body = "[]", sep.join([_json(item, inner) for item in value])
+    # no member is written as "", so an empty body is an empty container
+    return f"{ends[0]}{inner}{body}{indent}{ends[1]}" if body else ends
+
+
 def serialize(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
-
-
-def parse(text: str) -> dict:
-    return json.loads(text)
+    """``json.dumps(report, indent=2, sort_keys=True)`` and a newline."""
+    return _json(report, "\n") + "\n"
 
 
 def _orbit_entries(partition: OrbitPartition) -> list[dict]:

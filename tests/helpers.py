@@ -820,6 +820,13 @@ def substitute_by_chain(f, x_val, x_minus_one, y_val, p, gamma):
     return out
 
 
+def parse(text):
+    """A JSON report back as a dict (the package writes JSON, never reads it)."""
+    import json
+
+    return json.loads(text)
+
+
 def run_under_O(script):
     """Run a Python script with ``python -O``, the package and these
     helpers on the path; the script exits 99 if asserts are not stripped

@@ -4,6 +4,8 @@ objects the tests keep as their object-level oracle (helpers.py).
 Frozen records compare by class and fields, hash over their fields and
 refuse assignment; mutable records compare by fields, are unhashable and
 take assignment.  Reprs list every field as ``Name(field=value, ...)``.
+The constant sets (``records.Const``) keep what their Enum members had:
+name, value, identity, order and repr.
 """
 
 import copy
@@ -15,8 +17,9 @@ from pathlib import Path
 import pytest
 
 import fermatjac
-from fermatjac.curves import CurveFamily, CurveSpec
+from fermatjac.curves import CurveFamily, CurveSpec, MoebiusLabel
 from fermatjac.decompose import (
+    DecompositionLevel,
     GammaRefinementAudit,
     IsogenyDecomposition,
     IsogenyFactor,
@@ -225,6 +228,44 @@ def test_mutable_records_are_unhashable_and_assignable(cls, fields, frozen, make
     for f in fields:
         setattr(a, f, getattr(other, f))
     assert a == other and a != b
+
+
+# each constant set: its members' names and values in order
+CONSTANTS = [
+    (OrbitKind, [("SPECIAL_ONE", "special_one"), ("GAMMA", "gamma"), ("GENERIC", "generic")]),
+    (CurveFamily, [("FERMAT", "fermat"), ("P_GONAL", "p_gonal"), ("E_QUOTIENT", "e_quotient")]),
+    (DecompositionLevel, [("COARSE", "coarse"), ("FINE", "fine")]),
+    (
+        MoebiusLabel,
+        [
+            ("ID", ("x", (0, 1, 2))),
+            ("INV", ("1/x", (2, 1, 0))),
+            ("ONE_MINUS", ("1-x", (1, 0, 2))),
+            ("OVER", ("x/(x-1)", (0, 2, 1))),
+            ("CYC", ("1/(1-x)", (1, 2, 0))),
+            ("CYC2", ("(x-1)/x", (2, 0, 1))),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, members", CONSTANTS, ids=[c[0].__name__ for c in CONSTANTS])
+def test_constants_keep_names_values_order_and_identity(cls, members):
+    assert [(m.name, m.value) for m in cls] == members
+    for member in cls:
+        assert getattr(cls, member.name) is member and type(member) is cls
+        assert copy.copy(member) is member and copy.deepcopy(member) is member
+        assert pickle.loads(pickle.dumps(member)) is member
+        # the repr an Enum member had
+        assert repr(member) == f"<{cls.__name__}.{member.name}: {member.value!r}>"
+
+
+def test_constant_reprs_and_attributes():
+    assert repr(OrbitKind.GAMMA) == "<OrbitKind.GAMMA: 'gamma'>"
+    assert repr(MoebiusLabel.INV) == "<MoebiusLabel.INV: ('1/x', (2, 1, 0))>"
+    assert repr(DecompositionLevel.FINE) == "<DecompositionLevel.FINE: 'fine'>"
+    assert MoebiusLabel.OVER.formula == "x/(x-1)" and MoebiusLabel.OVER.perm == (0, 2, 1)
+    assert {OrbitKind.GAMMA: 1}[OrbitKind.GAMMA] == 1 and OrbitKind.GAMMA != OrbitKind.GENERIC
 
 
 def test_flavours_never_compare_equal():

@@ -1,10 +1,15 @@
+import json
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fermatjac import report as rep
 from fermatjac.cli import main
 from fermatjac.orbits import make_context
+
+from helpers import parse
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -32,14 +37,53 @@ def test_golden_verify_full_json(capsys, p):
 def test_json_roundtrip(capsys):
     code, out, _ = run_cli(capsys, "decompose", "--p", "13", "--format", "json")
     assert code == 0
-    report = rep.parse(out)
+    report = parse(out)
     assert rep.serialize(report) == out
     assert report["schema_version"] == rep.SCHEMA_VERSION
 
 
+# Every code point, lone surrogates too, with the characters json escapes
+# drawn often: controls, '"', '\\', DEL, and one past the BMP.
+CHARS = st.characters(exclude_categories=()) | st.sampled_from(['"', "\\", "\x7f", "\x00", "\n", "\x1f", "\U0001f600"])
+TEXT = st.text(CHARS, max_size=12)
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | st.floats()
+    | TEXT
+)
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(TEXT, inner, max_size=4)
+    | st.dictionaries(st.integers(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(VALUES)
+@example({"nan": float("nan"), "inf": [float("inf"), float("-inf"), -0.0, 1e300, 5e-324]})
+@example({"": [], "a": {}, "b": ((),), "c": [{10: None, 2: True, -3: "x"}]})
+@example(["\ud800", "\udfff\U0010ffff", "\x7f\x08\x0c\r\t", 'say "a\\b"', "caf\xe9"])
+def test_serialize_is_json_dumps(value):
+    assert rep.serialize(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value", [{"a": {1, 2}}, [object()], {"a": [1, {"b": object()}]}])
+def test_serialize_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        rep.serialize(value)
+
+
 def test_text_and_json_factor_order_agree(capsys):
     _, json_out, _ = run_cli(capsys, "decompose", "--p", "13", "--format", "json")
-    report = rep.parse(json_out)
+    report = parse(json_out)
     _, text_out, _ = run_cli(capsys, "decompose", "--p", "13")
     for level in ("coarse", "fine"):
         entry = report["decompositions"][level]
@@ -61,7 +105,7 @@ def test_decompose_text_products():
 def test_decompose_single_level(capsys):
     code, out, _ = run_cli(capsys, "decompose", "--p", "7", "--level", "coarse", "--format", "json")
     assert code == 0
-    report = rep.parse(out)
+    report = parse(out)
     assert list(report["decompositions"]) == ["coarse"]
 
 
@@ -73,7 +117,7 @@ def test_orbits_command(capsys):
 
     code, out, _ = run_cli(capsys, "orbits", "--p", "11", "--format", "json")
     assert code == 0
-    report = rep.parse(out)
+    report = parse(out)
     assert [o["elements"] for o in report["orbits"]] == [[1, 5, 9], [2, 3, 4, 6, 7, 8]]
     assert report["gamma"] is None
 
@@ -134,7 +178,7 @@ def test_verify_basic_p5(capsys):
 def test_verify_full_p7_json(capsys):
     code, out, _ = run_cli(capsys, "verify", "--p", "7", "--depth", "full", "--format", "json")
     assert code == 0
-    report = rep.parse(out)
+    report = parse(out)
     assert report["all_pass"] is True
     assert len(report["checks"]) == 12
     assert all(c["status"] == "PASS" for c in report["checks"])
@@ -176,7 +220,7 @@ def test_sweep_small_range(capsys):
 def test_sweep_row_matches_decompose(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--from", "7", "--to", "7", "--format", "json")
     assert code == 0
-    report = rep.parse(out)
+    report = parse(out)
     assert report["total"] == 1 and report["pass_count"] == 1
     row = report["rows"][0]
     dec_report = rep.decompose_report(make_context(7))
@@ -238,7 +282,7 @@ def test_verify_failure_exit_code_4(capsys, monkeypatch):
 def test_verify_json_includes_blocks(capsys):
     code, out, _ = run_cli(capsys, "verify", "--p", "7", "--depth", "full", "--format", "json")
     assert code == 0
-    report = rep.parse(out)
+    report = parse(out)
     assert report["monomial_maps"]["T"] == "(x, w^1*y)"
     assert report["monomial_maps"]["R"] == "(-(x-1)^-1, -x^-1*(x-1)^-1*y^4)"
     assert report["monomial_maps"]["epsilon"]["rule_matches"] is True
@@ -248,7 +292,7 @@ def test_verify_json_includes_blocks(capsys):
 
 def test_factor_entry_hyperelliptic_metadata(capsys):
     code, out, _ = run_cli(capsys, "decompose", "--p", "7", "--format", "json")
-    report = rep.parse(out)
+    report = parse(out)
     c1 = report["decompositions"]["coarse"]["factors"][0]
     assert c1["alpha"] == 1
     assert c1["hyperelliptic_model"] == "w^2 = u^7 - 1"
@@ -337,7 +381,7 @@ def test_oracle_disagreement_is_a_typed_failure(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "--p", "7", "--depth", "full", "--format", "json")
     assert code == 4
     assert "dual-oracle-genus" in err
-    failed = rep.parse(out)["checks"][-1]
+    failed = parse(out)["checks"][-1]
     assert failed["name"] == "dual-oracle-genus" and failed["status"] == "FAIL"
     assert failed["code"] == "ORACLE_DISAGREEMENT"
     assert failed["detail"].startswith("p = 7, the subgroup of order ")
@@ -430,7 +474,8 @@ def test_cli_imports_no_shutil():
     # read the terminal width, and argparse itself brings gettext, locale
     # and warnings; a well-formed command line never builds the parser,
     # and pairings are integers, not Fractions (fractions brings decimal).
-    # -S keeps site-packages from importing any of them.  One fresh
+    # Reports are written without json, and constants, counts and caches
+    # need no enum, collections or functools.  -S keeps site-packages from importing any of them.  One fresh
     # process per command line, in one test so that its id stays put.
     import subprocess
     import sys
@@ -438,8 +483,17 @@ def test_cli_imports_no_shutil():
     import fermatjac
 
     src = str(Path(fermatjac.__file__).resolve().parents[1])
-    unwanted = ("shutil", "bz2", "lzma", "zlib", "argparse", "gettext", "locale", "warnings", "fractions", "decimal")
-    for argv in (["decompose", "--p", "7"], ["verify", "--p", "13", "--depth", "full", "--format", "json"]):
+    unwanted = (
+        "shutil", "bz2", "lzma", "zlib", "argparse", "gettext", "locale", "warnings", "fractions", "decimal",
+        "json", "re", "enum", "functools", "collections", "types",
+    )
+    for argv in (
+        ["decompose", "--p", "7"],
+        ["verify", "--p", "13", "--depth", "full", "--format", "json"],
+        ["decompose", "--p", "397", "--level", "both", "--format", "json"],
+        ["sweep", "--from", "5", "--to", "31", "--format", "json"],
+        ["orbits", "--p", "13", "--format", "json"],
+    ):
         script = (
             "import sys\n"
             f"sys.path.insert(0, {src!r})\n"
