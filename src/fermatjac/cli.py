@@ -41,8 +41,9 @@ from .orbits import OrbitKind, is_prime, make_context, orbit_partition, s3_apply
 # verify --depth full: the full checks hold the class of each of the 6 p^2
 # group elements (classes by rule, no conjugation maps) and the p^2
 # translations, so time and memory grow as p^2: 0.6 s and 24 MB at
-# p = 263, 6-8 s and 135 MB at p = 997.  The genus oracles and the
-# certificates take one cyclic subgroup per conjugacy class.
+# p = 263, 6.2-6.6 s and 135 MB at p = 997.  The genus oracles and the
+# certificates take one cyclic subgroup per conjugacy class, and the two
+# fix tables are compared once per line of F_p^2.
 FULL_DEPTH_MAX_P = 997
 # sweep --to: a serial sweep over 5..3000 (426 primes) takes 6-10 s.
 SWEEP_MAX_TO = 3_000
@@ -266,6 +267,11 @@ def check_fix_table_consistency(ctx, cache):
     Lefschetz bound 0 <= fix <= 2 + 2g on every class, and the classes
     are the conjugacy classes.
 
+    The tables are compared at one point on each of the p + 1 lines of H
+    (:func:`~fermatjac.genus.line_fix_counts`).  The axis table is constant
+    on a line by its rule; the full table is one count per class, and the
+    dual-oracle check has summed it over every point of one line per class.
+
     The table reads one count per class and the dual-oracle check takes
     one subgroup per class, so both stand for every element only if no
     conjugation moves an element out of its class.  The classes come from
@@ -283,14 +289,10 @@ def check_fix_table_consistency(ctx, cache):
     """
     p = ctx.p
     fix = cache["full_fix"]
-    axis = gen.fermat_axis_fix_table(ctx)
+    full, axis = gen.line_fix_counts(p, fix), gen.line_fix_counts(p, gen.fermat_axis_fix_table(ctx))
+    for (a, b), f, x in zip(grp.plane_lines(p), full, axis):
+        _require(f == x, f"p = {p}: fix({a}, {b}) is {f} in the full table and {x} in the axis table")
     where = fix.group.coordinates
-    for h in fix.group.translations[1:]:  # every element of H but the identity
-        if fix.at(h) != axis.at(h):
-            raise CheckFailedError(
-                f"p = {p}: fix{where(h)} is {fix.at(h)} in the full table"
-                f" and {axis.at(h)} in the axis table"
-            )
     bound = 2 + 2 * gen.fermat_genus(p)
     data = _class_data(ctx, cache)
     for rep in data.reps[1:]:  # reps[0] is the identity

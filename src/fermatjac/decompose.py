@@ -10,8 +10,10 @@ decomposition criterion needs three hypotheses, all checked here exactly:
 
 The check works in F_p^2 rather than on element sets: H_j is the line
 through (1, 1+j), H_i and H_j have determinant j - i and so always join
-to the plane H, and Riemann-Hurwitz needs only each line's fix sum, read
-off the axis fix table at its direction.  Time and memory are O(p).
+to the plane H, and Riemann-Hurwitz needs only each line's fix sum.  One
+pass reads the axis fix table once per line of F_p^2 and gives both the
+plane's genus and every H_j's.  Each hypothesis then has one verdict,
+which every pair shares.  Time and memory are O(p).
 
 Grouping the resulting quotient-curve factors by isomorphism class (one
 class per exponent orbit) gives the coarse decomposition: one factor per
@@ -39,11 +41,12 @@ from .errors import AuditFailError, OutOfRangeError
 from .genus import (
     fermat_axis_fix_table,
     fermat_genus,
+    line_fix_counts,
     pgonal_fix_table,
     rh_genus,
     riemann_hurwitz,
 )
-from .groups import Group, fermat_translation, pgonal_group, pgonal_K
+from .groups import Group, pgonal_group, pgonal_K
 from .orbits import OrbitKind, OrbitPartition, PrimeContext, orbit_partition
 from .records import Const, FrozenRecord, Record, set_field
 
@@ -69,64 +72,58 @@ class IsogenyFactor(FrozenRecord):
         return f"{self.symbol()}^{self.multiplicity}"
 
 
-class PairVerdict(Record):
-    __slots__ = _fields = ("pair", "ok", "detail")
-
-    def __init__(self, pair: tuple[int, int], ok: bool, detail: str = ""):
-        self.pair = pair
-        self.ok = ok
-        self.detail = detail
+def _sum_failure(total: int, expected: int) -> str | None:
+    return None if total == expected else f"genus sum {total} != {expected}"
 
 
-def _sum_failure(check: tuple[int, int, bool]) -> str | None:
-    total, expected, ok = check
-    return None if ok else f"genus sum {total} != {expected}"
+def _all_pairs(n: int) -> list[list[int]]:
+    return [[i, j] for i, j in combinations(range(1, n + 1), 2)]
 
 
 class KaniRosenAudit(Record):
-    """Evidence for the three decomposition-criterion hypotheses.
-
-    Each pair of the family is checked, but only failing pairs are kept:
-    ``commuting_checks`` and ``genus_zero_checks`` list the failures and
-    ``pairs_checked`` counts every pair.
+    """Evidence for the three decomposition-criterion hypotheses, one
+    verdict each: a commuting failure (None when a1 and a2 commute), the
+    plane's quotient genus and the genus sum.  Every pair of the family
+    stands or falls with the first two, so a failure fails every pair.
     """
 
-    __slots__ = _fields = ("subgroup_count", "pairs_checked", "commuting_checks", "genus_zero_checks",
-                           "genus_sum_check")
+    __slots__ = _fields = ("subgroup_count", "commuting_failure", "plane_genus", "genus_sum_check")
 
-    def __init__(self, subgroup_count: int, pairs_checked: int, commuting_checks: list[PairVerdict],
-                 genus_zero_checks: list[PairVerdict], genus_sum_check: tuple[int, int, bool]):
+    def __init__(self, subgroup_count: int, commuting_failure: str | None, plane_genus: int,
+                 genus_sum_check: tuple[int, int, bool]):
         self.subgroup_count = subgroup_count
-        self.pairs_checked = pairs_checked
-        self.commuting_checks = commuting_checks
-        self.genus_zero_checks = genus_zero_checks
+        self.commuting_failure = commuting_failure
+        self.plane_genus = plane_genus
         self.genus_sum_check = genus_sum_check  # (computed sum, expected genus, ok)
+
+    @property
+    def commuting_checks(self) -> list[list[int]]:
+        """The pairs whose set products differ: all of them or none."""
+        return [] if self.commuting_failure is None else _all_pairs(self.subgroup_count)
 
     @property
     def failure(self) -> str | None:
         """The first failed hypothesis with both of its values, or None."""
-        if self.commuting_checks:
-            return self.commuting_checks[0].detail
-        if self.genus_zero_checks:  # every pair joins to the plane H
-            return f"the plane H has quotient {self.genus_zero_checks[0].detail}, not genus=0"
-        return _sum_failure(self.genus_sum_check)
+        if self.commuting_failure is not None:
+            return self.commuting_failure
+        if self.plane_genus:  # every pair joins to the plane H
+            return f"the plane H has quotient genus={self.plane_genus}, not genus=0"
+        return _sum_failure(*self.genus_sum_check[:2])
 
     @property
     def all_pass(self) -> bool:
         return self.failure is None
 
     def summary(self) -> dict:
-        def pairs(failures: list[PairVerdict]) -> dict:
-            return {
-                "pairs_checked": self.pairs_checked,
-                "pairs_passed": self.pairs_checked - len(failures),
-                "failures": [list(v.pair) for v in failures],
-            }
+        n = self.subgroup_count * (self.subgroup_count - 1) // 2
+
+        def pairs(failures: list[list[int]]) -> dict:
+            return {"pairs_checked": n, "pairs_passed": n - len(failures), "failures": failures}
 
         return {
             "subgroup_count": self.subgroup_count,
             "commuting": {**pairs(self.commuting_checks), "method": "abelian"},
-            "genus_zero": pairs(self.genus_zero_checks),
+            "genus_zero": pairs(_all_pairs(self.subgroup_count) if self.plane_genus else []),
             "genus_sum": {
                 "computed": self.genus_sum_check[0],
                 "expected": self.genus_sum_check[1],
@@ -140,79 +137,61 @@ def kani_rosen_check(ctx: PrimeContext) -> KaniRosenAudit:
     """Evaluate the three decomposition hypotheses for H_1, ..., H_(p-2).
 
     Every subgroup of H = Z_p^2 is a line or the whole plane of F_p^2, and
-    H_j is the line through (1, 1+j).  The non-identity points of a line
-    are the unit multiples of its direction, which the axis table counts
-    alike, so a line's fix sum is (p-1) times the count of its direction
-    and the plane's is the sum over its p+1 lines.  H_i and H_j have
-    determinant j - i, a unit for i != j, so every pair joins to the plane
-    and has the plane's quotient genus: the pairs pass or fail together.
-    The set products H_i H_j and H_j H_i agree for every pair once a1 and
-    a2, which generate H, commute.  Time and memory are O(p) when the
-    hypotheses hold; failing pairs are listed one by one.
+    H_j is the line through (1, 1+j).  One pass reads the axis table once
+    per line (:func:`~fermatjac.genus.line_fix_counts`), so a line's fix
+    sum is (p-1) times its count and the plane's is the sum over its p+1
+    lines.  H_i and H_j have determinant j - i, a unit for i != j, so
+    every pair joins to the plane and has the plane's quotient genus: the
+    pairs pass or fail together.  The set products H_i H_j and H_j H_i
+    agree for every pair once a1 and a2, which generate H, commute.  Time
+    and memory are O(p).
     """
     p = ctx.p
     g_top = fermat_genus(p)
-    fix = fermat_axis_fix_table(ctx)
-
-    def line_fix_sum(a: int, b: int) -> int:
-        return (p - 1) * fix.at(fermat_translation(p, a, b))
-
-    plane_fix = line_fix_sum(0, 1) + sum(line_fix_sum(1, t) for t in range(p))
-    plane_genus = riemann_hurwitz(g_top, p * p, plane_fix)
-    line_genera = [riemann_hurwitz(g_top, p, line_fix_sum(1, 1 + j)) for j in range(1, p - 1)]
-
-    n = len(line_genera)
+    counts = line_fix_counts(p, fermat_axis_fix_table(ctx))
+    plane_genus = riemann_hurwitz(g_top, p * p, (p - 1) * sum(counts))
+    total = sum(riemann_hurwitz(g_top, p, (p - 1) * c) for c in counts[3:])  # H_j is line j + 2
     group = Group(p)
     a1, a2 = group.generators[:2]
-    commuting = []
     a1a2, a2a1 = group.mul(a1, a2), group.mul(a2, a1)
+    commuting = None
     if a1a2 != a2a1:
-        detail = f"a1 a2 = {group.coordinates(a1a2)} != a2 a1 = {group.coordinates(a2a1)}"
-        commuting = [PairVerdict(pair, False, detail) for pair in combinations(range(1, n + 1), 2)]
-    genus_zero = []
-    if plane_genus:
-        genus_zero = [
-            PairVerdict(pair, False, f"genus={plane_genus}") for pair in combinations(range(1, n + 1), 2)
-        ]
-    total = sum(line_genera)
-    return KaniRosenAudit(
-        subgroup_count=n,
-        pairs_checked=n * (n - 1) // 2,
-        commuting_checks=commuting,
-        genus_zero_checks=genus_zero,
-        genus_sum_check=(total, g_top, total == g_top),
-    )
+        commuting = f"a1 a2 = {group.coordinates(a1a2)} != a2 a1 = {group.coordinates(a2a1)}"
+    return KaniRosenAudit(p - 2, commuting, plane_genus, (total, g_top, total == g_top))
+
+
+_K_PAIRS = ((1, 2), (1, 3), (2, 3))
 
 
 class GammaRefinementAudit(Record):
-    """Evidence for replacing the gamma-curve factor by E^6.
-
-    ``set_products_commute`` records the honest set-level comparison of
-    the K_i K_j products, which fails; the refinement is gated on the
+    """Evidence for replacing the gamma-curve factor by E^6: the genus of
+    the gamma curve, the quotient genera of K_1, K_2, K_3, and for each
+    pair (1, 2), (1, 3), (2, 3) the genus of its join and whether the two
+    K_i differ.  Distinct K_i have set products that do not commute,
+    which the report records honestly; the refinement is gated on the
     quotient-genus identities, which hold.
     """
 
-    __slots__ = _fields = ("quotient_genus_checks", "pair_genus_zero_checks", "genus_sum_check",
-                           "set_products_commute")
+    __slots__ = _fields = ("curve_genus", "quotient_genera", "pair_genera", "distinct")
 
-    def __init__(self, quotient_genus_checks: list[tuple[int, int, int, bool]],
-                 pair_genus_zero_checks: list[PairVerdict], genus_sum_check: tuple[int, int, bool],
-                 set_products_commute: list[PairVerdict] | None = None):
-        self.quotient_genus_checks = quotient_genus_checks  # (i, genus, expected, ok)
-        self.pair_genus_zero_checks = pair_genus_zero_checks
-        self.genus_sum_check = genus_sum_check
-        self.set_products_commute = [] if set_products_commute is None else set_products_commute
+    def __init__(self, curve_genus: int, quotient_genera: tuple[int, ...], pair_genera: tuple[int, ...],
+                 distinct: tuple[bool, ...]):
+        self.curve_genus = curve_genus
+        self.quotient_genera = quotient_genera
+        self.pair_genera = pair_genera
+        self.distinct = distinct
 
     @property
     def failure(self) -> str | None:
         """The first failed genus identity with both of its values, or None."""
-        for i, g, expected, ok in self.quotient_genus_checks:
-            if not ok:
+        expected = self.curve_genus // 3
+        for i, g in enumerate(self.quotient_genera, start=1):
+            if g != expected:
                 return f"K{i} has quotient genus {g}, not {expected}"
-        for v in self.pair_genus_zero_checks:
-            if not v.ok:
-                return f"K{v.pair[0]} K{v.pair[1]} has quotient {v.detail}, not genus=0"
-        return _sum_failure(self.genus_sum_check)
+        for (i, j), g in zip(_K_PAIRS, self.pair_genera):
+            if g:
+                return f"K{i} K{j} has quotient genus={g}, not genus=0"
+        return _sum_failure(sum(self.quotient_genera), self.curve_genus)
 
     @property
     def all_pass(self) -> bool:
@@ -220,21 +199,18 @@ class GammaRefinementAudit(Record):
         return self.failure is None
 
     def summary(self) -> dict:
+        expected, total = self.curve_genus // 3, sum(self.quotient_genera)
         return {
             "quotient_genus": [
-                {"subgroup": f"K{i}", "genus": g, "expected": e, "ok": ok}
-                for (i, g, e, ok) in self.quotient_genus_checks
+                {"subgroup": f"K{i}", "genus": g, "expected": expected, "ok": g == expected}
+                for i, g in enumerate(self.quotient_genera, start=1)
             ],
             "pairwise_joined_genus_zero": [
-                {"pair": list(v.pair), "ok": v.ok, "detail": v.detail}
-                for v in self.pair_genus_zero_checks
+                {"pair": list(pair), "ok": g == 0, "detail": f"genus={g}"}
+                for pair, g in zip(_K_PAIRS, self.pair_genera)
             ],
-            "genus_sum": {
-                "computed": self.genus_sum_check[0],
-                "expected": self.genus_sum_check[1],
-                "ok": self.genus_sum_check[2],
-            },
-            "set_products_commute": all(v.ok for v in self.set_products_commute),
+            "genus_sum": {"computed": total, "expected": self.curve_genus, "ok": total == self.curve_genus},
+            "set_products_commute": not any(self.distinct),
             "note": (
                 "pairwise set products K_i*K_j differ from K_j*K_i; each pair "
                 "generates the full group, and the refinement is certified by "
@@ -252,25 +228,14 @@ def gamma_refinement_audit(ctx: PrimeContext) -> GammaRefinementAudit:
     quotient genus is computed once, and its set products differ.  Equal
     K_i = K_j join to K_i, of genus (p-1)/6, and fail the gate.
     """
-    p, gamma = ctx.p, ctx.gamma
-    ks = [pgonal_K(i, ctx, gamma) for i in (1, 2, 3)]
-    fix = pgonal_fix_table(ctx, gamma)
-    g_top, expected = (p - 1) // 2, (p - 1) // 6
-    genera = [rh_genus(g_top, k, fix) for k in ks]
-    whole_genus = rh_genus(g_top, pgonal_group(ctx, gamma), fix)
-    pair_checks, commute_checks = [], []
-    for i, j in combinations(range(3), 2):
-        distinct = ks[i] != ks[j]
-        g = whole_genus if distinct else genera[i]
-        pair_checks.append(PairVerdict((i + 1, j + 1), g == 0, f"genus={g}"))
-        commute_checks.append(PairVerdict((i + 1, j + 1), not distinct))
-    total = sum(genera)
-    return GammaRefinementAudit(
-        quotient_genus_checks=[(i, g, expected, g == expected) for i, g in enumerate(genera, start=1)],
-        pair_genus_zero_checks=pair_checks,
-        genus_sum_check=(total, g_top, total == g_top),
-        set_products_commute=commute_checks,
-    )
+    ks = [pgonal_K(i, ctx) for i in (1, 2, 3)]
+    fix = pgonal_fix_table(ctx)
+    g_top = (ctx.p - 1) // 2
+    genera = tuple(rh_genus(g_top, k, fix) for k in ks)
+    whole_genus = rh_genus(g_top, pgonal_group(ctx), fix)
+    distinct = tuple(ks[i - 1] != ks[j - 1] for i, j in _K_PAIRS)
+    pair_genera = tuple(whole_genus if d else genera[i - 1] for (i, _), d in zip(_K_PAIRS, distinct))
+    return GammaRefinementAudit(g_top, genera, pair_genera, distinct)
 
 
 class IsogenyDecomposition(Record):

@@ -228,6 +228,14 @@ def fermat_order(p: int, i: int) -> int:
     return 2 * p
 
 
+def plane_lines(p: int) -> list[tuple[int, int]]:
+    """One point on each of the p + 1 lines through 0 of F_p^2: (0, 1),
+    then (1, t) for t = 0, ..., p - 1.  The first three are the axes
+    m = 0, n = 0 and m = n, and the deck line H_j, through (1, 1 + j), is
+    entry j + 2."""
+    return [(0, 1)] + [(1, t) for t in range(p)]
+
+
 def s3_stable_lines(p: int) -> list[tuple[int, int]]:
     """Spanning vectors of the lines of F_p^2 that the matrices of u and v
     (ACTION) both map to themselves, trying all p + 1 lines.
@@ -242,8 +250,7 @@ def s3_stable_lines(p: int) -> list[tuple[int, int]]:
         a, b, c, d = ACTION[s]
         return (x * (c * x + d * y) - y * (a * x + b * y)) % p == 0
 
-    lines = [(1, t) for t in range(p)] + [(0, 1)]
-    return [(x, y) for x, y in lines if keeps(PERM_U, x, y) and keeps(PERM_V, x, y)]
+    return [(x, y) for x, y in plane_lines(p) if keeps(PERM_U, x, y) and keeps(PERM_V, x, y)]
 
 
 def resolve_gamma(ctx: PrimeContext, gamma: int | None) -> int:

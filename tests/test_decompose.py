@@ -94,8 +94,8 @@ def test_determinism():
 def test_kani_rosen_check_deck_family(p):
     audit = kani_rosen_check(make_context(p))
     assert audit.all_pass
-    assert audit.pairs_checked == (p - 2) * (p - 3) // 2
-    assert audit.commuting_checks == [] and audit.genus_zero_checks == []
+    assert audit.summary()["genus_zero"]["pairs_checked"] == (p - 2) * (p - 3) // 2
+    assert audit.commuting_failure is None and audit.commuting_checks == [] and audit.plane_genus == 0
     assert audit.genus_sum_check == (fermat_genus(p), fermat_genus(p), True)
     assert_audit_matches_oracle(audit, p)
 
@@ -118,7 +118,7 @@ def test_kani_rosen_check_records_failing_pairs(monkeypatch):
         "pairs_checked": 10, "pairs_passed": 0, "method": "abelian", "failures": pairs
     }
     assert summary["genus_zero"] == {"pairs_checked": 10, "pairs_passed": 0, "failures": pairs}
-    assert {v.detail for v in audit.genus_zero_checks} == {"genus=1"}
+    assert audit.plane_genus == 1 and audit.commuting_checks == pairs
     assert not audit.all_pass
 
 
@@ -176,13 +176,11 @@ def test_gamma_refinement_audit(p):
     ctx = make_context(p)
     audit = gamma_refinement_audit(ctx)
     assert audit.all_pass
-    for (_, g, expected, ok) in audit.quotient_genus_checks:
-        assert ok and g == expected == (p - 1) // 6
-    for v in audit.pair_genus_zero_checks:
-        assert v.ok
-    assert audit.genus_sum_check == ((p - 1) // 2, (p - 1) // 2, True)
+    assert audit.curve_genus == (p - 1) // 2
+    assert audit.quotient_genera == ((p - 1) // 6,) * 3 and audit.pair_genera == (0, 0, 0)
     # the honest set-level record: the products do not commute as sets
-    assert audit.set_products_commute and all(not v.ok for v in audit.set_products_commute)
+    assert audit.distinct == (True, True, True)
+    assert audit.summary()["set_products_commute"] is False
 
 
 @pytest.mark.parametrize("p", [q for q in primes_upto(31) if q % 3 == 1])
@@ -196,12 +194,9 @@ def test_gamma_refinement_matches_object_joins(p):
         audit = gamma_refinement_audit(ctx)
         assert audit.all_pass
         oracle = object_gamma_pairs(p, ctx.gamma)
-        assert [(v.pair, v.detail) for v in audit.pair_genus_zero_checks] == [
-            (pair, f"genus={genus}") for pair, _, genus, _, _ in oracle
-        ]
-        assert [(v.pair, v.ok) for v in audit.set_products_commute] == [
-            (pair, commutes) for pair, _, _, _, commutes in oracle
-        ]
+        assert [pair for pair, _, _, _, _ in oracle] == [(1, 2), (1, 3), (2, 3)]
+        assert audit.pair_genera == tuple(genus for _, _, genus, _, _ in oracle)
+        assert audit.distinct == tuple(not commutes for _, _, _, _, commutes in oracle)
         assert {(order, size) for _, order, _, size, _ in oracle} == {(3 * p, 9)}
 
 
@@ -213,14 +208,12 @@ def test_equal_K_subgroups_fail_the_gamma_gate(monkeypatch):
     monkeypatch.setattr(decompose_module, "pgonal_K", lambda i, ctx, gamma=None: real(1, ctx, gamma))
     ctx = make_context(p)
     audit = gamma_refinement_audit(ctx)
-    assert all(ok for (_, _, _, ok) in audit.quotient_genus_checks) and audit.genus_sum_check[2]
+    assert audit.quotient_genera == ((p - 1) // 6,) * 3 and sum(audit.quotient_genera) == audit.curve_genus
     k1 = object_K_family(p, ctx.gamma)[0]
     oracle = object_gamma_pairs(p, ctx.gamma, family=[k1] * 3)
-    assert [(v.pair, v.ok, v.detail) for v in audit.pair_genus_zero_checks] == [
-        (pair, False, f"genus={genus}") for pair, _, genus, _, _ in oracle
-    ]
-    assert {v.detail for v in audit.pair_genus_zero_checks} == {f"genus={(p - 1) // 6}"}
-    assert all(v.ok for v in audit.set_products_commute)
+    assert audit.pair_genera == tuple(genus for _, _, genus, _, _ in oracle) == ((p - 1) // 6,) * 3
+    assert audit.distinct == (False, False, False)
+    assert audit.failure == f"K1 K2 has quotient genus={(p - 1) // 6}, not genus=0"
     assert not audit.all_pass
     with pytest.raises(AuditFailError, match="gamma refinement hypotheses failed for p = 13"):
         decompose_fine(decompose_coarse(ctx))

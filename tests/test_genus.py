@@ -22,6 +22,7 @@ from fermatjac.genus import (
     fermat_quotient_genus,
     find_generating_triple,
     generation_gap,
+    line_fix_counts,
     pgonal_fix_table,
     rh_genus,
     validate_triple,
@@ -35,14 +36,16 @@ from fermatjac.groups import (
     fermat_H,
     fermat_Hj,
     fermat_order,
+    fermat_translation,
     pgonal_K,
     pgonal_group,
+    plane_lines,
     subgroup_closure,
     trivial_subgroup,
 )
 from fermatjac.orbits import is_prime, make_context
 
-from helpers import fermat_a1, fermat_elements, fermat_u, fermat_v, index_of, joined, labelled_fix_count
+from helpers import fermat_a1, fermat_elements, fermat_u, fermat_v, index_of, joined, labelled_fix_count, run_under_O
 
 
 def test_rh_genus_free_deck_subgroup():
@@ -108,7 +111,7 @@ def test_find_generating_triple_properties():
         evidence = validate_triple(triple, data)
         assert evidence["orders"] == [2, 3, 2 * p]
         assert evidence["fix_a1"] == p
-        assert evidence["trivial_subgroup_genus"] == fermat_genus(p)
+        assert set(evidence) == {"orders", "fix_a1", "fix_table"}
         assert evidence["fix_table"].at(index_of(fermat_a1(p))) == p
         # deterministic: the closed form gives the same triple again
         assert find_generating_triple(ctx) == triple
@@ -218,15 +221,64 @@ def test_full_fix_count_examples():
 
 
 def test_full_table_matches_axis_table_on_H():
-    for p in (5, 7):
+    # the element walk that fix-table-consistency replaces by one point
+    # per line: the lines of plane_lines cover H - {1} once, both tables
+    # agree at every translation, and each is constant on the
+    # non-identity points of every line, at the count line_fix_counts reads
+    for p in (q for q in range(5, 62) if is_prime(q)):
         ctx = make_context(p)
-        triple = find_generating_triple(ctx)
-        data = ClassData(Group(ctx.p))
-        full = fermat_full_fix_table(triple, data)
+        full = fermat_full_fix_table(find_generating_triple(ctx), ClassData(Group(p)))
         axis = fermat_axis_fix_table(ctx)
-        for h in fermat_H(p):
-            if h != IDENTITY:
-                assert full.at(h) == axis.at(h)
+        points = [[fermat_translation(p, k * a, k * b) for k in range(1, p)] for a, b in plane_lines(p)]
+        assert sorted(h for line in points for h in line) == list(fermat_H(p).indices[1:])
+        for table in (full, axis):
+            for line, count in zip(points, line_fix_counts(p, table), strict=True):
+                assert {table.at(h) for h in line} == {count}
+        for h in fermat_H(p).indices[1:]:
+            assert full.at(h) == axis.at(h)
+
+
+def _zero_axis_table(ctx):
+    return FixTable(Group(ctx.p), lambda i: 0, "no translation fixes a point")
+
+
+ZERO_AXIS_FAIL = "FAIL fix-table-consistency: p = 13: fix(0, 1) is 13 in the full table and 0 in the axis table"
+
+
+def test_a_wrong_axis_table_fails_fix_table_consistency(capsys, monkeypatch):
+    # decompose imported the table by name, so only the full-depth check
+    # reads the patched one, at the first point of plane_lines
+    monkeypatch.setattr(genus_module, "fermat_axis_fix_table", _zero_axis_table)
+    code = cli.main(["verify", "--p", "13", "--depth", "full"])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert "PASS deck-quotient-audit" in out and f"{ZERO_AXIS_FAIL}\n" in out
+    assert "verification failed at check: fix-table-consistency" in err
+    assert "Traceback" not in err
+
+
+def test_a_wrong_axis_table_fails_fix_table_consistency_under_python_O():
+    run = run_under_O(
+        "from fermatjac import cli, genus\n"
+        "genus.fermat_axis_fix_table = lambda ctx: genus.FixTable(genus.Group(ctx.p), lambda i: 0, 'zeros')\n"
+        "sys.exit(cli.main(['verify', '--p', '13', '--depth', 'full']))\n"
+    )
+    assert run.returncode == 4, run.stdout + run.stderr
+    assert ZERO_AXIS_FAIL in run.stdout
+    assert "Traceback" not in run.stderr
+
+
+def test_fix_table_consistency_reads_the_tables_once_per_line(monkeypatch):
+    # two tables at p + 1 points each, and the Lefschetz bound once per
+    # class: no walk over the p^2 - 1 translations
+    p = 61
+    ctx, cache = make_context(p), {}
+    cli.check_generating_triple(ctx, cache)
+    reads = []
+    real = FixTable.at
+    monkeypatch.setattr(FixTable, "at", lambda self, i: reads.append(i) or real(self, i))
+    cli.check_fix_table_consistency(ctx, cache)
+    assert len(reads) <= 2 * (p + 1) + len(cache["class_data"].reps)
 
 
 def test_full_fix_table_refuses_a_foreign_context():
@@ -304,6 +356,16 @@ def test_coset_genus_full_group_and_trivial():
         assert full.order == 6 * p * p
         assert coset_genus(full, triple, data) == 0
         assert coset_genus(trivial_subgroup(Group(p)), triple, data) == fermat_genus(p)
+
+
+@pytest.mark.parametrize("p", [q for q in range(5, 62) if is_prime(q)])
+def test_trivial_subgroup_coset_genus_is_the_curve_genus(p):
+    # an identity in p once the orders are (2, 3, 2p), which is why
+    # validate_triple does not check it: [G:1] = 6p^2 and the entries
+    # have 3p^2, 2p^2 and 3p cycles, so g = (2 + p^2 - 3p) / 2
+    triple = find_generating_triple(make_context(p))
+    assert coset_genus(trivial_subgroup(Group(p)), triple, ClassData(Group(p))) == fermat_genus(p)
+    assert (2 + 6 * p * p - (3 * p * p + 2 * p * p + 3 * p)) // 2 == (p - 1) * (p - 2) // 2
 
 
 @pytest.mark.parametrize("p", (5, 7))

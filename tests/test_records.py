@@ -24,7 +24,6 @@ from fermatjac.decompose import (
     IsogenyDecomposition,
     IsogenyFactor,
     KaniRosenAudit,
-    PairVerdict,
     decompose_coarse,
     gamma_refinement_audit,
     kani_rosen_check,
@@ -49,15 +48,7 @@ C5 = "PrimeContext(p=5, residue_class_mod_3=2, gamma_pair=None)"
 C7 = "PrimeContext(p=7, residue_class_mod_3=1, gamma_pair=(2, 4))"
 SPECIAL = "<OrbitKind.SPECIAL_ONE: 'special_one'>"
 P_GONAL = "<CurveFamily.P_GONAL: 'p_gonal'>"
-KR5 = (
-    "KaniRosenAudit(subgroup_count=3, pairs_checked=3, commuting_checks=[], genus_zero_checks=[],"
-    " genus_sum_check=(6, 6, True))"
-)
-
-
-def _verdicts(ok, detail):
-    pairs = ((1, 2), (1, 3), (2, 3))
-    return ", ".join(f"PairVerdict(pair={pair}, ok={ok}, detail={detail!r})" for pair in pairs)
+KR5 = "KaniRosenAudit(subgroup_count=3, commuting_failure=None, plane_genus=0, genus_sum_check=(6, 6, True))"
 
 
 # class, fields, frozen, a factory, a factory for an unequal instance, the repr of the first
@@ -145,16 +136,8 @@ CASES = [
         " y_image=MonomialFunction(sign=1, omega=1, a=0, b=0, d=1))",
     ),
     (
-        PairVerdict,
-        ("pair", "ok", "detail"),
-        False,
-        lambda: PairVerdict((1, 2), False, "genus=1"),
-        lambda: PairVerdict((1, 2), False),
-        "PairVerdict(pair=(1, 2), ok=False, detail='genus=1')",
-    ),
-    (
         KaniRosenAudit,
-        ("subgroup_count", "pairs_checked", "commuting_checks", "genus_zero_checks", "genus_sum_check"),
+        ("subgroup_count", "commuting_failure", "plane_genus", "genus_sum_check"),
         False,
         lambda: kani_rosen_check(make_context(5)),
         lambda: kani_rosen_check(make_context(7)),
@@ -162,13 +145,12 @@ CASES = [
     ),
     (
         GammaRefinementAudit,
-        ("quotient_genus_checks", "pair_genus_zero_checks", "genus_sum_check", "set_products_commute"),
+        ("curve_genus", "quotient_genera", "pair_genera", "distinct"),
         False,
         lambda: gamma_refinement_audit(make_context(7)),
         lambda: gamma_refinement_audit(make_context(13)),
-        "GammaRefinementAudit(quotient_genus_checks=[(1, 1, 1, True), (2, 1, 1, True), (3, 1, 1, True)],"
-        f" pair_genus_zero_checks=[{_verdicts(True, 'genus=0')}], genus_sum_check=(3, 3, True),"
-        f" set_products_commute=[{_verdicts(False, '')}])",
+        "GammaRefinementAudit(curve_genus=3, quotient_genera=(1, 1, 1), pair_genera=(0, 0, 0),"
+        " distinct=(True, True, True))",
     ),
     (
         IsogenyDecomposition,
@@ -190,7 +172,7 @@ def _ids(cases):
 
 
 def test_every_record_type_is_covered():
-    assert len(CASES) == 15 and len(FROZEN) == 11
+    assert len(CASES) == 14 and len(FROZEN) == 11
 
 
 @pytest.mark.parametrize("cls, fields, frozen, make, make_other, text", CASES, ids=_ids(CASES))
@@ -279,14 +261,13 @@ def test_keyword_construction_and_defaults():
     assert CurveSpec(context=ctx, family=CurveFamily.P_GONAL, alpha=3) == CurveSpec(ctx, CurveFamily.P_GONAL, 3)
     assert CurveSpec(ctx, CurveFamily.FERMAT).alpha is None
     assert Group(p=7) == Group(7, None)
-    assert PairVerdict(pair=(1, 2), ok=True).detail == ""
     assert OrbitClass(representative=1, elements=(1,), kind=OrbitKind.GENERIC).kind is OrbitKind.GENERIC
     audit = kani_rosen_check(ctx)
     d = IsogenyDecomposition(ctx, decompose_coarse(ctx).level, (), audit)
     assert d.gamma_refinement is None
-    # the default list is fresh for every record
-    g1, g2 = GammaRefinementAudit([], [], (0, 0, True)), GammaRefinementAudit([], [], (0, 0, True))
-    assert g1.set_products_commute == [] and g1.set_products_commute is not g2.set_products_commute
+    refinement = GammaRefinementAudit(curve_genus=3, quotient_genera=(1, 1, 1), pair_genera=(0, 0, 0),
+                                      distinct=(True, True, True))
+    assert refinement == gamma_refinement_audit(ctx)
 
 
 def test_orbit_index_stays_out_of_equality_and_repr():

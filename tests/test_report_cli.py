@@ -343,9 +343,9 @@ def test_verify_full_builds_classes_and_fix_table_once(capsys, monkeypatch):
 
 @pytest.mark.parametrize("p, subgroups, deck", ((7, 8, 2), (13, 9, 3)))
 def test_verify_full_takes_each_deck_line_once_per_class(capsys, monkeypatch, p, subgroups, deck):
-    # both oracles run on one cyclic subgroup per class and on H (the
-    # trivial subgroup once more in validate_triple), and the certificates
-    # pair hom with one H_j per deck class, one per exponent orbit
+    # both oracles run on one cyclic subgroup per class and on H, and the
+    # certificates pair hom with one H_j per deck class, one per exponent
+    # orbit
     from fermatjac import certificates as certificates_module
     from fermatjac import genus as genus_module
     from fermatjac.orbits import orbit_partition
@@ -354,7 +354,7 @@ def test_verify_full_takes_each_deck_line_once_per_class(capsys, monkeypatch, p,
     characters = _count_calls(monkeypatch, certificates_module, "induced_perm_character")
     code, _, _ = run_cli(capsys, "verify", "--p", str(p), "--depth", "full")
     assert code == 0
-    assert len(cosets) == subgroups + 1 and cosets[0][0].order == 1
+    assert len(cosets) == subgroups and cosets[0][0].order == 1
     assert len(characters) == deck == len(orbit_partition(make_context(p)).orbits)
     assert all(k.order == p and k.is_translation_subgroup for (k, _data) in characters)
 
@@ -376,7 +376,7 @@ def test_oracle_disagreement_is_a_typed_failure(capsys, monkeypatch):
 
     real = genus_module.coset_genus
     # off by one on every subgroup but the trivial one, which the
-    # generating-triple check uses
+    # dual-oracle check takes first
     monkeypatch.setattr(genus_module, "coset_genus", lambda k, triple, data: real(k, triple, data) + (k.order > 1))
     code, out, err = run_cli(capsys, "verify", "--p", "7", "--depth", "full", "--format", "json")
     assert code == 4
