@@ -166,14 +166,19 @@ def genus_of(spec: CurveSpec) -> int:
     return (p - 1) // 6
 
 
-def quotient_to_curve(j: int, ctx: PrimeContext) -> CurveSpec:
-    """The canonical curve isomorphic to the deck quotient indexed by j.
+def deck_exponent(j: int, p: int) -> int:
+    """The canonical exponent of the deck quotient indexed by j in X_p.
 
     The quotient surface carries the cyclic cover with exponent
     -(1+j) mod p, whose canonical representative is p - 1 - j.
     """
+    return p - 1 - j
+
+
+def quotient_to_curve(j: int, ctx: PrimeContext) -> CurveSpec:
+    """The canonical curve isomorphic to the deck quotient indexed by j."""
     ctx.require_X(j)
-    alpha = ctx.p - 1 - j
+    alpha = deck_exponent(j, ctx.p)
     # can't happen: p - 1 - j = -(1 + j) mod p for every j
     assert alpha == (-(1 + j)) % ctx.p
     return CurveSpec(context=ctx, family=CurveFamily.P_GONAL, alpha=alpha)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .curves import CurveFamily, CurveSpec, genus_of, quotient_to_curve
+from .curves import CurveFamily, CurveSpec, deck_exponent, genus_of
 from .errors import AuditFailError, OutOfRangeError
 from .genus import (
     fermat_axis_fix_table,
@@ -270,19 +270,34 @@ def _coarse_factors(ctx: PrimeContext, partition: OrbitPartition) -> tuple[Isoge
     return tuple(factors)
 
 
+def _deck_census(ctx: PrimeContext, partition: OrbitPartition) -> dict[int, int]:
+    """How many of the p-2 deck quotients fall in each isomorphism class,
+    keyed by the representative of the orbit of the quotient's exponent.
+    An exponent in no orbit on X_p is refused."""
+    p = ctx.p
+    representative = {a: o.representative for o in partition.orbits for a in o.elements}
+    counts: dict[int, int] = {}
+    for j in range(1, p - 1):
+        alpha = deck_exponent(j, p)
+        rep = representative.get(alpha)
+        if rep is None or not 0 < alpha < p - 1:
+            raise AuditFailError(
+                f"deck quotient {j} has exponent {alpha!r}, in no orbit on X_p = {{1,...,{p - 2}}}"
+            )
+        counts[rep] = counts.get(rep, 0) + 1
+    return counts
+
+
 def _fermat_family_audit(ctx: PrimeContext, partition: OrbitPartition) -> KaniRosenAudit:
     audit = kani_rosen_check(ctx)
     # Factor multiplicities come from grouping the p-2 deck quotients by
     # isomorphism class, the orbit of the quotient's exponent: each orbit
     # must receive exactly orbit-size many.
-    counts: dict[int, int] = {}
-    for j in range(1, ctx.p - 1):
-        rep = partition.orbit_of(quotient_to_curve(j, ctx).alpha).representative
-        counts[rep] = counts.get(rep, 0) + 1
+    counts = _deck_census(ctx, partition)
     expected = {o.representative: o.size for o in partition.orbits}
     if counts != expected:
         raise AuditFailError(
-            f"deck quotients per isomorphism class {dict(counts)} != orbit sizes {expected}"
+            f"deck quotients per isomorphism class {counts} != orbit sizes {expected}"
         )
     return audit
 

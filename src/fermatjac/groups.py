@@ -315,10 +315,6 @@ def subgroup_closure(group: Group, generators: Iterable[int]) -> Subgroup:
     return Subgroup(group, gens, group.closure(gens))
 
 
-def trivial_subgroup(group: Group) -> Subgroup:
-    return Subgroup(group, (IDENTITY,), (IDENTITY,))
-
-
 def fermat_H(p: int) -> Subgroup:
     """The translation subgroup of order p^2."""
     group = Group(p)

@@ -24,7 +24,7 @@ from .records import Const, FrozenRecord, set_field
 
 # The largest p any command accepts.  Every step of orbits, decompose
 # and basic verify is O(p); at p = 100003 (p = 1 mod 3, the slower
-# residue) decompose --format json takes about 1.5 s and 82 MB, and
+# residue) decompose --format json takes about 1-1.6 s and 81 MB, and
 # verify 10-13 s and 44 MB.  sweep and verify --depth full have lower
 # caps in cli.py.
 MAX_P = 100_003

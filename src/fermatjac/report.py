@@ -36,40 +36,78 @@ def _escape(c: str) -> str:
     return f"\\u{0xD7C0 + (n >> 10):04x}\\u{0xDC00 | n & 0x3FF:04x}"  # a surrogate pair
 
 
+def _string(value: str) -> str:
+    if not (value.isascii() and value.isprintable()) or '"' in value or "\\" in value:
+        value = "".join(map(_escape, value))
+    return '"' + value + '"'
+
+
+def _float(value: float) -> str:
+    text = float.__repr__(value)
+    return _NONFINITE.get(text, text)
+
+
+# The writer of each scalar class, looked up by exact class: a subclass
+# (of int, say, with its own __repr__) goes to _scalar as json would.
+_SCALARS = {
+    str: _string,
+    int: int.__repr__,
+    float: _float,
+    bool: ("false", "true").__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
 def _scalar(value) -> str:
     if isinstance(value, str):
-        if not (value.isascii() and value.isprintable()) or '"' in value or "\\" in value:
-            value = "".join(map(_escape, value))
-        return '"' + value + '"'
+        return _string(value)
     if value is None or isinstance(value, bool):
         return "null" if value is None else "true" if value else "false"
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        text = float.__repr__(value)
-        return _NONFINITE.get(text, text)
+        return _float(value)
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
-def _json(value, indent: str) -> str:
-    """The JSON of value at the depth of ``indent``, a newline and spaces."""
-    if not isinstance(value, (dict, list, tuple)):
-        return _scalar(value)
+def _key(k, keys: dict[str, str]) -> str:
+    """The JSON of dict key k and its ": ", stored in keys for a str k."""
+    if type(k) is str:
+        text = keys[k] = _string(k) + ": "
+        return text
+    # a key that is not a str is written as the string of its JSON
+    return _scalar(k if isinstance(k, str) else _scalar(k)) + ": "
+
+
+def _json(value, indent: str, keys: dict[str, str]) -> str:
+    """The JSON of value at the depth of ``indent``, a newline and spaces;
+    ``keys`` holds the written form of each str key met so far in this
+    document, so a key the schema repeats is encoded once."""
+    get = _SCALARS.get
+    write = get(type(value))
+    if write is not None:
+        return write(value)
     inner = indent + "  "
     sep = "," + inner
-    if isinstance(value, dict):
-        # a key that is not a str is written as the string of its JSON
-        pairs = [(k if isinstance(k, str) else _scalar(k), v) for k, v in sorted(value.items())]
-        ends, body = "{}", sep.join([f"{_scalar(k)}: {_json(v, inner)}" for k, v in pairs])
+    if isinstance(value, (list, tuple)):
+        ends = "[]"
+        body = sep.join([w(v) if (w := get(type(v))) else _json(v, inner, keys) for v in value])
+    elif isinstance(value, dict):
+        ends = "{}"
+        body = sep.join([
+            f"{keys[k] if type(k) is str and k in keys else _key(k, keys)}"
+            f"{w(v) if (w := get(type(v))) else _json(v, inner, keys)}"
+            for k, v in sorted(value.items())
+        ])
     else:
-        ends, body = "[]", sep.join([_json(item, inner) for item in value])
+        return _scalar(value)
     # no member is written as "", so an empty body is an empty container
     return f"{ends[0]}{inner}{body}{indent}{ends[1]}" if body else ends
 
 
 def serialize(report: dict) -> str:
     """``json.dumps(report, indent=2, sort_keys=True)`` and a newline."""
-    return _json(report, "\n") + "\n"
+    return _json(report, "\n", {}) + "\n"
 
 
 def _orbit_entries(partition: OrbitPartition) -> list[dict]:

@@ -34,6 +34,7 @@ from fermatjac.groups import (
     PERM_UV,
     PERM_V,
     Group,
+    Subgroup,
     resolve_gamma,
     subgroup_closure,
 )
@@ -614,6 +615,12 @@ def object_inner_product(f1, f2, universe):
 # arithmetic: cosets are labelled one by one on the integer kernel, and
 # every fixed coset and cycle is counted on the labels.  The oracle for
 # coset_genus, the full fix table and induced_perm_character.
+
+
+def trivial_subgroup(group):
+    """The subgroup {1}: its quotient is the curve itself, its cosets the
+    elements."""
+    return Subgroup(group, (IDENTITY,), (IDENTITY,))
 
 
 def right_mul_perm(group, h):

@@ -35,7 +35,6 @@ from fermatjac.groups import (
     all_cyclic_subgroups,
     fermat_H,
     fermat_Hj,
-    trivial_subgroup,
 )
 from fermatjac.monomial import (
     build_J,
@@ -50,7 +49,7 @@ from fermatjac.monomial import (
 )
 from fermatjac.orbits import OrbitKind, make_context, orbit_partition
 
-from helpers import assert_audit_matches_oracle, fermat_a1, index_of, joined, sweep_primes
+from helpers import assert_audit_matches_oracle, fermat_a1, index_of, joined, sweep_primes, trivial_subgroup
 
 
 def _announce(n, elapsed, detail):

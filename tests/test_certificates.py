@@ -21,11 +21,10 @@ from fermatjac.groups import (
     fermat_H,
     fermat_Hj,
     subgroup_closure,
-    trivial_subgroup,
 )
 from fermatjac.orbits import make_context
 
-from helpers import element_inner_product, fermat_a1, fermat_u, fermat_v, index_of, pgonal_T
+from helpers import element_inner_product, fermat_a1, fermat_u, fermat_v, index_of, pgonal_T, trivial_subgroup
 
 
 @pytest.fixture(scope="module", params=(5, 7))

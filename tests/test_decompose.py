@@ -9,7 +9,7 @@ import pytest
 import fermatjac
 from fermatjac import cli
 from fermatjac import decompose as decompose_module
-from fermatjac.curves import CurveFamily, are_isomorphic
+from fermatjac.curves import CurveFamily, are_isomorphic, quotient_to_curve
 from fermatjac.decompose import (
     DecompositionLevel,
     IsogenyDecomposition,
@@ -22,7 +22,7 @@ from fermatjac.decompose import (
 from fermatjac.errors import AuditFailError, OutOfRangeError
 from fermatjac.genus import fermat_genus
 from fermatjac.groups import Group
-from fermatjac.orbits import PrimeContext, make_context
+from fermatjac.orbits import PrimeContext, make_context, orbit_partition
 
 from helpers import (
     assert_audit_matches_oracle,
@@ -338,11 +338,10 @@ def test_census_mismatch_raises_under_python_O():
     # Under -O every assert is stripped; the census check must still refuse.
     script = (
         "import sys\n"
-        "from fermatjac import cli, curves, decompose\n"
+        "from fermatjac import cli, decompose\n"
         "if not sys.flags.optimize:\n"
         "    sys.exit(99)\n"
-        "decompose.quotient_to_curve = lambda j, ctx: curves.CurveSpec(\n"
-        "    context=ctx, family=curves.CurveFamily.P_GONAL, alpha=1)\n"
+        "decompose.deck_exponent = lambda j, p: 1\n"
         "sys.exit(cli.main(['decompose', '--p', '7']))\n"
     )
     src = str(Path(fermatjac.__file__).resolve().parents[1])
@@ -352,6 +351,32 @@ def test_census_mismatch_raises_under_python_O():
     )
     assert run.returncode == 3, run.stdout + run.stderr
     assert "audit failure" in run.stderr and "JF(7)" not in run.stdout
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [lambda j, p: p - 1, lambda j, p: 0, lambda j, p: p + j, lambda j, p: -j],
+    ids=["p-1", "0", "p+j", "-j"],
+)
+def test_census_refuses_an_exponent_outside_X(monkeypatch, rule):
+    # the first deck quotient's exponent lies outside X_p = {1, ..., p-2}
+    monkeypatch.setattr(decompose_module, "deck_exponent", rule)
+    with pytest.raises(AuditFailError, match="deck quotient 1 has exponent .*, in no orbit on X_p"):
+        decompose_coarse(make_context(13))
+
+
+@pytest.mark.parametrize("p", sweep_primes(61))
+def test_int_census_is_the_curve_census(p):
+    # the oracle counts through CurveSpec objects and the partition's
+    # checked lookup, as the census did before it ran over ints
+    ctx = make_context(p)
+    partition = orbit_partition(ctx)
+    oracle = {}
+    for j in range(1, p - 1):
+        rep = partition.orbit_of(quotient_to_curve(j, ctx).alpha).representative
+        oracle[rep] = oracle.get(rep, 0) + 1
+    assert decompose_module._deck_census(ctx, partition) == oracle
+    assert oracle == {o.representative: o.size for o in partition.orbits}
 
 
 def test_decompose_fine_refuses_a_foreign_coarse_decomposition():

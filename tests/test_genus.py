@@ -41,11 +41,20 @@ from fermatjac.groups import (
     pgonal_group,
     plane_lines,
     subgroup_closure,
-    trivial_subgroup,
 )
 from fermatjac.orbits import is_prime, make_context
 
-from helpers import fermat_a1, fermat_elements, fermat_u, fermat_v, index_of, joined, labelled_fix_count, run_under_O
+from helpers import (
+    fermat_a1,
+    fermat_elements,
+    fermat_u,
+    fermat_v,
+    index_of,
+    joined,
+    labelled_fix_count,
+    run_under_O,
+    trivial_subgroup,
+)
 
 
 def test_rh_genus_free_deck_subgroup():

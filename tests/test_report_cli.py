@@ -42,6 +42,43 @@ def test_json_roundtrip(capsys):
     assert report["schema_version"] == rep.SCHEMA_VERSION
 
 
+def test_json_roundtrip_at_a_benchmark_prime(capsys):
+    code, out, _ = run_cli(capsys, "decompose", "--p", "409", "--level", "both", "--format", "json")
+    assert code == 0
+    report = parse(out)
+    assert rep.serialize(report) == out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+# Subclasses of the JSON types: the writer dispatches on exact class, and
+# json reads a subclass through its base (int.__repr__, float.__repr__,
+# the characters of a str), whatever the subclass overrides.
+class Str(str):
+    def __str__(self):
+        return "overridden"
+
+
+class Int(int):
+    def __repr__(self):
+        return "overridden"
+
+
+class Float(float):
+    def __repr__(self):
+        return "overridden"
+
+
+class Dict(dict):
+    pass
+
+
+class List(list):
+    pass
+
+
+class Tuple(tuple):
+    pass
+
+
 # Every code point, lone surrogates too, with the characters json escapes
 # drawn often: controls, '"', '\\', DEL, and one past the BMP.
 CHARS = st.characters(exclude_categories=()) | st.sampled_from(['"', "\\", "\x7f", "\x00", "\n", "\x1f", "\U0001f600"])
@@ -53,13 +90,22 @@ SCALARS = (
     | st.integers(min_value=-(10**60), max_value=10**60)
     | st.floats()
     | TEXT
+    | TEXT.map(Str)
+    | st.integers().map(Int)
+    | st.floats().map(Float)
 )
 VALUES = st.recursive(
     SCALARS,
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
+    | st.lists(inner, max_size=4).map(List)
+    | st.lists(inner, max_size=4).map(Tuple)
     | st.dictionaries(TEXT, inner, max_size=4)
-    | st.dictionaries(st.integers(), inner, max_size=4),
+    | st.dictionaries(TEXT, inner, max_size=4).map(Dict)
+    | st.dictionaries(TEXT.map(Str), inner, max_size=4)
+    | st.dictionaries(st.integers(), inner, max_size=4)
+    | st.dictionaries(st.integers().map(Int), inner, max_size=4)
+    | st.dictionaries(st.booleans() | st.floats() | st.floats().map(Float), inner, max_size=4),
     max_leaves=20,
 )
 
@@ -69,6 +115,8 @@ VALUES = st.recursive(
 @example({"nan": float("nan"), "inf": [float("inf"), float("-inf"), -0.0, 1e300, 5e-324]})
 @example({"": [], "a": {}, "b": ((),), "c": [{10: None, 2: True, -3: "x"}]})
 @example(["\ud800", "\udfff\U0010ffff", "\x7f\x08\x0c\r\t", 'say "a\\b"', "caf\xe9"])
+@example([{1: "a"}, {True: "b"}, {1.0: "c"}, {"1": "d"}, {"true": "e"}, {"1.0": "f"}])
+@example({Str("k"): Int(7), "k2": Float(0.5), "l": List([Tuple((Int(-3), Str('a"b'))), Dict({"k": None})])})
 def test_serialize_is_json_dumps(value):
     assert rep.serialize(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
