@@ -42,8 +42,6 @@ from .groups import (
     subgroup_closure,
 )
 from .monomial import (
-    MonomialFunction,
-    MonomialMap,
     build_J,
     build_R,
     build_T,

@@ -25,7 +25,7 @@ from . import genus as gen
 from . import groups as grp
 from . import monomial as mono
 from . import report as rep
-from .curves import MoebiusLabel, moebius_transport, normalize
+from .curves import MoebiusLabel, moebius_transport, normalized_exponent
 from .errors import (
     AuditFailError,
     CheckFailedError,
@@ -36,7 +36,7 @@ from .errors import (
     TooLargeError,
     TooSmallError,
 )
-from .orbits import OrbitKind, is_prime, make_context, orbit_partition, s3_apply
+from .orbits import OrbitKind, is_prime, make_context, orbit_partition, s3_images
 
 # verify --depth full: the full checks hold the class of each of the 6 p^2
 # group elements (classes by rule, no conjugation maps) and the p^2
@@ -52,9 +52,11 @@ SWEEP_MAX_TO = 3_000
 # -- verification checks -------------------------------------------------------
 #
 # Each check returns a detail string and raises a package error on
-# failure: a false predicate raises CheckFailedError through _require, so
-# every verdict also holds under python -O.  cmd_verify runs the checks in
-# order and stops at the first failure, naming the check.
+# failure: a false predicate raises CheckFailedError, through _require or,
+# in a loop over X_p, straight from the loop, which then formats its detail
+# only on failure; so every verdict also holds under python -O.
+# cmd_verify runs the checks in order and stops at the first failure,
+# naming the check.
 
 
 def _require(cond, detail):
@@ -82,53 +84,68 @@ def check_orbit_partition_laws(ctx, cache):
         part.generic_count == expected_generic,
         f"p = {p}: {part.generic_count} generic orbits, expected {expected_generic}",
     )
+    # U and V on all of X_p in one pass, shared with check_s3_relations
+    u, v = cache["images"] = s3_images(ctx)
     for o in part.orbits:
-        for a in o.elements:
-            for name in ("U", "V"):
-                image = s3_apply(name, a, ctx)
-                _require(image in o.elements, f"p = {p}: {name}({a}) = {image} leaves the orbit {o.elements}")
+        members = o.elements
+        for a in members:
+            for name, image in (("U", u[a]), ("V", v[a])):
+                if image not in members:
+                    raise CheckFailedError(f"p = {p}: {name}({a}) = {image} leaves the orbit {members}")
     return f"{len(part.orbits)} orbits, {expected_generic} generic"
 
 
 def check_s3_relations(ctx, cache):
-    for a in range(1, ctx.p - 1):
-        u1 = s3_apply("U", a, ctx)
-        u2 = s3_apply("U", u1, ctx)
-        _require(s3_apply("U", u2, ctx) == a, f"p = {ctx.p}: U^3 moves {a}")
-        _require(s3_apply("V", s3_apply("V", a, ctx), ctx) == a, f"p = {ctx.p}: V^2 moves {a}")
-        uv = s3_apply("U", s3_apply("V", a, ctx), ctx)
-        _require(s3_apply("U", s3_apply("V", uv, ctx), ctx) == a, f"p = {ctx.p}: (UV)^2 moves {a}")
-    return f"U^3 = V^2 = (UV)^2 = id on all {ctx.p - 2} points"
+    p = ctx.p
+    # the images' last reader drops them, out of the later checks' peak
+    u, v = cache.pop("images", None) or s3_images(ctx)
+    for a in range(1, p - 1):
+        if u[u[u[a]]] != a:
+            raise CheckFailedError(f"p = {p}: U^3 moves {a}")
+        if v[v[a]] != a:
+            raise CheckFailedError(f"p = {p}: V^2 moves {a}")
+        if u[v[u[v[a]]]] != a:
+            raise CheckFailedError(f"p = {p}: (UV)^2 moves {a}")
+    return f"U^3 = V^2 = (UV)^2 = id on all {p - 2} points"
 
 
 def check_moebius_transport(ctx, cache):
     p = ctx.p
     labels = list(MoebiusLabel)
     part = _partition(ctx, cache)
+    # images[a][k]: the exponent a transported by labels[k], kept for the
+    # orbits of the three points the composition test starts from
+    starts = (1, 2, p - 2)
+    kept = {b for a in starts for b in part.orbit_of(a).elements}
+    images = {}
     for a in range(1, p - 1):
         o = part.orbit_of(a)
-        images = [moebius_transport(a, lab, ctx) for lab in labels]
-        _require(set(images) == set(o.elements), f"p = {p}: the six images of {a} are not its orbit {o.elements}")
+        row = [moebius_transport(a, lab, ctx) for lab in labels]
+        if set(row) != set(o.elements):
+            raise CheckFailedError(f"p = {p}: the six images of {a} are not its orbit {o.elements}")
         mult = 6 // o.size
-        _require(
-            all(images.count(b) == mult for b in images),
-            f"p = {p}: the images of {a} are not each hit {mult} times",
-        )
-    for f in labels:
-        for g in labels:
-            fg = f.compose(g)
-            for a in (1, 2, p - 2):
-                lhs = moebius_transport(a, fg, ctx)
-                rhs = moebius_transport(moebius_transport(a, f, ctx), g, ctx)
-                _require(lhs == rhs, f"p = {p}: transport by {f.name} then {g.name} at {a}: {lhs} != {rhs}")
+        if any(row.count(b) != mult for b in row):
+            raise CheckFailedError(f"p = {p}: the images of {a} are not each hit {mult} times")
+        if a in kept:
+            images[a] = row
+    # the images of a start lie in its orbit by now, so they index images
+    for i, f in enumerate(labels):
+        for j, g in enumerate(labels):
+            k = labels.index(f.compose(g))
+            for a in starts:
+                lhs, rhs = images[a][k], images[images[a][i]][j]
+                if lhs != rhs:
+                    raise CheckFailedError(f"p = {p}: transport by {f.name} then {g.name} at {a}: {lhs} != {rhs}")
     return "six images enumerate each orbit; composition consistent"
 
 
 def check_normalization(ctx, cache):
     p = ctx.p
     for a in range(1, p - 1):
-        _require(normalize(a, 1, ctx).alpha == a, f"p = {p}: normalize({a}, 1) is not {a}")
-        _require(normalize(1, a, ctx).alpha == ctx.inv(a), f"p = {p}: normalize(1, {a}) is not 1/{a}")
+        if normalized_exponent(a, 1, ctx) != a:
+            raise CheckFailedError(f"p = {p}: normalize({a}, 1) is not {a}")
+        if normalized_exponent(1, a, ctx) != ctx.inv(a):
+            raise CheckFailedError(f"p = {p}: normalize(1, {a}) is not 1/{a}")
     deltas = range(1, p) if p <= 31 else (2, 3, p - 1)
     for delta in deltas:
         for a in (1, 2, p - 2):
@@ -136,10 +153,8 @@ def check_normalization(ctx, cache):
                 da, db = delta * a % p, delta * b % p
                 if (a + b) % p == 0 or da == 0 or db == 0:
                     continue
-                _require(
-                    normalize(da, db, ctx).alpha == normalize(a, b, ctx).alpha,
-                    f"p = {p}: normalize({a}, {b}) changes under rescaling by {delta}",
-                )
+                if normalized_exponent(da, db, ctx) != normalized_exponent(a, b, ctx):
+                    raise CheckFailedError(f"p = {p}: normalize({a}, {b}) changes under rescaling by {delta}")
     return "unit rescaling invariance holds"
 
 
@@ -175,18 +190,22 @@ def check_dimension_audit(ctx, cache):
 
 def check_monomial_relations(ctx, cache):
     p = ctx.p
+    gap = mono.moebius_table_gap(p)
+    _require(gap is None, f"p = {p}: {gap}")
     jmap = mono.build_J(ctx)
     _require(mono.verify_curve_automorphism(jmap), f"p = {p}: J does not preserve the curve")
     _require(mono.compose(jmap, jmap) == mono.identity_map(p, 1), f"p = {p}: J^2 is not the identity")
     t1 = mono.build_T(ctx, gamma=1)
+    # T^p = id and T != id: T has the prime order p
+    _require(t1 != mono.identity_map(p, 1), f"p = {p}: T is the identity")
     _require(mono.map_power(t1, p) == mono.identity_map(p, 1), f"p = {p}: T^p is not the identity")
     block = {
-        "J": jmap.render(),
+        "J": mono.render_map(jmap),
         "relations": {"J^2 = id": True, "J preserves the curve": True, "T^p = id": True},
     }
     cache["monomial"] = block
     if not ctx.has_gamma:
-        block["T"] = t1.render()
+        block["T"] = mono.render_map(t1)
         return "J and T certified on the hyperelliptic curve; no gamma root"
     g = ctx.gamma
     parity = mono.epsilon_parity_report(ctx)
@@ -200,8 +219,8 @@ def check_monomial_relations(ctx, cache):
         _require(lhs == rhs, f"p = {p}: T^(-l) R T^l != T^(l (gamma^2 - 1)) R at l = {l}")
     tg = mono.build_T(ctx)
     _require(mono.map_power(tg, p) == mono.identity_map(p, g), f"p = {p}: T^p is not the identity (gamma = {g})")
-    block["T"] = tg.render()
-    block["R"] = mono.build_R(ctx).render()
+    block["T"] = mono.render_map(tg)
+    block["R"] = mono.render_map(mono.build_R(ctx))
     block["epsilon"] = parity
     block["relations"].update(
         {
@@ -355,24 +374,25 @@ FULL_CHECKS = [
 # -- commands -------------------------------------------------------------------
 
 
-def _emit(report: dict, text: str, fmt: str) -> None:
+def _emit(report: dict, render, fmt: str) -> None:
+    """Write the report as JSON, or as the text render(report), made only then."""
     if fmt == "json":
         sys.stdout.write(rep.serialize(report))
     else:
-        print(text)
+        print(render(report))
 
 
 def cmd_orbits(args) -> int:
     ctx = make_context(args.p)
     report = rep.orbits_report(ctx)
-    _emit(report, rep.render_orbits_text(report), args.format)
+    _emit(report, rep.render_orbits_text, args.format)
     return 0
 
 
 def cmd_decompose(args) -> int:
     ctx = make_context(args.p)
     report = rep.decompose_report(ctx, level=args.level)
-    _emit(report, rep.render_decompose_text(report), args.format)
+    _emit(report, rep.render_decompose_text, args.format)
     return 0
 
 

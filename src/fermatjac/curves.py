@@ -47,17 +47,25 @@ class MoebiusLabel(Const):
 
     def compose(self, other: "MoebiusLabel") -> "MoebiusLabel":
         """self after other (other applied first)."""
-        p = tuple(self.perm[i] for i in other.perm)
-        return _BY_PERM[p]
+        return _COMPOSE[self, other]
 
     def inverse(self) -> "MoebiusLabel":
-        p = [0, 0, 0]
-        for i, j in enumerate(self.perm):
-            p[j] = i
-        return _BY_PERM[tuple(p)]
+        return next(g for g in MoebiusLabel if _COMPOSE[self, g] is MoebiusLabel.ID)
 
 
 _BY_PERM = {label.perm: label for label in MoebiusLabel}
+# (f, g) -> f after g, read off the permutations: (f g)(i) = f(g(i)).
+_COMPOSE = {(f, g): _BY_PERM[tuple(f.perm[i] for i in g.perm)] for f in MoebiusLabel for g in MoebiusLabel}
+
+# The exponent of the image of C_alpha under each Moebius map (moebius_transport).
+MOEBIUS_TRANSPORT = {
+    MoebiusLabel.ID: lambda a, p: a,
+    MoebiusLabel.INV: lambda a, p: p - 1 - a,
+    MoebiusLabel.ONE_MINUS: lambda a, p: pow(a, -1, p),
+    MoebiusLabel.OVER: lambda a, p: -a * pow(1 + a, -1, p) % p,
+    MoebiusLabel.CYC: lambda a, p: p - pow(1 + a, -1, p),
+    MoebiusLabel.CYC2: lambda a, p: -(1 + a) * pow(a, -1, p) % p,
+}
 
 
 class CurveSpec(FrozenRecord):
@@ -99,8 +107,8 @@ class CurveSpec(FrozenRecord):
         return f"C_gamma(p={p})/<R>"
 
 
-def normalize(alpha: int, beta: int, ctx: PrimeContext) -> CurveSpec:
-    """Canonical form of the two-exponent curve y^p = x^alpha (x-1)^beta.
+def normalized_exponent(alpha: int, beta: int, ctx: PrimeContext) -> int:
+    """The exponent of the canonical form of y^p = x^alpha (x-1)^beta.
 
     Rescaling the exponent pair by any unit gives an isomorphic curve, so
     (alpha, beta) reduces to (alpha beta^(-1), 1).  The pair is rejected
@@ -108,18 +116,24 @@ def normalize(alpha: int, beta: int, ctx: PrimeContext) -> CurveSpec:
     branched with order p over all three of 0, 1, oo).
     """
     p = ctx.p
-    for name, val in (("alpha", alpha), ("beta", beta)):
-        if not isinstance(val, int) or not 1 <= val <= p - 1:
-            raise OutOfRangeError(f"{name} = {val!r} not in {{1,...,{p - 1}}}")
+    if not (isinstance(alpha, int) and 0 < alpha < p):
+        raise OutOfRangeError(f"alpha = {alpha!r} not in {{1,...,{p - 1}}}")
+    if not (isinstance(beta, int) and 0 < beta < p):
+        raise OutOfRangeError(f"beta = {beta!r} not in {{1,...,{p - 1}}}")
     if (alpha + beta) % p == 0:
         raise DegenerateCurveError(
             f"alpha + beta = 0 mod {p}: the cyclic cover degenerates"
         )
-    exponent = alpha * ctx.inv(beta) % p
+    exponent = alpha * pow(beta, -1, p) % p
     # can't happen: alpha / beta is a unit, and it is -1 only when
     # alpha + beta = 0, which was refused above
-    assert ctx.in_X(exponent)
-    return CurveSpec(context=ctx, family=CurveFamily.P_GONAL, alpha=exponent)
+    assert 1 <= exponent <= p - 2
+    return exponent
+
+
+def normalize(alpha: int, beta: int, ctx: PrimeContext) -> CurveSpec:
+    """The curve C_a, a = :func:`normalized_exponent`, isomorphic to y^p = x^alpha (x-1)^beta."""
+    return CurveSpec(context=ctx, family=CurveFamily.P_GONAL, alpha=normalized_exponent(alpha, beta, ctx))
 
 
 def moebius_transport(alpha: int, label: MoebiusLabel, ctx: PrimeContext) -> int:
@@ -131,20 +145,9 @@ def moebius_transport(alpha: int, label: MoebiusLabel, ctx: PrimeContext) -> int
     transport(transport(a, f), g).
     """
     ctx.require_X(alpha)
-    p = ctx.p
-    if label is MoebiusLabel.ID:
-        return alpha
-    if label is MoebiusLabel.INV:
-        return (-(1 + alpha)) % p
-    if label is MoebiusLabel.ONE_MINUS:
-        return ctx.inv(alpha)
-    if label is MoebiusLabel.OVER:
-        return (-alpha * ctx.inv(1 + alpha)) % p
-    if label is MoebiusLabel.CYC:
-        return (-ctx.inv(1 + alpha)) % p
-    if label is MoebiusLabel.CYC2:
-        return (-ctx.inv(alpha) * (1 + alpha)) % p
-    raise OutOfRangeError(f"unknown Moebius label {label!r}")
+    if not isinstance(label, MoebiusLabel):
+        raise OutOfRangeError(f"unknown Moebius label {label!r}")
+    return MOEBIUS_TRANSPORT[label](alpha, ctx.p)
 
 
 def are_isomorphic(alpha1: int, alpha2: int, ctx: PrimeContext) -> bool:

@@ -72,7 +72,7 @@ class FixTable:
     domain.
     """
 
-    def __init__(self, group: Group, count_fn: Callable[[int], int], description: str):
+    def __init__(self, group: Group, count_fn, description: str):
         self.group = group
         self._count_fn = count_fn
         self._order = group.order

@@ -44,8 +44,6 @@ table is ever stored.  On that kernel:
 
 from __future__ import annotations
 
-from math import gcd
-
 from .errors import GroupMismatchError, InconsistentOrbifoldError, NoGammaError, OutOfRangeError
 from .orbits import PrimeContext
 from .records import FrozenRecord, set_field
@@ -145,7 +143,7 @@ class Group(FrozenRecord):
         or in <T>; an index outside the group raises."""
         return self.check_index(i) % (6 if self.gamma is None else 3) == 0
 
-    def left_mul(self, g: int, indices: Iterable[int]) -> list[int]:
+    def left_mul(self, g: int, indices: list[int] | tuple[int, ...] | range) -> list[int]:
         """Indices of g x for the elements x with the given indices; over
         ``range(order)``, the permutation of left multiplication by g.
 
@@ -175,7 +173,7 @@ class Group(FrozenRecord):
         """The index of g h."""
         return self.left_mul(g, (h,))[0]
 
-    def closure(self, generators: Iterable[int]) -> list[int]:
+    def closure(self, generators: list[int] | tuple[int, ...]) -> list[int]:
         """Indices of the subgroup the indexed elements generate, in order
         of discovery: the closure of {1} under left multiplication by each.
         For a single element g that is its powers 1, g, g^2, ..., so the
@@ -273,7 +271,7 @@ class Subgroup:
 
     __slots__ = ("group", "generators", "indices")
 
-    def __init__(self, group: Group, generators: Iterable[int], indices: Iterable[int]):
+    def __init__(self, group: Group, generators: list[int] | tuple[int, ...], indices: list[int] | tuple[int, ...] | range):
         self.group = group
         self.generators = tuple(generators)
         self.indices = tuple(sorted(indices))
@@ -307,7 +305,7 @@ class Subgroup:
 
 
 # bench/tracer.py looks this name up with getattr.
-def subgroup_closure(group: Group, generators: Iterable[int]) -> Subgroup:
+def subgroup_closure(group: Group, generators: list[int] | tuple[int, ...]) -> Subgroup:
     """The subgroup of the group that the indexed elements generate."""
     gens = tuple(generators)
     if not gens:
@@ -351,6 +349,12 @@ def pgonal_K(i: int, ctx: PrimeContext, gamma: int | None = None) -> Subgroup:
     return subgroup_closure(Group(p, g), [3 * ((i - 1) * (g * g - 1) % p) + 1])
 
 
+def gcd(a: int, b: int) -> int:
+    while b:
+        a, b = b, a % b
+    return a
+
+
 # bench/tracer.py looks this name up with getattr; only the tests call it otherwise.
 def all_cyclic_subgroups(group: Group) -> list[Subgroup]:
     """Every cyclic subgroup, including the trivial one, deduplicated.
@@ -377,7 +381,7 @@ def all_cyclic_subgroups(group: Group) -> list[Subgroup]:
 
 
 # bench/tracer.py looks this name up with getattr; only the tests call it otherwise.
-def left_cosets(k: Subgroup, universe: Iterable[int]):
+def left_cosets(k: Subgroup, universe: list[int] | tuple[int, ...] | range):
     """Left cosets gK for the indices g of the universe, in order of first
     appearance.
 
@@ -442,9 +446,9 @@ def square_matrix(s: int) -> tuple[int, int, int, int]:
     return (1 + a, b, c, 1 + d)
 
 
-def _positions(matrix: tuple[int, ...], p: int) -> Iterator[int]:
-    """The position of M x for each vector x = (m, n) of F_p^2, in order
-    of the position m p + n of x."""
+def _positions(matrix: tuple[int, ...], p: int):
+    """A generator of the position of M x for each vector x = (m, n) of
+    F_p^2, in order of the position m p + n of x."""
     a, b, c, d = matrix
     return (((a * m + b * n) % p) * p + (c * m + d * n) % p for m in range(p) for n in range(p))
 
@@ -547,7 +551,7 @@ class ClassData:
     def identity_index(self) -> int:
         return self.class_of[IDENTITY]
 
-    def class_counts(self, indices: Iterable[int]) -> dict[int, int]:
+    def class_counts(self, indices: list[int] | tuple[int, ...] | range) -> dict[int, int]:
         """Class number -> how many of the indexed elements lie in that
         class; over the elements of K, the numbers |C n K|."""
         counts: dict[int, int] = {}

@@ -14,6 +14,10 @@ and, crucially, under substituting any of the six Moebius maps f fixing
 That closure turns "is this map an automorphism of the curve" and every
 composition identity between the maps T, R, J into pure integer exponent
 arithmetic, with no polynomial algebra and no floating point anywhere.
+
+A monomial is the int tuple (sign, omega, a, b, d), normal when 0 <= d < p,
+and a self-map (x, y) -> (X, Y) of the curve the tuple (p, gamma, X, Y), X
+one of the six Moebius monomials; equal normal forms are equal tuples.
 """
 
 from __future__ import annotations
@@ -22,123 +26,81 @@ from .curves import MoebiusLabel
 from .errors import CheckFailedError, GroupMismatchError, NonMonomialError, OutOfRangeError
 from .groups import resolve_gamma
 from .orbits import PrimeContext
-from .records import FrozenRecord, set_field
+
+Monomial = tuple[int, int, int, int, int]
+Map = tuple[int, int, Monomial, Monomial]
 
 
-class MonomialFunction(FrozenRecord):
-    """sign * w^omega * x^a * (x-1)^b * y^d in normal form (0 <= d < p)."""
-
-    __slots__ = _fields = ("sign", "omega", "a", "b", "d")
-
-    def __init__(self, sign: int, omega: int, a: int, b: int, d: int):
-        set_field(self, "sign", sign)
-        set_field(self, "omega", omega)
-        set_field(self, "a", a)
-        set_field(self, "b", b)
-        set_field(self, "d", d)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a == other.a and self.b == other.b and self.d == other.d
-                and self.omega == other.omega and self.sign == other.sign)
-
-    def __hash__(self):
-        return hash((self.sign, self.omega, self.a, self.b, self.d))
-
-    def render(self) -> str:
-        parts = []
-        if self.omega:
-            parts.append(f"w^{self.omega}")
-        if self.a:
-            parts.append("x" if self.a == 1 else f"x^{self.a}")
-        if self.b:
-            parts.append("(x-1)" if self.b == 1 else f"(x-1)^{self.b}")
-        if self.d:
-            parts.append("y" if self.d == 1 else f"y^{self.d}")
-        body = "*".join(parts) if parts else "1"
-        return ("-" if self.sign < 0 else "") + body
+def render_monomial(f: Monomial) -> str:
+    sign, omega, a, b, d = f
+    parts = []
+    if omega:
+        parts.append(f"w^{omega}")
+    if a:
+        parts.append("x" if a == 1 else f"x^{a}")
+    if b:
+        parts.append("(x-1)" if b == 1 else f"(x-1)^{b}")
+    if d:
+        parts.append("y" if d == 1 else f"y^{d}")
+    body = "*".join(parts) if parts else "1"
+    return ("-" if sign < 0 else "") + body
 
 
-def make_monomial(sign: int, omega: int, a: int, b: int, d: int, p: int, gamma: int) -> MonomialFunction:
+def make_monomial(sign: int, omega: int, a: int, b: int, d: int, p: int, gamma: int) -> Monomial:
     """Normalize raw exponent data with the rewrite y^p = x^gamma (x-1)."""
     if sign not in (1, -1):
         raise OutOfRangeError(f"sign must be +-1, got {sign!r}")
     q, r = divmod(d, p)
-    return MonomialFunction(sign, omega % p, a + q * gamma, b + q, r)
+    return sign, omega % p, a + q * gamma, b + q, r
 
 
-def reduce(f: MonomialFunction, gamma: int, p: int) -> MonomialFunction:
-    """Normal form of f on the curve y^p = x^gamma (x-1)."""
-    return make_monomial(f.sign, f.omega, f.a, f.b, f.d, p, gamma)
+def mf_mul(f: Monomial, g: Monomial, p: int, gamma: int) -> Monomial:
+    return make_monomial(f[0] * g[0], f[1] + g[1], f[2] + g[2], f[3] + g[3], f[4] + g[4], p, gamma)
 
 
-def mf_mul(f: MonomialFunction, g: MonomialFunction, p: int, gamma: int) -> MonomialFunction:
-    return make_monomial(
-        f.sign * g.sign, f.omega + g.omega, f.a + g.a, f.b + g.b, f.d + g.d, p, gamma
-    )
-
-
-def mf_pow(f: MonomialFunction, e: int, p: int, gamma: int) -> MonomialFunction:
-    sign = f.sign if e % 2 else 1
-    return make_monomial(sign, f.omega * e, f.a * e, f.b * e, f.d * e, p, gamma)
-
-
-def _mono(sign: int, a: int, b: int) -> MonomialFunction:
-    return MonomialFunction(sign, 0, a, b, 0)
+def mf_pow(f: Monomial, e: int, p: int, gamma: int) -> Monomial:
+    sign, omega, a, b, d = f
+    return make_monomial(sign if e % 2 else 1, omega * e, a * e, b * e, d * e, p, gamma)
 
 
 # Monomial form of each Moebius map and of (map - 1); both are needed when
 # substituting into an expression containing x and (x - 1).
 MOEBIUS_MONOMIALS = {
-    MoebiusLabel.ID: (_mono(1, 1, 0), _mono(1, 0, 1)),
-    MoebiusLabel.INV: (_mono(1, -1, 0), _mono(-1, -1, 1)),
-    MoebiusLabel.ONE_MINUS: (_mono(-1, 0, 1), _mono(-1, 1, 0)),
-    MoebiusLabel.OVER: (_mono(1, 1, -1), _mono(1, 0, -1)),
-    MoebiusLabel.CYC: (_mono(-1, 0, -1), _mono(-1, 1, -1)),
-    MoebiusLabel.CYC2: (_mono(1, -1, 1), _mono(-1, -1, 0)),
+    MoebiusLabel.ID: ((1, 0, 1, 0, 0), (1, 0, 0, 1, 0)),
+    MoebiusLabel.INV: ((1, 0, -1, 0, 0), (-1, 0, -1, 1, 0)),
+    MoebiusLabel.ONE_MINUS: ((-1, 0, 0, 1, 0), (-1, 0, 1, 0, 0)),
+    MoebiusLabel.OVER: ((1, 0, 1, -1, 0), (1, 0, 0, -1, 0)),
+    MoebiusLabel.CYC: ((-1, 0, 0, -1, 0), (-1, 0, 1, -1, 0)),
+    MoebiusLabel.CYC2: ((1, 0, -1, 1, 0), (-1, 0, -1, 0, 0)),
 }
 
 _LABEL_OF_MONOMIAL = {mono: label for label, (mono, _) in MOEBIUS_MONOMIALS.items()}
 
 
-class MonomialMap(FrozenRecord):
-    """A self-map (x, y) -> (x_image, y_image) of the gamma curve.
-
-    The x-image must be one of the six Moebius monomials; the y-image is
-    any monomial.  Composition stays inside this set.
-    """
-
-    __slots__ = _fields = ("p", "gamma", "x_image", "y_image")
-
-    def __init__(self, p: int, gamma: int, x_image: MonomialFunction, y_image: MonomialFunction):
-        if x_image not in _LABEL_OF_MONOMIAL:
-            raise NonMonomialError(f"x-image {x_image!r} is not a Moebius monomial")
-        set_field(self, "p", p)
-        set_field(self, "gamma", gamma)
-        set_field(self, "x_image", x_image)
-        set_field(self, "y_image", y_image)
-
-    @property
-    def x_label(self) -> MoebiusLabel:
-        return _LABEL_OF_MONOMIAL[self.x_image]
-
-    def render(self) -> str:
-        return f"({self.x_image.render()}, {self.y_image.render()})"
+def x_label(m: Map) -> MoebiusLabel:
+    """The Moebius label of the map's x-image; NonMonomialError for any other."""
+    label = _LABEL_OF_MONOMIAL.get(m[2])
+    if label is None:
+        raise NonMonomialError(f"x-image {m[2]!r} is not a Moebius monomial")
+    return label
 
 
-def identity_map(p: int, gamma: int) -> MonomialMap:
-    return MonomialMap(p, gamma, _mono(1, 1, 0), MonomialFunction(1, 0, 0, 0, 1))
+def render_map(m: Map) -> str:
+    return f"({render_monomial(m[2])}, {render_monomial(m[3])})"
+
+
+def identity_map(p: int, gamma: int) -> Map:
+    return p, gamma, (1, 0, 1, 0, 0), (1, 0, 0, 0, 1)
 
 
 def _substitute(
-    f: MonomialFunction,
-    x_val: MonomialFunction,
-    x_minus_one: MonomialFunction,
-    y_val: MonomialFunction | None,
+    f: Monomial,
+    x_val: Monomial,
+    x_minus_one: Monomial,
+    y_val: Monomial | None,
     p: int,
     gamma: int,
-) -> MonomialFunction:
+) -> Monomial:
     """Evaluate f at x := X, y := Y (monomial in, monomial out), X = x_val
     and X - 1 = x_minus_one Moebius monomials, which carry no w and no y.
 
@@ -150,52 +112,59 @@ def _substitute(
     the powers one by one: the rewrite y^p = x^gamma (x-1) is additive and
     normal forms are canonical.
     """
-    a, b, d = f.a, f.b, f.d
-    sign = f.sign
+    sign, omega, a, b, d = f
+    xs, _, xa, xb, _ = x_val
+    ms, _, ma, mb, _ = x_minus_one
     if a & 1:
-        sign *= x_val.sign
+        sign *= xs
     if b & 1:
-        sign *= x_minus_one.sign
+        sign *= ms
     if not d:
-        return make_monomial(
-            sign, f.omega, a * x_val.a + b * x_minus_one.a, a * x_val.b + b * x_minus_one.b, 0, p, gamma
-        )
+        return make_monomial(sign, omega, a * xa + b * ma, a * xb + b * mb, 0, p, gamma)
     # can't happen: compose passes None only for an x image, and x
     # images never involve y
     assert y_val is not None
+    ys, yw, ya, yb, yd = y_val
     if d & 1:
-        sign *= y_val.sign
+        sign *= ys
     return make_monomial(
-        sign,
-        f.omega + d * y_val.omega,
-        a * x_val.a + b * x_minus_one.a + d * y_val.a,
-        a * x_val.b + b * x_minus_one.b + d * y_val.b,
-        d * y_val.d,
-        p,
-        gamma,
+        sign, omega + d * yw, a * xa + b * ma + d * ya, a * xb + b * mb + d * yb, d * yd, p, gamma
     )
 
 
-def compose(outer: MonomialMap, inner: MonomialMap) -> MonomialMap:
-    """outer after inner.  :class:`MonomialMap` re-checks that the x-part
-    stays in the Moebius set; leaving it would be a bug, not bad input."""
-    if (outer.p, outer.gamma) != (inner.p, inner.gamma):
-        raise GroupMismatchError(
-            f"map on (p={outer.p}, gamma={outer.gamma}) composed with (p={inner.p}, gamma={inner.gamma})"
-        )
-    p, gamma = outer.p, outer.gamma
-    x1 = inner.x_image
-    x1_minus_one = MOEBIUS_MONOMIALS[inner.x_label][1]
-    new_x = _substitute(outer.x_image, x1, x1_minus_one, None, p, gamma)
-    new_y = _substitute(outer.y_image, x1, x1_minus_one, inner.y_image, p, gamma)
-    return MonomialMap(p, gamma, new_x, new_y)
+def compose(outer: Map, inner: Map) -> Map:
+    """outer after inner.  The x-images of inner and of the result must be
+    Moebius monomials, which refuses any other one of outer too
+    (NonMonomialError); leaving the set would be a bug, not bad input."""
+    p, gamma, x, y = outer
+    q, g, x_val, y_val = inner
+    if q != p or g != gamma:
+        raise GroupMismatchError(f"map on (p={p}, gamma={gamma}) composed with (p={q}, gamma={g})")
+    x_minus_one = MOEBIUS_MONOMIALS[x_label(inner)][1]
+    new_x = _substitute(x, x_val, x_minus_one, None, p, gamma)
+    if new_x not in _LABEL_OF_MONOMIAL:
+        raise NonMonomialError(f"x-image {new_x!r} is not a Moebius monomial")
+    return p, gamma, new_x, _substitute(y, x_val, x_minus_one, y_val, p, gamma)
 
 
-def map_power(m: MonomialMap, e: int) -> MonomialMap:
+def moebius_table_gap(p: int) -> str | None:
+    """The first pair of labels (f, g) for which f after g, with g and
+    g - 1 substituted from MOEBIUS_MONOMIALS, is not the table's monomial
+    of f.compose(g); None when all 36 pairs agree.  A wrong monomial for g
+    shows in 1/g, a wrong one for g - 1 in 1 - g = -(g - 1)."""
+    for f, (fx, _) in MOEBIUS_MONOMIALS.items():
+        for g, (gx, g_minus_one) in MOEBIUS_MONOMIALS.items():
+            fg = _substitute(fx, gx, g_minus_one, None, p, 1)
+            label = f.compose(g)
+            if fg != MOEBIUS_MONOMIALS[label][0]:
+                return f"{f.name} after {g.name} gives {render_monomial(fg)}, not the monomial of {label.name}"
+    return None
+
+
+def map_power(m: Map, e: int) -> Map:
     if e < 0:
         raise OutOfRangeError("negative powers are expressed via the map's order")
-    result = identity_map(m.p, m.gamma)
-    base = m
+    result, base = identity_map(m[0], m[1]), m
     while e:
         if e & 1:
             result = compose(result, base)
@@ -204,28 +173,30 @@ def map_power(m: MonomialMap, e: int) -> MonomialMap:
     return result
 
 
-def build_T(ctx: PrimeContext, gamma: int | None = None) -> MonomialMap:
+def build_T(ctx: PrimeContext, gamma: int | None = None) -> Map:
     """T(x, y) = (x, w y), the deck transformation of the degree-p cover.
 
     T exists on every curve of the family; gamma here is the exponent of
     the curve carrying the map (defaulting to the gamma root, the one
     curve where T meets R).
     """
-    if gamma is None:
-        g = ctx.gamma
-    else:
+    if gamma is not None:
         ctx.require_X(gamma)
-        g = gamma
-    return MonomialMap(ctx.p, g, _mono(1, 1, 0), MonomialFunction(1, 1, 0, 0, 1))
+    return ctx.p, ctx.gamma if gamma is None else gamma, MOEBIUS_MONOMIALS[MoebiusLabel.ID][0], (1, 1, 0, 0, 1)
 
 
-def build_R(ctx: PrimeContext, gamma: int | None = None, epsilon: int | None = None) -> MonomialMap:
+def epsilon_rule(g: int) -> int:
+    """The sign parity of R on the curve of gamma = g: 1 for even g, else 2."""
+    return 1 if g % 2 == 0 else 2
+
+
+def build_R(ctx: PrimeContext, gamma: int | None = None, epsilon: int | None = None) -> Map:
     """The order-3 map R(x, y) = (1/(1-x), (-1)^eps x^((g^2+g+1)/p) / y^(g+1)).
 
     The exponent (g^2+g+1)/p is an exact integer because p divides
-    g^2+g+1.  The sign parity defaults to the rule "eps = 1 for even g,
-    else 2"; passing epsilon explicitly lets tests certify that exactly
-    one parity yields a curve automorphism.
+    g^2+g+1.  The sign parity defaults to :func:`epsilon_rule`; passing
+    epsilon explicitly lets tests certify that exactly one parity yields
+    a curve automorphism.
     """
     g = resolve_gamma(ctx, gamma)
     p = ctx.p
@@ -233,25 +204,19 @@ def build_R(ctx: PrimeContext, gamma: int | None = None, epsilon: int | None = N
     # can't happen: resolve_gamma only returns roots of g^2 + g + 1 mod p
     assert rem == 0
     if epsilon is None:
-        epsilon = 1 if g % 2 == 0 else 2
+        epsilon = epsilon_rule(g)
     if epsilon not in (1, 2):
         raise OutOfRangeError(f"epsilon must be 1 or 2, got {epsilon!r}")
     sign = -1 if epsilon % 2 else 1
-    y_image = make_monomial(sign, 0, quot, 0, -(g + 1), p, g)
-    return MonomialMap(p, g, MOEBIUS_MONOMIALS[MoebiusLabel.CYC][0], y_image)
+    return p, g, MOEBIUS_MONOMIALS[MoebiusLabel.CYC][0], make_monomial(sign, 0, quot, 0, -(g + 1), p, g)
 
 
-def build_J(ctx: PrimeContext) -> MonomialMap:
+def build_J(ctx: PrimeContext) -> Map:
     """The hyperelliptic involution J(x, y) = (1 - x, y) of the curve C_1."""
-    return MonomialMap(
-        ctx.p,
-        1,
-        MOEBIUS_MONOMIALS[MoebiusLabel.ONE_MINUS][0],
-        MonomialFunction(1, 0, 0, 0, 1),
-    )
+    return ctx.p, 1, MOEBIUS_MONOMIALS[MoebiusLabel.ONE_MINUS][0], (1, 0, 0, 0, 1)
 
 
-def verify_curve_automorphism(m: MonomialMap) -> bool:
+def verify_curve_automorphism(m: Map) -> bool:
     """Does the map preserve y^p = x^gamma (x-1)?
 
     Substituting, the images must satisfy the same relation:
@@ -259,14 +224,12 @@ def verify_curve_automorphism(m: MonomialMap) -> bool:
     forms.  Normal forms are canonical on the curve, so this comparison
     is exact.
     """
-    p, gamma = m.p, m.gamma
-    lhs = mf_pow(m.y_image, p, p, gamma)
-    x_minus_one = MOEBIUS_MONOMIALS[m.x_label][1]
-    rhs = mf_mul(mf_pow(m.x_image, gamma, p, gamma), x_minus_one, p, gamma)
-    return lhs == rhs
+    p, gamma, x, y = m
+    x_minus_one = MOEBIUS_MONOMIALS[x_label(m)][1]
+    return mf_pow(y, p, p, gamma) == mf_mul(mf_pow(x, gamma, p, gamma), x_minus_one, p, gamma)
 
 
-def word_map(word: Iterable[tuple[str, int]], ctx: PrimeContext, gamma: int | None = None) -> MonomialMap:
+def word_map(word: list[tuple[str, int]], ctx: PrimeContext, gamma: int | None = None) -> Map:
     """Compose a word in T and R, written left to right as functions
     (the rightmost letter acts first).  Exponents reduce mod the letter's
     order, so negative powers are fine."""
@@ -282,8 +245,8 @@ def word_map(word: Iterable[tuple[str, int]], ctx: PrimeContext, gamma: int | No
 
 
 def verify_relation(
-    lhs: Iterable[tuple[str, int]],
-    rhs: Iterable[tuple[str, int]],
+    lhs: list[tuple[str, int]],
+    rhs: list[tuple[str, int]],
     ctx: PrimeContext,
     gamma: int | None = None,
 ) -> bool:
@@ -291,25 +254,26 @@ def verify_relation(
     return word_map(lhs, ctx, gamma) == word_map(rhs, ctx, gamma)
 
 
-def conjugation_sweep(ctx: PrimeContext) -> Iterator[tuple[int, MonomialMap, MonomialMap]]:
-    """(l, T^(-l) R T^l, T^(l (gamma^2 - 1)) R) for l = 0, ..., p-1 and
-    ctx's gamma: both sides of the conjugation relation as maps, equal to
-    the :func:`word_map` of each word.
+def conjugation_sweep(ctx: PrimeContext):
+    """Yield (l, T^(-l) R T^l, T^(l (gamma^2 - 1)) R) for l = 0, ..., p-1
+    and ctx's gamma: both sides of the conjugation relation as maps, equal
+    to the :func:`word_map` of each word.
 
-    The powers of T are running products, each advanced by one
-    composition per step, so a step costs five compositions where two
-    :func:`verify_relation` words rebuild three powers through
-    :func:`map_power`.  The relation follows from R T = T^(gamma^2) R by
+    The powers of T and the right side are running products, each
+    advanced by one composition per step, so a step costs five
+    compositions where two :func:`verify_relation` words rebuild three
+    powers through :func:`map_power`.  The relation follows from R T = T^(gamma^2) R by
     induction on l, so comparing the sides tests the calculus itself:
     that composition is associative on normal forms, which are canonical.
     """
     p, g = ctx.p, ctx.gamma
     t, r = build_T(ctx), build_R(ctx)
     t_inv, t_shift = map_power(t, p - 1), map_power(t, (g * g - 1) % p)
-    pos = neg = shift = identity_map(p, g)
+    pos = neg = identity_map(p, g)
+    shifted = r
     for l in range(p):
-        yield l, compose(compose(neg, r), pos), compose(shift, r)
-        pos, neg, shift = compose(pos, t), compose(neg, t_inv), compose(shift, t_shift)
+        yield l, compose(compose(neg, r), pos), shifted
+        pos, neg, shifted = compose(pos, t), compose(neg, t_inv), compose(t_shift, shifted)
 
 
 def epsilon_parity_report(ctx: PrimeContext, gamma: int | None = None) -> dict:
@@ -324,9 +288,10 @@ def epsilon_parity_report(ctx: PrimeContext, gamma: int | None = None) -> dict:
             f"p = {ctx.p}, gamma = {g}: expected exactly one sign parity to preserve the curve,"
             f" got {passing}"
         )
+    rule = epsilon_rule(g)
     return {
         "gamma": g,
         "passing_epsilon": passing[0],
-        "rule_epsilon": 1 if g % 2 == 0 else 2,
-        "rule_matches": passing[0] == (1 if g % 2 == 0 else 2),
+        "rule_epsilon": rule,
+        "rule_matches": passing[0] == rule,
     }

@@ -25,7 +25,7 @@ from .records import Const, FrozenRecord, set_field
 # The largest p any command accepts.  Every step of orbits, decompose
 # and basic verify is O(p); at p = 100003 (p = 1 mod 3, the slower
 # residue) decompose --format json takes about 1-1.6 s and 81 MB, and
-# verify 10-13 s and 44 MB.  sweep and verify --depth full have lower
+# verify 3.3-4.1 s and 41 MB.  sweep and verify --depth full have lower
 # caps in cli.py.
 MAX_P = 100_003
 
@@ -83,11 +83,8 @@ class PrimeContext(FrozenRecord):
     def inv(self, a: int) -> int:
         return pow(a, -1, self.p)
 
-    def in_X(self, a: int) -> bool:
-        return 1 <= a <= self.p - 2
-
     def require_X(self, a: int) -> None:
-        if not isinstance(a, int) or not self.in_X(a):
+        if not isinstance(a, int) or not 1 <= a <= self.p - 2:
             raise OutOfRangeError(
                 f"{a!r} is not in X_p = {{1,...,{self.p - 2}}} for p = {self.p}"
             )
@@ -121,15 +118,28 @@ def make_context(p: int) -> PrimeContext:
     return PrimeContext(p=p, residue_class_mod_3=residue, gamma_pair=gamma_pair)
 
 
+# The generators of the S3 action on X_p, each a rule (a, inv, p) -> image
+# with inv(b) = b^(-1) mod p: U(a) = -(1 + a)^(-1) and V(a) = a^(-1).
+S3_GENERATORS = {
+    "U": lambda a, inv, p: p - inv(1 + a),
+    "V": lambda a, inv, p: inv(a),
+}
+
+
 def s3_apply(generator: str, alpha: int, ctx: PrimeContext) -> int:
     """Apply the generator U or V to alpha in X_p."""
     ctx.require_X(alpha)
-    p = ctx.p
-    if generator == "U":
-        return (-ctx.inv(1 + alpha)) % p
-    if generator == "V":
-        return ctx.inv(alpha)
-    raise OutOfRangeError(f"unknown generator {generator!r}, expected 'U' or 'V'")
+    if generator not in ("U", "V"):
+        raise OutOfRangeError(f"unknown generator {generator!r}, expected 'U' or 'V'")
+    return S3_GENERATORS[generator](alpha, ctx.inv, ctx.p)
+
+
+def s3_images(ctx: PrimeContext) -> tuple[list[int], list[int]]:
+    """Lists u, v of U(a) = u[a], V(a) = v[a] on X_p, in one pass over
+    :func:`inverse_table`; u and v are 0 at 0 and p-1, so images index both."""
+    p, inv = ctx.p, inverse_table(ctx.p).__getitem__
+    u, v = S3_GENERATORS["U"], S3_GENERATORS["V"]
+    return [0, *(u(a, inv, p) for a in range(1, p - 1)), 0], [0, *(v(a, inv, p) for a in range(1, p - 1)), 0]
 
 
 class OrbitClass(FrozenRecord):

@@ -13,14 +13,16 @@ The element objects (:class:`FermatAut`, :class:`PGonalAut`) carry a
 group law of their own, apart from the package's index kernel
 (``Group.left_mul``): they are the object-level oracle it is checked
 against, and :func:`index_of` reads an object's index off the canonical
-enumeration (:func:`canonical_elements`).
+enumeration (:func:`canonical_elements`).  Likewise the monomial records
+(:class:`MonomialFunction`, :class:`MonomialMap`) compose by a chain of
+normalized products, the oracle of the package's tuple calculus.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from fermatjac.errors import GroupMismatchError, NoGammaError, OutOfRangeError
+from fermatjac.errors import GroupMismatchError, NoGammaError, NonMonomialError, OutOfRangeError
 from fermatjac.genus import GeneratingTriple, fermat_axis_fix_table, fermat_genus, pgonal_fix_table, riemann_hurwitz
 from fermatjac.groups import (
     ACTION,
@@ -38,7 +40,7 @@ from fermatjac.groups import (
     resolve_gamma,
     subgroup_closure,
 )
-from fermatjac.monomial import MonomialFunction, mf_mul, mf_pow
+from fermatjac.monomial import MOEBIUS_MONOMIALS
 from fermatjac.orbits import make_context
 from fermatjac.records import FrozenRecord, set_field
 
@@ -376,6 +378,26 @@ def orbit_formula(alpha, p):
         (-inv[alpha % p] * (1 + alpha)) % p,
         (-alpha * inv[(1 + alpha) % p]) % p,
     }
+
+
+@lru_cache(maxsize=16)
+def _scanned_inverses(p):
+    return brute_inverse_table(p)
+
+
+def transport_formula(alpha, label_name, p):
+    """The exponent of the image of C_alpha under a Moebius map, by the
+    formula of each label, with inverses from the brute-force scan."""
+    inv = _scanned_inverses(p)
+    formulas = {
+        "ID": alpha,
+        "INV": -(1 + alpha),
+        "ONE_MINUS": inv[alpha],
+        "OVER": -alpha * inv[1 + alpha],
+        "CYC": -inv[1 + alpha],
+        "CYC2": -inv[alpha] * (1 + alpha),
+    }
+    return formulas[label_name] % p
 
 
 def moebius_eval(label_name, x):
@@ -815,16 +837,120 @@ def square_doubled_for_uv(s):
     return (k * (1 + a), k * b, k * c, k * (1 + d))
 
 
+# -- monomial records: the object-level oracle of the tuple calculus ----------
+#
+# The package writes a monomial as the int tuple (sign, omega, a, b, d) and
+# a map as (p, gamma, x-image, y-image).  These records are the same data as
+# objects, with a product, a power and a composition of their own: a
+# substitution is a chain of normalized powers and products.
+
+
+class MonomialFunction(FrozenRecord):
+    """sign * w^omega * x^a * (x-1)^b * y^d in normal form (0 <= d < p)."""
+
+    __slots__ = _fields = ("sign", "omega", "a", "b", "d")
+
+    def __init__(self, sign, omega, a, b, d):
+        set_field(self, "sign", sign)
+        set_field(self, "omega", omega)
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "d", d)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a == other.a and self.b == other.b and self.d == other.d
+                and self.omega == other.omega and self.sign == other.sign)
+
+    def __hash__(self):
+        return hash((self.sign, self.omega, self.a, self.b, self.d))
+
+
+def normal_form(sign, omega, a, b, d, p, gamma):
+    """The record of sign w^omega x^a (x-1)^b y^d with y^p = x^gamma (x-1)
+    used to bring d into [0, p)."""
+    q, r = divmod(d, p)
+    return MonomialFunction(sign, omega % p, a + q * gamma, b + q, r)
+
+
+def record_mul(f, g, p, gamma):
+    return normal_form(f.sign * g.sign, f.omega + g.omega, f.a + g.a, f.b + g.b, f.d + g.d, p, gamma)
+
+
+def record_pow(f, e, p, gamma):
+    return normal_form(f.sign if e % 2 else 1, f.omega * e, f.a * e, f.b * e, f.d * e, p, gamma)
+
+
+# label -> the records of the Moebius monomial and of (it - 1)
+MOEBIUS_RECORDS = {
+    label: (MonomialFunction(*x), MonomialFunction(*x_minus_one))
+    for label, (x, x_minus_one) in MOEBIUS_MONOMIALS.items()
+}
+_LABEL_OF_RECORD = {x: label for label, (x, _) in MOEBIUS_RECORDS.items()}
+
+
+class MonomialMap(FrozenRecord):
+    """A self-map (x, y) -> (x_image, y_image) of the gamma curve; the
+    x-image must be one of the six Moebius monomials."""
+
+    __slots__ = _fields = ("p", "gamma", "x_image", "y_image")
+
+    def __init__(self, p, gamma, x_image, y_image):
+        if x_image not in _LABEL_OF_RECORD:
+            raise NonMonomialError(f"x-image {x_image!r} is not a Moebius monomial")
+        set_field(self, "p", p)
+        set_field(self, "gamma", gamma)
+        set_field(self, "x_image", x_image)
+        set_field(self, "y_image", y_image)
+
+    @property
+    def x_label(self):
+        return _LABEL_OF_RECORD[self.x_image]
+
+
+def record_of(m):
+    """The record of a package map tuple (p, gamma, x-image, y-image)."""
+    p, gamma, x, y = m
+    return MonomialMap(p, gamma, MonomialFunction(*x), MonomialFunction(*y))
+
+
 def substitute_by_chain(f, x_val, x_minus_one, y_val, p, gamma):
     """f(x := X, y := Y) as a chain of normalized products: the sign and
     w-part of f, times X^a, times (X - 1)^b, times Y^d, each power and
     product put in normal form on its own."""
     out = MonomialFunction(f.sign, f.omega % p, 0, 0, 0)
-    out = mf_mul(out, mf_pow(x_val, f.a, p, gamma), p, gamma)
-    out = mf_mul(out, mf_pow(x_minus_one, f.b, p, gamma), p, gamma)
+    out = record_mul(out, record_pow(x_val, f.a, p, gamma), p, gamma)
+    out = record_mul(out, record_pow(x_minus_one, f.b, p, gamma), p, gamma)
     if f.d:
-        out = mf_mul(out, mf_pow(y_val, f.d, p, gamma), p, gamma)
+        out = record_mul(out, record_pow(y_val, f.d, p, gamma), p, gamma)
     return out
+
+
+def record_compose(outer, inner):
+    """outer after inner, each image substituted by the chain."""
+    if (outer.p, outer.gamma) != (inner.p, inner.gamma):
+        raise GroupMismatchError(f"cannot compose {outer!r} with {inner!r}")
+    p, gamma = outer.p, outer.gamma
+    x, x_minus_one = MOEBIUS_RECORDS[inner.x_label]
+    return MonomialMap(
+        p,
+        gamma,
+        substitute_by_chain(outer.x_image, x, x_minus_one, None, p, gamma),
+        substitute_by_chain(outer.y_image, x, x_minus_one, inner.y_image, p, gamma),
+    )
+
+
+def record_word(word, t, r):
+    """The record map of a word in T and R (rightmost letter first), each
+    power a run of single compositions, exponents reduced mod p and 3."""
+    p, gamma = t.p, t.gamma
+    m = MonomialMap(p, gamma, MonomialFunction(1, 0, 1, 0, 0), MonomialFunction(1, 0, 0, 0, 1))
+    for letter, exp in word:
+        base, modulus = {"T": (t, p), "R": (r, 3)}[letter]
+        for _ in range(exp % modulus):
+            m = record_compose(m, base)
+    return m
 
 
 def parse(text):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from fermatjac.curves import (
+    MOEBIUS_TRANSPORT,
     CurveFamily,
     CurveSpec,
     MoebiusLabel,
@@ -10,12 +11,13 @@ from fermatjac.curves import (
     genus_of,
     moebius_transport,
     normalize,
+    normalized_exponent,
     quotient_to_curve,
 )
 from fermatjac.errors import DegenerateCurveError, NoGammaError, OutOfRangeError
 from fermatjac.orbits import make_context, orbit
 
-from helpers import INF, brute_inverse_table, moebius_eval, sweep_primes
+from helpers import INF, brute_inverse_table, moebius_eval, sweep_primes, transport_formula
 
 LABELS = list(MoebiusLabel)
 
@@ -171,3 +173,45 @@ def test_quotient_to_curve():
         assert quotient_to_curve(j, ctx7).alpha == normalize(raw, 1, ctx7).alpha
     with pytest.raises(OutOfRangeError):
         quotient_to_curve(6, ctx7)
+
+
+SAMPLES = [Fraction(2), Fraction(3), Fraction(1, 2), Fraction(-5, 3), INF, Fraction(0), Fraction(1)]
+
+
+@pytest.mark.parametrize("p", sweep_primes(61))
+def test_transport_table_and_compose_table_match_the_formulas(p):
+    """One transport rule per label, and the 6 x 6 compose table, against
+    the formulas: each rule is its label's formula on all of X_p, and for
+    all 36 pairs the table entry is the composed permutation, evaluates as
+    the composed Moebius map and transports contravariantly."""
+    ctx = make_context(p)
+    assert list(MOEBIUS_TRANSPORT) == LABELS
+    for lab in LABELS:
+        for a in range(1, p - 1):
+            assert moebius_transport(a, lab, ctx) == transport_formula(a, lab.name, p)
+    for f in LABELS:
+        for g in LABELS:
+            fg = f.compose(g)
+            assert fg.perm == tuple(f.perm[i] for i in g.perm)
+            for x in SAMPLES:
+                assert moebius_eval(fg.name, x) == moebius_eval(f.name, moebius_eval(g.name, x))
+            for a in range(1, p - 1):
+                assert transport_formula(a, fg.name, p) == transport_formula(transport_formula(a, f.name, p), g.name, p)
+    for bad in ("ID", ["ID"], None):
+        with pytest.raises(OutOfRangeError, match="unknown Moebius label"):
+            moebius_transport(1, bad, ctx)
+
+
+@pytest.mark.parametrize("p", (5, 7, 11, 13, 61))
+def test_normalized_exponent_is_the_normalized_curve(p):
+    ctx = make_context(p)
+    for a in range(1, p):
+        for b in range(1, p):
+            if (a + b) % p:
+                assert normalize(a, b, ctx) == CurveSpec(ctx, CurveFamily.P_GONAL, normalized_exponent(a, b, ctx))
+            else:
+                with pytest.raises(DegenerateCurveError):
+                    normalized_exponent(a, b, ctx)
+    for bad in ((0, 1), (1, p), (1.0, 1), (2, "1")):
+        with pytest.raises(OutOfRangeError):
+            normalized_exponent(*bad, ctx)

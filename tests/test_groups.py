@@ -15,6 +15,7 @@ from fermatjac.groups import (
     fermat_H,
     fermat_Hj,
     fermat_order,
+    gcd,
     left_cosets,
     pgonal_K,
     s3_stable_lines,
@@ -392,3 +393,11 @@ def test_all_cyclic_subgroups_p5():
     # element orders partition consistently: 3p order-2, 2p^2 order-3
     assert orders.count(2) == 15
     assert orders.count(3) == 25  # p^2 subgroups of order 3
+
+
+def test_euclid_gcd_is_math_gcd():
+    import math
+
+    for a in range(60):
+        for b in range(60):
+            assert gcd(a, b) == math.gcd(a, b), (a, b)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermatjac.curves import MoebiusLabel
 from fermatjac import monomial as monomial_module
@@ -13,8 +15,6 @@ from fermatjac.errors import (
 )
 from fermatjac.monomial import (
     MOEBIUS_MONOMIALS,
-    MonomialFunction,
-    MonomialMap,
     build_J,
     build_R,
     build_T,
@@ -24,40 +24,53 @@ from fermatjac.monomial import (
     identity_map,
     make_monomial,
     map_power,
+    moebius_table_gap,
     mf_mul,
     mf_pow,
-    reduce,
+    render_map,
+    render_monomial,
     verify_curve_automorphism,
     verify_relation,
     word_map,
+    x_label,
 )
 from fermatjac.orbits import make_context
 
-from helpers import pgonal_elements, run_under_O, substitute_by_chain
+from helpers import (
+    MonomialFunction,
+    pgonal_elements,
+    primes_upto,
+    record_of,
+    record_word,
+    run_under_O,
+    substitute_by_chain,
+)
+
+Y = (1, 0, 0, 0, 1)  # the monomial y
 
 
 def test_reduce_curve_relation():
     # y^p -> x^gamma (x-1) at p = 7, gamma = 2
-    f = reduce(MonomialFunction(1, 0, 0, 0, 7), gamma=2, p=7)
-    assert f == MonomialFunction(1, 0, 2, 1, 0)
+    f = make_monomial(1, 0, 0, 0, 7, p=7, gamma=2)
+    assert f == (1, 0, 2, 1, 0)
     # already normal: unchanged
-    g = MonomialFunction(-1, 3, 2, -1, 4)
-    assert reduce(g, gamma=2, p=7) == g
+    g = (-1, 3, 2, -1, 4)
+    assert make_monomial(*g, p=7, gamma=2) == g
     # y^9 -> x^2 (x-1) y^2
-    h = reduce(MonomialFunction(1, 0, 0, 0, 9), gamma=2, p=7)
-    assert h == MonomialFunction(1, 0, 2, 1, 2)
+    h = make_monomial(1, 0, 0, 0, 9, p=7, gamma=2)
+    assert h == (1, 0, 2, 1, 2)
 
 
 def test_reduce_negative_y_exponent():
     # y^(-3) = x^(-2) (x-1)^(-1) y^4 on the p = 7, gamma = 2 curve
     f = make_monomial(1, 0, 0, 0, -3, p=7, gamma=2)
-    assert f == MonomialFunction(1, 0, -2, -1, 4)
+    assert f == (1, 0, -2, -1, 4)
 
 
 def test_multiplication_commutative_associative():
     p, gamma = 7, 2
     grid = [
-        MonomialFunction(s, w, a, b, d)
+        (s, w, a, b, d)
         for s in (1, -1)
         for w in (0, 3)
         for a in (-2, 0, 1)
@@ -75,30 +88,27 @@ def test_multiplication_commutative_associative():
 
 def test_mf_pow_matches_repeated_mul():
     p, gamma = 13, 3
-    f = MonomialFunction(-1, 2, 1, -1, 5)
-    acc = MonomialFunction(1, 0, 0, 0, 0)
+    f = (-1, 2, 1, -1, 5)
+    acc = (1, 0, 0, 0, 0)
     for e in range(1, 8):
         acc = mf_mul(acc, f, p, gamma)
         assert mf_pow(f, e, p, gamma) == acc
     inv = mf_pow(f, -1, p, gamma)
-    assert mf_mul(f, inv, p, gamma) == MonomialFunction(1, 0, 0, 0, 0)
+    assert mf_mul(f, inv, p, gamma) == (1, 0, 0, 0, 0)
 
 
 def test_moebius_monomials_closed_under_substitution():
     """Substituting any Moebius monomial into any other stays in the set."""
     p, gamma = 7, 2
-    maps = {
-        label: MonomialMap(p, gamma, mono, MonomialFunction(1, 0, 0, 0, 1))
-        for label, (mono, _) in MOEBIUS_MONOMIALS.items()
-    }
+    maps = {label: (p, gamma, mono, Y) for label, (mono, _) in MOEBIUS_MONOMIALS.items()}
     for f in maps.values():
         for g in maps.values():
             composed = compose(f, g)  # would raise NonMonomialError on escape
-            assert composed.x_image in {m for m, _ in MOEBIUS_MONOMIALS.values()}
+            assert composed[2] in {m for m, _ in MOEBIUS_MONOMIALS.values()}
     # the label of the composed x-part matches label composition
     for lf, f in maps.items():
         for lg, g in maps.items():
-            assert compose(f, g).x_label is lf.compose(lg)
+            assert x_label(compose(f, g)) is lf.compose(lg)
 
 
 def test_moebius_minus_one_table():
@@ -109,10 +119,11 @@ def test_moebius_minus_one_table():
     vals = {}
     for label, (mono, minus_one) in MOEBIUS_MONOMIALS.items():
         def ev(m):
-            total = m.sign % p
-            total = total * pow(x, m.a, p) if m.a >= 0 else total * pow(pow(x, -1, p), -m.a, p)
+            sign, _, a, b, _ = m
+            total = sign % p
+            total = total * pow(x, a, p) if a >= 0 else total * pow(pow(x, -1, p), -a, p)
             xm1 = (x - 1) % p
-            total = total * pow(xm1, m.b, p) if m.b >= 0 else total * pow(pow(xm1, -1, p), -m.b, p)
+            total = total * pow(xm1, b, p) if b >= 0 else total * pow(pow(xm1, -1, p), -b, p)
             return total % p
         vals[label] = (ev(mono), ev(minus_one))
     for label, (fx, fx_minus_1) in vals.items():
@@ -138,25 +149,24 @@ def test_compose_flavor_guard():
 
 def test_build_T():
     t = build_T(make_context(7))
-    assert t.x_image == MonomialFunction(1, 0, 1, 0, 0)
-    assert t.y_image == MonomialFunction(1, 1, 0, 0, 1)
-    assert t.render() == "(x, w^1*y)"
+    assert t == (7, 2, (1, 0, 1, 0, 0), (1, 1, 0, 0, 1))
+    assert render_map(t) == "(x, w^1*y)"
 
 
 def test_build_R_p7():
     # gamma = 2 even, epsilon = 1, (gamma^2+gamma+1)/p = 1:
     # R = (1/(1-x), -x/y^3), normalized y-image -x^(-1)(x-1)^(-1) y^4
     r = build_R(make_context(7))
-    assert r.x_label is MoebiusLabel.CYC
-    assert r.y_image == MonomialFunction(-1, 0, -1, -1, 4)
-    assert r.render() == "(-(x-1)^-1, -x^-1*(x-1)^-1*y^4)"
+    assert x_label(r) is MoebiusLabel.CYC
+    assert r[3] == (-1, 0, -1, -1, 4)
+    assert render_map(r) == "(-(x-1)^-1, -x^-1*(x-1)^-1*y^4)"
 
 
 def test_build_R_p13():
     # gamma = 3 odd, epsilon = 2: R = (1/(1-x), x/y^4)
     r = build_R(make_context(13))
-    assert r.y_image.sign == 1
-    assert r.y_image == MonomialFunction(1, 0, 1 - 3, -1, 9)
+    assert r[3][0] == 1
+    assert r[3] == (1, 0, 1 - 3, -1, 9)
     assert verify_curve_automorphism(r)
 
 
@@ -231,6 +241,13 @@ def test_conjugation_sweep_matches_verify_relation(p):
     assert ls == list(range(p))
 
 
+def by_chain(f, x_val, x_minus_one, y_val, p, gamma):
+    """substitute_by_chain on the records of tuple monomials, as a tuple."""
+    records = [None if m is None else MonomialFunction(*m) for m in (f, x_val, x_minus_one, y_val)]
+    out = substitute_by_chain(*records, p, gamma)
+    return out.sign, out.omega, out.a, out.b, out.d
+
+
 @pytest.mark.parametrize("p", (7, 13, 19, 31))
 def test_one_step_substitution_matches_the_chain(p):
     """_substitute normalizes once; the chain normalizes every power and
@@ -240,7 +257,7 @@ def test_one_step_substitution_matches_the_chain(p):
     rng = random.Random(p)
 
     def monomial(d_range):
-        return MonomialFunction(
+        return (
             rng.choice((1, -1)), rng.randrange(-3 * p, 3 * p), rng.randrange(-40, 40),
             rng.randrange(-40, 40), rng.randrange(*d_range),
         )
@@ -248,9 +265,9 @@ def test_one_step_substitution_matches_the_chain(p):
     for _ in range(400):
         f, y = monomial((-3 * p, 3 * p)), monomial((-3 * p, 3 * p))
         x, x_minus_one = rng.choice(list(MOEBIUS_MONOMIALS.values()))
-        assert monomial_module._substitute(f, x, x_minus_one, y, p, g) == substitute_by_chain(f, x, x_minus_one, y, p, g)
+        assert monomial_module._substitute(f, x, x_minus_one, y, p, g) == by_chain(f, x, x_minus_one, y, p, g)
         f = monomial((0, 1))
-        assert monomial_module._substitute(f, x, x_minus_one, None, p, g) == substitute_by_chain(f, x, x_minus_one, None, p, g)
+        assert monomial_module._substitute(f, x, x_minus_one, None, p, g) == by_chain(f, x, x_minus_one, None, p, g)
 
 
 @pytest.mark.parametrize("p", (7, 13, 19, 31))
@@ -260,7 +277,7 @@ def test_one_step_substitution_matches_the_chain_in_the_sweep(monkeypatch, p):
 
     def both(*args):
         out = real(*args)
-        assert out == substitute_by_chain(*args), args
+        assert out == by_chain(*args), args
         calls.append(out)
         return out
 
@@ -299,19 +316,27 @@ def test_generated_map_y_exponents():
     for k in range(7):
         for e in range(3):
             m = compose(map_power(t, k), map_power(r, e))
-            d = m.y_image.d
+            d = m[3][4]
             assert d == 0 or d % 7 != 0
 
 
 def test_monomial_map_rejects_bad_x_image():
+    # x^2 is no Moebius monomial: refused as either side of a composition,
+    # and wherever the label of the x-image is read
+    bad, ident = (7, 2, (1, 0, 2, 0, 0), Y), identity_map(7, 2)
+    for outer, inner in ((bad, ident), (ident, bad), (bad, bad)):
+        with pytest.raises(NonMonomialError, match="not a Moebius monomial"):
+            compose(outer, inner)
     with pytest.raises(NonMonomialError):
-        MonomialMap(7, 2, MonomialFunction(1, 0, 2, 0, 0), MonomialFunction(1, 0, 0, 0, 1))
+        verify_curve_automorphism(bad)
+    with pytest.raises(NonMonomialError):
+        x_label((7, 2, Y, Y))
 
 
 def test_render_strings():
-    assert MonomialFunction(1, 0, 0, 0, 0).render() == "1"
-    assert MonomialFunction(-1, 0, 0, 0, 0).render() == "-1"
-    assert MonomialFunction(-1, 2, -1, 3, 1).render() == "-w^2*x^-1*(x-1)^3*y"
+    assert render_monomial((1, 0, 0, 0, 0)) == "1"
+    assert render_monomial((-1, 0, 0, 0, 0)) == "-1"
+    assert render_monomial((-1, 2, -1, 3, 1)) == "-w^2*x^-1*(x-1)^3*y"
 
 
 @pytest.mark.parametrize("verdict, passing", ((True, "[1, 2]"), (False, "[]")))
@@ -336,3 +361,60 @@ def test_epsilon_parity_fails_verify_under_python_O(verdict):
     assert "Traceback" not in run.stderr
     if verdict:
         assert "expected exactly one sign parity to preserve the curve, got [1, 2]" in run.stdout
+
+
+# -- the tuple calculus against the records ---------------------------------
+
+GAMMA_PRIMES = [p for p in primes_upto(61) if p % 3 == 1]
+WORDS = st.lists(st.tuples(st.sampled_from("TR"), st.integers(-70, 70)), max_size=5)
+
+
+@pytest.mark.parametrize("p", GAMMA_PRIMES)
+@settings(max_examples=20, deadline=None)
+@given(word=WORDS, root=st.sampled_from((0, 1)))
+def test_words_in_T_and_R_match_the_records(p, word, root):
+    """A word composed by the tuple calculus (square-and-multiply powers,
+    one-step substitutions) is the word composed by the records (one
+    composition per letter power, substitutions as chains of products)."""
+    ctx = make_context(p)
+    g = ctx.gamma_pair[root]
+    t, r = record_of(build_T(ctx, g)), record_of(build_R(ctx, g))
+    assert record_of(word_map(word, ctx, g)) == record_word(word, t, r)
+
+
+@pytest.mark.parametrize("p", GAMMA_PRIMES)
+def test_conjugation_sweep_matches_the_records(p):
+    ctx = make_context(p)
+    g = ctx.gamma
+    t, r = record_of(build_T(ctx)), record_of(build_R(ctx))
+    for l, lhs, rhs in conjugation_sweep(ctx):
+        assert record_of(lhs) == record_word([("T", -l), ("R", 1), ("T", l)], t, r)
+        assert record_of(rhs) == record_word([("T", l * (g * g - 1)), ("R", 1)], t, r)
+
+
+def test_compose_keeps_the_refusals():
+    ctx7, ctx13 = make_context(7), make_context(13)
+    t7 = build_T(ctx7)
+    with pytest.raises(GroupMismatchError):
+        compose(t7, build_T(ctx7, gamma=3))  # another curve at the same p
+    with pytest.raises(GroupMismatchError):
+        compose(build_T(ctx13), t7)
+    # a sign other than +-1 is refused wherever a normal form is made
+    with pytest.raises(OutOfRangeError, match="sign must be"):
+        compose((7, 2, (1, 0, 1, 0, 0), (2, 0, 0, 0, 1)), t7)
+    with pytest.raises(OutOfRangeError, match="sign must be"):
+        make_monomial(0, 0, 0, 0, 0, 7, 2)
+
+
+def test_moebius_table_gap_catches_every_sign_flip(monkeypatch):
+    """The table composes as the labels do; flipping the sign of any one
+    of its twelve monomials breaks some pair."""
+    assert moebius_table_gap(7) is None
+    for label, entry in list(MOEBIUS_MONOMIALS.items()):
+        for i in (0, 1):
+            sign, *rest = entry[i]
+            wrong = list(entry)
+            wrong[i] = (-sign, *rest)
+            monkeypatch.setitem(MOEBIUS_MONOMIALS, label, tuple(wrong))
+            assert moebius_table_gap(7) is not None, (label, i)
+            monkeypatch.undo()

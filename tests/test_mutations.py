@@ -1,0 +1,102 @@
+"""A mutation slice of the basic checks: each plausible wrong fact must
+make ``verify`` exit 4 and name the check that catches it.
+
+The facts are the ones the basic checks read off tables and rules: a
+Moebius label's transport formula, an entry of MOEBIUS_MONOMIALS, the one
+pass that applies U and V to X_p, the epsilon rule and the maps T and J.
+Each mutation is applied with a monkeypatch, in process and under
+``python -O`` (where no assert is left to catch it).  p = 13 has a gamma
+root; p = 11 has none, so there only J and T stand for the monomial
+calculus and the epsilon rule is never read.
+"""
+
+import pytest
+
+from fermatjac import cli, curves, monomial
+from fermatjac.curves import MoebiusLabel
+
+from helpers import run_under_O
+
+REAL_IMAGES, REAL_RULE = cli.s3_images, monomial.epsilon_rule
+REAL_T, REAL_J = monomial.build_T, monomial.build_J
+
+
+def _flip_y(m):
+    """The map with the sign of its y-image flipped."""
+    p, gamma, x, (sign, omega, a, b, d) = m
+    return p, gamma, x, (-sign, omega, a, b, d)
+
+
+def _wrong_formula(mp):
+    # x/(x-1) transported as 1/(1-x)
+    mp.setitem(curves.MOEBIUS_TRANSPORT, MoebiusLabel.OVER, curves.MOEBIUS_TRANSPORT[MoebiusLabel.CYC])
+
+
+def _wrong_monomial(mp):
+    # x/(x-1) - 1 = 1/(x-1), entered as -1/(x-1)
+    x, (sign, omega, a, b, d) = monomial.MOEBIUS_MONOMIALS[MoebiusLabel.OVER]
+    mp.setitem(monomial.MOEBIUS_MONOMIALS, MoebiusLabel.OVER, (x, (-sign, omega, a, b, d)))
+
+
+def _swapped_images(mp):
+    mp.setattr(cli, "s3_images", lambda ctx: REAL_IMAGES(ctx)[::-1])
+
+
+def _flipped_epsilon(mp):
+    mp.setattr(monomial, "epsilon_rule", lambda g: 3 - REAL_RULE(g))
+
+
+def _T_with_minus_sign(mp):
+    mp.setattr(monomial, "build_T", lambda ctx, gamma=None: _flip_y(REAL_T(ctx, gamma)))
+
+
+def _T_is_the_identity(mp):
+    mp.setattr(monomial, "build_T", lambda ctx, gamma=None: monomial.identity_map(*REAL_T(ctx, gamma)[:2]))
+
+
+def _J_with_minus_sign(mp):
+    mp.setattr(monomial, "build_J", lambda ctx: _flip_y(REAL_J(ctx)))
+
+
+# name -> (the mutation, the check that must fail, the primes it must fail at)
+MUTATIONS = {
+    "moebius-formula": (_wrong_formula, "moebius-transport", (11, 13)),
+    "moebius-monomial": (_wrong_monomial, "monomial-relations", (11, 13)),
+    "s3-images-swapped": (_swapped_images, "s3-relations", (11, 13)),
+    "epsilon-flipped": (_flipped_epsilon, "monomial-relations", (13,)),
+    "T-sign": (_T_with_minus_sign, "monomial-relations", (11, 13)),
+    "T-identity": (_T_is_the_identity, "monomial-relations", (11, 13)),
+    "J-sign": (_J_with_minus_sign, "monomial-relations", (11, 13)),
+}
+CASES = [(name, p) for name, (_, _, primes) in MUTATIONS.items() for p in primes]
+
+
+@pytest.mark.parametrize("name, p", CASES)
+def test_mutation_fails_verify(monkeypatch, capsys, name, p):
+    mutate, check, _ = MUTATIONS[name]
+    mutate(monkeypatch)
+    assert cli.main(["verify", "--p", str(p)]) == 4
+    out, err = capsys.readouterr()
+    assert f"FAIL {check}: p = {p}: " in out
+    assert err == f"verification failed at check: {check}\n"
+
+
+@pytest.mark.parametrize("name, p", CASES)
+def test_mutation_fails_verify_under_python_O(name, p):
+    check = MUTATIONS[name][1]
+    run = run_under_O(
+        "import pytest\n"
+        "from fermatjac import cli\n"
+        "from test_mutations import MUTATIONS\n"
+        f"MUTATIONS[{name!r}][0](pytest.MonkeyPatch())\n"
+        f"sys.exit(cli.main(['verify', '--p', '{p}']))\n"
+    )
+    assert run.returncode == 4, run.stdout + run.stderr
+    assert f"FAIL {check}: p = {p}: " in run.stdout
+    assert "Traceback" not in run.stderr
+
+
+def test_epsilon_rule_is_not_read_without_a_gamma_root(monkeypatch, capsys):
+    _flipped_epsilon(monkeypatch)
+    assert cli.main(["verify", "--p", "11"]) == 0
+    assert "FAIL" not in capsys.readouterr().out

@@ -11,6 +11,7 @@ from fermatjac.orbits import (
     orbit,
     orbit_partition,
     s3_apply,
+    s3_images,
 )
 
 from helpers import brute_inverse_table, orbit_formula, run_under_O, sweep_primes
@@ -81,6 +82,9 @@ def test_s3_apply_out_of_range():
     for bad in (0, 6, 7, -1):
         with pytest.raises(OutOfRangeError):
             s3_apply("U", bad, ctx)
+    for bad in ("W", ["U"], None):
+        with pytest.raises(OutOfRangeError, match="unknown generator"):
+            s3_apply(bad, 1, ctx)
 
 
 @pytest.mark.parametrize("p", sweep_primes(199))
@@ -208,9 +212,28 @@ def test_broken_orbit_closure_fails_verify_under_python_O():
     # what the orbit-partition-laws check holds it against
     run = run_under_O(
         "from fermatjac import cli, orbits\n"
-        "cli.s3_apply = lambda name, a, ctx: a % (ctx.p - 2) + 1\n"
+        "orbits.S3_GENERATORS.update(U=lambda a, inv, p: a % (p - 2) + 1, V=lambda a, inv, p: a % (p - 2) + 1)\n"
         "sys.exit(cli.main(['verify', '--p', '7']))\n"
     )
     assert run.returncode == 4, run.stdout + run.stderr
     assert "FAIL orbit-partition-laws: p = 7: U(1) = 2 leaves the orbit (1, 3, 5)" in run.stdout
     assert "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize("p", sweep_primes(61))
+def test_shared_images_match_the_orbit_closures(p):
+    """The one pass of U and V over X_p gives s3_apply's images, and the
+    closure of each point under the listed images is its orbit()."""
+    ctx = make_context(p)
+    u, v = s3_images(ctx)
+    assert len(u) == len(v) == p and u[0] == v[0] == u[p - 1] == v[p - 1] == 0
+    for a in range(1, p - 1):
+        assert (u[a], v[a]) == (s3_apply("U", a, ctx), s3_apply("V", a, ctx))
+        seen, frontier = {a}, [a]
+        while frontier:
+            b = frontier.pop()
+            for image in (u[b], v[b]):
+                if image not in seen:
+                    seen.add(image)
+                    frontier.append(image)
+        assert tuple(sorted(seen)) == orbit(a, ctx).elements

@@ -31,7 +31,7 @@ from fermatjac.decompose import (
 from fermatjac.errors import NoGammaError, NonMonomialError, OutOfRangeError
 from fermatjac.genus import GeneratingTriple, find_generating_triple
 from fermatjac.groups import Group
-from fermatjac.monomial import MonomialFunction, MonomialMap, build_R, build_T
+from fermatjac.monomial import build_R, build_T
 from fermatjac.orbits import (
     OrbitClass,
     OrbitKind,
@@ -42,7 +42,7 @@ from fermatjac.orbits import (
     orbit_partition,
 )
 
-from helpers import FermatAut, PGonalAut
+from helpers import FermatAut, MonomialFunction, MonomialMap, PGonalAut, record_of
 
 C5 = "PrimeContext(p=5, residue_class_mod_3=2, gamma_pair=None)"
 C7 = "PrimeContext(p=7, residue_class_mod_3=1, gamma_pair=(2, 4))"
@@ -130,8 +130,8 @@ CASES = [
         MonomialMap,
         ("p", "gamma", "x_image", "y_image"),
         True,
-        lambda: build_T(make_context(7)),
-        lambda: build_R(make_context(7)),
+        lambda: record_of(build_T(make_context(7))),
+        lambda: record_of(build_R(make_context(7))),
         "MonomialMap(p=7, gamma=2, x_image=MonomialFunction(sign=1, omega=0, a=1, b=0, d=0),"
         " y_image=MonomialFunction(sign=1, omega=1, a=0, b=0, d=1))",
     ),

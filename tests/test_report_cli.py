@@ -474,10 +474,10 @@ def test_basic_check_fails_under_python_O():
 
     script = (
         "import sys\n"
-        "from fermatjac import cli\n"
+        "from fermatjac import cli, orbits\n"
         "if not sys.flags.optimize:\n"
         "    sys.exit(99)\n"
-        "cli.s3_apply = lambda name, a, ctx: (a + 1) % ctx.p\n"
+        "orbits.S3_GENERATORS.update(U=lambda a, inv, p: (a + 1) % p, V=lambda a, inv, p: (a + 1) % p)\n"
         "sys.exit(cli.main(['verify', '--p', '7']))\n"
     )
     src = str(Path(fermatjac.__file__).resolve().parents[1])
@@ -522,9 +522,10 @@ def test_cli_imports_no_shutil():
     # read the terminal width, and argparse itself brings gettext, locale
     # and warnings; a well-formed command line never builds the parser,
     # and pairings are integers, not Fractions (fractions brings decimal).
-    # Reports are written without json, and constants, counts and caches
-    # need no enum, collections or functools.  -S keeps site-packages from importing any of them.  One fresh
-    # process per command line, in one test so that its id stays put.
+    # Reports are written without json, constants, counts and caches need
+    # no enum, collections or functools, and gcd is a three-line Euclid, so
+    # no math either.  -S keeps site-packages from importing any of them.
+    # One fresh process per command line, in one test so that its id stays put.
     import subprocess
     import sys
 
@@ -533,7 +534,7 @@ def test_cli_imports_no_shutil():
     src = str(Path(fermatjac.__file__).resolve().parents[1])
     unwanted = (
         "shutil", "bz2", "lzma", "zlib", "argparse", "gettext", "locale", "warnings", "fractions", "decimal",
-        "json", "re", "enum", "functools", "collections", "types",
+        "json", "re", "enum", "functools", "collections", "types", "math",
     )
     for argv in (
         ["decompose", "--p", "7"],
