@@ -5,7 +5,6 @@ from .curves import (
     CurveFamily,
     CurveSpec,
     MoebiusLabel,
-    are_isomorphic,
     genus_of,
     moebius_transport,
     normalize,
@@ -29,7 +28,6 @@ from .genus import (
     fermat_axis_fix_table,
     fermat_full_fix_table,
     fermat_genus,
-    fermat_quotient_genus,
     find_generating_triple,
     pgonal_fix_table,
     rh_genus,
@@ -55,9 +53,7 @@ from .orbits import (
     OrbitPartition,
     PrimeContext,
     make_context,
-    orbit,
     orbit_partition,
-    s3_apply,
 )
 
 __version__ = "1.0.0"

@@ -25,7 +25,7 @@ from . import genus as gen
 from . import groups as grp
 from . import monomial as mono
 from . import report as rep
-from .curves import MoebiusLabel, moebius_transport, normalized_exponent
+from .curves import MOEBIUS_TRANSPORT, MoebiusLabel, normalized_exponent
 from .errors import (
     AuditFailError,
     CheckFailedError,
@@ -36,7 +36,7 @@ from .errors import (
     TooLargeError,
     TooSmallError,
 )
-from .orbits import OrbitKind, is_prime, make_context, orbit_partition, s3_images
+from .orbits import OrbitKind, inverse_table, is_prime, make_context, orbit_partition, s3_images
 
 # verify --depth full: the full checks hold the class of each of the 6 p^2
 # group elements (classes by rule, no conjugation maps) and the p^2
@@ -113,27 +113,24 @@ def check_moebius_transport(ctx, cache):
     p = ctx.p
     labels = list(MoebiusLabel)
     part = _partition(ctx, cache)
-    # images[a][k]: the exponent a transported by labels[k], kept for the
-    # orbits of the three points the composition test starts from
-    starts = (1, 2, p - 2)
-    kept = {b for a in starts for b in part.orbit_of(a).elements}
-    images = {}
+    # the rules of the labels, in order, on one inverse_table as s3_images
+    # runs U and V: each member of an orbit must have the orbit as its six
+    # images, each hit 6 / size times
+    inv = inverse_table(p).__getitem__
+    rules = [MOEBIUS_TRANSPORT[lab] for lab in labels]
     for a in range(1, p - 1):
         o = part.orbit_of(a)
-        row = [moebius_transport(a, lab, ctx) for lab in labels]
-        if set(row) != set(o.elements):
-            raise CheckFailedError(f"p = {p}: the six images of {a} are not its orbit {o.elements}")
-        mult = 6 // o.size
-        if any(row.count(b) != mult for b in row):
-            raise CheckFailedError(f"p = {p}: the images of {a} are not each hit {mult} times")
-        if a in kept:
-            images[a] = row
-    # the images of a start lie in its orbit by now, so they index images
+        row = [rule(a, inv, p) for rule in rules]
+        if sorted(row) != sorted(o.elements * (6 // o.size)):
+            if set(row) != set(o.elements):
+                raise CheckFailedError(f"p = {p}: the six images of {a} are not its orbit {o.elements}")
+            raise CheckFailedError(f"p = {p}: the images of {a} are not each hit {6 // o.size} times")
+    # the images of every point lie in X_p by now, so the rules take them
     for i, f in enumerate(labels):
         for j, g in enumerate(labels):
             k = labels.index(f.compose(g))
-            for a in starts:
-                lhs, rhs = images[a][k], images[images[a][i]][j]
+            for a in (1, 2, p - 2):
+                lhs, rhs = rules[k](a, inv, p), rules[j](rules[i](a, inv, p), inv, p)
                 if lhs != rhs:
                     raise CheckFailedError(f"p = {p}: transport by {f.name} then {g.name} at {a}: {lhs} != {rhs}")
     return "six images enumerate each orbit; composition consistent"
@@ -374,10 +371,18 @@ FULL_CHECKS = [
 # -- commands -------------------------------------------------------------------
 
 
+# The most characters one stdout write takes: a document of some 12 MB
+# at MAX_P, written whole, would be encoded whole, beside its str.
+WRITE_SLICE = 1 << 20
+
+
 def _emit(report: dict, render, fmt: str) -> None:
-    """Write the report as JSON, or as the text render(report), made only then."""
+    """Write the report as JSON, in slices, or as the text render(report),
+    made only then."""
     if fmt == "json":
-        sys.stdout.write(rep.serialize(report))
+        text = rep.serialize(report)
+        for start in range(0, len(text), WRITE_SLICE):
+            sys.stdout.write(text[start:start + WRITE_SLICE])
     else:
         print(render(report))
 

@@ -16,7 +16,7 @@ function fields lives in :mod:`fermatjac.monomial`.
 from __future__ import annotations
 
 from .errors import DegenerateCurveError, NoGammaError, OutOfRangeError
-from .orbits import PrimeContext, orbit
+from .orbits import PrimeContext
 from .records import Const, FrozenRecord, set_field
 
 
@@ -57,14 +57,16 @@ _BY_PERM = {label.perm: label for label in MoebiusLabel}
 # (f, g) -> f after g, read off the permutations: (f g)(i) = f(g(i)).
 _COMPOSE = {(f, g): _BY_PERM[tuple(f.perm[i] for i in g.perm)] for f in MoebiusLabel for g in MoebiusLabel}
 
-# The exponent of the image of C_alpha under each Moebius map (moebius_transport).
+# The exponent of the image of C_alpha under each Moebius map
+# (moebius_transport), each a rule (a, inv, p) -> exponent with
+# inv(b) = b^(-1) mod p, as the S3 generators of fermatjac.orbits.
 MOEBIUS_TRANSPORT = {
-    MoebiusLabel.ID: lambda a, p: a,
-    MoebiusLabel.INV: lambda a, p: p - 1 - a,
-    MoebiusLabel.ONE_MINUS: lambda a, p: pow(a, -1, p),
-    MoebiusLabel.OVER: lambda a, p: -a * pow(1 + a, -1, p) % p,
-    MoebiusLabel.CYC: lambda a, p: p - pow(1 + a, -1, p),
-    MoebiusLabel.CYC2: lambda a, p: -(1 + a) * pow(a, -1, p) % p,
+    MoebiusLabel.ID: lambda a, inv, p: a,
+    MoebiusLabel.INV: lambda a, inv, p: p - 1 - a,
+    MoebiusLabel.ONE_MINUS: lambda a, inv, p: inv(a),
+    MoebiusLabel.OVER: lambda a, inv, p: -a * inv(1 + a) % p,
+    MoebiusLabel.CYC: lambda a, inv, p: p - inv(1 + a),
+    MoebiusLabel.CYC2: lambda a, inv, p: -(1 + a) * inv(a) % p,
 }
 
 
@@ -147,14 +149,7 @@ def moebius_transport(alpha: int, label: MoebiusLabel, ctx: PrimeContext) -> int
     ctx.require_X(alpha)
     if not isinstance(label, MoebiusLabel):
         raise OutOfRangeError(f"unknown Moebius label {label!r}")
-    return MOEBIUS_TRANSPORT[label](alpha, ctx.p)
-
-
-def are_isomorphic(alpha1: int, alpha2: int, ctx: PrimeContext) -> bool:
-    """C_alpha1 and C_alpha2 are isomorphic iff the exponents share an orbit."""
-    ctx.require_X(alpha1)
-    ctx.require_X(alpha2)
-    return alpha2 in orbit(alpha1, ctx).elements
+    return MOEBIUS_TRANSPORT[label](alpha, ctx.inv, ctx.p)
 
 
 def genus_of(spec: CurveSpec) -> int:

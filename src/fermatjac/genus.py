@@ -148,13 +148,6 @@ def fermat_genus(p: int) -> int:
     return (p - 1) * (p - 2) // 2
 
 
-def fermat_quotient_genus(k: Subgroup) -> int:
-    """Genus of the Fermat-curve quotient by a translation subgroup."""
-    if not k.is_translation_subgroup:
-        raise NotSubgroupOfHError(f"{k!r} is not contained in the translation subgroup")
-    return rh_genus(fermat_genus(k.p), k, _axis_table_for(k.p))
-
-
 def _axis_table_for(p: int) -> FixTable:
     group = Group(p)
 

@@ -24,8 +24,8 @@ from .records import Const, FrozenRecord, set_field
 
 # The largest p any command accepts.  Every step of orbits, decompose
 # and basic verify is O(p); at p = 100003 (p = 1 mod 3, the slower
-# residue) decompose --format json takes about 1-1.6 s and 81 MB, and
-# verify 3.3-4.1 s and 41 MB.  sweep and verify --depth full have lower
+# residue) decompose --format json takes about 0.7-1.2 s and 57 MB, and
+# verify 2.0-2.3 s and 41 MB.  sweep and verify --depth full have lower
 # caps in cli.py.
 MAX_P = 100_003
 
@@ -126,14 +126,6 @@ S3_GENERATORS = {
 }
 
 
-def s3_apply(generator: str, alpha: int, ctx: PrimeContext) -> int:
-    """Apply the generator U or V to alpha in X_p."""
-    ctx.require_X(alpha)
-    if generator not in ("U", "V"):
-        raise OutOfRangeError(f"unknown generator {generator!r}, expected 'U' or 'V'")
-    return S3_GENERATORS[generator](alpha, ctx.inv, ctx.p)
-
-
 def s3_images(ctx: PrimeContext) -> tuple[list[int], list[int]]:
     """Lists u, v of U(a) = u[a], V(a) = v[a] on X_p, in one pass over
     :func:`inverse_table`; u and v are 0 at 0 and p-1, so images index both."""
@@ -155,21 +147,6 @@ class OrbitClass(FrozenRecord):
     @property
     def size(self) -> int:
         return len(self.elements)
-
-
-def orbit(alpha: int, ctx: PrimeContext) -> OrbitClass:
-    """Closure of {alpha} under U and V, classified by its size."""
-    ctx.require_X(alpha)
-    seen = {alpha}
-    frontier = [alpha]
-    while frontier:
-        a = frontier.pop()
-        for gen in ("U", "V"):
-            b = s3_apply(gen, a, ctx)
-            if b not in seen:
-                seen.add(b)
-                frontier.append(b)
-    return _classify(tuple(sorted(seen)), alpha, ctx)
 
 
 def _classify(elements: tuple[int, ...], alpha: int, ctx: PrimeContext) -> OrbitClass:

@@ -2,8 +2,11 @@
 
 Reports are plain dicts with a pinned schema version, serialized with
 sorted keys so the JSON bytes are stable for fixed inputs; golden-file
-tests rely on that.  Text rendering puts each decomposition product on
-its own labelled line in the factor grammar
+tests rely on that.  Their ``orbits`` and ``factors`` lists hold the
+OrbitClass and IsogenyFactor objects themselves, which the writer puts
+down as rows and the text renderers read by attribute.  Text rendering
+puts each decomposition product on its own labelled line in the factor
+grammar
 
     JF(<p>) ~ JC(<alpha>)^<mult> x JE(<gamma>)^<mult> x ...
 """
@@ -13,11 +16,12 @@ from __future__ import annotations
 from .curves import CurveFamily
 from .decompose import (
     IsogenyDecomposition,
+    IsogenyFactor,
     decompose_coarse,
     decompose_fine,
     dimension_audit,
 )
-from .orbits import OrbitPartition, PrimeContext, orbit_partition
+from .orbits import OrbitClass, OrbitKind, OrbitPartition, PrimeContext, orbit_partition
 
 SCHEMA_VERSION = "1"
 
@@ -70,72 +74,99 @@ def _scalar(value) -> str:
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
-def _key(k, keys: dict[str, str]) -> str:
-    """The JSON of dict key k and its ": ", stored in keys for a str k."""
+def _key(k, memo: dict) -> str:
+    """The JSON of dict key k and its ": ", stored in memo for a str k."""
     if type(k) is str:
-        text = keys[k] = _string(k) + ": "
+        text = memo[k] = _string(k) + ": "
         return text
     # a key that is not a str is written as the string of its JSON
     return _scalar(k if isinstance(k, str) else _scalar(k)) + ": "
 
 
-def _json(value, indent: str, keys: dict[str, str]) -> str:
-    """The JSON of value at the depth of ``indent``, a newline and spaces;
-    ``keys`` holds the written form of each str key met so far in this
-    document, so a key the schema repeats is encoded once."""
+def _orbit_row(indent: str):
+    """The writer of an OrbitClass row at the depth of indent."""
+    i1, i2 = indent + "  ", indent + "    "
+    template = f'{{{i1}"elements": [{i2}%s{i1}],{i1}"kind": %s,{i1}"representative": %d,{i1}"size": %d{indent}}}'
+    sep = "," + i2
+    return lambda o: template % (sep.join(map(int.__repr__, o.elements)), _string(o.kind.value), o.representative, o.size)
+
+
+def _factor_row(indent: str):
+    """The writer of an IsogenyFactor row at the depth of indent, with the
+    descriptive hyperelliptic model of C_1."""
+    i1 = indent + "  "
+    head = f'{{{i1}"alpha": %s,{i1}"curve": %s,{i1}"dimension": %d,{i1}"equation": %s,{i1}"family": %s,'
+    model = f'{i1}"hyperelliptic_model": "w^2 = u^%d - 1",'
+    tail = f'{i1}"multiplicity": %d,{i1}"symbol": %s{indent}}}'
+
+    def write(f: IsogenyFactor) -> str:
+        c = f.curve
+        text = head % (_scalar(c.alpha), _string(c.describe()), f.dimension, _string(c.equation()), _string(c.family.value))
+        if c.family is CurveFamily.P_GONAL and c.alpha == 1:
+            text += model % c.context.p
+        return text + tail % (f.multiplicity, _string(f.symbol()))
+
+    return write
+
+
+# The row writer maker of each class whose objects are written straight
+# from their attributes, looked up by exact class as _SCALARS is; each
+# field sits where json.dumps(..., sort_keys=True) puts its key.
+_ROWS = {OrbitClass: _orbit_row, IsogenyFactor: _factor_row}
+
+
+def _row(cls, indent: str, memo: dict):
+    """The writer of a cls row at the depth of indent, made once per
+    document; None when cls has no row."""
+    if cls in _ROWS and (cls, indent) not in memo:
+        memo[cls, indent] = _ROWS[cls](indent)
+    return memo.get((cls, indent))
+
+
+def _json(value, indent: str, memo: dict, out: list) -> None:
+    """Append the JSON of value at the depth of ``indent``, a newline and
+    spaces, to ``out`` in fragments.  ``memo`` holds the written form of
+    each str key and the row writer of each (class, indent) met so far in
+    this document, so what the schema repeats is made once."""
     get = _SCALARS.get
-    write = get(type(value))
+    write = get(type(value)) or _row(type(value), indent, memo)
     if write is not None:
-        return write(value)
+        out.append(write(value))
+        return
     inner = indent + "  "
-    sep = "," + inner
-    if isinstance(value, (list, tuple)):
-        ends = "[]"
-        body = sep.join([w(v) if (w := get(type(v))) else _json(v, inner, keys) for v in value])
-    elif isinstance(value, dict):
-        ends = "{}"
-        body = sep.join([
-            f"{keys[k] if type(k) is str and k in keys else _key(k, keys)}"
-            f"{w(v) if (w := get(type(v))) else _json(v, inner, keys)}"
-            for k, v in sorted(value.items())
-        ])
+    keyed = isinstance(value, dict)
+    if keyed:
+        ends, items = "{}", sorted(value.items())
+    elif isinstance(value, (list, tuple)):
+        ends, items = "[]", value
     else:
-        return _scalar(value)
-    # no member is written as "", so an empty body is an empty container
-    return f"{ends[0]}{inner}{body}{indent}{ends[1]}" if body else ends
+        out.append(_scalar(value))
+        return
+    if not items:
+        out.append(ends)
+        return
+    lead, sep = ends[0] + inner, "," + inner
+    for v in items:
+        if keyed:
+            k, v = v
+            lead += memo[k] if type(k) is str and k in memo else _key(k, memo)
+        write = get(type(v)) or _row(type(v), inner, memo)
+        if write is not None:
+            out.append(lead + write(v))
+        else:
+            out.append(lead)
+            _json(v, inner, memo, out)
+        lead = sep
+    out.append(indent + ends[1])
 
 
 def serialize(report: dict) -> str:
-    """``json.dumps(report, indent=2, sort_keys=True)`` and a newline."""
-    return _json(report, "\n", {}) + "\n"
-
-
-def _orbit_entries(partition: OrbitPartition) -> list[dict]:
-    return [
-        {
-            "representative": o.representative,
-            "kind": o.kind.value,
-            "size": o.size,
-            "elements": list(o.elements),
-        }
-        for o in partition.orbits
-    ]
-
-
-def _factor_entry(f) -> dict:
-    entry = {
-        "symbol": f.symbol(),
-        "curve": f.curve.describe(),
-        "equation": f.curve.equation(),
-        "family": f.curve.family.value,
-        "alpha": f.curve.alpha,
-        "multiplicity": f.multiplicity,
-        "dimension": f.dimension,
-    }
-    if f.curve.family is CurveFamily.P_GONAL and f.curve.alpha == 1:
-        # descriptive metadata only; never a computational object
-        entry["hyperelliptic_model"] = f"w^2 = u^{f.curve.context.p} - 1"
-    return entry
+    """``json.dumps(report, indent=2, sort_keys=True)`` and a newline,
+    with each OrbitClass and IsogenyFactor written as its report row."""
+    out: list[str] = []
+    _json(report, "\n", {}, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _decomposition_entry(d: IsogenyDecomposition) -> dict:
@@ -143,7 +174,7 @@ def _decomposition_entry(d: IsogenyDecomposition) -> dict:
     entry = {
         "level": d.level.value,
         "product": d.render(),
-        "factors": [_factor_entry(f) for f in d.factors],
+        "factors": list(d.factors),
         "total_dimension": d.total_dimension,
         "audit": d.audit.summary(),
         "dimension_audit": dimensions,
@@ -159,18 +190,17 @@ def base_report(ctx: PrimeContext, partition: OrbitPartition) -> dict:
     gamma = None
     if ctx.has_gamma:
         gamma = {"root": ctx.gamma_pair[0], "inverse_root": ctx.gamma_pair[1]}
+    counts = {kind.value: 0 for kind in OrbitKind}
+    for o in partition.orbits:
+        counts[o.kind.value] += 1
     return {
         "schema_version": SCHEMA_VERSION,
         "p": ctx.p,
         "residue_mod_3": ctx.residue_class_mod_3,
         "gamma": gamma,
         "fermat_genus": (ctx.p - 1) * (ctx.p - 2) // 2,
-        "orbits": _orbit_entries(partition),
-        "orbit_counts": {
-            "special_one": sum(1 for o in partition.orbits if o.kind.value == "special_one"),
-            "gamma": sum(1 for o in partition.orbits if o.kind.value == "gamma"),
-            "generic": sum(1 for o in partition.orbits if o.kind.value == "generic"),
-        },
+        "orbits": list(partition.orbits),
+        "orbit_counts": counts,
     }
 
 
@@ -194,9 +224,9 @@ def decompose_report(ctx: PrimeContext, level: str = "both") -> dict:
     return report
 
 
-def _orbit_line(o: dict) -> str:
-    elements = ",".join(str(e) for e in o["elements"])
-    return f"{{{elements}}} size={o['size']} {o['kind']}"
+def _orbit_line(o: OrbitClass) -> str:
+    elements = ",".join(map(str, o.elements))
+    return f"{{{elements}}} size={o.size} {o.kind.value}"
 
 
 def _header_lines(report: dict) -> list[str]:

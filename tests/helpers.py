@@ -16,14 +16,30 @@ against, and :func:`index_of` reads an object's index off the canonical
 enumeration (:func:`canonical_elements`).  Likewise the monomial records
 (:class:`MonomialFunction`, :class:`MonomialMap`) compose by a chain of
 normalized products, the oracle of the package's tuple calculus.
+
+The per-element helpers the package dropped (:func:`orbit` by closure
+under :func:`s3_apply`, :func:`are_isomorphic`,
+:func:`fermat_quotient_genus`) are kept here for the tests that use
+them, and :func:`reference_rows` turns the orbit and factor objects of a
+report into the dicts the report once held, the reference of the JSON
+writer's row templates.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from fermatjac.errors import GroupMismatchError, NoGammaError, NonMonomialError, OutOfRangeError
-from fermatjac.genus import GeneratingTriple, fermat_axis_fix_table, fermat_genus, pgonal_fix_table, riemann_hurwitz
+from fermatjac.curves import CurveFamily
+from fermatjac.decompose import IsogenyFactor
+from fermatjac.errors import GroupMismatchError, NoGammaError, NonMonomialError, NotSubgroupOfHError, OutOfRangeError
+from fermatjac.genus import (
+    GeneratingTriple,
+    fermat_axis_fix_table,
+    fermat_genus,
+    pgonal_fix_table,
+    rh_genus,
+    riemann_hurwitz,
+)
 from fermatjac.groups import (
     ACTION,
     IDENTITY,
@@ -41,7 +57,7 @@ from fermatjac.groups import (
     subgroup_closure,
 )
 from fermatjac.monomial import MOEBIUS_MONOMIALS
-from fermatjac.orbits import make_context
+from fermatjac.orbits import S3_GENERATORS, OrbitClass, _classify, make_context
 from fermatjac.records import FrozenRecord, set_field
 
 INF = "inf"
@@ -378,6 +394,88 @@ def orbit_formula(alpha, p):
         (-inv[alpha % p] * (1 + alpha)) % p,
         (-alpha * inv[(1 + alpha) % p]) % p,
     }
+
+
+# -- retired package helpers: the per-element paths the package replaced ----
+
+
+def s3_apply(generator, alpha, ctx):
+    """Apply the generator U or V to alpha in X_p."""
+    ctx.require_X(alpha)
+    if generator not in ("U", "V"):
+        raise OutOfRangeError(f"unknown generator {generator!r}, expected 'U' or 'V'")
+    return S3_GENERATORS[generator](alpha, ctx.inv, ctx.p)
+
+
+def orbit(alpha, ctx):
+    """Closure of {alpha} under U and V, classified by its size."""
+    ctx.require_X(alpha)
+    seen = {alpha}
+    frontier = [alpha]
+    while frontier:
+        a = frontier.pop()
+        for gen in ("U", "V"):
+            b = s3_apply(gen, a, ctx)
+            if b not in seen:
+                seen.add(b)
+                frontier.append(b)
+    return _classify(tuple(sorted(seen)), alpha, ctx)
+
+
+def are_isomorphic(alpha1, alpha2, ctx):
+    """C_alpha1 and C_alpha2 are isomorphic iff the exponents share an orbit."""
+    ctx.require_X(alpha1)
+    ctx.require_X(alpha2)
+    return alpha2 in orbit(alpha1, ctx).elements
+
+
+def fermat_quotient_genus(k):
+    """Genus of the Fermat-curve quotient by a translation subgroup."""
+    if not k.is_translation_subgroup:
+        raise NotSubgroupOfHError(f"{k!r} is not contained in the translation subgroup")
+    return rh_genus(fermat_genus(k.p), k, fermat_axis_fix_table(make_context(k.p)))
+
+
+# -- report rows as dicts: the reference of the writer's row templates -------
+
+
+def orbit_entry(o):
+    return {
+        "representative": o.representative,
+        "kind": o.kind.value,
+        "size": o.size,
+        "elements": list(o.elements),
+    }
+
+
+def factor_entry(f):
+    entry = {
+        "symbol": f.symbol(),
+        "curve": f.curve.describe(),
+        "equation": f.curve.equation(),
+        "family": f.curve.family.value,
+        "alpha": f.curve.alpha,
+        "multiplicity": f.multiplicity,
+        "dimension": f.dimension,
+    }
+    if f.curve.family is CurveFamily.P_GONAL and f.curve.alpha == 1:
+        # descriptive metadata only; never a computational object
+        entry["hyperelliptic_model"] = f"w^2 = u^{f.curve.context.p} - 1"
+    return entry
+
+
+def reference_rows(value):
+    """value with every OrbitClass and IsogenyFactor in it replaced by the
+    dict the report once built for it, for json.dumps."""
+    if type(value) is OrbitClass:
+        return orbit_entry(value)
+    if type(value) is IsogenyFactor:
+        return factor_entry(value)
+    if isinstance(value, dict):
+        return {k: reference_rows(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [reference_rows(v) for v in value]
+    return value
 
 
 @lru_cache(maxsize=16)

@@ -26,7 +26,6 @@ from fermatjac.genus import (
     coset_genus,
     fermat_full_fix_table,
     fermat_genus,
-    fermat_quotient_genus,
     find_generating_triple,
     rh_genus,
 )
@@ -49,7 +48,15 @@ from fermatjac.monomial import (
 )
 from fermatjac.orbits import OrbitKind, make_context, orbit_partition
 
-from helpers import assert_audit_matches_oracle, fermat_a1, index_of, joined, sweep_primes, trivial_subgroup
+from helpers import (
+    assert_audit_matches_oracle,
+    fermat_a1,
+    fermat_quotient_genus,
+    index_of,
+    joined,
+    sweep_primes,
+    trivial_subgroup,
+)
 
 
 def _announce(n, elapsed, detail):

@@ -7,7 +7,6 @@ from fermatjac.curves import (
     CurveFamily,
     CurveSpec,
     MoebiusLabel,
-    are_isomorphic,
     genus_of,
     moebius_transport,
     normalize,
@@ -15,9 +14,9 @@ from fermatjac.curves import (
     quotient_to_curve,
 )
 from fermatjac.errors import DegenerateCurveError, NoGammaError, OutOfRangeError
-from fermatjac.orbits import make_context, orbit
+from fermatjac.orbits import make_context
 
-from helpers import INF, brute_inverse_table, moebius_eval, sweep_primes, transport_formula
+from helpers import INF, are_isomorphic, brute_inverse_table, moebius_eval, orbit, sweep_primes, transport_formula
 
 LABELS = list(MoebiusLabel)
 

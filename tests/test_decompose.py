@@ -9,7 +9,7 @@ import pytest
 import fermatjac
 from fermatjac import cli
 from fermatjac import decompose as decompose_module
-from fermatjac.curves import CurveFamily, are_isomorphic, quotient_to_curve
+from fermatjac.curves import CurveFamily, quotient_to_curve
 from fermatjac.decompose import (
     DecompositionLevel,
     IsogenyDecomposition,
@@ -25,6 +25,7 @@ from fermatjac.groups import Group
 from fermatjac.orbits import PrimeContext, make_context, orbit_partition
 
 from helpers import (
+    are_isomorphic,
     assert_audit_matches_oracle,
     object_gamma_pairs,
     object_K_family,

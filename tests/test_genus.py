@@ -19,7 +19,6 @@ from fermatjac.genus import (
     fermat_axis_fix_table,
     fermat_full_fix_table,
     fermat_genus,
-    fermat_quotient_genus,
     find_generating_triple,
     generation_gap,
     line_fix_counts,
@@ -47,6 +46,7 @@ from fermatjac.orbits import is_prime, make_context
 from helpers import (
     fermat_a1,
     fermat_elements,
+    fermat_quotient_genus,
     fermat_u,
     fermat_v,
     index_of,

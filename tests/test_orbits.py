@@ -1,6 +1,5 @@
 import pytest
 
-from fermatjac import orbits as orbits_module
 from fermatjac.errors import AuditFailError, NotPrimeError, OutOfRangeError, TooLargeError, TooSmallError
 from fermatjac.orbits import (
     MAX_P,
@@ -8,13 +7,12 @@ from fermatjac.orbits import (
     OrbitPartition,
     inverse_table,
     make_context,
-    orbit,
     orbit_partition,
-    s3_apply,
     s3_images,
 )
 
-from helpers import brute_inverse_table, orbit_formula, run_under_O, sweep_primes
+import helpers
+from helpers import brute_inverse_table, orbit, orbit_formula, run_under_O, s3_apply, sweep_primes
 
 
 def test_make_context_p7_gamma_pair():
@@ -184,7 +182,7 @@ def test_partition_orbit_lookup():
 def test_orbit_census_failures_are_audit_errors(monkeypatch):
     ctx = make_context(7)
     # X_7 = {1, ..., 5} as one cycle: an orbit of size 5
-    monkeypatch.setattr(orbits_module, "s3_apply", lambda name, a, ctx: a % (ctx.p - 2) + 1)
+    monkeypatch.setattr(helpers, "s3_apply", lambda name, a, ctx: a % (ctx.p - 2) + 1)
     with pytest.raises(AuditFailError, match="impossible orbit size 5"):
         orbit(1, ctx)
     monkeypatch.undo()

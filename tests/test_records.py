@@ -38,11 +38,10 @@ from fermatjac.orbits import (
     OrbitPartition,
     PrimeContext,
     make_context,
-    orbit,
     orbit_partition,
 )
 
-from helpers import FermatAut, MonomialFunction, MonomialMap, PGonalAut, record_of
+from helpers import FermatAut, MonomialFunction, MonomialMap, PGonalAut, orbit, record_of
 
 C5 = "PrimeContext(p=5, residue_class_mod_3=2, gamma_pair=None)"
 C7 = "PrimeContext(p=7, residue_class_mod_3=1, gamma_pair=(2, 4))"

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from fermatjac import report as rep
 from fermatjac.cli import main
-from fermatjac.orbits import make_context
+from fermatjac.decompose import decompose_coarse, decompose_fine
+from fermatjac.orbits import make_context, orbit_partition
 
-from helpers import parse
+from helpers import parse, reference_rows, sweep_primes
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -49,6 +50,41 @@ def test_json_roundtrip_at_a_benchmark_prime(capsys):
     assert rep.serialize(report) == out == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("p", sweep_primes(400) + [409, 1009])
+def test_rows_are_written_as_their_reference_dicts(capsys, p):
+    # the writer puts each orbit and factor down from its object; the dicts
+    # the report once built for them (helpers.reference_rows) are its oracle
+    ctx = make_context(p)
+    reports = {("orbits",): rep.orbits_report(ctx)}
+    for level in ("coarse", "fine", "both"):
+        reports["decompose", "--level", level] = rep.decompose_report(ctx, level)
+    for (command, *flags), report in reports.items():
+        code, out, _ = run_cli(capsys, command, "--p", str(p), *flags, "--format", "json")
+        assert code == 0
+        assert out == json.dumps(reference_rows(report), indent=2, sort_keys=True) + "\n", (command, flags)
+
+
+def test_json_goes_to_stdout_in_slices(monkeypatch):
+    import io
+    import sys
+
+    from fermatjac import cli
+
+    writes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(len(text))
+            return super().write(text)
+
+    monkeypatch.setattr(cli, "WRITE_SLICE", 1000)
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert main(["decompose", "--p", "61", "--format", "json"]) == 0
+    document = rep.serialize(rep.decompose_report(make_context(61)))
+    assert sys.stdout.getvalue() == document
+    assert writes == [1000] * (len(document) // 1000) + [len(document) % 1000]
+
+
 # Subclasses of the JSON types: the writer dispatches on exact class, and
 # json reads a subclass through its base (int.__repr__, float.__repr__,
 # the characters of a str), whatever the subclass overrides.
@@ -83,6 +119,17 @@ class Tuple(tuple):
 # drawn often: controls, '"', '\\', DEL, and one past the BMP.
 CHARS = st.characters(exclude_categories=()) | st.sampled_from(['"', "\\", "\x7f", "\x00", "\n", "\x1f", "\U0001f600"])
 TEXT = st.text(CHARS, max_size=12)
+
+
+def _rows(p):
+    ctx = make_context(p)
+    coarse = decompose_coarse(ctx)
+    return [*orbit_partition(ctx).orbits, *coarse.factors, *decompose_fine(coarse).factors]
+
+
+# The row objects the writer puts down from their attributes, drawn from
+# the decompositions at primes of both residues mod 3.
+ROWS = st.sampled_from([row for p in (5, 7, 11, 13, 31) for row in _rows(p)])
 SCALARS = (
     st.none()
     | st.booleans()
@@ -93,6 +140,7 @@ SCALARS = (
     | TEXT.map(Str)
     | st.integers().map(Int)
     | st.floats().map(Float)
+    | ROWS
 )
 VALUES = st.recursive(
     SCALARS,
@@ -117,8 +165,9 @@ VALUES = st.recursive(
 @example(["\ud800", "\udfff\U0010ffff", "\x7f\x08\x0c\r\t", 'say "a\\b"', "caf\xe9"])
 @example([{1: "a"}, {True: "b"}, {1.0: "c"}, {"1": "d"}, {"true": "e"}, {"1.0": "f"}])
 @example({Str("k"): Int(7), "k2": Float(0.5), "l": List([Tuple((Int(-3), Str('a"b'))), Dict({"k": None})])})
+@example({"orbits": _rows(7)[:2], "deep": [[{"factors": tuple(_rows(13)[-3:])}]], "row": _rows(5)[0]})
 def test_serialize_is_json_dumps(value):
-    assert rep.serialize(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+    assert rep.serialize(value) == json.dumps(reference_rows(value), indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("value", [{"a": {1, 2}}, [object()], {"a": [1, {"b": object()}]}])
