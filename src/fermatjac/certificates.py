@@ -11,78 +11,78 @@ coset actions gives exact integer certificates:
 
 (the second by Frobenius reciprocity: the pairing computes the dimension
 of the K-fixed subspace of homology).  For each free deck subgroup the
-value is p - 1, twice the quotient genus.  Permutation characters come
-from Frobenius' formula over the classes K meets (:class:`ClassData`),
-and inner products are class-weighted sums over the classes where both
-functions are nonzero, exact integers.  The test
-suite checks both against the literal constructions: fixed cosets of an
-explicit coset labelling, and a sum over all group elements.
+value is p - 1, twice the quotient genus.  A class function is a
+default value plus the classes where it differs: the homology character
+is 2 but on the identity and the 2p classes of the fix table's support.
+Permutation characters come from Frobenius' formula over the classes K
+meets (:class:`ClassData`), and inner products are class-weighted sums
+over the supports, exact integers.  The test suite checks both against
+the literal constructions: fixed cosets of an explicit coset labelling,
+and a sum over all group elements.
 """
 
 from __future__ import annotations
 
 from .errors import CheckFailedError, GroupMismatchError, ShapeMismatchError
 from .genus import FixTable, fermat_genus
-from .groups import IDENTITY, ClassData, Subgroup
+from .groups import ClassData, LineSubgroup, Subgroup
 
 
 class ClassFunction:
-    """An integer-valued function constant on conjugacy classes, held by
-    its support: ``support`` maps each class where the function is not
-    zero to its value there.  ``values`` lists one value per class."""
+    """An integer-valued class function: its ``default`` value, and its
+    ``support``, class key -> value where that differs.  A key that names
+    no class raises."""
 
-    __slots__ = ("data", "support", "name")
+    __slots__ = ("data", "support", "default", "name", "_by_line")
 
-    def __init__(self, data: ClassData, values, name: str = ""):
-        if len(values) != len(data.reps):
-            raise ShapeMismatchError(f"{len(values)} values for {len(data.reps)} classes")
-        self.data = data
-        self.support = {c: v for c, v in enumerate(values) if v}
-        self.name = name
-
-    @classmethod
-    def on_support(cls, data: ClassData, support: dict[int, int], name: str = "") -> "ClassFunction":
-        """The function with the given values on the given classes and 0
-        on every other class."""
-        fn = cls.__new__(cls)
-        fn.data = data
-        fn.support = {c: v for c, v in support.items() if v}
-        fn.name = name
-        return fn
-
-    @property
-    def values(self) -> tuple:
-        return tuple(self.support.get(c, 0) for c in range(len(self.data.reps)))
+    def __init__(self, data: ClassData, support: dict[int, int], name: str = "", default: int = 0):
+        for c in support:
+            if not data.is_key(c):
+                raise ShapeMismatchError(f"{c!r} is the key of no class of {data.group}")
+        self.data, self.default, self.name, self._by_line = data, default, name, None
+        self.support = {c: v for c, v in support.items() if v != default}
 
     def __call__(self, i: int):
         """The value at the element with index i; an index outside the
         group raises."""
-        return self.support.get(self.data.class_of[self.data.group.check_index(i)], 0)
+        return self.support.get(self.data.key(self.data.group.check_index(i)), self.default)
 
     @property
     def at_identity(self):
-        return self.support.get(self.data.identity_index, 0)
+        return self.support.get(self.data.identity_key, self.default)
+
+    def by_line(self) -> dict[int, dict[int, int]]:
+        """The support's translation classes by line, built once (a
+        superset of them serves too: only support classes are read)."""
+        if self._by_line is None:
+            self._by_line = self.data.line_index(self.support)
+        return self._by_line
 
     def __repr__(self):
         return f"ClassFunction({self.name!r}, dim={self.at_identity})"
 
 
 def chi_trivial(data: ClassData) -> ClassFunction:
-    return ClassFunction(data, [1] * len(data.reps), "trivial")
+    return ClassFunction(data, {}, "trivial", default=1)
 
 
 def chi_rat(fix: FixTable, data: ClassData) -> ClassFunction:
     """Trace of the Fermat group's action on first homology (dimension 2g).
 
-    chi(1) = 2g = (p-1)(p-2); chi(g) = 2 - |Fix(g)| otherwise, with the
-    fixed-point counts of the full fix table of the triple fiber model.
-    The table and the class data must live in one Fermat group.
+    chi(1) = 2g = (p-1)(p-2); chi(g) = 2 - |Fix(g)| otherwise, read off
+    the support of the full fix table of the triple fiber model, which
+    must live in the class data's Fermat group.
     """
     group = data.group
     if fix.group != group or group.gamma is not None:
         raise GroupMismatchError(f"{fix!r} and class data for {group} do not share one Fermat group")
-    values = [2 * fermat_genus(group.p) if r == IDENTITY else 2 - fix.at(r) for r in data.reps]
-    return ClassFunction(data, values, "homology")
+    if fix.support is None:
+        raise ShapeMismatchError(f"{fix!r} has no class support")
+    chi = ClassFunction(data, {}, "homology", default=2)
+    chi.support = {c: 2 - f for c, f in fix.support.items() if f}  # keys of data's classes already
+    chi.support[data.identity_key] = 2 * fermat_genus(group.p)
+    chi._by_line = fix.by_line  # the lines of the support's translation classes, when the table has them
+    return chi
 
 
 def induced_perm_character(k: Subgroup, data: ClassData) -> ClassFunction:
@@ -95,7 +95,7 @@ def induced_perm_character(k: Subgroup, data: ClassData) -> ClassFunction:
     if data.order % k.order:
         raise CheckFailedError(f"{k!r} has order {k.order}, which does not divide {data.order}")
     fixed = data.fixed_cosets(data.class_counts(k.indices), k.order)
-    fn = ClassFunction.on_support(data, fixed, f"perm(G/{k!r})")
+    fn = ClassFunction(data, fixed, f"perm(G/{k!r})")
     if fn.at_identity * k.order != data.order:
         raise CheckFailedError(
             f"{fn.at_identity} cosets of {k!r} in a group of order {data.order}"
@@ -103,24 +103,43 @@ def induced_perm_character(k: Subgroup, data: ClassData) -> ClassFunction:
     return fn
 
 
+def perm_pairing(k: Subgroup | LineSubgroup, fn: ClassFunction) -> int:
+    """<perm(G/K), f> by Frobenius' formula, without building perm(G/K):
+    with perm(G/K) = |G| |C n K| / (|C| |K|) and the |C n K| summing to
+    |K|, it is f's default plus (1/|K|) sum over f's support of |C n K|
+    (f(C) - default); a line meets only the support classes on it.  A sum
+    that |K| does not divide raises."""
+    data = fn.data
+    if k.group != data.group:
+        raise GroupMismatchError(f"{k!r} does not live in {data.group}")
+    meets = data.meet_counts(k, fn.by_line() if isinstance(k, LineSubgroup) else {})
+    total = sum(n * (fn.support[c] - fn.default) for c, n in meets.items() if c in fn.support)
+    q, rest = divmod(total, k.order)
+    if rest:
+        raise CheckFailedError(f"<perm(G/{k!r}), {fn.name}> = {fn.default} + {total}/{k.order} is not an integer")
+    return fn.default + q
+
+
 def inner_product(f1: ClassFunction, f2: ClassFunction) -> int:
-    """(1/|G|) sum over all group elements of f1(g) f2(g), exactly, taken
-    class by class: each class contributes its size times the product.
-    Only the classes where both are nonzero contribute, so the sum runs
-    over the smaller support.  The pairing of two characters is an
-    integer; a sum that |G| does not divide raises.
+    """(1/|G|) sum over all group elements of f1(g) f2(g), exactly: the
+    defaults' product over the group, plus size times (product less the
+    defaults' product) on each class of the supports, or of the smaller
+    support of a function that is 0 by default.  The pairing of two
+    characters is an integer; a sum that |G| does not divide raises.
 
     Integer-valued class functions are self-conjugate, so no conjugation
     appears.
     """
     if f1.data.group != f2.data.group:
         raise GroupMismatchError("inner product of class functions on different groups")
-    small, large = sorted((f1.support, f2.support), key=len)
-    sizes = f1.data.sizes
-    total = sum(sizes[c] * v * large.get(c, 0) for c, v in small.items())
-    pairing, rest = divmod(total, f1.data.order)
+    data, d1, d2 = f1.data, f1.default, f2.default
+    zero = [f.support.keys() for f in (f1, f2) if f.default == 0]
+    keys = min(zero, key=len) if zero else f1.support.keys() | f2.support.keys()
+    s1, s2 = f1.support, f2.support
+    total = d1 * d2 * data.order + sum(data.size(c) * (s1.get(c, d1) * s2.get(c, d2) - d1 * d2) for c in keys)
+    pairing, rest = divmod(total, data.order)
     if rest:
         raise CheckFailedError(
-            f"<{f1.name}, {f2.name}> = {total}/{f1.data.order} is not an integer"
+            f"<{f1.name}, {f2.name}> = {total}/{data.order} is not an integer"
         )
     return pairing

@@ -272,18 +272,20 @@ def _coarse_factors(ctx: PrimeContext, partition: OrbitPartition) -> tuple[Isoge
 
 def _deck_census(ctx: PrimeContext, partition: OrbitPartition) -> dict[int, int]:
     """How many of the p-2 deck quotients fall in each isomorphism class,
-    keyed by the representative of the orbit of the quotient's exponent.
-    An exponent in no orbit on X_p is refused."""
+    keyed by the representative of the orbit of the quotient's exponent,
+    read off the partition's element-to-orbit index.  An exponent in no
+    orbit on X_p is refused."""
     p = ctx.p
-    representative = {a: o.representative for o in partition.orbits for a in o.elements}
+    orbit_of = partition._orbit_of
     counts: dict[int, int] = {}
     for j in range(1, p - 1):
         alpha = deck_exponent(j, p)
-        rep = representative.get(alpha)
-        if rep is None or not 0 < alpha < p - 1:
+        orbit = orbit_of.get(alpha)
+        if orbit is None or not 0 < alpha < p - 1:
             raise AuditFailError(
                 f"deck quotient {j} has exponent {alpha!r}, in no orbit on X_p = {{1,...,{p - 2}}}"
             )
+        rep = orbit.representative
         counts[rep] = counts.get(rep, 0) + 1
     return counts
 

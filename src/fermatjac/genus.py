@@ -9,9 +9,9 @@ Oracle two needs no fixed-point data at all.  The Fermat curve is the
 quotient of the hyperbolic plane by a surface group normal in a triangle
 group of signature (2, 3, 2p); concretely, the full automorphism group is
 generated by a pair of elements of orders 2 and 3 whose product has order
-2p (a generating triple, in closed form).  A subgroup K
-then corresponds to the action of the triple on the cosets G/K, and the
-ramification bookkeeping collapses to a cycle count:
+2p (a generating triple, in closed form).  A subgroup K then corresponds
+to the action of the triple on the cosets G/K, and the ramification
+bookkeeping collapses to a cycle count:
 
     g_K = (2 + [G:K] - total number of cycles of the three entries) / 2.
 
@@ -19,9 +19,9 @@ No coset is listed.  An entry c of order m has (1/m) sum over d < m of
 fix(c^d) cycles on G/K (Burnside's lemma), and c^d fixes
 |G| |C n K| / (|C| |K|) cosets, C its conjugacy class (Frobenius'
 formula for permutation characters; Isaacs, *Character Theory of Finite
-Groups*, ch. 5).  So the oracle reads the classes of the m powers of each
-entry and the classes of the elements of K, O(|K| + 2p) per subgroup.
-A quotient or a Burnside total that is not an integer is an error.
+Groups*, ch. 5).  So the oracle reads the classes of the entries' powers
+and those K meets: its elements', or the powers' classes on the lines of
+a line or of the plane.  A non-integral quotient or total is an error.
 
 The triple also extends the known fixed-point data from the translation
 subgroup to the whole group: every point with nontrivial stabilizer sits
@@ -44,7 +44,6 @@ from .errors import (
 )
 from .groups import (
     IDENTITY,
-    PERM_ID,
     PERM_U,
     PERM_U2,
     PERM_U2V,
@@ -52,10 +51,11 @@ from .groups import (
     PERM_V,
     ClassData,
     Group,
+    LineSubgroup,
     Subgroup,
     fermat_order,
     fermat_translation,
-    plane_lines,
+    line_point,
     resolve_gamma,
     s3_stable_lines,
 )
@@ -69,14 +69,14 @@ class FixTable:
     ``count_fn`` maps an element index to its count; :meth:`at` reads the
     table by index.  It raises on the identity (excluded by definition),
     on indices outside the group and on elements outside the table's
-    domain.
+    domain.  A table computed by class has a ``support``, key -> count,
+    and ``by_line``, the support's translation classes by line
+    (:meth:`~fermatjac.groups.ClassData.line_index`).
     """
 
-    def __init__(self, group: Group, count_fn, description: str):
-        self.group = group
-        self._count_fn = count_fn
-        self._order = group.order
-        self.description = description
+    def __init__(self, group: Group, count_fn, description: str, support: dict[int, int] | None = None, by_line=None):
+        self.group, self._count_fn, self._order = group, count_fn, group.order
+        self.description, self.support, self.by_line = description, support, by_line
 
     def at(self, i: int) -> int:
         if not 0 < i < self._order:
@@ -97,19 +97,30 @@ def fermat_axis_fix_table(ctx: PrimeContext) -> FixTable:
     (m, n) coordinates those are the elements with n = 0, m = 0, or
     m = n.  Domain: the translation subgroup H.
     """
-    return _axis_table_for(ctx.p)
+    p = ctx.p
+    group = Group(p)
+
+    def count(i: int) -> int:
+        # i = 6 p m + r, r = 6 n + sigma: an axis has m = 0, n = 0 or m = n
+        m, r = divmod(i, 6 * p)
+        if r % 6:
+            raise NotSubgroupOfHError(f"{group.coordinates(i)} lies outside the translation subgroup")
+        return p if (m == 0 or r == 0 or r == 6 * m) else 0
+
+    return FixTable(group, count, "axis translations fix p points each")
 
 
 def line_fix_counts(p: int, fix: FixTable) -> list[int]:
     """A Fermat fix table read once per line of F_p^2, at the points of
-    :func:`~fermatjac.groups.plane_lines`, in their order.
+    :func:`~fermatjac.groups.plane_lines`: the indices 6, range(6p, 12p, 6).
 
     Fix(g) = Fix(<g>) for g != 1: a point fixed by g is fixed by its
     powers, and g is a power of every generator of <g>.  The p - 1
     non-identity points of a line all generate it, so a fix table is
     constant on them, and one read stands for the line.
     """
-    return [fix.at(fermat_translation(p, a, b)) for a, b in plane_lines(p)]
+    at = fix.at
+    return [at(6), *map(at, range(6 * p, 12 * p, 6))]
 
 
 def pgonal_fix_table(ctx: PrimeContext, gamma: int | None = None) -> FixTable:
@@ -135,29 +146,21 @@ def riemann_hurwitz(g_top: int, order: int, fix_sum: int) -> int:
     return n // (2 * order)
 
 
-def rh_genus(g_top: int, k: Subgroup, fix: FixTable) -> int:
+def rh_genus(g_top: int, k: Subgroup | LineSubgroup, fix: FixTable) -> int:
     """Quotient genus from the Riemann-Hurwitz formula, summing the fix
-    table over the non-identity elements of K."""
+    table over the non-identity elements of K, or p - 1 times the table
+    at each line's point (:func:`line_fix_counts`)."""
     if k.group != fix.group:
         raise OutOfRangeError(f"{k!r} is not in the group of {fix!r}")
-    total = sum(fix.at(i) for i in k.indices if i != IDENTITY)
+    if isinstance(k, LineSubgroup):
+        total = (k.p - 1) * sum(fix.at(line_point(k.p, line)) for line in k.lines)
+    else:
+        total = sum(fix.at(i) for i in k.indices if i != IDENTITY)
     return riemann_hurwitz(g_top, k.order, total)
 
 
 def fermat_genus(p: int) -> int:
     return (p - 1) * (p - 2) // 2
-
-
-def _axis_table_for(p: int) -> FixTable:
-    group = Group(p)
-
-    def count(i: int) -> int:
-        m, n, sigma = group.coordinates(i)
-        if sigma != PERM_ID:
-            raise NotSubgroupOfHError(f"{(m, n, sigma)} lies outside the translation subgroup")
-        return p if (m == 0 or n == 0 or m == n) else 0
-
-    return FixTable(group, count, "axis translations fix p points each")
 
 
 class GeneratingTriple(FrozenRecord):
@@ -231,15 +234,13 @@ def generation_gap(triple: GeneratingTriple) -> str | None:
     return None
 
 
-_POWER_COUNTS: dict = {}  # _power_class_counts by (triple, class data), for the eight latest pairs
-
-
-def _power_class_counts(triple: GeneratingTriple, data: ClassData) -> tuple[tuple[int, dict[int, int]], ...]:
+def _power_class_counts(triple: GeneratingTriple, data: ClassData) -> tuple[tuple[tuple[int, dict[int, int]], ...], dict]:
     """For each triple entry c of order m: m and the class counts of its
-    powers c^0, ..., c^(m-1), the elements of the fiber subgroup <c>."""
-    key = (triple, data)
-    if key in _POWER_COUNTS:
-        return _POWER_COUNTS[key]
+    powers c^0, ..., c^(m-1), the elements of the fiber subgroup <c>; and
+    the translation classes among them by line; once per class data."""
+    found = data.memo.get(triple)
+    if found:
+        return found
     if data.group != Group(triple.p):
         raise GroupMismatchError(f"class data for {data.group} cannot serve a triple at p = {triple.p}")
     entries = []
@@ -250,32 +251,30 @@ def _power_class_counts(triple: GeneratingTriple, data: ClassData) -> tuple[tupl
                 f"{data.group.coordinates(c)} generates a subgroup of order {len(powers)}, not {m}"
             )
         entries.append((m, data.class_counts(powers)))
-    if len(_POWER_COUNTS) == 8:
-        del _POWER_COUNTS[next(iter(_POWER_COUNTS))]
-    _POWER_COUNTS[key] = entries = tuple(entries)
-    return entries
-
-
-def _fiber_fix(triple: GeneratingTriple, data: ClassData) -> list[int]:
-    """|Fix(g)| for the members g of each class: the cosets of the three
-    fiber subgroups <c> that g fixes, by Frobenius' formula."""
-    fix = [0] * len(data.reps)
-    for m, counts in _power_class_counts(triple, data):
-        for c, f in data.fixed_cosets(counts, m).items():
-            fix[c] += f
-    return fix
+    by_line = data.line_index({c for _, counts in entries for c in counts})
+    data.memo[triple] = found = (tuple(entries), by_line)
+    return found
 
 
 def fermat_full_fix_table(triple: GeneratingTriple, data: ClassData) -> FixTable:
-    """Fix counts on all of the Fermat group, computed once per conjugacy
-    class (fixed-point counts are class functions).  The triple and the
-    class data must share one group."""
-    fix = _fiber_fix(triple, data)
-    class_of = data.class_of
-    return FixTable(data.group, lambda i: fix[class_of[i]], "full table via the triple fiber model")
+    """Fix counts on all of the Fermat group, once per conjugacy class: the
+    cosets of the three fiber subgroups <c> that g fixes, by Frobenius'
+    formula, nonzero only on the 2p classes of the entries' powers (the
+    ``support``).  The triple and the class data must share one group."""
+    fix: dict[int, int] = {}
+    entries, by_line = _power_class_counts(triple, data)
+    for m, counts in entries:
+        for c, f in data.fixed_cosets(counts, m).items():
+            fix[c] = fix.get(c, 0) + f
+    # a class the powers meet has a positive count, so the support is
+    # those classes but the identity's, and by_line indexes its lines
+    fix.pop(data.identity_key, None)
+    return FixTable(
+        data.group, lambda i: fix.get(data.key(i), 0), "full table via the triple fiber model", fix, by_line
+    )
 
 
-def coset_genus(k: Subgroup, triple: GeneratingTriple, data: ClassData) -> int:
+def coset_genus(k: Subgroup | LineSubgroup, triple: GeneratingTriple, data: ClassData) -> int:
     """Genus of the quotient by K from the triple's coset action.
 
     For each triple entry acting on the cosets G/K, a cycle of length L
@@ -286,17 +285,19 @@ def coset_genus(k: Subgroup, triple: GeneratingTriple, data: ClassData) -> int:
 
     An entry c of order m has (1/m) sum over d < m of fix(c^d) cycles
     (Burnside), each fix count from the classes K meets (Frobenius), so
-    the sum runs over the at most 2p + 5 classes of the entries' powers.
+    the sum runs over the at most 2p + 5 classes of the entries' powers,
+    which a line or the plane meets by line, not element by element.
     """
     p = triple.p
     if k.group != Group(p):
         raise OutOfRangeError(f"{k!r} does not live in the Fermat group for p = {p}")
-    entries = _power_class_counts(triple, data)
-    fixed = data.fixed_cosets(data.class_counts(k.indices), k.order)
-    index = fixed.get(data.identity_index, 0)
+    entries, by_line = _power_class_counts(triple, data)
+    fixed = data.fixed_cosets(data.meet_counts(k, by_line), k.order)
+    index = fixed.get(data.identity_key, 0)
     cycles = 0
     for m, counts in entries:
-        total = sum(n * fixed.get(c, 0) for c, n in counts.items())
+        small, large = sorted((counts, fixed), key=len)
+        total = sum(n * large.get(c, 0) for c, n in small.items())
         if total % m:
             raise InconsistentOrbifoldError(
                 f"p = {p}, |K| = {k.order}: an entry of order {m} fixes {total} cosets over its powers,"

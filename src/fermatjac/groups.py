@@ -31,21 +31,19 @@ table is ever stored.  On that kernel:
   for a transposition the class of x sigma is given by the S3-orbit of
   its square (x sigma)^2 = (I + A) x.  In the p-gonal group, T^k is
   classed by the orbit of k under multiplication by gamma^2, and each
-  e != 0 gives one class of T^k R^e.  :func:`class_rule_gap` checks the
-  Fermat rule by argument; the orbit walk over the conjugation maps
-  (:func:`conjugacy_classes`) is the tests' oracle for it;
-- :class:`ClassData` maps every index to its class, and counts the
-  cosets of K an element fixes by Frobenius' formula from the classes K
-  meets, so no coset G/K is ever listed;
-- :func:`cyclic_subgroup_classes` takes one cyclic subgroup per
-  conjugacy class of them, where :func:`all_cyclic_subgroups` lists
-  every one.
+  e != 0 gives one class of T^k R^e.  :class:`ClassData` keys classes by
+  the rule on demand, :func:`class_rule_gap` checks it by argument, and
+  the orbit walk (:func:`conjugacy_classes`) is the tests' oracle;
+- the p + 1 lines of F_p^2 fall into S3-orbits (:func:`line_orbits`), a
+  :class:`LineSubgroup` is a line or the plane H, and
+  :func:`cyclic_subgroup_classes` takes one cyclic subgroup per class
+  from the line orbits, where :func:`all_cyclic_subgroups` lists all.
 """
 
 from __future__ import annotations
 
 from .errors import GroupMismatchError, InconsistentOrbifoldError, NoGammaError, OutOfRangeError
-from .orbits import PrimeContext
+from .orbits import OrbitKind, PrimeContext
 from .records import FrozenRecord, set_field
 
 # The index of the identity in either group.
@@ -357,15 +355,9 @@ def gcd(a: int, b: int) -> int:
 
 # bench/tracer.py looks this name up with getattr; only the tests call it otherwise.
 def all_cyclic_subgroups(group: Group) -> list[Subgroup]:
-    """Every cyclic subgroup, including the trivial one, deduplicated.
-
-    Listed in canonical order of the first element generating each; that
-    element is the subgroup's generator, and its powers are walked on
-    indices.  An element that generates a subgroup already listed (some
-    power g^k with k prime to the order of g) is skipped without a walk.
-    ``verify`` takes one per class (:func:`cyclic_subgroup_classes`); the
-    tests hold the two lists against each other.
-    """
+    """Every cyclic subgroup, the trivial one included, in canonical order
+    of the first element generating each, its generator; an element that
+    generates one already listed is skipped without a walk."""
     listed = bytearray(group.order)
     subgroups = []
     for i in range(group.order):
@@ -383,13 +375,9 @@ def all_cyclic_subgroups(group: Group) -> list[Subgroup]:
 # bench/tracer.py looks this name up with getattr; only the tests call it otherwise.
 def left_cosets(k: Subgroup, universe: list[int] | tuple[int, ...] | range):
     """Left cosets gK for the indices g of the universe, in order of first
-    appearance.
-
-    Returns (reps, index_of): reps[i] is the representative of coset i and
-    index_of maps every index of the universe to its coset number.  Each
-    coset is taken as the set g K, so this costs |universe| |K| products;
-    the full-depth checks never list cosets (see :class:`ClassData`).
-    """
+    appearance: (reps, index_of), reps[i] the representative of coset i
+    and index_of the coset number of every index, at |universe| |K|
+    products."""
     group = k.group
     number: dict = {}
     index_of: dict[int, int] = {}
@@ -408,16 +396,10 @@ def left_cosets(k: Subgroup, universe: list[int] | tuple[int, ...] | range):
 
 # bench/tracer.py looks this name up with getattr; only the tests call it otherwise.
 def conjugacy_classes(group: Group) -> tuple[tuple[int, ...], ...]:
-    """Partition of the group into conjugacy classes of element indices.
-
-    Classes are closed under conjugation by the group generators, which
-    generates the full conjugation action, so each class is an orbit of
-    the maps x -> t x t^(-1) on indices, t^(-1) the last power of t.
-    Ordered by smallest member; members sorted.  The orbit walk holds one
-    map per generator, of the group's size; :class:`ClassData` takes the
-    classes from their closed form, and the tests hold the two against
-    each other.
-    """
+    """Partition of the group into conjugacy classes of element indices:
+    the orbits of the maps x -> t x t^(-1), t a generator and t^(-1) its
+    last power, ordered by smallest member, members sorted.  It holds one
+    map per generator, of the group's size."""
     conj = []
     for t in group.generators:
         t_inv = group.closure([t])[-1]
@@ -446,133 +428,201 @@ def square_matrix(s: int) -> tuple[int, int, int, int]:
     return (1 + a, b, c, 1 + d)
 
 
-def _positions(matrix: tuple[int, ...], p: int):
-    """A generator of the position of M x for each vector x = (m, n) of
-    F_p^2, in order of the position m p + n of x."""
-    a, b, c, d = matrix
-    return (((a * m + b * n) % p) * p + (c * m + d * n) % p for m in range(p) for n in range(p))
+# -- lines of F_p^2 -----------------------------------------------------------
+
+def line_of(p: int, m: int, n: int) -> int:
+    """The :func:`plane_lines` index of the line through (m, n) != 0."""
+    m %= p
+    return 1 + n * pow(m, -1, p) % p if m else 0
 
 
-def translation_orbit_reps(p: int) -> list[int]:
-    """For each vector (m, n) of F_p^2, at position m p + n, the smallest
-    position in its orbit under the matrices of ACTION."""
-    rep = [-1] * (p * p)
-    for x in range(p * p):
-        if rep[x] < 0:
-            m, n = divmod(x, p)
-            for a, b, c, d in ACTION:
-                rep[((a * m + b * n) % p) * p + (c * m + d * n) % p] = x
-    return rep
+def line_point(p: int, line: int) -> int:
+    """The index of the translation at the :func:`plane_lines` point of a line."""
+    return 6 * (p + line - 1) if line else 6
 
 
-def _fermat_class_keys(p: int) -> tuple[list[int], dict[int, int]]:
-    """The class rule of the Fermat group as one key per element index
-    (m p + n) 6 + sigma: the S3-orbit of x = m p + n for sigma = 1 (keys
-    below p^2), 2 p^2 for a 3-cycle, and for a transposition the orbit of
-    the square (I + A) x, shifted by p^2.  Also the number of indices with
-    each key, counted on the translations and on the image of each square
-    M, which M hits p^2 / |image| times per point (a singular M has the
-    multiples of its columns for image)."""
-    n = p * p
-    keys = [2 * n] * (6 * n)
-    orbit = translation_orbit_reps(p)
-    keys[PERM_ID::6] = orbit
-    counts = dict.fromkeys(orbit, 0)
-    for r in orbit:
-        counts[r] += 1
-    shifted = {r: n + r for r in counts}
-    square_key = list(map(shifted.__getitem__, orbit))
-    counts[2 * n] = 2 * n
-    for s in (PERM_V, PERM_UV, PERM_U2V):
-        a, b, c, d = square = square_matrix(s)
-        keys[s::6] = map(square_key.__getitem__, _positions(square, p))
-        multiples = {(t * u % p) * p + t * v % p for u, v in ((a, c), (b, d)) for t in range(p)}
-        image = range(n) if (a * d - b * c) % p else multiples
-        for key in map(square_key.__getitem__, image):
-            counts[key] = counts.get(key, 0) + n // len(image)
-    return keys, counts
+class LineOrbit(FrozenRecord):
+    """An S3-orbit of lines of F_p^2: its lines (:func:`plane_lines` indices,
+    ascending), the permutations fixing its first, and its kind, a str: a
+    transposition fixes an ``"axis"`` (its +1-eigenline) and a
+    ``"special_one"`` line (its -1-eigenline), a 3-cycle the two
+    ``"gamma"`` lines; the rest are ``"generic"``.  The last three are the
+    values of the :class:`~fermatjac.orbits.OrbitKind` of exponent orbits."""
+
+    __slots__ = _fields = ("lines", "stabilizer", "kind")
+
+    def __init__(self, lines: tuple[int, ...], stabilizer: tuple[int, ...], kind: str):
+        set_field(self, "lines", lines)
+        set_field(self, "stabilizer", stabilizer)
+        set_field(self, "kind", kind)
 
 
-def _pgonal_class_keys(group: Group) -> tuple[list[int], dict[int, int]]:
-    """The class rule of the p-gonal group as one key per element index
-    3 k + e: the orbit of k under multiplication by gamma^2 for e = 0
-    (keys below p), and one class for each e != 0; and the number of
-    indices with each key (gamma^2 has order 3)."""
-    p = group.p
-    g2 = group.gamma * group.gamma % p
-    keys = [0, p, p + 1] * p
-    keys[0::3] = [min(k, k * g2 % p, k * g2 * g2 % p) for k in range(p)]
-    counts = dict.fromkeys(keys[0::3], 3)
-    counts.update({0: 1, p: p, p + 1: p})
-    return keys, counts
+def line_orbits(p: int) -> tuple[LineOrbit, ...]:
+    """The S3-orbits of the p + 1 lines, by first line (the axes 0, 1, 2 first); O(p)."""
+    seen = bytearray(p + 1)
+    orbits = []
+    for first, (x, y) in enumerate(plane_lines(p)):
+        if not seen[first]:
+            images = [line_of(p, a * x + b * y, c * x + d * y) for a, b, c, d in ACTION]
+            stabilizer = tuple(s for s, line in enumerate(images) if line == first)
+            kind = {1: OrbitKind.GENERIC.value, 3: OrbitKind.GAMMA.value}.get(len(stabilizer))
+            if len(stabilizer) == 2:
+                a, b, c, d = ACTION[stabilizer[1]]
+                axis = (a * x + b * y - x) % p == (c * x + d * y - y) % p == 0
+                kind = "axis" if axis else OrbitKind.SPECIAL_ONE.value
+            orbits.append(LineOrbit(tuple(sorted(set(images))), stabilizer, kind))
+            for line in images:
+                seen[line] = 1
+    return tuple(orbits)
+
+
+class LineSubgroup:
+    """A subgroup of H = F_p^2 held by its lines (:func:`plane_lines`
+    indices): one line, of order p, or all p + 1, the plane H.  It is read
+    a line at a time, at the line's point, never element by element."""
+
+    __slots__ = ("group", "p", "lines", "order", "generators")
+    is_translation_subgroup = True
+
+    def __init__(self, p: int, lines: tuple[int, ...] | range):
+        self.group, self.p, self.lines = Group(p), p, tuple(lines)
+        if not (len(self.lines) == 1 and 0 <= self.lines[0] <= p or self.lines == tuple(range(p + 1))):
+            raise OutOfRangeError(f"the lines {self.lines} of F_{p}^2 are not one line or all of them")
+        self.order = p if len(self.lines) == 1 else p * p
+        self.generators = tuple(line_point(p, line) for line in self.lines[:2])
+
+    def __repr__(self):
+        return f"LineSubgroup(order={self.order}, group={self.group!r})"
+
+
+# -- conjugacy classes by rule ------------------------------------------------
+
+
+def orbit_key(p: int, m: int, n: int) -> int:
+    """The least position m' p + n' of the images (m', n') of (m, n) under
+    ACTION: one key per S3-orbit of F_p^2."""
+    least = p * p
+    for a, b, c, d in ACTION:
+        position = (a * m + b * n) % p * p + (c * m + d * n) % p
+        if position < least:
+            least = position
+    return least
 
 
 class ClassData:
-    """Conjugacy classes of one group plus the class of every element.
-
-    ``class_of[i]`` is the number of the class of the element with index
-    i, ``reps[c]`` the smallest member of class c and ``sizes[c]`` its
-    size.  Classes are numbered by smallest member, as
-    :func:`conjugacy_classes` orders them, but no member list is built:
-    the rule of the module docs gives each element a key, and a class is
-    numbered at its first index.  :func:`class_rule_gap` checks that the
-    rule's labels are invariant under conjugation.
-
-    The class data answers every question about the coset action of G on
-    G/K without listing a coset, by Frobenius' formula for permutation
-    characters (Isaacs, *Character Theory of Finite Groups*, ch. 5): an
-    element x fixes |G| |x^G n K| / (|x^G| |K|) cosets.
+    """The conjugacy classes of one group by the rule of the module docs,
+    on demand.  :meth:`key` names an element's class: in the Fermat group
+    orbit_key(x) < p^2 for a translation x (0 for 1), p^2 + orbit_key(M x)
+    for x tau, 2 p^2 for a 3-cycle element; in the p-gonal group the least
+    k gamma^(2i) for T^k and p - 1 + e for T^k R^e.  Sizes and the census
+    are closed forms.  By Frobenius' formula (Isaacs, *Character Theory of
+    Finite Groups*, ch. 5) x fixes |G| |x^G n K| / (|x^G| |K|) cosets of K.
     """
 
-    __slots__ = ("group", "reps", "class_of", "sizes")
+    __slots__ = ("group", "p", "_g2", "memo")
+    identity_key = 0
 
     def __init__(self, group: Group):
-        self.group = group
-        keys, counts = _fermat_class_keys(group.p) if group.gamma is None else _pgonal_class_keys(group)
-        # key -> the first index with that key, read backwards so that
-        # the first index is written last
-        first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
-        order = sorted(first, key=first.__getitem__)
-        self.reps = tuple(map(first.__getitem__, order))
-        self.sizes = tuple(map(counts.__getitem__, order))
-        number = {key: c for c, key in enumerate(order)}
-        # the keys become class numbers in place, a slice at a time, so no
-        # second list of the group's size is held
-        step = 1 << 16
-        for lo in range(0, len(keys), step):
-            keys[lo:lo + step] = map(number.__getitem__, keys[lo:lo + step])
-        self.class_of = keys
+        # memo: what is computed once from these classes, by its input
+        self.group, self.p, self.memo = group, group.p, {}
+        self._g2 = None if group.gamma is None else group.gamma * group.gamma % group.p
 
     @property
     def order(self) -> int:
-        return len(self.class_of)
+        return self.group.order
+
+    def key(self, i: int) -> int:
+        """The key of the class of index i, in O(1)."""
+        p = self.p
+        if self._g2 is not None:
+            k, e = divmod(i, 3)
+            return p - 1 + e if e else min(k, k * self._g2 % p, k * self._g2 * self._g2 % p)
+        mn, s = divmod(i, 6)
+        m, n = divmod(mn, p)
+        if s == PERM_ID:
+            return orbit_key(p, m, n)
+        if s in (PERM_U, PERM_U2):
+            return 2 * p * p
+        a, b, c, d = square_matrix(s)  # x tau by its square M x, beyond p^2
+        return p * p + orbit_key(p, a * m + b * n, c * m + d * n)
+
+    def census(self) -> tuple[tuple[int, int], ...]:
+        """(number of classes, their size) per kind: the identity, the p - 1
+        axis orbits, the rest of F_p^2, the 3-cycles, the x tau by square."""
+        p = self.p
+        if self._g2 is not None:
+            return ((1, 1), ((p - 1) // 3, 3), (2, p))
+        return ((1, 1), (p - 1, 3), ((p - 1) * (p - 2) // 6, 6), (1, 2 * p * p), (p, 3 * p))
 
     @property
-    def identity_index(self) -> int:
-        return self.class_of[IDENTITY]
+    def count(self) -> int:
+        return sum(n for n, _ in self.census())
+
+    def size(self, key: int) -> int:
+        """The size of the class with that key: an orbit of three on the axes
+        m = 0, n = 0, m = n, of six off them."""
+        p, n = self.p, self.p * self.p
+        if self._g2 is not None:
+            return p if key >= p else 3 if key else 1
+        if key >= n:
+            return key if key == 2 * n else 3 * p
+        m, x = divmod(key, p)
+        return 1 if key == 0 else 3 if m == 0 or x == 0 or m == x else 6
+
+    def is_key(self, key: int) -> bool:
+        """Whether some class has that key (an axis orbit's beyond p^2)."""
+        p, n = self.p, self.p * self.p
+        if self._g2 is not None:
+            return key in (p, p + 1) or 0 <= key < p and self.key(3 * key) == key
+        r = key - n if n <= key < 2 * n else key
+        return key == 2 * n or 0 <= r < n and orbit_key(p, *divmod(r, p)) == r and (r == key or self.size(r) < 6)
 
     def class_counts(self, indices: list[int] | tuple[int, ...] | range) -> dict[int, int]:
-        """Class number -> how many of the indexed elements lie in that
-        class; over the elements of K, the numbers |C n K|."""
+        """Class key -> how many of the indexed elements it holds: |C n K|."""
         counts: dict[int, int] = {}
-        for c in map(self.class_of.__getitem__, indices):
+        for c in map(self.key, indices):
             counts[c] = counts.get(c, 0) + 1
         return counts
 
+    def line_index(self, keys) -> dict[int, dict[int, int]]:
+        """Line -> {key: |C n line|} for the Fermat translation classes C
+        among the keys but the identity's, each point counted on its line;
+        O(1) per key, left to the caller to keep."""
+        if self._g2 is not None:
+            raise GroupMismatchError(f"the lines of F_p^2 do not serve {self.group}")
+        p = self.p
+        index: dict[int, dict[int, int]] = {}
+        for key in keys:
+            if 0 < key < p * p:
+                m, n = divmod(key, p)
+                for y in {((a * m + b * n) % p, (c * m + d * n) % p) for a, b, c, d in ACTION}:
+                    cell = index.setdefault(line_of(p, *y), {})
+                    cell[key] = cell.get(key, 0) + 1
+        return index
+
+    def meet_counts(self, k: Subgroup | LineSubgroup, by_line: dict[int, dict[int, int]]) -> dict[int, int]:
+        """|C n K| for the classes C that K meets; for a LineSubgroup, only
+        the identity and the classes ``by_line`` (:meth:`line_index`) holds."""
+        if not isinstance(k, LineSubgroup):
+            return self.class_counts(k.indices)
+        counts = {self.identity_key: 1}
+        for line in k.lines:
+            for c, n in by_line.get(line, {}).items():
+                counts[c] = counts.get(c, 0) + n
+        return counts
+
     def fixed_cosets(self, counts: dict[int, int], k_order: int) -> dict[int, int]:
-        """Frobenius' formula: class number C -> the number of cosets of K
-        that a member of C fixes, |G| counts[C] / (|C| |K|), for the
-        classes K meets (``counts`` from :meth:`class_counts`).  Every
-        other class fixes no coset.  A quotient that is not an integer
-        means the class data or K is not what it claims to be, and raises.
-        """
-        order, sizes = self.order, self.sizes
+        """Frobenius' formula: class key C -> the cosets of K a member of C
+        fixes, |G| counts[C] / (|C| |K|), for the classes ``counts`` names;
+        a quotient that is not an integer raises."""
+        order = self.order
         fixed = {}
         for c, n in counts.items():
-            q, r = divmod(order * n, sizes[c] * k_order)
+            size = self.size(c)
+            q, r = divmod(order * n, size * k_order)
             if r:
                 raise InconsistentOrbifoldError(
-                    f"p = {self.group.p}: |G| |C n K| / (|C| |K|) = {order} * {n} / ({sizes[c]} * {k_order})"
+                    f"p = {self.p}: |G| |C n K| / (|C| |K|) = {order} * {n} / ({size} * {k_order})"
                     f" is not an integer for class {c}"
                 )
             fixed[c] = q
@@ -587,56 +637,44 @@ def _mat_mul(x: tuple[int, ...], y: tuple[int, ...], p: int) -> tuple[int, int, 
 
 def class_rule_gap(data: ClassData) -> str | None:
     """The first hypothesis of the Fermat group's class rule that the
-    class data fails, or None when its labels are conjugation-invariant
-    and its class sizes are those of the rule.
+    class data fails, or None when its keys are conjugation-invariant
+    and its census is that of the rule.
 
-    Write an element as x s, x in F_p^2 and A_s = ACTION[s].  Conjugation
-    by a translation w sends x s to (x + (I - A_s) w) s, and conjugation
-    by sigma sends x s to (A_sigma x)(sigma s sigma^(-1)).  The rule
-    labels x by its S3-orbit, every 3-cycle element alike, and x tau, tau
-    a transposition, by the S3-orbit of its square M_tau x, M =
-    :func:`square_matrix`.  So the labels are conjugation-invariant
-    exactly when:
-
-    - ACTION respects PERM_MUL on all 36 products, so every A_sigma is a
-      product of A_u and A_v, and a conjugate of a 3-cycle or of a
-      transposition is one again;
-    - the labels of the p^2 translations are invariant under A_u and A_v;
-    - M_tau (I - A_tau) = 0 for each transposition tau, so conjugation by
-      a translation keeps the square (for M = I + A this is A_tau^2 = I),
-      and M_(sigma tau sigma^-1) A_sigma = A_sigma M_tau, so conjugation
-      by sigma moves the square by A_sigma, within its orbit.
-
-    The 3-cycle elements are one class, not several, because I - A_rho
-    is invertible mod p for both 3-cycles (so conjugation by translations
-    reaches every x rho) and a transposition conjugates u to u^2; that
-    needs det(I - A_rho) != 0 mod p.  Classes the rule merged would have
-    sizes outside the rule's 1, 3, 6, 3p and 2p^2, which sum to |G|.
-    Each hypothesis costs O(1) but the translation labels, O(p^2).
+    Conjugation by a translation w sends x s (A_s = ACTION[s]) to
+    (x + (I - A_s) w) s, and by sigma to (A_sigma x)(sigma s sigma^(-1)).
+    So the keys are invariant when ACTION respects PERM_MUL on all 36
+    products (then :func:`orbit_key` is the same at every A_sigma x; the
+    keys at the :func:`plane_lines` points are held to A_u and A_v too),
+    and M_tau (I - A_tau) = 0 and M_(sigma tau sigma^-1) A_sigma = A_sigma
+    M_tau for each transposition tau, M = :func:`square_matrix`.  The
+    3-cycle elements are one class as det(I - A_rho) != 0 mod p and v
+    conjugates u to u^2.  The census must give sizes among 1, 3, 6, 3p
+    and 2p^2 that sum to |G|.
     """
     group = data.group
     if group.gamma is not None:
         raise GroupMismatchError(f"the class rule of the Fermat group does not serve {group}")
     p = group.p
     where = group.coordinates
+    reduced, squares = [tuple(x % p for x in a) for a in ACTION], list(map(square_matrix, range(6)))
     for s in range(6):
         for t in range(6):
-            if _mat_mul(ACTION[s], ACTION[t], p) != tuple(x % p for x in ACTION[PERM_MUL[s][t]]):
+            if _mat_mul(ACTION[s], ACTION[t], p) != reduced[PERM_MUL[s][t]]:
                 return f"ACTION[{s}] ACTION[{t}] is not ACTION[{PERM_MUL[s][t]}]"
-    labels = data.class_of[::6]
-    for s in (PERM_U, PERM_V):
-        image = list(_positions(ACTION[s], p))
-        if list(map(labels.__getitem__, image)) != labels:
-            x = next(x for x, y in enumerate(image) if labels[y] != labels[x])
-            return f"conjugation by {where(s)} moves {where(6 * x)} out of its class, to {where(6 * image[x])}"
-        del image  # p^2 fresh ints: free them before the next image is built
+    for m, n in plane_lines(p):
+        key = orbit_key(p, m, n)
+        for s in (PERM_U, PERM_V):
+            a, b, c, d = ACTION[s]
+            y = ((a * m + b * n) % p) * p + (c * m + d * n) % p
+            if orbit_key(p, *divmod(y, p)) != key:
+                return f"conjugation by {where(s)} moves {where(6 * (m * p + n))} out of its class, to {where(6 * y)}"
     for t in (PERM_V, PERM_UV, PERM_U2V):
         a, b, c, d = ACTION[t]
-        if _mat_mul(square_matrix(t), (1 - a, -b, -c, 1 - d), p) != (0, 0, 0, 0):
+        if _mat_mul(squares[t], (1 - a, -b, -c, 1 - d), p) != (0, 0, 0, 0):
             return f"the square rule of sigma = {t} is not constant on its translation conjugates"
         for s in range(6):
             conj = PERM_MUL[PERM_MUL[s][t]][PERM_INV[s]]
-            if _mat_mul(square_matrix(conj), ACTION[s], p) != _mat_mul(ACTION[s], square_matrix(t), p):
+            if _mat_mul(squares[conj], ACTION[s], p) != _mat_mul(ACTION[s], squares[t], p):
                 return f"conjugation by sigma = {s} does not move the square rule of sigma = {t} by ACTION[{s}]"
     for s in (PERM_U, PERM_U2):
         a, b, c, d = ACTION[s]
@@ -645,36 +683,25 @@ def class_rule_gap(data: ClassData) -> str | None:
     if PERM_MUL[PERM_MUL[PERM_V][PERM_U]][PERM_INV[PERM_V]] != PERM_U2:
         return "v does not conjugate u to u^2"
     allowed = (1, 3, 6, 3 * p, 2 * p * p)
-    bad = sorted({n for n in data.sizes if n not in allowed})
+    bad = sorted({size for _, size in data.census() if size not in allowed})
     if bad:
         return f"class sizes {bad} are not among the rule's {allowed}"
-    if sum(data.sizes) != group.order:
-        return f"the class sizes sum to {sum(data.sizes)}, not {group.order}"
+    total = sum(n * size for n, size in data.census())
+    if total != group.order:
+        return f"the class sizes sum to {total}, not {group.order}"
     return None
 
 
-def cyclic_subgroup_classes(data: ClassData) -> list[Subgroup]:
-    """One cyclic subgroup from each conjugacy class of cyclic subgroups,
-    the trivial one first.
-
-    <g> and <h> are conjugate exactly when h is conjugate to a generator
-    g^k of <g>, gcd(k, |g|) = 1.  So the classes are walked in order: the
-    powers of the smallest member of a class not yet covered are a new
-    representative, and the classes of its generators become covered.
-    That gives one subgroup per class when the classes of ``data`` are
-    the conjugacy classes; ``verify`` checks their rule by the argument
-    of :func:`class_rule_gap`.
-    """
-    group, class_of = data.group, data.class_of
-    covered = bytearray(len(data.reps))
-    subgroups = []
-    for c, rep in enumerate(data.reps):
-        if covered[c]:
-            continue
-        powers = group.closure([rep])
-        n = len(powers)
-        for k in range(1, n + 1):
-            if gcd(k, n) == 1:
-                covered[class_of[powers[k % n]]] = 1
-        subgroups.append(Subgroup(group, (rep,), powers))
-    return subgroups
+def cyclic_subgroup_classes(p: int, orbits: tuple[LineOrbit, ...]) -> list[Subgroup | LineSubgroup]:
+    """One cyclic subgroup of the Fermat group per conjugacy class of them,
+    the trivial one first.  x sigma conjugates H by the matrix of sigma, so
+    the lines (order p) are conjugate when they share an orbit of
+    :func:`line_orbits`.  The 3-cycle elements are one class, so <u>
+    stands for order 3, and so are the x tau of square 0, so <v> for order
+    2.  The x tau of order 2p are classed by the axis orbit of the square,
+    and the generators (a1 v)^k of <a1 v> have the squares k (1, 1), on
+    every axis orbit."""
+    group = Group(p)
+    gens = (IDENTITY, PERM_U, PERM_V, fermat_translation(p, 1, 0) + PERM_V)
+    cyclic = [Subgroup(group, (g,), group.closure([g])) for g in gens]
+    return cyclic[:3] + [LineSubgroup(p, o.lines[:1]) for o in orbits] + cyclic[3:]

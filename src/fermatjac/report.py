@@ -117,9 +117,11 @@ _ROWS = {OrbitClass: _orbit_row, IsogenyFactor: _factor_row}
 
 def _row(cls, indent: str, memo: dict):
     """The writer of a cls row at the depth of indent, made once per
-    document; None when cls has no row."""
+    document; None when cls has no row.  It formats each row object once
+    at that depth: the fine decomposition reuses the coarse factors."""
     if cls in _ROWS and (cls, indent) not in memo:
-        memo[cls, indent] = _ROWS[cls](indent)
+        write, texts = _ROWS[cls](indent), {}
+        memo[cls, indent] = lambda row: texts.get(id(row)) or texts.setdefault(id(row), write(row))
     return memo.get((cls, indent))
 
 
@@ -127,7 +129,8 @@ def _json(value, indent: str, memo: dict, out: list) -> None:
     """Append the JSON of value at the depth of ``indent``, a newline and
     spaces, to ``out`` in fragments.  ``memo`` holds the written form of
     each str key and the row writer of each (class, indent) met so far in
-    this document, so what the schema repeats is made once."""
+    this document, with the text of each row it wrote, so what the
+    schema repeats is made once."""
     get = _SCALARS.get
     write = get(type(value)) or _row(type(value), indent, memo)
     if write is not None:
@@ -150,9 +153,11 @@ def _json(value, indent: str, memo: dict, out: list) -> None:
         if keyed:
             k, v = v
             lead += memo[k] if type(k) is str and k in memo else _key(k, memo)
-        write = get(type(v)) or _row(type(v), inner, memo)
+        write = get(type(v))
         if write is not None:
             out.append(lead + write(v))
+        elif type(v) in _ROWS:
+            out += lead, _row(type(v), inner, memo)(v)
         else:
             out.append(lead)
             _json(v, inner, memo, out)

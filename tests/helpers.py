@@ -22,7 +22,10 @@ under :func:`s3_apply`, :func:`are_isomorphic`,
 :func:`fermat_quotient_genus`) are kept here for the tests that use
 them, and :func:`reference_rows` turns the orbit and factor objects of a
 report into the dicts the report once held, the reference of the JSON
-writer's row templates.
+writer's row templates.  The class table the package once held (one key
+per element, :class:`ListClassData`), the label walk over every
+translation and the cyclic classes walked over the table are the
+oracles of its classes by rule and of its line-orbit representatives.
 """
 
 from fractions import Fraction
@@ -52,8 +55,13 @@ from fermatjac.groups import (
     PERM_UV,
     PERM_V,
     Group,
+    LineSubgroup,
     Subgroup,
+    fermat_translation,
+    gcd,
+    plane_lines,
     resolve_gamma,
+    square_matrix,
     subgroup_closure,
 )
 from fermatjac.monomial import MOEBIUS_MONOMIALS
@@ -721,11 +729,9 @@ def object_conjugacy_classes(group):
 
 def object_inner_product(f1, f2, universe):
     """(1/|G|) sum of f1(g) f2(g) over the element objects of the group,
-    each looked up in an element -> class dict built from the classes
-    (given by the canonical positions of their members)."""
+    each read at the index of the object."""
     universe = list(universe)
-    class_of = {universe[i]: c for c, cls in enumerate(class_members(f1.data)) for i in cls}
-    total = sum(f1.values[class_of[g]] * f2.values[class_of[g]] for g in universe)
+    total = sum(f1(index_of(g)) * f2(index_of(g)) for g in universe)
     return Fraction(total, len(universe))
 
 
@@ -860,44 +866,184 @@ def labelled_perm_character(k, classes):
 
 
 def element_inner_product(f1, f2):
-    """(1/|G|) sum over every element index i of f1 f2 at the class of i."""
-    v1, v2 = f1.values, f2.values
-    return Fraction(sum(v1[c] * v2[c] for c in f1.data.class_of), f1.data.order)
+    """(1/|G|) sum over every element index i of f1(i) f2(i)."""
+    order = f1.data.order
+    return Fraction(sum(f1(i) * f2(i) for i in range(order)), order)
+
+
+def class_values(fn, classes):
+    """A class function's value on each class of indices, at its first member."""
+    return [fn(cls[0]) for cls in classes]
 
 
 def class_members(data):
-    """The members of each class of ``data``, read off ``class_of``."""
+    """The members of each class of a ListClassData, read off ``class_of``."""
     members = [[] for _ in data.reps]
     for i, c in enumerate(data.class_of):
         members[c].append(i)
     return tuple(map(tuple, members))
 
 
-def merge_axis_class(real):
-    """translation_orbit_reps with the orbit of a1 (an axis translation)
-    labelled as the orbit of a1 a2^2 (off the axes): the classes of both
-    translations, and of the transposition elements whose squares lie in
-    them, merge."""
+def subgroup_indices(k):
+    """A Subgroup of the elements of k; a LineSubgroup listed point by point."""
+    if not isinstance(k, LineSubgroup):
+        return k
+    p = k.p
+    points = {fermat_translation(p, t * a, t * b) for line in k.lines for a, b in [plane_lines(p)[line]] for t in range(p)}
+    return Subgroup(k.group, k.generators, points)
 
-    def merged(p):
-        labels = list(real(p))
-        axis, off_axis = labels[p], labels[p + 2]  # the positions of (1, 0) and (1, 2)
-        return [off_axis if r == axis else r for r in labels]
+
+# -- the class table: the oracle of ClassData's keys by rule ------------------
+#
+# The Fermat group's classes as the package once held them: one key per
+# element, a list of 6 p^2, from the orbit of each of the p^2 translations;
+# the class numbers, representatives and sizes in the order of the orbit
+# walk; and the class rule's label walk over all p^2 translations.
+
+
+def matrix_positions(matrix, p):
+    """The position of M x for each vector x = (m, n) of F_p^2, in order of
+    the position m p + n of x."""
+    a, b, c, d = matrix
+    return (((a * m + b * n) % p) * p + (c * m + d * n) % p for m in range(p) for n in range(p))
+
+
+def translation_orbit_reps(p):
+    """For each vector (m, n) of F_p^2, at position m p + n, the smallest
+    position in its orbit under the matrices of ACTION."""
+    rep = [-1] * (p * p)
+    for x in range(p * p):
+        if rep[x] < 0:
+            m, n = divmod(x, p)
+            for a, b, c, d in ACTION:
+                rep[((a * m + b * n) % p) * p + (c * m + d * n) % p] = x
+    return rep
+
+
+def fermat_class_keys(p):
+    """The class rule of the Fermat group as one key per element index
+    (m p + n) 6 + sigma: the S3-orbit of x = m p + n for sigma = 1 (keys
+    below p^2), 2 p^2 for a 3-cycle, and for a transposition the orbit of
+    the square (I + A) x, shifted by p^2.  Also the number of indices with
+    each key, counted on the translations and on the image of each square
+    M, which M hits p^2 / |image| times per point (a singular M has the
+    multiples of its columns for image)."""
+    n = p * p
+    keys = [2 * n] * (6 * n)
+    orbit = translation_orbit_reps(p)
+    keys[PERM_ID::6] = orbit
+    counts = dict.fromkeys(orbit, 0)
+    for r in orbit:
+        counts[r] += 1
+    shifted = {r: n + r for r in counts}
+    square_key = list(map(shifted.__getitem__, orbit))
+    counts[2 * n] = 2 * n
+    for s in (PERM_V, PERM_UV, PERM_U2V):
+        a, b, c, d = square = square_matrix(s)
+        keys[s::6] = map(square_key.__getitem__, matrix_positions(square, p))
+        multiples = {(t * u % p) * p + t * v % p for u, v in ((a, c), (b, d)) for t in range(p)}
+        image = range(n) if (a * d - b * c) % p else multiples
+        for key in map(square_key.__getitem__, image):
+            counts[key] = counts.get(key, 0) + n // len(image)
+    return keys, counts
+
+
+def pgonal_class_keys(group):
+    """The class rule of the p-gonal group as one key per element index
+    3 k + e: the orbit of k under multiplication by gamma^2 for e = 0
+    (keys below p), and one class for each e != 0; and the number of
+    indices with each key (gamma^2 has order 3)."""
+    p = group.p
+    g2 = group.gamma * group.gamma % p
+    keys = [0, p, p + 1] * p
+    keys[0::3] = [min(k, k * g2 % p, k * g2 * g2 % p) for k in range(p)]
+    counts = dict.fromkeys(keys[0::3], 3)
+    counts.update({0: 1, p: p, p + 1: p})
+    return keys, counts
+
+
+class ListClassData:
+    """The conjugacy classes of one group plus the class of every element.
+
+    ``class_of[i]`` is the number of the class of the element with index
+    i, ``reps[c]`` the smallest member of class c, ``sizes[c]`` its size
+    and ``keys[c]`` its key by the rule.  Classes are numbered by smallest
+    member, as conjugacy_classes orders them.
+    """
+
+    def __init__(self, group):
+        self.group = group
+        keys, counts = fermat_class_keys(group.p) if group.gamma is None else pgonal_class_keys(group)
+        first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+        order = sorted(first, key=first.__getitem__)
+        self.keys = tuple(order)
+        self.reps = tuple(map(first.__getitem__, order))
+        self.sizes = tuple(map(counts.__getitem__, order))
+        number = {key: c for c, key in enumerate(order)}
+        self.class_of = [number[key] for key in keys]
+        self.element_keys = keys
+
+    @property
+    def order(self):
+        return len(self.class_of)
+
+
+def class_label_gap(data):
+    """The walk the class rule's argument replaced: the class labels of
+    a ListClassData's p^2 translations under A_u and A_v, compared
+    element by element; None when they are invariant."""
+    group = data.group
+    p = group.p
+    labels = data.class_of[::6]
+    for s in (PERM_U, PERM_V):
+        image = list(matrix_positions(ACTION[s], p))
+        if list(map(labels.__getitem__, image)) != labels:
+            x = next(x for x, y in enumerate(image) if labels[y] != labels[x])
+            return f"conjugation by {group.coordinates(s)} moves {group.coordinates(6 * x)} out of its class"
+    return None
+
+
+def walked_cyclic_subgroup_classes(data):
+    """One cyclic subgroup per conjugacy class of them, by a walk over the
+    classes of a ListClassData in order: the powers of the smallest member
+    of a class not yet covered are a new representative, and the classes
+    of its generators become covered."""
+    group, class_of = data.group, data.class_of
+    covered = bytearray(len(data.reps))
+    subgroups = []
+    for c, rep in enumerate(data.reps):
+        if covered[c]:
+            continue
+        powers = group.closure([rep])
+        n = len(powers)
+        for k in range(1, n + 1):
+            if gcd(k, n) == 1:
+                covered[class_of[powers[k % n]]] = 1
+        subgroups.append(Subgroup(group, (rep,), powers))
+    return subgroups
+
+
+def merge_axis_class(real):
+    """orbit_key with the orbit of a1 (an axis translation) keyed as the
+    orbit of a1 a2^2 (off the axes): the classes of both translations,
+    and of the transposition elements whose squares lie in them, merge."""
+
+    def merged(p, m, n):
+        key = real(p, m, n)
+        return real(p, 1, 2) if key == real(p, 1, 0) else key
 
     return merged
 
 
 def split_generic_class(real):
-    """translation_orbit_reps with the orbit of a1 a2^2 (a translation off
-    the axes, an orbit of six) split into two halves of three, the second
-    labelled by its own smallest position."""
+    """orbit_key with the orbit of a1 a2^2 (a translation off the axes, an
+    orbit of six) split into two halves of three, the second keyed by its
+    own smallest position."""
 
-    def split(p):
-        labels = list(real(p))
-        members = sorted(x for x, r in enumerate(labels) if r == labels[p + 2])
-        for x in members[3:]:
-            labels[x] = members[3]
-        return labels
+    def split(p, m, n):
+        key = real(p, m, n)
+        members = sorted({((a + 2 * b) % p) * p + (c + 2 * d) % p for a, b, c, d in ACTION})
+        return members[3] if key == members[0] and (m % p) * p + n % p in members[3:] else key
 
     return split
 
@@ -906,11 +1052,11 @@ def drop_deck_class(real):
     """cyclic_subgroup_classes without its last deck representative, the
     cyclic subgroup of a translation (m, n) off the three axes."""
 
-    def dropped(data):
-        subgroups = list(real(data))
+    def dropped(p, orbits):
+        subgroups = list(real(p, orbits))
         deck = []
         for i, k in enumerate(subgroups):
-            m, n, s = data.group.coordinates(k.generators[0])
+            m, n, s = Group(p).coordinates(k.generators[0])
             if s == PERM_ID and m and n and m != n:
                 deck.append(i)
         del subgroups[deck[-1]]

@@ -6,6 +6,7 @@ from fermatjac.certificates import (
     chi_trivial,
     induced_perm_character,
     inner_product,
+    perm_pairing,
 )
 from fermatjac.errors import CheckFailedError, GroupMismatchError, OutOfRangeError, ShapeMismatchError
 from fermatjac.genus import (
@@ -17,14 +18,25 @@ from fermatjac.genus import (
 from fermatjac.groups import (
     IDENTITY,
     Group,
+    LineSubgroup,
     all_cyclic_subgroups,
+    conjugacy_classes,
     fermat_H,
     fermat_Hj,
     subgroup_closure,
 )
 from fermatjac.orbits import make_context
 
-from helpers import element_inner_product, fermat_a1, fermat_u, fermat_v, index_of, pgonal_T, trivial_subgroup
+from helpers import (
+    class_values,
+    element_inner_product,
+    fermat_a1,
+    fermat_u,
+    fermat_v,
+    index_of,
+    pgonal_T,
+    trivial_subgroup,
+)
 
 
 @pytest.fixture(scope="module", params=(5, 7))
@@ -60,13 +72,12 @@ def test_induced_character_identities(setup):
     # K = G gives the trivial character, K = 1 the regular character
     full = subgroup_closure(Group(p), map(index_of, (fermat_a1(p), fermat_u(p), fermat_v(p))))
     assert full.order == 6 * p * p
+    classes = conjugacy_classes(Group(p))
     chi_full = induced_perm_character(full, data)
-    assert chi_full.values == chi_trivial(data).values
+    assert class_values(chi_full, classes) == class_values(chi_trivial(data), classes) == [1] * len(classes)
     chi_reg = induced_perm_character(trivial_subgroup(Group(p)), data)
     assert chi_reg.at_identity == 6 * p * p
-    assert all(
-        v == 0 for i, v in enumerate(chi_reg.values) if i != data.identity_index
-    )
+    assert class_values(chi_reg, classes)[1:] == [0] * (len(classes) - 1)
 
 
 def test_induced_vs_homology_pairing_Hj(setup):
@@ -79,6 +90,9 @@ def test_induced_vs_homology_pairing_Hj(setup):
         assert value == p - 1
         assert type(value) is int
         assert element_inner_product(chi, rat) == value
+        # Frobenius' formula over hom's support, on the elements of H_j
+        # and on the line j + 2 read by its line
+        assert perm_pairing(fermat_Hj(p, j), rat) == perm_pairing(LineSubgroup(p, (j + 2,)), rat) == value
 
 
 def test_pairing_equals_twice_quotient_genus(setup):
@@ -90,7 +104,8 @@ def test_pairing_equals_twice_quotient_genus(setup):
     subgroups.append(fermat_H(p))
     for k in subgroups:
         chi = induced_perm_character(k, data)
-        assert inner_product(chi, rat) == 2 * coset_genus(k, triple, data)
+        assert inner_product(chi, rat) == perm_pairing(k, rat) == 2 * coset_genus(k, triple, data)
+    assert perm_pairing(LineSubgroup(p, range(p + 1)), rat) == 0
 
 
 def test_perm_character_at_Hj_p5():
@@ -143,8 +158,11 @@ def test_malformed_class_functions_are_typed_errors():
     from fermatjac.groups import Subgroup
 
     d5 = ClassData(Group(5))
-    with pytest.raises(ShapeMismatchError):
-        ClassFunction(d5, [1, 2])
+    # 5 = (1, 0) is not the least position of its orbit {(1, 0), (0, 1),
+    # (4, 4)}, and 51 is past the last key 2 * 5^2
+    for bad in (5, 51, -1):
+        with pytest.raises(ShapeMismatchError):
+            ClassFunction(d5, {bad: 1})
     # {1, T} is not closed, so its 21 translates are not 21 / 2 cosets
     ctx = make_context(7)
     group = Group(7, ctx.gamma)
@@ -160,8 +178,9 @@ def test_inner_product_refuses_a_non_integral_pairing():
     from fermatjac.certificates import ClassFunction
 
     data = ClassData(Group(5))
-    c = next(c for c, size in enumerate(data.sizes) if size > 1)
-    one_class = ClassFunction.on_support(data, {c: 1}, "one class")
+    c = data.key(index_of(fermat_a1(5)))
+    assert data.size(c) == 3
+    one_class = ClassFunction(data, {c: 1}, "one class")
     with pytest.raises(CheckFailedError, match="<one class, trivial> = "):
         inner_product(one_class, chi_trivial(data))
 
@@ -176,9 +195,9 @@ def test_pgonal_class_data_and_pairing():
     from fermatjac.genus import pgonal_fix_table
 
     fix = pgonal_fix_table(ctx)
-    values = []
-    for rep in data.reps:
-        values.append(7 - 1 if rep == IDENTITY else 2 - fix.at(rep))
+    values = {}
+    for cls in conjugacy_classes(data.group):
+        values[data.key(cls[0])] = 7 - 1 if cls[0] == IDENTITY else 2 - fix.at(cls[0])
     hom = ClassFunction(data, values, "pgonal homology")
     assert inner_product(chi_trivial(data), hom) == 0
     assert element_inner_product(chi_trivial(data), hom) == 0

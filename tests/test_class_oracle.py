@@ -3,11 +3,13 @@
 coset_genus, the fiber-model fix table and induced_perm_character read
 conjugacy classes only (Burnside's lemma and Frobenius' formula); the
 helpers label every coset of G/K on element indices and count cycles and
-fixed cosets on the labels.  ClassData takes the classes from their
-closed form; the orbit walk over the conjugation maps is its oracle.
-verify runs both genus oracles on one cyclic subgroup per conjugacy
-class; every cyclic subgroup is the oracle for that reduction, and a
-class rule that splits or merges classes must fail verify.
+fixed cosets on the labels.  ClassData keys the classes by rule, on
+demand; the class table of helpers.py (one key per element) and the
+orbit walk over the conjugation maps are its oracles.  verify runs both
+genus oracles on one cyclic subgroup per conjugacy class, taken from the
+line orbits; every cyclic subgroup, and the walk over the class table,
+are the oracles for that reduction, and a class rule that splits or
+merges classes must fail verify.
 """
 
 import sys
@@ -26,6 +28,7 @@ from fermatjac.groups import (
     PERM_UV,
     ClassData,
     Group,
+    LineSubgroup,
     all_cyclic_subgroups,
     class_rule_gap,
     conjugacy_classes,
@@ -33,12 +36,16 @@ from fermatjac.groups import (
     fermat_H,
     fermat_Hj,
     fermat_order,
+    line_orbits,
     subgroup_closure,
 )
 from fermatjac.orbits import make_context, orbit_partition
 
 from helpers import (
+    ListClassData,
+    class_label_gap,
     class_members,
+    class_values,
     drop_deck_class,
     fermat_a1,
     index_of,
@@ -51,6 +58,8 @@ from helpers import (
     split_generic_class,
     square_doubled_for_uv,
     square_minus,
+    subgroup_indices,
+    walked_cyclic_subgroup_classes,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -62,29 +71,35 @@ def test_class_arithmetic_matches_coset_labelling(p):
     triple = find_generating_triple(ctx)
     data = ClassData(Group(ctx.p))
     fix = fermat_full_fix_table(triple, data)
-    reps = [r for r in data.reps if r != IDENTITY]
+    classes = conjugacy_classes(Group(ctx.p))
+    reps = [cls[0] for cls in classes[1:]]
     assert [fix.at(r) for r in reps] == [labelled_fix_count(r, triple) for r in reps]
+    # the table's support is every class where it is not 0: 2p of them
+    assert set(fix.support) == {data.key(r) for r in reps if fix.at(r)} and len(fix.support) == 2 * p
     hj = [fermat_Hj(p, j) for j in range(1, p - 1)]
     for k in all_cyclic_subgroups(Group(ctx.p)) + [fermat_H(p)] + hj:
         assert coset_genus(k, triple, data) == labelled_coset_genus(k, triple)
-    classes = conjugacy_classes(Group(ctx.p))
+    # a line and the plane, read by their lines, against their elements
+    for k in [LineSubgroup(p, (line,)) for line in range(p + 1)] + [LineSubgroup(p, range(p + 1))]:
+        assert coset_genus(k, triple, data) == labelled_coset_genus(subgroup_indices(k), triple)
     for k in [fermat_H(p)] + hj:
         chi = induced_perm_character(k, data)
-        assert list(chi.values) == labelled_perm_character(k, classes)
+        assert class_values(chi, classes) == labelled_perm_character(k, classes)
         # perm(G/K) vanishes off the classes K meets, and is held so
-        assert set(chi.support) == {data.class_of[i] for i in k.indices}
+        assert set(chi.support) == {data.key(i) for i in k.indices}
 
 
-def test_non_integral_frobenius_quotient_raises():
+def test_non_integral_frobenius_quotient_raises(monkeypatch):
     # a1's class {a1, a2, a3} meets <a1> once: 294 * 1 / (3 * 7) = 14
     # cosets; claiming a fourth member gives 294 / 28, not an integer
     ctx = make_context(7)
     triple = find_generating_triple(ctx)
     data = ClassData(Group(ctx.p))
     a1 = index_of(fermat_a1(7))
-    c = data.class_of[a1]
-    assert data.sizes[c] == 3
-    data.sizes = data.sizes[:c] + (4,) + data.sizes[c + 1:]
+    c = data.key(a1)
+    assert data.size(c) == 3
+    size = ClassData.size
+    monkeypatch.setattr(ClassData, "size", lambda self, key: 4 if key == c else size(self, key))
     k = subgroup_closure(data.group, [a1])
     with pytest.raises(InconsistentOrbifoldError):
         coset_genus(k, triple, data)
@@ -92,24 +107,52 @@ def test_non_integral_frobenius_quotient_raises():
         induced_perm_character(k, data)
 
 
+def assert_keys_match_the_table(group):
+    """ClassData's key of every element, its sizes, class count and key
+    test against the class table of helpers.py; returns the table."""
+    data, table = ClassData(group), ListClassData(group)
+    assert [data.key(i) for i in range(group.order)] == table.element_keys
+    assert [data.size(key) for key in table.keys] == list(table.sizes)
+    assert data.count == len(table.reps) == sum(n for n, _ in data.census())
+    bound = 2 * group.p * group.p + 1 if group.gamma is None else group.p + 2
+    assert [key for key in range(bound) if data.is_key(key)] == sorted(table.keys)
+    return table
+
+
 @pytest.mark.parametrize("p", [q for q in primes_upto(61) if q >= 5])
 def test_closed_form_classes_match_the_orbit_walk(p):
-    """The same classes in the same order, the same class of every
-    element and the same sizes, for the Fermat group and for the p-gonal
-    group of each root."""
+    """The class table of helpers.py has the walk's classes in the same
+    order, the same class of every element and the same sizes, for the
+    Fermat group and for the p-gonal group of each root; ClassData's keys
+    by rule are the table's, and its cyclic-subgroup classes from the line
+    orbits are the walk's over the table."""
     ctx = make_context(p)
     for group in [Group(p)] + [Group(p, g) for g in ctx.gamma_pair or ()]:
-        data = ClassData(group)
+        table = assert_keys_match_the_table(group)
         walk = conjugacy_classes(group)
-        assert class_members(data) == walk
-        assert data.reps == tuple(cls[0] for cls in walk)
-        assert data.sizes == tuple(map(len, walk))
+        assert class_members(table) == walk
+        assert table.reps == tuple(cls[0] for cls in walk)
+        assert table.sizes == tuple(map(len, walk))
         class_of = [0] * group.order
         for c, cls in enumerate(walk):
             for i in cls:
                 class_of[i] = c
-        assert data.class_of == class_of
-    assert class_rule_gap(ClassData(Group(p))) is None
+        assert table.class_of == class_of
+    table = ListClassData(Group(p))
+    assert class_rule_gap(ClassData(Group(p))) is None and class_label_gap(table) is None
+
+    def generator_classes(k):
+        return frozenset(table.class_of[i] for i in subgroup_indices(k).indices if fermat_order(p, i) == k.order)
+
+    reps = cyclic_subgroup_classes(p, line_orbits(p))
+    walked = walked_cyclic_subgroup_classes(table)
+    assert len(reps) == len(walked)
+    assert {generator_classes(k) for k in reps} == {generator_classes(k) for k in walked}
+
+
+@pytest.mark.parametrize("p", [q for q in primes_upto(199) if q > 61])
+def test_keys_match_the_class_table_up_to_199(p):
+    assert_keys_match_the_table(Group(p))
 
 
 def test_class_rule_gap_serves_the_fermat_group_only():
@@ -119,9 +162,7 @@ def test_class_rule_gap_serves_the_fermat_group_only():
 
 
 def test_merged_classes_fail_verify(capsys, monkeypatch):
-    monkeypatch.setattr(
-        groups_module, "translation_orbit_reps", merge_axis_class(groups_module.translation_orbit_reps)
-    )
+    monkeypatch.setattr(groups_module, "orbit_key", merge_axis_class(groups_module.orbit_key))
     code = cli.main(["verify", "--p", "13", "--depth", "full"])
     out, err = capsys.readouterr()
     assert code == 4
@@ -133,7 +174,7 @@ def test_merged_classes_fail_verify_under_python_O():
     run = run_under_O(
         "from fermatjac import cli, groups\n"
         "from helpers import merge_axis_class\n"
-        "groups.translation_orbit_reps = merge_axis_class(groups.translation_orbit_reps)\n"
+        "groups.orbit_key = merge_axis_class(groups.orbit_key)\n"
         "sys.exit(cli.main(['verify', '--p', '13', '--depth', 'full']))\n"
     )
     assert run.returncode == 4, run.stdout + run.stderr
@@ -152,12 +193,14 @@ def test_one_cyclic_subgroup_per_class_stands_for_all(p):
     g_top = fermat_genus(p)
 
     def generator_classes(k):
-        return frozenset(data.class_of[i] for i in k.indices if fermat_order(p, i) == k.order)
+        return frozenset(data.key(i) for i in subgroup_indices(k).indices if fermat_order(p, i) == k.order)
 
     def oracles(k):
         return rh_genus(g_top, k, fix), coset_genus(k, triple, data)
 
-    reps = cyclic_subgroup_classes(data)
+    reps = cyclic_subgroup_classes(p, line_orbits(p))
+    # a line read by its lines gives both oracles what its elements give
+    assert [oracles(k) for k in reps] == [oracles(subgroup_indices(k)) for k in reps]
     assert reps[0].indices == (IDENTITY,)
     rep_classes = [generator_classes(r) for r in reps]
     assert sum(map(len, rep_classes)) == len(frozenset().union(*rep_classes))
@@ -189,6 +232,18 @@ def test_deck_line_orbits_are_the_exponent_orbits(p):
     assert orbits == {frozenset(o.elements) for o in orbit_partition(make_context(p)).orbits}
 
 
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 31, 61])
+def test_line_orbit_kinds_are_one_type(p):
+    """Every line-orbit kind is a plain str: "axis" for the orbit of the
+    three axes, and the OrbitKind value of the exponent orbits otherwise,
+    one line orbit per exponent orbit of that kind."""
+    orbits = line_orbits(p)
+    assert all(type(o.kind) is str for o in orbits)
+    assert [(o.lines, len(o.stabilizer)) for o in orbits if o.kind == "axis"] == [((0, 1, 2), 2)]
+    kinds = sorted(o.kind for o in orbits if o.kind != "axis")
+    assert kinds == sorted(o.kind.value for o in orbit_partition(make_context(p)).orbits)
+
+
 def test_a_dropped_deck_class_fails_verify(capsys, monkeypatch):
     # one deck representative fewer: the oracles agree on what is left,
     # but the certificates count the deck classes against the orbits
@@ -217,9 +272,7 @@ def test_a_dropped_deck_class_fails_verify_under_python_O():
 def test_split_class_fails_verify(capsys, monkeypatch):
     # earlier checks read the split labels consistently; only the
     # invariance of the labels under conjugation catches them
-    monkeypatch.setattr(
-        groups_module, "translation_orbit_reps", split_generic_class(groups_module.translation_orbit_reps)
-    )
+    monkeypatch.setattr(groups_module, "orbit_key", split_generic_class(groups_module.orbit_key))
     code = cli.main(["verify", "--p", "13", "--depth", "full"])
     out, err = capsys.readouterr()
     assert code == 4
@@ -233,7 +286,7 @@ def test_split_class_fails_verify_under_python_O():
     run = run_under_O(
         "from fermatjac import cli, groups\n"
         "from helpers import split_generic_class\n"
-        "groups.translation_orbit_reps = split_generic_class(groups.translation_orbit_reps)\n"
+        "groups.orbit_key = split_generic_class(groups.orbit_key)\n"
         "sys.exit(cli.main(['verify', '--p', '13', '--depth', 'full']))\n"
     )
     assert run.returncode == 4, run.stdout + run.stderr
@@ -325,3 +378,20 @@ def test_verify_full_builds_no_closure_of_two_elements(capsys, monkeypatch):
     out, _ = capsys.readouterr()
     assert code == 0
     assert out == (GOLDEN / "verify_p13_full.json").read_text()
+
+
+def test_full_depth_allocates_no_sequence_of_p_squared_entries(capsys):
+    """Full depth is O(p) in memory: at p = 601 the whole run, basic
+    checks included, peaks below half of the 8 p^2 bytes that the
+    pointers of one list or tuple of p^2 entries would take."""
+    import tracemalloc
+
+    p = 601
+    tracemalloc.start()
+    try:
+        code = cli.main(["verify", "--p", str(p), "--depth", "full"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and "all 12 checks passed" in capsys.readouterr().out
+    assert peak < 4 * p * p

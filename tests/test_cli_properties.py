@@ -20,7 +20,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fermatjac import cli
-from fermatjac.cli import FULL_DEPTH_MAX_P, SWEEP_MAX_TO, main
+from fermatjac.cli import SWEEP_MAX_TO, main
 from fermatjac.orbits import MAX_P, is_prime
 
 from helpers import reference_parser
@@ -129,17 +129,25 @@ def test_sweep_ranges_exit_0_or_2(lo, hi):
 
 
 @PROPERTY
-@given(n=st.integers(min_value=FULL_DEPTH_MAX_P + 1, max_value=MAX_P))
-@example(n=FULL_DEPTH_MAX_P + 1)
-@example(n=MAX_P)
-def test_full_cap_below_p_exits_2(n):
-    # FULL_DEPTH_MAX_P caps full depth below every larger prime, which
+@given(above=st.integers(min_value=1, max_value=10**6))
+@example(above=1)
+@example(above=next_prime(MAX_P + 1) - MAX_P)
+def test_full_depth_above_max_p_exits_2(above):
+    # full depth has no cap of its own: MAX_P bounds it, and a larger p
     # is refused before any check runs
-    p = next_prime(n)
-    assume(p <= MAX_P)
-    code, out, err = run("verify", f"--p={p}", "--depth=full")
+    code, out, err = run("verify", f"--p={MAX_P + above}", "--depth=full")
     assert_clean(code, err, (2,))
-    assert err == f"error: p = {p} exceeds the full-depth bound {FULL_DEPTH_MAX_P}\n" and not out
+    assert f"exceeds the supported bound {MAX_P}" in err and not out
+
+
+def test_full_depth_accepts_every_prime_up_to_max_p(monkeypatch):
+    # with the checks stubbed out, only a cap could refuse these
+    monkeypatch.setattr(cli, "BASIC_CHECKS", [])
+    monkeypatch.setattr(cli, "FULL_CHECKS", [])
+    for p in (1009, MAX_P):
+        code, out, err = run("verify", f"--p={p}", "--depth=full")
+        assert_clean(code, err, (0,))
+        assert f"all 0 checks passed (p={p}, depth=full)" in out
 
 
 @pytest.mark.parametrize("flag", ("--full-cap", "--jobs"))
@@ -272,6 +280,7 @@ WELL_FORMED = [
     ["verify", "--p", "13", "--depth", "full", "--format", "json"],
     ["verify", "--p", "997", "--depth", "full"],
     ["verify", "--p", "1009", "--depth", "full"],
+    ["verify", "--p", "100003", "--depth", "full"],
     ["verify", "--p", "100003"],
     ["decompose", "--p", "100003", "--format", "json"],
     ["sweep", "--from", "5", "--to", "3000"],

@@ -40,6 +40,7 @@ from fermatjac.orbits import make_context
 
 from helpers import (
     canonical_elements,
+    class_values,
     fermat_coset_labels,
     fermat_elements,
     fermat_generators,
@@ -155,7 +156,7 @@ def test_inner_product_matches_object_element_sum(p):
     ctx = make_context(7)
     data = ClassData(Group(ctx.p, ctx.gamma))
     fix = pgonal_fix_table(ctx)
-    hom = ClassFunction(data, [6 if r == IDENTITY else 2 - fix.at(r) for r in data.reps])
+    hom = ClassFunction(data, {data.key(c[0]): 6 if c[0] == IDENTITY else 2 - fix.at(c[0]) for c in conjugacy_classes(data.group)})
     for k in (pgonal_K(1, ctx), pgonal_group(ctx)):
         chi = induced_perm_character(k, data)
         assert inner_product(chi, hom) == object_inner_product(chi, hom, pgonal_elements(ctx))
@@ -224,7 +225,7 @@ def test_kernel_matches_object_level_oracles(p):
     classes = object_conjugacy_classes(data.group)
     for k in all_cyclic_subgroups(Group(ctx.p)):
         assert coset_genus(k, triple, data) == object_coset_genus(k, triple)
-        values = list(induced_perm_character(k, data).values)
+        values = class_values(induced_perm_character(k, data), classes)
         assert values == object_perm_character(k, classes)
         if p <= 7:
             assert values == object_fixed_cosets(k, classes)

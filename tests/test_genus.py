@@ -278,8 +278,8 @@ def test_a_wrong_axis_table_fails_fix_table_consistency_under_python_O():
 
 
 def test_fix_table_consistency_reads_the_tables_once_per_line(monkeypatch):
-    # two tables at p + 1 points each, and the Lefschetz bound once per
-    # class: no walk over the p^2 - 1 translations
+    # two tables at p + 1 points each, and the Lefschetz bound on the
+    # table's support, read off it: no walk over the p^2 - 1 translations
     p = 61
     ctx, cache = make_context(p), {}
     cli.check_generating_triple(ctx, cache)
@@ -287,7 +287,7 @@ def test_fix_table_consistency_reads_the_tables_once_per_line(monkeypatch):
     real = FixTable.at
     monkeypatch.setattr(FixTable, "at", lambda self, i: reads.append(i) or real(self, i))
     cli.check_fix_table_consistency(ctx, cache)
-    assert len(reads) <= 2 * (p + 1) + len(cache["class_data"].reps)
+    assert len(reads) == 2 * (p + 1)
 
 
 def test_full_fix_table_refuses_a_foreign_context():

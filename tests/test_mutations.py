@@ -1,5 +1,5 @@
-"""A mutation slice of the basic checks: each plausible wrong fact must
-make ``verify`` exit 4 and name the check that catches it.
+"""A mutation slice of the checks: each plausible wrong fact must make
+``verify`` exit 4 and name the check that catches it.
 
 The facts are the ones the basic checks read off tables and rules: a
 Moebius label's transport formula, an entry of MOEBIUS_MONOMIALS, the one
@@ -8,17 +8,26 @@ Each mutation is applied with a monkeypatch, in process and under
 ``python -O`` (where no assert is left to catch it).  p = 13 has a gamma
 root; p = 11 has none, so there only J and T stand for the monomial
 calculus and the epsilon rule is never read.
+
+The full checks read the rules of the line orbits and of the classes by
+key: a line orbit's kind and stabilizer, a closed-form class size, the
+class census, the support of the full fix table and the translation
+classes by line.  Each of those mutations must make ``verify --p 13
+--depth full`` exit 4.
 """
 
 import pytest
 
-from fermatjac import cli, curves, monomial
+from fermatjac import cli, curves, genus, groups, monomial
 from fermatjac.curves import MoebiusLabel
+from fermatjac.orbits import OrbitKind
 
 from helpers import run_under_O
 
 REAL_IMAGES, REAL_RULE = cli.s3_images, monomial.epsilon_rule
 REAL_T, REAL_J = monomial.build_T, monomial.build_J
+REAL_ORBITS, REAL_SIZE, REAL_CENSUS = groups.line_orbits, groups.ClassData.size, groups.ClassData.census
+REAL_FULL_FIX, REAL_LINE_INDEX = genus.fermat_full_fix_table, groups.ClassData.line_index
 
 
 def _flip_y(m):
@@ -71,6 +80,72 @@ MUTATIONS = {
 CASES = [(name, p) for name, (_, _, primes) in MUTATIONS.items() for p in primes]
 
 
+def _gamma_lines(change):
+    """line_orbits with change(orbit) in place of each gamma orbit."""
+
+    def orbits(p):
+        return tuple(change(o) if o.kind == OrbitKind.GAMMA.value else o for o in REAL_ORBITS(p))
+
+    return orbits
+
+
+def _gamma_lines_generic(mp):
+    mp.setattr(groups, "line_orbits", _gamma_lines(lambda o: groups.LineOrbit(o.lines, o.stabilizer, OrbitKind.GENERIC.value)))
+
+
+def _gamma_stabilizer_short(mp):
+    # the 3-cycle u alone, without u^2
+    mp.setattr(groups, "line_orbits", _gamma_lines(lambda o: groups.LineOrbit(o.lines, o.stabilizer[:2], o.kind)))
+
+
+def _axis_orbit_of_six(mp):
+    # the orbits of three on the axes sized as the generic orbits of six
+    def size(self, key):
+        value = REAL_SIZE(self, key)
+        return 6 if value == 3 and self.group.gamma is None else value
+
+    mp.setattr(groups.ClassData, "size", size)
+
+
+def _census_one_generic_more(mp):
+    def census(self):
+        (n1, s1), (n3, s3), (n6, s6), *rest = REAL_CENSUS(self)
+        return ((n1, s1), (n3, s3), (n6 + 1, s6), *rest)
+
+    mp.setattr(groups.ClassData, "census", census)
+
+
+def _order_two_class_fixes_nothing(mp):
+    # the involutions x tau of square 0, key p^2, off the fix support
+    def table(triple, data):
+        fix = REAL_FULL_FIX(triple, data)
+        del fix.support[data.p * data.p]
+        return fix
+
+    mp.setattr(genus, "fermat_full_fix_table", table)
+
+
+def _line_index_without_an_axis(mp):
+    # the translation classes on the axis n = 0, line 1, left unindexed
+    def line_index(self, keys):
+        index = REAL_LINE_INDEX(self, keys)
+        index.pop(1, None)
+        return index
+
+    mp.setattr(groups.ClassData, "line_index", line_index)
+
+
+# name -> (the mutation, the check of verify --p 13 --depth full that must fail)
+FULL_MUTATIONS = {
+    "gamma-lines-generic": (_gamma_lines_generic, "certificates"),
+    "gamma-stabilizer-short": (_gamma_stabilizer_short, "certificates"),
+    "axis-orbit-of-six": (_axis_orbit_of_six, "generating-triple"),
+    "census-one-generic-more": (_census_one_generic_more, "fix-table-consistency"),
+    "order-two-class-fixes-nothing": (_order_two_class_fixes_nothing, "dual-oracle-genus"),
+    "line-index-without-an-axis": (_line_index_without_an_axis, "dual-oracle-genus"),
+}
+
+
 @pytest.mark.parametrize("name, p", CASES)
 def test_mutation_fails_verify(monkeypatch, capsys, name, p):
     mutate, check, _ = MUTATIONS[name]
@@ -100,3 +175,28 @@ def test_epsilon_rule_is_not_read_without_a_gamma_root(monkeypatch, capsys):
     _flipped_epsilon(monkeypatch)
     assert cli.main(["verify", "--p", "11"]) == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", FULL_MUTATIONS)
+def test_full_mutation_fails_verify(monkeypatch, capsys, name):
+    mutate, check = FULL_MUTATIONS[name]
+    mutate(monkeypatch)
+    assert cli.main(["verify", "--p", "13", "--depth", "full"]) == 4
+    out, err = capsys.readouterr()
+    assert f"FAIL {check}: " in out
+    assert err == f"verification failed at check: {check}\n"
+
+
+@pytest.mark.parametrize("name", FULL_MUTATIONS)
+def test_full_mutation_fails_verify_under_python_O(name):
+    check = FULL_MUTATIONS[name][1]
+    run = run_under_O(
+        "import pytest\n"
+        "from fermatjac import cli\n"
+        "from test_mutations import FULL_MUTATIONS\n"
+        f"FULL_MUTATIONS[{name!r}][0](pytest.MonkeyPatch())\n"
+        "sys.exit(cli.main(['verify', '--p', '13', '--depth', 'full']))\n"
+    )
+    assert run.returncode == 4, run.stdout + run.stderr
+    assert f"FAIL {check}: " in run.stdout
+    assert "Traceback" not in run.stderr

@@ -282,22 +282,14 @@ def test_verify_full_p7_json(capsys):
     assert report["provenance"]["triple"]["c2"] == [0, 0, 3]
 
 
-def test_verify_full_cap(capsys, monkeypatch):
-    # FULL_DEPTH_MAX_P = 997 is the one bound of full depth: the next
-    # prime, 1009, is refused before any class is built, and p = 37 runs
-    # with no flag
-    from fermatjac import groups as groups_module
-    from fermatjac.cli import FULL_DEPTH_MAX_P
+def test_verify_full_has_no_cap_below_max_p(capsys):
+    # full depth is O(p), so MAX_P is its one bound: 1009, past the old
+    # bound 997, runs like p = 37, with no flag
+    from fermatjac import cli
 
-    def refuse(self, group):
-        raise AssertionError("ClassData was built")
-
-    monkeypatch.setattr(groups_module.ClassData, "__init__", refuse)
-    code, out, err = run_cli(capsys, "verify", "--p", "1009", "--depth", "full")
-    assert FULL_DEPTH_MAX_P == 997
-    assert code == 2 and out == ""
-    assert err == "error: p = 1009 exceeds the full-depth bound 997\n"
-    monkeypatch.undo()
+    assert not hasattr(cli, "FULL_DEPTH_MAX_P")
+    code, out, _ = run_cli(capsys, "verify", "--p", "1009", "--depth", "full")
+    assert code == 0 and "all 12 checks passed (p=1009, depth=full)" in out
     code, out, _ = run_cli(capsys, "verify", "--p", "37", "--depth", "full")
     assert code == 0 and "all 12 checks passed (p=37, depth=full)" in out
 
@@ -442,18 +434,18 @@ def test_verify_full_builds_classes_and_fix_table_once(capsys, monkeypatch):
 def test_verify_full_takes_each_deck_line_once_per_class(capsys, monkeypatch, p, subgroups, deck):
     # both oracles run on one cyclic subgroup per class and on H, and the
     # certificates pair hom with one H_j per deck class, one per exponent
-    # orbit
+    # orbit, each a line read by its line
     from fermatjac import certificates as certificates_module
     from fermatjac import genus as genus_module
     from fermatjac.orbits import orbit_partition
 
     cosets = _count_calls(monkeypatch, genus_module, "coset_genus")
-    characters = _count_calls(monkeypatch, certificates_module, "induced_perm_character")
+    characters = _count_calls(monkeypatch, certificates_module, "perm_pairing")
     code, _, _ = run_cli(capsys, "verify", "--p", str(p), "--depth", "full")
     assert code == 0
     assert len(cosets) == subgroups and cosets[0][0].order == 1
     assert len(characters) == deck == len(orbit_partition(make_context(p)).orbits)
-    assert all(k.order == p and k.is_translation_subgroup for (k, _data) in characters)
+    assert all(k.order == p and k.is_translation_subgroup for (k, _fn) in characters)
 
 
 def test_verify_full_builds_no_deck_joins(capsys, monkeypatch):
