@@ -40,8 +40,8 @@ from .orbits import OrbitKind, inverse_table, is_prime, make_context, orbit_part
 
 # verify --depth full has no bound of its own but MAX_P: classes by rule,
 # one subgroup per class from the line orbits and H read by its lines make
-# it O(p), 0.17 s and 15 MB at p = 997, 6.4-10.8 s and 143 MB at p = 100003.
-# sweep --to: a serial sweep over 5..3000 (426 primes) takes 6-10 s.
+# it O(p), 0.09 s and 15 MB at p = 997, 5.0-7.5 s and 144 MB at p = 100003.
+# sweep --to: a serial sweep over 5..3000 (426 primes) takes 1.7-2.4 s.
 SWEEP_MAX_TO = 3_000
 
 

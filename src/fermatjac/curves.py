@@ -93,20 +93,19 @@ class CurveSpec(FrozenRecord):
         set_field(self, "alpha", alpha)
 
     def describe(self) -> str:
-        p = self.context.p
-        if self.family is CurveFamily.FERMAT:
-            return f"F({p})"
-        if self.family is CurveFamily.P_GONAL:
-            return f"C_alpha(p={p}, alpha={self.alpha})"
-        return f"E_gamma(p={p}, gamma={self.alpha})"
+        return CURVE_FORMATS[self.family][0] % {"p": self.context.p, "alpha": self.alpha}
 
     def equation(self) -> str:
-        p = self.context.p
-        if self.family is CurveFamily.FERMAT:
-            return f"x^{p} + y^{p} + z^{p} = 0"
-        if self.family is CurveFamily.P_GONAL:
-            return f"y^{p} = x^{self.alpha}*(x-1)"
-        return f"C_gamma(p={p})/<R>"
+        return CURVE_FORMATS[self.family][1] % {"p": self.context.p, "alpha": self.alpha}
+
+
+# Each family's name, equation and Jacobian symbol, %-formats of the ints p and
+# alpha stated once: CurveSpec and IsogenyFactor fill them, the JSON rows too.
+CURVE_FORMATS = {
+    CurveFamily.FERMAT: ("F(%(p)d)", "x^%(p)d + y^%(p)d + z^%(p)d = 0", "JF(%(p)d)"),
+    CurveFamily.P_GONAL: ("C_alpha(p=%(p)d, alpha=%(alpha)d)", "y^%(p)d = x^%(alpha)d*(x-1)", "JC(%(alpha)d)"),
+    CurveFamily.E_QUOTIENT: ("E_gamma(p=%(p)d, gamma=%(alpha)d)", "C_gamma(p=%(p)d)/<R>", "JE(%(alpha)d)"),
+}
 
 
 def normalized_exponent(alpha: int, beta: int, ctx: PrimeContext) -> int:

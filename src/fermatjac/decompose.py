@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .curves import CurveFamily, CurveSpec, deck_exponent, genus_of
+from .curves import CURVE_FORMATS, CurveFamily, CurveSpec, deck_exponent, genus_of
 from .errors import AuditFailError, OutOfRangeError
 from .genus import (
     fermat_axis_fix_table,
@@ -57,16 +57,17 @@ class DecompositionLevel(Const):
 
 
 class IsogenyFactor(FrozenRecord):
-    __slots__ = _fields = ("curve", "multiplicity", "dimension")
+    _fields = ("curve", "multiplicity", "dimension")
+    __slots__ = (*_fields, "_symbol")  # the symbol, filled in once from CURVE_FORMATS
 
     def __init__(self, curve: CurveSpec, multiplicity: int, dimension: int):
         set_field(self, "curve", curve)
         set_field(self, "multiplicity", multiplicity)
         set_field(self, "dimension", dimension)
+        set_field(self, "_symbol", CURVE_FORMATS[curve.family][2] % {"p": curve.context.p, "alpha": curve.alpha})
 
     def symbol(self) -> str:
-        tag = "JE" if self.curve.family is CurveFamily.E_QUOTIENT else "JC"
-        return f"{tag}({self.curve.alpha})"
+        return self._symbol
 
     def render(self) -> str:
         return f"{self.symbol()}^{self.multiplicity}"
@@ -138,19 +139,20 @@ def kani_rosen_check(ctx: PrimeContext) -> KaniRosenAudit:
 
     Every subgroup of H = Z_p^2 is a line or the whole plane of F_p^2, and
     H_j is the line through (1, 1+j).  One pass reads the axis table once
-    per line (:func:`~fermatjac.genus.line_fix_counts`), so a line's fix
-    sum is (p-1) times its count and the plane's is the sum over its p+1
-    lines.  H_i and H_j have determinant j - i, a unit for i != j, so
-    every pair joins to the plane and has the plane's quotient genus: the
-    pairs pass or fail together.  The set products H_i H_j and H_j H_i
-    agree for every pair once a1 and a2, which generate H, commute.  Time
-    and memory are O(p).
+    per line (:func:`~fermatjac.genus.line_fix_counts`): a line's fix sum
+    is (p-1) times its count, read once per distinct count on the deck
+    lines, and the plane's is the sum over its p+1 lines.  H_i and H_j have
+    determinant j - i, a unit for i != j, so every pair joins to the plane
+    and has the plane's quotient genus: the pairs pass or fail together.
+    The set products H_i H_j and H_j H_i agree for every pair once a1 and
+    a2, which generate H, commute.  Time and memory are O(p).
     """
     p = ctx.p
     g_top = fermat_genus(p)
     counts = line_fix_counts(p, fermat_axis_fix_table(ctx))
     plane_genus = riemann_hurwitz(g_top, p * p, (p - 1) * sum(counts))
-    total = sum(riemann_hurwitz(g_top, p, (p - 1) * c) for c in counts[3:])  # H_j is line j + 2
+    deck = counts[3:]  # H_j is line j + 2; one genus per distinct count, times the lines with it
+    total = sum(deck.count(c) * riemann_hurwitz(g_top, p, (p - 1) * c) for c in set(deck))
     group = Group(p)
     a1, a2 = group.generators[:2]
     a1a2, a2a1 = group.mul(a1, a2), group.mul(a2, a1)

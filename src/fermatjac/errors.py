@@ -40,10 +40,6 @@ class NoGammaError(FermatJacError):
     code = "NO_GAMMA"
 
 
-class InconsistentRHError(FermatJacError):
-    code = "INCONSISTENT_RH"
-
-
 class NotSubgroupOfHError(FermatJacError):
     code = "NOT_SUBGROUP_OF_H"
 
@@ -62,6 +58,10 @@ class NonMonomialError(FermatJacError):
 
 class AuditFailError(FermatJacError):
     code = "AUDIT_FAIL"
+
+
+class InconsistentRHError(AuditFailError):
+    code = "INCONSISTENT_RH"
 
 
 class ShapeMismatchError(FermatJacError):

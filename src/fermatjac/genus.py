@@ -5,6 +5,10 @@ acting on a surface of genus g with fix(k) fixed points for each k != 1,
 
     2 g - 2 = |K| (2 g_K - 2) + sum over k != 1 of fix(k).
 
+The sum is read once per cyclic subgroup: Fix(g) = Fix(<g>) for g != 1,
+as a point fixed by g is fixed by its powers, and g is a power of every
+generator of <g>, so one read stands for all of them.
+
 Oracle two needs no fixed-point data at all.  The Fermat curve is the
 quotient of the hyperbolic plane by a surface group normal in a triangle
 group of signature (2, 3, 2p); concretely, the full automorphism group is
@@ -111,14 +115,9 @@ def fermat_axis_fix_table(ctx: PrimeContext) -> FixTable:
 
 
 def line_fix_counts(p: int, fix: FixTable) -> list[int]:
-    """A Fermat fix table read once per line of F_p^2, at the points of
-    :func:`~fermatjac.groups.plane_lines`: the indices 6, range(6p, 12p, 6).
-
-    Fix(g) = Fix(<g>) for g != 1: a point fixed by g is fixed by its
-    powers, and g is a power of every generator of <g>.  The p - 1
-    non-identity points of a line all generate it, so a fix table is
-    constant on them, and one read stands for the line.
-    """
+    """A Fermat fix table read once per line of F_p^2, as the line's p - 1
+    points but 0 all generate it (module docs), at the points of
+    :func:`~fermatjac.groups.plane_lines`: the indices 6, range(6p, 12p, 6)."""
     at = fix.at
     return [at(6), *map(at, range(6 * p, 12 * p, 6))]
 
@@ -135,8 +134,8 @@ def pgonal_fix_table(ctx: PrimeContext, gamma: int | None = None) -> FixTable:
 def riemann_hurwitz(g_top: int, order: int, fix_sum: int) -> int:
     """Quotient genus g_K from 2 g - 2 = |K| (2 g_K - 2) + fix_sum.
 
-    A non-integral or negative result means the fix data is inconsistent
-    with the claimed action and is a hard error, never rounded away.
+    A non-integral or negative result means the fix data contradicts the
+    claimed action: an audit failure (InconsistentRHError), never rounded away.
     """
     n = 2 * g_top - 2 - fix_sum + 2 * order
     if n < 0 or n % (2 * order) != 0:
@@ -146,14 +145,38 @@ def riemann_hurwitz(g_top: int, order: int, fix_sum: int) -> int:
     return n // (2 * order)
 
 
+def _cyclic_reads(k: Subgroup) -> dict[int, int] | None:
+    """c^(n/d) -> phi(d) for the divisors d > 1 of n = |K|, K = <c>, whose
+    phi(d) generators fix alike; None unless c is in K and of order n (no c^(n/d) is 1)."""
+    def power(x: int, e: int) -> int:  # x^e, e >= 0, by square-and-multiply
+        half = power(k.group.mul(x, x), e >> 1) if e > 1 else IDENTITY
+        return (x if half == IDENTITY else k.group.mul(half, x)) if e & 1 else half
+
+    (c,), n = k.generators, k.order
+    phi, m, q = {1: 1}, n, 2  # d -> phi(d) for the divisors d of n, by trial division
+    while m > 1:
+        q, r = q if q * q <= m else m, 1
+        while m % q == 0:
+            m, r = m // q, r * q
+            phi.update({d * r: f * (r - r // q) for d, f in phi.items() if d % q})
+        q += 1
+    reads = {power(c, n // d): f for d, f in phi.items() if d > 1}
+    return reads if c in k.indices and IDENTITY not in reads else None
+
+
 def rh_genus(g_top: int, k: Subgroup | LineSubgroup, fix: FixTable) -> int:
-    """Quotient genus from the Riemann-Hurwitz formula, summing the fix
-    table over the non-identity elements of K, or p - 1 times the table
-    at each line's point (:func:`line_fix_counts`)."""
+    """Riemann-Hurwitz quotient genus, the fix sum read once per cyclic
+    subgroup (module docs): by line; the whole p-gonal group at T and at the
+    T^k R, one per order-3 subgroup; <c> by :func:`_cyclic_reads`; else by element."""
     if k.group != fix.group:
         raise OutOfRangeError(f"{k!r} is not in the group of {fix!r}")
     if isinstance(k, LineSubgroup):
         total = (k.p - 1) * sum(fix.at(line_point(k.p, line)) for line in k.lines)
+    elif k.group.gamma is not None and k.order == k.group.order:
+        t, r = k.group.generators
+        total = (k.p - 1) * fix.at(t) + 2 * sum(map(fix.at, range(r, k.order, k.group.translations.step)))
+    elif len(k.generators) == 1 and (reads := _cyclic_reads(k)) is not None:
+        total = sum(f * fix.at(g) for g, f in reads.items())
     else:
         total = sum(fix.at(i) for i in k.indices if i != IDENTITY)
     return riemann_hurwitz(g_top, k.order, total)

@@ -13,7 +13,7 @@ grammar
 
 from __future__ import annotations
 
-from .curves import CurveFamily
+from .curves import CURVE_FORMATS, CurveFamily
 from .decompose import (
     IsogenyDecomposition,
     IsogenyFactor,
@@ -87,24 +87,25 @@ def _orbit_row(indent: str):
     """The writer of an OrbitClass row at the depth of indent."""
     i1, i2 = indent + "  ", indent + "    "
     template = f'{{{i1}"elements": [{i2}%s{i1}],{i1}"kind": %s,{i1}"representative": %d,{i1}"size": %d{indent}}}'
-    sep = "," + i2
-    return lambda o: template % (sep.join(map(int.__repr__, o.elements)), _string(o.kind.value), o.representative, o.size)
+    sep, kinds = "," + i2, {kind: _string(kind.value) for kind in OrbitKind}
+    return lambda o: template % (sep.join(map(int.__repr__, o.elements)), kinds[o.kind], o.representative, o.size)
 
 
 def _factor_row(indent: str):
-    """The writer of an IsogenyFactor row at the depth of indent, with the
-    descriptive hyperelliptic model of C_1."""
-    i1 = indent + "  "
-    head = f'{{{i1}"alpha": %s,{i1}"curve": %s,{i1}"dimension": %d,{i1}"equation": %s,{i1}"family": %s,'
-    model = f'{i1}"hyperelliptic_model": "w^2 = u^%d - 1",'
-    tail = f'{i1}"multiplicity": %d,{i1}"symbol": %s{indent}}}'
+    """The writer of an IsogenyFactor row at the depth of indent: a %-template
+    of int slots per curve family, and C_1's with its hyperelliptic model, made
+    once from CURVE_FORMATS escaped by _string (ints in the slots need none)."""
+    i1, templates = indent + "  ", {}
 
     def write(f: IsogenyFactor) -> str:
         c = f.curve
-        text = head % (_scalar(c.alpha), _string(c.describe()), f.dimension, _string(c.equation()), _string(c.family.value))
-        if c.family is CurveFamily.P_GONAL and c.alpha == 1:
-            text += model % c.context.p
-        return text + tail % (f.multiplicity, _string(f.symbol()))
+        key = c.family, c.family is CurveFamily.P_GONAL and c.alpha == 1
+        if key not in templates:
+            curve, equation, symbol = map(_string, CURVE_FORMATS[c.family])
+            alpha, model = "null" if c.alpha is None else "%(alpha)d", f'{i1}"hyperelliptic_model": "w^2 = u^%(p)d - 1",' * key[1]
+            templates[key] = (f'{{{i1}"alpha": {alpha},{i1}"curve": {curve},{i1}"dimension": %(dimension)d,{i1}"equation": {equation},'
+                              f'{i1}"family": {_string(c.family.value)},{model}{i1}"multiplicity": %(multiplicity)d,{i1}"symbol": {symbol}{indent}}}')
+        return templates[key] % {"p": c.context.p, "alpha": c.alpha, "dimension": f.dimension, "multiplicity": f.multiplicity}
 
     return write
 
@@ -180,7 +181,7 @@ def _decomposition_entry(d: IsogenyDecomposition) -> dict:
         "level": d.level.value,
         "product": d.render(),
         "factors": list(d.factors),
-        "total_dimension": d.total_dimension,
+        "total_dimension": dimensions["total_dimension"],
         "audit": d.audit.summary(),
         "dimension_audit": dimensions,
     }

@@ -19,10 +19,10 @@ normalized products, the oracle of the package's tuple calculus.
 
 The per-element helpers the package dropped (:func:`orbit` by closure
 under :func:`s3_apply`, :func:`are_isomorphic`,
-:func:`fermat_quotient_genus`) are kept here for the tests that use
-them, and :func:`reference_rows` turns the orbit and factor objects of a
-report into the dicts the report once held, the reference of the JSON
-writer's row templates.  The class table the package once held (one key
+:func:`fermat_quotient_genus`, the fix sum of :func:`rh_genus_by_element`)
+are kept here for the tests that use them, and :func:`reference_rows`
+turns the orbit and factor objects of a report into the dicts the report
+once held, the reference of the JSON writer's row templates.  The class table the package once held (one key
 per element, :class:`ListClassData`), the label walk over every
 translation and the cyclic classes walked over the table are the
 oracles of its classes by rule and of its line-orbit representatives.
@@ -36,6 +36,7 @@ from fermatjac.curves import CurveFamily
 from fermatjac.decompose import IsogenyFactor
 from fermatjac.errors import GroupMismatchError, NoGammaError, NonMonomialError, NotSubgroupOfHError, OutOfRangeError
 from fermatjac.genus import (
+    FixTable,
     GeneratingTriple,
     fermat_axis_fix_table,
     fermat_genus,
@@ -435,6 +436,29 @@ def are_isomorphic(alpha1, alpha2, ctx):
     ctx.require_X(alpha1)
     ctx.require_X(alpha2)
     return alpha2 in orbit(alpha1, ctx).elements
+
+
+def rh_genus_by_element(g_top, k, fix):
+    """The Riemann-Hurwitz genus of K with its fix sum read element by
+    element, once per non-identity element: the oracle of
+    ``genus.rh_genus``, which reads it once per cyclic subgroup."""
+    return riemann_hurwitz(g_top, k.order, sum(fix.at(i) for i in k.indices if i != IDENTITY))
+
+
+def cyclic_label_table(group):
+    """A fix table that depends on <g> alone and tells most cyclic
+    subgroups apart: the order of <g> plus the sum of its indices mod 97.
+    It is no fix table of an action (its genera are not integers), so the
+    fix sums, not the genera, are what the readers must agree on."""
+    labels = {}
+
+    def count(i):
+        if i not in labels:
+            powers = group.closure([i])
+            labels[i] = len(powers) + sum(powers) % 97
+        return labels[i]
+
+    return FixTable(group, count, "constant on each cyclic subgroup")
 
 
 def fermat_quotient_genus(k):

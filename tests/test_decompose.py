@@ -9,10 +9,11 @@ import pytest
 import fermatjac
 from fermatjac import cli
 from fermatjac import decompose as decompose_module
-from fermatjac.curves import CurveFamily, quotient_to_curve
+from fermatjac.curves import CurveFamily, CurveSpec, quotient_to_curve
 from fermatjac.decompose import (
     DecompositionLevel,
     IsogenyDecomposition,
+    IsogenyFactor,
     decompose_coarse,
     decompose_fine,
     dimension_audit,
@@ -20,8 +21,8 @@ from fermatjac.decompose import (
     kani_rosen_check,
 )
 from fermatjac.errors import AuditFailError, OutOfRangeError
-from fermatjac.genus import fermat_genus
-from fermatjac.groups import Group
+from fermatjac.genus import fermat_axis_fix_table, fermat_genus
+from fermatjac.groups import Group, fermat_Hj
 from fermatjac.orbits import PrimeContext, make_context, orbit_partition
 
 from helpers import (
@@ -30,6 +31,7 @@ from helpers import (
     object_gamma_pairs,
     object_K_family,
     primes_upto,
+    rh_genus_by_element,
     run_under_O,
     sweep_primes,
 )
@@ -99,6 +101,39 @@ def test_kani_rosen_check_deck_family(p):
     assert audit.commuting_failure is None and audit.commuting_checks == [] and audit.plane_genus == 0
     assert audit.genus_sum_check == (fermat_genus(p), fermat_genus(p), True)
     assert_audit_matches_oracle(audit, p)
+
+
+@pytest.mark.parametrize("p", [p for p in primes_upto(61) if p >= 5])
+def test_deck_genus_sum_is_the_per_line_sum(p):
+    # the deck lines' genera tallied by line count, against each H_j read
+    # element by element
+    ctx = make_context(p)
+    axis, g_top = fermat_axis_fix_table(ctx), fermat_genus(p)
+    per_line = sum(rh_genus_by_element(g_top, fermat_Hj(p, j), axis) for j in range(1, p - 1))
+    assert kani_rosen_check(ctx).genus_sum_check[0] == per_line == g_top
+
+
+def test_deck_genus_sum_calls_riemann_hurwitz_once_per_distinct_count(monkeypatch):
+    # deck line counts 1, 2, 0, 1, 2, ... weigh each count's genus by how
+    # many lines carry it; the plane makes the one call more
+    p = 13
+    counts = [p, p, p] + [j % 3 for j in range(1, p - 1)]
+    calls = []
+    monkeypatch.setattr(decompose_module, "line_fix_counts", lambda q, fix: counts)
+    monkeypatch.setattr(
+        decompose_module, "riemann_hurwitz", lambda g, order, fix_sum: calls.append((order, fix_sum)) or fix_sum
+    )
+    audit = kani_rosen_check(make_context(p))
+    assert audit.genus_sum_check[0] == (p - 1) * sum(counts[3:])
+    assert sorted(calls) == [(p, 0), (p, p - 1), (p, 2 * (p - 1)), (p * p, (p - 1) * sum(counts))]
+
+
+def test_factor_symbols_fill_the_family_formats():
+    ctx = make_context(13)
+    curves = [CurveSpec(ctx, CurveFamily.FERMAT), CurveSpec(ctx, CurveFamily.P_GONAL, 2), CurveSpec(ctx, CurveFamily.E_QUOTIENT, 3)]
+    assert [IsogenyFactor(c, 1, 1).symbol() for c in curves] == ["JF(13)", "JC(2)", "JE(3)"]
+    assert [c.describe() for c in curves] == ["F(13)", "C_alpha(p=13, alpha=2)", "E_gamma(p=13, gamma=3)"]
+    assert [c.equation() for c in curves] == ["x^13 + y^13 + z^13 = 0", "y^13 = x^2*(x-1)", "C_gamma(p=13)/<R>"]
 
 
 def test_kani_rosen_check_records_failing_pairs(monkeypatch):

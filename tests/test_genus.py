@@ -28,8 +28,11 @@ from fermatjac.genus import (
 )
 from fermatjac.groups import (
     IDENTITY,
+    PERM_U,
+    PERM_V,
     ClassData,
     Group,
+    Subgroup,
     all_cyclic_subgroups,
     conjugacy_classes,
     fermat_H,
@@ -43,7 +46,9 @@ from fermatjac.groups import (
 )
 from fermatjac.orbits import is_prime, make_context
 
+import helpers
 from helpers import (
+    cyclic_label_table,
     fermat_a1,
     fermat_elements,
     fermat_quotient_genus,
@@ -52,6 +57,7 @@ from helpers import (
     index_of,
     joined,
     labelled_fix_count,
+    rh_genus_by_element,
     run_under_O,
     trivial_subgroup,
 )
@@ -415,3 +421,106 @@ def test_pgonal_fix_table_domain():
     assert fix.at(index_of(pgonal_R(ctx))) == 2
     with pytest.raises(IdentityInputError):
         fix.at(IDENTITY)
+
+
+# -- the Riemann-Hurwitz sum read once per cyclic subgroup --------------------
+
+GAMMA_PRIMES = [p for p in range(7, 62) if is_prime(p) and p % 3 == 1]
+FERMAT_PRIMES = [p for p in range(5, 62) if is_prime(p)]
+
+
+def _pgonal_subgroups(ctx, gamma):
+    """The whole p-gonal group of the root gamma and its K_1, K_2, K_3."""
+    return [pgonal_group(ctx, gamma)] + [pgonal_K(i, ctx, gamma) for i in (1, 2, 3)]
+
+
+def _fermat_cyclic(p):
+    """<u>, <v>, <a1 v> and every deck line H_j, each a one-generator Subgroup."""
+    group = Group(p)
+    gens = (PERM_U, PERM_V, fermat_translation(p, 1, 0) + PERM_V)
+    return [subgroup_closure(group, [g]) for g in gens] + [fermat_Hj(p, j) for j in range(1, p - 1)]
+
+
+def _outcome(read, g_top, k, fix):
+    """A reader's genus, or the class of the error it raised off H."""
+    try:
+        return read(g_top, k, fix)
+    except NotSubgroupOfHError as exc:
+        return type(exc)
+
+
+def _counted(fix):
+    """fix with every read of its count function listed."""
+    reads = []
+    return FixTable(fix.group, lambda i: reads.append(i) or fix.at(i), "counted"), reads
+
+
+@pytest.mark.parametrize("p", GAMMA_PRIMES)
+def test_rh_genus_reads_the_pgonal_subgroups_as_the_element_oracle(p):
+    ctx = make_context(p)
+    for gamma in ctx.gamma_pair:
+        fix = pgonal_fix_table(ctx, gamma)
+        for k in _pgonal_subgroups(ctx, gamma):
+            assert rh_genus((p - 1) // 2, k, fix) == rh_genus_by_element((p - 1) // 2, k, fix), (gamma, k.order)
+
+
+@pytest.mark.parametrize("p", FERMAT_PRIMES)
+def test_rh_genus_reads_fermat_cyclic_subgroups_as_the_element_oracle(p):
+    # off H the axis table refuses a read, so both readers raise there
+    ctx = make_context(p)
+    full = fermat_full_fix_table(find_generating_triple(ctx), ClassData(Group(p)))
+    axis = fermat_axis_fix_table(ctx)
+    g_top = fermat_genus(p)
+    for k in _fermat_cyclic(p):
+        for fix in (full, axis):
+            assert _outcome(rh_genus, g_top, k, fix) == _outcome(rh_genus_by_element, g_top, k, fix), k.generators
+
+
+@pytest.mark.parametrize("p", (7, 11, 13, 31))
+def test_rh_genus_fix_sums_match_on_a_table_that_tells_cyclic_subgroups_apart(monkeypatch, p):
+    # any table constant on the generators of each cyclic subgroup has the
+    # same fix sum read either way, whichever element stands for a subgroup
+    for module in (genus_module, helpers):
+        monkeypatch.setattr(module, "riemann_hurwitz", lambda g_top, order, fix_sum: fix_sum)
+    ctx = make_context(p)
+    cases = [(Group(p), _fermat_cyclic(p)[:4] + [trivial_subgroup(Group(p))])]
+    cases += [(Group(p, gamma), _pgonal_subgroups(ctx, gamma)) for gamma in ctx.gamma_pair or ()]
+    for group, subgroups in cases:
+        fix = cyclic_label_table(group)
+        for k in subgroups:
+            assert rh_genus(0, k, fix) == rh_genus_by_element(0, k, fix), (group, k.generators)
+
+
+@pytest.mark.parametrize("p", (13, 61))
+def test_rh_genus_reads_once_per_cyclic_subgroup(p):
+    ctx = make_context(p)
+    fix, reads = _counted(pgonal_fix_table(ctx))
+    rh_genus((p - 1) // 2, pgonal_group(ctx), fix)
+    assert len(reads) == p + 1  # T and one T^k R per order-3 subgroup, not 3p - 1
+    assert reads[0] == 3 and sorted(reads[1:]) == list(range(1, 3 * p, 3))
+    for i in (1, 2, 3):
+        reads.clear()
+        rh_genus((p - 1) // 2, pgonal_K(i, ctx), fix)
+        assert len(reads) == 1
+    full, reads = _counted(fermat_full_fix_table(find_generating_triple(ctx), ClassData(Group(p))))
+    u, v, a1v, h1 = _fermat_cyclic(p)[:4]
+    for k, count in ((trivial_subgroup(Group(p)), 0), (u, 1), (v, 1), (h1, 1), (a1v, 3)):
+        reads.clear()
+        rh_genus(fermat_genus(p), k, full)
+        assert len(reads) == count, k.generators  # <a1 v>: at its elements of order 2, p and 2p
+
+
+def test_rh_genus_reads_a_mislabelled_one_generator_subgroup_element_by_element():
+    p = 7
+    ctx = make_context(p)
+    # H labelled by a1 alone, whose powers are one line of it
+    h = fermat_H(p)
+    fix, reads = _counted(fermat_axis_fix_table(ctx))
+    k = Subgroup(h.group, h.generators[:1], h.indices)
+    assert rh_genus(fermat_genus(p), k, fix) == 0 == rh_genus_by_element(fermat_genus(p), k, fix)
+    assert len(reads) == 2 * (p * p - 1)
+    # <v> labelled by a1 v, of order 2p: read at v, not at a1 v
+    full = fermat_full_fix_table(find_generating_triple(ctx), ClassData(Group(p)))
+    k = Subgroup(Group(p), (fermat_translation(p, 1, 0) + PERM_V,), (IDENTITY, PERM_V))
+    assert rh_genus(fermat_genus(p), k, full) == rh_genus_by_element(fermat_genus(p), k, full)
+    assert full.at(PERM_V) != full.at(fermat_translation(p, 1, 0) + PERM_V)

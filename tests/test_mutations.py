@@ -9,6 +9,10 @@ Each mutation is applied with a monkeypatch, in process and under
 root; p = 11 has none, so there only J and T stand for the monomial
 calculus and the epsilon rule is never read.
 
+The two Riemann-Hurwitz audits read the fix tables of the gamma curve
+and of the translations: a wrong count there must fail their check and
+make ``decompose`` exit 3.
+
 The full checks read the rules of the line orbits and of the classes by
 key: a line orbit's kind and stabilizer, a closed-form class size, the
 class census, the support of the full fix table and the translation
@@ -18,7 +22,7 @@ classes by line.  Each of those mutations must make ``verify --p 13
 
 import pytest
 
-from fermatjac import cli, curves, genus, groups, monomial
+from fermatjac import cli, curves, decompose, genus, groups, monomial
 from fermatjac.curves import MoebiusLabel
 from fermatjac.orbits import OrbitKind
 
@@ -28,6 +32,7 @@ REAL_IMAGES, REAL_RULE = cli.s3_images, monomial.epsilon_rule
 REAL_T, REAL_J = monomial.build_T, monomial.build_J
 REAL_ORBITS, REAL_SIZE, REAL_CENSUS = groups.line_orbits, groups.ClassData.size, groups.ClassData.census
 REAL_FULL_FIX, REAL_LINE_INDEX = genus.fermat_full_fix_table, groups.ClassData.line_index
+REAL_PGONAL_FIX, REAL_AXIS_FIX = genus.pgonal_fix_table, genus.fermat_axis_fix_table
 
 
 def _flip_y(m):
@@ -67,6 +72,27 @@ def _J_with_minus_sign(mp):
     mp.setattr(monomial, "build_J", lambda ctx: _flip_y(REAL_J(ctx)))
 
 
+def _order_three_fixes_one(mp):
+    # the gamma curve's table with "deck powers fix 3, order-3 maps fix 1"
+    def table(ctx, gamma=None):
+        group = REAL_PGONAL_FIX(ctx, gamma).group
+        step = group.translations.step
+        return genus.FixTable(group, lambda i: 3 if i % step == 0 else 1, "deck powers fix 3, order-3 maps fix 1")
+
+    mp.setattr(decompose, "pgonal_fix_table", table)
+
+
+def _deck_line_fixes_p(mp):
+    # the axis table with p fixed points on the deck line H_1 (through (1, 2)) too
+    def table(ctx):
+        real, p = REAL_AXIS_FIX(ctx), ctx.p
+        h1 = {groups.fermat_translation(p, k, 2 * k) for k in range(1, p)}
+        return genus.FixTable(real.group, lambda i: p if i in h1 else real.at(i), "axes and H_1 fix p points each")
+
+    mp.setattr(decompose, "fermat_axis_fix_table", table)
+    mp.setattr(genus, "fermat_axis_fix_table", table)
+
+
 # name -> (the mutation, the check that must fail, the primes it must fail at)
 MUTATIONS = {
     "moebius-formula": (_wrong_formula, "moebius-transport", (11, 13)),
@@ -78,6 +104,15 @@ MUTATIONS = {
     "J-sign": (_J_with_minus_sign, "monomial-relations", (11, 13)),
 }
 CASES = [(name, p) for name, (_, _, primes) in MUTATIONS.items() for p in primes]
+
+# The fix tables of the two Riemann-Hurwitz audits.  A wrong count gives
+# no integer genus, an audit failure: verify fails the check, and
+# decompose exits 3.  name -> (the mutation, the check, the primes)
+AUDIT_MUTATIONS = {
+    "pgonal-order-three-fixes-one": (_order_three_fixes_one, "fine-decomposition", (13,)),
+    "axis-deck-line-fixes-p": (_deck_line_fixes_p, "deck-quotient-audit", (11, 13)),
+}
+AUDIT_CASES = [(name, p) for name, (_, _, primes) in AUDIT_MUTATIONS.items() for p in primes]
 
 
 def _gamma_lines(change):
@@ -168,6 +203,36 @@ def test_mutation_fails_verify_under_python_O(name, p):
     )
     assert run.returncode == 4, run.stdout + run.stderr
     assert f"FAIL {check}: p = {p}: " in run.stdout
+    assert "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize("name, p", AUDIT_CASES)
+def test_audit_mutation_fails_verify_and_decompose(monkeypatch, capsys, name, p):
+    mutate, check, _ = AUDIT_MUTATIONS[name]
+    mutate(monkeypatch)
+    assert cli.main(["verify", "--p", str(p)]) == 4
+    out, err = capsys.readouterr()
+    assert f"FAIL {check}: " in out and out.endswith(": no integer genus\n")
+    assert err == f"verification failed at check: {check}\n"
+    assert cli.main(["decompose", "--p", str(p)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("audit failure: 2g-2 = ") and err.endswith(": no integer genus\n")
+
+
+@pytest.mark.parametrize("name, p", AUDIT_CASES)
+def test_audit_mutation_fails_verify_and_decompose_under_python_O(name, p):
+    check = AUDIT_MUTATIONS[name][1]
+    run = run_under_O(
+        "import pytest\n"
+        "from fermatjac import cli\n"
+        "from test_mutations import AUDIT_MUTATIONS\n"
+        f"AUDIT_MUTATIONS[{name!r}][0](pytest.MonkeyPatch())\n"
+        f"codes = cli.main(['verify', '--p', '{p}']), cli.main(['decompose', '--p', '{p}'])\n"
+        "sys.exit(0 if codes == (4, 3) else 1)\n"
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert f"FAIL {check}: " in run.stdout
+    assert f"verification failed at check: {check}\naudit failure: 2g-2 = " in run.stderr
     assert "Traceback" not in run.stderr
 
 

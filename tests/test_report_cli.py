@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from fermatjac import report as rep
 from fermatjac.cli import main
-from fermatjac.decompose import decompose_coarse, decompose_fine
+from fermatjac.curves import CurveFamily, CurveSpec
+from fermatjac.decompose import IsogenyFactor, decompose_coarse, decompose_fine
 from fermatjac.orbits import make_context, orbit_partition
 
-from helpers import parse, reference_rows, sweep_primes
+from helpers import factor_entry, parse, reference_rows, sweep_primes
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -168,6 +169,31 @@ VALUES = st.recursive(
 @example({"orbits": _rows(7)[:2], "deep": [[{"factors": tuple(_rows(13)[-3:])}]], "row": _rows(5)[0]})
 def test_serialize_is_json_dumps(value):
     assert rep.serialize(value) == json.dumps(reference_rows(value), indent=2, sort_keys=True) + "\n"
+
+
+ROW_PRIMES = sweep_primes(199) + [409, 1009, 100003]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from(ROW_PRIMES),
+    seed=st.integers(0, 10**6),
+    multiplicity=st.integers(0, 10**6),
+    dimension=st.integers(0, 10**9),
+)
+@example(p=7, seed=0, multiplicity=3, dimension=3)
+@example(p=100003, seed=0, multiplicity=6, dimension=16667)
+def test_factor_rows_are_json_dumps_of_their_reference_dicts(p, seed, multiplicity, dimension):
+    # one template per curve family, C_1's with its model: every family,
+    # FERMAT too (decompose never emits it), and alpha = 1 (seed 0)
+    ctx = make_context(p)
+    curves = [CurveSpec(ctx, CurveFamily.P_GONAL, seed % (p - 2) + 1), CurveSpec(ctx, CurveFamily.P_GONAL, 1)]
+    curves += [CurveSpec(ctx, CurveFamily.FERMAT)]
+    curves += [CurveSpec(ctx, CurveFamily.E_QUOTIENT, g) for g in ctx.gamma_pair or ()]
+    factors = [IsogenyFactor(c, multiplicity, dimension) for c in curves]
+    for value in (factors, {"a": [{"factors": factors[::-1]}], "b": factors[0]}):
+        assert rep.serialize(value) == json.dumps(reference_rows(value), indent=2, sort_keys=True) + "\n"
+    assert rep.serialize(factors) == json.dumps([factor_entry(f) for f in factors], indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("value", [{"a": {1, 2}}, [object()], {"a": [1, {"b": object()}]}])
