@@ -40,7 +40,7 @@ from .orbits import OrbitKind, inverse_table, is_prime, make_context, orbit_part
 
 # verify --depth full has no bound of its own but MAX_P: classes by rule,
 # one subgroup per class from the line orbits and H read by its lines make
-# it O(p), 0.09 s and 15 MB at p = 997, 5.0-7.5 s and 144 MB at p = 100003.
+# it O(p), 0.1 s and 15 MB at p = 997, 4.5-4.7 s and 143 MB at p = 100003.
 # sweep --to: a serial sweep over 5..3000 (426 primes) takes 1.7-2.4 s.
 SWEEP_MAX_TO = 3_000
 
@@ -121,12 +121,13 @@ def check_moebius_transport(ctx, cache):
             if set(row) != set(o.elements):
                 raise CheckFailedError(f"p = {p}: the six images of {a} are not its orbit {o.elements}")
             raise CheckFailedError(f"p = {p}: the images of {a} are not each hit {6 // o.size} times")
-    # the images of every point lie in X_p by now, so the rules take them
+    # every image lies in X_p by now: one row of the rules per probe point
+    rows = {a: [rule(a, inv, p) for rule in rules] for a in (1, 2, p - 2)}
     for i, f in enumerate(labels):
         for j, g in enumerate(labels):
             k = labels.index(f.compose(g))
-            for a in (1, 2, p - 2):
-                lhs, rhs = rules[k](a, inv, p), rules[j](rules[i](a, inv, p), inv, p)
+            for a, row in rows.items():
+                lhs, rhs = row[k], rules[j](row[i], inv, p)
                 if lhs != rhs:
                     raise CheckFailedError(f"p = {p}: transport by {f.name} then {g.name} at {a}: {lhs} != {rhs}")
     return "six images enumerate each orbit; composition consistent"
@@ -239,11 +240,6 @@ def check_generating_triple(ctx, cache):
     return f"orders {tuple(evidence['orders'])}, fix(a1) = {evidence['fix_a1']}"
 
 
-def _describe(k):
-    gens = ", ".join(str(k.group.coordinates(i)) for i in k.generators)
-    return f"the subgroup of order {k.order} generated by {gens}"
-
-
 def check_dual_oracle_genus(ctx, cache):
     p = ctx.p
     triple = cache["triple"]
@@ -266,7 +262,7 @@ def check_dual_oracle_genus(ctx, cache):
         rh, coset = gen.rh_genus(g_top, k, fix), gen.coset_genus(k, triple, data)
         if rh != coset:
             raise OracleDisagreementError(
-                f"p = {p}, {_describe(k)}: Riemann-Hurwitz genus {rh}, coset genus {coset}"
+                f"p = {p}, {gen.describe(k)}: Riemann-Hurwitz genus {rh}, coset genus {coset}"
             )
         m, n, s = k.group.coordinates(k.generators[0])
         if s == grp.PERM_ID and m and n and m != n:

@@ -37,16 +37,17 @@ from __future__ import annotations
 from itertools import combinations
 
 from .curves import CURVE_FORMATS, CurveFamily, CurveSpec, deck_exponent, genus_of
-from .errors import AuditFailError, OutOfRangeError
+from .errors import AuditFailError, InconsistentRHError, OutOfRangeError
 from .genus import (
     fermat_axis_fix_table,
     fermat_genus,
     line_fix_counts,
+    naming,
     pgonal_fix_table,
     rh_genus,
     riemann_hurwitz,
 )
-from .groups import Group, pgonal_group, pgonal_K
+from .groups import Group, LineSubgroup, pgonal_group, pgonal_K
 from .orbits import OrbitKind, OrbitPartition, PrimeContext, orbit_partition
 from .records import Const, FrozenRecord, Record, set_field
 
@@ -149,10 +150,16 @@ def kani_rosen_check(ctx: PrimeContext) -> KaniRosenAudit:
     """
     p = ctx.p
     g_top = fermat_genus(p)
-    counts = line_fix_counts(p, fermat_axis_fix_table(ctx))
-    plane_genus = riemann_hurwitz(g_top, p * p, (p - 1) * sum(counts))
+    fix = fermat_axis_fix_table(ctx)
+    counts = line_fix_counts(p, fix)
     deck = counts[3:]  # H_j is line j + 2; one genus per distinct count, times the lines with it
-    total = sum(deck.count(c) * riemann_hurwitz(g_top, p, (p - 1) * c) for c in set(deck))
+    total, c = 0, None  # c: the deck count summed last, None while on the plane
+    try:
+        plane_genus = riemann_hurwitz(g_top, p * p, (p - 1) * sum(counts))
+        for c in set(deck):
+            total += deck.count(c) * riemann_hurwitz(g_top, p, (p - 1) * c)
+    except InconsistentRHError as exc:  # on the plane, or on the first deck line of count c
+        raise naming(exc, LineSubgroup(p, range(p + 1) if c is None else (deck.index(c) + 3,)), fix) from None
     group = Group(p)
     a1, a2 = group.generators[:2]
     a1a2, a2a1 = group.mul(a1, a2), group.mul(a2, a1)
@@ -233,8 +240,14 @@ def gamma_refinement_audit(ctx: PrimeContext) -> GammaRefinementAudit:
     ks = [pgonal_K(i, ctx) for i in (1, 2, 3)]
     fix = pgonal_fix_table(ctx)
     g_top = (ctx.p - 1) // 2
-    genera = tuple(rh_genus(g_top, k, fix) for k in ks)
-    whole_genus = rh_genus(g_top, pgonal_group(ctx), fix)
+
+    def quotient_genus(k):  # a Riemann-Hurwitz failure names K
+        try:
+            return rh_genus(g_top, k, fix)
+        except InconsistentRHError as exc:
+            raise naming(exc, k, fix) from None
+    genera = tuple(map(quotient_genus, ks))
+    whole_genus = quotient_genus(pgonal_group(ctx))
     distinct = tuple(ks[i - 1] != ks[j - 1] for i, j in _K_PAIRS)
     pair_genera = tuple(whole_genus if d else genera[i - 1] for (i, _), d in zip(_K_PAIRS, distinct))
     return GammaRefinementAudit(g_top, genera, pair_genera, distinct)

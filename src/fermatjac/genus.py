@@ -145,6 +145,19 @@ def riemann_hurwitz(g_top: int, order: int, fix_sum: int) -> int:
     return n // (2 * order)
 
 
+def describe(k: Subgroup | LineSubgroup) -> str:
+    """The subgroup by its order and the normal forms of its generators."""
+    gens = ", ".join(str(k.group.coordinates(i)) for i in k.generators)
+    return f"the subgroup of order {k.order} generated by {gens}"
+
+
+def naming(exc: InconsistentRHError, k: Subgroup | LineSubgroup, fix: FixTable) -> InconsistentRHError:
+    """The :func:`riemann_hurwitz` failure exc on K with the prime, K
+    (:func:`describe`) and the fix table named before its verdict."""
+    fact, _, verdict = str(exc).rpartition(": ")
+    return InconsistentRHError(f"{fact}, at p = {k.p} on {describe(k)}, fix table '{fix.description}': {verdict}")
+
+
 def _cyclic_reads(k: Subgroup) -> dict[int, int] | None:
     """c^(n/d) -> phi(d) for the divisors d > 1 of n = |K|, K = <c>, whose
     phi(d) generators fix alike; None unless c is in K and of order n (no c^(n/d) is 1)."""
@@ -199,6 +212,14 @@ class GeneratingTriple(FrozenRecord):
         set_field(self, "c2", group.check_index(c2))
         set_field(self, "c3", group.check_index(c3))
         set_field(self, "c2p", group.check_index(c2p))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p and self.c2 == other.c2 and self.c3 == other.c3 and self.c2p == other.c2p
+
+    def __hash__(self):
+        return hash((self.p, self.c2, self.c3, self.c2p))
 
     @property
     def entries(self) -> tuple[tuple[int, int], ...]:
@@ -312,14 +333,14 @@ def coset_genus(k: Subgroup | LineSubgroup, triple: GeneratingTriple, data: Clas
     which a line or the plane meets by line, not element by element.
     """
     p = triple.p
-    if k.group != Group(p):
+    if k.group.p != p or k.group.gamma is not None:
         raise OutOfRangeError(f"{k!r} does not live in the Fermat group for p = {p}")
     entries, by_line = _power_class_counts(triple, data)
     fixed = data.fixed_cosets(data.meet_counts(k, by_line), k.order)
     index = fixed.get(data.identity_key, 0)
     cycles = 0
     for m, counts in entries:
-        small, large = sorted((counts, fixed), key=len)
+        small, large = (counts, fixed) if len(counts) <= len(fixed) else (fixed, counts)
         total = sum(n * large.get(c, 0) for c, n in small.items())
         if total % m:
             raise InconsistentOrbifoldError(

@@ -175,9 +175,11 @@ class Group(FrozenRecord):
         """Indices of the subgroup the indexed elements generate, in order
         of discovery: the closure of {1} under left multiplication by each.
         For a single element g that is its powers 1, g, g^2, ..., so the
-        last is g^(-1).
+        last is g^(-1), walked in one loop of the group law.
         """
         gens = tuple(generators)
+        if len(gens) == 1:
+            return self._powers(gens[0])
         seen = {IDENTITY}
         members = [IDENTITY]
         frontier = [IDENTITY]
@@ -191,6 +193,26 @@ class Group(FrozenRecord):
             members.extend(new)
             frontier = new
         return members
+
+    def _powers(self, g: int) -> list[int]:
+        """1, g, g^2, ... up to g^(-1): g^(j+1) = g g^j by the group law of
+        :meth:`left_mul`, on the coordinates of g^j."""
+        p, out, i = self.p, [IDENTITY], self.check_index(g)
+        if self.gamma is not None:
+            k, e = x, y = divmod(g, 3)
+            scale = pow(self.gamma, 2 * e, p)
+            while i:
+                out.append(i)
+                x, y = (k + scale * x) % p, (e + y) % 3
+                i = 3 * x + y
+            return out
+        (cm, cn), s = (m, n), t = divmod(g // 6, p), g % 6
+        (a, b, c, d), row = ACTION[s], PERM_MUL[s]
+        while i:
+            out.append(i)
+            m, n, t = (cm + a * m + b * n) % p, (cn + c * m + d * n) % p, row[t]
+            i = (m * p + n) * 6 + t
+        return out
 
     def __str__(self):
         if self.gamma is None:

@@ -259,21 +259,21 @@ def conjugation_sweep(ctx: PrimeContext):
     and ctx's gamma: both sides of the conjugation relation as maps, equal
     to the :func:`word_map` of each word.
 
-    The powers of T and the right side are running products, each
-    advanced by one composition per step, so a step costs five
-    compositions where two :func:`verify_relation` words rebuild three
-    powers through :func:`map_power`.  The relation follows from R T = T^(gamma^2) R by
+    Both sides start at R.  A step conjugates the left side by T and
+    advances the right side by T^(gamma^2 - 1), three compositions where
+    two :func:`verify_relation` words rebuild three powers through
+    :func:`map_power`.  The relation follows from R T = T^(gamma^2) R by
     induction on l, so comparing the sides tests the calculus itself:
     that composition is associative on normal forms, which are canonical.
     """
     p, g = ctx.p, ctx.gamma
     t, r = build_T(ctx), build_R(ctx)
     t_inv, t_shift = map_power(t, p - 1), map_power(t, (g * g - 1) % p)
-    pos = neg = identity_map(p, g)
-    shifted = r
+    lhs = rhs = r
     for l in range(p):
-        yield l, compose(compose(neg, r), pos), shifted
-        pos, neg, shifted = compose(pos, t), compose(neg, t_inv), compose(t_shift, shifted)
+        if l:
+            lhs, rhs = compose(compose(t_inv, lhs), t), compose(t_shift, rhs)
+        yield l, lhs, rhs
 
 
 def epsilon_parity_report(ctx: PrimeContext, gamma: int | None = None) -> dict:

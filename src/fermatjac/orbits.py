@@ -25,7 +25,7 @@ from .records import Const, FrozenRecord, set_field
 # The largest p any command accepts.  Every step of orbits, decompose
 # and basic verify is O(p); at p = 100003 (p = 1 mod 3, the slower
 # residue) decompose --format json takes about 0.4-0.6 s and 53 MB, and
-# verify 1.7-2.3 s and 42 MB.  sweep has a lower cap in cli.py, and
+# verify 1.2-1.5 s and 44 MB.  sweep has a lower cap in cli.py, and
 # verify --depth full none of its own.
 MAX_P = 100_003
 

@@ -118,11 +118,12 @@ _ROWS = {OrbitClass: _orbit_row, IsogenyFactor: _factor_row}
 
 def _row(cls, indent: str, memo: dict):
     """The writer of a cls row at the depth of indent, made once per
-    document; None when cls has no row.  It formats each row object once
-    at that depth: the fine decomposition reuses the coarse factors."""
+    document; None when cls has no row.  A factor row's writer formats each
+    row object once, as the fine decomposition reuses the coarse factors;
+    no document writes an orbit row twice."""
     if cls in _ROWS and (cls, indent) not in memo:
         write, texts = _ROWS[cls](indent), {}
-        memo[cls, indent] = lambda row: texts.get(id(row)) or texts.setdefault(id(row), write(row))
+        memo[cls, indent] = write if cls is not IsogenyFactor else lambda row: texts.get(id(row)) or texts.setdefault(id(row), write(row))
     return memo.get((cls, indent))
 
 
@@ -130,8 +131,7 @@ def _json(value, indent: str, memo: dict, out: list) -> None:
     """Append the JSON of value at the depth of ``indent``, a newline and
     spaces, to ``out`` in fragments.  ``memo`` holds the written form of
     each str key and the row writer of each (class, indent) met so far in
-    this document, with the text of each row it wrote, so what the
-    schema repeats is made once."""
+    this document, so what the schema repeats is made once."""
     get = _SCALARS.get
     write = get(type(value)) or _row(type(value), indent, memo)
     if write is not None:

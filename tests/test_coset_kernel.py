@@ -12,6 +12,7 @@ with object-level cosets.
 
 import pytest
 
+from fermatjac import cli
 from fermatjac.certificates import (
     ClassData,
     ClassFunction,
@@ -124,6 +125,38 @@ def test_closure_matches_object_closure(group):
         for j in range(3):
             both = subgroup_elements(ks[i]) + subgroup_elements(ks[j])
             assert _object_set(subgroup_closure(group, map(index_of, both))) == mulclose(both)
+
+
+def _bfs_powers(group, g):
+    """The closure of {1} under left multiplication by g, a frontier at a time."""
+    members, seen, frontier = [IDENTITY], {IDENTITY}, [IDENTITY]
+    while frontier:
+        frontier = [y for y in group.left_mul(g, frontier) if y not in seen]
+        seen.update(frontier)
+        members += frontier
+    return members
+
+
+@pytest.mark.parametrize(
+    "group", [Group(5), Group(7)] + [Group(p, gamma) for p in (7, 13) for gamma in make_context(p).gamma_pair],
+    ids=str,
+)
+def test_one_generator_closure_is_the_bfs(group):
+    # the power loop walks g, g^2, ... in the BFS's order of discovery
+    for g in range(group.order):
+        assert group.closure([g]) == _bfs_powers(group, g), group.coordinates(g)
+    with pytest.raises(OutOfRangeError):
+        group.closure([group.order])
+
+
+def test_full_verify_walks_cyclic_subgroups_as_powers(monkeypatch, capsys):
+    # one-generator closures make no left_mul call per element: verify
+    # --p 13 --depth full makes at most 22 left_mul calls (85 before)
+    calls = []
+    real = Group.left_mul
+    monkeypatch.setattr(Group, "left_mul", lambda self, g, indices: calls.append(g) or real(self, g, indices))
+    assert cli.main(["verify", "--p", "13", "--depth", "full"]) == 0
+    assert len(calls) <= 22
 
 
 @pytest.mark.parametrize("p", [q for q in primes_upto(31) if q >= 5])

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from fermatjac import cli
 from fermatjac.curves import (
     MOEBIUS_TRANSPORT,
     CurveFamily,
@@ -115,6 +116,17 @@ def test_transport_functoriality_all_36_pairs(p):
                 assert moebius_transport(a, fg, ctx) == moebius_transport(
                     moebius_transport(a, f, ctx), g, ctx
                 )
+
+
+def test_verify_runs_each_transport_rule_once_per_probe(monkeypatch, capsys):
+    # the composition test runs each rule once at each of 1, 2 and p - 2,
+    # then one call per comparison: 6 (p - 2) + 18 + 108 = 192 calls at
+    # p = 13 (390 before)
+    calls = []
+    for label, rule in list(MOEBIUS_TRANSPORT.items()):
+        monkeypatch.setitem(MOEBIUS_TRANSPORT, label, lambda *args, rule=rule: calls.append(1) or rule(*args))
+    assert cli.main(["verify", "--p", "13"]) == 0
+    assert len(calls) <= 192
 
 
 def test_are_isomorphic():

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermatjac.curves import MoebiusLabel
+from fermatjac import cli
 from fermatjac import monomial as monomial_module
 from fermatjac.errors import (
     CheckFailedError,
@@ -281,10 +282,28 @@ def test_one_step_substitution_matches_the_chain_in_the_sweep(monkeypatch, p):
         calls.append(out)
         return out
 
+    composed = []
+    real_compose = monomial_module.compose
     monkeypatch.setattr(monomial_module, "_substitute", both)
+    monkeypatch.setattr(monomial_module, "compose", lambda outer, inner: composed.append(1) or real_compose(outer, inner))
     for l, lhs, rhs in conjugation_sweep(make_context(p)):
         assert lhs == rhs, l
-    assert len(calls) >= 10 * p
+    # T^(-1) and T^(gamma^2 - 1) by square-and-multiply, then three
+    # compositions per step after l = 0, each making two substitutions
+    g = make_context(p).gamma
+    powers = sum(bin(e).count("1") + e.bit_length() - 1 for e in (p - 1, (g * g - 1) % p))
+    assert len(composed) == 3 * (p - 1) + powers
+    assert len(calls) == 2 * len(composed)
+
+
+def test_verify_composes_each_product_once(monkeypatch, capsys):
+    # the conjugation sweep advances by conjugation: 3 compositions a step,
+    # not 5, so basic verify at p = 13 makes at most 74 (100 before)
+    calls = []
+    real_compose = monomial_module.compose
+    monkeypatch.setattr(monomial_module, "compose", lambda outer, inner: calls.append(1) or real_compose(outer, inner))
+    assert cli.main(["verify", "--p", "13"]) == 0
+    assert len(calls) <= 74
 
 
 def test_word_map_rejects_unknown_letter():

@@ -113,6 +113,17 @@ AUDIT_MUTATIONS = {
     "axis-deck-line-fixes-p": (_deck_line_fixes_p, "deck-quotient-audit", (11, 13)),
 }
 AUDIT_CASES = [(name, p) for name, (_, _, primes) in AUDIT_MUTATIONS.items() for p in primes]
+# name -> the prime, the subgroup and the fix table its failure names, at p
+AUDIT_NAMES = {
+    "pgonal-order-three-fixes-one": lambda p: (
+        f"at p = {p} on the subgroup of order 3 generated by (0, 1)",
+        "fix table 'deck powers fix 3, order-3 maps fix 1'",
+    ),
+    "axis-deck-line-fixes-p": lambda p: (
+        f"at p = {p} on the subgroup of order {p * p} generated by (0, 1, 0), (1, 0, 0)",
+        "fix table 'axes and H_1 fix p points each'",
+    ),
+}
 
 
 def _gamma_lines(change):
@@ -214,9 +225,13 @@ def test_audit_mutation_fails_verify_and_decompose(monkeypatch, capsys, name, p)
     out, err = capsys.readouterr()
     assert f"FAIL {check}: " in out and out.endswith(": no integer genus\n")
     assert err == f"verification failed at check: {check}\n"
+    detail = out.splitlines()[-1].removeprefix(f"FAIL {check}: ")
     assert cli.main(["decompose", "--p", str(p)]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("audit failure: 2g-2 = ") and err.endswith(": no integer genus\n")
+    # both name the prime, the subgroup and the fix table, in one detail
+    assert err == f"audit failure: {detail}\n"
+    assert all(part in detail for part in AUDIT_NAMES[name](p))
 
 
 @pytest.mark.parametrize("name, p", AUDIT_CASES)
@@ -234,6 +249,9 @@ def test_audit_mutation_fails_verify_and_decompose_under_python_O(name, p):
     assert f"FAIL {check}: " in run.stdout
     assert f"verification failed at check: {check}\naudit failure: 2g-2 = " in run.stderr
     assert "Traceback" not in run.stderr
+    detail = run.stdout.splitlines()[-1].removeprefix(f"FAIL {check}: ")
+    assert run.stderr.endswith(f"audit failure: {detail}\n")
+    assert all(part in detail for part in AUDIT_NAMES[name](p))
 
 
 def test_epsilon_rule_is_not_read_without_a_gamma_root(monkeypatch, capsys):
