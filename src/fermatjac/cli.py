@@ -40,8 +40,8 @@ from .orbits import OrbitKind, inverse_table, is_prime, make_context, orbit_part
 
 # verify --depth full has no bound of its own but MAX_P: classes by rule,
 # one subgroup per class from the line orbits and H read by its lines make
-# it O(p), 0.1 s and 15 MB at p = 997, 4.5-4.7 s and 143 MB at p = 100003.
-# sweep --to: a serial sweep over 5..3000 (426 primes) takes 1.7-2.4 s.
+# it O(p), 0.1 s and 15 MB at p = 997, 4.4-4.7 s and 142 MB at p = 100003.
+# sweep --to: a serial sweep over 5..3000 (426 primes) takes 1.6-1.7 s.
 SWEEP_MAX_TO = 3_000
 
 
@@ -210,7 +210,8 @@ def check_monomial_relations(ctx, cache):
         f"p = {p}: R T != T^(gamma^2) R",
     )
     for l, lhs, rhs in mono.conjugation_sweep(ctx):
-        _require(lhs == rhs, f"p = {p}: T^(-l) R T^l != T^(l (gamma^2 - 1)) R at l = {l}")
+        if lhs != rhs:
+            raise CheckFailedError(f"p = {p}: T^(-l) R T^l != T^(l (gamma^2 - 1)) R at l = {l}")
     tg = mono.build_T(ctx)
     _require(mono.map_power(tg, p) == mono.identity_map(p, g), f"p = {p}: T^p is not the identity (gamma = {g})")
     block["T"] = mono.render_map(tg)
@@ -288,10 +289,12 @@ def check_fix_table_consistency(ctx, cache):
     fix = cache["full_fix"]
     full, axis = gen.line_fix_counts(p, fix), gen.line_fix_counts(p, gen.fermat_axis_fix_table(ctx))
     for (a, b), f, x in zip(grp.plane_lines(p), full, axis):
-        _require(f == x, f"p = {p}: fix({a}, {b}) is {f} in the full table and {x} in the axis table")
+        if f != x:
+            raise CheckFailedError(f"p = {p}: fix({a}, {b}) is {f} in the full table and {x} in the axis table")
     bound = 2 + 2 * gen.fermat_genus(p)
     for c, f in fix.support.items():
-        _require(0 <= f <= bound, f"p = {p}: fix = {f} on the class of key {c} is outside [0, {bound}]")
+        if not 0 <= f <= bound:
+            raise CheckFailedError(f"p = {p}: fix = {f} on the class of key {c} is outside [0, {bound}]")
     gap = grp.class_rule_gap(_class_data(ctx, cache))
     _require(gap is None, f"p = {p}: {gap}")
     return "axis table matches, Lefschetz bound holds, class-constant"
@@ -316,15 +319,18 @@ def check_certificates(ctx, cache):
     orbit_of_line = {line: o for o in cache["line_orbits"] for line in o.lines}
     for j in deck:
         lines, exponents = orbit_of_line[j + 2], part.orbit_of(p - 1 - j)
-        _require(
+        if not (
             {p + 1 - line for line in lines.lines} == set(exponents.elements)
             and lines.kind == exponents.kind.value
-            and len(lines.stabilizer) * len(lines.lines) == 6,
-            f"p = {p}: the lines {lines.lines} (kind {lines.kind}, stabilizer {lines.stabilizer})"
-            f" are not the exponent orbit {exponents.elements} (kind {exponents.kind.value})",
-        )
+            and len(lines.stabilizer) * len(lines.lines) == 6
+        ):
+            raise CheckFailedError(
+                f"p = {p}: the lines {lines.lines} (kind {lines.kind}, stabilizer {lines.stabilizer})"
+                f" are not the exponent orbit {exponents.elements} (kind {exponents.kind.value})"
+            )
         value = cert.perm_pairing(grp.LineSubgroup(p, (j + 2,)), rat)
-        _require(value == p - 1, f"p = {p}: <G/H_{j}, hom> = {value}, expected {p - 1}")
+        if value != p - 1:
+            raise CheckFailedError(f"p = {p}: <G/H_{j}, hom> = {value}, expected {p - 1}")
     norm = cert.inner_product(rat, rat)
     cache["certificates"] = {
         "pairing_trivial_vs_homology": 0,

@@ -240,21 +240,16 @@ def gamma_refinement_audit(ctx: PrimeContext) -> GammaRefinementAudit:
     ks = [pgonal_K(i, ctx) for i in (1, 2, 3)]
     fix = pgonal_fix_table(ctx)
     g_top = (ctx.p - 1) // 2
-
-    def quotient_genus(k):  # a Riemann-Hurwitz failure names K
-        try:
-            return rh_genus(g_top, k, fix)
-        except InconsistentRHError as exc:
-            raise naming(exc, k, fix) from None
-    genera = tuple(map(quotient_genus, ks))
-    whole_genus = quotient_genus(pgonal_group(ctx))
+    genera = tuple([rh_genus(g_top, k, fix) for k in ks])  # a failure names K (genus.naming)
+    whole_genus = rh_genus(g_top, pgonal_group(ctx), fix)
     distinct = tuple(ks[i - 1] != ks[j - 1] for i, j in _K_PAIRS)
     pair_genera = tuple(whole_genus if d else genera[i - 1] for (i, _), d in zip(_K_PAIRS, distinct))
     return GammaRefinementAudit(g_top, genera, pair_genera, distinct)
 
 
 class IsogenyDecomposition(Record):
-    __slots__ = _fields = ("context", "level", "factors", "audit", "gamma_refinement")
+    _fields = ("context", "level", "factors", "audit", "gamma_refinement")
+    __slots__ = (*_fields, "total_dimension")  # sum of multiplicity x dimension, summed once
 
     def __init__(self, context: PrimeContext, level: DecompositionLevel, factors: tuple[IsogenyFactor, ...],
                  audit: KaniRosenAudit, gamma_refinement: GammaRefinementAudit | None = None):
@@ -263,26 +258,20 @@ class IsogenyDecomposition(Record):
         self.factors = factors
         self.audit = audit
         self.gamma_refinement = gamma_refinement
-
-    @property
-    def total_dimension(self) -> int:
-        return sum(f.multiplicity * f.dimension for f in self.factors)
+        self.total_dimension = sum([f.multiplicity * f.dimension for f in factors])
 
     def render(self) -> str:
-        body = " x ".join(f.render() for f in self.factors)
+        body = " x ".join([f"{f._symbol}^{f.multiplicity}" for f in self.factors])
         return f"JF({self.context.p}) ~ {body}"
 
 
-_KIND_ORDER = {OrbitKind.SPECIAL_ONE: 0, OrbitKind.GAMMA: 1, OrbitKind.GENERIC: 2}
-
-
 def _coarse_factors(ctx: PrimeContext, partition: OrbitPartition) -> tuple[IsogenyFactor, ...]:
-    ordered = sorted(partition.orbits, key=lambda o: (_KIND_ORDER[o.kind], o.representative))
-    factors = []
-    for o in ordered:
-        curve = CurveSpec(context=ctx, family=CurveFamily.P_GONAL, alpha=o.representative)
-        factors.append(IsogenyFactor(curve=curve, multiplicity=o.size, dimension=genus_of(curve)))
-    return tuple(factors)
+    """One C_alpha factor per orbit, the orbits sorted stably by kind from
+    the partition's representative order; every C_alpha has one genus."""
+    ordered = [o for kind in OrbitKind for o in partition.orbits if o.kind is kind]
+    curves = [CurveSpec(ctx, CurveFamily.P_GONAL, o.representative) for o in ordered]
+    dimension = genus_of(curves[0])
+    return tuple([IsogenyFactor(c, o.size, dimension) for c, o in zip(curves, ordered)])
 
 
 def _deck_census(ctx: PrimeContext, partition: OrbitPartition) -> dict[int, int]:
@@ -370,10 +359,8 @@ def decompose_fine(coarse: IsogenyDecomposition) -> IsogenyDecomposition:
     factors = []
     for f in coarse.factors:
         if f.multiplicity == 2:
-            curve = CurveSpec(context=ctx, family=CurveFamily.E_QUOTIENT, alpha=f.curve.alpha)
-            factors.append(
-                IsogenyFactor(curve=curve, multiplicity=6, dimension=genus_of(curve))
-            )
+            curve = CurveSpec(ctx, CurveFamily.E_QUOTIENT, f.curve.alpha)
+            factors.append(IsogenyFactor(curve, 6, genus_of(curve)))
         else:
             factors.append(f)
     return _require_total_dimension(
@@ -434,9 +421,9 @@ def dimension_audit(d: IsogenyDecomposition) -> tuple[dict, dict | None]:
         return dimensions, None
     b = gamma_factors[0] if gamma_factors else None
     return dimensions, {
-        "B0": b0[0].symbol(),
-        "B": b.symbol() if b else None,
-        "B_j": [f.symbol() for f in generic],
+        "B0": b0[0]._symbol,
+        "B": b._symbol if b else None,
+        "B_j": [f._symbol for f in generic],
         "N": n_expected,
         "dimensions": {"B0": half, "B": b.dimension if b else None, "B_j": half},
     }

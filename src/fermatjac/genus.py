@@ -7,7 +7,9 @@ acting on a surface of genus g with fix(k) fixed points for each k != 1,
 
 The sum is read once per cyclic subgroup: Fix(g) = Fix(<g>) for g != 1,
 as a point fixed by g is fixed by its powers, and g is a power of every
-generator of <g>, so one read stands for all of them.
+generator of <g>, so one read stands for all of them.  Reads at evenly
+spaced indices, the points of the p + 1 lines of F_p^2 or the T^k R, are
+one :meth:`FixTable.at_range` call, which checks the range once.
 
 Oracle two needs no fixed-point data at all.  The Fermat curve is the
 quotient of the hyperbolic plane by a surface group normal in a triangle
@@ -59,7 +61,6 @@ from .groups import (
     Subgroup,
     fermat_order,
     fermat_translation,
-    line_point,
     resolve_gamma,
     s3_stable_lines,
 )
@@ -71,10 +72,11 @@ class FixTable:
     """Fixed-point counts for the non-identity elements of a group action.
 
     ``count_fn`` maps an element index to its count; :meth:`at` reads the
-    table by index.  It raises on the identity (excluded by definition),
-    on indices outside the group and on elements outside the table's
-    domain.  A table computed by class has a ``support``, key -> count,
-    and ``by_line``, the support's translation classes by line
+    table by index and :meth:`at_range` at each index of a range, which
+    it checks once, at its ends.  Both raise on the identity (excluded by
+    definition), on indices outside the group and on elements outside the
+    table's domain.  A table computed by class has a ``support``, key ->
+    count, and ``by_line``, the support's translation classes by line
     (:meth:`~fermatjac.groups.ClassData.line_index`).
     """
 
@@ -88,6 +90,13 @@ class FixTable:
                 raise IdentityInputError("fix tables exclude the identity")
             raise OutOfRangeError(f"index {i} is not an element of {self.group}")
         return self._count_fn(i)
+
+    def at_range(self, r: range) -> list[int]:
+        """[at(i) for i in r], checked once: r runs from its start to short of its stop."""
+        n = self._order
+        if not (0 < r.start < n and 0 <= r.stop <= n):
+            return [self.at(i) for i in r]  # raises as at does, at the first index at refuses
+        return list(map(self._count_fn, r))
 
     def __repr__(self):
         return f"FixTable({self.description!r}, p={self.group.p})"
@@ -118,8 +127,7 @@ def line_fix_counts(p: int, fix: FixTable) -> list[int]:
     """A Fermat fix table read once per line of F_p^2, as the line's p - 1
     points but 0 all generate it (module docs), at the points of
     :func:`~fermatjac.groups.plane_lines`: the indices 6, range(6p, 12p, 6)."""
-    at = fix.at
-    return [at(6), *map(at, range(6 * p, 12 * p, 6))]
+    return [fix.at(6), *fix.at_range(range(6 * p, 12 * p, 6))]
 
 
 def pgonal_fix_table(ctx: PrimeContext, gamma: int | None = None) -> FixTable:
@@ -179,20 +187,25 @@ def _cyclic_reads(k: Subgroup) -> dict[int, int] | None:
 
 def rh_genus(g_top: int, k: Subgroup | LineSubgroup, fix: FixTable) -> int:
     """Riemann-Hurwitz quotient genus, the fix sum read once per cyclic
-    subgroup (module docs): by line; the whole p-gonal group at T and at the
-    T^k R, one per order-3 subgroup; <c> by :func:`_cyclic_reads`; else by element."""
+    subgroup (module docs): by line, the plane by :func:`line_fix_counts`;
+    the whole p-gonal group at T and at the T^k R, one per order-3
+    subgroup; <c> by :func:`_cyclic_reads`; else by element.  A failure
+    names p, K and the table (:func:`naming`)."""
     if k.group != fix.group:
         raise OutOfRangeError(f"{k!r} is not in the group of {fix!r}")
     if isinstance(k, LineSubgroup):
-        total = (k.p - 1) * sum(fix.at(line_point(k.p, line)) for line in k.lines)
+        total = (k.p - 1) * (sum(line_fix_counts(k.p, fix)) if k.order > k.p else fix.at(k.generators[0]))
     elif k.group.gamma is not None and k.order == k.group.order:
         t, r = k.group.generators
-        total = (k.p - 1) * fix.at(t) + 2 * sum(map(fix.at, range(r, k.order, k.group.translations.step)))
+        total = (k.p - 1) * fix.at(t) + 2 * sum(fix.at_range(range(r, k.order, k.group.translations.step)))
     elif len(k.generators) == 1 and (reads := _cyclic_reads(k)) is not None:
         total = sum(f * fix.at(g) for g, f in reads.items())
     else:
         total = sum(fix.at(i) for i in k.indices if i != IDENTITY)
-    return riemann_hurwitz(g_top, k.order, total)
+    try:
+        return riemann_hurwitz(g_top, k.order, total)
+    except InconsistentRHError as exc:
+        raise naming(exc, k, fix) from None
 
 
 def fermat_genus(p: int) -> int:

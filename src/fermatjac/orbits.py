@@ -24,8 +24,8 @@ from .records import Const, FrozenRecord, set_field
 
 # The largest p any command accepts.  Every step of orbits, decompose
 # and basic verify is O(p); at p = 100003 (p = 1 mod 3, the slower
-# residue) decompose --format json takes about 0.4-0.6 s and 53 MB, and
-# verify 1.2-1.5 s and 44 MB.  sweep has a lower cap in cli.py, and
+# residue) decompose --format json takes about 0.3-0.4 s and 52 MB, and
+# verify 1.3-1.7 s and 42 MB.  sweep has a lower cap in cli.py, and
 # verify --depth full none of its own.
 MAX_P = 100_003
 
@@ -91,10 +91,13 @@ class PrimeContext(FrozenRecord):
 
 
 def make_context(p: int) -> PrimeContext:
-    """Validate p and build the context, scanning X_p for the gamma roots.
+    """Validate p and build the context with its gamma roots.
 
-    The scan is exhaustive rather than a modular square-root algorithm:
-    at desk scale it is instant and dependency-free.
+    For p = 1 mod 3 the roots of g^2 + g + 1 are the cube roots of unity
+    other than 1, and x^((p-1)/3) is one for each x not a cube mod p:
+    the first x >= 2 whose power is not 1 gives one root gamma, and
+    p - 1 - gamma is the other.  For p <= MAX_P that x is at most 17
+    (at p = 39199), so a few powers stand in for a scan of X_p.
     """
     if not isinstance(p, int):
         raise NotPrimeError(f"p must be an integer, got {p!r}")
@@ -108,12 +111,14 @@ def make_context(p: int) -> PrimeContext:
     residue = p % 3
     gamma_pair = None
     if residue == 1:
-        roots = [g for g in range(1, p - 1) if (g * g + g + 1) % p == 0]
-        # can't happen: for a prime p = 1 mod 3, g^2 + g + 1 has exactly two
-        # roots mod p, -1 - g being the other root and g (-1 - g) = 1
-        assert len(roots) == 2, f"expected two roots mod {p}, found {roots}"
-        lo, hi = sorted(roots)
-        assert hi == p - 1 - lo and lo * hi % p == 1  # can't happen, as above
+        x = 2
+        while (g := pow(x, (p - 1) // 3, p)) == 1:
+            x += 1
+        # can't happen: g^3 = x^(p-1) = 1 and g != 1, so g is a root of
+        # g^2 + g + 1, -1 - g being the other root and g (-1 - g) = 1
+        assert (g * g + g + 1) % p == 0, f"{x}^((p-1)/3) = {g} is no root of g^2+g+1 mod {p}"
+        lo, hi = sorted((g, p - 1 - g))
+        assert lo != hi and lo * hi % p == 1  # can't happen, as above
         gamma_pair = (lo, hi)
     return PrimeContext(p=p, residue_class_mod_3=residue, gamma_pair=gamma_pair)
 

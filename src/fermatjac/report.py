@@ -4,9 +4,10 @@ Reports are plain dicts with a pinned schema version, serialized with
 sorted keys so the JSON bytes are stable for fixed inputs; golden-file
 tests rely on that.  Their ``orbits`` and ``factors`` lists hold the
 OrbitClass and IsogenyFactor objects themselves, which the writer puts
-down as rows and the text renderers read by attribute.  Text rendering
-puts each decomposition product on its own labelled line in the factor
-grammar
+down as rows, and the text renderers read by attribute.  A list whose
+items are all of one scalar or row class is written by one writer in
+one join.  Text rendering puts each decomposition product on its own
+labelled line in the factor grammar
 
     JF(<p>) ~ JC(<alpha>)^<mult> x JE(<gamma>)^<mult> x ...
 """
@@ -88,7 +89,7 @@ def _orbit_row(indent: str):
     i1, i2 = indent + "  ", indent + "    "
     template = f'{{{i1}"elements": [{i2}%s{i1}],{i1}"kind": %s,{i1}"representative": %d,{i1}"size": %d{indent}}}'
     sep, kinds = "," + i2, {kind: _string(kind.value) for kind in OrbitKind}
-    return lambda o: template % (sep.join(map(int.__repr__, o.elements)), kinds[o.kind], o.representative, o.size)
+    return lambda o: template % (sep.join(map(int.__repr__, o.elements)), kinds[o.kind], o.representative, len(o.elements))
 
 
 def _factor_row(indent: str):
@@ -132,9 +133,9 @@ def _json(value, indent: str, memo: dict, out: list) -> None:
     spaces, to ``out`` in fragments.  ``memo`` holds the written form of
     each str key and the row writer of each (class, indent) met so far in
     this document, so what the schema repeats is made once."""
-    get = _SCALARS.get
-    write = get(type(value)) or _row(type(value), indent, memo)
-    if write is not None:
+    get, cls = _SCALARS.get, type(value)
+    write = get(cls) or cls in _ROWS and _row(cls, indent, memo)
+    if write:
         out.append(write(value))
         return
     inner = indent + "  "
@@ -150,6 +151,11 @@ def _json(value, indent: str, memo: dict, out: list) -> None:
         out.append(ends)
         return
     lead, sep = ends[0] + inner, "," + inner
+    first = type(items[0])
+    if not keyed and (first in _SCALARS or first in _ROWS) and len(set(map(type, items))) == 1:
+        # a list of one scalar or row class: one writer, one join
+        out += lead, sep.join(map(get(first) or _row(first, inner, memo), items)), indent + ends[1]
+        return
     for v in items:
         if keyed:
             k, v = v

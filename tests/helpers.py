@@ -381,6 +381,13 @@ def sweep_primes(n=199):
     return [p for p in primes_upto(n) if p >= 5]
 
 
+def scanned_gamma_pair(p):
+    """The roots of g^2 + g + 1 mod p found by scanning X_p, smaller
+    first, or None when there are none: the oracle of make_context."""
+    roots = tuple(g for g in range(1, p - 1) if (g * g + g + 1) % p == 0)
+    return roots or None
+
+
 def brute_inverse_table(p):
     """a -> a^(-1) found by scanning all products, no pow(-1) involved."""
     table = {}

@@ -20,7 +20,7 @@ import pytest
 from fermatjac import cli
 from fermatjac import groups as groups_module
 from fermatjac.certificates import induced_perm_character
-from fermatjac.errors import GroupMismatchError, InconsistentOrbifoldError
+from fermatjac.errors import CheckFailedError, GroupMismatchError, InconsistentOrbifoldError
 from fermatjac.genus import coset_genus, fermat_full_fix_table, fermat_genus, find_generating_triple, rh_genus
 from fermatjac.groups import (
     IDENTITY,
@@ -301,7 +301,11 @@ def test_wrong_square_rule_fails_verify(capsys, monkeypatch):
     code = cli.main(["verify", "--p", "13", "--depth", "full"])
     out, err = capsys.readouterr()
     assert code == 4
-    assert "FAIL dual-oracle-genus: 2g-2 = 130, |K| = 26, sum fix = 156: no integer genus" in out
+    # the failure names p, the subgroup and the fix table, as decompose's audits do
+    assert (
+        "FAIL dual-oracle-genus: 2g-2 = 130, |K| = 26, sum fix = 156, at p = 13 on the subgroup of order 26"
+        " generated by (1, 0, 3), fix table 'full table via the triple fiber model': no integer genus\n"
+    ) in out
     assert "Traceback" not in err
     # a rule that keeps every size and Frobenius quotient passes every
     # count; only the class-constancy argument catches it
@@ -395,3 +399,45 @@ def test_full_depth_allocates_no_sequence_of_p_squared_entries(capsys):
         tracemalloc.stop()
     assert code == 0 and "all 12 checks passed" in capsys.readouterr().out
     assert peak < 4 * p * p
+
+
+def _checked_through(p, last):
+    """make_context(p) and the cache of verify --depth full run through the check named last."""
+    ctx, cache = make_context(p), {}
+    for name, check in cli.BASIC_CHECKS + cli.FULL_CHECKS:
+        check(ctx, cache)
+        if name == last:
+            return ctx, cache
+
+
+def test_loops_that_raise_straight_keep_their_failure_text(monkeypatch):
+    # the sweep, the Lefschetz bound and the deck loop format their detail
+    # only on failure; the text is the one _require gave
+    p = 13
+    ctx, cache = _checked_through(p, "dual-oracle-genus")
+    fix, orbits, deck = cache["full_fix"], cache["line_orbits"], cache["deck"]
+    key = max(fix.support)  # the 3-cycle class, on no line of H
+    count, fix.support[key] = fix.support[key], 10**6
+    with pytest.raises(CheckFailedError) as caught:
+        cli.check_fix_table_consistency(ctx, cache)
+    assert str(caught.value) == f"p = 13: fix = 1000000 on the class of key {key} is outside [0, 134]"
+    fix.support[key] = count
+    monkeypatch.setattr(cli.cert, "perm_pairing", lambda k, rat: 0)
+    with pytest.raises(CheckFailedError) as caught:
+        cli.check_certificates(ctx, cache)
+    assert str(caught.value) == f"p = 13: <G/H_{deck[0]}, hom> = 0, expected 12"
+    wrong = [groups_module.LineOrbit(o.lines, o.stabilizer, "generic") for o in orbits]
+    cache["line_orbits"] = wrong
+    o = next(o for o in wrong if 2 + deck[0] in o.lines)
+    exponents = orbit_partition(ctx).orbit_of(p - 1 - deck[0])
+    with pytest.raises(CheckFailedError) as caught:
+        cli.check_certificates(ctx, cache)
+    assert str(caught.value) == (
+        f"p = 13: the lines {o.lines} (kind generic, stabilizer {o.stabilizer})"
+        f" are not the exponent orbit {exponents.elements} (kind {exponents.kind.value})"
+    )
+    assert exponents.kind.value != "generic"
+    monkeypatch.setattr(cli.mono, "conjugation_sweep", lambda ctx: iter([(0, 1, 1), (1, 1, 2)]))
+    with pytest.raises(CheckFailedError) as caught:
+        cli.check_monomial_relations(ctx, {})
+    assert str(caught.value) == "p = 13: T^(-l) R T^l != T^(l (gamma^2 - 1)) R at l = 1"

@@ -1,10 +1,13 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermatjac import cli
 from fermatjac import genus as genus_module
 from fermatjac.errors import (
+    FermatJacError,
     GroupMismatchError,
     IdentityInputError,
     InconsistentOrbifoldError,
@@ -285,15 +288,24 @@ def test_a_wrong_axis_table_fails_fix_table_consistency_under_python_O():
 
 def test_fix_table_consistency_reads_the_tables_once_per_line(monkeypatch):
     # two tables at p + 1 points each, and the Lefschetz bound on the
-    # table's support, read off it: no walk over the p^2 - 1 translations
+    # table's support, read off it: no walk over the p^2 - 1 translations.
+    # The reads are counted at each table's count rule, which both at and
+    # at_range call once per index.
     p = 61
     ctx, cache = make_context(p), {}
     cli.check_generating_triple(ctx, cache)
     reads = []
-    real = FixTable.at
-    monkeypatch.setattr(FixTable, "at", lambda self, i: reads.append(i) or real(self, i))
+
+    def counted(fix):
+        rule = fix._count_fn
+        fix._count_fn = lambda i: reads.append(i) or rule(i)
+        return fix
+
+    counted(cache["full_fix"])
+    monkeypatch.setattr(genus_module, "fermat_axis_fix_table", lambda ctx: counted(fermat_axis_fix_table(ctx)))
     cli.check_fix_table_consistency(ctx, cache)
     assert len(reads) == 2 * (p + 1)
+    assert reads == 2 * [6, *range(6 * p, 12 * p, 6)]
 
 
 def test_full_fix_table_refuses_a_foreign_context():
@@ -321,6 +333,48 @@ def test_fix_tables_refuse_indices_outside_the_group():
         with pytest.raises(IdentityInputError):
             table.at(IDENTITY)
     assert (pgonal.at(20), axis.at(288), full.at(293)) == (2, 7, labelled_fix_count(293, triple))
+
+
+def _reading(read, r):
+    """The counts read at r, or the class and text of the error raised."""
+    try:
+        return read(r)
+    except FermatJacError as exc:
+        return type(exc), str(exc)
+
+
+# p = 7: 294 elements in the Fermat group, 21 in the p-gonal group
+RANGE_READS = [
+    range(0, 5), range(5, -1, -1), range(-6, 12, 6), range(12, -7, -6),  # through the identity
+    range(290, 300), range(-3, 4), range(300, 280, -1), range(6, 1800, 6), range(400, 500),  # out of the group
+    range(1, 10), range(7, 13), range(12, 6, -1),  # a non-translation first: the axis table refuses it
+    range(6, 294, 6), range(1, 294, 50), range(293, 0, -7), range(1, 21), range(20, 0, -1),
+    range(5, 5), range(0, 0), range(-4, -10),  # empty
+]
+
+
+@pytest.mark.parametrize("r", RANGE_READS, ids=str)
+def test_range_read_reads_and_refuses_as_at_does(r):
+    # the identity, an index outside the group and, on the axis table, an
+    # element outside H: the same error class and text at the first bad
+    # index of r as at, and the same counts when there is none
+    ctx = make_context(7)
+    full = fermat_full_fix_table(find_generating_triple(ctx), ClassData(Group(7)))
+    for table in (pgonal_fix_table(ctx), fermat_axis_fix_table(ctx), full):
+        expected = _reading(lambda r: [table.at(i) for i in r], r)
+        assert _reading(table.at_range, r) == expected, (table, r)
+    axis = fermat_axis_fix_table(ctx)
+    assert _reading(axis.at_range, range(1, 10))[0] is NotSubgroupOfHError
+    assert _reading(axis.at_range, range(0, 10))[0] is IdentityInputError
+    assert _reading(axis.at_range, range(6, 1800, 6))[0] is OutOfRangeError
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=st.integers(-20, 320), stop=st.integers(-20, 320), step=st.integers(-70, 70).filter(bool))
+def test_range_read_is_at_on_every_index(start, stop, step):
+    r, ctx = range(start, stop, step), make_context(7)
+    for table in (pgonal_fix_table(ctx), fermat_axis_fix_table(ctx)):
+        assert _reading(table.at_range, r) == _reading(lambda r: [table.at(i) for i in r], r)
 
 
 def test_fix_counts_conjugation_invariant_exhaustive_p5():

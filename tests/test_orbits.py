@@ -12,7 +12,16 @@ from fermatjac.orbits import (
 )
 
 import helpers
-from helpers import brute_inverse_table, orbit, orbit_formula, run_under_O, s3_apply, sweep_primes
+from helpers import (
+    brute_inverse_table,
+    orbit,
+    orbit_formula,
+    primes_upto,
+    run_under_O,
+    s3_apply,
+    scanned_gamma_pair,
+    sweep_primes,
+)
 
 
 def test_make_context_p7_gamma_pair():
@@ -44,6 +53,15 @@ def test_gamma_pair_laws(p):
         assert lo * hi % p == 1
     else:
         assert ctx.gamma_pair is None
+
+
+def test_gamma_pair_is_the_scanned_pair():
+    # the pair from a cube root of unity x^((p-1)/3) is the scan of X_p,
+    # at every p = 1 mod 3 from 7 to 5000 and at MAX_P
+    primes = [p for p in primes_upto(5000) if p >= 7 and p % 3 == 1] + [MAX_P]
+    for p in primes:
+        pair = scanned_gamma_pair(p)
+        assert len(pair) == 2 and make_context(p).gamma_pair == pair, p
 
 
 def test_make_context_rejections():

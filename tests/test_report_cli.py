@@ -9,7 +9,7 @@ from fermatjac import report as rep
 from fermatjac.cli import main
 from fermatjac.curves import CurveFamily, CurveSpec
 from fermatjac.decompose import IsogenyFactor, decompose_coarse, decompose_fine
-from fermatjac.orbits import make_context, orbit_partition
+from fermatjac.orbits import OrbitClass, make_context, orbit_partition
 
 from helpers import factor_entry, parse, reference_rows, sweep_primes
 
@@ -130,7 +130,16 @@ def _rows(p):
 
 # The row objects the writer puts down from their attributes, drawn from
 # the decompositions at primes of both residues mod 3.
-ROWS = st.sampled_from([row for p in (5, 7, 11, 13, 31) for row in _rows(p)])
+ALL_ROWS = [row for p in (5, 7, 11, 13, 31) for row in _rows(p)]
+ROWS = st.sampled_from(ALL_ROWS)
+# Lists the writer puts down with one writer in one join (all OrbitClass or
+# all IsogenyFactor, repeats included) and mixed lists, rows among others.
+ROW_LISTS = (
+    st.lists(st.sampled_from([row for row in ALL_ROWS if isinstance(row, OrbitClass)]), min_size=1, max_size=6)
+    | st.lists(st.sampled_from([row for row in ALL_ROWS if isinstance(row, IsogenyFactor)]), min_size=1, max_size=6)
+    | st.lists(ROWS, min_size=2, max_size=6)
+    | st.lists(ROWS | st.integers() | TEXT | st.none(), min_size=2, max_size=6)
+)
 SCALARS = (
     st.none()
     | st.booleans()
@@ -142,6 +151,9 @@ SCALARS = (
     | st.integers().map(Int)
     | st.floats().map(Float)
     | ROWS
+    | ROW_LISTS
+    | ROW_LISTS.map(tuple)
+    | ROW_LISTS.map(List)
 )
 VALUES = st.recursive(
     SCALARS,
@@ -167,6 +179,7 @@ VALUES = st.recursive(
 @example([{1: "a"}, {True: "b"}, {1.0: "c"}, {"1": "d"}, {"true": "e"}, {"1.0": "f"}])
 @example({Str("k"): Int(7), "k2": Float(0.5), "l": List([Tuple((Int(-3), Str('a"b'))), Dict({"k": None})])})
 @example({"orbits": _rows(7)[:2], "deep": [[{"factors": tuple(_rows(13)[-3:])}]], "row": _rows(5)[0]})
+@example({"orbits": _rows(13)[:3], "factors": _rows(13)[3:] * 2, "mixed": [_rows(7)[0], _rows(7)[-1], [_rows(5)[0]], 1]})
 def test_serialize_is_json_dumps(value):
     assert rep.serialize(value) == json.dumps(reference_rows(value), indent=2, sort_keys=True) + "\n"
 
