@@ -12,26 +12,26 @@ coset actions gives exact integer certificates:
 (the second by Frobenius reciprocity: the pairing computes the dimension
 of the K-fixed subspace of homology).  For each free deck subgroup the
 value is p - 1, twice the quotient genus.  A class function is a
-default value plus the classes where it differs: the homology character
-is 2 but on the identity and the 2p classes of the fix table's support.
-Permutation characters come from Frobenius' formula over the classes K
-meets (:class:`ClassData`), and inner products are class-weighted sums
-over the supports, exact integers.  The test suite checks both against
-the literal constructions: fixed cosets of an explicit coset labelling,
-and a sum over all group elements.
+default value plus blocks of classes of one kind where it differs: the
+homology character is 2 but on the identity and the blocks of the fix
+table's support.  Permutation characters come from Frobenius' formula
+over the classes K meets (:class:`ClassData`), and inner products are
+class-weighted sums over the blocks, exact integers.  The test suite
+checks both against fixed cosets of an explicit coset labelling and a
+sum over all group elements.
 """
 
 from __future__ import annotations
 
 from .errors import CheckFailedError, GroupMismatchError, ShapeMismatchError
 from .genus import FixTable, fermat_genus
-from .groups import ClassData, LineSubgroup, Subgroup
+from .groups import ClassData, LineSubgroup, Subgroup, block_sum, block_value
 
 
 class ClassFunction:
     """An integer-valued class function: its ``default`` value, and its
-    ``support``, class key -> value where that differs.  A key that names
-    no class raises."""
+    ``support``, blocks of class keys -> value where that differs, given
+    key by key.  A key that names no class raises."""
 
     __slots__ = ("data", "support", "default", "name", "_by_line")
 
@@ -40,23 +40,16 @@ class ClassFunction:
             if not data.is_key(c):
                 raise ShapeMismatchError(f"{c!r} is the key of no class of {data.group}")
         self.data, self.default, self.name, self._by_line = data, default, name, None
-        self.support = {c: v for c, v in support.items() if v != default}
+        self.support = {range(c, c + 1): v for c, v in support.items() if v != default}
 
     def __call__(self, i: int):
         """The value at the element with index i; an index outside the
         group raises."""
-        return self.support.get(self.data.key(self.data.group.check_index(i)), self.default)
+        return block_value(self.support, self.data.key(self.data.group.check_index(i)), self.default)
 
     @property
     def at_identity(self):
-        return self.support.get(self.data.identity_key, self.default)
-
-    def by_line(self) -> dict[int, dict[int, int]]:
-        """The support's translation classes by line, built once (a
-        superset of them serves too: only support classes are read)."""
-        if self._by_line is None:
-            self._by_line = self.data.line_index(self.support)
-        return self._by_line
+        return block_value(self.support, self.data.identity_key, self.default)
 
     def __repr__(self):
         return f"ClassFunction({self.name!r}, dim={self.at_identity})"
@@ -79,8 +72,8 @@ def chi_rat(fix: FixTable, data: ClassData) -> ClassFunction:
     if fix.support is None:
         raise ShapeMismatchError(f"{fix!r} has no class support")
     chi = ClassFunction(data, {}, "homology", default=2)
-    chi.support = {c: 2 - f for c, f in fix.support.items() if f}  # keys of data's classes already
-    chi.support[data.identity_key] = 2 * fermat_genus(group.p)
+    chi.support = {keys: 2 - f for keys, f in fix.support.items() if f}  # blocks of data's classes already
+    chi.support[range(1)] = 2 * fermat_genus(group.p)
     chi._by_line = fix.by_line  # the lines of the support's translation classes, when the table has them
     return chi
 
@@ -95,37 +88,35 @@ def induced_perm_character(k: Subgroup, data: ClassData) -> ClassFunction:
     if data.order % k.order:
         raise CheckFailedError(f"{k!r} has order {k.order}, which does not divide {data.order}")
     fixed = data.fixed_cosets(data.class_counts(k.indices), k.order)
-    fn = ClassFunction(data, fixed, f"perm(G/{k!r})")
+    fn = ClassFunction(data, {keys.start: q for keys, q in fixed.items()}, f"perm(G/{k!r})")
     if fn.at_identity * k.order != data.order:
-        raise CheckFailedError(
-            f"{fn.at_identity} cosets of {k!r} in a group of order {data.order}"
-        )
+        raise CheckFailedError(f"{fn.at_identity} cosets of {k!r} in a group of order {data.order}")
     return fn
 
 
 def perm_pairing(k: Subgroup | LineSubgroup, fn: ClassFunction) -> int:
-    """<perm(G/K), f> by Frobenius' formula, without building perm(G/K):
-    with perm(G/K) = |G| |C n K| / (|C| |K|) and the |C n K| summing to
-    |K|, it is f's default plus (1/|K|) sum over f's support of |C n K|
-    (f(C) - default); a line meets only the support classes on it.  A sum
-    that |K| does not divide raises."""
-    data = fn.data
+    """<perm(G/K), f> = <1, f on K>_K by Frobenius reciprocity, without
+    building perm(G/K): f's default plus (1/|K|) sum over f's support of
+    |C n K| (f(C) - default), a line or the plane by f's line index (a
+    line of none of its classes, as chi_hom's fixing nothing, adds 0)."""
+    data, support, default = fn.data, fn.support, fn.default
     if k.group != data.group:
         raise GroupMismatchError(f"{k!r} does not live in {data.group}")
-    meets = data.meet_counts(k, fn.by_line() if isinstance(k, LineSubgroup) else {})
-    total = sum(n * (fn.support[c] - fn.default) for c, n in meets.items() if c in fn.support)
+    if isinstance(k, LineSubgroup) and fn._by_line is None:
+        raise ShapeMismatchError(f"{fn!r} has no line index to read {k!r} by")
+    total = block_sum(data.meet_counts(k, fn._by_line), {keys: v - default for keys, v in support.items()})
     q, rest = divmod(total, k.order)
     if rest:
-        raise CheckFailedError(f"<perm(G/{k!r}), {fn.name}> = {fn.default} + {total}/{k.order} is not an integer")
-    return fn.default + q
+        raise CheckFailedError(f"<perm(G/{k!r}), {fn.name}> = {default} + {total}/{k.order} is not an integer")
+    return default + q
 
 
 def inner_product(f1: ClassFunction, f2: ClassFunction) -> int:
     """(1/|G|) sum over all group elements of f1(g) f2(g), exactly: the
     defaults' product over the group, plus size times (product less the
-    defaults' product) on each class of the supports, or of the smaller
-    support of a function that is 0 by default.  The pairing of two
-    characters is an integer; a sum that |G| does not divide raises.
+    defaults' product) on the supports, by blocks of one class kind
+    (:func:`~fermatjac.groups.block_sum`).  The pairing of two characters
+    is an integer; a sum that |G| does not divide raises.
 
     Integer-valued class functions are self-conjugate, so no conjugation
     appears.
@@ -133,13 +124,12 @@ def inner_product(f1: ClassFunction, f2: ClassFunction) -> int:
     if f1.data.group != f2.data.group:
         raise GroupMismatchError("inner product of class functions on different groups")
     data, d1, d2 = f1.data, f1.default, f2.default
-    zero = [f.support.keys() for f in (f1, f2) if f.default == 0]
-    keys = min(zero, key=len) if zero else f1.support.keys() | f2.support.keys()
-    s1, s2 = f1.support, f2.support
-    total = d1 * d2 * data.order + sum(data.size(c) * (s1.get(c, d1) * s2.get(c, d2) - d1 * d2) for c in keys)
+    # f1 f2 - d1 d2 = e1 e2 + e1 d2 + d1 e2 for the excesses e = f - default
+    w1 = {keys: data.size(keys.start) * (v - d1) for keys, v in f1.support.items()}  # size-weighted
+    e2 = {keys: v - d2 for keys, v in f2.support.items()}
+    total = d1 * d2 * data.order + block_sum(w1, e2) + d2 * sum(w * len(keys) for keys, w in w1.items())
+    total += d1 * sum(data.size(keys.start) * e * len(keys) for keys, e in e2.items())
     pairing, rest = divmod(total, data.order)
     if rest:
-        raise CheckFailedError(
-            f"<{f1.name}, {f2.name}> = {total}/{data.order} is not an integer"
-        )
+        raise CheckFailedError(f"<{f1.name}, {f2.name}> = {total}/{data.order} is not an integer")
     return pairing

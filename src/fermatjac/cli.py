@@ -38,9 +38,10 @@ from .errors import (
 )
 from .orbits import OrbitKind, inverse_table, is_prime, make_context, orbit_partition, s3_images
 
-# verify --depth full has no bound of its own but MAX_P: classes by rule,
-# one subgroup per class from the line orbits and H read by its lines make
-# it O(p), 0.1 s and 15 MB at p = 997, 4.4-4.7 s and 142 MB at p = 100003.
+# verify --depth full has no bound of its own but MAX_P: classes by rule and
+# by blocks, one subgroup per class from the line orbits and H read by its
+# lines make it O(p), 0.1 s and 14 MB at p = 997, 2.4-3.6 s and 57 MB at
+# p = 100003.
 # sweep --to: a serial sweep over 5..3000 (426 primes) takes 1.6-1.7 s.
 SWEEP_MAX_TO = 3_000
 
@@ -254,10 +255,8 @@ def check_dual_oracle_genus(ctx, cache):
     orbits = cache["line_orbits"] = grp.line_orbits(p)
     subgroups = grp.cyclic_subgroup_classes(p, orbits)
     classes = len(subgroups)
-    # The deck lines H_j, j = 1..p-2, are the lines through (1, 1+j) in
-    # F_p^2.  Each is cyclic, so conjugate to a representative generated
-    # by some (m, n) off the three axes (m, n != 0, m != n): the H_j with
-    # 1 + j = n/m.  Each join H_i H_j is H (determinant j - i).
+    # The deck lines H_j, j = 1..p-2, are the lines j + 2 of plane_lines,
+    # off the three axes 0, 1, 2; each join H_i H_j is H (determinant j - i).
     deck = cache["deck"] = []
     for k in chain(subgroups, [grp.LineSubgroup(p, range(p + 1))]):
         rh, coset = gen.rh_genus(g_top, k, fix), gen.coset_genus(k, triple, data)
@@ -265,9 +264,8 @@ def check_dual_oracle_genus(ctx, cache):
             raise OracleDisagreementError(
                 f"p = {p}, {gen.describe(k)}: Riemann-Hurwitz genus {rh}, coset genus {coset}"
             )
-        m, n, s = k.group.coordinates(k.generators[0])
-        if s == grp.PERM_ID and m and n and m != n:
-            deck.append(n * pow(m, -1, p) % p - 1)
+        if isinstance(k, grp.LineSubgroup) and k.lines[0] > 2:
+            deck.append(k.lines[0] - 2)
     return f"{classes} cyclic subgroups, one per conjugacy class ({len(deck)} of them deck lines), and H: both oracles agree"
 
 
@@ -283,18 +281,19 @@ def check_fix_table_consistency(ctx, cache):
     the dual-oracle check takes one subgroup per class, so both stand for
     every element only if no conjugation moves an element out of its
     class; the classes come from a rule, which
-    :func:`~fermatjac.groups.class_rule_gap` checks by argument, in O(p).
+    :func:`~fermatjac.groups.class_rule_gap` checks by argument, in O(1).
     """
     p = ctx.p
     fix = cache["full_fix"]
     full, axis = gen.line_fix_counts(p, fix), gen.line_fix_counts(p, gen.fermat_axis_fix_table(ctx))
-    for (a, b), f, x in zip(grp.plane_lines(p), full, axis):
+    for line, f, x in zip(range(p + 1), full, axis):
         if f != x:
+            a, b = grp.plane_lines(p)[line]
             raise CheckFailedError(f"p = {p}: fix({a}, {b}) is {f} in the full table and {x} in the axis table")
     bound = 2 + 2 * gen.fermat_genus(p)
-    for c, f in fix.support.items():
+    for keys, f in fix.support.items():
         if not 0 <= f <= bound:
-            raise CheckFailedError(f"p = {p}: fix = {f} on the class of key {c} is outside [0, {bound}]")
+            raise CheckFailedError(f"p = {p}: fix = {f} on the class of key {keys.start} is outside [0, {bound}]")
     gap = grp.class_rule_gap(_class_data(ctx, cache))
     _require(gap is None, f"p = {p}: {gap}")
     return "axis table matches, Lefschetz bound holds, class-constant"
@@ -311,14 +310,15 @@ def check_certificates(ctx, cache):
     # orbit through alpha = p - 1 - j, which ties ACTION to U and V: the
     # orbit of H_j, line j + 2, is that orbit, of its kind.
     deck, part = cache["deck"], _partition(ctx, cache)
-    orbits, hit = set(part.orbits), {part.orbit_of(p - 1 - j) for j in deck}
+    exponent_orbits = [part.orbit_of(p - 1 - j) for j in deck]
+    hit = len({id(o) for o in exponent_orbits})  # the partition's own objects
     _require(
-        len(deck) == len(orbits) and hit == orbits,
-        f"p = {p}: {len(deck)} deck line classes meet {len(hit)} of the {len(orbits)} exponent orbits",
+        len(deck) == len(part.orbits) == hit,
+        f"p = {p}: {len(deck)} deck line classes meet {hit} of the {len(part.orbits)} exponent orbits",
     )
-    orbit_of_line = {line: o for o in cache["line_orbits"] for line in o.lines}
-    for j in deck:
-        lines, exponents = orbit_of_line[j + 2], part.orbit_of(p - 1 - j)
+    orbit_of_first_line = {o.lines[0]: o for o in cache["line_orbits"]}  # deck lines are first lines
+    for j, exponents in zip(deck, exponent_orbits):
+        lines = orbit_of_first_line[j + 2]
         if not (
             {p + 1 - line for line in lines.lines} == set(exponents.elements)
             and lines.kind == exponents.kind.value

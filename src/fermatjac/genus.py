@@ -25,9 +25,10 @@ No coset is listed.  An entry c of order m has (1/m) sum over d < m of
 fix(c^d) cycles on G/K (Burnside's lemma), and c^d fixes
 |G| |C n K| / (|C| |K|) cosets, C its conjugacy class (Frobenius'
 formula for permutation characters; Isaacs, *Character Theory of Finite
-Groups*, ch. 5).  So the oracle reads the classes of the entries' powers
-and those K meets: its elements', or the powers' classes on the lines of
-a line or of the plane.  A non-integral quotient or total is an error.
+Groups*, ch. 5).  So the oracle reads the classes of the entries' powers,
+in closed form by class kind (an axis line's points, no power listed),
+and those K meets, a line or the plane by line orbit, never an element's
+key.  A non-integral quotient or total is an error, naming p and K.
 
 The triple also extends the known fixed-point data from the translation
 subgroup to the whole group: every point with nontrivial stabilizer sits
@@ -59,6 +60,9 @@ from .groups import (
     Group,
     LineSubgroup,
     Subgroup,
+    block_sum,
+    block_value,
+    describe,
     fermat_order,
     fermat_translation,
     resolve_gamma,
@@ -75,8 +79,8 @@ class FixTable:
     table by index and :meth:`at_range` at each index of a range, which
     it checks once, at its ends.  Both raise on the identity (excluded by
     definition), on indices outside the group and on elements outside the
-    table's domain.  A table computed by class has a ``support``, key ->
-    count, and ``by_line``, the support's translation classes by line
+    table's domain.  A table computed by class has a ``support``, blocks of
+    class keys -> count, and ``by_line``, its translation classes by line
     (:meth:`~fermatjac.groups.ClassData.line_index`).
     """
 
@@ -151,12 +155,6 @@ def riemann_hurwitz(g_top: int, order: int, fix_sum: int) -> int:
             f"2g-2 = {2 * g_top - 2}, |K| = {order}, sum fix = {fix_sum}: no integer genus"
         )
     return n // (2 * order)
-
-
-def describe(k: Subgroup | LineSubgroup) -> str:
-    """The subgroup by its order and the normal forms of its generators."""
-    gens = ", ".join(str(k.group.coordinates(i)) for i in k.generators)
-    return f"the subgroup of order {k.order} generated by {gens}"
 
 
 def naming(exc: InconsistentRHError, k: Subgroup | LineSubgroup, fix: FixTable) -> InconsistentRHError:
@@ -291,10 +289,10 @@ def generation_gap(triple: GeneratingTriple) -> str | None:
     return None
 
 
-def _power_class_counts(triple: GeneratingTriple, data: ClassData) -> tuple[tuple[tuple[int, dict[int, int]], ...], dict]:
+def _power_class_counts(triple: GeneratingTriple, data: ClassData) -> tuple[tuple[tuple[int, dict[range, int]], ...], dict]:
     """For each triple entry c of order m: m and the class counts of its
-    powers c^0, ..., c^(m-1), the elements of the fiber subgroup <c>; and
-    the translation classes among them by line; once per class data."""
+    powers, the fiber subgroup <c>, and their translation classes by line,
+    in closed form, once per class data; no power is listed or keyed."""
     found = data.memo.get(triple)
     if found:
         return found
@@ -302,14 +300,11 @@ def _power_class_counts(triple: GeneratingTriple, data: ClassData) -> tuple[tupl
         raise GroupMismatchError(f"class data for {data.group} cannot serve a triple at p = {triple.p}")
     entries = []
     for c, m in triple.entries:
-        powers = data.group.closure([c])
-        if len(powers) != m:
-            raise InconsistentOrbifoldError(
-                f"{data.group.coordinates(c)} generates a subgroup of order {len(powers)}, not {m}"
-            )
-        entries.append((m, data.class_counts(powers)))
-    by_line = data.line_index({c for _, counts in entries for c in counts})
-    data.memo[triple] = found = (tuple(entries), by_line)
+        order = fermat_order(triple.p, c)
+        if order != m:
+            raise InconsistentOrbifoldError(f"{data.group.coordinates(c)} generates a subgroup of order {order}, not {m}")
+        entries.append((m, data.power_counts(c)))
+    data.memo[triple] = found = (tuple(entries), data.line_index(triple.c2p))
     return found
 
 
@@ -318,16 +313,16 @@ def fermat_full_fix_table(triple: GeneratingTriple, data: ClassData) -> FixTable
     cosets of the three fiber subgroups <c> that g fixes, by Frobenius'
     formula, nonzero only on the 2p classes of the entries' powers (the
     ``support``).  The triple and the class data must share one group."""
-    fix: dict[int, int] = {}
+    blocks: dict[range, int] = {}
     entries, by_line = _power_class_counts(triple, data)
     for m, counts in entries:
-        for c, f in data.fixed_cosets(counts, m).items():
-            fix[c] = fix.get(c, 0) + f
+        for keys, f in data.fixed_cosets(counts, m).items():
+            blocks[keys] = blocks.get(keys, 0) + f
     # a class the powers meet has a positive count, so the support is
     # those classes but the identity's, and by_line indexes its lines
-    fix.pop(data.identity_key, None)
+    blocks.pop(range(1), None)
     return FixTable(
-        data.group, lambda i: fix.get(data.key(i), 0), "full table via the triple fiber model", fix, by_line
+        data.group, lambda i: block_value(blocks, data.key(i), 0), "full table via the triple fiber model", blocks, by_line
     )
 
 
@@ -342,29 +337,29 @@ def coset_genus(k: Subgroup | LineSubgroup, triple: GeneratingTriple, data: Clas
 
     An entry c of order m has (1/m) sum over d < m of fix(c^d) cycles
     (Burnside), each fix count from the classes K meets (Frobenius), so
-    the sum runs over the at most 2p + 5 classes of the entries' powers,
-    which a line or the plane meets by line, not element by element.
+    the sum runs over the blocks of the entries' powers' classes that K
+    meets, a line or the plane by line: no element is keyed.  A failure
+    names p, K (:func:`describe`) and both counts.
     """
     p = triple.p
     if k.group.p != p or k.group.gamma is not None:
         raise OutOfRangeError(f"{k!r} does not live in the Fermat group for p = {p}")
     entries, by_line = _power_class_counts(triple, data)
-    fixed = data.fixed_cosets(data.meet_counts(k, by_line), k.order)
-    index = fixed.get(data.identity_key, 0)
+    fixed = data.fixed_cosets(data.meet_counts(k, by_line), k.order, k)
+    index = fixed.get(range(1), 0)
     cycles = 0
     for m, counts in entries:
-        small, large = (counts, fixed) if len(counts) <= len(fixed) else (fixed, counts)
-        total = sum(n * large.get(c, 0) for c, n in small.items())
+        total = block_sum(counts, fixed)
         if total % m:
             raise InconsistentOrbifoldError(
-                f"p = {p}, |K| = {k.order}: an entry of order {m} fixes {total} cosets over its powers,"
+                f"an entry of order {m} fixes {total} cosets over its powers, at p = {p} on {describe(k)}:"
                 f" not a multiple of {m}"
             )
         cycles += total // m
     num = 2 + index - cycles
     if num < 0 or num % 2 != 0:
         raise InconsistentOrbifoldError(
-            f"[G:K] = {index}, cycles = {cycles}: orbifold count gives no integer genus"
+            f"[G:K] = {index}, cycles = {cycles}, at p = {p} on {describe(k)}: orbifold count gives no integer genus"
         )
     return num // 2
 

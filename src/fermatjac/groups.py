@@ -32,8 +32,9 @@ table is ever stored.  On that kernel:
   its square (x sigma)^2 = (I + A) x.  In the p-gonal group, T^k is
   classed by the orbit of k under multiplication by gamma^2, and each
   e != 0 gives one class of T^k R^e.  :class:`ClassData` keys classes by
-  the rule on demand, :func:`class_rule_gap` checks it by argument, and
-  the orbit walk (:func:`conjugacy_classes`) is the tests' oracle;
+  the rule on demand and counts them by blocks of one kind in closed form,
+  :func:`class_rule_gap` checks the rule by argument, and the orbit walk
+  (:func:`conjugacy_classes`) is the tests' oracle;
 - the p + 1 lines of F_p^2 fall into S3-orbits (:func:`line_orbits`), a
   :class:`LineSubgroup` is a line or the plane H, and
   :func:`cyclic_subgroup_classes` takes one cyclic subgroup per class
@@ -264,11 +265,8 @@ def s3_stable_lines(p: int) -> list[tuple[int, int]]:
     S3-module; the line through (1, 2) at p = 3.
     """
 
-    def keeps(s: int, x: int, y: int) -> bool:
-        a, b, c, d = ACTION[s]
-        return (x * (c * x + d * y) - y * (a * x + b * y)) % p == 0
-
-    return [(x, y) for x, y in plane_lines(p) if keeps(PERM_U, x, y) and keeps(PERM_V, x, y)]
+    (a, b, c, d), (e, f, g, h) = ACTION[PERM_U], ACTION[PERM_V]
+    return [(x, y) for x, y in plane_lines(p) if (x * (c * x + d * y) - y * (a * x + b * y)) % p == (x * (g * x + h * y) - y * (e * x + f * y)) % p == 0]
 
 
 def resolve_gamma(ctx: PrimeContext, gamma: int | None) -> int:
@@ -479,21 +477,30 @@ class LineOrbit(FrozenRecord):
         set_field(self, "kind", kind)
 
 
+def line_orbit(p: int, line: int) -> LineOrbit:
+    """The S3-orbit of one line, from the six images of its
+    :func:`plane_lines` point under ACTION; O(1)."""
+    x, y = (1, line - 1) if line else (0, 1)
+    # line_of of each image, inline: line_orbits makes p / 6 of these calls
+    images = [1 + (c * x + d * y) * pow(m, -1, p) % p if (m := (a * x + b * y) % p) else 0 for a, b, c, d in ACTION]
+    stabilizer = tuple([s for s, image in enumerate(images) if image == line])
+    kind = {1: OrbitKind.GENERIC.value, 3: OrbitKind.GAMMA.value}.get(len(stabilizer))
+    if len(stabilizer) == 2:
+        a, b, c, d = ACTION[stabilizer[1]]
+        axis = (a * x + b * y - x) % p == (c * x + d * y - y) % p == 0
+        kind = "axis" if axis else OrbitKind.SPECIAL_ONE.value
+    return LineOrbit(tuple(sorted(set(images))), stabilizer, kind)
+
+
 def line_orbits(p: int) -> tuple[LineOrbit, ...]:
     """The S3-orbits of the p + 1 lines, by first line (the axes 0, 1, 2 first); O(p)."""
     seen = bytearray(p + 1)
     orbits = []
-    for first, (x, y) in enumerate(plane_lines(p)):
+    for first in range(p + 1):
         if not seen[first]:
-            images = [line_of(p, a * x + b * y, c * x + d * y) for a, b, c, d in ACTION]
-            stabilizer = tuple(s for s, line in enumerate(images) if line == first)
-            kind = {1: OrbitKind.GENERIC.value, 3: OrbitKind.GAMMA.value}.get(len(stabilizer))
-            if len(stabilizer) == 2:
-                a, b, c, d = ACTION[stabilizer[1]]
-                axis = (a * x + b * y - x) % p == (c * x + d * y - y) % p == 0
-                kind = "axis" if axis else OrbitKind.SPECIAL_ONE.value
-            orbits.append(LineOrbit(tuple(sorted(set(images))), stabilizer, kind))
-            for line in images:
+            orbit = line_orbit(p, first)
+            orbits.append(orbit)
+            for line in orbit.lines:
                 seen[line] = 1
     return tuple(orbits)
 
@@ -511,7 +518,7 @@ class LineSubgroup:
         if not (len(self.lines) == 1 and 0 <= self.lines[0] <= p or self.lines == tuple(range(p + 1))):
             raise OutOfRangeError(f"the lines {self.lines} of F_{p}^2 are not one line or all of them")
         self.order = p if len(self.lines) == 1 else p * p
-        self.generators = tuple(line_point(p, line) for line in self.lines[:2])
+        self.generators = tuple([line_point(p, line) for line in self.lines[:2]])
 
     def __repr__(self):
         return f"LineSubgroup(order={self.order}, group={self.group!r})"
@@ -520,23 +527,41 @@ class LineSubgroup:
 # -- conjugacy classes by rule ------------------------------------------------
 
 
-def orbit_key(p: int, m: int, n: int) -> int:
-    """The least position m' p + n' of the images (m', n') of (m, n) under
-    ACTION: one key per S3-orbit of F_p^2."""
-    least = p * p
-    for a, b, c, d in ACTION:
-        position = (a * m + b * n) % p * p + (c * m + d * n) % p
-        if position < least:
-            least = position
-    return least
+def describe(k: Subgroup | LineSubgroup) -> str:
+    """The subgroup by its order and the normal forms of its generators."""
+    gens = ", ".join(str(k.group.coordinates(i)) for i in k.generators)
+    return f"the subgroup of order {k.order} generated by {gens}"
+
+
+def block_value(blocks: dict[range, int], key: int, default=None):
+    """The value of the block that holds key, or default: class counts and
+    class functions are blocks, a range of keys of one class kind -> value."""
+    for keys, value in blocks.items():
+        if key in keys:
+            return value
+    return default
+
+
+def block_sum(a: dict[range, int], b: dict[range, int]) -> int:
+    """The sum over the classes of a's value times b's, for blocks disjoint
+    on each side: an equal block at once, else by the blocks' meets."""
+    total, (a, b) = 0, (a, b) if len(a) <= len(b) else (b, a)
+    for keys, x in a.items():
+        if keys in b:
+            total += x * b[keys] * len(keys)
+        else:
+            for other, y in b.items():
+                total += x * y * len(range(max(keys.start, other.start), min(keys.stop, other.stop)))
+    return total
 
 
 class ClassData:
     """The conjugacy classes of one group by the rule of the module docs,
     on demand.  :meth:`key` names an element's class: in the Fermat group
-    orbit_key(x) < p^2 for a translation x (0 for 1), p^2 + orbit_key(M x)
-    for x tau, 2 p^2 for a 3-cycle element; in the p-gonal group the least
-    k gamma^(2i) for T^k and p - 1 + e for T^k R^e.  Sizes and the census
+    the least position m' p + n' of the images (m', n') of a translation x
+    under ACTION (0 for 1), p^2 plus that of M x for x tau, 2 p^2 for a
+    3-cycle element; in the p-gonal group the least k gamma^(2i) for T^k
+    and p - 1 + e for T^k R^e.  Sizes, the census and :meth:`power_counts`
     are closed forms.  By Frobenius' formula (Isaacs, *Character Theory of
     Finite Groups*, ch. 5) x fixes |G| |x^G n K| / (|x^G| |K|) cosets of K.
     """
@@ -560,13 +585,18 @@ class ClassData:
             k, e = divmod(i, 3)
             return p - 1 + e if e else min(k, k * self._g2 % p, k * self._g2 * self._g2 % p)
         mn, s = divmod(i, 6)
-        m, n = divmod(mn, p)
-        if s == PERM_ID:
-            return orbit_key(p, m, n)
         if s in (PERM_U, PERM_U2):
             return 2 * p * p
-        a, b, c, d = square_matrix(s)  # x tau by its square M x, beyond p^2
-        return p * p + orbit_key(p, a * m + b * n, c * m + d * n)
+        (m, n), shift = divmod(mn, p), 0
+        if s != PERM_ID:  # x tau by its square M x, beyond p^2
+            (a, b, c, d), shift = square_matrix(s), p * p
+            m, n = a * m + b * n, c * m + d * n
+        least = p * p
+        for a, b, c, d in ACTION:
+            position = (a * m + b * n) % p * p  # the second coordinate only if it may count
+            if position < least and position + (c * m + d * n) % p < least:
+                least = position + (c * m + d * n) % p
+        return shift + least
 
     def census(self) -> tuple[tuple[int, int], ...]:
         """(number of classes, their size) per kind: the identity, the p - 1
@@ -597,57 +627,65 @@ class ClassData:
         if self._g2 is not None:
             return key in (p, p + 1) or 0 <= key < p and self.key(3 * key) == key
         r = key - n if n <= key < 2 * n else key
-        return key == 2 * n or 0 <= r < n and orbit_key(p, *divmod(r, p)) == r and (r == key or self.size(r) < 6)
+        return key == 2 * n or 0 <= r < n and self.key(6 * r) == r and (r == key or self.size(r) < 6)
 
-    def class_counts(self, indices: list[int] | tuple[int, ...] | range) -> dict[int, int]:
-        """Class key -> how many of the indexed elements it holds: |C n K|."""
+    def class_counts(self, indices: list[int] | tuple[int, ...] | range) -> dict[range, int]:
+        """How many of the indexed elements each class holds, |C n K|, a
+        block of one key a class."""
         counts: dict[int, int] = {}
         for c in map(self.key, indices):
             counts[c] = counts.get(c, 0) + 1
-        return counts
+        return {range(c, c + 1): n for c, n in counts.items()}
 
-    def line_index(self, keys) -> dict[int, dict[int, int]]:
-        """Line -> {key: |C n line|} for the Fermat translation classes C
-        among the keys but the identity's, each point counted on its line;
-        O(1) per key, left to the caller to keep."""
-        if self._g2 is not None:
-            raise GroupMismatchError(f"the lines of F_p^2 do not serve {self.group}")
-        p = self.p
-        index: dict[int, dict[int, int]] = {}
-        for key in keys:
-            if 0 < key < p * p:
-                m, n = divmod(key, p)
-                for y in {((a * m + b * n) % p, (c * m + d * n) % p) for a, b, c, d in ACTION}:
-                    cell = index.setdefault(line_of(p, *y), {})
-                    cell[key] = cell.get(key, 0) + 1
-        return index
+    def power_counts(self, c: int) -> dict[range, int] | None:
+        """The class counts of the powers of c of order 2 (key p^2), 3 or 2p,
+        else None.  For c = x tau of order 2p, s = c^2 = (I + A) x is on an
+        axis and (I + A) s = 2 s: c^(2k) = k s meets each axis class (keys
+        1..p-1) once, c^(2k+1) of square (2k + 1) s each x tau class once."""
+        p, n = self.p, self.p * self.p
+        order = fermat_order(p, c)
+        if order == 2 or order == 3:
+            return {range(1): 1, range(n * (order - 1), n * (order - 1) + 1): order - 1}
+        return {range(1): 1, range(1, p): 1, range(n, n + 1): 1, range(n + 1, n + p): 1} if order == 2 * p else None
 
-    def meet_counts(self, k: Subgroup | LineSubgroup, by_line: dict[int, dict[int, int]]) -> dict[int, int]:
-        """|C n K| for the classes C that K meets; for a LineSubgroup, only
-        the identity and the classes ``by_line`` (:meth:`line_index`) holds."""
+    def line_index(self, c: int) -> dict[int, dict[range, int]]:
+        """Line -> the translation classes C among the powers of c = x tau of
+        order 2p, keys -> |C n line|: the axis classes, each once on each line
+        of the orbit through c^2 (S3 permutes them), which must be the axes."""
+        square = self.group.coordinates(self.group.mul(c, c))
+        axes = line_orbit(self.p, line_of(self.p, *square[:2]))
+        if axes.kind != "axis":
+            raise InconsistentOrbifoldError(f"c^2 = {square} lies on no axis of F_p^2 for c = {self.group.coordinates(c)}")
+        return dict.fromkeys(axes.lines, {range(1, self.p): 1})
+
+    def meet_counts(self, k: Subgroup | LineSubgroup, by_line: dict[int, dict[range, int]]) -> dict[range, int]:
+        """|C n K| for the classes C that K meets: <c> by :meth:`power_counts`;
+        a LineSubgroup, the identity and the classes ``by_line`` holds."""
         if not isinstance(k, LineSubgroup):
-            return self.class_counts(k.indices)
-        counts = {self.identity_key: 1}
+            c, counts = k.generators[0] if len(k.generators) == 1 else IDENTITY, None
+            if self._g2 is None and fermat_order(self.p, c) == k.order and c in k.indices:
+                counts = self.power_counts(c)  # K = <c>
+            return counts or self.class_counts(k.indices)
+        counts = {range(1): 1}
         for line in k.lines:
-            for c, n in by_line.get(line, {}).items():
-                counts[c] = counts.get(c, 0) + n
+            for keys, n in by_line.get(line, {}).items():
+                counts[keys] = counts.get(keys, 0) + n
         return counts
 
-    def fixed_cosets(self, counts: dict[int, int], k_order: int) -> dict[int, int]:
-        """Frobenius' formula: class key C -> the cosets of K a member of C
-        fixes, |G| counts[C] / (|C| |K|), for the classes ``counts`` names;
-        a quotient that is not an integer raises."""
+    def fixed_cosets(self, counts: dict[range, int], k_order: int, k: Subgroup | LineSubgroup | None = None) -> dict[range, int]:
+        """Frobenius' formula by blocks: the cosets of K a member of each class
+        fixes, |G| |C n K| / (|C| |K|); no integer raises, naming p and K."""
         order = self.order
         fixed = {}
-        for c, n in counts.items():
-            size = self.size(c)
+        for keys, n in counts.items():
+            size = self.size(keys.start)
             q, r = divmod(order * n, size * k_order)
             if r:
                 raise InconsistentOrbifoldError(
-                    f"p = {self.p}: |G| |C n K| / (|C| |K|) = {order} * {n} / ({size} * {k_order})"
-                    f" is not an integer for class {c}"
+                    f"|G| |C n K| / (|C| |K|) = {order} * {n} / ({size} * {k_order}) for class {keys.start},"
+                    f" at p = {self.p}{f' on {describe(k)}' if k else ''}: not an integer"
                 )
-            fixed[c] = q
+            fixed[keys] = q
         return fixed
 
 
@@ -660,36 +698,28 @@ def _mat_mul(x: tuple[int, ...], y: tuple[int, ...], p: int) -> tuple[int, int, 
 def class_rule_gap(data: ClassData) -> str | None:
     """The first hypothesis of the Fermat group's class rule that the
     class data fails, or None when its keys are conjugation-invariant
-    and its census is that of the rule.
+    and its census is that of the rule; O(1).
 
     Conjugation by a translation w sends x s (A_s = ACTION[s]) to
     (x + (I - A_s) w) s, and by sigma to (A_sigma x)(sigma s sigma^(-1)).
     So the keys are invariant when ACTION respects PERM_MUL on all 36
-    products (then :func:`orbit_key` is the same at every A_sigma x; the
-    keys at the :func:`plane_lines` points are held to A_u and A_v too),
-    and M_tau (I - A_tau) = 0 and M_(sigma tau sigma^-1) A_sigma = A_sigma
+    products (then the least position over the images under ACTION is the
+    same at every A_sigma x: the images of A_sigma x are those of x), and
+    M_tau (I - A_tau) = 0 and M_(sigma tau sigma^-1) A_sigma = A_sigma
     M_tau for each transposition tau, M = :func:`square_matrix`.  The
     3-cycle elements are one class as det(I - A_rho) != 0 mod p and v
     conjugates u to u^2.  The census must give sizes among 1, 3, 6, 3p
-    and 2p^2 that sum to |G|.
+    and 2p^2 that sum to |G|.  The walk of the keys is the tests' oracle.
     """
     group = data.group
     if group.gamma is not None:
         raise GroupMismatchError(f"the class rule of the Fermat group does not serve {group}")
     p = group.p
-    where = group.coordinates
     reduced, squares = [tuple(x % p for x in a) for a in ACTION], list(map(square_matrix, range(6)))
     for s in range(6):
         for t in range(6):
             if _mat_mul(ACTION[s], ACTION[t], p) != reduced[PERM_MUL[s][t]]:
                 return f"ACTION[{s}] ACTION[{t}] is not ACTION[{PERM_MUL[s][t]}]"
-    for m, n in plane_lines(p):
-        key = orbit_key(p, m, n)
-        for s in (PERM_U, PERM_V):
-            a, b, c, d = ACTION[s]
-            y = ((a * m + b * n) % p) * p + (c * m + d * n) % p
-            if orbit_key(p, *divmod(y, p)) != key:
-                return f"conjugation by {where(s)} moves {where(6 * (m * p + n))} out of its class, to {where(6 * y)}"
     for t in (PERM_V, PERM_UV, PERM_U2V):
         a, b, c, d = ACTION[t]
         if _mat_mul(squares[t], (1 - a, -b, -c, 1 - d), p) != (0, 0, 0, 0):

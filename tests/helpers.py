@@ -56,10 +56,12 @@ from fermatjac.groups import (
     PERM_UV,
     PERM_V,
     Group,
+    LineOrbit,
     LineSubgroup,
     Subgroup,
     fermat_translation,
     gcd,
+    line_of,
     plane_lines,
     resolve_gamma,
     square_matrix,
@@ -1034,6 +1036,70 @@ def class_label_gap(data):
     return None
 
 
+# -- the per-element paths the closed forms of ClassData replaced --------------
+
+
+def orbit_key(p, m, n):
+    """The least position m' p + n' of the images (m', n') of (m, n) under
+    ACTION: one key per S3-orbit of F_p^2, the key of ClassData.key."""
+    return min((a * m + b * n) % p * p + (c * m + d * n) % p for a, b, c, d in ACTION)
+
+
+def class_line_walk_gap(data):
+    """The walk the class rule's argument stands for: the key at the
+    plane_lines point of each of the p + 1 lines against its images under
+    A_u and A_v, by orbit_key; None when every one keeps its class."""
+    p, where = data.p, data.group.coordinates
+    for m, n in plane_lines(p):
+        key = orbit_key(p, m, n)
+        if data.key(fermat_translation(p, m, n)) != key:
+            return f"ClassData keys {where(6 * (m * p + n))} as {data.key(6 * (m * p + n))}, not {key}"
+        for s in (PERM_U, PERM_V):
+            a, b, c, d = ACTION[s]
+            y = ((a * m + b * n) % p) * p + (c * m + d * n) % p
+            if data.key(6 * y) != key:
+                return f"conjugation by {where(s)} moves {where(6 * (m * p + n))} out of its class, to {where(6 * y)}"
+    return None
+
+
+def six_image_line_index(data, keys):
+    """Line -> {key: |C n line|} for the Fermat translation classes C among
+    the keys but the identity's, each of the six images of each key's point
+    counted on its line: the index ClassData's line orbits replaced."""
+    p = data.p
+    index = {}
+    for key in keys:
+        if 0 < key < p * p:
+            m, n = divmod(key, p)
+            for y in {((a * m + b * n) % p, (c * m + d * n) % p) for a, b, c, d in ACTION}:
+                cell = index.setdefault(line_of(p, *y), {})
+                cell[key] = cell.get(key, 0) + 1
+    return index
+
+
+def by_key(blocks):
+    """Class counts held as blocks (a range of keys -> each class's count),
+    key by key."""
+    return {c: n for keys, n in blocks.items() for c in keys}
+
+
+def index_by_key(by_line):
+    """A line index of blocks, key by key on each line."""
+    return {line: by_key(cell) for line, cell in by_line.items()}
+
+
+def power_class_counts_by_element(triple, data):
+    """The closed forms' oracle: each triple entry's order and the class
+    counts of its powers, listed by Group.closure and keyed one by one,
+    and their translation classes by line from six images each."""
+    entries = []
+    for c, m in triple.entries:
+        powers = data.group.closure([c])
+        assert len(powers) == m
+        entries.append((m, by_key(data.class_counts(powers))))
+    return tuple(entries), six_image_line_index(data, {c for _, counts in entries for c in counts})
+
+
 def walked_cyclic_subgroup_classes(data):
     """One cyclic subgroup per conjugacy class of them, by a walk over the
     classes of a ListClassData in order: the powers of the smallest member
@@ -1055,26 +1121,45 @@ def walked_cyclic_subgroup_classes(data):
 
 
 def merge_axis_class(real):
-    """orbit_key with the orbit of a1 (an axis translation) keyed as the
-    orbit of a1 a2^2 (off the axes): the classes of both translations,
-    and of the transposition elements whose squares lie in them, merge."""
+    """ClassData.key with the class of a1 (an axis translation, key 1)
+    keyed as the class of a1 a2^2 (off the axes): the classes of both
+    translations, and of the transposition elements whose squares lie in
+    them, merge."""
 
-    def merged(p, m, n):
-        key = real(p, m, n)
-        return real(p, 1, 2) if key == real(p, 1, 0) else key
+    def merged(self, i):
+        key, n = real(self, i), self.p * self.p
+        target = real(self, fermat_translation(self.p, 1, 2))
+        return {1: target, n + 1: n + target}.get(key, key) if self.group.gamma is None else key
 
     return merged
 
 
 def split_generic_class(real):
-    """orbit_key with the orbit of a1 a2^2 (a translation off the axes, an
-    orbit of six) split into two halves of three, the second keyed by its
-    own smallest position."""
+    """ClassData.key with the orbit of a1 a2^2 (a translation off the axes,
+    an orbit of six) split into two halves of three, the second keyed by
+    its own smallest position."""
 
-    def split(p, m, n):
-        key = real(p, m, n)
+    def split(self, i):
+        key, p = real(self, i), self.p
+        if self.group.gamma is not None or i % 6:
+            return key
         members = sorted({((a + 2 * b) % p) * p + (c + 2 * d) % p for a, b, c, d in ACTION})
-        return members[3] if key == members[0] and (m % p) * p + n % p in members[3:] else key
+        return members[3] if key == members[0] and i // 6 in members[3:] else key
+
+    return split
+
+
+def split_generic_line_orbit(real):
+    """line_orbits with the first generic orbit of six lines split into two
+    halves of three, each still called generic: the translations on its
+    lines, one class per scalar class, split with it."""
+
+    def split(p):
+        orbits = list(real(p))
+        i = next(i for i, o in enumerate(orbits) if o.kind == "generic")
+        o = orbits[i]
+        orbits[i:i + 1] = [LineOrbit(o.lines[:3], o.stabilizer, o.kind), LineOrbit(o.lines[3:], o.stabilizer, o.kind)]
+        return tuple(orbits)
 
     return split
 

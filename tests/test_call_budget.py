@@ -6,6 +6,12 @@ in one join and fills each factor's symbol and each decomposition's total
 dimension once, at construction.  A wrapper called per element again (a
 table read, a row dispatch, a symbol method, a generator step) shows up
 here as hundreds of calls at p = 409 before it shows up in a timing.
+
+``verify --depth full`` counts the classes of the triple's powers and of
+the subgroups it reads by blocks of one class kind and by line orbit, and
+keys no element but the p + 1 line points each table is read at: a class
+key per element again shows up as tens of calls per unit of p at
+p = 10007.
 """
 
 import io
@@ -41,12 +47,18 @@ def package_calls(argv):
 
 
 # command line -> the most package calls it may make (Python 3.11: 2,474
-# and 2,983; 4,500 and 3,182 while each table read, row and factor symbol
-# was a call of its own)
+# and 2,471; 4,500 and 3,182 while each table read, row and factor symbol
+# was a call of its own, 2,983 for verify while full depth keyed the
+# triple's powers and the lines' points one by one)
 BUDGETS = {
     ("decompose", "--p", "409", "--level", "both", "--format", "json"): 3000,
-    ("verify", "--p", "13", "--depth", "full", "--format", "json"): 3182,
+    ("verify", "--p", "13", "--depth", "full", "--format", "json"): 2640,
 }
+
+# the most calls full depth may add to basic verify, per unit of p
+# (Python 3.11 at p = 10007: 13.4, i.e. 134,155; 53.9 while each power of
+# the triple, each support class and each line point was keyed one by one)
+FULL_OVER_BASIC_PER_P = 15
 
 
 @pytest.mark.parametrize("argv", BUDGETS, ids=" ".join)
@@ -54,3 +66,11 @@ def test_command_stays_within_its_call_budget(argv):
     code, calls = package_calls(list(argv))
     assert code == 0
     assert calls <= BUDGETS[argv], calls
+
+
+def test_full_depth_adds_at_most_15_calls_per_unit_of_p():
+    p = 10007
+    basic = package_calls(["verify", "--p", str(p)])
+    full = package_calls(["verify", "--p", str(p), "--depth", "full"])
+    assert basic[0] == full[0] == 0
+    assert full[1] - basic[1] <= FULL_OVER_BASIC_PER_P * p, (basic[1], full[1])

@@ -21,7 +21,14 @@ from fermatjac import cli
 from fermatjac import groups as groups_module
 from fermatjac.certificates import induced_perm_character
 from fermatjac.errors import CheckFailedError, GroupMismatchError, InconsistentOrbifoldError
-from fermatjac.genus import coset_genus, fermat_full_fix_table, fermat_genus, find_generating_triple, rh_genus
+from fermatjac.genus import (
+    _power_class_counts,
+    coset_genus,
+    fermat_full_fix_table,
+    fermat_genus,
+    find_generating_triple,
+    rh_genus,
+)
 from fermatjac.groups import (
     IDENTITY,
     ACTION,
@@ -43,19 +50,24 @@ from fermatjac.orbits import make_context, orbit_partition
 
 from helpers import (
     ListClassData,
+    by_key,
     class_label_gap,
+    class_line_walk_gap,
     class_members,
     class_values,
     drop_deck_class,
     fermat_a1,
+    index_by_key,
     index_of,
     labelled_coset_genus,
     labelled_fix_count,
     labelled_perm_character,
     merge_axis_class,
+    power_class_counts_by_element,
     primes_upto,
     run_under_O,
     split_generic_class,
+    split_generic_line_orbit,
     square_doubled_for_uv,
     square_minus,
     subgroup_indices,
@@ -75,7 +87,8 @@ def test_class_arithmetic_matches_coset_labelling(p):
     reps = [cls[0] for cls in classes[1:]]
     assert [fix.at(r) for r in reps] == [labelled_fix_count(r, triple) for r in reps]
     # the table's support is every class where it is not 0: 2p of them
-    assert set(fix.support) == {data.key(r) for r in reps if fix.at(r)} and len(fix.support) == 2 * p
+    support = by_key(fix.support)
+    assert set(support) == {data.key(r) for r in reps if fix.at(r)} and len(support) == 2 * p
     hj = [fermat_Hj(p, j) for j in range(1, p - 1)]
     for k in all_cyclic_subgroups(Group(ctx.p)) + [fermat_H(p)] + hj:
         assert coset_genus(k, triple, data) == labelled_coset_genus(k, triple)
@@ -86,7 +99,7 @@ def test_class_arithmetic_matches_coset_labelling(p):
         chi = induced_perm_character(k, data)
         assert class_values(chi, classes) == labelled_perm_character(k, classes)
         # perm(G/K) vanishes off the classes K meets, and is held so
-        assert set(chi.support) == {data.key(i) for i in k.indices}
+        assert set(by_key(chi.support)) == {data.key(i) for i in k.indices}
 
 
 def test_non_integral_frobenius_quotient_raises(monkeypatch):
@@ -162,7 +175,7 @@ def test_class_rule_gap_serves_the_fermat_group_only():
 
 
 def test_merged_classes_fail_verify(capsys, monkeypatch):
-    monkeypatch.setattr(groups_module, "orbit_key", merge_axis_class(groups_module.orbit_key))
+    monkeypatch.setattr(ClassData, "key", merge_axis_class(ClassData.key))
     code = cli.main(["verify", "--p", "13", "--depth", "full"])
     out, err = capsys.readouterr()
     assert code == 4
@@ -174,12 +187,95 @@ def test_merged_classes_fail_verify_under_python_O():
     run = run_under_O(
         "from fermatjac import cli, groups\n"
         "from helpers import merge_axis_class\n"
-        "groups.orbit_key = merge_axis_class(groups.orbit_key)\n"
+        "groups.ClassData.key = merge_axis_class(groups.ClassData.key)\n"
         "sys.exit(cli.main(['verify', '--p', '13', '--depth', 'full']))\n"
     )
     assert run.returncode == 4, run.stdout + run.stderr
     assert "FAIL generating-triple" in run.stdout
     assert "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize("p", [q for q in primes_upto(199) if q >= 5])
+def test_the_line_walk_is_the_oracle_of_the_class_rule_argument(monkeypatch, p):
+    """class_rule_gap keys no element: the walk of the keys over the p + 1
+    lines that its argument stands for finds every key in its class too;
+    a key that splits an orbit passes the argument, which rests on the
+    key's rule, and fails the walk."""
+    data = ClassData(Group(p))
+    assert class_rule_gap(data) is None and class_line_walk_gap(data) is None
+    monkeypatch.setattr(ClassData, "key", split_generic_class(ClassData.key))
+    assert class_rule_gap(data) is None
+    assert "out of its class" in class_line_walk_gap(data)
+
+
+@pytest.mark.parametrize("p", [q for q in primes_upto(199) if q >= 5] + [10007])
+def test_closed_form_power_classes_match_the_element_keys(p):
+    """The class counts of the triple's powers, per class kind, and their
+    line index, per line orbit, against the powers listed by closure and
+    keyed one by one and the six images of every key; <a1 v> read by its
+    powers' classes against its elements' keys."""
+    data = ClassData(Group(p))
+    triple = find_generating_triple(make_context(p))
+    entries, by_line = power_class_counts_by_element(triple, data)
+    closed, closed_by_line = _power_class_counts(triple, data)
+    assert [(m, by_key(counts)) for m, counts in closed] == list(entries)
+    assert index_by_key(closed_by_line) == by_line
+    a1v = cyclic_subgroup_classes(p, ())[-1]
+    assert by_key(data.meet_counts(a1v, {})) == by_key(data.class_counts(a1v.indices))
+
+
+def test_a_class_rule_failure_in_the_coset_oracle_names_p_k_and_both_counts(monkeypatch):
+    # a1's class {a1, a2, a3} claimed to have four members: the Frobenius
+    # quotient 294 * 1 / (4 * 7) of <a1> is no integer
+    data, triple = ClassData(Group(7)), find_generating_triple(make_context(7))
+    size = ClassData.size
+    monkeypatch.setattr(ClassData, "size", lambda self, key: 4 if key == 1 else size(self, key))
+    with pytest.raises(InconsistentOrbifoldError) as caught:
+        coset_genus(subgroup_closure(data.group, [index_of(fermat_a1(7))]), triple, data)
+    assert str(caught.value) == (
+        "|G| |C n K| / (|C| |K|) = 294 * 1 / (4 * 7) for class 1, at p = 7 on the subgroup of order 7"
+        " generated by (1, 0, 0): not an integer"
+    )
+
+
+def test_a_class_rule_failure_in_the_coset_oracle_names_p_k_and_both_counts_under_python_O():
+    run = run_under_O(
+        "from fermatjac.genus import coset_genus, find_generating_triple\n"
+        "from fermatjac.groups import ClassData, Group, subgroup_closure\n"
+        "from fermatjac.orbits import make_context\n"
+        "size = ClassData.size\n"
+        "ClassData.size = lambda self, key: 4 if key == 1 else size(self, key)\n"
+        "data = ClassData(Group(7))\n"
+        "try:\n"
+        "    coset_genus(subgroup_closure(data.group, [42]), find_generating_triple(make_context(7)), data)\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout == (
+        "InconsistentOrbifoldError |G| |C n K| / (|C| |K|) = 294 * 1 / (4 * 7) for class 1, at p = 7 on the"
+        " subgroup of order 7 generated by (1, 0, 0): not an integer\n"
+    )
+
+
+def test_the_orbifold_counts_name_p_k_and_both_counts(monkeypatch):
+    # the involutions claimed to fix one coset of <v> fewer: the entry of
+    # order 2 then fixes an odd number of cosets over its powers
+    data, triple = ClassData(Group(7)), find_generating_triple(make_context(7))
+    v = subgroup_closure(data.group, [groups_module.PERM_V])
+    fixed = ClassData.fixed_cosets
+
+    def one_less(self, counts, k_order, k=None):
+        out = fixed(self, counts, k_order, k)
+        return {keys: f - (keys.start == 49) for keys, f in out.items()} if k is not None else out
+
+    monkeypatch.setattr(ClassData, "fixed_cosets", one_less)
+    with pytest.raises(InconsistentOrbifoldError) as caught:
+        coset_genus(v, triple, data)
+    assert str(caught.value).startswith("an entry of order 2 fixes ")
+    assert str(caught.value).endswith(
+        " cosets over its powers, at p = 7 on the subgroup of order 2 generated by (0, 0, 3): not a multiple of 2"
+    )
 
 
 @pytest.mark.parametrize("p", [q for q in primes_upto(31) if q >= 5] + [61])
@@ -270,27 +366,28 @@ def test_a_dropped_deck_class_fails_verify_under_python_O():
 
 
 def test_split_class_fails_verify(capsys, monkeypatch):
-    # earlier checks read the split labels consistently; only the
-    # invariance of the labels under conjugation catches them
-    monkeypatch.setattr(groups_module, "orbit_key", split_generic_class(groups_module.orbit_key))
+    # a generic line orbit split in two: the oracles agree on both halves,
+    # but the certificates count the deck classes against the orbits (the
+    # key split of the same orbit is the line walk's, in tests)
+    monkeypatch.setattr(groups_module, "line_orbits", split_generic_line_orbit(groups_module.line_orbits))
     code = cli.main(["verify", "--p", "13", "--depth", "full"])
     out, err = capsys.readouterr()
     assert code == 4
-    assert "FAIL fix-table-consistency: p = 13: conjugation by" in out
-    assert "out of its class" in out
-    assert "verification failed at check: fix-table-consistency" in err
+    assert "PASS dual-oracle-genus" in out
+    assert "FAIL certificates: p = 13: 4 deck line classes meet 3 of the 3 exponent orbits" in out
+    assert "verification failed at check: certificates" in err
     assert "Traceback" not in err
 
 
 def test_split_class_fails_verify_under_python_O():
     run = run_under_O(
         "from fermatjac import cli, groups\n"
-        "from helpers import split_generic_class\n"
-        "groups.orbit_key = split_generic_class(groups.orbit_key)\n"
+        "from helpers import split_generic_line_orbit\n"
+        "groups.line_orbits = split_generic_line_orbit(groups.line_orbits)\n"
         "sys.exit(cli.main(['verify', '--p', '13', '--depth', 'full']))\n"
     )
     assert run.returncode == 4, run.stdout + run.stderr
-    assert "FAIL fix-table-consistency: p = 13: conjugation by" in run.stdout
+    assert "FAIL certificates: p = 13: 4 deck line classes meet 3 of the 3 exponent orbits" in run.stdout
     assert "Traceback" not in run.stderr
 
 
@@ -416,12 +513,13 @@ def test_loops_that_raise_straight_keep_their_failure_text(monkeypatch):
     p = 13
     ctx, cache = _checked_through(p, "dual-oracle-genus")
     fix, orbits, deck = cache["full_fix"], cache["line_orbits"], cache["deck"]
-    key = max(fix.support)  # the 3-cycle class, on no line of H
-    count, fix.support[key] = fix.support[key], 10**6
+    keys = max(fix.support, key=lambda keys: keys.start)  # the 3-cycle class, on no line of H
+    key, count = keys.start, fix.support[keys]
+    fix.support[keys] = 10**6
     with pytest.raises(CheckFailedError) as caught:
         cli.check_fix_table_consistency(ctx, cache)
     assert str(caught.value) == f"p = 13: fix = 1000000 on the class of key {key} is outside [0, 134]"
-    fix.support[key] = count
+    fix.support[keys] = count
     monkeypatch.setattr(cli.cert, "perm_pairing", lambda k, rat: 0)
     with pytest.raises(CheckFailedError) as caught:
         cli.check_certificates(ctx, cache)

@@ -15,9 +15,9 @@ make ``decompose`` exit 3.
 
 The full checks read the rules of the line orbits and of the classes by
 key: a line orbit's kind and stabilizer, a closed-form class size, the
-class census, the support of the full fix table and the translation
-classes by line.  Each of those mutations must make ``verify --p 13
---depth full`` exit 4.
+class census, the support of the full fix table, the closed-form classes
+of the powers on an axis line and the line index built per line orbit.
+Each of those mutations must make ``verify --p 13 --depth full`` exit 4.
 """
 
 import pytest
@@ -31,7 +31,7 @@ from helpers import run_under_O
 REAL_IMAGES, REAL_RULE = cli.s3_images, monomial.epsilon_rule
 REAL_T, REAL_J = monomial.build_T, monomial.build_J
 REAL_ORBITS, REAL_SIZE, REAL_CENSUS = groups.line_orbits, groups.ClassData.size, groups.ClassData.census
-REAL_FULL_FIX, REAL_LINE_INDEX = genus.fermat_full_fix_table, groups.ClassData.line_index
+REAL_FULL_FIX, REAL_LINE_INDEX, REAL_POWERS = genus.fermat_full_fix_table, groups.ClassData.line_index, groups.ClassData.power_counts
 REAL_PGONAL_FIX, REAL_AXIS_FIX = genus.pgonal_fix_table, genus.fermat_axis_fix_table
 
 
@@ -165,7 +165,7 @@ def _order_two_class_fixes_nothing(mp):
     # the involutions x tau of square 0, key p^2, off the fix support
     def table(triple, data):
         fix = REAL_FULL_FIX(triple, data)
-        del fix.support[data.p * data.p]
+        del fix.support[range(data.p * data.p, data.p * data.p + 1)]
         return fix
 
     mp.setattr(genus, "fermat_full_fix_table", table)
@@ -173,12 +173,29 @@ def _order_two_class_fixes_nothing(mp):
 
 def _line_index_without_an_axis(mp):
     # the translation classes on the axis n = 0, line 1, left unindexed
-    def line_index(self, keys):
-        index = REAL_LINE_INDEX(self, keys)
+    def line_index(self, c):
+        index = REAL_LINE_INDEX(self, c)
         index.pop(1, None)
         return index
 
     mp.setattr(groups.ClassData, "line_index", line_index)
+
+
+def _line_index_without_an_orbit(mp):
+    # the line index without the one line orbit it holds, the axes
+    mp.setattr(groups.ClassData, "line_index", lambda self, c: {})
+
+
+def _axis_power_count_off_by_one(mp):
+    # the class of a1 (key 1) counted twice among the powers on an axis line
+    def power_counts(self, c):
+        counts = REAL_POWERS(self, c)
+        if counts and range(1, self.p) in counts:
+            del counts[range(1, self.p)]
+            counts.update({range(1, 2): 2, range(2, self.p): 1})
+        return counts
+
+    mp.setattr(groups.ClassData, "power_counts", power_counts)
 
 
 # name -> (the mutation, the check of verify --p 13 --depth full that must fail)
@@ -189,6 +206,8 @@ FULL_MUTATIONS = {
     "census-one-generic-more": (_census_one_generic_more, "fix-table-consistency"),
     "order-two-class-fixes-nothing": (_order_two_class_fixes_nothing, "dual-oracle-genus"),
     "line-index-without-an-axis": (_line_index_without_an_axis, "dual-oracle-genus"),
+    "line-index-without-an-orbit": (_line_index_without_an_orbit, "dual-oracle-genus"),
+    "axis-power-count-off-by-one": (_axis_power_count_off_by_one, "generating-triple"),
 }
 
 
