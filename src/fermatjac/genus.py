@@ -167,10 +167,6 @@ def naming(exc: InconsistentRHError, k: Subgroup | LineSubgroup, fix: FixTable) 
 def _cyclic_reads(k: Subgroup) -> dict[int, int] | None:
     """c^(n/d) -> phi(d) for the divisors d > 1 of n = |K|, K = <c>, whose
     phi(d) generators fix alike; None unless c is in K and of order n (no c^(n/d) is 1)."""
-    def power(x: int, e: int) -> int:  # x^e, e >= 0, by square-and-multiply
-        half = power(k.group.mul(x, x), e >> 1) if e > 1 else IDENTITY
-        return (x if half == IDENTITY else k.group.mul(half, x)) if e & 1 else half
-
     (c,), n = k.generators, k.order
     phi, m, q = {1: 1}, n, 2  # d -> phi(d) for the divisors d of n, by trial division
     while m > 1:
@@ -179,7 +175,15 @@ def _cyclic_reads(k: Subgroup) -> dict[int, int] | None:
             m, r = m // q, r * q
             phi.update({d * r: f * (r - r // q) for d, f in phi.items() if d % q})
         q += 1
-    reads = {power(c, n // d): f for d, f in phi.items() if d > 1}
+    mul, reads = k.group.mul, {}
+    for d, f in phi.items():
+        if d > 1:  # y = c^(n/d) by square-and-multiply, lowest bit first
+            x, e, y = c, n // d, IDENTITY
+            while e:
+                if e & 1:
+                    y = x if y == IDENTITY else mul(y, x)
+                x, e = mul(x, x) if e > 1 else x, e >> 1
+            reads[y] = f
     return reads if c in k.indices and IDENTITY not in reads else None
 
 

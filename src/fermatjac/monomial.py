@@ -254,28 +254,6 @@ def verify_relation(
     return word_map(lhs, ctx, gamma) == word_map(rhs, ctx, gamma)
 
 
-def conjugation_sweep(ctx: PrimeContext):
-    """Yield (l, T^(-l) R T^l, T^(l (gamma^2 - 1)) R) for l = 0, ..., p-1
-    and ctx's gamma: both sides of the conjugation relation as maps, equal
-    to the :func:`word_map` of each word.
-
-    Both sides start at R.  A step conjugates the left side by T and
-    advances the right side by T^(gamma^2 - 1), three compositions where
-    two :func:`verify_relation` words rebuild three powers through
-    :func:`map_power`.  The relation follows from R T = T^(gamma^2) R by
-    induction on l, so comparing the sides tests the calculus itself:
-    that composition is associative on normal forms, which are canonical.
-    """
-    p, g = ctx.p, ctx.gamma
-    t, r = build_T(ctx), build_R(ctx)
-    t_inv, t_shift = map_power(t, p - 1), map_power(t, (g * g - 1) % p)
-    lhs = rhs = r
-    for l in range(p):
-        if l:
-            lhs, rhs = compose(compose(t_inv, lhs), t), compose(t_shift, rhs)
-        yield l, lhs, rhs
-
-
 def epsilon_parity_report(ctx: PrimeContext, gamma: int | None = None) -> dict:
     """Try both sign parities for R; exactly one must preserve the curve.
 

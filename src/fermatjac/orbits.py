@@ -25,7 +25,7 @@ from .records import Const, FrozenRecord, set_field
 # The largest p any command accepts.  Every step of orbits, decompose
 # and basic verify is O(p); at p = 100003 (p = 1 mod 3, the slower
 # residue) decompose --format json takes about 0.3-0.4 s and 52 MB, and
-# verify 1.3-1.7 s and 42 MB.  sweep has a lower cap in cli.py, and
+# verify 0.27-0.29 s and 42 MB.  sweep has a lower cap in cli.py, and
 # verify --depth full none of its own.
 MAX_P = 100_003
 
@@ -129,14 +129,6 @@ S3_GENERATORS = {
     "U": lambda a, inv, p: p - inv(1 + a),
     "V": lambda a, inv, p: inv(a),
 }
-
-
-def s3_images(ctx: PrimeContext) -> tuple[list[int], list[int]]:
-    """Lists u, v of U(a) = u[a], V(a) = v[a] on X_p, in one pass over
-    :func:`inverse_table`; u and v are 0 at 0 and p-1, so images index both."""
-    p, inv = ctx.p, inverse_table(ctx.p).__getitem__
-    u, v = S3_GENERATORS["U"], S3_GENERATORS["V"]
-    return [0, *(u(a, inv, p) for a in range(1, p - 1)), 0], [0, *(v(a, inv, p) for a in range(1, p - 1)), 0]
 
 
 class OrbitClass(FrozenRecord):

@@ -20,7 +20,10 @@ normalized products, the oracle of the package's tuple calculus.
 The per-element helpers the package dropped (:func:`orbit` by closure
 under :func:`s3_apply`, :func:`are_isomorphic`,
 :func:`fermat_quotient_genus`, the fix sum of :func:`rh_genus_by_element`)
-are kept here for the tests that use them, and :func:`reference_rows`
+are kept here for the tests that use them, as are the walks over X_p
+and the conjugation sweep that basic verify replaced by probes
+(:func:`s3_images`, :func:`walk_orbit_closure`, :func:`conjugation_sweep`
+and their kin), and :func:`reference_rows`
 turns the orbit and factor objects of a report into the dicts the report
 once held, the reference of the JSON writer's row templates.  The class table the package once held (one key
 per element, :class:`ListClassData`), the label walk over every
@@ -32,9 +35,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from fermatjac.curves import CurveFamily
+from fermatjac import curves, monomial, orbits
+from fermatjac.curves import CurveFamily, MoebiusLabel
 from fermatjac.decompose import IsogenyFactor
-from fermatjac.errors import GroupMismatchError, NoGammaError, NonMonomialError, NotSubgroupOfHError, OutOfRangeError
+from fermatjac.errors import CheckFailedError, GroupMismatchError, NoGammaError, NonMonomialError, NotSubgroupOfHError, OutOfRangeError
 from fermatjac.genus import (
     FixTable,
     GeneratingTriple,
@@ -475,6 +479,106 @@ def fermat_quotient_genus(k):
     if not k.is_translation_subgroup:
         raise NotSubgroupOfHError(f"{k!r} is not contained in the translation subgroup")
     return rh_genus(fermat_genus(k.p), k, fermat_axis_fix_table(make_context(k.p)))
+
+
+# -- retired walks of basic verify: the oracles of its probes ----------------
+#
+# Basic verify once re-derived each rule at every point of X_p, and the
+# gamma curve's conjugation relation at every l.  The checks now test
+# each rule at a few probes (cli._probes); these walks are the checks as
+# they were, each raising CheckFailedError with the text the check gave,
+# and read the rules through their modules, so a monkeypatch reaches them.
+
+
+def s3_images(ctx):
+    """Lists u, v of U(a) = u[a], V(a) = v[a] on X_p, in one pass over
+    ``inverse_table``; u and v are 0 at 0 and p-1, so images index both."""
+    p, inv = ctx.p, orbits.inverse_table(ctx.p).__getitem__
+    u, v = S3_GENERATORS["U"], S3_GENERATORS["V"]
+    return [0, *(u(a, inv, p) for a in range(1, p - 1)), 0], [0, *(v(a, inv, p) for a in range(1, p - 1)), 0]
+
+
+def walk_orbit_closure(ctx, part):
+    """U and V map every orbit of the partition into itself."""
+    u, v = s3_images(ctx)
+    for o in part.orbits:
+        members = o.elements
+        for a in members:
+            for name, image in (("U", u[a]), ("V", v[a])):
+                if image not in members:
+                    raise CheckFailedError(f"p = {ctx.p}: {name}({a}) = {image} leaves the orbit {members}")
+
+
+def walk_s3_relations(ctx):
+    """U^3 = V^2 = (UV)^2 = id at every point of X_p."""
+    p = ctx.p
+    u, v = s3_images(ctx)
+    for a in range(1, p - 1):
+        if u[u[u[a]]] != a:
+            raise CheckFailedError(f"p = {p}: U^3 moves {a}")
+        if v[v[a]] != a:
+            raise CheckFailedError(f"p = {p}: V^2 moves {a}")
+        if u[v[u[v[a]]]] != a:
+            raise CheckFailedError(f"p = {p}: (UV)^2 moves {a}")
+
+
+def walk_moebius_transport(ctx, part):
+    """The six images of every point of X_p are its orbit, each hit
+    6 / size times, and the rules compose as their labels at 1, 2, p - 2."""
+    p, labels = ctx.p, list(MoebiusLabel)
+    inv = orbits.inverse_table(p).__getitem__
+    rules = [curves.MOEBIUS_TRANSPORT[lab] for lab in labels]
+    for a in range(1, p - 1):
+        o = part.orbit_of(a)
+        row = [rule(a, inv, p) for rule in rules]
+        if sorted(row) != sorted(o.elements * (6 // o.size)):
+            if set(row) != set(o.elements):
+                raise CheckFailedError(f"p = {p}: the six images of {a} are not its orbit {o.elements}")
+            raise CheckFailedError(f"p = {p}: the images of {a} are not each hit {6 // o.size} times")
+    rows = {a: [rule(a, inv, p) for rule in rules] for a in (1, 2, p - 2)}
+    for i, f in enumerate(labels):
+        for j, g in enumerate(labels):
+            k = labels.index(f.compose(g))
+            for a, row in rows.items():
+                lhs, rhs = row[k], rules[j](row[i], inv, p)
+                if lhs != rhs:
+                    raise CheckFailedError(f"p = {p}: transport by {f.name} then {g.name} at {a}: {lhs} != {rhs}")
+
+
+def walk_normalization(ctx):
+    """normalize(a, 1) = a and normalize(1, a) = 1/a at every point of
+    X_p, and rescaling invariance by every unit when p <= 31."""
+    p, normalized = ctx.p, curves.normalized_exponent
+    for a in range(1, p - 1):
+        if normalized(a, 1, ctx) != a:
+            raise CheckFailedError(f"p = {p}: normalize({a}, 1) is not {a}")
+        if normalized(1, a, ctx) != ctx.inv(a):
+            raise CheckFailedError(f"p = {p}: normalize(1, {a}) is not 1/{a}")
+    for delta in range(1, p) if p <= 31 else (2, 3, p - 1):
+        for a in (1, 2, p - 2):
+            for b in (1, 2):
+                if (a + b) % p and normalized(delta * a % p, delta * b % p, ctx) != normalized(a, b, ctx):
+                    raise CheckFailedError(f"p = {p}: normalize({a}, {b}) changes under rescaling by {delta}")
+
+
+def conjugation_sweep(ctx):
+    """Yield (l, T^(-l) R T^l, T^(l (gamma^2 - 1)) R) for l = 0, ..., p-1
+    and ctx's gamma: both sides of the conjugation relation as maps, equal
+    to the ``word_map`` of each word.
+
+    Both sides start at R.  A step conjugates the left side by T and
+    advances the right side by T^(gamma^2 - 1), three compositions a step.
+    The relation follows from R T = T^(gamma^2) R by induction on l, so
+    comparing the sides tests the calculus itself: that composition is
+    associative on normal forms, which are canonical."""
+    p, g = ctx.p, ctx.gamma
+    t, r = monomial.build_T(ctx), monomial.build_R(ctx)
+    t_inv, t_shift = monomial.map_power(t, p - 1), monomial.map_power(t, (g * g - 1) % p)
+    lhs = rhs = r
+    for l in range(p):
+        if l:
+            lhs, rhs = monomial.compose(monomial.compose(t_inv, lhs), t), monomial.compose(t_shift, rhs)
+        yield l, lhs, rhs
 
 
 # -- report rows as dicts: the reference of the writer's row templates -------

@@ -218,7 +218,7 @@ def test_criterion_7_monomial_relation_suite(capsys):
         assert map_power(build_T(ctx), p) == identity_map(p, g)
     elapsed = time.perf_counter() - start
     with capsys.disabled():
-        _announce(7, elapsed, "R^3, R T = T^(g^2) R, conjugation sweep, epsilon rule, J, T^p for p in {7,13,19,31}")
+        _announce(7, elapsed, "R^3, R T = T^(g^2) R, the conjugation relation at every l, epsilon rule, J, T^p for p in {7,13,19,31}")
 
 
 def test_criterion_8_certificate_suite(capsys):

@@ -508,8 +508,8 @@ def _checked_through(p, last):
 
 
 def test_loops_that_raise_straight_keep_their_failure_text(monkeypatch):
-    # the sweep, the Lefschetz bound and the deck loop format their detail
-    # only on failure; the text is the one _require gave
+    # the probe loops, the Lefschetz bound and the deck loop format their
+    # detail only on failure; the text is the one _require gave
     p = 13
     ctx, cache = _checked_through(p, "dual-oracle-genus")
     fix, orbits, deck = cache["full_fix"], cache["line_orbits"], cache["deck"]
@@ -535,7 +535,8 @@ def test_loops_that_raise_straight_keep_their_failure_text(monkeypatch):
         f" are not the exponent orbit {exponents.elements} (kind {exponents.kind.value})"
     )
     assert exponents.kind.value != "generic"
-    monkeypatch.setattr(cli.mono, "conjugation_sweep", lambda ctx: iter([(0, 1, 1), (1, 1, 2)]))
+    # V as a -> a + 1 on X_p: V^2 moves the first probe
+    monkeypatch.setitem(cli.S3_GENERATORS, "V", lambda a, inv, p: a % (p - 2) + 1)
     with pytest.raises(CheckFailedError) as caught:
-        cli.check_monomial_relations(ctx, {})
-    assert str(caught.value) == "p = 13: T^(-l) R T^l != T^(l (gamma^2 - 1)) R at l = 1"
+        cli.check_s3_relations(ctx, {})
+    assert str(caught.value) == "p = 13: V^2 moves 1"

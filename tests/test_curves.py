@@ -119,14 +119,14 @@ def test_transport_functoriality_all_36_pairs(p):
 
 
 def test_verify_runs_each_transport_rule_once_per_probe(monkeypatch, capsys):
-    # the composition test runs each rule once at each of 1, 2 and p - 2,
-    # then one call per comparison: 6 (p - 2) + 18 + 108 = 192 calls at
-    # p = 13 (390 before)
+    # each rule runs once at each of the probes 1, 2, 3 and 11, then once
+    # per comparison: 24 + 144 = 168 calls at p = 13 (192 while every
+    # point of X_p had its row, 390 before that)
     calls = []
     for label, rule in list(MOEBIUS_TRANSPORT.items()):
         monkeypatch.setitem(MOEBIUS_TRANSPORT, label, lambda *args, rule=rule: calls.append(1) or rule(*args))
     assert cli.main(["verify", "--p", "13"]) == 0
-    assert len(calls) <= 192
+    assert len(calls) <= 168
 
 
 def test_are_isomorphic():

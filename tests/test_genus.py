@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -578,3 +579,21 @@ def test_rh_genus_reads_a_mislabelled_one_generator_subgroup_element_by_element(
     k = Subgroup(Group(p), (fermat_translation(p, 1, 0) + PERM_V,), (IDENTITY, PERM_V))
     assert rh_genus(fermat_genus(p), k, full) == rh_genus_by_element(fermat_genus(p), k, full)
     assert full.at(PERM_V) != full.at(fermat_translation(p, 1, 0) + PERM_V)
+
+
+@pytest.mark.parametrize("p", (13, 101))
+def test_rh_genus_leaves_no_reference_cycle(p):
+    # <c> is read by a loop: a recursive closure over K is a cycle (the
+    # function and its cell) that kept <a1 v> alive after rh_genus returned,
+    # until a cyclic collection ran
+    ctx = make_context(p)
+    full = fermat_full_fix_table(find_generating_triple(ctx), ClassData(Group(p)))
+    k = _fermat_cyclic(p)[2]
+    assert len(k.generators) == 1 and k.order == 2 * p
+    gc.collect()
+    gc.disable()
+    try:
+        rh_genus(fermat_genus(p), k, full)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

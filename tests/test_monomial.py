@@ -20,7 +20,6 @@ from fermatjac.monomial import (
     build_R,
     build_T,
     compose,
-    conjugation_sweep,
     epsilon_parity_report,
     identity_map,
     make_monomial,
@@ -39,6 +38,7 @@ from fermatjac.orbits import make_context
 
 from helpers import (
     MonomialFunction,
+    conjugation_sweep,
     pgonal_elements,
     primes_upto,
     record_of,
@@ -297,13 +297,14 @@ def test_one_step_substitution_matches_the_chain_in_the_sweep(monkeypatch, p):
 
 
 def test_verify_composes_each_product_once(monkeypatch, capsys):
-    # the conjugation sweep advances by conjugation: 3 compositions a step,
-    # not 5, so basic verify at p = 13 makes at most 74 (100 before)
+    # the conjugation relation follows from R T = T^(gamma^2) R by
+    # induction and is not swept: basic verify at p = 13 makes 26
+    # compositions (74 while the sweep took 3 a step, 100 at 5 a step)
     calls = []
     real_compose = monomial_module.compose
     monkeypatch.setattr(monomial_module, "compose", lambda outer, inner: calls.append(1) or real_compose(outer, inner))
     assert cli.main(["verify", "--p", "13"]) == 0
-    assert len(calls) <= 74
+    assert len(calls) <= 26
 
 
 def test_word_map_rejects_unknown_letter():

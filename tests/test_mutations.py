@@ -1,13 +1,16 @@
 """A mutation slice of the checks: each plausible wrong fact must make
 ``verify`` exit 4 and name the check that catches it.
 
-The facts are the ones the basic checks read off tables and rules: a
-Moebius label's transport formula, an entry of MOEBIUS_MONOMIALS, the one
-pass that applies U and V to X_p, the epsilon rule and the maps T and J.
-Each mutation is applied with a monkeypatch, in process and under
-``python -O`` (where no assert is left to catch it).  p = 13 has a gamma
-root; p = 11 has none, so there only J and T stand for the monomial
-calculus and the epsilon rule is never read.
+The facts are the ones the basic checks read off tables and rules: the
+rules of U and V, a term of the orbit formula, the normalization rule,
+two Moebius labels' transport formulas, an entry of MOEBIUS_MONOMIALS,
+the epsilon rule and the maps T and J.  Each mutation is applied with a
+monkeypatch, in process and under ``python -O`` (where no assert is left
+to catch it).  p = 13 has a gamma root; p = 11 has none, so there only J
+and T stand for the monomial calculus and the epsilon rule is never read.
+
+The kill matrix runs every basic check on a fresh cache under each basic
+mutation and pins the exact set of checks that fail, not only the first.
 
 The two Riemann-Hurwitz audits read the fix tables of the gamma curve
 and of the translations: a wrong count there must fail their check and
@@ -20,15 +23,18 @@ of the powers on an axis line and the line index built per line orbit.
 Each of those mutations must make ``verify --p 13 --depth full`` exit 4.
 """
 
+import inspect
+
 import pytest
 
-from fermatjac import cli, curves, decompose, genus, groups, monomial
+from fermatjac import cli, curves, decompose, genus, groups, monomial, orbits
 from fermatjac.curves import MoebiusLabel
-from fermatjac.orbits import OrbitKind
+from fermatjac.errors import FermatJacError
+from fermatjac.orbits import OrbitKind, make_context
 
 from helpers import run_under_O
 
-REAL_IMAGES, REAL_RULE = cli.s3_images, monomial.epsilon_rule
+REAL_U, REAL_V, REAL_RULE = orbits.S3_GENERATORS["U"], orbits.S3_GENERATORS["V"], monomial.epsilon_rule
 REAL_T, REAL_J = monomial.build_T, monomial.build_J
 REAL_ORBITS, REAL_SIZE, REAL_CENSUS = groups.line_orbits, groups.ClassData.size, groups.ClassData.census
 REAL_FULL_FIX, REAL_LINE_INDEX, REAL_POWERS = genus.fermat_full_fix_table, groups.ClassData.line_index, groups.ClassData.power_counts
@@ -52,8 +58,47 @@ def _wrong_monomial(mp):
     mp.setitem(monomial.MOEBIUS_MONOMIALS, MoebiusLabel.OVER, (x, (-sign, omega, a, b, d)))
 
 
-def _swapped_images(mp):
-    mp.setattr(cli, "s3_images", lambda ctx: REAL_IMAGES(ctx)[::-1])
+def _swapped_generators(mp):
+    # the rules of U and V exchanged
+    mp.setitem(orbits.S3_GENERATORS, "U", REAL_V)
+    mp.setitem(orbits.S3_GENERATORS, "V", REAL_U)
+
+
+def _U_of_the_other_action(mp):
+    # U as a -> 1/(1 - a): on the projective line of order 3 and with
+    # (UV)^2 = id, but it moves the exponents out of their orbits (and 1
+    # to 1/0, read as 0, so U^3 moves 1 too)
+    mp.setitem(orbits.S3_GENERATORS, "U", lambda a, inv, p: inv((1 - a) % p))
+
+
+def _mutated(fn, old, new):
+    """fn recompiled from its source with the text old replaced by new,
+    in fn's module."""
+    source = inspect.getsource(fn)
+    if source.count(old) != 1:
+        raise RuntimeError(f"{old!r} is not once in the source of {fn.__name__}")
+    namespace = {}
+    exec(source.replace(old, new), fn.__globals__, namespace)
+    return namespace[fn.__name__]
+
+
+def _wrong_formula_term(mp):
+    # the sixth term of the orbit formula, -a (1 + a)^(-1), entered as a (1 + a)^(-1)
+    mp.setattr(cli, "orbit_partition", _mutated(orbits.orbit_partition, "-a * inv[s] % p", "a * inv[s] % p"))
+
+
+def _normalized_by_product(mp):
+    # (alpha, beta) normalized to alpha beta, not alpha / beta
+    def product(alpha, beta, ctx):
+        return alpha * beta % ctx.p
+
+    for module in (curves, cli):
+        mp.setattr(module, "normalized_exponent", product)
+
+
+def _second_wrong_formula(mp):
+    # (x-1)/x transported as 1/x
+    mp.setitem(curves.MOEBIUS_TRANSPORT, MoebiusLabel.CYC2, curves.MOEBIUS_TRANSPORT[MoebiusLabel.INV])
 
 
 def _flipped_epsilon(mp):
@@ -97,7 +142,11 @@ def _deck_line_fixes_p(mp):
 MUTATIONS = {
     "moebius-formula": (_wrong_formula, "moebius-transport", (11, 13)),
     "moebius-monomial": (_wrong_monomial, "monomial-relations", (11, 13)),
-    "s3-images-swapped": (_swapped_images, "s3-relations", (11, 13)),
+    "s3-images-swapped": (_swapped_generators, "s3-relations", (11, 13)),
+    "U-of-the-other-action": (_U_of_the_other_action, "orbit-partition-laws", (11, 13)),
+    "orbit-formula-term": (_wrong_formula_term, "orbit-partition-laws", (11, 13)),
+    "normalized-by-product": (_normalized_by_product, "curve-normalization", (11, 13)),
+    "moebius-formula-second": (_second_wrong_formula, "moebius-transport", (11, 13)),
     "epsilon-flipped": (_flipped_epsilon, "monomial-relations", (13,)),
     "T-sign": (_T_with_minus_sign, "monomial-relations", (11, 13)),
     "T-identity": (_T_is_the_identity, "monomial-relations", (11, 13)),
@@ -124,6 +173,40 @@ AUDIT_NAMES = {
         "fix table 'axes and H_1 fix p points each'",
     ),
 }
+
+
+# name -> the basic checks that fail under the mutation, each run on a
+# fresh cache, at every prime the mutation lists
+KILL_MATRIX = {
+    "moebius-formula": {"moebius-transport"},
+    "moebius-monomial": {"monomial-relations"},
+    "s3-images-swapped": {"s3-relations"},
+    # 1/(1 - 1) is read as 0, so U^3 moves 1 too
+    "U-of-the-other-action": {"orbit-partition-laws", "s3-relations"},
+    # no partition is built: every check that reads one fails
+    "orbit-formula-term": {
+        "orbit-partition-laws", "moebius-transport", "deck-quotient-audit", "fine-decomposition", "dimension-audit",
+    },
+    "normalized-by-product": {"curve-normalization"},
+    "moebius-formula-second": {"moebius-transport"},
+    "epsilon-flipped": {"monomial-relations"},
+    "T-sign": {"monomial-relations"},
+    "T-identity": {"monomial-relations"},
+    "J-sign": {"monomial-relations"},
+    "pgonal-order-three-fixes-one": {"fine-decomposition", "dimension-audit"},
+    "axis-deck-line-fixes-p": {"deck-quotient-audit", "fine-decomposition", "dimension-audit"},
+}
+
+
+def failing_basic_checks(p):
+    """The names of the basic checks that fail at p, each run on a fresh cache."""
+    ctx, failed = make_context(p), set()
+    for name, check in cli.BASIC_CHECKS:
+        try:
+            check(ctx, {})
+        except (AssertionError, FermatJacError):
+            failed.add(name)
+    return failed
 
 
 def _gamma_lines(change):
@@ -234,6 +317,21 @@ def test_mutation_fails_verify_under_python_O(name, p):
     assert run.returncode == 4, run.stdout + run.stderr
     assert f"FAIL {check}: p = {p}: " in run.stdout
     assert "Traceback" not in run.stderr
+
+
+def test_the_kill_matrix_covers_every_basic_mutation():
+    assert KILL_MATRIX.keys() == MUTATIONS.keys() | AUDIT_MUTATIONS.keys()
+    assert all(failing_basic_checks(p) == set() for p in (11, 13))
+
+
+@pytest.mark.parametrize("name, p", CASES + AUDIT_CASES)
+def test_kill_matrix(monkeypatch, name, p):
+    mutate, check, _ = {**MUTATIONS, **AUDIT_MUTATIONS}[name]
+    mutate(monkeypatch)
+    failed = failing_basic_checks(p)
+    assert failed == KILL_MATRIX[name]
+    # verify names the first of them
+    assert next(n for n, _ in cli.BASIC_CHECKS if n in failed) == check
 
 
 @pytest.mark.parametrize("name, p", AUDIT_CASES)

@@ -8,7 +8,6 @@ from fermatjac.orbits import (
     inverse_table,
     make_context,
     orbit_partition,
-    s3_images,
 )
 
 import helpers
@@ -19,6 +18,7 @@ from helpers import (
     primes_upto,
     run_under_O,
     s3_apply,
+    s3_images,
     scanned_gamma_pair,
     sweep_primes,
 )
