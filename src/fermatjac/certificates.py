@@ -87,7 +87,7 @@ def induced_perm_character(k: Subgroup, data: ClassData) -> ClassFunction:
         raise GroupMismatchError(f"{k!r} does not live in {data.group}")
     if data.order % k.order:
         raise CheckFailedError(f"{k!r} has order {k.order}, which does not divide {data.order}")
-    fixed = data.fixed_cosets(data.class_counts(k.indices), k.order)
+    fixed = data.fixed_cosets(data.class_counts(k.group.closure(k.generators)), k.order)
     fn = ClassFunction(data, {keys.start: q for keys, q in fixed.items()}, f"perm(G/{k!r})")
     if fn.at_identity * k.order != data.order:
         raise CheckFailedError(f"{fn.at_identity} cosets of {k!r} in a group of order {data.order}")

@@ -39,9 +39,9 @@ from .errors import (
 from .orbits import S3_GENERATORS, OrbitKind, is_prime, make_context, orbit_partition
 
 # verify --depth full has no bound of its own but MAX_P: classes by rule and
-# by blocks, one subgroup per class from the line orbits and H read by its
-# lines make it O(p), 0.1 s and 14 MB at p = 997, 2.4-3.6 s and 57 MB at
-# p = 100003.
+# by blocks, one subgroup per class from the line orbits, held by its
+# generator, and H read by its lines make it O(p), 0.1 s and 14 MB at
+# p = 997, 2.0 s and 46 MB at p = 100003.
 # sweep --to: a serial sweep over 5..3000 (426 primes) takes 1.6-1.7 s.
 SWEEP_MAX_TO = 3_000
 

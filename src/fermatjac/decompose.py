@@ -235,14 +235,16 @@ def gamma_refinement_audit(ctx: PrimeContext) -> GammaRefinementAudit:
     The joins and set products of the K_i follow from Lagrange (see the
     module docs): a pair of distinct K_i joins to the whole group, whose
     quotient genus is computed once, and its set products differ.  Equal
-    K_i = K_j join to K_i, of genus (p-1)/6, and fail the gate.
+    K_i = K_j join to K_i, of genus (p-1)/6, and fail the gate.  An
+    order-3 subgroup holds exactly one T^k R, which generates it, so the
+    K_i are told apart by their generators.
     """
     ks = [pgonal_K(i, ctx) for i in (1, 2, 3)]
     fix = pgonal_fix_table(ctx)
     g_top = (ctx.p - 1) // 2
     genera = tuple([rh_genus(g_top, k, fix) for k in ks])  # a failure names K (genus.naming)
     whole_genus = rh_genus(g_top, pgonal_group(ctx), fix)
-    distinct = tuple(ks[i - 1] != ks[j - 1] for i, j in _K_PAIRS)
+    distinct = tuple(ks[i - 1].generators != ks[j - 1].generators for i, j in _K_PAIRS)
     pair_genera = tuple(whole_genus if d else genera[i - 1] for (i, _), d in zip(_K_PAIRS, distinct))
     return GammaRefinementAudit(g_top, genera, pair_genera, distinct)
 

@@ -164,9 +164,9 @@ def naming(exc: InconsistentRHError, k: Subgroup | LineSubgroup, fix: FixTable) 
     return InconsistentRHError(f"{fact}, at p = {k.p} on {describe(k)}, fix table '{fix.description}': {verdict}")
 
 
-def _cyclic_reads(k: Subgroup) -> dict[int, int] | None:
+def _cyclic_reads(k: Subgroup) -> dict[int, int]:
     """c^(n/d) -> phi(d) for the divisors d > 1 of n = |K|, K = <c>, whose
-    phi(d) generators fix alike; None unless c is in K and of order n (no c^(n/d) is 1)."""
+    phi(d) generators fix alike; n is the order of c, so no c^(n/d) is 1."""
     (c,), n = k.generators, k.order
     phi, m, q = {1: 1}, n, 2  # d -> phi(d) for the divisors d of n, by trial division
     while m > 1:
@@ -184,15 +184,16 @@ def _cyclic_reads(k: Subgroup) -> dict[int, int] | None:
                     y = x if y == IDENTITY else mul(y, x)
                 x, e = mul(x, x) if e > 1 else x, e >> 1
             reads[y] = f
-    return reads if c in k.indices and IDENTITY not in reads else None
+    return reads
 
 
 def rh_genus(g_top: int, k: Subgroup | LineSubgroup, fix: FixTable) -> int:
     """Riemann-Hurwitz quotient genus, the fix sum read once per cyclic
     subgroup (module docs): by line, the plane by :func:`line_fix_counts`;
     the whole p-gonal group at T and at the T^k R, one per order-3
-    subgroup; <c> by :func:`_cyclic_reads`; else by element.  A failure
-    names p, K and the table (:func:`naming`)."""
+    subgroup; <c> by :func:`_cyclic_reads`; else by the listed elements,
+    which only the tests ask for.  A failure names p, K and the table
+    (:func:`naming`)."""
     if k.group != fix.group:
         raise OutOfRangeError(f"{k!r} is not in the group of {fix!r}")
     if isinstance(k, LineSubgroup):
@@ -200,10 +201,10 @@ def rh_genus(g_top: int, k: Subgroup | LineSubgroup, fix: FixTable) -> int:
     elif k.group.gamma is not None and k.order == k.group.order:
         t, r = k.group.generators
         total = (k.p - 1) * fix.at(t) + 2 * sum(fix.at_range(range(r, k.order, k.group.translations.step)))
-    elif len(k.generators) == 1 and (reads := _cyclic_reads(k)) is not None:
-        total = sum(f * fix.at(g) for g, f in reads.items())
+    elif len(k.generators) == 1:
+        total = sum(f * fix.at(g) for g, f in _cyclic_reads(k).items())
     else:
-        total = sum(fix.at(i) for i in k.indices if i != IDENTITY)
+        total = sum(fix.at(i) for i in k.group.closure(k.generators) if i != IDENTITY)
     try:
         return riemann_hurwitz(g_top, k.order, total)
     except InconsistentRHError as exc:

@@ -21,9 +21,10 @@ normal form of an index, and :meth:`Group.left_mul` multiplies indices
 straight from the group law, written once for each group, so no Cayley
 table is ever stored.  On that kernel:
 
-- a :class:`Subgroup` is the sorted tuple of its element indices, and
-  the subgroup some elements generate is their closure under left
-  multiplication (:meth:`Group.closure`); for one element, its powers;
+- a :class:`Subgroup` is its group, its generators and its order, the
+  order fixed by the group law with no element listed; only the tests
+  list a subgroup's elements, as the closure of its generators under
+  left multiplication (:meth:`Group.closure`);
 - the conjugacy classes follow a rule.  Write a Fermat element as
   x sigma, x in F_p^2 and A = ACTION[sigma]: a translation's class is
   the S3-orbit of x; the 3-cycle elements form one class (I - A is
@@ -176,11 +177,9 @@ class Group(FrozenRecord):
         """Indices of the subgroup the indexed elements generate, in order
         of discovery: the closure of {1} under left multiplication by each.
         For a single element g that is its powers 1, g, g^2, ..., so the
-        last is g^(-1), walked in one loop of the group law.
+        last is g^(-1).
         """
         gens = tuple(generators)
-        if len(gens) == 1:
-            return self._powers(gens[0])
         seen = {IDENTITY}
         members = [IDENTITY]
         frontier = [IDENTITY]
@@ -194,26 +193,6 @@ class Group(FrozenRecord):
             members.extend(new)
             frontier = new
         return members
-
-    def _powers(self, g: int) -> list[int]:
-        """1, g, g^2, ... up to g^(-1): g^(j+1) = g g^j by the group law of
-        :meth:`left_mul`, on the coordinates of g^j."""
-        p, out, i = self.p, [IDENTITY], self.check_index(g)
-        if self.gamma is not None:
-            k, e = x, y = divmod(g, 3)
-            scale = pow(self.gamma, 2 * e, p)
-            while i:
-                out.append(i)
-                x, y = (k + scale * x) % p, (e + y) % 3
-                i = 3 * x + y
-            return out
-        (cm, cn), s = (m, n), t = divmod(g // 6, p), g % 6
-        (a, b, c, d), row = ACTION[s], PERM_MUL[s]
-        while i:
-            out.append(i)
-            m, n, t = (cm + a * m + b * n) % p, (cn + c * m + d * n) % p, row[t]
-            i = (m * p + n) * 6 + t
-        return out
 
     def __str__(self):
         if self.gamma is None:
@@ -279,44 +258,31 @@ def resolve_gamma(ctx: PrimeContext, gamma: int | None) -> int:
 
 
 class Subgroup:
-    """A subgroup of a :class:`Group`, held as the sorted indices of its
-    elements; ``generators`` are the indices of the elements it was
-    generated from.
-
-    Equality and hashing go by the group and the index set alone, so
-    closures reached from different generating sets compare equal.
+    """A subgroup of a :class:`Group`, held by the indices of its
+    generators and its order, fixed here once: the group's order for the
+    group's own generators, the order of the element by the group law
+    for one generator, and the size of the closure for several.  Its
+    elements are never stored.
     """
 
-    __slots__ = ("group", "generators", "indices")
+    __slots__ = ("group", "generators", "order")
 
-    def __init__(self, group: Group, generators: list[int] | tuple[int, ...], indices: list[int] | tuple[int, ...] | range):
-        self.group = group
-        self.generators = tuple(generators)
-        self.indices = tuple(sorted(indices))
-
-    def __contains__(self, i: int) -> bool:
-        return i in self.indices
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    @property
-    def order(self) -> int:
-        return len(self.indices)
+    def __init__(self, group: Group, generators: list[int] | tuple[int, ...]):
+        gens = tuple(generators)
+        self.group, self.generators = group, gens
+        if gens == group.generators:
+            self.order = group.order
+        elif len(gens) != 1:
+            self.order = len(group.closure(gens))
+        elif group.gamma is None:
+            self.order = fermat_order(group.p, gens[0])
+        else:  # T^k R^e has order 3 if e != 0, p if k != 0
+            k, e = divmod(group.check_index(gens[0]), 3)
+            self.order = 3 if e else group.p if k else 1
 
     @property
     def p(self) -> int:
         return self.group.p
-
-    @property
-    def is_translation_subgroup(self) -> bool:
-        return all(map(self.group.is_translation, self.indices))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Subgroup) and self.group == other.group and self.indices == other.indices
-
-    def __hash__(self) -> int:
-        return hash((self.group, self.indices))
 
     def __repr__(self):
         return f"Subgroup(order={self.order}, group={self.group!r})"
@@ -328,13 +294,13 @@ def subgroup_closure(group: Group, generators: list[int] | tuple[int, ...]) -> S
     gens = tuple(generators)
     if not gens:
         raise OutOfRangeError("subgroup_closure needs at least one generator")
-    return Subgroup(group, gens, group.closure(gens))
+    return Subgroup(group, gens)
 
 
 def fermat_H(p: int) -> Subgroup:
     """The translation subgroup of order p^2."""
     group = Group(p)
-    return Subgroup(group, group.generators[:2], group.translations)
+    return Subgroup(group, group.generators[:2])
 
 
 def fermat_Hj(p: int, j: int) -> Subgroup:
@@ -345,13 +311,12 @@ def fermat_Hj(p: int, j: int) -> Subgroup:
     """
     if not 1 <= j <= p - 2:
         raise OutOfRangeError(f"j = {j} not in {{1,...,{p - 2}}}")
-    line = [fermat_translation(p, k, k * (1 + j)) for k in range(p)]
-    return Subgroup(Group(p), line[1:2], line)
+    return Subgroup(Group(p), (fermat_translation(p, 1, 1 + j),))
 
 
 def pgonal_group(ctx: PrimeContext, gamma: int | None = None) -> Subgroup:
     group = Group(ctx.p, resolve_gamma(ctx, gamma))
-    return Subgroup(group, group.generators, range(group.order))
+    return Subgroup(group, group.generators)
 
 
 def pgonal_K(i: int, ctx: PrimeContext, gamma: int | None = None) -> Subgroup:
@@ -364,7 +329,7 @@ def pgonal_K(i: int, ctx: PrimeContext, gamma: int | None = None) -> Subgroup:
         raise OutOfRangeError(f"i = {i} not in {{1, 2, 3}}")
     g = resolve_gamma(ctx, gamma)
     p = ctx.p
-    return subgroup_closure(Group(p, g), [3 * ((i - 1) * (g * g - 1) % p) + 1])
+    return Subgroup(Group(p, g), (3 * ((i - 1) * (g * g - 1) % p) + 1,))
 
 
 def gcd(a: int, b: int) -> int:
@@ -388,7 +353,7 @@ def all_cyclic_subgroups(group: Group) -> list[Subgroup]:
         for k in range(1, n + 1):
             if gcd(k, n) == 1:
                 listed[powers[k % n]] = 1
-        subgroups.append(Subgroup(group, (i,), powers))
+        subgroups.append(Subgroup(group, (i,)))
     return subgroups
 
 
@@ -398,12 +363,12 @@ def left_cosets(k: Subgroup, universe: list[int] | tuple[int, ...] | range):
     appearance: (reps, index_of), reps[i] the representative of coset i
     and index_of the coset number of every index, at |universe| |K|
     products."""
-    group = k.group
+    group, members = k.group, k.group.closure(k.generators)
     number: dict = {}
     index_of: dict[int, int] = {}
     reps: list[int] = []
     for g in universe:
-        c = frozenset(group.left_mul(g, k.indices))
+        c = frozenset(group.left_mul(g, members))
         if c not in number:
             number[c] = len(reps)
             reps.append(g)
@@ -511,7 +476,6 @@ class LineSubgroup:
     a line at a time, at the line's point, never element by element."""
 
     __slots__ = ("group", "p", "lines", "order", "generators")
-    is_translation_subgroup = True
 
     def __init__(self, p: int, lines: tuple[int, ...] | range):
         self.group, self.p, self.lines = Group(p), p, tuple(lines)
@@ -638,12 +602,14 @@ class ClassData:
         return {range(c, c + 1): n for c, n in counts.items()}
 
     def power_counts(self, c: int) -> dict[range, int] | None:
-        """The class counts of the powers of c of order 2 (key p^2), 3 or 2p,
-        else None.  For c = x tau of order 2p, s = c^2 = (I + A) x is on an
-        axis and (I + A) s = 2 s: c^(2k) = k s meets each axis class (keys
+        """The class counts of the powers of c of order 1, 2 (key p^2), 3 or
+        2p, else None.  For c = x tau of order 2p, s = c^2 = (I + A) x is on
+        an axis and (I + A) s = 2 s: c^(2k) = k s meets each axis class (keys
         1..p-1) once, c^(2k+1) of square (2k + 1) s each x tau class once."""
         p, n = self.p, self.p * self.p
         order = fermat_order(p, c)
+        if order == 1:
+            return {range(1): 1}
         if order == 2 or order == 3:
             return {range(1): 1, range(n * (order - 1), n * (order - 1) + 1): order - 1}
         return {range(1): 1, range(1, p): 1, range(n, n + 1): 1, range(n + 1, n + p): 1} if order == 2 * p else None
@@ -660,12 +626,11 @@ class ClassData:
 
     def meet_counts(self, k: Subgroup | LineSubgroup, by_line: dict[int, dict[range, int]]) -> dict[range, int]:
         """|C n K| for the classes C that K meets: <c> by :meth:`power_counts`;
-        a LineSubgroup, the identity and the classes ``by_line`` holds."""
+        a LineSubgroup, the identity and the classes ``by_line`` holds; any
+        other K by its listed elements, which only the tests ask for."""
         if not isinstance(k, LineSubgroup):
-            c, counts = k.generators[0] if len(k.generators) == 1 else IDENTITY, None
-            if self._g2 is None and fermat_order(self.p, c) == k.order and c in k.indices:
-                counts = self.power_counts(c)  # K = <c>
-            return counts or self.class_counts(k.indices)
+            counts = self.power_counts(k.generators[0]) if self._g2 is None and len(k.generators) == 1 else None
+            return counts or self.class_counts(k.group.closure(k.generators))
         counts = {range(1): 1}
         for line in k.lines:
             for keys, n in by_line.get(line, {}).items():
@@ -753,7 +718,6 @@ def cyclic_subgroup_classes(p: int, orbits: tuple[LineOrbit, ...]) -> list[Subgr
     2.  The x tau of order 2p are classed by the axis orbit of the square,
     and the generators (a1 v)^k of <a1 v> have the squares k (1, 1), on
     every axis orbit."""
-    group = Group(p)
     gens = (IDENTITY, PERM_U, PERM_V, fermat_translation(p, 1, 0) + PERM_V)
-    cyclic = [Subgroup(group, (g,), group.closure([g])) for g in gens]
+    cyclic = [Subgroup(Group(p), (g,)) for g in gens]
     return cyclic[:3] + [LineSubgroup(p, o.lines[:1]) for o in orbits] + cyclic[3:]

@@ -24,9 +24,9 @@ from .records import Const, FrozenRecord, set_field
 
 # The largest p any command accepts.  Every step of orbits, decompose
 # and basic verify is O(p); at p = 100003 (p = 1 mod 3, the slower
-# residue) decompose --format json takes about 0.3-0.4 s and 52 MB, and
-# verify 0.27-0.29 s and 42 MB.  sweep has a lower cap in cli.py, and
-# verify --depth full none of its own.
+# residue) decompose --format json takes about 0.6 s and 52 MB and
+# verify 0.44-0.47 s and 32 MB, start-up included.  sweep has a lower
+# cap in cli.py, and verify --depth full none of its own.
 MAX_P = 100_003
 
 

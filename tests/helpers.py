@@ -284,10 +284,16 @@ def index_of(g):
     return _positions(g.group)[g]
 
 
+def elements(k):
+    """The sorted indices of K's elements: the closure of its generators,
+    the only listing of a subgroup (a Subgroup holds no element)."""
+    return sorted(k.group.closure(k.generators))
+
+
 def subgroup_elements(k):
     """The element objects of K, read off the canonical order by index."""
     universe = canonical_elements(k.group)
-    return [universe[i] for i in k]
+    return [universe[i] for i in elements(k)]
 
 
 # -- derivation of the hard-coded S3 action ---------------------------------
@@ -455,7 +461,7 @@ def rh_genus_by_element(g_top, k, fix):
     """The Riemann-Hurwitz genus of K with its fix sum read element by
     element, once per non-identity element: the oracle of
     ``genus.rh_genus``, which reads it once per cyclic subgroup."""
-    return riemann_hurwitz(g_top, k.order, sum(fix.at(i) for i in k.indices if i != IDENTITY))
+    return riemann_hurwitz(g_top, k.order, sum(fix.at(i) for i in elements(k) if i != IDENTITY))
 
 
 def cyclic_label_table(group):
@@ -476,7 +482,7 @@ def cyclic_label_table(group):
 
 def fermat_quotient_genus(k):
     """Genus of the Fermat-curve quotient by a translation subgroup."""
-    if not k.is_translation_subgroup:
+    if not all(map(k.group.is_translation, k.generators)):
         raise NotSubgroupOfHError(f"{k!r} is not contained in the translation subgroup")
     return rh_genus(fermat_genus(k.p), k, fermat_axis_fix_table(make_context(k.p)))
 
@@ -818,8 +824,8 @@ def object_perm_character(k, classes):
     """The permutation character of G/K on each class by Frobenius'
     formula |G| |C n K| / (|C| |K|), from the class and subgroup index
     sets alone."""
-    order = 6 * k.p * k.p
-    return [order * sum(1 for g in cls if g in k) // (len(cls) * k.order) for cls in classes]
+    order, members = 6 * k.p * k.p, set(elements(k))
+    return [order * sum(1 for g in cls if g in members) // (len(cls) * k.order) for cls in classes]
 
 
 def object_generating_triple(p):
@@ -883,7 +889,7 @@ def object_inner_product(f1, f2, universe):
 def trivial_subgroup(group):
     """The subgroup {1}: its quotient is the curve itself, its cosets the
     elements."""
-    return Subgroup(group, (IDENTITY,), (IDENTITY,))
+    return Subgroup(group, (IDENTITY,))
 
 
 def right_mul_perm(group, h):
@@ -908,14 +914,12 @@ def fermat_coset_labels(k):
     The cosets are the orbits of right multiplication by the generators
     of K, numbered in order of first appearance.  Returns (reps, label):
     reps[i] is the smallest index in coset i and label[x] is the coset of
-    index x.  Refuses a subgroup whose generators lie outside it or do
-    not generate it.
+    index x.  Refuses a subgroup whose order is not the number of
+    elements over the number of cosets.
     """
     group = k.group
     if group.gamma is not None:
         raise GroupMismatchError(f"{k!r} is not a subgroup of the Fermat group")
-    if any(h not in k for h in k.generators):
-        raise OutOfRangeError(f"the generators of {k!r} do not lie in it")
     perms = [right_mul_perm(group, h) for h in k.generators if h != IDENTITY]
     cycle = perms[0] if len(perms) == 1 else None
     label = [-1] * group.order
@@ -940,7 +944,7 @@ def fermat_coset_labels(k):
                     label[y] = i
                     orbit.append(y)
     if len(reps) * k.order != len(label):
-        raise OutOfRangeError(f"{k!r} is not generated by its generators: {len(reps)} cosets")
+        raise OutOfRangeError(f"{k!r} has {len(reps)} cosets, which its order does not give")
     return reps, label
 
 
@@ -1022,12 +1026,12 @@ def class_members(data):
 
 
 def subgroup_indices(k):
-    """A Subgroup of the elements of k; a LineSubgroup listed point by point."""
+    """The sorted indices of k's elements: a LineSubgroup listed point by
+    point, a Subgroup by :func:`elements`."""
     if not isinstance(k, LineSubgroup):
-        return k
+        return elements(k)
     p = k.p
-    points = {fermat_translation(p, t * a, t * b) for line in k.lines for a, b in [plane_lines(p)[line]] for t in range(p)}
-    return Subgroup(k.group, k.generators, points)
+    return sorted({fermat_translation(p, t * a, t * b) for line in k.lines for a, b in [plane_lines(p)[line]] for t in range(p)})
 
 
 # -- the class table: the oracle of ClassData's keys by rule ------------------
@@ -1220,7 +1224,7 @@ def walked_cyclic_subgroup_classes(data):
         for k in range(1, n + 1):
             if gcd(k, n) == 1:
                 covered[class_of[powers[k % n]]] = 1
-        subgroups.append(Subgroup(group, (rep,), powers))
+        subgroups.append(Subgroup(group, (rep,)))
     return subgroups
 
 

@@ -50,6 +50,7 @@ from fermatjac.orbits import OrbitKind, make_context, orbit_partition
 
 from helpers import (
     assert_audit_matches_oracle,
+    elements,
     fermat_a1,
     fermat_quotient_genus,
     index_of,
@@ -181,8 +182,8 @@ def test_criterion_6_dual_oracle_genus(capsys):
         for i in range(len(hj)):
             for j in range(i + 1, len(hj)):
                 join = joined(hj[i], hj[j])
-                if join.indices not in seen:
-                    seen.add(join.indices)
+                if tuple(elements(join)) not in seen:
+                    seen.add(tuple(elements(join)))
                     subgroups.append(join)
         for k in subgroups:
             assert rh_genus(g_top, k, fix) == coset_genus(k, triple, data)

@@ -36,6 +36,7 @@ from fermatjac.groups import (
     ClassData,
     Group,
     LineSubgroup,
+    Subgroup,
     all_cyclic_subgroups,
     class_rule_gap,
     conjugacy_classes,
@@ -56,6 +57,7 @@ from helpers import (
     class_members,
     class_values,
     drop_deck_class,
+    elements,
     fermat_a1,
     index_by_key,
     index_of,
@@ -92,14 +94,14 @@ def test_class_arithmetic_matches_coset_labelling(p):
     hj = [fermat_Hj(p, j) for j in range(1, p - 1)]
     for k in all_cyclic_subgroups(Group(ctx.p)) + [fermat_H(p)] + hj:
         assert coset_genus(k, triple, data) == labelled_coset_genus(k, triple)
-    # a line and the plane, read by their lines, against their elements
+    # a line and the plane, read by their lines, against their labelled cosets
     for k in [LineSubgroup(p, (line,)) for line in range(p + 1)] + [LineSubgroup(p, range(p + 1))]:
-        assert coset_genus(k, triple, data) == labelled_coset_genus(subgroup_indices(k), triple)
+        assert coset_genus(k, triple, data) == labelled_coset_genus(k, triple)
     for k in [fermat_H(p)] + hj:
         chi = induced_perm_character(k, data)
         assert class_values(chi, classes) == labelled_perm_character(k, classes)
         # perm(G/K) vanishes off the classes K meets, and is held so
-        assert set(by_key(chi.support)) == {data.key(i) for i in k.indices}
+        assert set(by_key(chi.support)) == {data.key(i) for i in elements(k)}
 
 
 def test_non_integral_frobenius_quotient_raises(monkeypatch):
@@ -155,7 +157,7 @@ def test_closed_form_classes_match_the_orbit_walk(p):
     assert class_rule_gap(ClassData(Group(p))) is None and class_label_gap(table) is None
 
     def generator_classes(k):
-        return frozenset(table.class_of[i] for i in subgroup_indices(k).indices if fermat_order(p, i) == k.order)
+        return frozenset(table.class_of[i] for i in subgroup_indices(k) if fermat_order(p, i) == k.order)
 
     reps = cyclic_subgroup_classes(p, line_orbits(p))
     walked = walked_cyclic_subgroup_classes(table)
@@ -221,7 +223,7 @@ def test_closed_form_power_classes_match_the_element_keys(p):
     assert [(m, by_key(counts)) for m, counts in closed] == list(entries)
     assert index_by_key(closed_by_line) == by_line
     a1v = cyclic_subgroup_classes(p, ())[-1]
-    assert by_key(data.meet_counts(a1v, {})) == by_key(data.class_counts(a1v.indices))
+    assert by_key(data.meet_counts(a1v, {})) == by_key(data.class_counts(elements(a1v)))
 
 
 def test_a_class_rule_failure_in_the_coset_oracle_names_p_k_and_both_counts(monkeypatch):
@@ -289,15 +291,15 @@ def test_one_cyclic_subgroup_per_class_stands_for_all(p):
     g_top = fermat_genus(p)
 
     def generator_classes(k):
-        return frozenset(data.key(i) for i in subgroup_indices(k).indices if fermat_order(p, i) == k.order)
+        return frozenset(data.key(i) for i in subgroup_indices(k) if fermat_order(p, i) == k.order)
 
     def oracles(k):
         return rh_genus(g_top, k, fix), coset_genus(k, triple, data)
 
     reps = cyclic_subgroup_classes(p, line_orbits(p))
-    # a line read by its lines gives both oracles what its elements give
-    assert [oracles(k) for k in reps] == [oracles(subgroup_indices(k)) for k in reps]
-    assert reps[0].indices == (IDENTITY,)
+    # a line read by its lines gives both oracles what its generator gives
+    assert [oracles(k) for k in reps] == [oracles(Subgroup(k.group, k.generators)) for k in reps]
+    assert elements(reps[0]) == [IDENTITY]
     rep_classes = [generator_classes(r) for r in reps]
     assert sum(map(len, rep_classes)) == len(frozenset().union(*rep_classes))
     values = [oracles(r) for r in reps]
@@ -452,10 +454,10 @@ def test_patched_action_entry_fails_verify_under_python_O():
     assert "Traceback" not in run.stderr
 
 
-def test_verify_full_builds_no_closure_of_two_elements(capsys, monkeypatch):
-    """Generation is proved by argument and the oracles run on class
-    representatives: no list of every cyclic subgroup and no closure of
-    two or more elements."""
+def test_no_command_lists_a_subgroup(capsys, monkeypatch):
+    """A subgroup is its generators and its order, generation is proved by
+    argument and the oracles run on class representatives: no command
+    lists every cyclic subgroup or calls Group.closure at all."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("called")
@@ -466,19 +468,16 @@ def test_verify_full_builds_no_closure_of_two_elements(capsys, monkeypatch):
             for attr, value in list(vars(mod).items()):
                 if value is real:
                     monkeypatch.setattr(mod, attr, refuse)
-    closure = Group.closure
-
-    def one_element_closure(self, generators):
-        gens = tuple(generators)
-        if len(gens) > 1:
-            raise AssertionError(f"closure of {len(gens)} elements")
-        return closure(self, gens)
-
-    monkeypatch.setattr(Group, "closure", one_element_closure)
-    code = cli.main(["verify", "--p", "13", "--depth", "full", "--format", "json"])
-    out, _ = capsys.readouterr()
-    assert code == 0
-    assert out == (GOLDEN / "verify_p13_full.json").read_text()
+    monkeypatch.setattr(Group, "closure", refuse)
+    commands = [["sweep", "--from", "5", "--to", "61"]]
+    for p in ("13", "31"):
+        commands += [["decompose", "--p", p, "--level", "both"], ["verify", "--p", p]]
+        commands += [["verify", "--p", p, "--depth", "full", "--format", "json"]]
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+        out, _ = capsys.readouterr()
+        if argv[2:] == ["13", "--depth", "full", "--format", "json"]:
+            assert out == (GOLDEN / "verify_p13_full.json").read_text()
 
 
 def test_full_depth_allocates_no_sequence_of_p_squared_entries(capsys):

@@ -22,12 +22,13 @@ from fermatjac.decompose import (
 )
 from fermatjac.errors import AuditFailError, OutOfRangeError
 from fermatjac.genus import fermat_axis_fix_table, fermat_genus
-from fermatjac.groups import Group, fermat_Hj
+from fermatjac.groups import Group, fermat_Hj, pgonal_K
 from fermatjac.orbits import PrimeContext, make_context, orbit_partition
 
 from helpers import (
     are_isomorphic,
     assert_audit_matches_oracle,
+    elements,
     object_gamma_pairs,
     object_K_family,
     primes_upto,
@@ -234,6 +235,19 @@ def test_gamma_refinement_matches_object_joins(p):
         assert audit.pair_genera == tuple(genus for _, _, genus, _, _ in oracle)
         assert audit.distinct == tuple(not commutes for _, _, _, _, commutes in oracle)
         assert {(order, size) for _, order, _, size, _ in oracle} == {(3 * p, 9)}
+
+
+@pytest.mark.parametrize("p", [q for q in primes_upto(61) if q % 3 == 1])
+def test_gamma_refinement_tells_the_K_i_apart_as_their_elements_do(p):
+    """The audit tells K_1, K_2, K_3 apart by their generators; each holds
+    one T^k R, its generator, so that is the comparison of their element
+    sets, for either root (a context naming it as the conventional one)."""
+    roots = make_context(p).gamma_pair
+    for pair in (roots, roots[::-1]):
+        ctx = PrimeContext(p, p % 3, pair)
+        ks = [elements(pgonal_K(i, ctx)) for i in (1, 2, 3)]
+        assert [[i for i in k if i % 3 == 1] for k in ks] == [list(pgonal_K(i, ctx).generators) for i in (1, 2, 3)]
+        assert gamma_refinement_audit(ctx).distinct == tuple(ks[i - 1] != ks[j - 1] for i, j in ((1, 2), (1, 3), (2, 3)))
 
 
 def test_equal_K_subgroups_fail_the_gamma_gate(monkeypatch):

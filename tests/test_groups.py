@@ -10,6 +10,7 @@ from fermatjac.groups import (
     PERM_V,
     ClassData,
     Group,
+    Subgroup,
     all_cyclic_subgroups,
     conjugacy_classes,
     fermat_H,
@@ -27,6 +28,7 @@ from helpers import (
     FermatAut,
     PGonalAut,
     derive_s3_action,
+    elements,
     fermat_a1,
     fermat_a2,
     fermat_a3,
@@ -195,13 +197,26 @@ def test_subgroup_closure_basics():
     assert triv.order == 1
     h = subgroup_closure(group, [a1, a2])
     assert h.order == p * p
-    assert h == fermat_H(p)
-    assert h.is_translation_subgroup
-    assert tuple(group.translations) == h.indices
+    # closures from different generating sets: compared by element set
+    assert elements(h) == elements(fermat_H(p)) == list(group.translations)
+    assert all(map(group.is_translation, elements(h)))
     full = subgroup_closure(group, [a1, a2, u, v])
     assert full.order == 6 * p * p
     with pytest.raises(OutOfRangeError):
         subgroup_closure(group, [])
+
+
+@pytest.mark.parametrize(
+    "group", [Group(p) for p in (5, 7, 11, 13)] + [Group(p, gamma) for p in (7, 13) for gamma in make_context(p).gamma_pair],
+    ids=str,
+)
+def test_subgroup_order_is_the_size_of_the_closure(group):
+    """A Subgroup's order, fixed by the group law for one generator and by
+    the group for its own generators, is the number of elements its
+    generators close to: on every cyclic subgroup, by every generator."""
+    for g in range(group.order):
+        assert Subgroup(group, (g,)).order == len(group.closure([g])), group.coordinates(g)
+    assert Subgroup(group, group.generators).order == len(group.closure(group.generators)) == group.order
 
 
 @pytest.mark.parametrize("p", (5, 7, 11, 13))
@@ -209,25 +224,25 @@ def test_Hj_family(p):
     group = Group(p)
     a1, a2 = group.generators[:2]
     axes = {
-        subgroup_closure(group, [a1]).indices,
-        subgroup_closure(group, [a2]).indices,
-        subgroup_closure(group, [group.mul(a1, a2)]).indices,
+        tuple(elements(subgroup_closure(group, [a1]))),
+        tuple(elements(subgroup_closure(group, [a2]))),
+        tuple(elements(subgroup_closure(group, [group.mul(a1, a2)]))),
     }
     subs = [fermat_Hj(p, j) for j in range(1, p - 1)]
-    assert len({s.indices for s in subs}) == p - 2
+    assert len({tuple(elements(s)) for s in subs}) == p - 2
     for s in subs:
         assert s.order == p
-        assert s.indices not in axes
+        assert tuple(elements(s)) not in axes
         # free action: no member sits on a fixed-point axis
         for g in subgroup_elements(s):
             if not g.is_identity:
                 assert not (g.m == 0 or g.n == 0 or g.m == g.n)
         # direct construction agrees with generic closure
-        assert s == subgroup_closure(group, s.generators[:1])
-    h = fermat_H(p)
+        assert elements(s) == elements(subgroup_closure(group, s.generators[:1]))
+    h = elements(fermat_H(p))
     for i in range(len(subs)):
         for j in range(i + 1, len(subs)):
-            assert joined(subs[i], subs[j]) == h
+            assert elements(joined(subs[i], subs[j])) == h
     with pytest.raises(OutOfRangeError):
         fermat_Hj(p, p - 1)
 
@@ -242,20 +257,20 @@ def test_pgonal_K_structure(p):
     for k in ks:
         assert k.order == 3
 
-    def elements(k):
+    def objects(k):
         return set(subgroup_elements(k))
 
-    assert elements(ks[0]) == {pgonal_identity(ctx), pgonal_R(ctx), pgonal_R(ctx) * pgonal_R(ctx)}
+    assert objects(ks[0]) == {pgonal_identity(ctx), pgonal_R(ctx), pgonal_R(ctx) * pgonal_R(ctx)}
     # K_{i+1} = T^(-i) K_1 T^i
     t_inv = t.inverse()
-    conj = elements(ks[0])
+    conj = objects(ks[0])
     for i in (1, 2):
         conj = {t_inv * g * t for g in conj}
-        assert conj == elements(ks[i])
+        assert conj == objects(ks[i])
     # p = 7, gamma = 2: the K_2 generator is T^3 R
     if p == 7:
-        assert index_of(PGonalAut(7, 2, 3, 1)) in ks[1]
-    assert len({k.indices for k in ks}) == 3
+        assert index_of(PGonalAut(7, 2, 3, 1)) in elements(ks[1])
+    assert len({tuple(elements(k)) for k in ks}) == 3
 
 
 def test_pgonal_K_set_products_do_not_commute():

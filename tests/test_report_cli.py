@@ -484,19 +484,20 @@ def test_verify_full_takes_each_deck_line_once_per_class(capsys, monkeypatch, p,
     assert code == 0
     assert len(cosets) == subgroups and cosets[0][0].order == 1
     assert len(characters) == deck == len(orbit_partition(make_context(p)).orbits)
-    assert all(k.order == p and k.is_translation_subgroup for (k, _fn) in characters)
+    assert all(k.order == p and all(map(k.group.is_translation, k.generators)) for (k, _fn) in characters)
 
 
 def test_verify_full_builds_no_deck_joins(capsys, monkeypatch):
     # every join H_i v H_j is the plane H (determinant j - i) and every
     # join of two distinct K_i the whole p-gonal group (Lagrange), so no
-    # join is built: the only closures are the three cyclic K_i
+    # join is built, and the K_i are held by their generators: nothing
+    # is closed
     from fermatjac import groups as groups_module
 
     closures = _count_calls(monkeypatch, groups_module, "subgroup_closure")
     code, _, _ = run_cli(capsys, "verify", "--p", "13", "--depth", "full")
     assert code == 0
-    assert [len(gens) for (_group, gens) in closures] == [1, 1, 1]
+    assert closures == []
 
 
 def test_oracle_disagreement_is_a_typed_failure(capsys, monkeypatch):
