@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from .errors import CheckFailedError, GroupMismatchError, ShapeMismatchError
 from .genus import FixTable, fermat_genus
-from .groups import ClassData, LineSubgroup, Subgroup, block_sum, block_value
+from .groups import ClassData, Subgroup, block_sum, block_value
 
 
 class ClassFunction:
@@ -94,7 +94,7 @@ def induced_perm_character(k: Subgroup, data: ClassData) -> ClassFunction:
     return fn
 
 
-def perm_pairing(k: Subgroup | LineSubgroup, fn: ClassFunction) -> int:
+def perm_pairing(k: Subgroup, fn: ClassFunction) -> int:
     """<perm(G/K), f> = <1, f on K>_K by Frobenius reciprocity, without
     building perm(G/K): f's default plus (1/|K|) sum over f's support of
     |C n K| (f(C) - default), a line or the plane by f's line index (a
@@ -102,7 +102,7 @@ def perm_pairing(k: Subgroup | LineSubgroup, fn: ClassFunction) -> int:
     data, support, default = fn.data, fn.support, fn.default
     if k.group != data.group:
         raise GroupMismatchError(f"{k!r} does not live in {data.group}")
-    if isinstance(k, LineSubgroup) and fn._by_line is None:
+    if k.lines and fn._by_line is None:
         raise ShapeMismatchError(f"{fn!r} has no line index to read {k!r} by")
     total = block_sum(data.meet_counts(k, fn._by_line), {keys: v - default for keys, v in support.items()})
     q, rest = divmod(total, k.order)

@@ -263,21 +263,21 @@ def check_dual_oracle_genus(ctx, cache):
     # Conjugate subgroups meet the same classes, so both oracles read the
     # same numbers off them: one cyclic subgroup per conjugacy class, from
     # the line orbits and the orders 1, 2, 3, 2p, stands for all (the keys
-    # are conjugation-invariant by fix-table-consistency); H is its lines.
+    # are conjugation-invariant by fix-table-consistency); H is read by its lines.
     orbits = cache["line_orbits"] = grp.line_orbits(p)
     subgroups = grp.cyclic_subgroup_classes(p, orbits)
     classes = len(subgroups)
     # The deck lines H_j, j = 1..p-2, are the lines j + 2 of plane_lines,
     # off the three axes 0, 1, 2; each join H_i H_j is H (determinant j - i).
     deck = cache["deck"] = []
-    for k in chain(subgroups, [grp.LineSubgroup(p, range(p + 1))]):
+    for k in chain(subgroups, [grp.fermat_H(p)]):
         rh, coset = gen.rh_genus(g_top, k, fix), gen.coset_genus(k, triple, data)
         if rh != coset:
             raise OracleDisagreementError(
                 f"p = {p}, {gen.describe(k)}: Riemann-Hurwitz genus {rh}, coset genus {coset}"
             )
-        if isinstance(k, grp.LineSubgroup) and k.lines[0] > 2:
-            deck.append(k.lines[0] - 2)
+        if k.lines and k.lines[0] > 2:
+            deck.append(k)
     return f"{classes} cyclic subgroups, one per conjugacy class ({len(deck)} of them deck lines), and H: both oracles agree"
 
 
@@ -322,15 +322,15 @@ def check_certificates(ctx, cache):
     # orbit through alpha = p - 1 - j, which ties ACTION to U and V: the
     # orbit of H_j, line j + 2, is that orbit, of its kind.
     deck, part = cache["deck"], _partition(ctx, cache)
-    exponent_orbits = [part.orbit_of(p - 1 - j) for j in deck]
+    exponent_orbits = [part.orbit_of(p + 1 - k.lines[0]) for k in deck]
     hit = len({id(o) for o in exponent_orbits})  # the partition's own objects
     _require(
         len(deck) == len(part.orbits) == hit,
         f"p = {p}: {len(deck)} deck line classes meet {hit} of the {len(part.orbits)} exponent orbits",
     )
     orbit_of_first_line = {o.lines[0]: o for o in cache["line_orbits"]}  # deck lines are first lines
-    for j, exponents in zip(deck, exponent_orbits):
-        lines = orbit_of_first_line[j + 2]
+    for k, exponents in zip(deck, exponent_orbits):
+        j, lines = k.lines[0] - 2, orbit_of_first_line[k.lines[0]]
         if not (
             {p + 1 - line for line in lines.lines} == set(exponents.elements)
             and lines.kind == exponents.kind.value
@@ -340,7 +340,7 @@ def check_certificates(ctx, cache):
                 f"p = {p}: the lines {lines.lines} (kind {lines.kind}, stabilizer {lines.stabilizer})"
                 f" are not the exponent orbit {exponents.elements} (kind {exponents.kind.value})"
             )
-        value = cert.perm_pairing(grp.LineSubgroup(p, (j + 2,)), rat)
+        value = cert.perm_pairing(k, rat)
         if value != p - 1:
             raise CheckFailedError(f"p = {p}: <G/H_{j}, hom> = {value}, expected {p - 1}")
     norm = cert.inner_product(rat, rat)

@@ -47,7 +47,7 @@ from .genus import (
     rh_genus,
     riemann_hurwitz,
 )
-from .groups import Group, LineSubgroup, pgonal_group, pgonal_K
+from .groups import Group, fermat_H, fermat_Hj, pgonal_group, pgonal_K
 from .orbits import OrbitKind, OrbitPartition, PrimeContext, orbit_partition
 from .records import Const, FrozenRecord, Record, set_field
 
@@ -159,7 +159,7 @@ def kani_rosen_check(ctx: PrimeContext) -> KaniRosenAudit:
         for c in set(deck):
             total += deck.count(c) * riemann_hurwitz(g_top, p, (p - 1) * c)
     except InconsistentRHError as exc:  # on the plane, or on the first deck line of count c
-        raise naming(exc, LineSubgroup(p, range(p + 1) if c is None else (deck.index(c) + 3,)), fix) from None
+        raise naming(exc, fermat_H(p) if c is None else fermat_Hj(p, deck.index(c) + 1), fix) from None
     group = Group(p)
     a1, a2 = group.generators[:2]
     a1a2, a2a1 = group.mul(a1, a2), group.mul(a2, a1)

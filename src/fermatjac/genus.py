@@ -58,13 +58,13 @@ from .groups import (
     PERM_V,
     ClassData,
     Group,
-    LineSubgroup,
     Subgroup,
     block_sum,
     block_value,
     describe,
     fermat_order,
     fermat_translation,
+    line_point,
     resolve_gamma,
     s3_stable_lines,
 )
@@ -157,7 +157,7 @@ def riemann_hurwitz(g_top: int, order: int, fix_sum: int) -> int:
     return n // (2 * order)
 
 
-def naming(exc: InconsistentRHError, k: Subgroup | LineSubgroup, fix: FixTable) -> InconsistentRHError:
+def naming(exc: InconsistentRHError, k: Subgroup, fix: FixTable) -> InconsistentRHError:
     """The :func:`riemann_hurwitz` failure exc on K with the prime, K
     (:func:`describe`) and the fix table named before its verdict."""
     fact, _, verdict = str(exc).rpartition(": ")
@@ -187,17 +187,17 @@ def _cyclic_reads(k: Subgroup) -> dict[int, int]:
     return reads
 
 
-def rh_genus(g_top: int, k: Subgroup | LineSubgroup, fix: FixTable) -> int:
+def rh_genus(g_top: int, k: Subgroup, fix: FixTable) -> int:
     """Riemann-Hurwitz quotient genus, the fix sum read once per cyclic
-    subgroup (module docs): by line, the plane by :func:`line_fix_counts`;
-    the whole p-gonal group at T and at the T^k R, one per order-3
-    subgroup; <c> by :func:`_cyclic_reads`; else by the listed elements,
-    which only the tests ask for.  A failure names p, K and the table
-    (:func:`naming`)."""
+    subgroup (module docs): a subgroup of H by its lines, the plane by
+    :func:`line_fix_counts`; the whole p-gonal group at T and at the T^k R,
+    one per order-3 subgroup; <c> by :func:`_cyclic_reads`; else by the
+    listed elements, which only the tests ask for.  A failure names p, K
+    and the table (:func:`naming`)."""
     if k.group != fix.group:
         raise OutOfRangeError(f"{k!r} is not in the group of {fix!r}")
-    if isinstance(k, LineSubgroup):
-        total = (k.p - 1) * (sum(line_fix_counts(k.p, fix)) if k.order > k.p else fix.at(k.generators[0]))
+    if k.lines:
+        total = (k.p - 1) * (sum(line_fix_counts(k.p, fix)) if k.order > k.p else fix.at(line_point(k.p, k.lines[0])))
     elif k.group.gamma is not None and k.order == k.group.order:
         t, r = k.group.generators
         total = (k.p - 1) * fix.at(t) + 2 * sum(fix.at_range(range(r, k.order, k.group.translations.step)))
@@ -331,7 +331,7 @@ def fermat_full_fix_table(triple: GeneratingTriple, data: ClassData) -> FixTable
     )
 
 
-def coset_genus(k: Subgroup | LineSubgroup, triple: GeneratingTriple, data: ClassData) -> int:
+def coset_genus(k: Subgroup, triple: GeneratingTriple, data: ClassData) -> int:
     """Genus of the quotient by K from the triple's coset action.
 
     For each triple entry acting on the cosets G/K, a cycle of length L

@@ -21,10 +21,11 @@ normal form of an index, and :meth:`Group.left_mul` multiplies indices
 straight from the group law, written once for each group, so no Cayley
 table is ever stored.  On that kernel:
 
-- a :class:`Subgroup` is its group, its generators and its order, the
-  order fixed by the group law with no element listed; only the tests
-  list a subgroup's elements, as the closure of its generators under
-  left multiplication (:meth:`Group.closure`);
+- a :class:`Subgroup` is its group, its generators and its order, fixed
+  with no element listed, and a subgroup of H = F_p^2 also its lines, read
+  off the rank of its generators over F_p; only the tests list a
+  subgroup's elements, as the closure of its generators under left
+  multiplication (:meth:`Group.closure`);
 - the conjugacy classes follow a rule.  Write a Fermat element as
   x sigma, x in F_p^2 and A = ACTION[sigma]: a translation's class is
   the S3-orbit of x; the 3-cycle elements form one class (I - A is
@@ -36,10 +37,9 @@ table is ever stored.  On that kernel:
   the rule on demand and counts them by blocks of one kind in closed form,
   :func:`class_rule_gap` checks the rule by argument, and the orbit walk
   (:func:`conjugacy_classes`) is the tests' oracle;
-- the p + 1 lines of F_p^2 fall into S3-orbits (:func:`line_orbits`), a
-  :class:`LineSubgroup` is a line or the plane H, and
-  :func:`cyclic_subgroup_classes` takes one cyclic subgroup per class
-  from the line orbits, where :func:`all_cyclic_subgroups` lists all.
+- the p + 1 lines of F_p^2 fall into S3-orbits (:func:`line_orbits`),
+  and :func:`cyclic_subgroup_classes` takes one cyclic subgroup per class,
+  a line per line orbit, where :func:`all_cyclic_subgroups` lists all.
 """
 
 from __future__ import annotations
@@ -259,17 +259,34 @@ def resolve_gamma(ctx: PrimeContext, gamma: int | None) -> int:
 
 class Subgroup:
     """A subgroup of a :class:`Group`, held by the indices of its
-    generators and its order, fixed here once: the group's order for the
-    group's own generators, the order of the element by the group law
-    for one generator, and the size of the closure for several.  Its
-    elements are never stored.
+    generators and its order, fixed here once; its elements are never
+    stored.  Translations of the Fermat group span a subspace of H = F_p^2
+    of order p^rank, held by its lines (:func:`plane_lines` indices): ``()``,
+    the line through its first point other than 0, or ``range(p + 1)``, the
+    plane H, once two points have a nonzero determinant.  Other subgroups
+    have ``lines`` None and the group's order for its own generators, the
+    group-law order of one generator, or the size of the closure of several.
     """
 
-    __slots__ = ("group", "generators", "order")
+    __slots__ = ("group", "p", "generators", "order", "lines")
 
     def __init__(self, group: Group, generators: list[int] | tuple[int, ...]):
         gens = tuple(generators)
-        self.group, self.generators = group, gens
+        self.group, self.p, self.generators, self.lines = group, group.p, gens, None
+        if group.gamma is None:
+            p, lines, x, y = group.p, (), 0, 0
+            for g in gens:  # an index outside the group raises below
+                mn, s = divmod(g, 6)
+                if s != PERM_ID or not 0 <= mn < p * p:
+                    break
+                m, n = divmod(mn, p)
+                if not lines and mn:
+                    x, y, lines = m, n, (line_of(p, m, n),)
+                elif (x * n - y * m) % p:
+                    lines = range(p + 1)
+            else:  # every generator a translation: order p^rank
+                self.lines, self.order = lines, p ** min(len(lines), 2)
+                return
         if gens == group.generators:
             self.order = group.order
         elif len(gens) != 1:
@@ -279,10 +296,6 @@ class Subgroup:
         else:  # T^k R^e has order 3 if e != 0, p if k != 0
             k, e = divmod(group.check_index(gens[0]), 3)
             self.order = 3 if e else group.p if k else 1
-
-    @property
-    def p(self) -> int:
-        return self.group.p
 
     def __repr__(self):
         return f"Subgroup(order={self.order}, group={self.group!r})"
@@ -470,28 +483,10 @@ def line_orbits(p: int) -> tuple[LineOrbit, ...]:
     return tuple(orbits)
 
 
-class LineSubgroup:
-    """A subgroup of H = F_p^2 held by its lines (:func:`plane_lines`
-    indices): one line, of order p, or all p + 1, the plane H.  It is read
-    a line at a time, at the line's point, never element by element."""
-
-    __slots__ = ("group", "p", "lines", "order", "generators")
-
-    def __init__(self, p: int, lines: tuple[int, ...] | range):
-        self.group, self.p, self.lines = Group(p), p, tuple(lines)
-        if not (len(self.lines) == 1 and 0 <= self.lines[0] <= p or self.lines == tuple(range(p + 1))):
-            raise OutOfRangeError(f"the lines {self.lines} of F_{p}^2 are not one line or all of them")
-        self.order = p if len(self.lines) == 1 else p * p
-        self.generators = tuple([line_point(p, line) for line in self.lines[:2]])
-
-    def __repr__(self):
-        return f"LineSubgroup(order={self.order}, group={self.group!r})"
-
-
 # -- conjugacy classes by rule ------------------------------------------------
 
 
-def describe(k: Subgroup | LineSubgroup) -> str:
+def describe(k: Subgroup) -> str:
     """The subgroup by its order and the normal forms of its generators."""
     gens = ", ".join(str(k.group.coordinates(i)) for i in k.generators)
     return f"the subgroup of order {k.order} generated by {gens}"
@@ -624,20 +619,22 @@ class ClassData:
             raise InconsistentOrbifoldError(f"c^2 = {square} lies on no axis of F_p^2 for c = {self.group.coordinates(c)}")
         return dict.fromkeys(axes.lines, {range(1, self.p): 1})
 
-    def meet_counts(self, k: Subgroup | LineSubgroup, by_line: dict[int, dict[range, int]]) -> dict[range, int]:
-        """|C n K| for the classes C that K meets: <c> by :meth:`power_counts`;
-        a LineSubgroup, the identity and the classes ``by_line`` holds; any
-        other K by its listed elements, which only the tests ask for."""
-        if not isinstance(k, LineSubgroup):
-            counts = self.power_counts(k.generators[0]) if self._g2 is None and len(k.generators) == 1 else None
-            return counts or self.class_counts(k.group.closure(k.generators))
-        counts = {range(1): 1}
-        for line in k.lines:
-            for keys, n in by_line.get(line, {}).items():
-                counts[keys] = counts.get(keys, 0) + n
-        return counts
+    def meet_counts(self, k: Subgroup, by_line: dict[int, dict[range, int]]) -> dict[range, int]:
+        """|C n K| for the classes C that K meets: a subgroup of H by its
+        lines, the identity and the classes ``by_line`` holds; <c> by
+        :meth:`power_counts`; any other K by its listed elements, which
+        only the tests ask for."""
+        if k.lines:
+            counts = {range(1): 1}
+            for line in k.lines:
+                for keys, n in by_line.get(line, {}).items():
+                    counts[keys] = counts.get(keys, 0) + n
+            return counts
+        if self._g2 is None and len(k.generators) == 1:
+            return self.power_counts(k.generators[0])
+        return self.class_counts(k.group.closure(k.generators))
 
-    def fixed_cosets(self, counts: dict[range, int], k_order: int, k: Subgroup | LineSubgroup | None = None) -> dict[range, int]:
+    def fixed_cosets(self, counts: dict[range, int], k_order: int, k: Subgroup | None = None) -> dict[range, int]:
         """Frobenius' formula by blocks: the cosets of K a member of each class
         fixes, |G| |C n K| / (|C| |K|); no integer raises, naming p and K."""
         order = self.order
@@ -709,15 +706,15 @@ def class_rule_gap(data: ClassData) -> str | None:
     return None
 
 
-def cyclic_subgroup_classes(p: int, orbits: tuple[LineOrbit, ...]) -> list[Subgroup | LineSubgroup]:
+def cyclic_subgroup_classes(p: int, orbits: tuple[LineOrbit, ...]) -> list[Subgroup]:
     """One cyclic subgroup of the Fermat group per conjugacy class of them,
     the trivial one first.  x sigma conjugates H by the matrix of sigma, so
     the lines (order p) are conjugate when they share an orbit of
-    :func:`line_orbits`.  The 3-cycle elements are one class, so <u>
-    stands for order 3, and so are the x tau of square 0, so <v> for order
-    2.  The x tau of order 2p are classed by the axis orbit of the square,
-    and the generators (a1 v)^k of <a1 v> have the squares k (1, 1), on
-    every axis orbit."""
-    gens = (IDENTITY, PERM_U, PERM_V, fermat_translation(p, 1, 0) + PERM_V)
-    cyclic = [Subgroup(Group(p), (g,)) for g in gens]
-    return cyclic[:3] + [LineSubgroup(p, o.lines[:1]) for o in orbits] + cyclic[3:]
+    :func:`line_orbits`, and the line at the orbit's first point stands for
+    it.  The 3-cycle elements are one class, so <u> stands for order 3, and
+    so are the x tau of square 0, so <v> for order 2.  The x tau of order 2p
+    are classed by the axis orbit of the square, and the generators
+    (a1 v)^k of <a1 v> have the squares k (1, 1), on every axis orbit."""
+    group = Group(p)
+    cyclic = [Subgroup(group, (g,)) for g in (IDENTITY, PERM_U, PERM_V, fermat_translation(p, 1, 0) + PERM_V)]
+    return cyclic[:3] + [Subgroup(group, (line_point(p, o.lines[0]),)) for o in orbits] + cyclic[3:]

@@ -61,7 +61,6 @@ from fermatjac.groups import (
     PERM_V,
     Group,
     LineOrbit,
-    LineSubgroup,
     Subgroup,
     fermat_translation,
     gcd,
@@ -1026,9 +1025,9 @@ def class_members(data):
 
 
 def subgroup_indices(k):
-    """The sorted indices of k's elements: a LineSubgroup listed point by
-    point, a Subgroup by :func:`elements`."""
-    if not isinstance(k, LineSubgroup):
+    """The sorted indices of k's elements: a subgroup of H listed point by
+    point through its lines, any other by :func:`elements`."""
+    if not k.lines:
         return elements(k)
     p = k.p
     return sorted({fermat_translation(p, t * a, t * b) for line in k.lines for a, b in [plane_lines(p)[line]] for t in range(p)})

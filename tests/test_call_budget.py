@@ -12,6 +12,10 @@ the subgroups it reads by blocks of one class kind and by line orbit, and
 keys no element but the p + 1 line points each table is read at: a class
 key per element again shows up as tens of calls per unit of p at
 p = 10007.
+
+A subgroup of the translations is read by the rank of its generators'
+points over F_p, so ``fermat_H`` and ``fermat_Hj`` build H and a deck
+line at ``MAX_P`` in a few calls, with no element closed.
 """
 
 import io
@@ -23,13 +27,15 @@ import pytest
 
 import fermatjac
 from fermatjac import cli
+from fermatjac.groups import fermat_H, fermat_Hj
 
 PACKAGE = os.path.dirname(os.path.abspath(fermatjac.__file__)) + os.sep
 
 
-def package_calls(argv):
+def package_calls(argv, run=None):
     """The exit code of the command line argv and the number of Python
-    function calls it makes into code under the package directory."""
+    function calls it makes into code under the package directory; with
+    ``run``, the value of run(*argv) and its count instead."""
     calls = 0
 
     def count(frame, event, arg):
@@ -40,10 +46,10 @@ def package_calls(argv):
     with redirect_stdout(io.StringIO()):
         sys.setprofile(count)
         try:
-            code = cli.main(argv)
+            value = cli.main(argv) if run is None else run(*argv)
         finally:
             sys.setprofile(None)
-    return code, calls
+    return value, calls
 
 
 # command line -> the most package calls it may make (Python 3.11: 2,474
@@ -74,3 +80,19 @@ def test_full_depth_adds_at_most_15_calls_per_unit_of_p():
     full = package_calls(["verify", "--p", str(p), "--depth", "full"])
     assert basic[0] == full[0] == 0
     assert full[1] - basic[1] <= FULL_OVER_BASIC_PER_P * p, (basic[1], full[1])
+
+
+# the most package calls fermat_H or fermat_Hj may make (Python 3.11: 7
+# and 5); closing p^2 elements to learn H's order took hours at MAX_P
+BUILD_BUDGET = 10
+
+
+def test_H_and_deck_lines_at_MAX_P_are_read_by_rank_within_a_few_calls():
+    p = 100003
+    h, calls = package_calls((p,), fermat_H)
+    assert (h.order, h.lines) == (p * p, range(p + 1))
+    assert calls <= BUILD_BUDGET, calls
+    for j in (1, p - 2):
+        hj, calls = package_calls((p, j), fermat_Hj)
+        assert (hj.order, list(hj.lines)) == (p, [j + 2])
+        assert calls <= BUILD_BUDGET, (j, calls)

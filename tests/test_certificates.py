@@ -18,11 +18,13 @@ from fermatjac.genus import (
 from fermatjac.groups import (
     IDENTITY,
     Group,
-    LineSubgroup,
+    Subgroup,
     all_cyclic_subgroups,
     conjugacy_classes,
     fermat_H,
     fermat_Hj,
+    fermat_translation,
+    line_point,
     subgroup_closure,
 )
 from fermatjac.orbits import make_context
@@ -91,9 +93,11 @@ def test_induced_vs_homology_pairing_Hj(setup):
         assert value == p - 1
         assert type(value) is int
         assert element_inner_product(chi, rat) == value
-        # Frobenius' formula over hom's support, on the elements of H_j
-        # and on the line j + 2 read by its line
-        assert perm_pairing(fermat_Hj(p, j), rat) == perm_pairing(LineSubgroup(p, (j + 2,)), rat) == value
+        # Frobenius' formula over hom's support on the line j + 2, read by
+        # its line from H_j's generator and from another generating set
+        other = Subgroup(Group(p), (IDENTITY, fermat_translation(p, 2, 2 + 2 * j)))
+        assert other.lines == fermat_Hj(p, j).lines == (j + 2,)
+        assert perm_pairing(fermat_Hj(p, j), rat) == perm_pairing(other, rat) == value
 
 
 def test_pairing_equals_twice_quotient_genus(setup):
@@ -106,7 +110,8 @@ def test_pairing_equals_twice_quotient_genus(setup):
     for k in subgroups:
         chi = induced_perm_character(k, data)
         assert inner_product(chi, rat) == perm_pairing(k, rat) == 2 * coset_genus(k, triple, data)
-    assert perm_pairing(LineSubgroup(p, range(p + 1)), rat) == 0
+    # the plane from two deck lines, read by its lines
+    assert perm_pairing(Subgroup(Group(p), (line_point(p, 3), line_point(p, p))), rat) == 0
 
 
 def test_perm_character_at_Hj_p5():

@@ -35,7 +35,6 @@ from fermatjac.groups import (
     PERM_UV,
     ClassData,
     Group,
-    LineSubgroup,
     Subgroup,
     all_cyclic_subgroups,
     class_rule_gap,
@@ -45,6 +44,7 @@ from fermatjac.groups import (
     fermat_Hj,
     fermat_order,
     line_orbits,
+    line_point,
     subgroup_closure,
 )
 from fermatjac.orbits import make_context, orbit_partition
@@ -67,6 +67,7 @@ from helpers import (
     merge_axis_class,
     power_class_counts_by_element,
     primes_upto,
+    rh_genus_by_element,
     run_under_O,
     split_generic_class,
     split_generic_line_orbit,
@@ -94,8 +95,10 @@ def test_class_arithmetic_matches_coset_labelling(p):
     hj = [fermat_Hj(p, j) for j in range(1, p - 1)]
     for k in all_cyclic_subgroups(Group(ctx.p)) + [fermat_H(p)] + hj:
         assert coset_genus(k, triple, data) == labelled_coset_genus(k, triple)
-    # a line and the plane, read by their lines, against their labelled cosets
-    for k in [LineSubgroup(p, (line,)) for line in range(p + 1)] + [LineSubgroup(p, range(p + 1))]:
+    # a line and the plane, each by two generators, read by their lines,
+    # against their labelled cosets
+    points = [line_point(p, line) for line in range(p + 1)]
+    for k in [Subgroup(Group(p), (IDENTITY, x)) for x in points] + [Subgroup(Group(p), (points[3], points[p]))]:
         assert coset_genus(k, triple, data) == labelled_coset_genus(k, triple)
     for k in [fermat_H(p)] + hj:
         chi = induced_perm_character(k, data)
@@ -297,8 +300,10 @@ def test_one_cyclic_subgroup_per_class_stands_for_all(p):
         return rh_genus(g_top, k, fix), coset_genus(k, triple, data)
 
     reps = cyclic_subgroup_classes(p, line_orbits(p))
-    # a line read by its lines gives both oracles what its generator gives
-    assert [oracles(k) for k in reps] == [oracles(Subgroup(k.group, k.generators)) for k in reps]
+    # a line read by its lines gives both oracles what its listed elements
+    # and its labelled cosets give
+    for k in reps:
+        assert oracles(k) == (rh_genus_by_element(g_top, k, fix), labelled_coset_genus(k, triple)), k.generators
     assert elements(reps[0]) == [IDENTITY]
     rep_classes = [generator_classes(r) for r in reps]
     assert sum(map(len, rep_classes)) == len(frozenset().union(*rep_classes))
@@ -522,11 +527,12 @@ def test_loops_that_raise_straight_keep_their_failure_text(monkeypatch):
     monkeypatch.setattr(cli.cert, "perm_pairing", lambda k, rat: 0)
     with pytest.raises(CheckFailedError) as caught:
         cli.check_certificates(ctx, cache)
-    assert str(caught.value) == f"p = 13: <G/H_{deck[0]}, hom> = 0, expected 12"
+    j = deck[0].lines[0] - 2  # H_j is the line j + 2
+    assert str(caught.value) == f"p = 13: <G/H_{j}, hom> = 0, expected 12"
     wrong = [groups_module.LineOrbit(o.lines, o.stabilizer, "generic") for o in orbits]
     cache["line_orbits"] = wrong
-    o = next(o for o in wrong if 2 + deck[0] in o.lines)
-    exponents = orbit_partition(ctx).orbit_of(p - 1 - deck[0])
+    o = next(o for o in wrong if 2 + j in o.lines)
+    exponents = orbit_partition(ctx).orbit_of(p - 1 - j)
     with pytest.raises(CheckFailedError) as caught:
         cli.check_certificates(ctx, cache)
     assert str(caught.value) == (

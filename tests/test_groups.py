@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fermatjac.errors import GroupMismatchError, NoGammaError, OutOfRangeError
@@ -16,8 +18,10 @@ from fermatjac.groups import (
     fermat_H,
     fermat_Hj,
     fermat_order,
+    fermat_translation,
     gcd,
     left_cosets,
+    line_of,
     pgonal_K,
     s3_stable_lines,
     subgroup_closure,
@@ -217,6 +221,49 @@ def test_subgroup_order_is_the_size_of_the_closure(group):
     for g in range(group.order):
         assert Subgroup(group, (g,)).order == len(group.closure([g])), group.coordinates(g)
     assert Subgroup(group, group.generators).order == len(group.closure(group.generators)) == group.order
+
+
+def _assert_read_by_rank(group, gens):
+    """K's order is the size of the closure of its generators, and its
+    lines those through the closure's points other than 0, or None when a
+    generator is not a translation."""
+    k, members = Subgroup(group, gens), group.closure(gens)
+    assert k.order == len(members), gens
+    lines = set()
+    for i in members:
+        m, n, s = group.coordinates(i)
+        if s != PERM_ID:
+            lines = None
+            break
+        if m or n:
+            lines.add(line_of(group.p, m, n))
+    assert (None if k.lines is None else set(k.lines)) == lines, gens
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_translation_subgroups_are_read_by_rank_on_every_pair(p):
+    # every single translation and every ordered pair, the identity and
+    # scalar multiples included, then a translation beside each of u and v
+    group = Group(p)
+    for x in group.translations:
+        _assert_read_by_rank(group, (x,))
+        for y in group.translations:
+            _assert_read_by_rank(group, (x, y))
+        for s in (PERM_U, PERM_V):
+            _assert_read_by_rank(group, (x, s))
+
+
+@pytest.mark.parametrize("p", (11, 13))
+def test_translation_subgroups_are_read_by_rank_on_a_sample(p):
+    group, rng = Group(p), random.Random(p)
+    points = list(group.translations)
+    for _ in range(400):
+        x, y = rng.choice(points), rng.choice(points)
+        _assert_read_by_rank(group, (x, y))
+        m, n, _ = group.coordinates(x)
+        c = rng.randrange(1, p)
+        _assert_read_by_rank(group, (x, fermat_translation(p, c * m, c * n)))  # a multiple of x's point
+        _assert_read_by_rank(group, (x, y, rng.randrange(group.order)))
 
 
 @pytest.mark.parametrize("p", (5, 7, 11, 13))

@@ -169,7 +169,7 @@ AUDIT_NAMES = {
         "fix table 'deck powers fix 3, order-3 maps fix 1'",
     ),
     "axis-deck-line-fixes-p": lambda p: (
-        f"at p = {p} on the subgroup of order {p * p} generated by (0, 1, 0), (1, 0, 0)",
+        f"at p = {p} on the subgroup of order {p * p} generated by (1, 0, 0), (0, 1, 0)",
         "fix table 'axes and H_1 fix p points each'",
     ),
 }
