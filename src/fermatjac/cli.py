@@ -25,7 +25,7 @@ from . import genus as gen
 from . import groups as grp
 from . import monomial as mono
 from . import report as rep
-from .curves import MOEBIUS_TRANSPORT, MoebiusLabel, normalized_exponent
+from .curves import MOEBIUS_TRANSPORT, MoebiusLabel, deck_exponent, normalized_exponent
 from .errors import (
     AuditFailError,
     CheckFailedError,
@@ -41,7 +41,7 @@ from .orbits import S3_GENERATORS, OrbitKind, is_prime, make_context, orbit_part
 # verify --depth full has no bound of its own but MAX_P: classes by rule and
 # by blocks, one subgroup per class from the line orbits, held by its
 # generator, and H read by its lines make it O(p), 0.1 s and 14 MB at
-# p = 997, 2.0 s and 46 MB at p = 100003.
+# p = 997, 0.9-1.4 s and 42 MB at p = 100003.
 # sweep --to: a serial sweep over 5..3000 (426 primes) takes 1.6-1.7 s.
 SWEEP_MAX_TO = 3_000
 
@@ -264,8 +264,7 @@ def check_dual_oracle_genus(ctx, cache):
     # same numbers off them: one cyclic subgroup per conjugacy class, from
     # the line orbits and the orders 1, 2, 3, 2p, stands for all (the keys
     # are conjugation-invariant by fix-table-consistency); H is read by its lines.
-    orbits = cache["line_orbits"] = grp.line_orbits(p)
-    subgroups = grp.cyclic_subgroup_classes(p, orbits)
+    subgroups = grp.cyclic_subgroup_classes(p, data.line_orbits())
     classes = len(subgroups)
     # The deck lines H_j, j = 1..p-2, are the lines j + 2 of plane_lines,
     # off the three axes 0, 1, 2; each join H_i H_j is H (determinant j - i).
@@ -287,17 +286,18 @@ def check_fix_table_consistency(ctx, cache):
     are the conjugacy classes.
 
     The tables are compared at one point on each of the p + 1 lines of H
-    (:func:`~fermatjac.genus.line_fix_counts`): both are constant on the
-    non-identity points of a line.  The full table is 0 off its support,
-    so the bound is read there.  The table reads one count per class and
-    the dual-oracle check takes one subgroup per class, so both stand for
-    every element only if no conjugation moves an element out of its
-    class; the classes come from a rule, which
-    :func:`~fermatjac.groups.class_rule_gap` checks by argument, in O(1).
+    (:attr:`~fermatjac.genus.FixTable.line_counts`, kept from the plane's
+    genus): both are constant on the non-identity points of a line.  The
+    full table is 0 off its support, so the bound is read there.  The
+    table reads one count per class and the dual-oracle check takes one
+    subgroup per class, so both stand for every element only if no
+    conjugation moves an element out of its class; the classes come from
+    a rule, which :func:`~fermatjac.groups.class_rule_gap` checks by
+    argument, in O(1).
     """
     p = ctx.p
     fix = cache["full_fix"]
-    full, axis = gen.line_fix_counts(p, fix), gen.line_fix_counts(p, gen.fermat_axis_fix_table(ctx))
+    full, axis = fix.line_counts, gen.fermat_axis_fix_table(ctx).line_counts
     for line, f, x in zip(range(p + 1), full, axis):
         if f != x:
             a, b = grp.plane_lines(p)[line]
@@ -319,20 +319,20 @@ def check_certificates(ctx, cache):
     _require(pairing == 0, f"p = {p}: <triv, hom> = {pairing}, expected 0")
     # Conjugate subgroups have one permutation character, so the deck
     # classes stand for all p - 2 lines H_j.  They are one per exponent
-    # orbit through alpha = p - 1 - j, which ties ACTION to U and V: the
+    # orbit through deck_exponent(j), which ties ACTION to U and V: the
     # orbit of H_j, line j + 2, is that orbit, of its kind.
     deck, part = cache["deck"], _partition(ctx, cache)
-    exponent_orbits = [part.orbit_of(p + 1 - k.lines[0]) for k in deck]
+    exponent_orbits = [part.orbit_of(deck_exponent(k.lines[0] - 2, p)) for k in deck]
     hit = len({id(o) for o in exponent_orbits})  # the partition's own objects
     _require(
         len(deck) == len(part.orbits) == hit,
         f"p = {p}: {len(deck)} deck line classes meet {hit} of the {len(part.orbits)} exponent orbits",
     )
-    orbit_of_first_line = {o.lines[0]: o for o in cache["line_orbits"]}  # deck lines are first lines
+    orbit_of_first_line = {o.lines[0]: o for o in data.line_orbits()}  # deck lines are first lines
     for k, exponents in zip(deck, exponent_orbits):
         j, lines = k.lines[0] - 2, orbit_of_first_line[k.lines[0]]
         if not (
-            {p + 1 - line for line in lines.lines} == set(exponents.elements)
+            {deck_exponent(line - 2, p) for line in lines.lines} == set(exponents.elements)
             and lines.kind == exponents.kind.value
             and len(lines.stabilizer) * len(lines.lines) == 6
         ):

@@ -41,7 +41,6 @@ from .errors import AuditFailError, InconsistentRHError, OutOfRangeError
 from .genus import (
     fermat_axis_fix_table,
     fermat_genus,
-    line_fix_counts,
     naming,
     pgonal_fix_table,
     rh_genus,
@@ -140,8 +139,8 @@ def kani_rosen_check(ctx: PrimeContext) -> KaniRosenAudit:
 
     Every subgroup of H = Z_p^2 is a line or the whole plane of F_p^2, and
     H_j is the line through (1, 1+j).  One pass reads the axis table once
-    per line (:func:`~fermatjac.genus.line_fix_counts`): a line's fix sum
-    is (p-1) times its count, read once per distinct count on the deck
+    per line (:attr:`~fermatjac.genus.FixTable.line_counts`): a line's fix
+    sum is (p-1) times its count, read once per distinct count on the deck
     lines, and the plane's is the sum over its p+1 lines.  H_i and H_j have
     determinant j - i, a unit for i != j, so every pair joins to the plane
     and has the plane's quotient genus: the pairs pass or fail together.
@@ -151,7 +150,7 @@ def kani_rosen_check(ctx: PrimeContext) -> KaniRosenAudit:
     p = ctx.p
     g_top = fermat_genus(p)
     fix = fermat_axis_fix_table(ctx)
-    counts = line_fix_counts(p, fix)
+    counts = fix.line_counts
     deck = counts[3:]  # H_j is line j + 2; one genus per distinct count, times the lines with it
     total, c = 0, None  # c: the deck count summed last, None while on the plane
     try:

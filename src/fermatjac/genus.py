@@ -64,9 +64,8 @@ from .groups import (
     describe,
     fermat_order,
     fermat_translation,
-    line_point,
+    plane_lines,
     resolve_gamma,
-    s3_stable_lines,
 )
 from .orbits import PrimeContext
 from .records import FrozenRecord, set_field
@@ -87,6 +86,16 @@ class FixTable:
     def __init__(self, group: Group, count_fn, description: str, support: dict[int, int] | None = None, by_line=None):
         self.group, self._count_fn, self._order = group, count_fn, group.order
         self.description, self.support, self.by_line = description, support, by_line
+        self._line_counts = None
+
+    @property
+    def line_counts(self) -> list[int]:
+        """A Fermat table read once per line of F_p^2, at its point of
+        :func:`~fermatjac.groups.plane_lines` (indices 6, range(6p, 12p, 6)),
+        as the line's points but 0 all generate it (module docs); kept."""
+        if self._line_counts is None:
+            self._line_counts = [self.at(6), *self.at_range(range(6 * self.group.p, 12 * self.group.p, 6))]
+        return self._line_counts
 
     def at(self, i: int) -> int:
         if not 0 < i < self._order:
@@ -125,13 +134,6 @@ def fermat_axis_fix_table(ctx: PrimeContext) -> FixTable:
         return p if (m == 0 or r == 0 or r == 6 * m) else 0
 
     return FixTable(group, count, "axis translations fix p points each")
-
-
-def line_fix_counts(p: int, fix: FixTable) -> list[int]:
-    """A Fermat fix table read once per line of F_p^2, as the line's p - 1
-    points but 0 all generate it (module docs), at the points of
-    :func:`~fermatjac.groups.plane_lines`: the indices 6, range(6p, 12p, 6)."""
-    return [fix.at(6), *fix.at_range(range(6 * p, 12 * p, 6))]
 
 
 def pgonal_fix_table(ctx: PrimeContext, gamma: int | None = None) -> FixTable:
@@ -189,15 +191,15 @@ def _cyclic_reads(k: Subgroup) -> dict[int, int]:
 
 def rh_genus(g_top: int, k: Subgroup, fix: FixTable) -> int:
     """Riemann-Hurwitz quotient genus, the fix sum read once per cyclic
-    subgroup (module docs): a subgroup of H by its lines, the plane by
-    :func:`line_fix_counts`; the whole p-gonal group at T and at the T^k R,
-    one per order-3 subgroup; <c> by :func:`_cyclic_reads`; else by the
-    listed elements, which only the tests ask for.  A failure names p, K
-    and the table (:func:`naming`)."""
+    subgroup (module docs): a subgroup of H, a line or the plane, by the
+    table's :attr:`~FixTable.line_counts`; the whole p-gonal group at T
+    and at the T^k R, one per order-3 subgroup; <c> by
+    :func:`_cyclic_reads`; else by the listed elements, which only the
+    tests ask for.  A failure names p, K and the table (:func:`naming`)."""
     if k.group != fix.group:
         raise OutOfRangeError(f"{k!r} is not in the group of {fix!r}")
     if k.lines:
-        total = (k.p - 1) * (sum(line_fix_counts(k.p, fix)) if k.order > k.p else fix.at(line_point(k.p, k.lines[0])))
+        total = (k.p - 1) * sum(map(fix.line_counts.__getitem__, k.lines))
     elif k.group.gamma is not None and k.order == k.group.order:
         t, r = k.group.generators
         total = (k.p - 1) * fix.at(t) + 2 * sum(fix.at_range(range(r, k.order, k.group.translations.step)))
@@ -263,10 +265,10 @@ def find_generating_triple(ctx: PrimeContext) -> GeneratingTriple:
     return GeneratingTriple(p, c2, c3, group.mul(group.mul(c3, c3), c2))
 
 
-def generation_gap(triple: GeneratingTriple) -> str | None:
+def generation_gap(triple: GeneratingTriple, data: ClassData) -> str | None:
     """The first hypothesis of the generation argument that the triple
     fails, or None when the argument shows that c2 and c3 generate the
-    Fermat group G.
+    Fermat group G, whose class data is given.
 
     The argument, for a triple with product 1: c2 maps to a transposition
     and c3 to a 3-cycle of S3, which generate S3, so <c2, c3> maps onto
@@ -274,9 +276,11 @@ def generation_gap(triple: GeneratingTriple) -> str | None:
     <c2, c3>, and an element x sigma conjugates H as the matrix of sigma
     does, so N is a subspace of F_p^2 stable under all of S3.  N holds
     c2p^2, a nonzero translation, because c2p = (c2 c3)^(-1) lies in
-    <c2, c3>.  When no line of F_p^2 is S3-stable, N is therefore H, and
-    <c2, c3> has order |H| |S3| = 6 p^2 = |G|.  Each hypothesis costs
-    O(1) but the last, which tries all p + 1 lines.
+    <c2, c3>.  When no line of F_p^2 is S3-stable, no line orbit being one
+    line (none is for p >= 5, as F_p^2 is an irreducible S3-module), N is
+    therefore H, and <c2, c3> has order |H| |S3| = 6 p^2 = |G|.  Each
+    hypothesis costs O(1) but the last, which reads the line orbits the
+    class data keeps for all of full depth (:meth:`ClassData.line_orbits`).
     """
     group = Group(triple.p)
     where = group.coordinates
@@ -288,9 +292,9 @@ def generation_gap(triple: GeneratingTriple) -> str | None:
     square = group.mul(triple.c2p, triple.c2p)
     if not group.is_translation(square) or square == IDENTITY:
         return f"c2p^2 = {where(square)} is not a nonzero translation"
-    lines = s3_stable_lines(triple.p)
-    if lines:
-        return f"the line through {lines[0]} of F_p^2 is stable under S3"
+    stable = [o.lines[0] for o in data.line_orbits() if len(o.lines) == 1]
+    if stable:
+        return f"the line through {plane_lines(triple.p)[stable[0]]} of F_p^2 is stable under S3"
     return None
 
 
@@ -393,7 +397,7 @@ def validate_triple(triple: GeneratingTriple, data: ClassData) -> dict:
         raise InconsistentOrbifoldError(
             f"the triple {named} has product {group.coordinates(product)}, not the identity"
         )
-    gap = generation_gap(triple)
+    gap = generation_gap(triple, data)
     if gap is not None:
         raise InconsistentOrbifoldError(f"triple does not generate the group: {gap}")
     fix = fermat_full_fix_table(triple, data)

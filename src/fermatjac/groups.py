@@ -37,9 +37,10 @@ table is ever stored.  On that kernel:
   the rule on demand and counts them by blocks of one kind in closed form,
   :func:`class_rule_gap` checks the rule by argument, and the orbit walk
   (:func:`conjugacy_classes`) is the tests' oracle;
-- the p + 1 lines of F_p^2 fall into S3-orbits (:func:`line_orbits`),
-  and :func:`cyclic_subgroup_classes` takes one cyclic subgroup per class,
-  a line per line orbit, where :func:`all_cyclic_subgroups` lists all.
+- the p + 1 lines of F_p^2 fall into S3-orbits, scanned once per class
+  data (:meth:`ClassData.line_orbits`), and :func:`cyclic_subgroup_classes`
+  takes one cyclic subgroup per class, a line per line orbit, where
+  :func:`all_cyclic_subgroups` lists all.
 """
 
 from __future__ import annotations
@@ -232,20 +233,6 @@ def plane_lines(p: int) -> list[tuple[int, int]]:
     m = 0, n = 0 and m = n, and the deck line H_j, through (1, 1 + j), is
     entry j + 2."""
     return [(0, 1)] + [(1, t) for t in range(p)]
-
-
-def s3_stable_lines(p: int) -> list[tuple[int, int]]:
-    """Spanning vectors of the lines of F_p^2 that the matrices of u and v
-    (ACTION) both map to themselves, trying all p + 1 lines.
-
-    Conjugation by x sigma acts on the translation subgroup H = F_p^2 as
-    the matrix of sigma, so these are the order-p subgroups of H normal
-    in the whole group.  None for p >= 5, where F_p^2 is an irreducible
-    S3-module; the line through (1, 2) at p = 3.
-    """
-
-    (a, b, c, d), (e, f, g, h) = ACTION[PERM_U], ACTION[PERM_V]
-    return [(x, y) for x, y in plane_lines(p) if (x * (c * x + d * y) - y * (a * x + b * y)) % p == (x * (g * x + h * y) - y * (e * x + f * y)) % p == 0]
 
 
 def resolve_gamma(ctx: PrimeContext, gamma: int | None) -> int:
@@ -537,6 +524,14 @@ class ClassData:
     def order(self) -> int:
         return self.group.order
 
+    def line_orbits(self) -> tuple[LineOrbit, ...]:
+        """:func:`line_orbits` at p, scanned once and kept in the memo for
+        generation, the cyclic subgroup classes and the deck certificates."""
+        found = self.memo.get("line_orbits")
+        if found is None:
+            found = self.memo["line_orbits"] = line_orbits(self.p)  # the module function, not this method
+        return found
+
     def key(self, i: int) -> int:
         """The key of the class of index i, in O(1)."""
         p = self.p
@@ -596,18 +591,18 @@ class ClassData:
             counts[c] = counts.get(c, 0) + 1
         return {range(c, c + 1): n for c, n in counts.items()}
 
-    def power_counts(self, c: int) -> dict[range, int] | None:
+    def power_counts(self, c: int) -> dict[range, int]:
         """The class counts of the powers of c of order 1, 2 (key p^2), 3 or
-        2p, else None.  For c = x tau of order 2p, s = c^2 = (I + A) x is on
-        an axis and (I + A) s = 2 s: c^(2k) = k s meets each axis class (keys
-        1..p-1) once, c^(2k+1) of square (2k + 1) s each x tau class once."""
+        2p (a translation is read by its line).  For c = x tau of order 2p,
+        s = c^2 = (I + A) x is on an axis and (I + A) s = 2 s: c^(2k) = k s
+        meets each axis class (keys 1..p-1) once, c^(2k+1) each x tau class."""
         p, n = self.p, self.p * self.p
         order = fermat_order(p, c)
         if order == 1:
             return {range(1): 1}
         if order == 2 or order == 3:
             return {range(1): 1, range(n * (order - 1), n * (order - 1) + 1): order - 1}
-        return {range(1): 1, range(1, p): 1, range(n, n + 1): 1, range(n + 1, n + p): 1} if order == 2 * p else None
+        return {range(1): 1, range(1, p): 1, range(n, n + 1): 1, range(n + 1, n + p): 1}
 
     def line_index(self, c: int) -> dict[int, dict[range, int]]:
         """Line -> the translation classes C among the powers of c = x tau of

@@ -11,7 +11,9 @@ here as hundreds of calls at p = 409 before it shows up in a timing.
 the subgroups it reads by blocks of one class kind and by line orbit, and
 keys no element but the p + 1 line points each table is read at: a class
 key per element again shows up as tens of calls per unit of p at
-p = 10007.
+p = 10007.  The full table keeps its line counts and the class data its
+line orbits, so the line points are keyed once per verify and the lines
+scanned for S3-orbits once.
 
 A subgroup of the translations is read by the rank of its generators'
 points over F_p, so ``fermat_H`` and ``fermat_Hj`` build H and a deck
@@ -26,8 +28,8 @@ from contextlib import redirect_stdout
 import pytest
 
 import fermatjac
-from fermatjac import cli
-from fermatjac.groups import fermat_H, fermat_Hj
+from fermatjac import cli, groups
+from fermatjac.groups import ClassData, fermat_H, fermat_Hj
 
 PACKAGE = os.path.dirname(os.path.abspath(fermatjac.__file__)) + os.sep
 
@@ -80,6 +82,37 @@ def test_full_depth_adds_at_most_15_calls_per_unit_of_p():
     full = package_calls(["verify", "--p", str(p), "--depth", "full"])
     assert basic[0] == full[0] == 0
     assert full[1] - basic[1] <= FULL_OVER_BASIC_PER_P * p, (basic[1], full[1])
+
+
+# the most class keys full depth may take beyond the p + 1 line points
+# (Python 3.11 at p = 10007: 7, the reads of <u>, <v> and <a1 v> and
+# fix(a1) twice; 2 (p + 1) + p / 6 + 7 = 21,692 while the line points were
+# keyed by both full checks that read them and each line orbit's line by
+# its own read)
+KEYS_BEYOND_LINE_POINTS = 16
+
+
+def test_full_depth_keys_the_line_points_once_and_scans_the_lines_once(monkeypatch):
+    p = 10007
+    calls = {"key": 0, "line_orbits": 0, "line_orbit": 0}
+    real_key, real_orbits, real_orbit = ClassData.key, groups.line_orbits, groups.line_orbit
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(ClassData, "key", counted("key", real_key))
+    monkeypatch.setattr(groups, "line_orbits", counted("line_orbits", real_orbits))
+    monkeypatch.setattr(groups, "line_orbit", counted("line_orbit", real_orbit))
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--p", str(p), "--depth", "full"]) == 0
+    assert calls["key"] <= p + 1 + KEYS_BEYOND_LINE_POINTS, calls
+    # one scan, a line_orbit per orbit, and one more for the axes of <a1 v>
+    assert calls["line_orbits"] == 1, calls
+    assert calls["line_orbit"] == len(real_orbits(p)) + 1, calls
 
 
 # the most package calls fermat_H or fermat_Hj may make (Python 3.11: 7

@@ -516,7 +516,7 @@ def test_loops_that_raise_straight_keep_their_failure_text(monkeypatch):
     # detail only on failure; the text is the one _require gave
     p = 13
     ctx, cache = _checked_through(p, "dual-oracle-genus")
-    fix, orbits, deck = cache["full_fix"], cache["line_orbits"], cache["deck"]
+    fix, orbits, deck = cache["full_fix"], cache["class_data"].line_orbits(), cache["deck"]
     keys = max(fix.support, key=lambda keys: keys.start)  # the 3-cycle class, on no line of H
     key, count = keys.start, fix.support[keys]
     fix.support[keys] = 10**6
@@ -530,7 +530,7 @@ def test_loops_that_raise_straight_keep_their_failure_text(monkeypatch):
     j = deck[0].lines[0] - 2  # H_j is the line j + 2
     assert str(caught.value) == f"p = 13: <G/H_{j}, hom> = 0, expected 12"
     wrong = [groups_module.LineOrbit(o.lines, o.stabilizer, "generic") for o in orbits]
-    cache["line_orbits"] = wrong
+    cache["class_data"].memo["line_orbits"] = wrong
     o = next(o for o in wrong if 2 + j in o.lines)
     exponents = orbit_partition(ctx).orbit_of(p - 1 - j)
     with pytest.raises(CheckFailedError) as caught:

@@ -21,7 +21,7 @@ from fermatjac.decompose import (
     kani_rosen_check,
 )
 from fermatjac.errors import AuditFailError, OutOfRangeError
-from fermatjac.genus import fermat_axis_fix_table, fermat_genus
+from fermatjac.genus import FixTable, fermat_axis_fix_table, fermat_genus
 from fermatjac.groups import Group, fermat_Hj, pgonal_K
 from fermatjac.orbits import PrimeContext, make_context, orbit_partition
 
@@ -120,7 +120,10 @@ def test_deck_genus_sum_calls_riemann_hurwitz_once_per_distinct_count(monkeypatc
     p = 13
     counts = [p, p, p] + [j % 3 for j in range(1, p - 1)]
     calls = []
-    monkeypatch.setattr(decompose_module, "line_fix_counts", lambda q, fix: counts)
+    # a table with those counts at the line points, 6 and 6 (p + t) for line 1 + t
+    at_points = {6: counts[0], **{6 * (p + t): counts[1 + t] for t in range(p)}}
+    table = FixTable(Group(p), at_points.__getitem__, "deck line counts 1, 2, 0, ...")
+    monkeypatch.setattr(decompose_module, "fermat_axis_fix_table", lambda ctx: table)
     monkeypatch.setattr(
         decompose_module, "riemann_hurwitz", lambda g, order, fix_sum: calls.append((order, fix_sum)) or fix_sum
     )

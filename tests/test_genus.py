@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fermatjac import cli
 from fermatjac import genus as genus_module
+from fermatjac import groups as groups_module
 from fermatjac.errors import (
     FermatJacError,
     GroupMismatchError,
@@ -25,7 +26,6 @@ from fermatjac.genus import (
     fermat_genus,
     find_generating_triple,
     generation_gap,
-    line_fix_counts,
     pgonal_fix_table,
     rh_genus,
     validate_triple,
@@ -144,29 +144,39 @@ def test_closed_form_triple_holds_for_every_prime_up_to_997():
         group, triple = Group(p), find_generating_triple(make_context(p))
         assert tuple(fermat_order(p, c) for c, _ in triple.entries) == (2, 3, 2 * p)
         assert group.mul(group.mul(triple.c2, triple.c3), triple.c2p) == IDENTITY
-        assert generation_gap(triple) is None
+        assert generation_gap(triple, ClassData(group)) is None
 
 
 def test_generation_gap_names_the_failed_hypothesis():
     p = 7
-    triple = find_generating_triple(make_context(p))
-    assert generation_gap(triple) is None
+    triple, data = find_generating_triple(make_context(p)), ClassData(Group(p))
+    assert generation_gap(triple, data) is None
     u, v, a1 = fermat_u(p), fermat_v(p), fermat_a1(p)
 
     def gap(c2, c3):
-        return generation_gap(GeneratingTriple(p, index_of(c2), index_of(c3), index_of((c2 * c3).inverse())))
+        return generation_gap(GeneratingTriple(p, index_of(c2), index_of(c3), index_of((c2 * c3).inverse())), data)
 
     # v and u generate S3 alone: c2p = (v u)^(-1) has order 2, so c2p^2 = 1
     assert gap(v, u) == "c2p^2 = (0, 0, 0) is not a nonzero translation"
     assert gap(a1, u) == "c2 = (1, 0, 0) does not map to a transposition"
     assert gap(v, a1) == "c3 = (1, 0, 0) does not map to a 3-cycle"
+    # an S3-stable line is a line orbit of one line: here line 3, through (1, 2)
+    stable = ClassData(Group(p))
+    stable.memo["line_orbits"] = (groups_module.LineOrbit((3,), tuple(range(6)), "generic"), *data.line_orbits())
+    assert generation_gap(triple, stable) == "the line through (1, 2) of F_p^2 is stable under S3"
 
 
 def test_a_stable_line_refutes_generation(capsys, monkeypatch):
-    # with an S3-stable line the argument proves nothing: validate_triple
-    # refuses the closed-form triple, naming the failed hypothesis
+    # with an S3-stable line, a line orbit of one line, the argument proves
+    # nothing: validate_triple refuses the closed-form triple, naming the
+    # failed hypothesis and the line, (1, 0) for line 1
     triple = find_generating_triple(make_context(7))
-    monkeypatch.setattr(genus_module, "s3_stable_lines", lambda p: [(1, 0)])
+    real = groups_module.line_orbits
+
+    def with_a_stable_line(p):
+        return (groups_module.LineOrbit((1,), tuple(range(6)), "axis"), *real(p))
+
+    monkeypatch.setattr(groups_module, "line_orbits", with_a_stable_line)
     with pytest.raises(InconsistentOrbifoldError, match="does not generate"):
         validate_triple(triple, ClassData(Group(7)))
     code = cli.main(["verify", "--p", "7", "--depth", "full"])
@@ -243,7 +253,7 @@ def test_full_table_matches_axis_table_on_H():
     # the element walk that fix-table-consistency replaces by one point
     # per line: the lines of plane_lines cover H - {1} once, both tables
     # agree at every translation, and each is constant on the
-    # non-identity points of every line, at the count line_fix_counts reads
+    # non-identity points of every line, at the count line_counts reads
     for p in (q for q in range(5, 62) if is_prime(q)):
         ctx = make_context(p)
         full = fermat_full_fix_table(find_generating_triple(ctx), ClassData(Group(p)))
@@ -251,7 +261,7 @@ def test_full_table_matches_axis_table_on_H():
         points = [[fermat_translation(p, k * a, k * b) for k in range(1, p)] for a, b in plane_lines(p)]
         assert sorted(h for line in points for h in line) == elements(fermat_H(p))[1:]
         for table in (full, axis):
-            for line, count in zip(points, line_fix_counts(p, table), strict=True):
+            for line, count in zip(points, table.line_counts, strict=True):
                 assert {table.at(h) for h in line} == {count}
         for h in elements(fermat_H(p))[1:]:
             assert full.at(h) == axis.at(h)
@@ -559,10 +569,14 @@ def test_rh_genus_reads_once_per_cyclic_subgroup(p):
         assert len(reads) == 1
     full, reads = _counted(fermat_full_fix_table(find_generating_triple(ctx), ClassData(Group(p))))
     u, v, a1v, h1 = _fermat_cyclic(p)[:4]
-    for k, count in ((trivial_subgroup(Group(p)), 0), (u, 1), (v, 1), (h1, 1), (a1v, 3)):
+    # a line or the plane: the p + 1 line points on the table's first line
+    # read, kept for every line and the plane after it
+    cases = ((trivial_subgroup(Group(p)), 0), (u, 1), (v, 1), (h1, p + 1), (h1, 0), (fermat_H(p), 0), (a1v, 3))
+    for k, count in cases:
         reads.clear()
         rh_genus(fermat_genus(p), k, full)
         assert len(reads) == count, k.generators  # <a1 v>: at its elements of order 2, p and 2p
+    assert full.line_counts == [full.at(6), *(full.at(i) for i in range(6 * p, 12 * p, 6))]
 
 
 @pytest.mark.parametrize("p", (13, 101))

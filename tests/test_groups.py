@@ -22,8 +22,9 @@ from fermatjac.groups import (
     gcd,
     left_cosets,
     line_of,
+    line_orbits,
     pgonal_K,
-    s3_stable_lines,
+    plane_lines,
     subgroup_closure,
 )
 from fermatjac.orbits import make_context
@@ -358,9 +359,9 @@ def test_pgonal_aut_refuses_a_gamma_that_is_not_a_root():
 
 @pytest.mark.parametrize("p", (3, 5, 7, 11, 13))
 def test_s3_stable_lines_match_object_conjugation(p):
-    """The lines of F_p^2 that conjugation by u and v maps to themselves,
-    found on element objects: a line is stable when the conjugates of
-    its spanning translation lie on it."""
+    """The line orbits of one line are the lines of F_p^2 that conjugation
+    by u and v maps to themselves, found on element objects: a line is
+    stable when the conjugates of its spanning translation lie on it."""
 
     def on_line(g, x, y):
         return g.sigma == PERM_ID and (g.m * y - g.n * x) % p == 0
@@ -371,7 +372,9 @@ def test_s3_stable_lines_match_object_conjugation(p):
         for x, y in lines
         if all(on_line(s * FermatAut(p, x, y, PERM_ID) * s.inverse(), x, y) for s in (fermat_u(p), fermat_v(p)))
     ]
-    assert s3_stable_lines(p) == stable
+    data = ClassData(Group(p))
+    assert data.line_orbits() is data.line_orbits() == line_orbits(p)  # one scan, kept
+    assert [plane_lines(p)[o.lines[0]] for o in data.line_orbits() if len(o.lines) == 1] == stable
     assert stable == ([(1, 2)] if p == 3 else [])
 
 

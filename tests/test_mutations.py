@@ -20,7 +20,11 @@ The full checks read the rules of the line orbits and of the classes by
 key: a line orbit's kind and stabilizer, a closed-form class size, the
 class census, the support of the full fix table, the closed-form classes
 of the powers on an axis line and the line index built per line orbit.
-Each of those mutations must make ``verify --p 13 --depth full`` exit 4.
+They also read each deck line's curve through ``deck_exponent``: a
+rotation of X_p there passes basic ``verify`` and ``decompose``, as every
+orbit still gets as many deck lines as it has members, but not the deck
+certificates.  Each of those mutations must make
+``verify --p 13 --depth full`` exit 4.
 """
 
 import inspect
@@ -281,6 +285,16 @@ def _axis_power_count_off_by_one(mp):
     mp.setattr(groups.ClassData, "power_counts", power_counts)
 
 
+def _deck_exponent_rotated(mp):
+    # j -> p - 2 - j for j < p - 2, p - 2 kept: a rotation of X_p, so each
+    # deck quotient gets an exponent on X_p, but not its own curve
+    def rotated(j, p):
+        return p - 2 - j if j < p - 2 else p - 2
+
+    for module in (curves, decompose, cli):
+        mp.setattr(module, "deck_exponent", rotated)
+
+
 # name -> (the mutation, the check of verify --p 13 --depth full that must fail)
 FULL_MUTATIONS = {
     "gamma-lines-generic": (_gamma_lines_generic, "certificates"),
@@ -291,6 +305,7 @@ FULL_MUTATIONS = {
     "line-index-without-an-axis": (_line_index_without_an_axis, "dual-oracle-genus"),
     "line-index-without-an-orbit": (_line_index_without_an_orbit, "dual-oracle-genus"),
     "axis-power-count-off-by-one": (_axis_power_count_off_by_one, "generating-triple"),
+    "deck-exponent-rotated": (_deck_exponent_rotated, "certificates"),
 }
 
 
