@@ -41,8 +41,9 @@ from .orbits import S3_GENERATORS, OrbitKind, is_prime, make_context, orbit_part
 # verify --depth full has no bound of its own but MAX_P: classes by rule and
 # by blocks, one subgroup per class from the line orbits, held by its
 # generator, and H read by its lines make it O(p), 0.1 s and 14 MB at
-# p = 997, 0.9-1.4 s and 42 MB at p = 100003.
-# sweep --to: a serial sweep over 5..3000 (426 primes) takes 1.6-1.7 s.
+# p = 997, 0.78-1.06 s and 42 MB at p = 100003.
+# sweep --to: a serial sweep over 5..3000 (428 primes), verify's basic
+# checks at each, takes 1.1-1.4 s and 17.5 MB.
 SWEEP_MAX_TO = 3_000
 
 
@@ -52,8 +53,8 @@ SWEEP_MAX_TO = 3_000
 # failure: a false predicate raises CheckFailedError, through _require or,
 # in a loop over the probes, straight from the loop, which then formats
 # its detail only on failure; so every verdict also holds under python -O.
-# cmd_verify runs the checks in order and stops at the first failure,
-# naming the check.
+# run_checks runs them in order and stops at the first failure, naming the
+# check, for verify and, with the basic checks at each prime, for sweep.
 #
 # U, V, the six Moebius transport rules and the normalization rule are
 # degree-1 rational maps of a, as is every composition of them, and two
@@ -406,29 +407,32 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    ctx = make_context(args.p)
-    checks = list(BASIC_CHECKS)
-    if args.depth == "full":
-        checks += FULL_CHECKS
-    cache: dict = {}
-    results = []
-    failed = None
+def run_checks(ctx, checks, cache):
+    """Run the (name, check) pairs in order on one cache and yield an entry
+    for each as it finishes: its name, status and detail, and the error's
+    code on a failure that has one.  Stop after the first FAIL."""
     for name, fn in checks:
         try:
             detail = fn(ctx, cache)
-            results.append({"name": name, "status": "PASS", "detail": detail})
-            if args.format == "text":
-                print(f"PASS {name}: {detail}")
         except (AssertionError, FermatJacError) as exc:
             entry = {"name": name, "status": "FAIL", "detail": str(exc)}
             if isinstance(exc, FermatJacError):
                 entry["code"] = exc.code
-            results.append(entry)
-            if args.format == "text":
-                print(f"FAIL {name}: {exc}")
-            failed = name
-            break
+            yield entry
+            return
+        yield {"name": name, "status": "PASS", "detail": detail}
+
+
+def cmd_verify(args) -> int:
+    ctx = make_context(args.p)
+    checks = BASIC_CHECKS + FULL_CHECKS if args.depth == "full" else BASIC_CHECKS
+    cache: dict = {}
+    results = []
+    for entry in run_checks(ctx, checks, cache):
+        results.append(entry)
+        if args.format == "text":
+            print(f"{entry['status']} {entry['name']}: {entry['detail']}")
+    failed = results[-1]["name"] if results and results[-1]["status"] == "FAIL" else None
     report = {
         "schema_version": rep.SCHEMA_VERSION,
         "command": "verify",
@@ -453,29 +457,10 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _sweep_one(p: int) -> dict:
-    ctx = make_context(p)
-    row = {"p": p, "residue_mod_3": ctx.residue_class_mod_3}
-    try:
-        cache: dict = {}
-        check_orbit_partition_laws(ctx, cache)
-        coarse = _coarse(ctx, cache)
-        fine = dec.decompose_fine(coarse)
-        dec.dimension_audit(fine)
-        row.update(
-            {
-                "orbits": len(_partition(ctx, cache).orbits),
-                "coarse": coarse.render(),
-                "fine": fine.render(),
-                "status": "PASS",
-            }
-        )
-    except (AssertionError, FermatJacError) as exc:
-        row.update({"status": "FAIL", "detail": str(exc)})
-    return row
-
-
 def cmd_sweep(args) -> int:
+    """verify's basic checks at each prime of the range, one cache a prime:
+    a PASS row reads its decompositions off the cache, a FAIL row names
+    the check that failed."""
     lo, hi = args.from_, args.to
     if lo < 5 or hi < lo:
         print(f"error: bad sweep range [{lo}, {hi}]", file=sys.stderr)
@@ -483,7 +468,21 @@ def cmd_sweep(args) -> int:
     if hi > SWEEP_MAX_TO:
         print(f"error: sweep bound {hi} is above the supported bound {SWEEP_MAX_TO}", file=sys.stderr)
         return 2
-    rows = [_sweep_one(p) for p in range(lo, hi + 1) if is_prime(p)]
+    rows = []
+    for p in filter(is_prime, range(lo, hi + 1)):
+        ctx, cache = make_context(p), {}
+        row = {"p": p, "residue_mod_3": ctx.residue_class_mod_3}
+        *_, last = run_checks(ctx, BASIC_CHECKS, cache)
+        if last["status"] == "PASS":
+            row.update(
+                orbits=len(cache["partition"].orbits),
+                coarse=cache["coarse"].render(),
+                fine=cache["fine"].render(),
+                status="PASS",
+            )
+        else:
+            row.update(check=last.pop("name"), **last)
+        rows.append(row)
     passed = sum(1 for r in rows if r["status"] == "PASS")
     report = {
         "schema_version": rep.SCHEMA_VERSION,
@@ -504,7 +503,7 @@ def cmd_sweep(args) -> int:
                     f"{r['status']}  {r['fine']}"
                 )
             else:
-                print(f"p={r['p']:>4} FAIL  {r.get('detail', '')}")
+                print(f"p={r['p']:>4} FAIL  {r['check']}: {r['detail']}")
         print(f"swept {len(rows)} primes: {passed} PASS, {len(rows) - passed} FAIL")
     return 0 if passed == len(rows) else 4
 

@@ -24,8 +24,8 @@ from .records import Const, FrozenRecord, set_field
 
 # The largest p any command accepts.  Every step of orbits, decompose
 # and basic verify is O(p); at p = 100003 (p = 1 mod 3, the slower
-# residue) decompose --format json takes about 0.6 s and 52 MB and
-# verify 0.44-0.47 s and 32 MB, start-up included.  sweep has a lower
+# residue) decompose --format json takes 0.34-0.42 s and 52 MB and
+# verify 0.23-0.29 s and 32 MB, start-up included.  sweep has a lower
 # cap in cli.py, and verify --depth full none of its own.
 MAX_P = 100_003
 

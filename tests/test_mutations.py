@@ -9,6 +9,10 @@ monkeypatch, in process and under ``python -O`` (where no assert is left
 to catch it).  p = 13 has a gamma root; p = 11 has none, so there only J
 and T stand for the monomial calculus and the epsilon rule is never read.
 
+``sweep`` runs the same basic checks at each prime, so each of these
+mutations must make ``sweep --from 5 --to 61`` exit 4 too, its row for
+p = 13 naming the check that ``verify --p 13`` names.
+
 The kill matrix runs every basic check on a fresh cache under each basic
 mutation and pins the exact set of checks that fail, not only the first.
 
@@ -24,7 +28,8 @@ They also read each deck line's curve through ``deck_exponent``: a
 rotation of X_p there passes basic ``verify`` and ``decompose``, as every
 orbit still gets as many deck lines as it has members, but not the deck
 certificates.  Each of those mutations must make
-``verify --p 13 --depth full`` exit 4.
+``verify --p 13 --depth full`` exit 4; ``sweep`` runs the basic checks
+only, so the rotation still passes it.
 """
 
 import inspect
@@ -36,7 +41,7 @@ from fermatjac.curves import MoebiusLabel
 from fermatjac.errors import FermatJacError
 from fermatjac.orbits import OrbitKind, make_context
 
-from helpers import run_under_O
+from helpers import parse, run_under_O
 
 REAL_U, REAL_V, REAL_RULE = orbits.S3_GENERATORS["U"], orbits.S3_GENERATORS["V"], monomial.epsilon_rule
 REAL_T, REAL_J = monomial.build_T, monomial.build_J
@@ -384,6 +389,46 @@ def test_audit_mutation_fails_verify_and_decompose_under_python_O(name, p):
     detail = run.stdout.splitlines()[-1].removeprefix(f"FAIL {check}: ")
     assert run.stderr.endswith(f"audit failure: {detail}\n")
     assert all(part in detail for part in AUDIT_NAMES[name](p))
+
+
+BASIC_MUTATIONS = {**MUTATIONS, **AUDIT_MUTATIONS}
+SWEEP_61 = ["sweep", "--from", "5", "--to", "61"]
+
+
+@pytest.mark.parametrize("name", BASIC_MUTATIONS)
+def test_basic_mutation_fails_sweep(monkeypatch, capsys, name):
+    BASIC_MUTATIONS[name][0](monkeypatch)
+    assert cli.main(["verify", "--p", "13"]) == 4
+    named = capsys.readouterr().err.removeprefix("verification failed at check: ").rstrip("\n")
+    assert cli.main([*SWEEP_61, "--format", "json"]) == 4
+    rows = {row["p"]: row for row in parse(capsys.readouterr().out)["rows"]}
+    assert rows[13]["status"] == "FAIL" and rows[13]["check"] == named == BASIC_MUTATIONS[name][1]
+    # every row that fails names a check the kill matrix lists for the mutation
+    assert {row["check"] for row in rows.values() if row["status"] == "FAIL"} <= KILL_MATRIX[name]
+
+
+@pytest.mark.parametrize("name", BASIC_MUTATIONS)
+def test_basic_mutation_fails_sweep_under_python_O(name):
+    check = BASIC_MUTATIONS[name][1]
+    run = run_under_O(
+        "import pytest\n"
+        "from fermatjac import cli\n"
+        "from test_mutations import BASIC_MUTATIONS, SWEEP_61\n"
+        f"BASIC_MUTATIONS[{name!r}][0](pytest.MonkeyPatch())\n"
+        "sys.exit(cli.main(SWEEP_61))\n"
+    )
+    assert run.returncode == 4, run.stdout + run.stderr
+    assert f"\np=  13 FAIL  {check}: " in run.stdout
+    assert "Traceback" not in run.stderr
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="item 9")
+def test_deck_exponent_rotated_fails_sweep(monkeypatch):
+    # a rotated deck exponent fails full depth only; sweep runs the basic
+    # checks, so the survivor passes it until basic depth certifies each
+    # deck quotient's curve
+    FULL_MUTATIONS["deck-exponent-rotated"][0](monkeypatch)
+    assert cli.main(SWEEP_61) == 4
 
 
 def test_epsilon_rule_is_not_read_without_a_gamma_root(monkeypatch, capsys):

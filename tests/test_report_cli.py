@@ -346,14 +346,48 @@ def test_sweep_small_range(capsys):
 
 
 def test_sweep_row_matches_decompose(capsys):
-    code, out, _ = run_cli(capsys, "sweep", "--from", "7", "--to", "7", "--format", "json")
-    assert code == 0
+    # 7 and 13 have a gamma root, whose factor the fine decomposition
+    # refines; 11 has none, so there fine is coarse
+    for p in (7, 11, 13):
+        code, out, _ = run_cli(capsys, "sweep", "--from", str(p), "--to", str(p), "--format", "json")
+        assert code == 0
+        report = parse(out)
+        assert report["total"] == 1 and report["pass_count"] == 1
+        row = report["rows"][0]
+        products = rep.decompose_report(make_context(p))["decompositions"]
+        assert row["coarse"] == products["coarse"]["product"]
+        assert row["fine"] == products["fine"]["product"]
+        assert (row["fine"] != row["coarse"]) == make_context(p).has_gamma
+
+
+def test_sweep_fail_row_names_its_check(capsys, monkeypatch):
+    from fermatjac import cli
+    from fermatjac.errors import CheckFailedError
+
+    def fails_at_13(ctx, cache):
+        if ctx.p == 13:
+            raise CheckFailedError("p = 13: planted failure")
+        return real(ctx, cache)
+
+    name, real = cli.BASIC_CHECKS[-1]
+    monkeypatch.setattr(cli, "BASIC_CHECKS", [*cli.BASIC_CHECKS[:-1], (name, fails_at_13)])
+    code, out, _ = run_cli(capsys, "sweep", "--from", "11", "--to", "17", "--format", "json")
+    assert code == 4
     report = parse(out)
-    assert report["total"] == 1 and report["pass_count"] == 1
-    row = report["rows"][0]
-    dec_report = rep.decompose_report(make_context(7))
-    assert row["coarse"] == dec_report["decompositions"]["coarse"]["product"]
-    assert row["fine"] == dec_report["decompositions"]["fine"]["product"]
+    assert (report["total"], report["pass_count"]) == (3, 2)
+    row = report["rows"][1]
+    assert row == {
+        "p": 13,
+        "residue_mod_3": 1,
+        "status": "FAIL",
+        "check": name,
+        "detail": "p = 13: planted failure",
+        "code": "CHECK_FAILED",
+    }
+    code, out, _ = run_cli(capsys, "sweep", "--from", "11", "--to", "17")
+    assert code == 4
+    assert f"\np=  13 FAIL  {name}: p = 13: planted failure\n" in out
+    assert out.endswith("swept 3 primes: 2 PASS, 1 FAIL\n")
 
 
 def test_sweep_bad_range(capsys):
