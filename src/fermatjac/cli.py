@@ -382,13 +382,17 @@ FULL_CHECKS = [
 WRITE_SLICE = 1 << 20
 
 
+def _write_json(report: dict) -> None:
+    """Write the report as JSON to stdout, in slices."""
+    text = rep.serialize(report)
+    for start in range(0, len(text), WRITE_SLICE):
+        sys.stdout.write(text[start:start + WRITE_SLICE])
+
+
 def _emit(report: dict, render, fmt: str) -> None:
-    """Write the report as JSON, in slices, or as the text render(report),
-    made only then."""
+    """Write the report as JSON or as the text render(report), made only then."""
     if fmt == "json":
-        text = rep.serialize(report)
-        for start in range(0, len(text), WRITE_SLICE):
-            sys.stdout.write(text[start:start + WRITE_SLICE])
+        _write_json(report)
     else:
         print(render(report))
 
@@ -448,7 +452,7 @@ def cmd_verify(args) -> int:
     if "triple" in cache:
         report["provenance"] = {"triple": cache["triple"].as_dict()}
     if args.format == "json":
-        sys.stdout.write(rep.serialize(report))
+        _write_json(report)
     elif failed is None:
         print(f"all {len(results)} checks passed (p={ctx.p}, depth={args.depth})")
     if failed is not None:
@@ -494,7 +498,7 @@ def cmd_sweep(args) -> int:
         "total": len(rows),
     }
     if args.format == "json":
-        sys.stdout.write(rep.serialize(report))
+        _write_json(report)
     else:
         for r in rows:
             if r["status"] == "PASS":

@@ -2,11 +2,11 @@
 
 Each exponent a in X_p labels a canonical curve C_a : y^p = x^a (x-1) of
 genus (p-1)/2.  The general two-exponent form C_{a,b} only enters as an
-input to :func:`normalize`, which rewrites it as C_{a b^(-1)}.  Two
-canonical curves are isomorphic exactly when their exponents share an
+input to :func:`normalized_exponent`, which rewrites it as C_{a b^(-1)}.
+Two canonical curves are isomorphic exactly when their exponents share an
 orbit under the action of :mod:`fermatjac.orbits`; each of the six
 Moebius transformations permuting {0, 1, oo} transports an exponent to a
-specific member of its orbit, implemented in :func:`moebius_transport`.
+specific member of its orbit, by its rule in :data:`MOEBIUS_TRANSPORT`.
 
 Moebius maps are identified here by label only.  Their action on curve
 exponents is what matters for classification; the lifted action on
@@ -49,17 +49,15 @@ class MoebiusLabel(Const):
         """self after other (other applied first)."""
         return _COMPOSE[self, other]
 
-    def inverse(self) -> "MoebiusLabel":
-        return next(g for g in MoebiusLabel if _COMPOSE[self, g] is MoebiusLabel.ID)
-
 
 _BY_PERM = {label.perm: label for label in MoebiusLabel}
 # (f, g) -> f after g, read off the permutations: (f g)(i) = f(g(i)).
 _COMPOSE = {(f, g): _BY_PERM[tuple(f.perm[i] for i in g.perm)] for f in MoebiusLabel for g in MoebiusLabel}
 
-# The exponent of the image of C_alpha under each Moebius map
-# (moebius_transport), each a rule (a, inv, p) -> exponent with
-# inv(b) = b^(-1) mod p, as the S3 generators of fermatjac.orbits.
+# The exponent of the image of C_alpha under each Moebius map, each a
+# rule (a, inv, p) -> exponent with inv(b) = b^(-1) mod p, as the S3
+# generators of fermatjac.orbits.  The image lies in the orbit of alpha,
+# and transport by f.compose(g) applies f's rule first.
 MOEBIUS_TRANSPORT = {
     MoebiusLabel.ID: lambda a, inv, p: a,
     MoebiusLabel.INV: lambda a, inv, p: p - 1 - a,
@@ -130,25 +128,6 @@ def normalized_exponent(alpha: int, beta: int, ctx: PrimeContext) -> int:
     # alpha + beta = 0, which was refused above
     assert 1 <= exponent <= p - 2
     return exponent
-
-
-def normalize(alpha: int, beta: int, ctx: PrimeContext) -> CurveSpec:
-    """The curve C_a, a = :func:`normalized_exponent`, isomorphic to y^p = x^alpha (x-1)^beta."""
-    return CurveSpec(context=ctx, family=CurveFamily.P_GONAL, alpha=normalized_exponent(alpha, beta, ctx))
-
-
-def moebius_transport(alpha: int, label: MoebiusLabel, ctx: PrimeContext) -> int:
-    """Exponent of the image curve of C_alpha under an isomorphism
-    covering the given Moebius map.  The image always lies in O(alpha).
-
-    Note the contravariance: transport by a composition applies the
-    outer map's rule first, i.e. transport(a, f.compose(g)) equals
-    transport(transport(a, f), g).
-    """
-    ctx.require_X(alpha)
-    if not isinstance(label, MoebiusLabel):
-        raise OutOfRangeError(f"unknown Moebius label {label!r}")
-    return MOEBIUS_TRANSPORT[label](alpha, ctx.inv, ctx.p)
 
 
 def genus_of(spec: CurveSpec) -> int:

@@ -27,25 +27,17 @@ That group has order 3p, so by Lagrange its proper subgroups have order
 1, 3 or p.  Two distinct K_i therefore generate the whole group, whose
 quotient has genus zero; and their set product K_i K_j has 9 elements,
 which does not divide 3p, so it is no subgroup and differs from K_j K_i.
-The audit records that set-commutation verdict honestly, as data, and
-gates the emitted refinement on the genus identities, which hold.  The
-test suite confirms both facts on element objects.
+The gate raises unless the genus identities hold, which they do only for
+distinct K_i, and the report writes the set-commutation verdict of a
+passed gate: the set products differ.  The test suite confirms both
+facts on element objects.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .curves import CURVE_FORMATS, CurveFamily, CurveSpec, deck_exponent, genus_of
-from .errors import AuditFailError, InconsistentRHError, OutOfRangeError
-from .genus import (
-    fermat_axis_fix_table,
-    fermat_genus,
-    naming,
-    pgonal_fix_table,
-    rh_genus,
-    riemann_hurwitz,
-)
+from .errors import AuditFailError, OutOfRangeError
+from .genus import fermat_axis_fix_table, fermat_genus, pgonal_fix_table, rh_genus
 from .groups import Group, fermat_H, fermat_Hj, pgonal_group, pgonal_K
 from .orbits import OrbitKind, OrbitPartition, PrimeContext, orbit_partition
 from .records import Const, FrozenRecord, Record, set_field
@@ -73,163 +65,100 @@ class IsogenyFactor(FrozenRecord):
         return f"{self.symbol()}^{self.multiplicity}"
 
 
-def _sum_failure(total: int, expected: int) -> str | None:
-    return None if total == expected else f"genus sum {total} != {expected}"
-
-
-def _all_pairs(n: int) -> list[list[int]]:
-    return [[i, j] for i, j in combinations(range(1, n + 1), 2)]
-
-
-class KaniRosenAudit(Record):
-    """Evidence for the three decomposition-criterion hypotheses, one
-    verdict each: a commuting failure (None when a1 and a2 commute), the
-    plane's quotient genus and the genus sum.  Every pair of the family
-    stands or falls with the first two, so a failure fails every pair.
+class KaniRosenAudit(FrozenRecord):
+    """What a passed deck-family audit reports: the p - 2 subgroups and
+    their genus sum, the genus of the curve.  :func:`kani_rosen_check`
+    raises on a failed hypothesis, so no record holds a failure.
     """
 
-    __slots__ = _fields = ("subgroup_count", "commuting_failure", "plane_genus", "genus_sum_check")
+    __slots__ = _fields = ("subgroup_count", "genus_sum")
+    commuting_checks = ()  # the pairs whose set products differ: none; kept for the benchmark tracer's count
 
-    def __init__(self, subgroup_count: int, commuting_failure: str | None, plane_genus: int,
-                 genus_sum_check: tuple[int, int, bool]):
-        self.subgroup_count = subgroup_count
-        self.commuting_failure = commuting_failure
-        self.plane_genus = plane_genus
-        self.genus_sum_check = genus_sum_check  # (computed sum, expected genus, ok)
-
-    @property
-    def commuting_checks(self) -> list[list[int]]:
-        """The pairs whose set products differ: all of them or none."""
-        return [] if self.commuting_failure is None else _all_pairs(self.subgroup_count)
-
-    @property
-    def failure(self) -> str | None:
-        """The first failed hypothesis with both of its values, or None."""
-        if self.commuting_failure is not None:
-            return self.commuting_failure
-        if self.plane_genus:  # every pair joins to the plane H
-            return f"the plane H has quotient genus={self.plane_genus}, not genus=0"
-        return _sum_failure(*self.genus_sum_check[:2])
-
-    @property
-    def all_pass(self) -> bool:
-        return self.failure is None
+    def __init__(self, subgroup_count: int, genus_sum: int):
+        set_field(self, "subgroup_count", subgroup_count)
+        set_field(self, "genus_sum", genus_sum)
 
     def summary(self) -> dict:
         n = self.subgroup_count * (self.subgroup_count - 1) // 2
-
-        def pairs(failures: list[list[int]]) -> dict:
-            return {"pairs_checked": n, "pairs_passed": n - len(failures), "failures": failures}
-
         return {
             "subgroup_count": self.subgroup_count,
-            "commuting": {**pairs(self.commuting_checks), "method": "abelian"},
-            "genus_zero": pairs(_all_pairs(self.subgroup_count) if self.plane_genus else []),
-            "genus_sum": {
-                "computed": self.genus_sum_check[0],
-                "expected": self.genus_sum_check[1],
-                "ok": self.genus_sum_check[2],
-            },
-            "all_pass": self.all_pass,
+            "commuting": {"pairs_checked": n, "pairs_passed": n, "failures": [], "method": "abelian"},
+            "genus_zero": {"pairs_checked": n, "pairs_passed": n, "failures": []},
+            "genus_sum": {"computed": self.genus_sum, "expected": self.genus_sum, "ok": True},
+            "all_pass": True,
         }
 
 
 def kani_rosen_check(ctx: PrimeContext) -> KaniRosenAudit:
-    """Evaluate the three decomposition hypotheses for H_1, ..., H_(p-2).
+    """Check the three decomposition hypotheses for H_1, ..., H_(p-2) and
+    raise AuditFailError naming the first that fails, with its values.
 
     Every subgroup of H = Z_p^2 is a line or the whole plane of F_p^2, and
-    H_j is the line through (1, 1+j).  One pass reads the axis table once
-    per line (:attr:`~fermatjac.genus.FixTable.line_counts`): a line's fix
-    sum is (p-1) times its count, read once per distinct count on the deck
-    lines, and the plane's is the sum over its p+1 lines.  H_i and H_j have
-    determinant j - i, a unit for i != j, so every pair joins to the plane
-    and has the plane's quotient genus: the pairs pass or fail together.
-    The set products H_i H_j and H_j H_i agree for every pair once a1 and
-    a2, which generate H, commute.  Time and memory are O(p).
+    H_j is the line through (1, 1+j).  :func:`~fermatjac.genus.rh_genus`
+    reads the axis table once per line
+    (:attr:`~fermatjac.genus.FixTable.line_counts`): for the plane, and for
+    one deck line per distinct count, its genus weighed by the lines with
+    that count.  H_i and H_j have determinant j - i, a unit for i != j, so
+    every pair joins to the plane and has the plane's quotient genus: the
+    pairs pass or fail together.  The set products H_i H_j and H_j H_i
+    agree for every pair once a1 and a2, which generate H, commute.  Time
+    and memory are O(p).
     """
     p = ctx.p
     g_top = fermat_genus(p)
     fix = fermat_axis_fix_table(ctx)
-    counts = fix.line_counts
-    deck = counts[3:]  # H_j is line j + 2; one genus per distinct count, times the lines with it
-    total, c = 0, None  # c: the deck count summed last, None while on the plane
-    try:
-        plane_genus = riemann_hurwitz(g_top, p * p, (p - 1) * sum(counts))
-        for c in set(deck):
-            total += deck.count(c) * riemann_hurwitz(g_top, p, (p - 1) * c)
-    except InconsistentRHError as exc:  # on the plane, or on the first deck line of count c
-        raise naming(exc, fermat_H(p) if c is None else fermat_Hj(p, deck.index(c) + 1), fix) from None
+    deck = fix.line_counts[3:]  # H_j is line j + 2
+    plane_genus = rh_genus(g_top, fermat_H(p), fix)
+    total = sum([deck.count(c) * rh_genus(g_top, fermat_Hj(p, deck.index(c) + 1), fix) for c in set(deck)])
     group = Group(p)
     a1, a2 = group.generators[:2]
     a1a2, a2a1 = group.mul(a1, a2), group.mul(a2, a1)
-    commuting = None
     if a1a2 != a2a1:
-        commuting = f"a1 a2 = {group.coordinates(a1a2)} != a2 a1 = {group.coordinates(a2a1)}"
-    return KaniRosenAudit(p - 2, commuting, plane_genus, (total, g_top, total == g_top))
+        why = f"a1 a2 = {group.coordinates(a1a2)} != a2 a1 = {group.coordinates(a2a1)}"
+    elif plane_genus:  # every pair joins to the plane H
+        why = f"the plane H has quotient genus={plane_genus}, not genus=0"
+    elif total != g_top:
+        why = f"genus sum {total} != {g_top}"
+    else:
+        return KaniRosenAudit(p - 2, total)
+    raise AuditFailError(f"decomposition hypotheses failed for p = {p}: {why}")
 
 
 _K_PAIRS = ((1, 2), (1, 3), (2, 3))
 
 
-class GammaRefinementAudit(Record):
-    """Evidence for replacing the gamma-curve factor by E^6: the genus of
-    the gamma curve, the quotient genera of K_1, K_2, K_3, and for each
-    pair (1, 2), (1, 3), (2, 3) the genus of its join and whether the two
-    K_i differ.  Distinct K_i have set products that do not commute,
-    which the report records honestly; the refinement is gated on the
-    quotient-genus identities, which hold.
+class GammaRefinementAudit(FrozenRecord):
+    """What a passed gamma refinement reports: the genus of the gamma
+    curve, a third of which is each K_i's quotient genus, while each pair
+    of K_i joins to genus 0.  :func:`gamma_refinement_audit` raises on a
+    failed identity, so no record holds a failure.
     """
 
-    __slots__ = _fields = ("curve_genus", "quotient_genera", "pair_genera", "distinct")
+    __slots__ = _fields = ("curve_genus",)
 
-    def __init__(self, curve_genus: int, quotient_genera: tuple[int, ...], pair_genera: tuple[int, ...],
-                 distinct: tuple[bool, ...]):
-        self.curve_genus = curve_genus
-        self.quotient_genera = quotient_genera
-        self.pair_genera = pair_genera
-        self.distinct = distinct
-
-    @property
-    def failure(self) -> str | None:
-        """The first failed genus identity with both of its values, or None."""
-        expected = self.curve_genus // 3
-        for i, g in enumerate(self.quotient_genera, start=1):
-            if g != expected:
-                return f"K{i} has quotient genus {g}, not {expected}"
-        for (i, j), g in zip(_K_PAIRS, self.pair_genera):
-            if g:
-                return f"K{i} K{j} has quotient genus={g}, not genus=0"
-        return _sum_failure(sum(self.quotient_genera), self.curve_genus)
-
-    @property
-    def all_pass(self) -> bool:
-        """Gate for emission: the genus identities only (see module docs)."""
-        return self.failure is None
+    def __init__(self, curve_genus: int):
+        set_field(self, "curve_genus", curve_genus)
 
     def summary(self) -> dict:
-        expected, total = self.curve_genus // 3, sum(self.quotient_genera)
+        g, third = self.curve_genus, self.curve_genus // 3
         return {
-            "quotient_genus": [
-                {"subgroup": f"K{i}", "genus": g, "expected": expected, "ok": g == expected}
-                for i, g in enumerate(self.quotient_genera, start=1)
-            ],
-            "pairwise_joined_genus_zero": [
-                {"pair": list(pair), "ok": g == 0, "detail": f"genus={g}"}
-                for pair, g in zip(_K_PAIRS, self.pair_genera)
-            ],
-            "genus_sum": {"computed": total, "expected": self.curve_genus, "ok": total == self.curve_genus},
-            "set_products_commute": not any(self.distinct),
+            "quotient_genus": [{"subgroup": f"K{i}", "genus": third, "expected": third, "ok": True} for i in (1, 2, 3)],
+            "pairwise_joined_genus_zero": [{"pair": list(pair), "ok": True, "detail": "genus=0"} for pair in _K_PAIRS],
+            "genus_sum": {"computed": g, "expected": g, "ok": True},
+            # the join gate passes only for distinct K_i, whose set products differ
+            "set_products_commute": False,
             "note": (
                 "pairwise set products K_i*K_j differ from K_j*K_i; each pair "
                 "generates the full group, and the refinement is certified by "
                 "the quotient-genus identities"
             ),
-            "all_pass": self.all_pass,
+            "all_pass": True,
         }
 
 
 def gamma_refinement_audit(ctx: PrimeContext) -> GammaRefinementAudit:
-    """Check the hypotheses behind the gamma-factor refinement.
+    """Check the hypotheses behind the gamma-factor refinement and raise
+    AuditFailError naming the first that fails, with its values.
 
     The joins and set products of the K_i follow from Lagrange (see the
     module docs): a pair of distinct K_i joins to the whole group, whose
@@ -241,11 +170,19 @@ def gamma_refinement_audit(ctx: PrimeContext) -> GammaRefinementAudit:
     ks = [pgonal_K(i, ctx) for i in (1, 2, 3)]
     fix = pgonal_fix_table(ctx)
     g_top = (ctx.p - 1) // 2
-    genera = tuple([rh_genus(g_top, k, fix) for k in ks])  # a failure names K (genus.naming)
+    genera = [rh_genus(g_top, k, fix) for k in ks]  # a failure names K (genus.naming)
     whole_genus = rh_genus(g_top, pgonal_group(ctx), fix)
-    distinct = tuple(ks[i - 1].generators != ks[j - 1].generators for i, j in _K_PAIRS)
-    pair_genera = tuple(whole_genus if d else genera[i - 1] for (i, _), d in zip(_K_PAIRS, distinct))
-    return GammaRefinementAudit(g_top, genera, pair_genera, distinct)
+    failed, third = f"gamma refinement hypotheses failed for p = {ctx.p}: ", g_top // 3
+    for i, g in enumerate(genera, start=1):
+        if g != third:
+            raise AuditFailError(f"{failed}K{i} has quotient genus {g}, not {third}")
+    for i, j in _K_PAIRS:
+        g = whole_genus if ks[i - 1].generators != ks[j - 1].generators else genera[i - 1]
+        if g:
+            raise AuditFailError(f"{failed}K{i} K{j} has quotient genus={g}, not genus=0")
+    # no genus-sum gate: p = 1 mod 6, so 3 divides (p-1)/2 and the three
+    # K_i gates make the sum 3 (p-1)/6 = (p-1)/2
+    return GammaRefinementAudit(g_top)
 
 
 class IsogenyDecomposition(Record):
@@ -322,15 +259,12 @@ def decompose_coarse(ctx: PrimeContext, partition: OrbitPartition | None = None)
     """One Jacobian factor per exponent orbit, multiplicity = orbit size,
     from ctx's orbit partition (built here when not given).
 
-    Emitted only with a fully passing audit; an audit failure would mean
-    the verified hypotheses are wrong and is raised, never reported as a
-    decomposition.
+    Its audits raise AuditFailError on a failed hypothesis, so a
+    decomposition exists only once they passed.
     """
     if partition is None:
         partition = orbit_partition(ctx)
     audit = _fermat_family_audit(ctx, partition)
-    if audit.failure is not None:
-        raise AuditFailError(f"decomposition hypotheses failed for p = {ctx.p}: {audit.failure}")
     return _require_total_dimension(
         IsogenyDecomposition(
             context=ctx,
@@ -355,8 +289,6 @@ def decompose_fine(coarse: IsogenyDecomposition) -> IsogenyDecomposition:
             audit=coarse.audit,
         )
     refinement = gamma_refinement_audit(ctx)
-    if refinement.failure is not None:
-        raise AuditFailError(f"gamma refinement hypotheses failed for p = {ctx.p}: {refinement.failure}")
     factors = []
     for f in coarse.factors:
         if f.multiplicity == 2:

@@ -264,14 +264,8 @@ def render_decompose_text(report: dict) -> str:
     lines = _header_lines(report)
     orbit_bits = "; ".join(_orbit_line(o) for o in report["orbits"])
     lines.append(f"orbits ({len(report['orbits'])}): {orbit_bits}")
-    for level in ("coarse", "fine"):
-        if level in report["decompositions"]:
-            lines.append(f"{level}: {report['decompositions'][level]['product']}")
-    for level in ("coarse", "fine"):
-        if level in report["decompositions"]:
-            entry = report["decompositions"][level]
-            verdict = "PASS" if entry["audit"]["all_pass"] else "FAIL"
-            if "gamma_refinement" in entry and not entry["gamma_refinement"]["all_pass"]:
-                verdict = "FAIL"
-            lines.append(f"audit {level}: {verdict}")
+    levels = [level for level in ("coarse", "fine") if level in report["decompositions"]]
+    lines += [f"{level}: {report['decompositions'][level]['product']}" for level in levels]
+    # a decomposition exists only once its audits passed: a failed one raised
+    lines += [f"audit {level}: PASS" for level in levels]
     return "\n".join(lines)

@@ -20,7 +20,8 @@ normalized products, the oracle of the package's tuple calculus.
 The per-element helpers the package dropped (:func:`orbit` by closure
 under :func:`s3_apply`, :func:`are_isomorphic`,
 :func:`fermat_quotient_genus`, the fix sum of :func:`rh_genus_by_element`)
-are kept here for the tests that use them, as are the walks over X_p
+and the curve helpers no command called (:func:`normalize`,
+:func:`moebius_transport`, :func:`moebius_inverse`) are kept here for the tests that use them, as are the walks over X_p
 and the conjugation sweep that basic verify replaced by probes
 (:func:`s3_images`, :func:`walk_orbit_closure`, :func:`conjugation_sweep`
 and their kin), and :func:`reference_rows`
@@ -36,7 +37,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from fermatjac import curves, monomial, orbits
-from fermatjac.curves import CurveFamily, MoebiusLabel
+from fermatjac.curves import CurveFamily, CurveSpec, MoebiusLabel
 from fermatjac.decompose import IsogenyFactor
 from fermatjac.errors import CheckFailedError, GroupMismatchError, NoGammaError, NonMonomialError, NotSubgroupOfHError, OutOfRangeError
 from fermatjac.genus import (
@@ -485,6 +486,27 @@ def fermat_quotient_genus(k):
         raise NotSubgroupOfHError(f"{k!r} is not contained in the translation subgroup")
     return rh_genus(fermat_genus(k.p), k, fermat_axis_fix_table(make_context(k.p)))
 
+
+
+def normalize(alpha, beta, ctx):
+    """The curve C_a, a = ``curves.normalized_exponent``, isomorphic to y^p = x^alpha (x-1)^beta."""
+    return CurveSpec(ctx, CurveFamily.P_GONAL, curves.normalized_exponent(alpha, beta, ctx))
+
+
+def moebius_transport(alpha, label, ctx):
+    """Exponent of the image curve of C_alpha in X_p under an isomorphism
+    covering the Moebius map label, by ``curves.MOEBIUS_TRANSPORT``.  The
+    image always lies in O(alpha); transport by f.compose(g) applies f's
+    rule first (contravariance)."""
+    ctx.require_X(alpha)
+    if not isinstance(label, MoebiusLabel):
+        raise OutOfRangeError(f"unknown Moebius label {label!r}")
+    return curves.MOEBIUS_TRANSPORT[label](alpha, ctx.inv, ctx.p)
+
+
+def moebius_inverse(label):
+    """The label g with label.compose(g) = ID."""
+    return next(g for g in MoebiusLabel if label.compose(g) is MoebiusLabel.ID)
 
 # -- retired walks of basic verify: the oracles of its probes ----------------
 #

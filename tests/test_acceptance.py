@@ -16,6 +16,7 @@ from fermatjac.certificates import (
 )
 from fermatjac.cli import main
 from fermatjac.decompose import (
+    KaniRosenAudit,
     decompose_coarse,
     decompose_fine,
     dimension_audit,
@@ -150,14 +151,14 @@ def test_criterion_5_kani_rosen_audit(capsys):
     start = time.perf_counter()
     for p in (5, 7, 11, 13, 19, 31):
         audit = kani_rosen_check(make_context(p))
-        assert audit.all_pass
-        assert audit.genus_sum_check == (fermat_genus(p), fermat_genus(p), True)
+        assert audit == KaniRosenAudit(p - 2, fermat_genus(p))
         assert_audit_matches_oracle(audit, p)
     for p in (7, 13, 19, 31):
         ctx = make_context(p)
-        audit = gamma_refinement_audit(ctx)
-        assert audit.quotient_genera == ((p - 1) // 6,) * 3 and audit.pair_genera == (0, 0, 0)
-        assert audit.all_pass
+        summary = gamma_refinement_audit(ctx).summary()
+        assert [row["genus"] for row in summary["quotient_genus"]] == [(p - 1) // 6] * 3
+        assert [row["detail"] for row in summary["pairwise_joined_genus_zero"]] == ["genus=0"] * 3
+        assert summary["all_pass"] is True
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     with capsys.disabled():

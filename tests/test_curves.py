@@ -9,15 +9,24 @@ from fermatjac.curves import (
     CurveSpec,
     MoebiusLabel,
     genus_of,
-    moebius_transport,
-    normalize,
     normalized_exponent,
     quotient_to_curve,
 )
 from fermatjac.errors import DegenerateCurveError, NoGammaError, OutOfRangeError
 from fermatjac.orbits import make_context
 
-from helpers import INF, are_isomorphic, brute_inverse_table, moebius_eval, orbit, sweep_primes, transport_formula
+from helpers import (
+    INF,
+    are_isomorphic,
+    brute_inverse_table,
+    moebius_eval,
+    moebius_inverse,
+    moebius_transport,
+    normalize,
+    orbit,
+    sweep_primes,
+    transport_formula,
+)
 
 LABELS = list(MoebiusLabel)
 
@@ -79,7 +88,7 @@ def test_moebius_labels_compose_as_s3():
     assert {f.compose(g) for f in LABELS for g in LABELS} == set(LABELS)
     for f in LABELS:
         assert f.compose(MoebiusLabel.ID) is f is MoebiusLabel.ID.compose(f)
-        assert f.compose(f.inverse()) is MoebiusLabel.ID
+        assert f.compose(moebius_inverse(f)) is MoebiusLabel.ID
 
 
 def test_transport_id_and_examples():

@@ -9,11 +9,14 @@ import pytest
 import fermatjac
 from fermatjac import cli
 from fermatjac import decompose as decompose_module
+from fermatjac import genus as genus_module
 from fermatjac.curves import CurveFamily, CurveSpec, quotient_to_curve
 from fermatjac.decompose import (
     DecompositionLevel,
+    GammaRefinementAudit,
     IsogenyDecomposition,
     IsogenyFactor,
+    KaniRosenAudit,
     decompose_coarse,
     decompose_fine,
     dimension_audit,
@@ -45,7 +48,7 @@ def test_coarse_p7():
         (1, 3, 3),
         (2, 2, 3),
     ]
-    assert d.audit.all_pass
+    assert d.audit == KaniRosenAudit(5, 15) and d.audit.summary()["all_pass"] is True
 
 
 def test_coarse_p11():
@@ -67,7 +70,7 @@ def test_fine_p7():
     e = d.factors[1]
     assert e.curve.family is CurveFamily.E_QUOTIENT
     assert (e.multiplicity, e.dimension) == (6, 1)
-    assert d.gamma_refinement is not None and d.gamma_refinement.all_pass
+    assert d.gamma_refinement == GammaRefinementAudit(3) and d.gamma_refinement.summary()["all_pass"] is True
 
 
 def test_fine_p11_identical_to_coarse():
@@ -97,10 +100,8 @@ def test_determinism():
 @pytest.mark.parametrize("p", [p for p in primes_upto(31) if p >= 5])
 def test_kani_rosen_check_deck_family(p):
     audit = kani_rosen_check(make_context(p))
-    assert audit.all_pass
+    assert audit == KaniRosenAudit(p - 2, fermat_genus(p)) and audit.commuting_checks == ()
     assert audit.summary()["genus_zero"]["pairs_checked"] == (p - 2) * (p - 3) // 2
-    assert audit.commuting_failure is None and audit.commuting_checks == [] and audit.plane_genus == 0
-    assert audit.genus_sum_check == (fermat_genus(p), fermat_genus(p), True)
     assert_audit_matches_oracle(audit, p)
 
 
@@ -111,12 +112,13 @@ def test_deck_genus_sum_is_the_per_line_sum(p):
     ctx = make_context(p)
     axis, g_top = fermat_axis_fix_table(ctx), fermat_genus(p)
     per_line = sum(rh_genus_by_element(g_top, fermat_Hj(p, j), axis) for j in range(1, p - 1))
-    assert kani_rosen_check(ctx).genus_sum_check[0] == per_line == g_top
+    assert kani_rosen_check(ctx).genus_sum == per_line == g_top
 
 
 def test_deck_genus_sum_calls_riemann_hurwitz_once_per_distinct_count(monkeypatch):
     # deck line counts 1, 2, 0, 1, 2, ... weigh each count's genus by how
-    # many lines carry it; the plane makes the one call more
+    # many lines carry it; the plane makes the one call more, and its
+    # genus is held at 0 so that the sum is the gate that fails
     p = 13
     counts = [p, p, p] + [j % 3 for j in range(1, p - 1)]
     calls = []
@@ -125,10 +127,11 @@ def test_deck_genus_sum_calls_riemann_hurwitz_once_per_distinct_count(monkeypatc
     table = FixTable(Group(p), at_points.__getitem__, "deck line counts 1, 2, 0, ...")
     monkeypatch.setattr(decompose_module, "fermat_axis_fix_table", lambda ctx: table)
     monkeypatch.setattr(
-        decompose_module, "riemann_hurwitz", lambda g, order, fix_sum: calls.append((order, fix_sum)) or fix_sum
+        genus_module, "riemann_hurwitz", lambda g, order, fix_sum: calls.append((order, fix_sum)) or (order == p) * fix_sum
     )
-    audit = kani_rosen_check(make_context(p))
-    assert audit.genus_sum_check[0] == (p - 1) * sum(counts[3:])
+    with pytest.raises(AuditFailError) as raised:
+        kani_rosen_check(make_context(p))
+    assert str(raised.value) == f"decomposition hypotheses failed for p = 13: genus sum {(p - 1) * sum(counts[3:])} != 66"
     assert sorted(calls) == [(p, 0), (p, p - 1), (p, 2 * (p - 1)), (p * p, (p - 1) * sum(counts))]
 
 
@@ -140,36 +143,74 @@ def test_factor_symbols_fill_the_family_formats():
     assert [c.equation() for c in curves] == ["x^13 + y^13 + z^13 = 0", "y^13 = x^2*(x-1)", "C_gamma(p=13)/<R>"]
 
 
-def test_kani_rosen_check_records_failing_pairs(monkeypatch):
-    # a non-commuting "generator" and a plane of genus 1 make every pair fail
-    p = 7
-    real_rh = decompose_module.riemann_hurwitz
-    _, a2, u, v = Group(p).generators
-    monkeypatch.setattr(Group, "generators", property(lambda self: (u, a2, u, v)))
-    monkeypatch.setattr(
-        decompose_module,
-        "riemann_hurwitz",
-        lambda g, order, fix_sum: 1 if order == p * p else real_rh(g, order, fix_sum),
-    )
-    audit = kani_rosen_check(make_context(p))
-    pairs = [[i, j] for i in range(1, 6) for j in range(i + 1, 6)]
-    summary = audit.summary()
-    assert summary["commuting"] == {
-        "pairs_checked": 10, "pairs_passed": 0, "method": "abelian", "failures": pairs
-    }
-    assert summary["genus_zero"] == {"pairs_checked": 10, "pairs_passed": 0, "failures": pairs}
-    assert audit.plane_genus == 1 and audit.commuting_checks == pairs
-    assert not audit.all_pass
+REAL_RH, REAL_RH_GENUS = genus_module.riemann_hurwitz, decompose_module.rh_genus
+
+
+class _NonCommutingGroup(Group):
+    """The Fermat group with u in place of a1, so that a1 a2 != a2 a1."""
+
+    @property
+    def generators(self):
+        _, a2, u, v = super().generators
+        return u, a2, u, v
+
+
+def _non_commuting(mp):
+    # the deck audit's group, whose a1 and a2 it multiplies both ways
+    mp.setattr(decompose_module, "Group", _NonCommutingGroup)
+
+
+def _rh_shifted(plane, line):
+    """Riemann-Hurwitz at p = 7 with plane added to the plane's genus and line to each line's."""
+    def riemann_hurwitz(g, order, fix_sum):
+        return REAL_RH(g, order, fix_sum) + (plane if order == 49 else line)
+
+    return lambda mp: mp.setattr(genus_module, "riemann_hurwitz", riemann_hurwitz)
+
+
+def _rh_genus_raised(order):
+    """The decomposition audits' genus of each subgroup of the order, one higher."""
+    def rh_genus(g, k, fix):
+        return REAL_RH_GENUS(g, k, fix) + (k.order == order)
+
+    return lambda mp: mp.setattr(decompose_module, "rh_genus", rh_genus)
+
+
+DECK, GAMMA = "decomposition hypotheses failed for p = 7: ", "gamma refinement hypotheses failed for p = 7: "
+# gate -> (a mutation that fails it at p = 7, the text of the AuditFailError)
+GATE_MUTATIONS = {
+    "commuting": (_non_commuting, DECK + "a1 a2 = (6, 6, 1) != a2 a1 = (0, 1, 1)"),
+    "plane-genus": (_rh_shifted(1, 0), DECK + "the plane H has quotient genus=1, not genus=0"),
+    "genus-sum": (_rh_shifted(0, 1), DECK + "genus sum 20 != 15"),
+    # the order-3 K_i get genus 2, the whole group stays at 0
+    "K-genus": (_rh_genus_raised(3), GAMMA + "K1 has quotient genus 2, not 1"),
+    # the whole group gets genus 1: every pair of distinct K_i joins to it
+    "K-join": (_rh_genus_raised(21), GAMMA + "K1 K2 has quotient genus=1, not genus=0"),
+}
+
+
+def test_kani_rosen_check_raises_at_the_first_failed_hypothesis(monkeypatch):
+    # a non-commuting "generator" and a plane of genus 1 each fail every
+    # pair; the commuting gate comes first, then the plane's
+    _non_commuting(monkeypatch)
+    _rh_shifted(1, 0)(monkeypatch)
+    with pytest.raises(AuditFailError) as raised:
+        kani_rosen_check(make_context(7))
+    assert str(raised.value) == GATE_MUTATIONS["commuting"][1]
+    monkeypatch.setattr(decompose_module, "Group", Group)
+    with pytest.raises(AuditFailError) as raised:
+        kani_rosen_check(make_context(7))
+    assert str(raised.value) == GATE_MUTATIONS["plane-genus"][1]
 
 
 def test_audit_failures_name_the_hypothesis_and_both_values(capsys, monkeypatch):
     # a non-commuting "generator": verify exits 4 and decompose exits 3,
     # and both say which hypothesis failed
-    p = 7
-    _, a2, u, v = Group(p).generators
-    monkeypatch.setattr(Group, "generators", property(lambda self: (u, a2, u, v)))
+    _non_commuting(monkeypatch)
     why = "a1 a2 = (6, 6, 1) != a2 a1 = (0, 1, 1)"
-    assert kani_rosen_check(make_context(p)).failure == why
+    with pytest.raises(AuditFailError) as raised:
+        kani_rosen_check(make_context(7))
+    assert str(raised.value) == f"decomposition hypotheses failed for p = 7: {why}"
     assert cli.main(["verify", "--p", "7", "--format", "json"]) == 4
     out, err = capsys.readouterr()
     failed = json.loads(out)["checks"][-1]
@@ -180,63 +221,72 @@ def test_audit_failures_name_the_hypothesis_and_both_values(capsys, monkeypatch)
     assert err == f"audit failure: decomposition hypotheses failed for p = 7: {why}\n"
 
 
-def test_audit_failure_details(monkeypatch):
-    # each failed genus identity is named with both of its values
-    p = 7
-    ctx = make_context(p)
-    real_rh, real_rh_genus = decompose_module.riemann_hurwitz, decompose_module.rh_genus
-
-    def shifted(plane, line):
-        return lambda g, order, fix_sum: real_rh(g, order, fix_sum) + (plane if order == p * p else line)
-
-    monkeypatch.setattr(decompose_module, "riemann_hurwitz", shifted(1, 0))
-    assert kani_rosen_check(ctx).failure == "the plane H has quotient genus=1, not genus=0"
-    monkeypatch.setattr(decompose_module, "riemann_hurwitz", shifted(0, 1))
-    assert kani_rosen_check(ctx).failure == "genus sum 20 != 15"
-    with pytest.raises(AuditFailError, match="^decomposition hypotheses failed for p = 7: genus sum 20 != 15$"):
-        decompose_coarse(ctx)
-    monkeypatch.setattr(decompose_module, "riemann_hurwitz", real_rh)
+def test_audit_failure_details():
+    # each failed hypothesis is named with both of its values, by its
+    # audit and by the decomposition that runs it
+    ctx = make_context(7)
     coarse = decompose_coarse(ctx)
-    # the order-3 K_i get genus 2, the whole group stays at 0
-    monkeypatch.setattr(
-        decompose_module, "rh_genus", lambda g, k, fix: real_rh_genus(g, k, fix) + (k.order == 3)
+    for gate, (mutate, text) in GATE_MUTATIONS.items():
+        if text.startswith(DECK):
+            runs = kani_rosen_check, decompose_coarse
+        else:
+            runs = gamma_refinement_audit, lambda _: decompose_fine(coarse)
+        with pytest.MonkeyPatch.context() as mp:
+            mutate(mp)
+            for run in runs:
+                with pytest.raises(AuditFailError) as raised:
+                    run(ctx)
+                assert str(raised.value) == text, gate
+
+
+@pytest.mark.parametrize("gate", GATE_MUTATIONS)
+def test_each_audit_gate_makes_decompose_exit_3(monkeypatch, capsys, gate):
+    mutate, text = GATE_MUTATIONS[gate]
+    mutate(monkeypatch)
+    assert cli.main(["decompose", "--p", "7"]) == 3
+    assert capsys.readouterr() == ("", f"audit failure: {text}\n")
+
+
+@pytest.mark.parametrize("gate", GATE_MUTATIONS)
+def test_each_audit_gate_makes_decompose_exit_3_under_python_O(gate):
+    run = run_under_O(
+        "import pytest\n"
+        "from fermatjac import cli\n"
+        "from test_decompose import GATE_MUTATIONS\n"
+        f"GATE_MUTATIONS[{gate!r}][0](pytest.MonkeyPatch())\n"
+        "sys.exit(cli.main(['decompose', '--p', '7']))\n"
     )
-    assert gamma_refinement_audit(ctx).failure == "K1 has quotient genus 2, not 1"
-    with pytest.raises(AuditFailError, match="^gamma refinement hypotheses failed for p = 7: K1 has quotient"):
-        decompose_fine(coarse)
-    # the whole group gets genus 1: every pair of distinct K_i joins to it
-    monkeypatch.setattr(
-        decompose_module, "rh_genus", lambda g, k, fix: real_rh_genus(g, k, fix) + (k.order == 3 * p)
-    )
-    assert gamma_refinement_audit(ctx).failure == "K1 K2 has quotient genus=1, not genus=0"
+    assert (run.returncode, run.stdout, run.stderr) == (3, "", f"audit failure: {GATE_MUTATIONS[gate][1]}\n")
 
 
 @pytest.mark.parametrize("p", (7, 13, 19))
 def test_gamma_refinement_audit(p):
     ctx = make_context(p)
     audit = gamma_refinement_audit(ctx)
-    assert audit.all_pass
-    assert audit.curve_genus == (p - 1) // 2
-    assert audit.quotient_genera == ((p - 1) // 6,) * 3 and audit.pair_genera == (0, 0, 0)
-    # the honest set-level record: the products do not commute as sets
-    assert audit.distinct == (True, True, True)
-    assert audit.summary()["set_products_commute"] is False
+    assert audit == GammaRefinementAudit((p - 1) // 2)
+    summary = audit.summary()
+    assert summary["all_pass"] is True
+    assert [row["genus"] for row in summary["quotient_genus"]] == [(p - 1) // 6] * 3
+    assert [row["detail"] for row in summary["pairwise_joined_genus_zero"]] == ["genus=0"] * 3
+    # the set-level verdict of the passed gate: the products do not commute as sets
+    assert summary["set_products_commute"] is False
 
 
 @pytest.mark.parametrize("p", [q for q in primes_upto(31) if q % 3 == 1])
 def test_gamma_refinement_matches_object_joins(p):
-    """The audit's pair genera and set-commutation verdicts, read off the
+    """The audit's pair genera and set-commutation verdict, read off the
     subgroup lattice, against mulclose joins and set products of element
     objects, for either root (a context naming it as the conventional one)."""
     roots = make_context(p).gamma_pair
     for pair in (roots, roots[::-1]):
         ctx = PrimeContext(p, p % 3, pair)
-        audit = gamma_refinement_audit(ctx)
-        assert audit.all_pass
+        summary = gamma_refinement_audit(ctx).summary()
         oracle = object_gamma_pairs(p, ctx.gamma)
         assert [pair for pair, _, _, _, _ in oracle] == [(1, 2), (1, 3), (2, 3)]
-        assert audit.pair_genera == tuple(genus for _, _, genus, _, _ in oracle)
-        assert audit.distinct == tuple(not commutes for _, _, _, _, commutes in oracle)
+        assert [(tuple(row["pair"]), row["detail"]) for row in summary["pairwise_joined_genus_zero"]] == [
+            (pair, f"genus={genus}") for pair, _, genus, _, _ in oracle
+        ]
+        assert [commutes for _, _, _, _, commutes in oracle] == [summary["set_products_commute"]] * 3
         assert {(order, size) for _, order, _, size, _ in oracle} == {(3 * p, 9)}
 
 
@@ -244,32 +294,36 @@ def test_gamma_refinement_matches_object_joins(p):
 def test_gamma_refinement_tells_the_K_i_apart_as_their_elements_do(p):
     """The audit tells K_1, K_2, K_3 apart by their generators; each holds
     one T^k R, its generator, so that is the comparison of their element
-    sets, for either root (a context naming it as the conventional one)."""
+    sets, for either root (a context naming it as the conventional one).
+    Its join gate passes only for K_i told apart, as the elements are."""
     roots = make_context(p).gamma_pair
     for pair in (roots, roots[::-1]):
         ctx = PrimeContext(p, p % 3, pair)
         ks = [elements(pgonal_K(i, ctx)) for i in (1, 2, 3)]
         assert [[i for i in k if i % 3 == 1] for k in ks] == [list(pgonal_K(i, ctx).generators) for i in (1, 2, 3)]
-        assert gamma_refinement_audit(ctx).distinct == tuple(ks[i - 1] != ks[j - 1] for i, j in ((1, 2), (1, 3), (2, 3)))
+        assert [ks[i - 1] != ks[j - 1] for i, j in ((1, 2), (1, 3), (2, 3))] == [True] * 3
+        assert gamma_refinement_audit(ctx).summary()["set_products_commute"] is False
 
 
 def test_equal_K_subgroups_fail_the_gamma_gate(monkeypatch):
-    # K_1 for every i: the quotient genera and their sum still pass, but
-    # each pair joins to K_1 itself, of genus (p-1)/6, and commutes
+    # K_1 for every i: the quotient genera pass, so the first join gate
+    # fails, as each pair joins to K_1 itself, of genus (p-1)/6, and commutes
     p = 13
     real = decompose_module.pgonal_K
     monkeypatch.setattr(decompose_module, "pgonal_K", lambda i, ctx, gamma=None: real(1, ctx, gamma))
-    ctx = make_context(p)
-    audit = gamma_refinement_audit(ctx)
-    assert audit.quotient_genera == ((p - 1) // 6,) * 3 and sum(audit.quotient_genera) == audit.curve_genus
-    k1 = object_K_family(p, ctx.gamma)[0]
-    oracle = object_gamma_pairs(p, ctx.gamma, family=[k1] * 3)
-    assert audit.pair_genera == tuple(genus for _, _, genus, _, _ in oracle) == ((p - 1) // 6,) * 3
-    assert audit.distinct == (False, False, False)
-    assert audit.failure == f"K1 K2 has quotient genus={(p - 1) // 6}, not genus=0"
-    assert not audit.all_pass
+    roots = make_context(p).gamma_pair
+    for pair in (roots, roots[::-1]):
+        ctx = PrimeContext(p, p % 3, pair)
+        k1 = object_K_family(p, ctx.gamma)[0]
+        oracle = object_gamma_pairs(p, ctx.gamma, family=[k1] * 3)
+        assert [genus for _, _, genus, _, _ in oracle] == [(p - 1) // 6] * 3
+        assert [commutes for _, _, _, _, commutes in oracle] == [True] * 3
+        with pytest.raises(AuditFailError) as raised:
+            gamma_refinement_audit(ctx)
+        genus = oracle[0][2]
+        assert str(raised.value) == f"gamma refinement hypotheses failed for p = 13: K1 K2 has quotient genus={genus}, not genus=0"
     with pytest.raises(AuditFailError, match="gamma refinement hypotheses failed for p = 13"):
-        decompose_fine(decompose_coarse(ctx))
+        decompose_fine(decompose_coarse(make_context(p)))
 
 
 def test_equal_K_subgroups_exit_3_under_python_O():
@@ -357,7 +411,7 @@ def test_sweep_invariants_small(p):
     ctx = make_context(p)
     coarse = decompose_coarse(ctx)
     fine = decompose_fine(coarse)
-    assert coarse.audit.all_pass and fine.audit.all_pass
+    assert coarse.audit == fine.audit == KaniRosenAudit(p - 2, fermat_genus(p))
     assert coarse.total_dimension == fine.total_dimension == fermat_genus(p)
     assert dimension_audit(fine)[1]["N"] == len(fine.factors) - 1 - ctx.has_gamma
     # multiplicities are orbit sizes; levels differ only on the gamma factor
