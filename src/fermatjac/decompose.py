@@ -39,7 +39,7 @@ from .curves import CURVE_FORMATS, CurveFamily, CurveSpec, deck_exponent, genus_
 from .errors import AuditFailError, OutOfRangeError
 from .genus import fermat_axis_fix_table, fermat_genus, pgonal_fix_table, rh_genus
 from .groups import Group, fermat_H, fermat_Hj, pgonal_group, pgonal_K
-from .orbits import OrbitKind, OrbitPartition, PrimeContext, orbit_partition
+from .orbits import OrbitKind, OrbitPartition, PrimeContext, orbit_census, orbit_partition
 from .records import Const, FrozenRecord, Record, set_field
 
 
@@ -341,7 +341,7 @@ def dimension_audit(d: IsogenyDecomposition) -> tuple[dict, dict | None]:
             f"expected {int(ctx.has_gamma)} gamma factor(s) of multiplicity {gamma_slot[0]} and dimension"
             f" {gamma_slot[1]}, found {len(gamma_factors)}"
         )
-    n_expected = (p - 7) // 6 if ctx.has_gamma else (p - 5) // 6
+    n_expected = orbit_census(ctx)[OrbitKind.GENERIC.value, 6]
     if len(generic) != n_expected:
         raise AuditFailError(f"expected {n_expected} multiplicity-6 generic factors, found {len(generic)}")
     dimensions = {

@@ -181,16 +181,20 @@ class OrbitPartition(FrozenRecord):
         set_field(self, "orbits", orbits)
         set_field(self, "_orbit_of", {a: o for o in orbits for a in o.elements})
 
-    @property
-    def generic_count(self) -> int:
-        return sum(1 for o in self.orbits if o.kind is OrbitKind.GENERIC)
-
     def orbit_of(self, alpha: int) -> OrbitClass:
         self.context.require_X(alpha)
         try:
             return self._orbit_of[alpha]
         except KeyError:
             raise AuditFailError(f"p = {self.context.p}: the partition does not cover {alpha}") from None
+
+
+def orbit_census(ctx: PrimeContext) -> dict[tuple[str, int], int]:
+    """(kind value, size) -> the number of such orbits on X_p: the census
+    of the module docs, with (p - 5 - 2 [gamma]) / 6 generic orbits."""
+    p, (one, gamma, generic) = ctx.p, [kind.value for kind in OrbitKind]
+    n = (p - 7) // 6 if ctx.has_gamma else (p - 5) // 6
+    return {(one, 3): 1, (gamma, 2): int(ctx.has_gamma), (generic, 6): n}
 
 
 def inverse_table(p: int) -> list[int]:
@@ -204,9 +208,13 @@ def inverse_table(p: int) -> list[int]:
 
 def orbit_partition(ctx: PrimeContext) -> OrbitPartition:
     """Every orbit on X_p, each read off the six-element formula of the
-    module docs with an O(p) inverse table, in order of representative."""
+    module docs with an O(p) inverse table, in order of representative,
+    and counted by (kind, size) as they are built: a count off the census
+    raises, so every command that builds the partition checks it."""
     p = ctx.p
     inv = inverse_table(p)
+    census = orbit_census(ctx)
+    counts = dict.fromkeys(census, 0)
     orbits = []
     covered = bytearray(p)
     for a in range(1, p - 1):
@@ -214,9 +222,13 @@ def orbit_partition(ctx: PrimeContext) -> OrbitPartition:
             continue
         s = a + 1
         elements = tuple(sorted({a, inv[a], p - s, p - inv[s], -inv[a] * s % p, -a * inv[s] % p}))
-        orbits.append(_classify(elements, a, ctx))
+        orbits.append(orbit := _classify(elements, a, ctx))
+        key = orbit.kind.value, len(elements)
+        counts[key] = counts.get(key, 0) + 1
         for b in elements:
             covered[b] = 1
     if sum(covered) != p - 2:
         raise AuditFailError(f"p = {p}: the orbits cover {sum(covered)} points, not {p - 2}")
+    if counts != census:
+        raise AuditFailError(f"p = {p}: orbits by (kind, size) {counts}, expected {census}")
     return OrbitPartition(context=ctx, orbits=tuple(orbits))

@@ -22,7 +22,7 @@ from .decompose import (
     decompose_fine,
     dimension_audit,
 )
-from .orbits import OrbitClass, OrbitKind, OrbitPartition, PrimeContext, orbit_partition
+from .orbits import OrbitClass, OrbitKind, OrbitPartition, PrimeContext, orbit_census, orbit_partition
 
 SCHEMA_VERSION = "1"
 
@@ -202,9 +202,6 @@ def base_report(ctx: PrimeContext, partition: OrbitPartition) -> dict:
     gamma = None
     if ctx.has_gamma:
         gamma = {"root": ctx.gamma_pair[0], "inverse_root": ctx.gamma_pair[1]}
-    counts = {kind.value: 0 for kind in OrbitKind}
-    for o in partition.orbits:
-        counts[o.kind.value] += 1
     return {
         "schema_version": SCHEMA_VERSION,
         "p": ctx.p,
@@ -212,7 +209,8 @@ def base_report(ctx: PrimeContext, partition: OrbitPartition) -> dict:
         "gamma": gamma,
         "fermat_genus": (ctx.p - 1) * (ctx.p - 2) // 2,
         "orbits": list(partition.orbits),
-        "orbit_counts": counts,
+        # the census that orbit_partition held the partition against
+        "orbit_counts": {kind: n for (kind, _), n in orbit_census(ctx).items()},
     }
 
 

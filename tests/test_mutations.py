@@ -13,6 +13,12 @@ and T stand for the monomial calculus and the epsilon rule is never read.
 mutations must make ``sweep --from 5 --to 61`` exit 4 too, its row for
 p = 13 naming the check that ``verify --p 13`` names.
 
+The kinds of the orbits on X_p come from ``orbits._classify``: O(1) and
+a generic orbit swapped, a generic orbit labelled special and the gamma
+orbit labelled generic each put a kind off its orbit's size, which the
+census in ``orbit_partition`` refuses, so ``orbits`` and ``decompose``
+exit 3 on them too.
+
 The kill matrix runs every basic check on a fresh cache under each basic
 mutation and pins the exact set of checks that fail, not only the first.
 
@@ -29,7 +35,9 @@ rotation of X_p there passes basic ``verify`` and ``decompose``, as every
 orbit still gets as many deck lines as it has members, but not the deck
 certificates.  Each of those mutations must make
 ``verify --p 13 --depth full`` exit 4; ``sweep`` runs the basic checks
-only, so the rotation still passes it.
+only, so the rotation still passes it.  A coset oracle one too high on
+H must fail ``dual-oracle-genus`` with the code ORACLE_DISAGREEMENT,
+naming p, the subgroup and both genera.
 """
 
 import inspect
@@ -48,6 +56,7 @@ REAL_T, REAL_J = monomial.build_T, monomial.build_J
 REAL_ORBITS, REAL_SIZE, REAL_CENSUS = groups.line_orbits, groups.ClassData.size, groups.ClassData.census
 REAL_FULL_FIX, REAL_LINE_INDEX, REAL_POWERS = genus.fermat_full_fix_table, groups.ClassData.line_index, groups.ClassData.power_counts
 REAL_PGONAL_FIX, REAL_AXIS_FIX = genus.pgonal_fix_table, genus.fermat_axis_fix_table
+REAL_CLASSIFY, REAL_COSET_GENUS = orbits._classify, genus.coset_genus
 
 
 def _flip_y(m):
@@ -147,6 +156,32 @@ def _deck_line_fixes_p(mp):
     mp.setattr(genus, "fermat_axis_fix_table", table)
 
 
+def _relabelled(mp, relabel):
+    """_classify with each orbit's kind replaced by relabel(orbit), or kept
+    where relabel gives None."""
+
+    def classify(elements, alpha, ctx):
+        o = REAL_CLASSIFY(elements, alpha, ctx)
+        return orbits.OrbitClass(o.representative, o.elements, relabel(o) or o.kind)
+
+    mp.setattr(orbits, "_classify", classify)
+
+
+def _special_and_generic_swapped(mp):
+    # O(1) labelled generic, and the orbit of 2, when generic, labelled special
+    swap = {OrbitKind.SPECIAL_ONE: OrbitKind.GENERIC, OrbitKind.GENERIC: OrbitKind.SPECIAL_ONE}
+    _relabelled(mp, lambda o: swap.get(o.kind) if o.kind is OrbitKind.SPECIAL_ONE or 2 in o.elements else None)
+
+
+def _generic_labelled_special(mp):
+    # the orbit of 2, when generic, labelled special beside O(1)
+    _relabelled(mp, lambda o: OrbitKind.SPECIAL_ONE if o.kind is OrbitKind.GENERIC and 2 in o.elements else None)
+
+
+def _gamma_labelled_generic(mp):
+    _relabelled(mp, lambda o: OrbitKind.GENERIC if o.kind is OrbitKind.GAMMA else None)
+
+
 # name -> (the mutation, the check that must fail, the primes it must fail at)
 MUTATIONS = {
     "moebius-formula": (_wrong_formula, "moebius-transport", (11, 13)),
@@ -160,6 +195,9 @@ MUTATIONS = {
     "T-sign": (_T_with_minus_sign, "monomial-relations", (11, 13)),
     "T-identity": (_T_is_the_identity, "monomial-relations", (11, 13)),
     "J-sign": (_J_with_minus_sign, "monomial-relations", (11, 13)),
+    "special-and-generic-swapped": (_special_and_generic_swapped, "orbit-partition-laws", (11, 13)),
+    "generic-labelled-special": (_generic_labelled_special, "orbit-partition-laws", (11, 13)),
+    "gamma-labelled-generic": (_gamma_labelled_generic, "orbit-partition-laws", (13,)),
 }
 CASES = [(name, p) for name, (_, _, primes) in MUTATIONS.items() for p in primes]
 
@@ -202,6 +240,12 @@ KILL_MATRIX = {
     "T-sign": {"monomial-relations"},
     "T-identity": {"monomial-relations"},
     "J-sign": {"monomial-relations"},
+    # a kind off its size fails the census where the partition is built,
+    # so every check that reads one fails
+    **dict.fromkeys(
+        ("special-and-generic-swapped", "generic-labelled-special", "gamma-labelled-generic"),
+        {"orbit-partition-laws", "moebius-transport", "deck-quotient-audit", "fine-decomposition", "dimension-audit"},
+    ),
     "pgonal-order-three-fixes-one": {"fine-decomposition", "dimension-audit"},
     "axis-deck-line-fixes-p": {"deck-quotient-audit", "fine-decomposition", "dimension-audit"},
 }
@@ -298,6 +342,14 @@ def _deck_exponent_rotated(mp):
 
     for module in (curves, decompose, cli):
         mp.setattr(module, "deck_exponent", rotated)
+
+
+def _coset_genus_off_on_H(mp):
+    # the coset oracle one too high on the plane H alone, of order p^2
+    def coset_genus(k, triple, data):
+        return REAL_COSET_GENUS(k, triple, data) + (k.order == triple.p ** 2)
+
+    mp.setattr(genus, "coset_genus", coset_genus)
 
 
 # name -> (the mutation, the check of verify --p 13 --depth full that must fail)
@@ -422,6 +474,43 @@ def test_basic_mutation_fails_sweep_under_python_O(name):
     assert "Traceback" not in run.stderr
 
 
+# name -> the orbits by (kind, size) that each kind mutation of _classify
+# gives at p = 13, where the census is one orbit of each kind
+CENSUS_13 = "{('special_one', 3): 1, ('gamma', 2): 1, ('generic', 6): 1}"
+CENSUS_FAILURES_13 = {
+    "special-and-generic-swapped":
+        "{('special_one', 3): 0, ('gamma', 2): 1, ('generic', 6): 0, ('generic', 3): 1, ('special_one', 6): 1}",
+    "generic-labelled-special": "{('special_one', 3): 1, ('gamma', 2): 1, ('generic', 6): 0, ('special_one', 6): 1}",
+    "gamma-labelled-generic": "{('special_one', 3): 1, ('gamma', 2): 0, ('generic', 6): 1, ('generic', 2): 1}",
+}
+
+
+def _census_failure_13(name):
+    return f"p = 13: orbits by (kind, size) {CENSUS_FAILURES_13[name]}, expected {CENSUS_13}"
+
+
+@pytest.mark.parametrize("name", CENSUS_FAILURES_13)
+def test_kind_mutation_fails_orbits_and_decompose(monkeypatch, capsys, name):
+    MUTATIONS[name][0](monkeypatch)
+    for command in ("orbits", "decompose"):
+        assert cli.main([command, "--p", "13"]) == 3
+        assert capsys.readouterr() == ("", f"audit failure: {_census_failure_13(name)}\n")
+
+
+@pytest.mark.parametrize("name", CENSUS_FAILURES_13)
+def test_kind_mutation_fails_orbits_and_decompose_under_python_O(name):
+    run = run_under_O(
+        "import pytest\n"
+        "from fermatjac import cli\n"
+        "from test_mutations import MUTATIONS\n"
+        f"MUTATIONS[{name!r}][0](pytest.MonkeyPatch())\n"
+        "codes = cli.main(['orbits', '--p', '13']), cli.main(['decompose', '--p', '13'])\n"
+        "sys.exit(0 if codes == (3, 3) else 1)\n"
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert (run.stdout, run.stderr) == ("", f"audit failure: {_census_failure_13(name)}\n" * 2)
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason="item 9")
 def test_deck_exponent_rotated_fails_sweep(monkeypatch):
     # a rotated deck exponent fails full depth only; sweep runs the basic
@@ -460,3 +549,37 @@ def test_full_mutation_fails_verify_under_python_O(name):
     assert run.returncode == 4, run.stdout + run.stderr
     assert f"FAIL {check}: " in run.stdout
     assert "Traceback" not in run.stderr
+
+
+# The entry of verify --p 13 --depth full when the two genus oracles
+# disagree: the coset oracle reads genus 1 for the plane H, whose
+# quotient is the line.
+ORACLE_DISAGREEMENT_13 = {
+    "name": "dual-oracle-genus",
+    "status": "FAIL",
+    "detail": "p = 13, the subgroup of order 169 generated by (1, 0, 0), (0, 1, 0):"
+    " Riemann-Hurwitz genus 0, coset genus 1",
+    "code": "ORACLE_DISAGREEMENT",
+}
+
+
+def test_oracle_disagreement_is_named(monkeypatch, capsys):
+    _coset_genus_off_on_H(monkeypatch)
+    assert cli.main(["verify", "--p", "13", "--depth", "full", "--format", "json"]) == 4
+    out, err = capsys.readouterr()
+    report = parse(out)
+    assert report["all_pass"] is False and report["checks"][-1] == ORACLE_DISAGREEMENT_13
+    assert err == "verification failed at check: dual-oracle-genus\n"
+
+
+def test_oracle_disagreement_is_named_under_python_O():
+    run = run_under_O(
+        "import pytest\n"
+        "from fermatjac import cli\n"
+        "from test_mutations import _coset_genus_off_on_H\n"
+        "_coset_genus_off_on_H(pytest.MonkeyPatch())\n"
+        "sys.exit(cli.main(['verify', '--p', '13', '--depth', 'full', '--format', 'json']))\n"
+    )
+    assert run.returncode == 4, run.stdout + run.stderr
+    assert parse(run.stdout)["checks"][-1] == ORACLE_DISAGREEMENT_13
+    assert run.stderr == "verification failed at check: dual-oracle-genus\n"

@@ -7,6 +7,7 @@ from fermatjac.orbits import (
     OrbitPartition,
     inverse_table,
     make_context,
+    orbit_census,
     orbit_partition,
 )
 
@@ -182,7 +183,9 @@ def test_partition_counting_laws(p):
     assert sizes.count(3) == 1
     assert sizes.count(2) == (1 if p % 3 == 1 else 0)
     expected = (p - 7) // 6 if p % 3 == 1 else (p - 5) // 6
-    assert part.generic_count == expected
+    assert sum(1 for o in part.orbits if o.kind is OrbitKind.GENERIC) == expected
+    # the one statement of the census, which orbit_partition checks
+    assert orbit_census(ctx) == {("special_one", 3): 1, ("gamma", 2): sizes.count(2), ("generic", 6): expected}
     # pairwise disjoint
     seen = set()
     for o in part.orbits:
