@@ -36,7 +36,7 @@ from .errors import (
     TooLargeError,
     TooSmallError,
 )
-from .orbits import S3_GENERATORS, OrbitKind, is_prime, make_context, orbit_census, orbit_partition
+from .orbits import S3_GENERATORS, OrbitKind, is_prime, make_context, orbit_census, orbit_partition, probe_points
 
 # verify --depth full has no bound of its own but MAX_P: classes by rule and
 # by blocks, one subgroup per class from the line orbits, held by its
@@ -67,12 +67,6 @@ def _require(cond, detail):
         raise CheckFailedError(detail)
 
 
-def _probes(ctx):
-    """1, 2, p - 2 and gamma, if any: three points of X_p or more, one of
-    each orbit kind (1 is special, and 2 generic once p > 7)."""
-    return tuple(sorted({1, 2, ctx.p - 2, *(ctx.gamma_pair or ())[:1]}))
-
-
 def _inverse(p):
     """b -> b^(-1) mod p, 0 at 0: the inv the rules take, one pow a call."""
     return lambda b: pow(b, -1, p) if b % p else 0
@@ -91,7 +85,7 @@ def check_orbit_partition_laws(ctx, cache):
     p = ctx.p
     part = _partition(ctx, cache)
     inv = _inverse(p)
-    for a in _probes(ctx):
+    for a in probe_points(ctx):
         members = part.orbit_of(a).elements
         for b in members:
             for name in ("U", "V"):
@@ -103,7 +97,7 @@ def check_orbit_partition_laws(ctx, cache):
 
 def check_s3_relations(ctx, cache):
     """U^3 = V^2 = (UV)^2 = id at the probes, so on X_p."""
-    p, inv, probes = ctx.p, _inverse(ctx.p), _probes(ctx)
+    p, inv, probes = ctx.p, _inverse(ctx.p), probe_points(ctx)
     for a in probes:
         for name, word in (("U^3", "UUU"), ("V^2", "VV"), ("(UV)^2", "UVUV")):
             b = a
@@ -121,7 +115,7 @@ def check_moebius_transport(ctx, cache):
     labels = list(MoebiusLabel)
     part = _partition(ctx, cache)
     rules = [MOEBIUS_TRANSPORT[lab] for lab in labels]
-    rows = {a: [rule(a, inv, p) for rule in rules] for a in _probes(ctx)}
+    rows = {a: [rule(a, inv, p) for rule in rules] for a in probe_points(ctx)}
     for a, row in rows.items():
         o = part.orbit_of(a)
         if sorted(row) != sorted(o.elements * (6 // o.size)):
@@ -141,7 +135,7 @@ def check_moebius_transport(ctx, cache):
 def check_normalization(ctx, cache):
     """normalize(a, 1) = a and normalize(1, a) = 1/a at the probes, and
     invariance under rescaling (a, b) by 2, 3 and -1, for b = 1, 2."""
-    p, probes = ctx.p, _probes(ctx)
+    p, probes = ctx.p, probe_points(ctx)
     for a in probes:
         if normalized_exponent(a, 1, ctx) != a:
             raise CheckFailedError(f"p = {p}: normalize({a}, 1) is not {a}")
@@ -256,8 +250,6 @@ def check_dual_oracle_genus(ctx, cache):
     # are conjugation-invariant by fix-table-consistency); H is read by its lines.
     subgroups = grp.cyclic_subgroup_classes(p, data.line_orbits())
     classes = len(subgroups)
-    # The deck lines H_j, j = 1..p-2, are the lines j + 2 of plane_lines,
-    # off the three axes 0, 1, 2; each join H_i H_j is H (determinant j - i).
     deck = cache["deck"] = []
     for k in chain(subgroups, [grp.fermat_H(p)]):
         rh, coset = gen.rh_genus(g_top, k, fix), gen.coset_genus(k, triple, data)
@@ -265,7 +257,7 @@ def check_dual_oracle_genus(ctx, cache):
             raise OracleDisagreementError(
                 f"p = {p}, {gen.describe(k)}: Riemann-Hurwitz genus {rh}, coset genus {coset}"
             )
-        if k.lines and k.lines[0] > 2:
+        if k.lines and grp.deck_index(k.lines[0]):
             deck.append(k)
     return f"{classes} cyclic subgroups, one per conjugacy class ({len(deck)} of them deck lines), and H: both oracles agree"
 
@@ -307,12 +299,11 @@ def check_certificates(ctx, cache):
     rat = cert.chi_rat(cache["full_fix"], data)
     pairing = cert.inner_product(cert.chi_trivial(data), rat)
     _require(pairing == 0, f"p = {p}: <triv, hom> = {pairing}, expected 0")
-    # Conjugate subgroups have one permutation character, so the deck
-    # classes stand for all p - 2 lines H_j.  They are one per exponent
-    # orbit through deck_exponent(j), which ties ACTION to U and V: the
-    # orbit of H_j, line j + 2, is that orbit, of its kind.
+    # Conjugate subgroups have one permutation character, so the deck classes
+    # stand for all p - 2 lines H_j.  deck_exponent ties ACTION to U and V:
+    # the orbit of H_j's line is the orbit of its exponent, of its kind.
     deck, part = cache["deck"], _partition(ctx, cache)
-    exponent_orbits = [part.orbit_of(deck_exponent(k.lines[0] - 2, p)) for k in deck]
+    exponent_orbits = [part.orbit_of(deck_exponent(grp.deck_index(k.lines[0]), p)) for k in deck]
     hit = len({id(o) for o in exponent_orbits})  # the partition's own objects
     _require(
         len(deck) == len(part.orbits) == hit,
@@ -320,9 +311,9 @@ def check_certificates(ctx, cache):
     )
     orbit_of_first_line = {o.lines[0]: o for o in data.line_orbits()}  # deck lines are first lines
     for k, exponents in zip(deck, exponent_orbits):
-        j, lines = k.lines[0] - 2, orbit_of_first_line[k.lines[0]]
+        j, lines = grp.deck_index(k.lines[0]), orbit_of_first_line[k.lines[0]]
         if not (
-            {deck_exponent(line - 2, p) for line in lines.lines} == set(exponents.elements)
+            {deck_exponent(grp.deck_index(line), p) for line in lines.lines} == set(exponents.elements)
             and lines.kind == exponents.kind.value
             and len(lines.stabilizer) * len(lines.lines) == 6
         ):

@@ -38,8 +38,8 @@ from __future__ import annotations
 from .curves import CURVE_FORMATS, CurveFamily, CurveSpec, deck_exponent, genus_of
 from .errors import AuditFailError, OutOfRangeError
 from .genus import fermat_axis_fix_table, fermat_genus, pgonal_fix_table, rh_genus
-from .groups import Group, fermat_H, fermat_Hj, pgonal_group, pgonal_K
-from .orbits import OrbitKind, OrbitPartition, PrimeContext, orbit_census, orbit_partition
+from .groups import Group, deck_index, deck_line, fermat_H, fermat_Hj, line_orbit, pgonal_group, pgonal_K
+from .orbits import OrbitKind, OrbitPartition, PrimeContext, orbit_census, orbit_partition, probe_points
 from .records import Const, FrozenRecord, Record, set_field
 
 
@@ -107,9 +107,9 @@ def kani_rosen_check(ctx: PrimeContext) -> KaniRosenAudit:
     p = ctx.p
     g_top = fermat_genus(p)
     fix = fermat_axis_fix_table(ctx)
-    deck = fix.line_counts[3:]  # H_j is line j + 2
+    deck = fix.line_counts[deck_line(1):]
     plane_genus = rh_genus(g_top, fermat_H(p), fix)
-    total = sum([deck.count(c) * rh_genus(g_top, fermat_Hj(p, deck.index(c) + 1), fix) for c in set(deck)])
+    total = sum([deck.count(c) * rh_genus(g_top, fermat_Hj(p, deck_index(deck_line(1) + deck.index(c))), fix) for c in set(deck)])
     group = Group(p)
     a1, a2 = group.generators[:2]
     a1a2, a2a1 = group.mul(a1, a2), group.mul(a2, a1)
@@ -234,15 +234,22 @@ def _deck_census(ctx: PrimeContext, partition: OrbitPartition) -> dict[int, int]
 
 def _fermat_family_audit(ctx: PrimeContext, partition: OrbitPartition) -> KaniRosenAudit:
     audit = kani_rosen_check(ctx)
-    # Factor multiplicities come from grouping the p-2 deck quotients by
-    # isomorphism class, the orbit of the quotient's exponent: each orbit
-    # must receive exactly orbit-size many.
+    # Factor multiplicities: each orbit must receive orbit-size many of the
+    # p - 2 deck quotients, by the orbit of the quotient's exponent.
     counts = _deck_census(ctx, partition)
     expected = {o.representative: o.size for o in partition.orbits}
     if counts != expected:
-        raise AuditFailError(
-            f"deck quotients per isomorphism class {counts} != orbit sizes {expected}"
-        )
+        raise AuditFailError(f"deck quotients per isomorphism class {counts} != orbit sizes {expected}")
+    # Any permutation of X_p keeps those counts, so the probes also test that
+    # the rule is S3-equivariant: H_j's line orbit goes onto alpha's orbit.
+    p = ctx.p
+    for j in probe_points(ctx):
+        lines, orbit = line_orbit(p, deck_line(j)).lines, partition.orbit_of(alpha := deck_exponent(j, p))
+        exponents = sorted({deck_exponent(deck_index(line), p) for line in lines})
+        if exponents != list(orbit.elements):
+            raise AuditFailError(
+                f"p = {p}: deck quotient j = {j}, alpha = {alpha}: lines {lines} give exponents {exponents}, not {orbit.elements}"
+            )
     return audit
 
 

@@ -64,6 +64,8 @@ from .groups import (
     describe,
     fermat_order,
     fermat_translation,
+    line_point,
+    line_points,
     plane_lines,
     resolve_gamma,
 )
@@ -90,11 +92,10 @@ class FixTable:
 
     @property
     def line_counts(self) -> list[int]:
-        """A Fermat table read once per line of F_p^2, at its point of
-        :func:`~fermatjac.groups.plane_lines` (indices 6, range(6p, 12p, 6)),
-        as the line's points but 0 all generate it (module docs); kept."""
+        """A Fermat table read once per line of F_p^2, at its point, as the
+        line's points but 0 all generate it (module docs); kept."""
         if self._line_counts is None:
-            self._line_counts = [self.at(6), *self.at_range(range(6 * self.group.p, 12 * self.group.p, 6))]
+            self._line_counts = [self.at(line_point(self.group.p, 0)), *self.at_range(line_points(self.group.p))]
         return self._line_counts
 
     def at(self, i: int) -> int:

@@ -230,8 +230,7 @@ def fermat_order(p: int, i: int) -> int:
 def plane_lines(p: int) -> list[tuple[int, int]]:
     """One point on each of the p + 1 lines through 0 of F_p^2: (0, 1),
     then (1, t) for t = 0, ..., p - 1.  The first three are the axes
-    m = 0, n = 0 and m = n, and the deck line H_j, through (1, 1 + j), is
-    entry j + 2."""
+    m = 0, n = 0 and m = n; the deck lines follow (:func:`deck_line`)."""
     return [(0, 1)] + [(1, t) for t in range(p)]
 
 
@@ -424,6 +423,21 @@ def line_of(p: int, m: int, n: int) -> int:
 def line_point(p: int, line: int) -> int:
     """The index of the translation at the :func:`plane_lines` point of a line."""
     return 6 * (p + line - 1) if line else 6
+
+
+def line_points(p: int) -> range:
+    """The :func:`line_point` of each line but 0, in order."""
+    return range(6 * p, 12 * p, 6)
+
+
+def deck_line(j: int) -> int:
+    """The :func:`plane_lines` index of H_j's line, through (1, 1 + j)."""
+    return j + 2
+
+
+def deck_index(line: int) -> int | None:
+    """The j of H_j on a line, None on the axes 0, 1, 2."""
+    return line - 2 if line > 2 else None
 
 
 class LineOrbit(FrozenRecord):

@@ -197,6 +197,12 @@ def orbit_census(ctx: PrimeContext) -> dict[tuple[str, int], int]:
     return {(one, 3): 1, (gamma, 2): int(ctx.has_gamma), (generic, 6): n}
 
 
+def probe_points(ctx: PrimeContext) -> tuple[int, ...]:
+    """1, 2, p - 2 and gamma, if any: three points of X_p or more, one of
+    each orbit kind (1 is special, and 2 generic once p > 7)."""
+    return tuple(sorted({1, 2, ctx.p - 2, *(ctx.gamma_pair or ())[:1]}))
+
+
 def inverse_table(p: int) -> list[int]:
     """inv[a] = a^(-1) mod p for a = 1, ..., p-1 (inv[0] = 0), in O(p):
     p = (p // a) a + p mod a gives a^(-1) = -(p // a) (p mod a)^(-1)."""

@@ -22,6 +22,7 @@ from .decompose import (
     decompose_fine,
     dimension_audit,
 )
+from .genus import fermat_genus
 from .orbits import OrbitClass, OrbitKind, OrbitPartition, PrimeContext, orbit_census, orbit_partition
 
 SCHEMA_VERSION = "1"
@@ -207,7 +208,7 @@ def base_report(ctx: PrimeContext, partition: OrbitPartition) -> dict:
         "p": ctx.p,
         "residue_mod_3": ctx.residue_class_mod_3,
         "gamma": gamma,
-        "fermat_genus": (ctx.p - 1) * (ctx.p - 2) // 2,
+        "fermat_genus": fermat_genus(ctx.p),
         "orbits": list(partition.orbits),
         # the census that orbit_partition held the partition against
         "orbit_counts": {kind: n for (kind, _), n in orbit_census(ctx).items()},

@@ -512,9 +512,10 @@ def moebius_inverse(label):
 #
 # Basic verify once re-derived each rule at every point of X_p, and the
 # gamma curve's conjugation relation at every l.  The checks now test
-# each rule at a few probes (cli._probes); these walks are the checks as
-# they were, each raising CheckFailedError with the text the check gave,
-# and read the rules through their modules, so a monkeypatch reaches them.
+# each rule at a few probes (orbits.probe_points); these walks are the
+# checks as they were, each raising CheckFailedError with the text the
+# check gave, and read the rules through their modules, so a monkeypatch
+# reaches them.
 
 
 def s3_images(ctx):

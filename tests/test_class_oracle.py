@@ -527,11 +527,11 @@ def test_loops_that_raise_straight_keep_their_failure_text(monkeypatch):
     monkeypatch.setattr(cli.cert, "perm_pairing", lambda k, rat: 0)
     with pytest.raises(CheckFailedError) as caught:
         cli.check_certificates(ctx, cache)
-    j = deck[0].lines[0] - 2  # H_j is the line j + 2
+    j = groups_module.deck_index(deck[0].lines[0])
     assert str(caught.value) == f"p = 13: <G/H_{j}, hom> = 0, expected 12"
     wrong = [groups_module.LineOrbit(o.lines, o.stabilizer, "generic") for o in orbits]
     cache["class_data"].memo["line_orbits"] = wrong
-    o = next(o for o in wrong if 2 + j in o.lines)
+    o = next(o for o in wrong if groups_module.deck_line(j) in o.lines)
     exponents = orbit_partition(ctx).orbit_of(p - 1 - j)
     with pytest.raises(CheckFailedError) as caught:
         cli.check_certificates(ctx, cache)

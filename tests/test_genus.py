@@ -42,6 +42,7 @@ from fermatjac.groups import (
     fermat_Hj,
     fermat_order,
     fermat_translation,
+    line_point,
     pgonal_K,
     pgonal_group,
     plane_lines,
@@ -577,6 +578,14 @@ def test_rh_genus_reads_once_per_cyclic_subgroup(p):
         rh_genus(fermat_genus(p), k, full)
         assert len(reads) == count, k.generators  # <a1 v>: at its elements of order 2, p and 2p
     assert full.line_counts == [full.at(6), *(full.at(i) for i in range(6 * p, 12 * p, 6))]
+
+
+@pytest.mark.parametrize("p", FERMAT_PRIMES)
+def test_line_counts_read_each_line_at_its_point(p):
+    ctx = make_context(p)
+    full = fermat_full_fix_table(find_generating_triple(ctx), ClassData(Group(p)))
+    for fix in (fermat_axis_fix_table(ctx), full, _counted(full)[0]):
+        assert fix.line_counts == [fix.at(line_point(p, line)) for line in range(p + 1)], fix
 
 
 @pytest.mark.parametrize("p", (13, 101))

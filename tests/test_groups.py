@@ -15,6 +15,8 @@ from fermatjac.groups import (
     Subgroup,
     all_cyclic_subgroups,
     conjugacy_classes,
+    deck_index,
+    deck_line,
     fermat_H,
     fermat_Hj,
     fermat_order,
@@ -23,11 +25,13 @@ from fermatjac.groups import (
     left_cosets,
     line_of,
     line_orbits,
+    line_point,
+    line_points,
     pgonal_K,
     plane_lines,
     subgroup_closure,
 )
-from fermatjac.orbits import make_context
+from fermatjac.orbits import is_prime, make_context
 
 from helpers import (
     FermatAut,
@@ -239,6 +243,18 @@ def _assert_read_by_rank(group, gens):
         if m or n:
             lines.add(line_of(group.p, m, n))
     assert (None if k.lines is None else set(k.lines)) == lines, gens
+
+
+@pytest.mark.parametrize("p", [q for q in range(5, 62) if is_prime(q)])
+def test_the_deck_lines_follow_the_axes(p):
+    # H_j is the line through (1, 1 + j); the three axes carry no deck subgroup
+    lines = plane_lines(p)
+    assert [deck_index(line) for line in range(3)] == [None, None, None]
+    for j in range(1, p - 1):
+        assert fermat_Hj(p, j).lines == (deck_line(j),)
+        assert deck_index(deck_line(j)) == j
+        assert lines[deck_line(j)] == (1, 1 + j)
+    assert list(line_points(p)) == [line_point(p, line) for line in range(1, p + 1)]
 
 
 @pytest.mark.parametrize("p", (5, 7))

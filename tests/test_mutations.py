@@ -19,6 +19,11 @@ orbit labelled generic each put a kind off its orbit's size, which the
 census in ``orbit_partition`` refuses, so ``orbits`` and ``decompose``
 exit 3 on them too.
 
+Each deck line's curve is read through ``deck_exponent``.  A rotation of
+X_p there still gives every orbit as many deck quotients as it has
+members, but it is not S3-equivariant: the deck audit's probe, which
+sends the S3-orbit of H_j's line through the rule at a few j, refuses it.
+
 The kill matrix runs every basic check on a fresh cache under each basic
 mutation and pins the exact set of checks that fail, not only the first.
 
@@ -30,14 +35,9 @@ The full checks read the rules of the line orbits and of the classes by
 key: a line orbit's kind and stabilizer, a closed-form class size, the
 class census, the support of the full fix table, the closed-form classes
 of the powers on an axis line and the line index built per line orbit.
-They also read each deck line's curve through ``deck_exponent``: a
-rotation of X_p there passes basic ``verify`` and ``decompose``, as every
-orbit still gets as many deck lines as it has members, but not the deck
-certificates.  Each of those mutations must make
-``verify --p 13 --depth full`` exit 4; ``sweep`` runs the basic checks
-only, so the rotation still passes it.  A coset oracle one too high on
-H must fail ``dual-oracle-genus`` with the code ORACLE_DISAGREEMENT,
-naming p, the subgroup and both genera.
+Each of those mutations must make ``verify --p 13 --depth full`` exit 4.
+A coset oracle one too high on H must fail ``dual-oracle-genus`` with the
+code ORACLE_DISAGREEMENT, naming p, the subgroup and both genera.
 """
 
 import inspect
@@ -182,6 +182,16 @@ def _gamma_labelled_generic(mp):
     _relabelled(mp, lambda o: OrbitKind.GENERIC if o.kind is OrbitKind.GAMMA else None)
 
 
+def _deck_exponent_rotated(mp):
+    # j -> p - 2 - j for j < p - 2, p - 2 kept: a rotation of X_p, so each
+    # deck quotient gets an exponent on X_p, but not its own curve
+    def rotated(j, p):
+        return p - 2 - j if j < p - 2 else p - 2
+
+    for module in (curves, decompose, cli):
+        mp.setattr(module, "deck_exponent", rotated)
+
+
 # name -> (the mutation, the check that must fail, the primes it must fail at)
 MUTATIONS = {
     "moebius-formula": (_wrong_formula, "moebius-transport", (11, 13)),
@@ -198,6 +208,7 @@ MUTATIONS = {
     "special-and-generic-swapped": (_special_and_generic_swapped, "orbit-partition-laws", (11, 13)),
     "generic-labelled-special": (_generic_labelled_special, "orbit-partition-laws", (11, 13)),
     "gamma-labelled-generic": (_gamma_labelled_generic, "orbit-partition-laws", (13,)),
+    "deck-exponent-rotated": (_deck_exponent_rotated, "deck-quotient-audit", (11, 13)),
 }
 CASES = [(name, p) for name, (_, _, primes) in MUTATIONS.items() for p in primes]
 
@@ -246,6 +257,8 @@ KILL_MATRIX = {
         ("special-and-generic-swapped", "generic-labelled-special", "gamma-labelled-generic"),
         {"orbit-partition-laws", "moebius-transport", "deck-quotient-audit", "fine-decomposition", "dimension-audit"},
     ),
+    # the deck audit refuses the rule, and the checks built on it fail
+    "deck-exponent-rotated": {"deck-quotient-audit", "fine-decomposition", "dimension-audit"},
     "pgonal-order-three-fixes-one": {"fine-decomposition", "dimension-audit"},
     "axis-deck-line-fixes-p": {"deck-quotient-audit", "fine-decomposition", "dimension-audit"},
 }
@@ -334,16 +347,6 @@ def _axis_power_count_off_by_one(mp):
     mp.setattr(groups.ClassData, "power_counts", power_counts)
 
 
-def _deck_exponent_rotated(mp):
-    # j -> p - 2 - j for j < p - 2, p - 2 kept: a rotation of X_p, so each
-    # deck quotient gets an exponent on X_p, but not its own curve
-    def rotated(j, p):
-        return p - 2 - j if j < p - 2 else p - 2
-
-    for module in (curves, decompose, cli):
-        mp.setattr(module, "deck_exponent", rotated)
-
-
 def _coset_genus_off_on_H(mp):
     # the coset oracle one too high on the plane H alone, of order p^2
     def coset_genus(k, triple, data):
@@ -362,7 +365,6 @@ FULL_MUTATIONS = {
     "line-index-without-an-axis": (_line_index_without_an_axis, "dual-oracle-genus"),
     "line-index-without-an-orbit": (_line_index_without_an_orbit, "dual-oracle-genus"),
     "axis-power-count-off-by-one": (_axis_power_count_off_by_one, "generating-triple"),
-    "deck-exponent-rotated": (_deck_exponent_rotated, "certificates"),
 }
 
 
@@ -511,13 +513,41 @@ def test_kind_mutation_fails_orbits_and_decompose_under_python_O(name):
     assert (run.stdout, run.stderr) == ("", f"audit failure: {_census_failure_13(name)}\n" * 2)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="item 9")
 def test_deck_exponent_rotated_fails_sweep(monkeypatch):
-    # a rotated deck exponent fails full depth only; sweep runs the basic
-    # checks, so the survivor passes it until basic depth certifies each
-    # deck quotient's curve
-    FULL_MUTATIONS["deck-exponent-rotated"][0](monkeypatch)
+    # the rotation keeps each orbit's count of deck quotients; the deck
+    # audit's probe of the rule's S3-equivariance refuses it at every
+    # prime but 5, where X_5 is one orbit
+    MUTATIONS["deck-exponent-rotated"][0](monkeypatch)
     assert cli.main(SWEEP_61) == 4
+
+
+# the deck audit's failure under the rotation at p = 13: the probe j = 1
+# names its exponent and where the S3-orbit of H_1's line goes
+DECK_ROTATED_13 = (
+    "p = 13: deck quotient j = 1, alpha = 10: lines (3, 8, 13) give exponents [5, 10, 11], not (2, 4, 5, 7, 8, 10)"
+)
+
+
+def test_deck_exponent_rotated_fails_decompose_naming_j_and_alpha(monkeypatch, capsys):
+    MUTATIONS["deck-exponent-rotated"][0](monkeypatch)
+    assert cli.main(["decompose", "--p", "13"]) == 3
+    assert capsys.readouterr() == ("", f"audit failure: {DECK_ROTATED_13}\n")
+    assert cli.main(["verify", "--p", "13"]) == 4
+    assert f"FAIL deck-quotient-audit: {DECK_ROTATED_13}\n" in capsys.readouterr().out
+
+
+def test_deck_exponent_rotated_fails_decompose_naming_j_and_alpha_under_python_O():
+    run = run_under_O(
+        "import pytest\n"
+        "from fermatjac import cli\n"
+        "from test_mutations import MUTATIONS\n"
+        "MUTATIONS['deck-exponent-rotated'][0](pytest.MonkeyPatch())\n"
+        "codes = cli.main(['decompose', '--p', '13']), cli.main(['verify', '--p', '13'])\n"
+        "sys.exit(0 if codes == (3, 4) else 1)\n"
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stderr == f"audit failure: {DECK_ROTATED_13}\nverification failed at check: deck-quotient-audit\n"
+    assert f"FAIL deck-quotient-audit: {DECK_ROTATED_13}\n" in run.stdout
 
 
 def test_epsilon_rule_is_not_read_without_a_gamma_root(monkeypatch, capsys):

@@ -1,10 +1,11 @@
 """The probes of basic verify, held to the walks they replaced.
 
 The first four basic checks test each rule of U, V, the Moebius
-transport and the normalization at a few probe points (``cli._probes``);
-``monomial-relations`` checks R T = T^(gamma^2) R and not the conjugation
-relation T^(-l) R T^l = T^(l (gamma^2 - 1)) R at every l, which follows
-from it by induction.  The walks over all of X_p and over every l live on
+transport and the normalization at a few probe points
+(``orbits.probe_points``); ``monomial-relations`` checks
+R T = T^(gamma^2) R and not the conjugation relation
+T^(-l) R T^l = T^(l (gamma^2 - 1)) R at every l, which follows from it
+by induction.  The walks over all of X_p and over every l live on
 in ``tests/helpers.py``.  Here each probe check agrees with its walk at
 every prime up to 199, also under every basic mutation of the census, and
 the conjugation sweep agrees with ``verify_relation`` at every l.
@@ -15,7 +16,7 @@ import pytest
 from fermatjac import cli
 from fermatjac.errors import FermatJacError
 from fermatjac.monomial import verify_relation, word_map
-from fermatjac.orbits import make_context, orbit_partition
+from fermatjac.orbits import make_context, orbit_partition, probe_points
 
 import helpers
 from helpers import conjugation_sweep, sweep_primes
@@ -43,7 +44,7 @@ def _failure(fn, *args):
 @pytest.mark.parametrize("p", sweep_primes(199))
 def test_the_probes_meet_every_orbit_kind(p):
     ctx = make_context(p)
-    probes = cli._probes(ctx)
+    probes = probe_points(ctx)
     part = orbit_partition(ctx)
     assert len(probes) >= 3 and all(1 <= a <= p - 2 for a in probes)
     assert {part.orbit_of(a).kind for a in probes} == {o.kind for o in part.orbits}
