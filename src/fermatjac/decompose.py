@@ -16,10 +16,12 @@ plane's genus and every H_j's.  Each hypothesis then has one verdict,
 which every pair shares.  Time and memory are O(p).
 
 Grouping the resulting quotient-curve factors by isomorphism class (one
-class per exponent orbit) gives the coarse decomposition: one factor per
-orbit with multiplicity equal to the orbit size.  When p = 1 mod 3 the
-size-two orbit factor refines further, replacing the gamma curve by the
-sixth power of its genus-(p-1)/6 quotient E.
+class per exponent orbit) gives the coarse decomposition: one factor
+JC(alpha) per orbit, multiplicity = orbit size, held to the deck census:
+the multiplicity of each factor must be the number of deck quotients
+F/H_j isomorphic to its curve.  When p = 1 mod 3 the size-two orbit
+factor refines further, replacing the gamma curve by the sixth power of
+its genus-(p-1)/6 quotient E; every other fine factor is the coarse one.
 
 The refinement is certified by the quotient-genus identities for the
 order-3 subgroups K_1, K_2, K_3 of the gamma curve's group Z_p x| Z_3.
@@ -39,7 +41,7 @@ from .curves import CURVE_FORMATS, CurveFamily, CurveSpec, deck_exponent, genus_
 from .errors import AuditFailError, OutOfRangeError
 from .genus import fermat_axis_fix_table, fermat_genus, pgonal_fix_table, rh_genus
 from .groups import Group, deck_index, deck_line, fermat_H, fermat_Hj, line_orbit, pgonal_group, pgonal_K
-from .orbits import OrbitKind, OrbitPartition, PrimeContext, orbit_census, orbit_partition, probe_points
+from .orbits import OrbitKind, OrbitPartition, PrimeContext, orbit_partition, probe_points
 from .records import Const, FrozenRecord, Record, set_field
 
 
@@ -232,17 +234,16 @@ def _deck_census(ctx: PrimeContext, partition: OrbitPartition) -> dict[int, int]
     return counts
 
 
-def _fermat_family_audit(ctx: PrimeContext, partition: OrbitPartition) -> KaniRosenAudit:
-    audit = kani_rosen_check(ctx)
-    # Factor multiplicities: each orbit must receive orbit-size many of the
+def _fermat_family_audit(ctx: PrimeContext, partition: OrbitPartition, factors: tuple[IsogenyFactor, ...]) -> None:
+    # Factor multiplicities: each factor JC(alpha)^m must receive m of the
     # p - 2 deck quotients, by the orbit of the quotient's exponent.
+    p = ctx.p
     counts = _deck_census(ctx, partition)
-    expected = {o.representative: o.size for o in partition.orbits}
+    expected = {f.curve.alpha: f.multiplicity for f in factors}
     if counts != expected:
-        raise AuditFailError(f"deck quotients per isomorphism class {counts} != orbit sizes {expected}")
+        raise AuditFailError(f"p = {p}: deck quotients per isomorphism class {counts} != factor multiplicities {expected}")
     # Any permutation of X_p keeps those counts, so the probes also test that
     # the rule is S3-equivariant: H_j's line orbit goes onto alpha's orbit.
-    p = ctx.p
     for j in probe_points(ctx):
         lines, orbit = line_orbit(p, deck_line(j)).lines, partition.orbit_of(alpha := deck_exponent(j, p))
         exponents = sorted({deck_exponent(deck_index(line), p) for line in lines})
@@ -250,7 +251,6 @@ def _fermat_family_audit(ctx: PrimeContext, partition: OrbitPartition) -> KaniRo
             raise AuditFailError(
                 f"p = {p}: deck quotient j = {j}, alpha = {alpha}: lines {lines} give exponents {exponents}, not {orbit.elements}"
             )
-    return audit
 
 
 def _require_total_dimension(d: IsogenyDecomposition) -> IsogenyDecomposition:
@@ -264,38 +264,34 @@ def _require_total_dimension(d: IsogenyDecomposition) -> IsogenyDecomposition:
 
 def decompose_coarse(ctx: PrimeContext, partition: OrbitPartition | None = None) -> IsogenyDecomposition:
     """One Jacobian factor per exponent orbit, multiplicity = orbit size,
-    from ctx's orbit partition (built here when not given).
+    held to the deck census, from ctx's orbit partition (built here when
+    not given).
 
     Its audits raise AuditFailError on a failed hypothesis, so a
     decomposition exists only once they passed.
     """
     if partition is None:
         partition = orbit_partition(ctx)
-    audit = _fermat_family_audit(ctx, partition)
-    return _require_total_dimension(
-        IsogenyDecomposition(
-            context=ctx,
-            level=DecompositionLevel.COARSE,
-            factors=_coarse_factors(ctx, partition),
-            audit=audit,
-        )
-    )
+    audit = kani_rosen_check(ctx)
+    coarse = IsogenyDecomposition(ctx, DecompositionLevel.COARSE, _coarse_factors(ctx, partition), audit)
+    _fermat_family_audit(ctx, partition, _require_total_dimension(coarse).factors)
+    return coarse
 
 
 def decompose_fine(coarse: IsogenyDecomposition) -> IsogenyDecomposition:
-    """The coarse decomposition with the gamma factor replaced by E^6,
-    reusing the coarse audit."""
+    """The coarse decomposition with the gamma factor, if any, replaced by
+    E^6, reusing the coarse audit.
+
+    Each fine factor is held to the coarse factor in its place: it must be
+    that object, but for the gamma curve's JC(gamma)^m, which must be
+    JE(gamma)^(3m) of a third of the gamma curve's genus (from the K_i
+    audit), as JC(gamma) ~ JE(gamma)^3.  A factor short or over is left to
+    the total dimension.
+    """
     ctx = coarse.context
     if coarse.level is not DecompositionLevel.COARSE:
         raise OutOfRangeError(f"decompose_fine needs a coarse decomposition, got the {coarse.level.value} one")
-    if not ctx.has_gamma:
-        return IsogenyDecomposition(
-            context=ctx,
-            level=DecompositionLevel.FINE,
-            factors=coarse.factors,
-            audit=coarse.audit,
-        )
-    refinement = gamma_refinement_audit(ctx)
+    refinement = gamma_refinement_audit(ctx) if ctx.has_gamma else None
     factors = []
     for f in coarse.factors:
         if f.multiplicity == 2:
@@ -303,67 +299,48 @@ def decompose_fine(coarse: IsogenyDecomposition) -> IsogenyDecomposition:
             factors.append(IsogenyFactor(curve, 6, genus_of(curve)))
         else:
             factors.append(f)
-    return _require_total_dimension(
-        IsogenyDecomposition(
-            context=ctx,
-            level=DecompositionLevel.FINE,
-            factors=tuple(factors),
-            audit=coarse.audit,
-            gamma_refinement=refinement,
-        )
-    )
+    fine = IsogenyDecomposition(ctx, DecompositionLevel.FINE, tuple(factors), coarse.audit, refinement)
+    p, gamma = ctx.p, ctx.gamma_pair and ctx.gamma_pair[0]
+    for f, c in zip(fine.factors, coarse.factors):
+        if c.curve.alpha != gamma:
+            if f is not c:
+                raise AuditFailError(f"p = {p}: fine factor {f.render()} for the coarse {c.render()}, expected {c.render()} itself")
+            continue
+        m, dimension = 3 * c.multiplicity, refinement.curve_genus // 3
+        if (f.curve.family, f.curve.alpha, f.multiplicity, f.dimension) != (CurveFamily.E_QUOTIENT, gamma, m, dimension):
+            e = CURVE_FORMATS[CurveFamily.E_QUOTIENT][2] % {"p": p, "alpha": gamma}
+            raise AuditFailError(
+                f"p = {p}: fine factor {f.render()} of dimension {f.dimension} for the coarse {c.render()},"
+                f" expected {e}^{m} of dimension {dimension}"
+            )
+    return _require_total_dimension(fine)
 
 
 def dimension_audit(d: IsogenyDecomposition) -> tuple[dict, dict | None]:
-    """Exact dimension bookkeeping against the genus of the Fermat curve,
-    and at the fine level the representation-indexed factor shape.
-
-    One pass puts each factor in its slot by (multiplicity, dimension):
-    B0, of exponent 3 and dimension (p-1)/2; the gamma factor, present
-    exactly when the gamma root exists (JC(gamma)^2 of dimension (p-1)/2
-    when coarse, JE(gamma)^6 of dimension (p-1)/6 when fine); and N
-    generic factors B_j of exponent 6 and dimension (p-1)/2.  Raises
-    naming the first violated identity; returns the dimension block and
-    the shape block (None when coarse).
-
-    A full slot template fixes the total: with N = (p-7)/6 when the
-    gamma root exists and (p-5)/6 otherwise, 3 (p-1)/2 + [2 (p-1)/2 or
-    6 (p-1)/6] + 6 N (p-1)/2 = (p-1)(p-2)/2, the genus, at both levels
-    and both residues.  So a wrong total is refused naming its slot.
+    """The dimension block of d's report and, at the fine level, its
+    shape block (None when coarse), read off the factors by curve: B0 is
+    the factor of JC(1), B the gamma curve's, if any, and the N generic
+    factors B_j the others, in report order.  Nothing is checked here:
+    :func:`decompose_coarse` holds the factors to the deck census and
+    :func:`decompose_fine` the fine ones to the coarse ones, and both
+    hold the total to the genus.
     """
-    ctx, p = d.context, d.context.p
-    half = (p - 1) // 2
-    fine = d.level is DecompositionLevel.FINE
-    gamma_slot = (6, (p - 1) // 6) if fine else (2, half)
-    slots: dict[tuple[int, int], list[IsogenyFactor]] = {(3, half): [], gamma_slot: [], (6, half): []}
-    for f in d.factors:
-        if (f.multiplicity, f.dimension) not in slots:
-            raise AuditFailError(f"{f.render()} of dimension {f.dimension} has no slot in the factor shape")
-        slots[f.multiplicity, f.dimension].append(f)
-    b0, gamma_factors, generic = slots.values()
-    if len(b0) != 1:
-        raise AuditFailError("expected exactly one multiplicity-3 factor of dimension (p-1)/2")
-    if len(gamma_factors) != ctx.has_gamma:
-        raise AuditFailError(
-            f"expected {int(ctx.has_gamma)} gamma factor(s) of multiplicity {gamma_slot[0]} and dimension"
-            f" {gamma_slot[1]}, found {len(gamma_factors)}"
-        )
-    n_expected = orbit_census(ctx)[OrbitKind.GENERIC.value, 6]
-    if len(generic) != n_expected:
-        raise AuditFailError(f"expected {n_expected} multiplicity-6 generic factors, found {len(generic)}")
+    p, gamma = d.context.p, d.context.gamma_pair and d.context.gamma_pair[0]
+    by_alpha = {f.curve.alpha: f for f in d.factors}
+    b0, b, generic = by_alpha[1], by_alpha.get(gamma), [f for f in d.factors if f.curve.alpha not in (1, gamma)]
     dimensions = {
         "total_dimension": d.total_dimension,
         "fermat_genus": fermat_genus(p),
         "generic_factor_count": len(generic),
         "ok": True,
     }
-    if not fine:
+    if d.level is not DecompositionLevel.FINE:
         return dimensions, None
-    b = gamma_factors[0] if gamma_factors else None
+    half = (p - 1) // 2
     return dimensions, {
-        "B0": b0[0]._symbol,
+        "B0": b0._symbol,
         "B": b._symbol if b else None,
         "B_j": [f._symbol for f in generic],
-        "N": n_expected,
+        "N": len(generic),
         "dimensions": {"B0": half, "B": b.dimension if b else None, "B_j": half},
     }

@@ -1450,6 +1450,19 @@ def parse(text):
     return json.loads(text)
 
 
+def mutated(fn, old, new):
+    """fn recompiled from its source with the text old replaced by new,
+    in fn's module."""
+    import inspect
+
+    source = inspect.getsource(fn)
+    if source.count(old) != 1:
+        raise RuntimeError(f"{old!r} is not once in the source of {fn.__name__}")
+    namespace = {}
+    exec(source.replace(old, new), fn.__globals__, namespace)
+    return namespace[fn.__name__]
+
+
 def run_under_O(script):
     """Run a Python script with ``python -O``, the package and these
     helpers on the path; the script exits 99 if asserts are not stripped

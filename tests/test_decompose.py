@@ -26,12 +26,13 @@ from fermatjac.decompose import (
 from fermatjac.errors import AuditFailError, OutOfRangeError
 from fermatjac.genus import FixTable, fermat_axis_fix_table, fermat_genus
 from fermatjac.groups import Group, fermat_Hj, pgonal_K
-from fermatjac.orbits import PrimeContext, make_context, orbit_partition
+from fermatjac.orbits import OrbitKind, PrimeContext, make_context, orbit_census, orbit_partition
 
 from helpers import (
     are_isomorphic,
     assert_audit_matches_oracle,
     elements,
+    mutated,
     object_gamma_pairs,
     object_K_family,
     primes_upto,
@@ -358,42 +359,83 @@ def test_match_group_algebra_shape_no_gamma():
     assert shape["N"] == 1 and shape["B_j"] == ["JC(2)"]
 
 
-def test_match_group_algebra_shape_rejects_coarse():
-    # the coarse level has no shape block, and coarse factors do not fit
-    # the fine shape: JC(2)^2 has no slot there
+# Faults of a decomposition's factor list, as source text over the list
+# it is built from: B0 doubled, B0 dropped, the last factor dropped.
+FACTOR_FAULTS = ("[factors[0], *factors]", "factors[1:]", "factors[:-1]")
+REAL_COARSE_FACTORS, REAL_FINE = decompose_module._coarse_factors, decompose_module.decompose_fine
+
+
+def _coarse_factors_with(monkeypatch, fault):
+    """_coarse_factors with the factor list it returns passed through fault."""
+    mutant = mutated(REAL_COARSE_FACTORS, "return tuple(", f"return (lambda factors: tuple({fault}))(")
+    monkeypatch.setattr(decompose_module, "_coarse_factors", mutant)
+
+
+def _fine_with(fault):
+    """decompose_fine with the factor list it builds passed through fault."""
+    return mutated(REAL_FINE, "tuple(factors)", f"tuple({fault})")
+
+
+def test_match_group_algebra_shape_rejects_coarse(monkeypatch):
+    # the coarse level has no shape block, and coarse factors left at the
+    # fine level are refused where the fine level is built
     coarse = decompose_coarse(make_context(7))
     assert dimension_audit(coarse)[1] is None
-    with pytest.raises(AuditFailError, match=r"JC\(2\)\^2 of dimension 3 has no slot"):
-        dimension_audit(
-            IsogenyDecomposition(
-                coarse.context, DecompositionLevel.FINE, coarse.factors, coarse.audit, coarse.gamma_refinement
-            )
-        )
+    with pytest.raises(
+        AuditFailError, match=r"^p = 7: fine factor JC\(2\)\^2 of dimension 3 for the coarse JC\(2\)\^2, expected JE\(2\)\^6 of dimension 1$"
+    ):
+        _fine_with("coarse.factors")(coarse)
 
 
 def test_dimension_audit_counts_the_gamma_slot():
-    # at p = 13, 18 + 4 * 12 = 66 = the genus: the total holds, the shape does not
-    fine = decompose_fine(decompose_coarse(make_context(13)))
-    b0, e, _ = fine.factors
-    with pytest.raises(AuditFailError, match=r"expected 1 gamma factor\(s\) of multiplicity 6 and dimension 2, found 4"):
-        dimension_audit(
-            IsogenyDecomposition(fine.context, fine.level, (b0, e, e, e, e), fine.audit, fine.gamma_refinement)
-        )
+    # at p = 13, 18 + 4 * 12 = 66 = the genus: the total holds, but the
+    # generic factor's place holds JE(3)^6, which is not the coarse JC(2)^6
+    coarse = decompose_coarse(make_context(13))
+    with pytest.raises(AuditFailError, match=r"^p = 13: fine factor JE\(3\)\^6 for the coarse JC\(2\)\^6, expected JC\(2\)\^6 itself$"):
+        _fine_with("[factors[0], *[factors[1]] * 4]")(coarse)
 
 
 @pytest.mark.parametrize("p", (7, 11, 13))
 @pytest.mark.parametrize("level", ("coarse", "fine"))
-def test_dimension_audit_refuses_a_wrong_total_naming_its_slot(p, level):
-    # the slot template fixes the total, so a hand-built decomposition
-    # whose total is not the genus fails on a slot, not on the sum
-    coarse = decompose_coarse(make_context(p))
-    d = coarse if level == "coarse" else decompose_fine(coarse)
-    b0, *rest = d.factors
-    for factors in ((b0, b0, *rest), tuple(rest), d.factors[:-1]):
-        wrong = IsogenyDecomposition(d.context, d.level, factors, d.audit, d.gamma_refinement)
-        assert wrong.total_dimension != fermat_genus(p)
-        with pytest.raises(AuditFailError, match=r"^expected (exactly one|\d+) (multiplicity-[36]|gamma) (generic )?factor"):
-            dimension_audit(wrong)
+def test_dimension_audit_refuses_a_wrong_total_naming_its_slot(monkeypatch, p, level):
+    # a factor doubled or dropped where a level is built is refused there:
+    # by the total at the coarse level, before the deck census; by the
+    # coarse factor in its place, or else the total, at the fine level
+    ctx = make_context(p)
+    coarse = decompose_coarse(ctx)
+    for fault in FACTOR_FAULTS:
+        if level == "fine":
+            with pytest.raises(AuditFailError, match=rf"^(p = {p}: fine factor |fine decomposition has total dimension)"):
+                _fine_with(fault)(coarse)
+            continue
+        _coarse_factors_with(monkeypatch, fault)
+        with pytest.raises(AuditFailError, match=r"^coarse decomposition has total dimension \d+ != genus"):
+            decompose_coarse(ctx)
+
+
+@pytest.mark.parametrize("p", sweep_primes(61))
+def test_dimension_audit_blocks_follow_the_orbit_partition(p):
+    # both blocks of the report, held to the partition and its census
+    ctx, half = make_context(p), (p - 1) // 2
+    partition = orbit_partition(ctx)
+    coarse = decompose_coarse(ctx, partition)
+    n = orbit_census(ctx)["generic", 6]
+    generic = [f"JC({o.representative})" for o in partition.orbits if o.kind is OrbitKind.GENERIC]
+    dimensions = {"total_dimension": fermat_genus(p), "fermat_genus": fermat_genus(p), "generic_factor_count": n, "ok": True}
+    shape = {
+        "B0": "JC(1)",
+        "B": f"JE({ctx.gamma})" if ctx.has_gamma else None,
+        "B_j": generic,
+        "N": n,
+        "dimensions": {"B0": half, "B": (p - 1) // 6 if ctx.has_gamma else None, "B_j": half},
+    }
+    fine = decompose_fine(coarse)
+    assert dimension_audit(coarse) == (dimensions, None)
+    assert dimension_audit(fine) == (dimensions, shape)
+    assert len(generic) == n
+    # read by curve, not by place: the factors reversed give the B_j reversed
+    backwards = IsogenyDecomposition(ctx, fine.level, fine.factors[::-1], fine.audit, fine.gamma_refinement)
+    assert dimension_audit(backwards) == (dimensions, {**shape, "B_j": generic[::-1]})
 
 
 def test_factors_pairwise_nonisomorphic():

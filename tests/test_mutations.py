@@ -24,6 +24,15 @@ X_p there still gives every orbit as many deck quotients as it has
 members, but it is not S3-equivariant: the deck audit's probe, which
 sends the S3-orbit of H_j's line through the rule at a few j, refuses it.
 
+The factors are held to their curves.  Multiplicities 3 and 6 exchanged
+as the coarse factors are built keep the total at p = 11 and 13, but give
+JC(1) and JC(2) other counts than their deck quotients, which the deck
+census refuses.  Each fine factor must be its coarse factor, but the
+gamma curve's JC(gamma)^m, which must become JE(gamma)^(3m): the same
+exchange in the fine copy, or the gamma factor left unrefined, fails the
+fine decomposition.  ``report`` binds ``decompose_fine`` itself, so a
+mutation of it is patched there too.
+
 The kill matrix runs every basic check on a fresh cache under each basic
 mutation and pins the exact set of checks that fail, not only the first.
 
@@ -40,16 +49,14 @@ A coset oracle one too high on H must fail ``dual-oracle-genus`` with the
 code ORACLE_DISAGREEMENT, naming p, the subgroup and both genera.
 """
 
-import inspect
-
 import pytest
 
-from fermatjac import cli, curves, decompose, genus, groups, monomial, orbits
+from fermatjac import cli, curves, decompose, genus, groups, monomial, orbits, report
 from fermatjac.curves import MoebiusLabel
 from fermatjac.errors import FermatJacError
 from fermatjac.orbits import OrbitKind, make_context
 
-from helpers import parse, run_under_O
+from helpers import mutated, parse, run_under_O
 
 REAL_U, REAL_V, REAL_RULE = orbits.S3_GENERATORS["U"], orbits.S3_GENERATORS["V"], monomial.epsilon_rule
 REAL_T, REAL_J = monomial.build_T, monomial.build_J
@@ -89,20 +96,9 @@ def _U_of_the_other_action(mp):
     mp.setitem(orbits.S3_GENERATORS, "U", lambda a, inv, p: inv((1 - a) % p))
 
 
-def _mutated(fn, old, new):
-    """fn recompiled from its source with the text old replaced by new,
-    in fn's module."""
-    source = inspect.getsource(fn)
-    if source.count(old) != 1:
-        raise RuntimeError(f"{old!r} is not once in the source of {fn.__name__}")
-    namespace = {}
-    exec(source.replace(old, new), fn.__globals__, namespace)
-    return namespace[fn.__name__]
-
-
 def _wrong_formula_term(mp):
     # the sixth term of the orbit formula, -a (1 + a)^(-1), entered as a (1 + a)^(-1)
-    mp.setattr(cli, "orbit_partition", _mutated(orbits.orbit_partition, "-a * inv[s] % p", "a * inv[s] % p"))
+    mp.setattr(cli, "orbit_partition", mutated(orbits.orbit_partition, "-a * inv[s] % p", "a * inv[s] % p"))
 
 
 def _normalized_by_product(mp):
@@ -192,6 +188,31 @@ def _deck_exponent_rotated(mp):
         mp.setattr(module, "deck_exponent", rotated)
 
 
+
+def _coarse_multiplicities_exchanged(mp):
+    # the multiplicities 3 and 6 exchanged as the coarse factors are built:
+    # at p = 11 and 13 the total is still the genus
+    exchanged = "(9 - o.size if o.size in (3, 6) else o.size)"
+    mp.setattr(decompose, "_coarse_factors", mutated(decompose._coarse_factors, "o.size", exchanged))
+
+
+def _mutated_fine(mp, old, new):
+    # report binds decompose_fine itself
+    fine = mutated(decompose.decompose_fine, old, new)
+    for module in (decompose, report):
+        mp.setattr(module, "decompose_fine", fine)
+
+
+def _fine_multiplicities_exchanged(mp):
+    # each coarse factor but the gamma curve's copied with 3 and 6 exchanged
+    _mutated_fine(mp, "factors.append(f)", "factors.append(IsogenyFactor(f.curve, 9 - f.multiplicity, f.dimension))")
+
+
+def _gamma_factor_unrefined(mp):
+    # the gamma curve's JC(gamma)^2 copied to the fine level as it is
+    _mutated_fine(mp, "if f.multiplicity == 2:", "if False:")
+
+
 # name -> (the mutation, the check that must fail, the primes it must fail at)
 MUTATIONS = {
     "moebius-formula": (_wrong_formula, "moebius-transport", (11, 13)),
@@ -209,6 +230,9 @@ MUTATIONS = {
     "generic-labelled-special": (_generic_labelled_special, "orbit-partition-laws", (11, 13)),
     "gamma-labelled-generic": (_gamma_labelled_generic, "orbit-partition-laws", (13,)),
     "deck-exponent-rotated": (_deck_exponent_rotated, "deck-quotient-audit", (11, 13)),
+    "coarse-multiplicities-exchanged": (_coarse_multiplicities_exchanged, "deck-quotient-audit", (11, 13)),
+    "fine-multiplicities-exchanged": (_fine_multiplicities_exchanged, "fine-decomposition", (11, 13)),
+    "gamma-factor-unrefined": (_gamma_factor_unrefined, "fine-decomposition", (13,)),
 }
 CASES = [(name, p) for name, (_, _, primes) in MUTATIONS.items() for p in primes]
 
@@ -259,6 +283,10 @@ KILL_MATRIX = {
     ),
     # the deck audit refuses the rule, and the checks built on it fail
     "deck-exponent-rotated": {"deck-quotient-audit", "fine-decomposition", "dimension-audit"},
+    # the deck census refuses the coarse factors, and the fine ones are built on them
+    "coarse-multiplicities-exchanged": {"deck-quotient-audit", "fine-decomposition", "dimension-audit"},
+    # a fine factor off its coarse one fails where the fine level is built
+    **dict.fromkeys(("fine-multiplicities-exchanged", "gamma-factor-unrefined"), {"fine-decomposition", "dimension-audit"}),
     "pgonal-order-three-fixes-one": {"fine-decomposition", "dimension-audit"},
     "axis-deck-line-fixes-p": {"deck-quotient-audit", "fine-decomposition", "dimension-audit"},
 }
@@ -548,6 +576,44 @@ def test_deck_exponent_rotated_fails_decompose_naming_j_and_alpha_under_python_O
     assert run.returncode == 0, run.stdout + run.stderr
     assert run.stderr == f"audit failure: {DECK_ROTATED_13}\nverification failed at check: deck-quotient-audit\n"
     assert f"FAIL deck-quotient-audit: {DECK_ROTATED_13}\n" in run.stdout
+
+
+# the failure of each factor mutation at p = 13, as decompose and verify name it
+FACTOR_FAILURES_13 = {
+    "coarse-multiplicities-exchanged":
+        "p = 13: deck quotients per isomorphism class {1: 3, 2: 6, 3: 2} != factor multiplicities {1: 6, 3: 2, 2: 3}",
+    "fine-multiplicities-exchanged": "p = 13: fine factor JC(1)^6 for the coarse JC(1)^3, expected JC(1)^3 itself",
+    "gamma-factor-unrefined":
+        "p = 13: fine factor JC(3)^2 of dimension 6 for the coarse JC(3)^2, expected JE(3)^6 of dimension 2",
+}
+
+
+@pytest.mark.parametrize("name", FACTOR_FAILURES_13)
+def test_factor_mutation_fails_decompose_naming_the_factors(monkeypatch, capsys, name):
+    mutate, check, _ = MUTATIONS[name]
+    mutate(monkeypatch)
+    assert cli.main(["decompose", "--p", "13"]) == 3
+    assert capsys.readouterr() == ("", f"audit failure: {FACTOR_FAILURES_13[name]}\n")
+    assert cli.main(["verify", "--p", "13", "--depth", "full"]) == 4
+    out, err = capsys.readouterr()
+    assert out.endswith(f"FAIL {check}: {FACTOR_FAILURES_13[name]}\n")
+    assert err == f"verification failed at check: {check}\n"
+
+
+@pytest.mark.parametrize("name", FACTOR_FAILURES_13)
+def test_factor_mutation_fails_decompose_naming_the_factors_under_python_O(name):
+    check = MUTATIONS[name][1]
+    run = run_under_O(
+        "import pytest\n"
+        "from fermatjac import cli\n"
+        "from test_mutations import MUTATIONS\n"
+        f"MUTATIONS[{name!r}][0](pytest.MonkeyPatch())\n"
+        "codes = cli.main(['decompose', '--p', '13']), cli.main(['verify', '--p', '13', '--depth', 'full'])\n"
+        "sys.exit(0 if codes == (3, 4) else 1)\n"
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stderr == f"audit failure: {FACTOR_FAILURES_13[name]}\nverification failed at check: {check}\n"
+    assert run.stdout.endswith(f"FAIL {check}: {FACTOR_FAILURES_13[name]}\n")
 
 
 def test_epsilon_rule_is_not_read_without_a_gamma_root(monkeypatch, capsys):
