@@ -55,9 +55,9 @@ _BY_PERM = {label.perm: label for label in MoebiusLabel}
 _COMPOSE = {(f, g): _BY_PERM[tuple(f.perm[i] for i in g.perm)] for f in MoebiusLabel for g in MoebiusLabel}
 
 # The exponent of the image of C_alpha under each Moebius map, each a
-# rule (a, inv, p) -> exponent with inv(b) = b^(-1) mod p, as the S3
-# generators of fermatjac.orbits.  The image lies in the orbit of alpha,
-# and transport by f.compose(g) applies f's rule first.
+# rule (a, inv, p) -> exponent with inv(b) = b^(-1) mod p.  CYC's rule is U
+# and ONE_MINUS's is V, the S3 generators of fermatjac.orbits.  The image lies
+# in the orbit of alpha, and transport by f.compose(g) applies f's rule first.
 MOEBIUS_TRANSPORT = {
     MoebiusLabel.ID: lambda a, inv, p: a,
     MoebiusLabel.INV: lambda a, inv, p: p - 1 - a,

@@ -40,7 +40,7 @@ from __future__ import annotations
 from .curves import CURVE_FORMATS, CurveFamily, CurveSpec, deck_exponent, genus_of
 from .errors import AuditFailError, OutOfRangeError
 from .genus import fermat_axis_fix_table, fermat_genus, pgonal_fix_table, rh_genus
-from .groups import Group, deck_index, deck_line, fermat_H, fermat_Hj, line_orbit, pgonal_group, pgonal_K
+from .groups import Group, LineOrbit, deck_index, deck_line, fermat_H, fermat_Hj, line_orbit, pgonal_group, pgonal_K
 from .orbits import OrbitKind, OrbitPartition, PrimeContext, orbit_partition, probe_points
 from .records import Const, FrozenRecord, Record, set_field
 
@@ -220,18 +220,29 @@ def _deck_census(ctx: PrimeContext, partition: OrbitPartition) -> dict[int, int]
     read off the partition's element-to-orbit index.  An exponent in no
     orbit on X_p is refused."""
     p = ctx.p
-    orbit_of = partition._orbit_of
     counts: dict[int, int] = {}
     for j in range(1, p - 1):
-        alpha = deck_exponent(j, p)
-        orbit = orbit_of.get(alpha)
-        if orbit is None or not 0 < alpha < p - 1:
-            raise AuditFailError(
-                f"deck quotient {j} has exponent {alpha!r}, in no orbit on X_p = {{1,...,{p - 2}}}"
-            )
+        orbit = partition._orbit_of.get(alpha := deck_exponent(j, p))  # keyed by X_p alone
+        if orbit is None:
+            raise AuditFailError(f"deck quotient {j} has exponent {alpha!r}, in no orbit on X_p = {{1,...,{p - 2}}}")
         rep = orbit.representative
         counts[rep] = counts.get(rep, 0) + 1
     return counts
+
+
+def deck_orbit_gap(partition: OrbitPartition, j: int, lines: LineOrbit) -> str | None:
+    """Why the S3-orbit of H_j's line is not the orbit of its exponent
+    alpha, or None: the lines' exponents must be alpha's orbit, of its kind,
+    with |stabilizer| x |lines| = 6.  Asked by the deck audit and the certificates."""
+    p = partition.context.p
+    orbit = partition.orbit_of(alpha := deck_exponent(j, p))
+    exponents = sorted({deck_exponent(i, p) for i in map(deck_index, lines.lines) if i})  # an axis has none
+    if exponents == list(orbit.elements) and lines.kind == orbit.kind.value and len(lines.stabilizer) * len(lines.lines) == 6:
+        return None
+    return (
+        f"deck quotient j = {j}, alpha = {alpha}: lines {lines.lines} (kind {lines.kind}, stabilizer {lines.stabilizer})"
+        f" give exponents {exponents}, not the orbit {orbit.elements} (kind {orbit.kind.value}) of alpha"
+    )
 
 
 def _fermat_family_audit(ctx: PrimeContext, partition: OrbitPartition, factors: tuple[IsogenyFactor, ...]) -> None:
@@ -245,12 +256,8 @@ def _fermat_family_audit(ctx: PrimeContext, partition: OrbitPartition, factors: 
     # Any permutation of X_p keeps those counts, so the probes also test that
     # the rule is S3-equivariant: H_j's line orbit goes onto alpha's orbit.
     for j in probe_points(ctx):
-        lines, orbit = line_orbit(p, deck_line(j)).lines, partition.orbit_of(alpha := deck_exponent(j, p))
-        exponents = sorted({deck_exponent(deck_index(line), p) for line in lines})
-        if exponents != list(orbit.elements):
-            raise AuditFailError(
-                f"p = {p}: deck quotient j = {j}, alpha = {alpha}: lines {lines} give exponents {exponents}, not {orbit.elements}"
-            )
+        if gap := deck_orbit_gap(partition, j, line_orbit(p, deck_line(j))):
+            raise AuditFailError(f"p = {p}: {gap}")
 
 
 def _require_total_dimension(d: IsogenyDecomposition) -> IsogenyDecomposition:
@@ -318,16 +325,19 @@ def decompose_fine(coarse: IsogenyDecomposition) -> IsogenyDecomposition:
 
 def dimension_audit(d: IsogenyDecomposition) -> tuple[dict, dict | None]:
     """The dimension block of d's report and, at the fine level, its
-    shape block (None when coarse), read off the factors by curve: B0 is
-    the factor of JC(1), B the gamma curve's, if any, and the N generic
-    factors B_j the others, in report order.  Nothing is checked here:
-    :func:`decompose_coarse` holds the factors to the deck census and
-    :func:`decompose_fine` the fine ones to the coarse ones, and both
-    hold the total to the genus.
+    shape block (None when coarse), read off the factors by place: B0 the
+    first, B the gamma curve's next if p = 1 mod 3, the N generic factors
+    B_j the rest, by ascending alpha.  Only that order is checked here,
+    raising AuditFailError at the first factor out of it: the deck census
+    and the coarse factors hold the factors, and the genus their total.
     """
     p, gamma = d.context.p, d.context.gamma_pair and d.context.gamma_pair[0]
-    by_alpha = {f.curve.alpha: f for f in d.factors}
-    b0, b, generic = by_alpha[1], by_alpha.get(gamma), [f for f in d.factors if f.curve.alpha not in (1, gamma)]
+    head = [1, gamma] if gamma else [1]
+    b0, b, generic = d.factors[0], d.factors[1] if gamma else None, d.factors[len(head):]
+    for i, (f, alpha) in enumerate(zip(d.factors, head + sorted([f.curve.alpha for f in generic])), start=1):
+        if f.curve.alpha != alpha:
+            why = "JC(1) first, then the gamma curve's, then ascending alpha"
+            raise AuditFailError(f"p = {p}: factor {i} is {f.render()}, not the one of alpha = {alpha} ({why})")
     dimensions = {
         "total_dimension": d.total_dimension,
         "fermat_genus": fermat_genus(p),

@@ -123,14 +123,6 @@ def make_context(p: int) -> PrimeContext:
     return PrimeContext(p=p, residue_class_mod_3=residue, gamma_pair=gamma_pair)
 
 
-# The generators of the S3 action on X_p, each a rule (a, inv, p) -> image
-# with inv(b) = b^(-1) mod p: U(a) = -(1 + a)^(-1) and V(a) = a^(-1).
-S3_GENERATORS = {
-    "U": lambda a, inv, p: p - inv(1 + a),
-    "V": lambda a, inv, p: inv(a),
-}
-
-
 class OrbitClass(FrozenRecord):
     """One orbit on X_p: sorted elements, smallest member as representative."""
 

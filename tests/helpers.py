@@ -72,7 +72,7 @@ from fermatjac.groups import (
     subgroup_closure,
 )
 from fermatjac.monomial import MOEBIUS_MONOMIALS
-from fermatjac.orbits import S3_GENERATORS, OrbitClass, _classify, make_context
+from fermatjac.orbits import OrbitClass, _classify, make_context
 from fermatjac.records import FrozenRecord, set_field
 
 INF = "inf"
@@ -426,13 +426,25 @@ def orbit_formula(alpha, p):
 
 # -- retired package helpers: the per-element paths the package replaced ----
 
+# U(a) = -(1 + a)^(-1) and V(a) = a^(-1) in closed form, apart from the
+# package, each a rule (a, inv, p) -> image with inv(b) = b^(-1) mod p
+S3_RULES = {"U": lambda a, inv, p: p - inv(1 + a), "V": lambda a, inv, p: inv(a)}
+
+
+def transport_s3_rules():
+    """U and V as the package reads them, the transport rules of 1/(1-x)
+    and 1-x, looked up in ``curves.MOEBIUS_TRANSPORT`` at each call, so a
+    monkeypatch of the table reaches them."""
+    table = curves.MOEBIUS_TRANSPORT
+    return {"U": table[MoebiusLabel.CYC], "V": table[MoebiusLabel.ONE_MINUS]}
+
 
 def s3_apply(generator, alpha, ctx):
-    """Apply the generator U or V to alpha in X_p."""
+    """Apply the generator U or V to alpha in X_p, in closed form."""
     ctx.require_X(alpha)
     if generator not in ("U", "V"):
         raise OutOfRangeError(f"unknown generator {generator!r}, expected 'U' or 'V'")
-    return S3_GENERATORS[generator](alpha, ctx.inv, ctx.p)
+    return S3_RULES[generator](alpha, ctx.inv, ctx.p)
 
 
 def orbit(alpha, ctx):
@@ -518,17 +530,18 @@ def moebius_inverse(label):
 # reaches them.
 
 
-def s3_images(ctx):
-    """Lists u, v of U(a) = u[a], V(a) = v[a] on X_p, in one pass over
-    ``inverse_table``; u and v are 0 at 0 and p-1, so images index both."""
+def s3_images(ctx, rules=S3_RULES):
+    """Lists u, v of U(a) = u[a], V(a) = v[a] on X_p by the rules, closed
+    form unless given, in one pass over ``inverse_table``; u and v are 0 at
+    0 and p-1, so images index both."""
     p, inv = ctx.p, orbits.inverse_table(ctx.p).__getitem__
-    u, v = S3_GENERATORS["U"], S3_GENERATORS["V"]
+    u, v = rules["U"], rules["V"]
     return [0, *(u(a, inv, p) for a in range(1, p - 1)), 0], [0, *(v(a, inv, p) for a in range(1, p - 1)), 0]
 
 
 def walk_orbit_closure(ctx, part):
     """U and V map every orbit of the partition into itself."""
-    u, v = s3_images(ctx)
+    u, v = s3_images(ctx, transport_s3_rules())
     for o in part.orbits:
         members = o.elements
         for a in members:
@@ -540,7 +553,7 @@ def walk_orbit_closure(ctx, part):
 def walk_s3_relations(ctx):
     """U^3 = V^2 = (UV)^2 = id at every point of X_p."""
     p = ctx.p
-    u, v = s3_images(ctx)
+    u, v = s3_images(ctx, transport_s3_rules())
     for a in range(1, p - 1):
         if u[u[u[a]]] != a:
             raise CheckFailedError(f"p = {p}: U^3 moves {a}")

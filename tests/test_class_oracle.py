@@ -535,13 +535,14 @@ def test_loops_that_raise_straight_keep_their_failure_text(monkeypatch):
     exponents = orbit_partition(ctx).orbit_of(p - 1 - j)
     with pytest.raises(CheckFailedError) as caught:
         cli.check_certificates(ctx, cache)
+    # the text of decompose.deck_orbit_gap, which the deck audit's probes share
     assert str(caught.value) == (
-        f"p = 13: the lines {o.lines} (kind generic, stabilizer {o.stabilizer})"
-        f" are not the exponent orbit {exponents.elements} (kind {exponents.kind.value})"
+        f"p = 13: deck quotient j = {j}, alpha = {p - 1 - j}: lines {o.lines} (kind generic, stabilizer {o.stabilizer})"
+        f" give exponents {list(exponents.elements)}, not the orbit {exponents.elements} (kind {exponents.kind.value}) of alpha"
     )
     assert exponents.kind.value != "generic"
     # V as a -> a + 1 on X_p: V^2 moves the first probe
-    monkeypatch.setitem(cli.S3_GENERATORS, "V", lambda a, inv, p: a % (p - 2) + 1)
+    monkeypatch.setitem(cli.MOEBIUS_TRANSPORT, cli.MoebiusLabel.ONE_MINUS, lambda a, inv, p: a % (p - 2) + 1)
     with pytest.raises(CheckFailedError) as caught:
         cli.check_s3_relations(ctx, {})
     assert str(caught.value) == "p = 13: V^2 moves 1"

@@ -128,13 +128,18 @@ def test_transport_functoriality_all_36_pairs(p):
 
 
 def test_verify_runs_each_transport_rule_once_per_probe(monkeypatch, capsys):
-    # each rule runs once at each of the probes 1, 2, 3 and 11, then once
-    # per comparison: 24 + 144 = 168 calls at p = 13 (192 while every
-    # point of X_p had its row, 390 before that)
+    # moebius-transport runs each rule once at each of the probes 1, 2, 3
+    # and 11, then once per comparison: 24 + 144 = 168 calls at p = 13 (192
+    # while every point of X_p had its row, 390 before that).  U and V are
+    # the rules of CYC and ONE_MINUS, so orbit-partition-laws (28 calls)
+    # and s3-relations (36) read the table too
     calls = []
     for label, rule in list(MOEBIUS_TRANSPORT.items()):
         monkeypatch.setitem(MOEBIUS_TRANSPORT, label, lambda *args, rule=rule: calls.append(1) or rule(*args))
     assert cli.main(["verify", "--p", "13"]) == 0
+    assert len(calls) <= 168 + 28 + 36
+    calls.clear()
+    cli.check_moebius_transport(make_context(13), {})
     assert len(calls) <= 168
 
 

@@ -10,6 +10,7 @@ import fermatjac
 from fermatjac import cli
 from fermatjac import decompose as decompose_module
 from fermatjac import genus as genus_module
+from fermatjac import groups as groups_module
 from fermatjac.curves import CurveFamily, CurveSpec, quotient_to_curve
 from fermatjac.decompose import (
     DecompositionLevel,
@@ -433,9 +434,40 @@ def test_dimension_audit_blocks_follow_the_orbit_partition(p):
     assert dimension_audit(coarse) == (dimensions, None)
     assert dimension_audit(fine) == (dimensions, shape)
     assert len(generic) == n
-    # read by curve, not by place: the factors reversed give the B_j reversed
+    # read by place, so the order is checked: the factors reversed are
+    # refused at the first (X_5 is the one orbit O(1), whose factor is
+    # its own reverse)
     backwards = IsogenyDecomposition(ctx, fine.level, fine.factors[::-1], fine.audit, fine.gamma_refinement)
-    assert dimension_audit(backwards) == (dimensions, {**shape, "B_j": generic[::-1]})
+    if len(fine.factors) == 1:
+        assert dimension_audit(backwards) == (dimensions, shape)
+        return
+    with pytest.raises(AuditFailError) as caught:
+        dimension_audit(backwards)
+    assert str(caught.value) == f"p = {p}: factor 1 is {backwards.factors[0].render()}, not the one of alpha = 1" + ORDER_RULE
+
+
+# how dimension_audit's order failures end
+ORDER_RULE = " (JC(1) first, then the gamma curve's, then ascending alpha)"
+
+
+@pytest.mark.parametrize("level", ("coarse", "fine"))
+def test_dimension_audit_refuses_the_factors_out_of_order(level):
+    # p = 31: JC(1), the gamma curve's (alpha = 5), then four generic
+    # factors by ascending alpha; each rule broken alone names the first
+    # factor out of place and the alpha that belongs there
+    coarse = decompose_coarse(make_context(31))
+    d = coarse if level == "coarse" else decompose_fine(coarse)
+    assert [f.curve.alpha for f in d.factors] == [1, 5, 2, 3, 4, 11]
+    f = d.factors
+    for factors, place, alpha in (
+        ((f[1], f[0], *f[2:]), 1, 1),  # JC(1) second
+        ((f[0], *f[2:], f[1]), 2, 5),  # the gamma curve's last
+        ((*f[:4], f[5], f[4]), 5, 4),  # the last two generic ones exchanged
+    ):
+        wrong = IsogenyDecomposition(d.context, d.level, factors, d.audit, d.gamma_refinement)
+        with pytest.raises(AuditFailError) as caught:
+            dimension_audit(wrong)
+        assert str(caught.value) == f"p = 31: factor {place} is {factors[place - 1].render()}, not the one of alpha = {alpha}" + ORDER_RULE
 
 
 def test_factors_pairwise_nonisomorphic():
@@ -512,6 +544,25 @@ def test_census_refuses_an_exponent_outside_X(monkeypatch, rule):
     monkeypatch.setattr(decompose_module, "deck_exponent", rule)
     with pytest.raises(AuditFailError, match="deck quotient 1 has exponent .*, in no orbit on X_p"):
         decompose_coarse(make_context(13))
+
+
+def test_a_deck_line_orbit_holding_an_axis_is_refused(monkeypatch, capsys):
+    # an axis has no deck quotient, so no exponent is read for it (it once
+    # raised TypeError): the four lines against a stabilizer of two fail the
+    # deck audit's probe, and decompose exits 3 with no traceback
+    real = groups_module.line_orbit
+
+    def with_axis(p, line):
+        o = real(p, line)
+        return groups_module.LineOrbit((0, *o.lines), o.stabilizer, o.kind)
+
+    monkeypatch.setattr(decompose_module, "line_orbit", with_axis)
+    assert cli.main(["decompose", "--p", "13"]) == 3
+    assert capsys.readouterr() == (
+        "",
+        "audit failure: p = 13: deck quotient j = 1, alpha = 11: lines (0, 3, 8, 13) (kind special_one, stabilizer (0, 5))"
+        " give exponents [1, 6, 11], not the orbit (1, 6, 11) (kind special_one) of alpha\n",
+    )
 
 
 @pytest.mark.parametrize("p", sweep_primes(61))

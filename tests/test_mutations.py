@@ -23,6 +23,12 @@ Each deck line's curve is read through ``deck_exponent``.  A rotation of
 X_p there still gives every orbit as many deck quotients as it has
 members, but it is not S3-equivariant: the deck audit's probe, which
 sends the S3-orbit of H_j's line through the rule at a few j, refuses it.
+The probe also compares the line orbit's kind and stabilizer with the
+exponent orbit's, as the certificates do at full depth: the gamma line's
+orbit read as generic fails it.
+
+U and V are the transport rules of 1/(1-x) and 1-x, so a mutation of
+either also breaks the composition law that ``moebius-transport`` checks.
 
 The factors are held to their curves.  Multiplicities 3 and 6 exchanged
 as the coarse factors are built keep the total at p = 11 and 13, but give
@@ -31,7 +37,10 @@ census refuses.  Each fine factor must be its coarse factor, but the
 gamma curve's JC(gamma)^m, which must become JE(gamma)^(3m): the same
 exchange in the fine copy, or the gamma factor left unrefined, fails the
 fine decomposition.  ``report`` binds ``decompose_fine`` itself, so a
-mutation of it is patched there too.
+mutation of it is patched there too.  The factors must run JC(1), the
+gamma curve's, then the generic ones by ascending alpha: the coarse
+factors left in the partition's order fail the dimension audit, which
+reads the report's blocks off them by place.
 
 The kill matrix runs every basic check on a fresh cache under each basic
 mutation and pins the exact set of checks that fail, not only the first.
@@ -58,12 +67,14 @@ from fermatjac.orbits import OrbitKind, make_context
 
 from helpers import mutated, parse, run_under_O
 
-REAL_U, REAL_V, REAL_RULE = orbits.S3_GENERATORS["U"], orbits.S3_GENERATORS["V"], monomial.epsilon_rule
+# U and V are the transport rules of 1/(1-x) and 1-x
+REAL_U, REAL_V = curves.MOEBIUS_TRANSPORT[MoebiusLabel.CYC], curves.MOEBIUS_TRANSPORT[MoebiusLabel.ONE_MINUS]
+REAL_RULE = monomial.epsilon_rule
 REAL_T, REAL_J = monomial.build_T, monomial.build_J
 REAL_ORBITS, REAL_SIZE, REAL_CENSUS = groups.line_orbits, groups.ClassData.size, groups.ClassData.census
 REAL_FULL_FIX, REAL_LINE_INDEX, REAL_POWERS = genus.fermat_full_fix_table, groups.ClassData.line_index, groups.ClassData.power_counts
 REAL_PGONAL_FIX, REAL_AXIS_FIX = genus.pgonal_fix_table, genus.fermat_axis_fix_table
-REAL_CLASSIFY, REAL_COSET_GENUS = orbits._classify, genus.coset_genus
+REAL_CLASSIFY, REAL_COSET_GENUS, REAL_LINE_ORBIT = orbits._classify, genus.coset_genus, groups.line_orbit
 
 
 def _flip_y(m):
@@ -85,15 +96,15 @@ def _wrong_monomial(mp):
 
 def _swapped_generators(mp):
     # the rules of U and V exchanged
-    mp.setitem(orbits.S3_GENERATORS, "U", REAL_V)
-    mp.setitem(orbits.S3_GENERATORS, "V", REAL_U)
+    mp.setitem(curves.MOEBIUS_TRANSPORT, MoebiusLabel.CYC, REAL_V)
+    mp.setitem(curves.MOEBIUS_TRANSPORT, MoebiusLabel.ONE_MINUS, REAL_U)
 
 
 def _U_of_the_other_action(mp):
     # U as a -> 1/(1 - a): on the projective line of order 3 and with
     # (UV)^2 = id, but it moves the exponents out of their orbits (and 1
     # to 1/0, read as 0, so U^3 moves 1 too)
-    mp.setitem(orbits.S3_GENERATORS, "U", lambda a, inv, p: inv((1 - a) % p))
+    mp.setitem(curves.MOEBIUS_TRANSPORT, MoebiusLabel.CYC, lambda a, inv, p: inv((1 - a) % p))
 
 
 def _wrong_formula_term(mp):
@@ -213,6 +224,24 @@ def _gamma_factor_unrefined(mp):
     _mutated_fine(mp, "if f.multiplicity == 2:", "if False:")
 
 
+def _factors_unordered(mp):
+    # the coarse factors in the partition's order, by representative, not
+    # sorted by kind: at p = 13, JC(1)^3 x JC(2)^6 x JC(3)^2
+    unsorted = mutated(decompose._coarse_factors, "[o for kind in OrbitKind for o in partition.orbits if o.kind is kind]", "list(partition.orbits)")
+    mp.setattr(decompose, "_coarse_factors", unsorted)
+
+
+def _gamma_line_orbit_generic(mp):
+    # the S3-orbit of a gamma line read as generic, by the deck audit's
+    # probes (decompose binds line_orbit) and by every line scan
+    def line_orbit(p, line):
+        o = REAL_LINE_ORBIT(p, line)
+        return groups.LineOrbit(o.lines, o.stabilizer, OrbitKind.GENERIC.value) if o.kind == OrbitKind.GAMMA.value else o
+
+    for module in (groups, decompose):
+        mp.setattr(module, "line_orbit", line_orbit)
+
+
 # name -> (the mutation, the check that must fail, the primes it must fail at)
 MUTATIONS = {
     "moebius-formula": (_wrong_formula, "moebius-transport", (11, 13)),
@@ -233,6 +262,8 @@ MUTATIONS = {
     "coarse-multiplicities-exchanged": (_coarse_multiplicities_exchanged, "deck-quotient-audit", (11, 13)),
     "fine-multiplicities-exchanged": (_fine_multiplicities_exchanged, "fine-decomposition", (11, 13)),
     "gamma-factor-unrefined": (_gamma_factor_unrefined, "fine-decomposition", (13,)),
+    "factors-unordered": (_factors_unordered, "dimension-audit", (13,)),
+    "gamma-line-orbit-generic": (_gamma_line_orbit_generic, "deck-quotient-audit", (13,)),
 }
 CASES = [(name, p) for name, (_, _, primes) in MUTATIONS.items() for p in primes]
 
@@ -262,9 +293,10 @@ AUDIT_NAMES = {
 KILL_MATRIX = {
     "moebius-formula": {"moebius-transport"},
     "moebius-monomial": {"monomial-relations"},
-    "s3-images-swapped": {"s3-relations"},
-    # 1/(1 - 1) is read as 0, so U^3 moves 1 too
-    "U-of-the-other-action": {"orbit-partition-laws", "s3-relations"},
+    # U and V are rows of the transport table, which no longer composes as its labels
+    "s3-images-swapped": {"s3-relations", "moebius-transport"},
+    # 1/(1 - 1) is read as 0, so U^3 moves 1 too; U is the transport rule of 1/(1-x)
+    "U-of-the-other-action": {"orbit-partition-laws", "s3-relations", "moebius-transport"},
     # no partition is built: every check that reads one fails
     "orbit-formula-term": {
         "orbit-partition-laws", "moebius-transport", "deck-quotient-audit", "fine-decomposition", "dimension-audit",
@@ -287,6 +319,10 @@ KILL_MATRIX = {
     "coarse-multiplicities-exchanged": {"deck-quotient-audit", "fine-decomposition", "dimension-audit"},
     # a fine factor off its coarse one fails where the fine level is built
     **dict.fromkeys(("fine-multiplicities-exchanged", "gamma-factor-unrefined"), {"fine-decomposition", "dimension-audit"}),
+    # the factor order is checked where the report's blocks are read off it
+    "factors-unordered": {"dimension-audit"},
+    # the deck audit's probe at gamma compares the kinds too
+    "gamma-line-orbit-generic": {"deck-quotient-audit", "fine-decomposition", "dimension-audit"},
     "pgonal-order-three-fixes-one": {"fine-decomposition", "dimension-audit"},
     "axis-deck-line-fixes-p": {"deck-quotient-audit", "fine-decomposition", "dimension-audit"},
 }
@@ -550,10 +586,42 @@ def test_deck_exponent_rotated_fails_sweep(monkeypatch):
 
 
 # the deck audit's failure under the rotation at p = 13: the probe j = 1
-# names its exponent and where the S3-orbit of H_1's line goes
+# names its exponent and where the S3-orbit of H_1's line goes, in the
+# text of decompose.deck_orbit_gap, which the certificates share
 DECK_ROTATED_13 = (
-    "p = 13: deck quotient j = 1, alpha = 10: lines (3, 8, 13) give exponents [5, 10, 11], not (2, 4, 5, 7, 8, 10)"
+    "p = 13: deck quotient j = 1, alpha = 10: lines (3, 8, 13) (kind special_one, stabilizer (0, 5))"
+    " give exponents [5, 10, 11], not the orbit (2, 4, 5, 7, 8, 10) (kind generic) of alpha"
 )
+
+
+# the deck audit's failure at p = 13 when the gamma line's orbit reads
+# generic: the probe j = gamma = 3 compares the kinds
+GAMMA_LINE_GENERIC_13 = (
+    "p = 13: deck quotient j = 3, alpha = 9: lines (5, 11) (kind generic, stabilizer (0, 1, 2))"
+    " give exponents [3, 9], not the orbit (3, 9) (kind gamma) of alpha"
+)
+
+
+def test_gamma_line_orbit_generic_fails_decompose_naming_the_kinds(monkeypatch, capsys):
+    MUTATIONS["gamma-line-orbit-generic"][0](monkeypatch)
+    assert cli.main(["decompose", "--p", "13"]) == 3
+    assert capsys.readouterr() == ("", f"audit failure: {GAMMA_LINE_GENERIC_13}\n")
+    assert cli.main(["verify", "--p", "13"]) == 4
+    assert f"FAIL deck-quotient-audit: {GAMMA_LINE_GENERIC_13}\n" in capsys.readouterr().out
+
+
+def test_gamma_line_orbit_generic_fails_decompose_naming_the_kinds_under_python_O():
+    run = run_under_O(
+        "import pytest\n"
+        "from fermatjac import cli\n"
+        "from test_mutations import MUTATIONS\n"
+        "MUTATIONS['gamma-line-orbit-generic'][0](pytest.MonkeyPatch())\n"
+        "codes = cli.main(['decompose', '--p', '13']), cli.main(['verify', '--p', '13'])\n"
+        "sys.exit(0 if codes == (3, 4) else 1)\n"
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stderr == f"audit failure: {GAMMA_LINE_GENERIC_13}\nverification failed at check: deck-quotient-audit\n"
+    assert f"FAIL deck-quotient-audit: {GAMMA_LINE_GENERIC_13}\n" in run.stdout
 
 
 def test_deck_exponent_rotated_fails_decompose_naming_j_and_alpha(monkeypatch, capsys):
@@ -585,6 +653,9 @@ FACTOR_FAILURES_13 = {
     "fine-multiplicities-exchanged": "p = 13: fine factor JC(1)^6 for the coarse JC(1)^3, expected JC(1)^3 itself",
     "gamma-factor-unrefined":
         "p = 13: fine factor JC(3)^2 of dimension 6 for the coarse JC(3)^2, expected JE(3)^6 of dimension 2",
+    # the first factor out of place is JC(2)^6 at both levels
+    "factors-unordered":
+        "p = 13: factor 2 is JC(2)^6, not the one of alpha = 3 (JC(1) first, then the gamma curve's, then ascending alpha)",
 }
 
 

@@ -22,6 +22,7 @@ from helpers import (
     s3_images,
     scanned_gamma_pair,
     sweep_primes,
+    transport_s3_rules,
 )
 
 
@@ -230,8 +231,10 @@ def test_broken_orbit_closure_fails_verify_under_python_O():
     # the partition comes from the formula; the closure under U and V is
     # what the orbit-partition-laws check holds it against
     run = run_under_O(
-        "from fermatjac import cli, orbits\n"
-        "orbits.S3_GENERATORS.update(U=lambda a, inv, p: a % (p - 2) + 1, V=lambda a, inv, p: a % (p - 2) + 1)\n"
+        "from fermatjac import cli, curves\n"
+        "from fermatjac.curves import MoebiusLabel\n"
+        "step = lambda a, inv, p: a % (p - 2) + 1\n"
+        "curves.MOEBIUS_TRANSPORT.update({MoebiusLabel.CYC: step, MoebiusLabel.ONE_MINUS: step})\n"
         "sys.exit(cli.main(['verify', '--p', '7']))\n"
     )
     assert run.returncode == 4, run.stdout + run.stderr
@@ -242,9 +245,12 @@ def test_broken_orbit_closure_fails_verify_under_python_O():
 @pytest.mark.parametrize("p", sweep_primes(61))
 def test_shared_images_match_the_orbit_closures(p):
     """The one pass of U and V over X_p gives s3_apply's images, and the
-    closure of each point under the listed images is its orbit()."""
+    closure of each point under the listed images is its orbit().  The
+    package's U and V, the transport rules of 1/(1-x) and 1-x, give the
+    same images."""
     ctx = make_context(p)
     u, v = s3_images(ctx)
+    assert s3_images(ctx, transport_s3_rules()) == (u, v)
     assert len(u) == len(v) == p and u[0] == v[0] == u[p - 1] == v[p - 1] == 0
     for a in range(1, p - 1):
         assert (u[a], v[a]) == (s3_apply("U", a, ctx), s3_apply("V", a, ctx))

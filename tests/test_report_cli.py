@@ -589,10 +589,12 @@ def test_basic_check_fails_under_python_O():
 
     script = (
         "import sys\n"
-        "from fermatjac import cli, orbits\n"
+        "from fermatjac import cli, curves\n"
+        "from fermatjac.curves import MoebiusLabel\n"
         "if not sys.flags.optimize:\n"
         "    sys.exit(99)\n"
-        "orbits.S3_GENERATORS.update(U=lambda a, inv, p: (a + 1) % p, V=lambda a, inv, p: (a + 1) % p)\n"
+        "step = lambda a, inv, p: (a + 1) % p\n"
+        "curves.MOEBIUS_TRANSPORT.update({MoebiusLabel.CYC: step, MoebiusLabel.ONE_MINUS: step})\n"
         "sys.exit(cli.main(['verify', '--p', '7']))\n"
     )
     src = str(Path(fermatjac.__file__).resolve().parents[1])
@@ -669,3 +671,63 @@ def test_cli_imports_no_shutil():
         run = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
         assert run.stdout.splitlines()[-1] == "[]", argv
+
+
+CLOSED_STDOUT_COMMANDS = (
+    ("decompose", "--p", "13"),
+    ("decompose", "--p", "13", "--format", "json"),
+    ("verify", "--p", "13"),
+    ("verify", "--p", "13", "--format", "json"),
+    ("sweep", "--from", "5", "--to", "61"),
+    ("sweep", "--from", "5", "--to", "61", "--format", "json"),
+)
+
+
+@pytest.mark.parametrize("argv", CLOSED_STDOUT_COMMANDS, ids=" ".join)
+def test_a_closed_stdout_exits_5_without_a_traceback(argv):
+    # the read end of the child's stdout is closed before the child starts,
+    # so its output meets a closed pipe however short it is: exit 5, the
+    # documented code, and nothing on stderr
+    import os
+    import subprocess
+    import sys
+
+    import fermatjac
+
+    src = str(Path(fermatjac.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "fermatjac.cli", *argv], stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=120
+        )
+    finally:
+        os.close(write)
+    assert (run.returncode, run.stderr) == (5, "")
+
+
+def test_the_peak_script_fails_a_command_above_its_limit():
+    # tests/peak.py, which CI runs on each bounded command: the command's
+    # stdout and exit code, one line on stderr with the peak, and exit 1
+    # when the command passed but its VmHWM is above the limit
+    import os
+    import subprocess
+    import sys
+
+    import fermatjac
+
+    src = str(Path(fermatjac.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    script = str(Path(__file__).resolve().parent / "peak.py")
+    runs = {
+        limit: subprocess.run(
+            [sys.executable, script, limit, "decompose", "--p", "13"], capture_output=True, text=True, env=env, timeout=120
+        )
+        for limit in ("1000", "1")
+    }
+    for limit, code in (("1000", 0), ("1", 1)):
+        run = runs[limit]
+        assert run.returncode == code, run.stderr
+        assert run.stdout.startswith("p = 13 (1 mod 3)\n")
+        assert run.stderr.startswith("exit 0, VmHWM ") and run.stderr.endswith(f" MB, limit {limit} MB\n")
