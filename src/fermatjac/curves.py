@@ -21,7 +21,6 @@ from .records import Const, FrozenRecord, set_field
 
 
 class CurveFamily(Const):
-    FERMAT = "fermat"
     P_GONAL = "p_gonal"
     E_QUOTIENT = "e_quotient"
 
@@ -69,17 +68,14 @@ MOEBIUS_TRANSPORT = {
 
 
 class CurveSpec(FrozenRecord):
-    """A curve descriptor: the Fermat curve, a canonical C_alpha, or the
-    genus-(p-1)/6 quotient E_gamma of the gamma curve."""
+    """A factor curve of JF(p): a canonical C_alpha, or the genus-(p-1)/6
+    quotient E_gamma of the gamma curve."""
 
     __slots__ = _fields = ("context", "family", "alpha")
 
-    def __init__(self, context: PrimeContext, family: CurveFamily, alpha: int | None = None):
+    def __init__(self, context: PrimeContext, family: CurveFamily, alpha: int):
         p = context.p
-        if family is CurveFamily.FERMAT:
-            if alpha is not None:
-                raise OutOfRangeError("Fermat curve takes no exponent")
-        elif family is CurveFamily.P_GONAL:
+        if family is CurveFamily.P_GONAL:
             context.require_X(alpha)
         elif family is CurveFamily.E_QUOTIENT:
             if not context.has_gamma:
@@ -100,7 +96,6 @@ class CurveSpec(FrozenRecord):
 # Each family's name, equation and Jacobian symbol, %-formats of the ints p and
 # alpha stated once: CurveSpec and IsogenyFactor fill them, the JSON rows too.
 CURVE_FORMATS = {
-    CurveFamily.FERMAT: ("F(%(p)d)", "x^%(p)d + y^%(p)d + z^%(p)d = 0", "JF(%(p)d)"),
     CurveFamily.P_GONAL: ("C_alpha(p=%(p)d, alpha=%(alpha)d)", "y^%(p)d = x^%(alpha)d*(x-1)", "JC(%(alpha)d)"),
     CurveFamily.E_QUOTIENT: ("E_gamma(p=%(p)d, gamma=%(alpha)d)", "C_gamma(p=%(p)d)/<R>", "JE(%(alpha)d)"),
 }
@@ -132,14 +127,7 @@ def normalized_exponent(alpha: int, beta: int, ctx: PrimeContext) -> int:
 
 def genus_of(spec: CurveSpec) -> int:
     p = spec.context.p
-    if spec.family is CurveFamily.FERMAT:
-        return (p - 1) * (p - 2) // 2
-    if spec.family is CurveFamily.P_GONAL:
-        assert (p - 1) % 2 == 0  # can't happen: p is an odd prime
-        return (p - 1) // 2
-    # can't happen: CurveSpec refuses an E quotient unless p = 1 mod 3
-    assert (p - 1) % 6 == 0, f"p = {p} = 2 mod 3 has no E quotient"
-    return (p - 1) // 6
+    return (p - 1) // 2 if spec.family is CurveFamily.P_GONAL else (p - 1) // 6
 
 
 def deck_exponent(j: int, p: int) -> int:

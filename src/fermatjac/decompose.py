@@ -346,11 +346,10 @@ def dimension_audit(d: IsogenyDecomposition) -> tuple[dict, dict | None]:
     }
     if d.level is not DecompositionLevel.FINE:
         return dimensions, None
-    half = (p - 1) // 2
     return dimensions, {
         "B0": b0._symbol,
         "B": b._symbol if b else None,
         "B_j": [f._symbol for f in generic],
         "N": len(generic),
-        "dimensions": {"B0": half, "B": b.dimension if b else None, "B_j": half},
+        "dimensions": {"B0": b0.dimension, "B": b.dimension if b else None, "B_j": b0.dimension},
     }

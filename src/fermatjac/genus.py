@@ -67,7 +67,6 @@ from .groups import (
     line_point,
     line_points,
     plane_lines,
-    resolve_gamma,
 )
 from .orbits import PrimeContext
 from .records import FrozenRecord, set_field
@@ -137,11 +136,11 @@ def fermat_axis_fix_table(ctx: PrimeContext) -> FixTable:
     return FixTable(group, count, "axis translations fix p points each")
 
 
-def pgonal_fix_table(ctx: PrimeContext, gamma: int | None = None) -> FixTable:
+def pgonal_fix_table(ctx: PrimeContext) -> FixTable:
     """Fixed points on the gamma curve: T^k fixes the three points over
     the branch values; every order-3 element fixes exactly two points
     (all are conjugate to R or R^2, and conjugate maps fix equally many)."""
-    group = Group(ctx.p, resolve_gamma(ctx, gamma))
+    group = Group(ctx.p, ctx.gamma)
     step = group.translations.step  # <T> is every step-th index; FixTable.at checks the range
     return FixTable(group, lambda i: 3 if i % step == 0 else 2, "deck powers fix 3, order-3 maps fix 2")
 

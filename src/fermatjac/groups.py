@@ -234,12 +234,6 @@ def plane_lines(p: int) -> list[tuple[int, int]]:
     return [(0, 1)] + [(1, t) for t in range(p)]
 
 
-def resolve_gamma(ctx: PrimeContext, gamma: int | None) -> int:
-    """The given root of g^2 + g + 1 mod p, as :class:`Group` checks it,
-    or ctx's conventional one; either raises NoGammaError when absent."""
-    return ctx.gamma if gamma is None else Group(ctx.p, gamma).gamma
-
-
 # -- subgroups ----------------------------------------------------------------
 
 
@@ -313,12 +307,12 @@ def fermat_Hj(p: int, j: int) -> Subgroup:
     return Subgroup(Group(p), (fermat_translation(p, 1, 1 + j),))
 
 
-def pgonal_group(ctx: PrimeContext, gamma: int | None = None) -> Subgroup:
-    group = Group(ctx.p, resolve_gamma(ctx, gamma))
+def pgonal_group(ctx: PrimeContext) -> Subgroup:
+    group = Group(ctx.p, ctx.gamma)
     return Subgroup(group, group.generators)
 
 
-def pgonal_K(i: int, ctx: PrimeContext, gamma: int | None = None) -> Subgroup:
+def pgonal_K(i: int, ctx: PrimeContext) -> Subgroup:
     """The order-3 subgroup K_i = T^(-(i-1)) <R> T^(i-1), i in {1, 2, 3}.
 
     K_i is generated by T^((i-1)(gamma^2 - 1)) R, of index 3 k + 1 for
@@ -326,8 +320,7 @@ def pgonal_K(i: int, ctx: PrimeContext, gamma: int | None = None) -> Subgroup:
     """
     if i not in (1, 2, 3):
         raise OutOfRangeError(f"i = {i} not in {{1, 2, 3}}")
-    g = resolve_gamma(ctx, gamma)
-    p = ctx.p
+    p, g = ctx.p, ctx.gamma
     return Subgroup(Group(p, g), (3 * ((i - 1) * (g * g - 1) % p) + 1,))
 
 
@@ -493,7 +486,7 @@ def describe(k: Subgroup) -> str:
     return f"the subgroup of order {k.order} generated by {gens}"
 
 
-def block_value(blocks: dict[range, int], key: int, default=None):
+def block_value(blocks: dict[range, int], key: int, default: int) -> int:
     """The value of the block that holds key, or default: class counts and
     class functions are blocks, a range of keys of one class kind -> value."""
     for keys, value in blocks.items():

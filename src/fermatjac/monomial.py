@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from .curves import MoebiusLabel
 from .errors import CheckFailedError, GroupMismatchError, NonMonomialError, OutOfRangeError
-from .groups import resolve_gamma
 from .orbits import PrimeContext
 
 Monomial = tuple[int, int, int, int, int]
@@ -177,8 +176,8 @@ def build_T(ctx: PrimeContext, gamma: int | None = None) -> Map:
     """T(x, y) = (x, w y), the deck transformation of the degree-p cover.
 
     T exists on every curve of the family; gamma here is the exponent of
-    the curve carrying the map (defaulting to the gamma root, the one
-    curve where T meets R).
+    the curve carrying the map (defaulting to ctx.gamma, the one curve
+    where T meets R).
     """
     if gamma is not None:
         ctx.require_X(gamma)
@@ -190,7 +189,7 @@ def epsilon_rule(g: int) -> int:
     return 1 if g % 2 == 0 else 2
 
 
-def build_R(ctx: PrimeContext, gamma: int | None = None, epsilon: int | None = None) -> Map:
+def build_R(ctx: PrimeContext, epsilon: int | None = None) -> Map:
     """The order-3 map R(x, y) = (1/(1-x), (-1)^eps x^((g^2+g+1)/p) / y^(g+1)).
 
     The exponent (g^2+g+1)/p is an exact integer because p divides
@@ -198,10 +197,9 @@ def build_R(ctx: PrimeContext, gamma: int | None = None, epsilon: int | None = N
     epsilon explicitly lets tests certify that exactly one parity yields
     a curve automorphism.
     """
-    g = resolve_gamma(ctx, gamma)
-    p = ctx.p
+    p, g = ctx.p, ctx.gamma
     quot, rem = divmod(g * g + g + 1, p)
-    # can't happen: resolve_gamma only returns roots of g^2 + g + 1 mod p
+    # can't happen: ctx.gamma is a root of g^2 + g + 1 mod p
     assert rem == 0
     if epsilon is None:
         epsilon = epsilon_rule(g)
@@ -229,13 +227,12 @@ def verify_curve_automorphism(m: Map) -> bool:
     return mf_pow(y, p, p, gamma) == mf_mul(mf_pow(x, gamma, p, gamma), x_minus_one, p, gamma)
 
 
-def word_map(word: list[tuple[str, int]], ctx: PrimeContext, gamma: int | None = None) -> Map:
-    """Compose a word in T and R, written left to right as functions
-    (the rightmost letter acts first).  Exponents reduce mod the letter's
-    order, so negative powers are fine."""
-    g = resolve_gamma(ctx, gamma)
-    letters = {"T": (build_T(ctx, g), ctx.p), "R": (build_R(ctx, g), 3)}
-    m = identity_map(ctx.p, g)
+def word_map(word: list[tuple[str, int]], ctx: PrimeContext) -> Map:
+    """Compose a word in T and R on the curve of ctx.gamma, written left
+    to right as functions (the rightmost letter acts first).  Exponents
+    reduce mod the letter's order, so negative powers are fine."""
+    letters = {"T": (build_T(ctx), ctx.p), "R": (build_R(ctx), 3)}
+    m = identity_map(ctx.p, ctx.gamma)
     for letter, exp in word:
         if letter not in letters:
             raise OutOfRangeError(f"unknown letter {letter!r}, expected 'T' or 'R'")
@@ -244,23 +241,18 @@ def word_map(word: list[tuple[str, int]], ctx: PrimeContext, gamma: int | None =
     return m
 
 
-def verify_relation(
-    lhs: list[tuple[str, int]],
-    rhs: list[tuple[str, int]],
-    ctx: PrimeContext,
-    gamma: int | None = None,
-) -> bool:
+def verify_relation(lhs: list[tuple[str, int]], rhs: list[tuple[str, int]], ctx: PrimeContext) -> bool:
     """Exact normal-form equality of two words in T and R."""
-    return word_map(lhs, ctx, gamma) == word_map(rhs, ctx, gamma)
+    return word_map(lhs, ctx) == word_map(rhs, ctx)
 
 
-def epsilon_parity_report(ctx: PrimeContext, gamma: int | None = None) -> dict:
+def epsilon_parity_report(ctx: PrimeContext) -> dict:
     """Try both sign parities for R; exactly one must preserve the curve.
 
     Certifies the parity rule computationally instead of trusting it.
     """
-    g = resolve_gamma(ctx, gamma)
-    passing = [eps for eps in (1, 2) if verify_curve_automorphism(build_R(ctx, g, epsilon=eps))]
+    g = ctx.gamma
+    passing = [eps for eps in (1, 2) if verify_curve_automorphism(build_R(ctx, epsilon=eps))]
     if len(passing) != 1:
         raise CheckFailedError(
             f"p = {ctx.p}, gamma = {g}: expected exactly one sign parity to preserve the curve,"

@@ -104,8 +104,8 @@ def _factor_row(indent: str):
         key = c.family, c.family is CurveFamily.P_GONAL and c.alpha == 1
         if key not in templates:
             curve, equation, symbol = map(_string, CURVE_FORMATS[c.family])
-            alpha, model = "null" if c.alpha is None else "%(alpha)d", f'{i1}"hyperelliptic_model": "w^2 = u^%(p)d - 1",' * key[1]
-            templates[key] = (f'{{{i1}"alpha": {alpha},{i1}"curve": {curve},{i1}"dimension": %(dimension)d,{i1}"equation": {equation},'
+            model = f'{i1}"hyperelliptic_model": "w^2 = u^%(p)d - 1",' * key[1]
+            templates[key] = (f'{{{i1}"alpha": %(alpha)d,{i1}"curve": {curve},{i1}"dimension": %(dimension)d,{i1}"equation": {equation},'
                               f'{i1}"family": {_string(c.family.value)},{model}{i1}"multiplicity": %(multiplicity)d,{i1}"symbol": {symbol}{indent}}}')
         return templates[key] % {"p": c.context.p, "alpha": c.alpha, "dimension": f.dimension, "multiplicity": f.multiplicity}
 

@@ -67,12 +67,11 @@ from fermatjac.groups import (
     gcd,
     line_of,
     plane_lines,
-    resolve_gamma,
     square_matrix,
     subgroup_closure,
 )
 from fermatjac.monomial import MOEBIUS_MONOMIALS
-from fermatjac.orbits import OrbitClass, _classify, make_context
+from fermatjac.orbits import OrbitClass, PrimeContext, _classify, make_context
 from fermatjac.records import FrozenRecord, set_field
 
 INF = "inf"
@@ -238,20 +237,38 @@ def fermat_elements(p):
                 yield FermatAut(p, m, n, s)
 
 
+def root_context(p, gamma):
+    """The context at p naming the root gamma of g^2 + g + 1 mod p as its
+    conventional ctx.gamma: the package reads its root there alone, so the
+    tests run it at the other root through this context."""
+    return PrimeContext(p, p % 3, (gamma, p - 1 - gamma))
+
+
+def root_contexts(p):
+    """root_context at each root of g^2 + g + 1 mod p, the smaller first;
+    none when p = 2 mod 3."""
+    return [root_context(p, gamma) for gamma in make_context(p).gamma_pair or ()]
+
+
+def _root(ctx, gamma):
+    """gamma, or ctx's conventional root when None; PGonalAut checks either."""
+    return ctx.gamma if gamma is None else gamma
+
+
 def pgonal_identity(ctx, gamma=None):
-    return PGonalAut(ctx.p, resolve_gamma(ctx, gamma), 0, 0)
+    return PGonalAut(ctx.p, _root(ctx, gamma), 0, 0)
 
 
 def pgonal_T(ctx, gamma=None):
-    return PGonalAut(ctx.p, resolve_gamma(ctx, gamma), 1, 0)
+    return PGonalAut(ctx.p, _root(ctx, gamma), 1, 0)
 
 
 def pgonal_R(ctx, gamma=None):
-    return PGonalAut(ctx.p, resolve_gamma(ctx, gamma), 0, 1)
+    return PGonalAut(ctx.p, _root(ctx, gamma), 0, 1)
 
 
 def pgonal_elements(ctx, gamma=None):
-    g = resolve_gamma(ctx, gamma)
+    g = _root(ctx, gamma)
     for k in range(ctx.p):
         for e in range(3):
             yield PGonalAut(ctx.p, g, k, e)
@@ -782,7 +799,7 @@ def object_gamma_pairs(p, gamma, family=None):
     given), on element objects: the pair, the order and Riemann-Hurwitz
     genus of the join mulclose(K_i u K_j), the size of the set product
     K_i K_j, and whether K_i K_j = K_j K_i as sets."""
-    fix = pgonal_fix_table(make_context(p), gamma)
+    fix = pgonal_fix_table(root_context(p, gamma))
     family = family or object_K_family(p, gamma)
     rows = []
     for i, j in combinations(range(3), 2):

@@ -1,8 +1,9 @@
+import inspect
 from fractions import Fraction
 
 import pytest
 
-from fermatjac import cli
+from fermatjac import cli, genus, groups, monomial
 from fermatjac.curves import (
     MOEBIUS_TRANSPORT,
     CurveFamily,
@@ -154,7 +155,6 @@ def test_are_isomorphic():
 
 
 def test_genus_values():
-    assert genus_of(CurveSpec(make_context(7), CurveFamily.FERMAT)) == 15
     assert genus_of(CurveSpec(make_context(11), CurveFamily.P_GONAL, alpha=2)) == 5
     assert genus_of(CurveSpec(make_context(7), CurveFamily.E_QUOTIENT, alpha=2)) == 1
 
@@ -182,7 +182,18 @@ def test_describe_strings():
     ctx13 = make_context(13)
     assert CurveSpec(ctx13, CurveFamily.P_GONAL, alpha=2).describe() == "C_alpha(p=13, alpha=2)"
     assert CurveSpec(ctx13, CurveFamily.E_QUOTIENT, alpha=3).describe() == "E_gamma(p=13, gamma=3)"
-    assert CurveSpec(ctx13, CurveFamily.FERMAT).describe() == "F(13)"
+
+
+def test_the_gamma_root_is_read_from_the_context_and_the_families_are_the_factor_curves():
+    # ctx.gamma states the root convention; CurveSpec covers C_alpha and E_gamma
+    reads_ctx_gamma = [
+        groups.pgonal_group, groups.pgonal_K, genus.pgonal_fix_table,
+        monomial.build_R, monomial.word_map, monomial.verify_relation, monomial.epsilon_parity_report,
+    ]
+    assert [f for f in reads_ctx_gamma if "gamma" in inspect.signature(f).parameters] == []
+    assert not hasattr(groups, "resolve_gamma")
+    assert [(f.name, f.value) for f in CurveFamily] == [("P_GONAL", "p_gonal"), ("E_QUOTIENT", "e_quotient")]
+    assert inspect.signature(CurveSpec).parameters["alpha"].default is inspect.Parameter.empty
 
 
 def test_quotient_to_curve():

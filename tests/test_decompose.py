@@ -27,7 +27,7 @@ from fermatjac.decompose import (
 from fermatjac.errors import AuditFailError, OutOfRangeError
 from fermatjac.genus import FixTable, fermat_axis_fix_table, fermat_genus
 from fermatjac.groups import Group, fermat_Hj, pgonal_K
-from fermatjac.orbits import OrbitKind, PrimeContext, make_context, orbit_census, orbit_partition
+from fermatjac.orbits import OrbitKind, make_context, orbit_census, orbit_partition
 
 from helpers import (
     are_isomorphic,
@@ -38,6 +38,7 @@ from helpers import (
     object_K_family,
     primes_upto,
     rh_genus_by_element,
+    root_contexts,
     run_under_O,
     sweep_primes,
 )
@@ -139,10 +140,10 @@ def test_deck_genus_sum_calls_riemann_hurwitz_once_per_distinct_count(monkeypatc
 
 def test_factor_symbols_fill_the_family_formats():
     ctx = make_context(13)
-    curves = [CurveSpec(ctx, CurveFamily.FERMAT), CurveSpec(ctx, CurveFamily.P_GONAL, 2), CurveSpec(ctx, CurveFamily.E_QUOTIENT, 3)]
-    assert [IsogenyFactor(c, 1, 1).symbol() for c in curves] == ["JF(13)", "JC(2)", "JE(3)"]
-    assert [c.describe() for c in curves] == ["F(13)", "C_alpha(p=13, alpha=2)", "E_gamma(p=13, gamma=3)"]
-    assert [c.equation() for c in curves] == ["x^13 + y^13 + z^13 = 0", "y^13 = x^2*(x-1)", "C_gamma(p=13)/<R>"]
+    curves = [CurveSpec(ctx, CurveFamily.P_GONAL, 2), CurveSpec(ctx, CurveFamily.E_QUOTIENT, 3)]
+    assert [IsogenyFactor(c, 1, 1).symbol() for c in curves] == ["JC(2)", "JE(3)"]
+    assert [c.describe() for c in curves] == ["C_alpha(p=13, alpha=2)", "E_gamma(p=13, gamma=3)"]
+    assert [c.equation() for c in curves] == ["y^13 = x^2*(x-1)", "C_gamma(p=13)/<R>"]
 
 
 REAL_RH, REAL_RH_GENUS = genus_module.riemann_hurwitz, decompose_module.rh_genus
@@ -279,9 +280,7 @@ def test_gamma_refinement_matches_object_joins(p):
     """The audit's pair genera and set-commutation verdict, read off the
     subgroup lattice, against mulclose joins and set products of element
     objects, for either root (a context naming it as the conventional one)."""
-    roots = make_context(p).gamma_pair
-    for pair in (roots, roots[::-1]):
-        ctx = PrimeContext(p, p % 3, pair)
+    for ctx in root_contexts(p):
         summary = gamma_refinement_audit(ctx).summary()
         oracle = object_gamma_pairs(p, ctx.gamma)
         assert [pair for pair, _, _, _, _ in oracle] == [(1, 2), (1, 3), (2, 3)]
@@ -298,9 +297,7 @@ def test_gamma_refinement_tells_the_K_i_apart_as_their_elements_do(p):
     one T^k R, its generator, so that is the comparison of their element
     sets, for either root (a context naming it as the conventional one).
     Its join gate passes only for K_i told apart, as the elements are."""
-    roots = make_context(p).gamma_pair
-    for pair in (roots, roots[::-1]):
-        ctx = PrimeContext(p, p % 3, pair)
+    for ctx in root_contexts(p):
         ks = [elements(pgonal_K(i, ctx)) for i in (1, 2, 3)]
         assert [[i for i in k if i % 3 == 1] for k in ks] == [list(pgonal_K(i, ctx).generators) for i in (1, 2, 3)]
         assert [ks[i - 1] != ks[j - 1] for i, j in ((1, 2), (1, 3), (2, 3))] == [True] * 3
@@ -312,10 +309,8 @@ def test_equal_K_subgroups_fail_the_gamma_gate(monkeypatch):
     # fails, as each pair joins to K_1 itself, of genus (p-1)/6, and commutes
     p = 13
     real = decompose_module.pgonal_K
-    monkeypatch.setattr(decompose_module, "pgonal_K", lambda i, ctx, gamma=None: real(1, ctx, gamma))
-    roots = make_context(p).gamma_pair
-    for pair in (roots, roots[::-1]):
-        ctx = PrimeContext(p, p % 3, pair)
+    monkeypatch.setattr(decompose_module, "pgonal_K", lambda i, ctx: real(1, ctx))
+    for ctx in root_contexts(p):
         k1 = object_K_family(p, ctx.gamma)[0]
         oracle = object_gamma_pairs(p, ctx.gamma, family=[k1] * 3)
         assert [genus for _, _, genus, _, _ in oracle] == [(p - 1) // 6] * 3
@@ -332,7 +327,7 @@ def test_equal_K_subgroups_exit_3_under_python_O():
     run = run_under_O(
         "from fermatjac import cli, decompose\n"
         "real = decompose.pgonal_K\n"
-        "decompose.pgonal_K = lambda i, ctx, gamma=None: real(1, ctx, gamma)\n"
+        "decompose.pgonal_K = lambda i, ctx: real(1, ctx)\n"
         "sys.exit(cli.main(['decompose', '--p', '13']))\n"
     )
     assert run.returncode == 3, run.stdout + run.stderr

@@ -63,6 +63,7 @@ from helpers import (
     joined,
     labelled_fix_count,
     rh_genus_by_element,
+    root_contexts,
     run_under_O,
     trivial_subgroup,
 )
@@ -495,9 +496,9 @@ GAMMA_PRIMES = [p for p in range(7, 62) if is_prime(p) and p % 3 == 1]
 FERMAT_PRIMES = [p for p in range(5, 62) if is_prime(p)]
 
 
-def _pgonal_subgroups(ctx, gamma):
-    """The whole p-gonal group of the root gamma and its K_1, K_2, K_3."""
-    return [pgonal_group(ctx, gamma)] + [pgonal_K(i, ctx, gamma) for i in (1, 2, 3)]
+def _pgonal_subgroups(ctx):
+    """The whole p-gonal group of ctx's root and its K_1, K_2, K_3."""
+    return [pgonal_group(ctx)] + [pgonal_K(i, ctx) for i in (1, 2, 3)]
 
 
 def _fermat_cyclic(p):
@@ -523,11 +524,10 @@ def _counted(fix):
 
 @pytest.mark.parametrize("p", GAMMA_PRIMES)
 def test_rh_genus_reads_the_pgonal_subgroups_as_the_element_oracle(p):
-    ctx = make_context(p)
-    for gamma in ctx.gamma_pair:
-        fix = pgonal_fix_table(ctx, gamma)
-        for k in _pgonal_subgroups(ctx, gamma):
-            assert rh_genus((p - 1) // 2, k, fix) == rh_genus_by_element((p - 1) // 2, k, fix), (gamma, k.order)
+    for ctx in root_contexts(p):
+        fix = pgonal_fix_table(ctx)
+        for k in _pgonal_subgroups(ctx):
+            assert rh_genus((p - 1) // 2, k, fix) == rh_genus_by_element((p - 1) // 2, k, fix), (ctx.gamma, k.order)
 
 
 @pytest.mark.parametrize("p", FERMAT_PRIMES)
@@ -548,9 +548,8 @@ def test_rh_genus_fix_sums_match_on_a_table_that_tells_cyclic_subgroups_apart(mo
     # same fix sum read either way, whichever element stands for a subgroup
     for module in (genus_module, helpers):
         monkeypatch.setattr(module, "riemann_hurwitz", lambda g_top, order, fix_sum: fix_sum)
-    ctx = make_context(p)
     cases = [(Group(p), _fermat_cyclic(p)[:4] + [trivial_subgroup(Group(p))])]
-    cases += [(Group(p, gamma), _pgonal_subgroups(ctx, gamma)) for gamma in ctx.gamma_pair or ()]
+    cases += [(Group(p, ctx.gamma), _pgonal_subgroups(ctx)) for ctx in root_contexts(p)]
     for group, subgroups in cases:
         fix = cyclic_label_table(group)
         for k in subgroups:

@@ -43,6 +43,7 @@ from helpers import (
     primes_upto,
     record_of,
     record_word,
+    root_contexts,
     run_under_O,
     substitute_by_chain,
 )
@@ -201,12 +202,11 @@ def test_J_is_hyperelliptic_involution():
 
 @pytest.mark.parametrize("p", (7, 13, 19, 31))
 def test_R_preserves_curve_and_epsilon_rule(p):
-    ctx = make_context(p)
-    for gamma in ctx.gamma_pair:
-        report = epsilon_parity_report(ctx, gamma)
+    for ctx in root_contexts(p):
+        report = epsilon_parity_report(ctx)
         assert report["rule_matches"], report
-        good = build_R(ctx, gamma, epsilon=report["passing_epsilon"])
-        bad = build_R(ctx, gamma, epsilon=3 - report["passing_epsilon"])
+        good = build_R(ctx, epsilon=report["passing_epsilon"])
+        bad = build_R(ctx, epsilon=3 - report["passing_epsilon"])
         assert verify_curve_automorphism(good)
         assert not verify_curve_automorphism(bad)
 
@@ -396,10 +396,9 @@ def test_words_in_T_and_R_match_the_records(p, word, root):
     """A word composed by the tuple calculus (square-and-multiply powers,
     one-step substitutions) is the word composed by the records (one
     composition per letter power, substitutions as chains of products)."""
-    ctx = make_context(p)
-    g = ctx.gamma_pair[root]
-    t, r = record_of(build_T(ctx, g)), record_of(build_R(ctx, g))
-    assert record_of(word_map(word, ctx, g)) == record_word(word, t, r)
+    ctx = root_contexts(p)[root]
+    t, r = record_of(build_T(ctx)), record_of(build_R(ctx))
+    assert record_of(word_map(word, ctx)) == record_word(word, t, r)
 
 
 @pytest.mark.parametrize("p", GAMMA_PRIMES)

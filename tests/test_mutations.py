@@ -58,6 +58,12 @@ A coset oracle one too high on H must fail ``dual-oracle-genus`` with the
 code ORACLE_DISAGREEMENT, naming p, the subgroup and both genera.
 """
 
+import contextlib
+import io
+import json
+import traceback
+from types import SimpleNamespace
+
 import pytest
 
 from fermatjac import cli, curves, decompose, genus, groups, monomial, orbits, report
@@ -75,6 +81,7 @@ REAL_ORBITS, REAL_SIZE, REAL_CENSUS = groups.line_orbits, groups.ClassData.size,
 REAL_FULL_FIX, REAL_LINE_INDEX, REAL_POWERS = genus.fermat_full_fix_table, groups.ClassData.line_index, groups.ClassData.power_counts
 REAL_PGONAL_FIX, REAL_AXIS_FIX = genus.pgonal_fix_table, genus.fermat_axis_fix_table
 REAL_CLASSIFY, REAL_COSET_GENUS, REAL_LINE_ORBIT = orbits._classify, genus.coset_genus, groups.line_orbit
+REAL_FERMAT_ORDER = groups.fermat_order
 
 
 def _flip_y(m):
@@ -144,8 +151,8 @@ def _J_with_minus_sign(mp):
 
 def _order_three_fixes_one(mp):
     # the gamma curve's table with "deck powers fix 3, order-3 maps fix 1"
-    def table(ctx, gamma=None):
-        group = REAL_PGONAL_FIX(ctx, gamma).group
+    def table(ctx):
+        group = REAL_PGONAL_FIX(ctx).group
         step = group.translations.step
         return genus.FixTable(group, lambda i: 3 if i % step == 0 else 1, "deck powers fix 3, order-3 maps fix 1")
 
@@ -419,6 +426,17 @@ def _coset_genus_off_on_H(mp):
     mp.setattr(genus, "coset_genus", coset_genus)
 
 
+def _involution_of_order_2p(mp):
+    # every involution x tau reported as of order 2p, the order of an x tau
+    # whose square is not 1 (genus binds fermat_order itself)
+    def fermat_order(p, i):
+        order = REAL_FERMAT_ORDER(p, i)
+        return 2 * p if order == 2 else order
+
+    for module in (groups, genus):
+        mp.setattr(module, "fermat_order", fermat_order)
+
+
 # name -> (the mutation, the check of verify --p 13 --depth full that must fail)
 FULL_MUTATIONS = {
     "gamma-lines-generic": (_gamma_lines_generic, "certificates"),
@@ -429,7 +447,85 @@ FULL_MUTATIONS = {
     "line-index-without-an-axis": (_line_index_without_an_axis, "dual-oracle-genus"),
     "line-index-without-an-orbit": (_line_index_without_an_orbit, "dual-oracle-genus"),
     "axis-power-count-off-by-one": (_axis_power_count_off_by_one, "generating-triple"),
+    "involution-of-order-2p": (_involution_of_order_2p, "generating-triple"),
 }
+
+
+# -- the -O twins of a family, in one python -O child --------------------------
+#
+# A family of parametrized -O twins runs every case in one python -O child,
+# in process: each case installs its mutation through its own MonkeyPatch,
+# runs one command with stdout and stderr captured, and undoes it.  After
+# each case an unmutated verify --p 13, the control, must pass, so a
+# mutation that leaks into the next case fails the case that left it.
+
+CONTROL = ["verify", "--p", "13"]
+
+
+def _captured(argv):
+    """cli.main(argv) in process: its exit code, stdout and stderr, with
+    the traceback of an exception in stderr and code 1, as a child's."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    return code, out.getvalue(), err.getvalue()
+
+
+def _run_cases(table, cases, undo=True):
+    """The child's half of run_family_under_O: each case (name, argv) of the
+    mutation table named table run under its mutation, then the control;
+    with undo False the mutations are left installed.  Prints a JSON list,
+    per case, of the command's code, stdout and stderr and the control's
+    code and stdout."""
+    rows = []
+    for name, argv in cases:
+        mp = pytest.MonkeyPatch()
+        globals()[table][name][0](mp)
+        code, out, err = _captured(argv)
+        if undo:
+            mp.undo()
+        control, control_out, _ = _captured(CONTROL)
+        rows.append([code, out, err, control, control_out])
+    print(json.dumps(rows))
+
+
+def run_family_under_O(table, cases, undo=True):
+    """Run cases {key: (name, argv)} of a mutation table in one python -O
+    child (_run_cases): {key: its run}, with the command's ``returncode``,
+    ``stdout`` and ``stderr``, and the control's exit code and stdout as
+    ``control`` and ``control_stdout``."""
+    run = run_under_O(f"import test_mutations\ntest_mutations._run_cases({table!r}, {list(cases.values())!r}, {undo!r})\n")
+    assert run.returncode == 0, run.stdout + run.stderr
+    fields = ("returncode", "stdout", "stderr", "control", "control_stdout")
+    return {key: SimpleNamespace(**dict(zip(fields, row))) for key, row in zip(cases, json.loads(run.stdout))}
+
+
+@pytest.fixture(scope="session")
+def verify_runs_under_O():
+    return run_family_under_O("MUTATIONS", {(name, p): (name, ["verify", "--p", str(p)]) for name, p in CASES})
+
+
+@pytest.fixture(scope="session")
+def sweep_runs_under_O():
+    return run_family_under_O("BASIC_MUTATIONS", {name: (name, SWEEP_61) for name in BASIC_MUTATIONS})
+
+
+@pytest.fixture(scope="session")
+def full_runs_under_O():
+    return run_family_under_O("FULL_MUTATIONS", {name: (name, ["verify", "--p", "13", "--depth", "full"]) for name in FULL_MUTATIONS})
+
+
+def test_a_mutation_left_installed_fails_the_control():
+    # T with its sign flipped, not undone: the control fails where it reads T
+    run = run_family_under_O("MUTATIONS", {"T-sign": ("T-sign", ["verify", "--p", "11"])}, undo=False)["T-sign"]
+    assert run.returncode == 4 and "FAIL monomial-relations: p = 11: " in run.stdout
+    assert run.control == 4 and "FAIL monomial-relations: p = 13: " in run.control_stdout
 
 
 @pytest.mark.parametrize("name, p", CASES)
@@ -443,15 +539,10 @@ def test_mutation_fails_verify(monkeypatch, capsys, name, p):
 
 
 @pytest.mark.parametrize("name, p", CASES)
-def test_mutation_fails_verify_under_python_O(name, p):
+def test_mutation_fails_verify_under_python_O(verify_runs_under_O, name, p):
     check = MUTATIONS[name][1]
-    run = run_under_O(
-        "import pytest\n"
-        "from fermatjac import cli\n"
-        "from test_mutations import MUTATIONS\n"
-        f"MUTATIONS[{name!r}][0](pytest.MonkeyPatch())\n"
-        f"sys.exit(cli.main(['verify', '--p', '{p}']))\n"
-    )
+    run = verify_runs_under_O[name, p]
+    assert run.control == 0, run.control_stdout
     assert run.returncode == 4, run.stdout + run.stderr
     assert f"FAIL {check}: p = {p}: " in run.stdout
     assert "Traceback" not in run.stderr
@@ -526,15 +617,10 @@ def test_basic_mutation_fails_sweep(monkeypatch, capsys, name):
 
 
 @pytest.mark.parametrize("name", BASIC_MUTATIONS)
-def test_basic_mutation_fails_sweep_under_python_O(name):
+def test_basic_mutation_fails_sweep_under_python_O(sweep_runs_under_O, name):
     check = BASIC_MUTATIONS[name][1]
-    run = run_under_O(
-        "import pytest\n"
-        "from fermatjac import cli\n"
-        "from test_mutations import BASIC_MUTATIONS, SWEEP_61\n"
-        f"BASIC_MUTATIONS[{name!r}][0](pytest.MonkeyPatch())\n"
-        "sys.exit(cli.main(SWEEP_61))\n"
-    )
+    run = sweep_runs_under_O[name]
+    assert run.control == 0, run.control_stdout
     assert run.returncode == 4, run.stdout + run.stderr
     assert f"\np=  13 FAIL  {check}: " in run.stdout
     assert "Traceback" not in run.stderr
@@ -704,18 +790,35 @@ def test_full_mutation_fails_verify(monkeypatch, capsys, name):
 
 
 @pytest.mark.parametrize("name", FULL_MUTATIONS)
-def test_full_mutation_fails_verify_under_python_O(name):
+def test_full_mutation_fails_verify_under_python_O(full_runs_under_O, name):
     check = FULL_MUTATIONS[name][1]
-    run = run_under_O(
-        "import pytest\n"
-        "from fermatjac import cli\n"
-        "from test_mutations import FULL_MUTATIONS\n"
-        f"FULL_MUTATIONS[{name!r}][0](pytest.MonkeyPatch())\n"
-        "sys.exit(cli.main(['verify', '--p', '13', '--depth', 'full']))\n"
-    )
+    run = full_runs_under_O[name]
+    assert run.control == 0, run.control_stdout
     assert run.returncode == 4, run.stdout + run.stderr
     assert f"FAIL {check}: " in run.stdout
     assert "Traceback" not in run.stderr
+
+
+# the first check of verify --p 13 --depth full that fails when fermat_order
+# reads every involution as of order 2p: the eight basic checks pass, and the
+# closed-form triple's first entry, an involution, is read as of order 26
+ORDER_2P_13 = "FAIL generating-triple: the triple (0, 0, 3), (0, 1, 1), (12, 0, 5) has orders (26, 3, 26), not (2, 3, 26)\n"
+
+
+def test_involution_of_order_2p_fails_the_generating_triple_first(monkeypatch, capsys):
+    FULL_MUTATIONS["involution-of-order-2p"][0](monkeypatch)
+    assert cli.main(["verify", "--p", "13", "--depth", "full"]) == 4
+    out, err = capsys.readouterr()
+    assert out.endswith(ORDER_2P_13) and out.count("PASS ") == len(cli.BASIC_CHECKS)
+    assert err == "verification failed at check: generating-triple\n"
+
+
+def test_involution_of_order_2p_fails_the_generating_triple_first_under_python_O(full_runs_under_O):
+    run = full_runs_under_O["involution-of-order-2p"]
+    assert run.control == 0, run.control_stdout
+    assert run.returncode == 4 and run.stdout.endswith(ORDER_2P_13)
+    assert run.stdout.count("PASS ") == len(cli.BASIC_CHECKS)
+    assert run.stderr == "verification failed at check: generating-triple\n"
 
 
 # The entry of verify --p 13 --depth full when the two genus oracles

@@ -213,7 +213,7 @@ def test_mutable_records_are_unhashable_and_assignable(cls, fields, frozen, make
 # each constant set: its members' names and values in order
 CONSTANTS = [
     (OrbitKind, [("SPECIAL_ONE", "special_one"), ("GAMMA", "gamma"), ("GENERIC", "generic")]),
-    (CurveFamily, [("FERMAT", "fermat"), ("P_GONAL", "p_gonal"), ("E_QUOTIENT", "e_quotient")]),
+    (CurveFamily, [("P_GONAL", "p_gonal"), ("E_QUOTIENT", "e_quotient")]),
     (DecompositionLevel, [("COARSE", "coarse"), ("FINE", "fine")]),
     (
         MoebiusLabel,
@@ -257,7 +257,6 @@ def test_flavours_never_compare_equal():
 def test_keyword_construction_and_defaults():
     ctx = make_context(7)
     assert CurveSpec(context=ctx, family=CurveFamily.P_GONAL, alpha=3) == CurveSpec(ctx, CurveFamily.P_GONAL, 3)
-    assert CurveSpec(ctx, CurveFamily.FERMAT).alpha is None
     assert Group(p=7) == Group(7, None)
     assert OrbitClass(representative=1, elements=(1,), kind=OrbitKind.GENERIC).kind is OrbitKind.GENERIC
     audit = kani_rosen_check(ctx)
@@ -277,11 +276,9 @@ def test_orbit_index_stays_out_of_equality_and_repr():
 
 def test_constructor_validation_raises_typed_errors():
     c5, c7 = make_context(5), make_context(7)
-    with pytest.raises(OutOfRangeError, match="takes no exponent"):
-        CurveSpec(c7, CurveFamily.FERMAT, 2)
     with pytest.raises(OutOfRangeError):
         CurveSpec(c7, CurveFamily.P_GONAL, 6)
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(TypeError):  # every factor curve has its exponent
         CurveSpec(context=c7, family=CurveFamily.P_GONAL)
     with pytest.raises(NoGammaError):
         CurveSpec(c5, CurveFamily.E_QUOTIENT, 2)

@@ -198,10 +198,9 @@ ROW_PRIMES = sweep_primes(199) + [409, 1009, 100003]
 @example(p=100003, seed=0, multiplicity=6, dimension=16667)
 def test_factor_rows_are_json_dumps_of_their_reference_dicts(p, seed, multiplicity, dimension):
     # one template per curve family, C_1's with its model: every family,
-    # FERMAT too (decompose never emits it), and alpha = 1 (seed 0)
+    # and alpha = 1 (seed 0)
     ctx = make_context(p)
     curves = [CurveSpec(ctx, CurveFamily.P_GONAL, seed % (p - 2) + 1), CurveSpec(ctx, CurveFamily.P_GONAL, 1)]
-    curves += [CurveSpec(ctx, CurveFamily.FERMAT)]
     curves += [CurveSpec(ctx, CurveFamily.E_QUOTIENT, g) for g in ctx.gamma_pair or ()]
     factors = [IsogenyFactor(c, multiplicity, dimension) for c in curves]
     for value in (factors, {"a": [{"factors": factors[::-1]}], "b": factors[0]}):
