@@ -26,7 +26,7 @@ from . import genus as gen
 from . import groups as grp
 from . import monomial as mono
 from . import report as rep
-from .curves import MOEBIUS_TRANSPORT, MoebiusLabel, deck_exponent, normalized_exponent
+from .curves import MOEBIUS_TRANSPORT, MoebiusLabel, normalized_exponent
 from .errors import (
     AuditFailError,
     CheckFailedError,
@@ -244,9 +244,11 @@ def check_dual_oracle_genus(ctx, cache):
     # same numbers off them: one cyclic subgroup per conjugacy class, from
     # the line orbits and the orders 1, 2, 3, 2p, stands for all (the keys
     # are conjugation-invariant by fix-table-consistency); H is read by its lines.
-    subgroups = grp.cyclic_subgroup_classes(p, data.line_orbits())
+    orbits = data.line_orbits()
+    subgroups = grp.cyclic_subgroup_classes(p, orbits)
     classes = len(subgroups)
-    deck = cache["deck"] = []
+    deck = cache["deck"] = []  # (a deck line's class, its line orbit), for the certificates
+    first_lines = iter(orbits)  # the line classes come in orbit order, each at its orbit's first line
     for k in chain(subgroups, [grp.fermat_H(p)]):
         rh, coset = gen.rh_genus(g_top, k, fix), gen.coset_genus(k, triple, data)
         if rh != coset:
@@ -254,7 +256,7 @@ def check_dual_oracle_genus(ctx, cache):
                 f"p = {p}, {gen.describe(k)}: Riemann-Hurwitz genus {rh}, coset genus {coset}"
             )
         if k.lines and grp.deck_index(k.lines[0]):
-            deck.append(k)
+            deck.append((k, next(o for o in first_lines if o.lines[0] == k.lines[0])))
     return f"{classes} cyclic subgroups, one per conjugacy class ({len(deck)} of them deck lines), and H: both oracles agree"
 
 
@@ -296,17 +298,13 @@ def check_certificates(ctx, cache):
     pairing = cert.inner_product(cert.chi_trivial(data), rat)
     _require(pairing == 0, f"p = {p}: <triv, hom> = {pairing}, expected 0")
     # Conjugate subgroups have one permutation character, so the deck classes
-    # stand for all p - 2 lines H_j, each held to its exponent's orbit.
+    # stand for all p - 2 lines H_j, one class per exponent orbit (the deck
+    # census gave each orbit its quotients), each held to its exponent's orbit.
     deck, part = cache["deck"], _partition(ctx, cache)
-    hit = len({id(part.orbit_of(deck_exponent(grp.deck_index(k.lines[0]), p))) for k in deck})  # the partition's own objects
-    _require(
-        len(deck) == len(part.orbits) == hit,
-        f"p = {p}: {len(deck)} deck line classes meet {hit} of the {len(part.orbits)} exponent orbits",
-    )
-    orbit_of_first_line = {o.lines[0]: o for o in data.line_orbits()}  # deck lines are first lines
-    for k in deck:
+    _require(len(deck) == len(part.orbits), f"p = {p}: {len(deck)} deck line classes for the {len(part.orbits)} exponent orbits")
+    for k, lines in deck:
         j = grp.deck_index(k.lines[0])
-        if gap := dec.deck_orbit_gap(part, j, orbit_of_first_line[k.lines[0]]):
+        if gap := dec.deck_orbit_gap(part, j, lines):
             raise CheckFailedError(f"p = {p}: {gap}")
         value = cert.perm_pairing(k, rat)
         if value != p - 1:

@@ -82,19 +82,15 @@ class CurveSpec(FrozenRecord):
                 raise NoGammaError(f"p = {p} = 2 mod 3 admits no quotient curve E")
             if alpha not in context.gamma_pair:
                 raise OutOfRangeError(f"E exponent {alpha} is not a root of g^2+g+1 mod {p}")
+        else:
+            raise OutOfRangeError(f"family {family!r} is not a CurveFamily member")
         set_field(self, "context", context)
         set_field(self, "family", family)
         set_field(self, "alpha", alpha)
 
-    def describe(self) -> str:
-        return CURVE_FORMATS[self.family][0] % {"p": self.context.p, "alpha": self.alpha}
-
-    def equation(self) -> str:
-        return CURVE_FORMATS[self.family][1] % {"p": self.context.p, "alpha": self.alpha}
-
 
 # Each family's name, equation and Jacobian symbol, %-formats of the ints p and
-# alpha stated once: CurveSpec and IsogenyFactor fill them, the JSON rows too.
+# alpha stated once: IsogenyFactor fills the symbol, the JSON rows all three.
 CURVE_FORMATS = {
     CurveFamily.P_GONAL: ("C_alpha(p=%(p)d, alpha=%(alpha)d)", "y^%(p)d = x^%(alpha)d*(x-1)", "JC(%(alpha)d)"),
     CurveFamily.E_QUOTIENT: ("E_gamma(p=%(p)d, gamma=%(alpha)d)", "C_gamma(p=%(p)d)/<R>", "JE(%(alpha)d)"),

@@ -313,12 +313,11 @@ def decompose_fine(coarse: IsogenyDecomposition) -> IsogenyDecomposition:
             if f is not c:
                 raise AuditFailError(f"p = {p}: fine factor {f.render()} for the coarse {c.render()}, expected {c.render()} itself")
             continue
-        m, dimension = 3 * c.multiplicity, refinement.curve_genus // 3
-        if (f.curve.family, f.curve.alpha, f.multiplicity, f.dimension) != (CurveFamily.E_QUOTIENT, gamma, m, dimension):
-            e = CURVE_FORMATS[CurveFamily.E_QUOTIENT][2] % {"p": p, "alpha": gamma}
+        expected = IsogenyFactor(CurveSpec(ctx, CurveFamily.E_QUOTIENT, gamma), 3 * c.multiplicity, refinement.curve_genus // 3)
+        if f != expected:
             raise AuditFailError(
                 f"p = {p}: fine factor {f.render()} of dimension {f.dimension} for the coarse {c.render()},"
-                f" expected {e}^{m} of dimension {dimension}"
+                f" expected {expected.render()} of dimension {expected.dimension}"
             )
     return _require_total_dimension(fine)
 

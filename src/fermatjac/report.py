@@ -4,9 +4,10 @@ Reports are plain dicts with a pinned schema version, serialized with
 sorted keys so the JSON bytes are stable for fixed inputs; golden-file
 tests rely on that.  Their ``orbits`` and ``factors`` lists hold the
 OrbitClass and IsogenyFactor objects themselves, which the writer puts
-down as rows, and the text renderers read by attribute.  A list whose
-items are all of one scalar or row class is written by one writer in
-one join.  Text rendering puts each decomposition product on its own
+down as rows, and the text renderers read by attribute.  The writer
+takes only the values reports hold (:func:`serialize`), and a list
+whose items are all of one scalar or row class is written by one writer
+in one join.  Text rendering puts each decomposition product on its own
 labelled line in the factor grammar
 
     JF(<p>) ~ JC(<alpha>)^<mult> x JE(<gamma>)^<mult> x ...
@@ -30,7 +31,6 @@ SCHEMA_VERSION = "1"
 
 # json's short escapes; other characters outside ' '..'~' become \uXXXX
 _ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"}
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _escape(c: str) -> str:
@@ -48,41 +48,22 @@ def _string(value: str) -> str:
     return '"' + value + '"'
 
 
-def _float(value: float) -> str:
-    text = float.__repr__(value)
-    return _NONFINITE.get(text, text)
-
-
-# The writer of each scalar class, looked up by exact class: a subclass
-# (of int, say, with its own __repr__) goes to _scalar as json would.
+# The writer of each scalar class a report holds, looked up by exact class:
+# any other class, a subclass of one of these too, is refused.
 _SCALARS = {
     str: _string,
     int: int.__repr__,
-    float: _float,
     bool: ("false", "true").__getitem__,
     type(None): {None: "null"}.__getitem__,
 }
 
 
-def _scalar(value) -> str:
-    if isinstance(value, str):
-        return _string(value)
-    if value is None or isinstance(value, bool):
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float(value)
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
-
-
 def _key(k, memo: dict) -> str:
-    """The JSON of dict key k and its ": ", stored in memo for a str k."""
-    if type(k) is str:
-        text = memo[k] = _string(k) + ": "
-        return text
-    # a key that is not a str is written as the string of its JSON
-    return _scalar(k if isinstance(k, str) else _scalar(k)) + ": "
+    """The JSON of dict key k, a str, and its ": ", stored in memo."""
+    if type(k) is not str:
+        raise TypeError(f"keys must be str, not {type(k).__name__}")
+    text = memo[k] = _string(k) + ": "
+    return text
 
 
 def _orbit_row(indent: str):
@@ -140,14 +121,13 @@ def _json(value, indent: str, memo: dict, out: list) -> None:
         out.append(write(value))
         return
     inner = indent + "  "
-    keyed = isinstance(value, dict)
+    keyed = cls is dict
     if keyed:
         ends, items = "{}", sorted(value.items())
-    elif isinstance(value, (list, tuple)):
+    elif cls is list or cls is tuple:
         ends, items = "[]", value
     else:
-        out.append(_scalar(value))
-        return
+        raise TypeError(f"Object of type {cls.__name__} is not a report value")
     if not items:
         out.append(ends)
         return
@@ -175,7 +155,10 @@ def _json(value, indent: str, memo: dict, out: list) -> None:
 
 def serialize(report: dict) -> str:
     """``json.dumps(report, indent=2, sort_keys=True)`` and a newline,
-    with each OrbitClass and IsogenyFactor written as its report row."""
+    with each OrbitClass and IsogenyFactor written as its report row.
+    A report holds str, int, bool and None, lists, tuples, dicts keyed by
+    str and the two rows, each of exactly its class; any other value
+    raises TypeError naming its class."""
     out: list[str] = []
     _json(report, "\n", {}, out)
     out.append("\n")

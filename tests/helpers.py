@@ -652,18 +652,25 @@ def orbit_entry(o):
 
 
 def factor_entry(f):
+    """The row of a factor, its curve's strings written from p and alpha
+    here, not read off curves.CURVE_FORMATS."""
+    p, alpha = f.curve.context.p, f.curve.alpha
+    if f.curve.family is CurveFamily.P_GONAL:
+        symbol, curve, equation = f"JC({alpha})", f"C_alpha(p={p}, alpha={alpha})", f"y^{p} = x^{alpha}*(x-1)"
+    else:
+        symbol, curve, equation = f"JE({alpha})", f"E_gamma(p={p}, gamma={alpha})", f"C_gamma(p={p})/<R>"
     entry = {
-        "symbol": f.symbol(),
-        "curve": f.curve.describe(),
-        "equation": f.curve.equation(),
+        "symbol": symbol,
+        "curve": curve,
+        "equation": equation,
         "family": f.curve.family.value,
-        "alpha": f.curve.alpha,
+        "alpha": alpha,
         "multiplicity": f.multiplicity,
         "dimension": f.dimension,
     }
-    if f.curve.family is CurveFamily.P_GONAL and f.curve.alpha == 1:
+    if f.curve.family is CurveFamily.P_GONAL and alpha == 1:
         # descriptive metadata only; never a computational object
-        entry["hyperelliptic_model"] = f"w^2 = u^{f.curve.context.p} - 1"
+        entry["hyperelliptic_model"] = f"w^2 = u^{p} - 1"
     return entry
 
 
@@ -1482,10 +1489,11 @@ def parse(text):
 
 def mutated(fn, old, new):
     """fn recompiled from its source with the text old replaced by new,
-    in fn's module."""
+    in fn's module; a method is recompiled as a plain function."""
     import inspect
+    import textwrap
 
-    source = inspect.getsource(fn)
+    source = textwrap.dedent(inspect.getsource(fn))
     if source.count(old) != 1:
         raise RuntimeError(f"{old!r} is not once in the source of {fn.__name__}")
     namespace = {}

@@ -355,7 +355,7 @@ def test_a_dropped_deck_class_fails_verify(capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert code == 4
     assert "PASS dual-oracle-genus" in out
-    assert "FAIL certificates: p = 13: 2 deck line classes meet 2 of the 3 exponent orbits" in out
+    assert "FAIL certificates: p = 13: 2 deck line classes for the 3 exponent orbits" in out
     assert "verification failed at check: certificates" in err
     assert "Traceback" not in err
 
@@ -368,7 +368,7 @@ def test_a_dropped_deck_class_fails_verify_under_python_O():
         "sys.exit(cli.main(['verify', '--p', '13', '--depth', 'full']))\n"
     )
     assert run.returncode == 4, run.stdout + run.stderr
-    assert "FAIL certificates: p = 13: 2 deck line classes meet 2 of the 3 exponent orbits" in run.stdout
+    assert "FAIL certificates: p = 13: 2 deck line classes for the 3 exponent orbits" in run.stdout
     assert "Traceback" not in run.stderr
 
 
@@ -381,7 +381,7 @@ def test_split_class_fails_verify(capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert code == 4
     assert "PASS dual-oracle-genus" in out
-    assert "FAIL certificates: p = 13: 4 deck line classes meet 3 of the 3 exponent orbits" in out
+    assert "FAIL certificates: p = 13: 4 deck line classes for the 3 exponent orbits" in out
     assert "verification failed at check: certificates" in err
     assert "Traceback" not in err
 
@@ -394,7 +394,7 @@ def test_split_class_fails_verify_under_python_O():
         "sys.exit(cli.main(['verify', '--p', '13', '--depth', 'full']))\n"
     )
     assert run.returncode == 4, run.stdout + run.stderr
-    assert "FAIL certificates: p = 13: 4 deck line classes meet 3 of the 3 exponent orbits" in run.stdout
+    assert "FAIL certificates: p = 13: 4 deck line classes for the 3 exponent orbits" in run.stdout
     assert "Traceback" not in run.stderr
 
 
@@ -516,7 +516,7 @@ def test_loops_that_raise_straight_keep_their_failure_text(monkeypatch):
     # detail only on failure; the text is the one _require gave
     p = 13
     ctx, cache = _checked_through(p, "dual-oracle-genus")
-    fix, orbits, deck = cache["full_fix"], cache["class_data"].line_orbits(), cache["deck"]
+    fix, deck = cache["full_fix"], cache["deck"]
     keys = max(fix.support, key=lambda keys: keys.start)  # the 3-cycle class, on no line of H
     key, count = keys.start, fix.support[keys]
     fix.support[keys] = 10**6
@@ -527,11 +527,11 @@ def test_loops_that_raise_straight_keep_their_failure_text(monkeypatch):
     monkeypatch.setattr(cli.cert, "perm_pairing", lambda k, rat: 0)
     with pytest.raises(CheckFailedError) as caught:
         cli.check_certificates(ctx, cache)
-    j = groups_module.deck_index(deck[0].lines[0])
+    j = groups_module.deck_index(deck[0][0].lines[0])
     assert str(caught.value) == f"p = 13: <G/H_{j}, hom> = 0, expected 12"
-    wrong = [groups_module.LineOrbit(o.lines, o.stabilizer, "generic") for o in orbits]
-    cache["class_data"].memo["line_orbits"] = wrong
-    o = next(o for o in wrong if groups_module.deck_line(j) in o.lines)
+    # each deck class's line orbit as the dual-oracle check kept it, read as generic
+    cache["deck"] = [(k, groups_module.LineOrbit(o.lines, o.stabilizer, "generic")) for k, o in deck]
+    o = next(o for _, o in cache["deck"] if groups_module.deck_line(j) in o.lines)
     exponents = orbit_partition(ctx).orbit_of(p - 1 - j)
     with pytest.raises(CheckFailedError) as caught:
         cli.check_certificates(ctx, cache)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fermatjac import cli, genus, groups, monomial
+from fermatjac import cli, genus, groups, monomial, report
 from fermatjac.curves import (
     MOEBIUS_TRANSPORT,
     CurveFamily,
@@ -13,6 +13,7 @@ from fermatjac.curves import (
     normalized_exponent,
     quotient_to_curve,
 )
+from fermatjac.decompose import IsogenyFactor
 from fermatjac.errors import DegenerateCurveError, NoGammaError, OutOfRangeError
 from fermatjac.orbits import make_context
 
@@ -25,6 +26,7 @@ from helpers import (
     moebius_transport,
     normalize,
     orbit,
+    parse,
     sweep_primes,
     transport_formula,
 )
@@ -178,10 +180,19 @@ def test_curvespec_validation():
         CurveSpec(make_context(5), CurveFamily.E_QUOTIENT, alpha=2)
 
 
+def test_a_family_outside_curve_family_is_refused():
+    # the family's value, not its member: refused when built, naming it
+    for family in ("p_gonal", "e_quotient", None):
+        with pytest.raises(OutOfRangeError, match=f"family {family!r} is not a CurveFamily member"):
+            CurveSpec(make_context(7), family, 3)
+
+
 def test_describe_strings():
+    # each curve's name, read off its report row
     ctx13 = make_context(13)
-    assert CurveSpec(ctx13, CurveFamily.P_GONAL, alpha=2).describe() == "C_alpha(p=13, alpha=2)"
-    assert CurveSpec(ctx13, CurveFamily.E_QUOTIENT, alpha=3).describe() == "E_gamma(p=13, gamma=3)"
+    specs = [CurveSpec(ctx13, CurveFamily.P_GONAL, alpha=2), CurveSpec(ctx13, CurveFamily.E_QUOTIENT, alpha=3)]
+    rows = parse(report.serialize([IsogenyFactor(c, 1, 1) for c in specs]))
+    assert [row["curve"] for row in rows] == ["C_alpha(p=13, alpha=2)", "E_gamma(p=13, gamma=3)"]
 
 
 def test_the_gamma_root_is_read_from_the_context_and_the_families_are_the_factor_curves():

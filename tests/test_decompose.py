@@ -28,6 +28,7 @@ from fermatjac.errors import AuditFailError, OutOfRangeError
 from fermatjac.genus import FixTable, fermat_axis_fix_table, fermat_genus
 from fermatjac.groups import Group, fermat_Hj, pgonal_K
 from fermatjac.orbits import OrbitKind, make_context, orbit_census, orbit_partition
+from fermatjac.report import serialize
 
 from helpers import (
     are_isomorphic,
@@ -36,6 +37,7 @@ from helpers import (
     mutated,
     object_gamma_pairs,
     object_K_family,
+    parse,
     primes_upto,
     rh_genus_by_element,
     root_contexts,
@@ -139,11 +141,14 @@ def test_deck_genus_sum_calls_riemann_hurwitz_once_per_distinct_count(monkeypatc
 
 
 def test_factor_symbols_fill_the_family_formats():
+    # the symbol as the factor and its report row give it, and the row's name and equation
     ctx = make_context(13)
     curves = [CurveSpec(ctx, CurveFamily.P_GONAL, 2), CurveSpec(ctx, CurveFamily.E_QUOTIENT, 3)]
-    assert [IsogenyFactor(c, 1, 1).symbol() for c in curves] == ["JC(2)", "JE(3)"]
-    assert [c.describe() for c in curves] == ["C_alpha(p=13, alpha=2)", "E_gamma(p=13, gamma=3)"]
-    assert [c.equation() for c in curves] == ["y^13 = x^2*(x-1)", "C_gamma(p=13)/<R>"]
+    factors = [IsogenyFactor(c, 1, 1) for c in curves]
+    rows = parse(serialize(factors))
+    assert [f.symbol() for f in factors] == [row["symbol"] for row in rows] == ["JC(2)", "JE(3)"]
+    assert [row["curve"] for row in rows] == ["C_alpha(p=13, alpha=2)", "E_gamma(p=13, gamma=3)"]
+    assert [row["equation"] for row in rows] == ["y^13 = x^2*(x-1)", "C_gamma(p=13)/<R>"]
 
 
 REAL_RH, REAL_RH_GENUS = genus_module.riemann_hurwitz, decompose_module.rh_genus

@@ -56,6 +56,10 @@ of the powers on an axis line and the line index built per line orbit.
 Each of those mutations must make ``verify --p 13 --depth full`` exit 4.
 A coset oracle one too high on H must fail ``dual-oracle-genus`` with the
 code ORACLE_DISAGREEMENT, naming p, the subgroup and both genera.
+
+``FixTable.at_range``'s check at its ends admitting the identity is a
+survivor: no command reads a range from the identity, so ``verify`` passes
+it at both depths, and only the range-read tests of test_genus.py refuse it.
 """
 
 import contextlib
@@ -202,7 +206,7 @@ def _deck_exponent_rotated(mp):
     def rotated(j, p):
         return p - 2 - j if j < p - 2 else p - 2
 
-    for module in (curves, decompose, cli):
+    for module in (curves, decompose):
         mp.setattr(module, "deck_exponent", rotated)
 
 
@@ -437,6 +441,12 @@ def _involution_of_order_2p(mp):
         mp.setattr(module, "fermat_order", fermat_order)
 
 
+def _at_range_from_the_identity(mp):
+    # FixTable.at_range's check at the ends with 0 <= start: a range from
+    # the identity read by the table's count rule, not refused
+    mp.setattr(genus.FixTable, "at_range", mutated(genus.FixTable.at_range, "0 < r.start < n", "0 <= r.start < n"))
+
+
 # name -> (the mutation, the check of verify --p 13 --depth full that must fail)
 FULL_MUTATIONS = {
     "gamma-lines-generic": (_gamma_lines_generic, "certificates"),
@@ -453,11 +463,11 @@ FULL_MUTATIONS = {
 
 # -- the -O twins of a family, in one python -O child --------------------------
 #
-# A family of parametrized -O twins runs every case in one python -O child,
-# in process: each case installs its mutation through its own MonkeyPatch,
-# runs one command with stdout and stderr captured, and undoes it.  After
-# each case an unmutated verify --p 13, the control, must pass, so a
-# mutation that leaks into the next case fails the case that left it.
+# A family of -O twins runs every case in one python -O child, in process:
+# each case installs its mutation through its own MonkeyPatch, runs its
+# commands with stdout and stderr captured, and undoes it.  After each case
+# an unmutated verify --p 13, the control, must pass, so a mutation that
+# leaks into the next case fails the case that left it.
 
 CONTROL = ["verify", "--p", "13"]
 
@@ -477,53 +487,80 @@ def _captured(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _run_cases(table, cases, undo=True):
-    """The child's half of run_family_under_O: each case (name, argv) of the
-    mutation table named table run under its mutation, then the control;
+def _run_cases(cases, undo=True):
+    """The child's half of run_family_under_O: each case (mutation, commands)
+    run with the module function named mutation installed, then the control;
     with undo False the mutations are left installed.  Prints a JSON list,
-    per case, of the command's code, stdout and stderr and the control's
-    code and stdout."""
+    per case, of the commands' codes, their stdout and stderr in order, and
+    the control's code and stdout."""
     rows = []
-    for name, argv in cases:
+    for mutation, commands in cases:
         mp = pytest.MonkeyPatch()
-        globals()[table][name][0](mp)
-        code, out, err = _captured(argv)
+        globals()[mutation](mp)
+        runs = [_captured(argv) for argv in commands]
         if undo:
             mp.undo()
         control, control_out, _ = _captured(CONTROL)
-        rows.append([code, out, err, control, control_out])
+        codes, outs, errs = zip(*runs)
+        rows.append([codes, "".join(outs), "".join(errs), control, control_out])
     print(json.dumps(rows))
 
 
-def run_family_under_O(table, cases, undo=True):
-    """Run cases {key: (name, argv)} of a mutation table in one python -O
-    child (_run_cases): {key: its run}, with the command's ``returncode``,
-    ``stdout`` and ``stderr``, and the control's exit code and stdout as
-    ``control`` and ``control_stdout``."""
-    run = run_under_O(f"import test_mutations\ntest_mutations._run_cases({table!r}, {list(cases.values())!r}, {undo!r})\n")
+def run_family_under_O(cases, undo=True):
+    """Run cases {key: (mutation, commands)}, each mutation a function of
+    this module and each command an argv, in one python -O child
+    (_run_cases): {key: its run}, with the commands' stdout and stderr, the
+    exit code of a single command as ``returncode`` (the tuple of codes of
+    several), and the control's exit code and stdout as ``control`` and
+    ``control_stdout``."""
+    named = [(mutation.__name__, commands) for mutation, commands in cases.values()]
+    run = run_under_O(f"import test_mutations\ntest_mutations._run_cases({named!r}, {undo!r})\n")
     assert run.returncode == 0, run.stdout + run.stderr
-    fields = ("returncode", "stdout", "stderr", "control", "control_stdout")
-    return {key: SimpleNamespace(**dict(zip(fields, row))) for key, row in zip(cases, json.loads(run.stdout))}
+    runs = {}
+    for key, (codes, out, err, control, control_out) in zip(cases, json.loads(run.stdout)):
+        returncode = codes[0] if len(codes) == 1 else tuple(codes)
+        runs[key] = SimpleNamespace(returncode=returncode, stdout=out, stderr=err, control=control, control_stdout=control_out)
+    return runs
+
+
+VERIFY_13_FULL = ["verify", "--p", "13", "--depth", "full"]
 
 
 @pytest.fixture(scope="session")
 def verify_runs_under_O():
-    return run_family_under_O("MUTATIONS", {(name, p): (name, ["verify", "--p", str(p)]) for name, p in CASES})
+    return run_family_under_O({(name, p): (MUTATIONS[name][0], [["verify", "--p", str(p)]]) for name, p in CASES})
 
 
 @pytest.fixture(scope="session")
 def sweep_runs_under_O():
-    return run_family_under_O("BASIC_MUTATIONS", {name: (name, SWEEP_61) for name in BASIC_MUTATIONS})
+    return run_family_under_O({name: (BASIC_MUTATIONS[name][0], [SWEEP_61]) for name in BASIC_MUTATIONS})
 
 
 @pytest.fixture(scope="session")
 def full_runs_under_O():
-    return run_family_under_O("FULL_MUTATIONS", {name: (name, ["verify", "--p", "13", "--depth", "full"]) for name in FULL_MUTATIONS})
+    return run_family_under_O({name: (FULL_MUTATIONS[name][0], [VERIFY_13_FULL]) for name in FULL_MUTATIONS})
+
+
+@pytest.fixture(scope="session")
+def single_runs_under_O():
+    """The twins that each run their own commands: the audit, kind and
+    factor families and the single tests, in one child."""
+    cases = {("audit", name, p): (AUDIT_MUTATIONS[name][0], [["verify", "--p", str(p)], ["decompose", "--p", str(p)]])
+             for name, p in AUDIT_CASES}
+    cases.update({("kind", name): (MUTATIONS[name][0], [["orbits", "--p", "13"], ["decompose", "--p", "13"]])
+                  for name in CENSUS_FAILURES_13})
+    cases.update({("factor", name): (MUTATIONS[name][0], [["decompose", "--p", "13"], VERIFY_13_FULL])
+                  for name in FACTOR_FAILURES_13})
+    for name in ("gamma-line-orbit-generic", "deck-exponent-rotated"):
+        cases[name] = (MUTATIONS[name][0], [["decompose", "--p", "13"], ["verify", "--p", "13"]])
+    cases["oracle-disagreement"] = (_coset_genus_off_on_H, [[*VERIFY_13_FULL, "--format", "json"]])
+    cases["at-range-from-the-identity"] = (_at_range_from_the_identity, [["verify", "--p", "13"], VERIFY_13_FULL])
+    return run_family_under_O(cases)
 
 
 def test_a_mutation_left_installed_fails_the_control():
     # T with its sign flipped, not undone: the control fails where it reads T
-    run = run_family_under_O("MUTATIONS", {"T-sign": ("T-sign", ["verify", "--p", "11"])}, undo=False)["T-sign"]
+    run = run_family_under_O({"T-sign": (_T_with_minus_sign, [["verify", "--p", "11"]])}, undo=False)["T-sign"]
     assert run.returncode == 4 and "FAIL monomial-relations: p = 11: " in run.stdout
     assert run.control == 4 and "FAIL monomial-relations: p = 13: " in run.control_stdout
 
@@ -581,17 +618,11 @@ def test_audit_mutation_fails_verify_and_decompose(monkeypatch, capsys, name, p)
 
 
 @pytest.mark.parametrize("name, p", AUDIT_CASES)
-def test_audit_mutation_fails_verify_and_decompose_under_python_O(name, p):
+def test_audit_mutation_fails_verify_and_decompose_under_python_O(single_runs_under_O, name, p):
     check = AUDIT_MUTATIONS[name][1]
-    run = run_under_O(
-        "import pytest\n"
-        "from fermatjac import cli\n"
-        "from test_mutations import AUDIT_MUTATIONS\n"
-        f"AUDIT_MUTATIONS[{name!r}][0](pytest.MonkeyPatch())\n"
-        f"codes = cli.main(['verify', '--p', '{p}']), cli.main(['decompose', '--p', '{p}'])\n"
-        "sys.exit(0 if codes == (4, 3) else 1)\n"
-    )
-    assert run.returncode == 0, run.stdout + run.stderr
+    run = single_runs_under_O["audit", name, p]
+    assert run.control == 0, run.control_stdout
+    assert run.returncode == (4, 3), run.stdout + run.stderr
     assert f"FAIL {check}: " in run.stdout
     assert f"verification failed at check: {check}\naudit failure: 2g-2 = " in run.stderr
     assert "Traceback" not in run.stderr
@@ -650,16 +681,10 @@ def test_kind_mutation_fails_orbits_and_decompose(monkeypatch, capsys, name):
 
 
 @pytest.mark.parametrize("name", CENSUS_FAILURES_13)
-def test_kind_mutation_fails_orbits_and_decompose_under_python_O(name):
-    run = run_under_O(
-        "import pytest\n"
-        "from fermatjac import cli\n"
-        "from test_mutations import MUTATIONS\n"
-        f"MUTATIONS[{name!r}][0](pytest.MonkeyPatch())\n"
-        "codes = cli.main(['orbits', '--p', '13']), cli.main(['decompose', '--p', '13'])\n"
-        "sys.exit(0 if codes == (3, 3) else 1)\n"
-    )
-    assert run.returncode == 0, run.stdout + run.stderr
+def test_kind_mutation_fails_orbits_and_decompose_under_python_O(single_runs_under_O, name):
+    run = single_runs_under_O["kind", name]
+    assert run.control == 0, run.control_stdout
+    assert run.returncode == (3, 3), run.stdout + run.stderr
     assert (run.stdout, run.stderr) == ("", f"audit failure: {_census_failure_13(name)}\n" * 2)
 
 
@@ -696,16 +721,10 @@ def test_gamma_line_orbit_generic_fails_decompose_naming_the_kinds(monkeypatch, 
     assert f"FAIL deck-quotient-audit: {GAMMA_LINE_GENERIC_13}\n" in capsys.readouterr().out
 
 
-def test_gamma_line_orbit_generic_fails_decompose_naming_the_kinds_under_python_O():
-    run = run_under_O(
-        "import pytest\n"
-        "from fermatjac import cli\n"
-        "from test_mutations import MUTATIONS\n"
-        "MUTATIONS['gamma-line-orbit-generic'][0](pytest.MonkeyPatch())\n"
-        "codes = cli.main(['decompose', '--p', '13']), cli.main(['verify', '--p', '13'])\n"
-        "sys.exit(0 if codes == (3, 4) else 1)\n"
-    )
-    assert run.returncode == 0, run.stdout + run.stderr
+def test_gamma_line_orbit_generic_fails_decompose_naming_the_kinds_under_python_O(single_runs_under_O):
+    run = single_runs_under_O["gamma-line-orbit-generic"]
+    assert run.control == 0, run.control_stdout
+    assert run.returncode == (3, 4), run.stdout + run.stderr
     assert run.stderr == f"audit failure: {GAMMA_LINE_GENERIC_13}\nverification failed at check: deck-quotient-audit\n"
     assert f"FAIL deck-quotient-audit: {GAMMA_LINE_GENERIC_13}\n" in run.stdout
 
@@ -718,16 +737,10 @@ def test_deck_exponent_rotated_fails_decompose_naming_j_and_alpha(monkeypatch, c
     assert f"FAIL deck-quotient-audit: {DECK_ROTATED_13}\n" in capsys.readouterr().out
 
 
-def test_deck_exponent_rotated_fails_decompose_naming_j_and_alpha_under_python_O():
-    run = run_under_O(
-        "import pytest\n"
-        "from fermatjac import cli\n"
-        "from test_mutations import MUTATIONS\n"
-        "MUTATIONS['deck-exponent-rotated'][0](pytest.MonkeyPatch())\n"
-        "codes = cli.main(['decompose', '--p', '13']), cli.main(['verify', '--p', '13'])\n"
-        "sys.exit(0 if codes == (3, 4) else 1)\n"
-    )
-    assert run.returncode == 0, run.stdout + run.stderr
+def test_deck_exponent_rotated_fails_decompose_naming_j_and_alpha_under_python_O(single_runs_under_O):
+    run = single_runs_under_O["deck-exponent-rotated"]
+    assert run.control == 0, run.control_stdout
+    assert run.returncode == (3, 4), run.stdout + run.stderr
     assert run.stderr == f"audit failure: {DECK_ROTATED_13}\nverification failed at check: deck-quotient-audit\n"
     assert f"FAIL deck-quotient-audit: {DECK_ROTATED_13}\n" in run.stdout
 
@@ -758,17 +771,11 @@ def test_factor_mutation_fails_decompose_naming_the_factors(monkeypatch, capsys,
 
 
 @pytest.mark.parametrize("name", FACTOR_FAILURES_13)
-def test_factor_mutation_fails_decompose_naming_the_factors_under_python_O(name):
+def test_factor_mutation_fails_decompose_naming_the_factors_under_python_O(single_runs_under_O, name):
     check = MUTATIONS[name][1]
-    run = run_under_O(
-        "import pytest\n"
-        "from fermatjac import cli\n"
-        "from test_mutations import MUTATIONS\n"
-        f"MUTATIONS[{name!r}][0](pytest.MonkeyPatch())\n"
-        "codes = cli.main(['decompose', '--p', '13']), cli.main(['verify', '--p', '13', '--depth', 'full'])\n"
-        "sys.exit(0 if codes == (3, 4) else 1)\n"
-    )
-    assert run.returncode == 0, run.stdout + run.stderr
+    run = single_runs_under_O["factor", name]
+    assert run.control == 0, run.control_stdout
+    assert run.returncode == (3, 4), run.stdout + run.stderr
     assert run.stderr == f"audit failure: {FACTOR_FAILURES_13[name]}\nverification failed at check: {check}\n"
     assert run.stdout.endswith(f"FAIL {check}: {FACTOR_FAILURES_13[name]}\n")
 
@@ -821,6 +828,27 @@ def test_involution_of_order_2p_fails_the_generating_triple_first_under_python_O
     assert run.stderr == "verification failed at check: generating-triple\n"
 
 
+# A survivor: FixTable.at_range's check at its ends admitting the identity.
+# No command reads a range from it (the line points start at 6p, the p-gonal
+# group's order-3 elements at R), so verify passes at both depths; only
+# test_genus.py's range-read tests refuse it.
+def test_at_range_from_the_identity_survives_verify(monkeypatch, capsys):
+    _at_range_from_the_identity(monkeypatch)
+    assert genus.fermat_axis_fix_table(make_context(7)).at_range(range(0, 12, 6)) == [7, 7]  # the identity read
+    for argv, checks in ((["verify", "--p", "13"], cli.BASIC_CHECKS), (VERIFY_13_FULL, cli.BASIC_CHECKS + cli.FULL_CHECKS)):
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out.count("PASS ") == len(checks) and "FAIL" not in out and err == ""
+
+
+def test_at_range_from_the_identity_survives_verify_under_python_O(single_runs_under_O):
+    run = single_runs_under_O["at-range-from-the-identity"]
+    assert run.control == 0, run.control_stdout
+    assert run.returncode == (0, 0), run.stdout + run.stderr
+    assert run.stdout.count("PASS ") == 2 * len(cli.BASIC_CHECKS) + len(cli.FULL_CHECKS)
+    assert "FAIL" not in run.stdout and run.stderr == ""
+
+
 # The entry of verify --p 13 --depth full when the two genus oracles
 # disagree: the coset oracle reads genus 1 for the plane H, whose
 # quotient is the line.
@@ -842,14 +870,9 @@ def test_oracle_disagreement_is_named(monkeypatch, capsys):
     assert err == "verification failed at check: dual-oracle-genus\n"
 
 
-def test_oracle_disagreement_is_named_under_python_O():
-    run = run_under_O(
-        "import pytest\n"
-        "from fermatjac import cli\n"
-        "from test_mutations import _coset_genus_off_on_H\n"
-        "_coset_genus_off_on_H(pytest.MonkeyPatch())\n"
-        "sys.exit(cli.main(['verify', '--p', '13', '--depth', 'full', '--format', 'json']))\n"
-    )
+def test_oracle_disagreement_is_named_under_python_O(single_runs_under_O):
+    run = single_runs_under_O["oracle-disagreement"]
+    assert run.control == 0, run.control_stdout
     assert run.returncode == 4, run.stdout + run.stderr
     assert parse(run.stdout)["checks"][-1] == ORACLE_DISAGREEMENT_13
     assert run.stderr == "verification failed at check: dual-oracle-genus\n"

@@ -86,9 +86,9 @@ def test_json_goes_to_stdout_in_slices(monkeypatch):
     assert writes == [1000] * (len(document) // 1000) + [len(document) % 1000]
 
 
-# Subclasses of the JSON types: the writer dispatches on exact class, and
-# json reads a subclass through its base (int.__repr__, float.__repr__,
-# the characters of a str), whatever the subclass overrides.
+# Subclasses of the JSON types, which no report holds: the writer takes
+# each value by its exact class and refuses these, though json would read
+# each through its base, whatever the subclass overrides.
 class Str(str):
     def __str__(self):
         return "overridden"
@@ -109,10 +109,6 @@ class Dict(dict):
 
 
 class List(list):
-    pass
-
-
-class Tuple(tuple):
     pass
 
 
@@ -140,44 +136,33 @@ ROW_LISTS = (
     | st.lists(ROWS, min_size=2, max_size=6)
     | st.lists(ROWS | st.integers() | TEXT | st.none(), min_size=2, max_size=6)
 )
+# The values a report holds: str, int, bool and None, lists, tuples and
+# str-keyed dicts of them, and the rows.
 SCALARS = (
     st.none()
     | st.booleans()
     | st.integers()
     | st.integers(min_value=-(10**60), max_value=10**60)
-    | st.floats()
     | TEXT
-    | TEXT.map(Str)
-    | st.integers().map(Int)
-    | st.floats().map(Float)
     | ROWS
     | ROW_LISTS
     | ROW_LISTS.map(tuple)
-    | ROW_LISTS.map(List)
 )
 VALUES = st.recursive(
     SCALARS,
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
-    | st.lists(inner, max_size=4).map(List)
-    | st.lists(inner, max_size=4).map(Tuple)
-    | st.dictionaries(TEXT, inner, max_size=4)
-    | st.dictionaries(TEXT, inner, max_size=4).map(Dict)
-    | st.dictionaries(TEXT.map(Str), inner, max_size=4)
-    | st.dictionaries(st.integers(), inner, max_size=4)
-    | st.dictionaries(st.integers().map(Int), inner, max_size=4)
-    | st.dictionaries(st.booleans() | st.floats() | st.floats().map(Float), inner, max_size=4),
+    | st.dictionaries(TEXT, inner, max_size=4),
     max_leaves=20,
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(VALUES)
-@example({"nan": float("nan"), "inf": [float("inf"), float("-inf"), -0.0, 1e300, 5e-324]})
-@example({"": [], "a": {}, "b": ((),), "c": [{10: None, 2: True, -3: "x"}]})
+@example({"big": [10**60, -(10**60), 0, -1], "flags": [True, False, None], "t": (1, "a", (False,))})
+@example({"": [], "a": {}, "b": ((),), "c": [{"10": None, "2": True, "-3": "x"}]})
 @example(["\ud800", "\udfff\U0010ffff", "\x7f\x08\x0c\r\t", 'say "a\\b"', "caf\xe9"])
-@example([{1: "a"}, {True: "b"}, {1.0: "c"}, {"1": "d"}, {"true": "e"}, {"1.0": "f"}])
-@example({Str("k"): Int(7), "k2": Float(0.5), "l": List([Tuple((Int(-3), Str('a"b'))), Dict({"k": None})])})
+@example([{"1": "a"}, {"true": "b"}, {"1.0": "c"}, {"null": "d"}])
 @example({"orbits": _rows(7)[:2], "deep": [[{"factors": tuple(_rows(13)[-3:])}]], "row": _rows(5)[0]})
 @example({"orbits": _rows(13)[:3], "factors": _rows(13)[3:] * 2, "mixed": [_rows(7)[0], _rows(7)[-1], [_rows(5)[0]], 1]})
 def test_serialize_is_json_dumps(value):
@@ -208,11 +193,35 @@ def test_factor_rows_are_json_dumps_of_their_reference_dicts(p, seed, multiplici
     assert rep.serialize(factors) == json.dumps([factor_entry(f) for f in factors], indent=2, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("value", [{"a": {1, 2}}, [object()], {"a": [1, {"b": object()}]}])
+# (a value no report holds, the class the writer names refusing it): json
+# refuses the first three too, and would write the rest
+REFUSED = [
+    ({"a": {1, 2}}, "set"),
+    ([object()], "object"),
+    ({"a": [1, {"b": object()}]}, "object"),
+    (1.5, "float"),
+    ({"x": [float("nan")]}, "float"),
+    ([Int(7)], "Int"),
+    ({"a": Str("b")}, "Str"),
+    (Float(0.5), "Float"),
+    ({"a": Dict()}, "Dict"),
+    (List([1]), "List"),
+    ({1: 0}, "int"),
+    ({True: 0}, "bool"),
+    ({None: 0}, "NoneType"),
+    ({1.0: 0}, "float"),
+    ({Str("k"): 0}, "Str"),
+    ({"a": {"b": 1, "c": {2: 0}}}, "int"),
+]
+
+
+@pytest.mark.parametrize("value", REFUSED)
 def test_serialize_refuses_what_json_refuses(value):
-    with pytest.raises(TypeError):
-        json.dumps(value, indent=2, sort_keys=True)
-    with pytest.raises(TypeError):
+    value, cls = value
+    if cls in ("set", "object"):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2, sort_keys=True)
+    with pytest.raises(TypeError, match=rf"(type|not) {cls}\b"):
         rep.serialize(value)
 
 
