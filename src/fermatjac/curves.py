@@ -114,11 +114,9 @@ def normalized_exponent(alpha: int, beta: int, ctx: PrimeContext) -> int:
         raise DegenerateCurveError(
             f"alpha + beta = 0 mod {p}: the cyclic cover degenerates"
         )
-    exponent = alpha * pow(beta, -1, p) % p
-    # can't happen: alpha / beta is a unit, and it is -1 only when
-    # alpha + beta = 0, which was refused above
-    assert 1 <= exponent <= p - 2
-    return exponent
+    # alpha / beta is a unit, and it is -1 only when alpha + beta = 0,
+    # which was refused above: it lies in X_p
+    return alpha * pow(beta, -1, p) % p
 
 
 def genus_of(spec: CurveSpec) -> int:
@@ -138,7 +136,5 @@ def deck_exponent(j: int, p: int) -> int:
 def quotient_to_curve(j: int, ctx: PrimeContext) -> CurveSpec:
     """The canonical curve isomorphic to the deck quotient indexed by j."""
     ctx.require_X(j)
-    alpha = deck_exponent(j, ctx.p)
-    # can't happen: p - 1 - j = -(1 + j) mod p for every j
-    assert alpha == (-(1 + j)) % ctx.p
-    return CurveSpec(context=ctx, family=CurveFamily.P_GONAL, alpha=alpha)
+    # p - 1 - j = -(1 + j) mod p for every j
+    return CurveSpec(context=ctx, family=CurveFamily.P_GONAL, alpha=deck_exponent(j, ctx.p))

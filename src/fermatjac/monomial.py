@@ -23,7 +23,7 @@ one of the six Moebius monomials; equal normal forms are equal tuples.
 from __future__ import annotations
 
 from .curves import MoebiusLabel
-from .errors import CheckFailedError, GroupMismatchError, NonMonomialError, OutOfRangeError
+from .errors import CheckFailedError, GroupMismatchError, NoGammaError, NonMonomialError, OutOfRangeError
 from .orbits import PrimeContext
 
 Monomial = tuple[int, int, int, int, int]
@@ -101,7 +101,8 @@ def _substitute(
     gamma: int,
 ) -> Monomial:
     """Evaluate f at x := X, y := Y (monomial in, monomial out), X = x_val
-    and X - 1 = x_minus_one Moebius monomials, which carry no w and no y.
+    and X - 1 = x_minus_one Moebius monomials, which carry no w and no y;
+    y_val is Y, read only when f holds y (None will do otherwise).
 
     Every exponent of the result is linear in f's: with f = sign w^omega
     x^a (x-1)^b y^d, the sign is sign X.sign^a (X-1).sign^b Y.sign^d, the
@@ -120,9 +121,6 @@ def _substitute(
         sign *= ms
     if not d:
         return make_monomial(sign, omega, a * xa + b * ma, a * xb + b * mb, 0, p, gamma)
-    # can't happen: compose passes None only for an x image, and x
-    # images never involve y
-    assert y_val is not None
     ys, yw, ya, yb, yd = y_val
     if d & 1:
         sign *= ys
@@ -132,13 +130,14 @@ def _substitute(
 
 
 def compose(outer: Map, inner: Map) -> Map:
-    """outer after inner.  The x-images of inner and of the result must be
-    Moebius monomials, which refuses any other one of outer too
-    (NonMonomialError); leaving the set would be a bug, not bad input."""
+    """outer after inner.  The x-images of outer, inner and the result must
+    be Moebius monomials (NonMonomialError); leaving the set would be a
+    bug, not bad input."""
     p, gamma, x, y = outer
     q, g, x_val, y_val = inner
     if q != p or g != gamma:
         raise GroupMismatchError(f"map on (p={p}, gamma={gamma}) composed with (p={q}, gamma={g})")
+    x_label(outer)  # refuses it before x is substituted, with no Y for a y in it
     x_minus_one = MOEBIUS_MONOMIALS[x_label(inner)][1]
     new_x = _substitute(x, x_val, x_minus_one, None, p, gamma)
     if new_x not in _LABEL_OF_MONOMIAL:
@@ -193,14 +192,15 @@ def build_R(ctx: PrimeContext, epsilon: int | None = None) -> Map:
     """The order-3 map R(x, y) = (1/(1-x), (-1)^eps x^((g^2+g+1)/p) / y^(g+1)).
 
     The exponent (g^2+g+1)/p is an exact integer because p divides
-    g^2+g+1.  The sign parity defaults to :func:`epsilon_rule`; passing
+    g^2+g+1; a context whose gamma is no root raises NoGammaError, as
+    :class:`~fermatjac.groups.Group` does.  The sign parity defaults to :func:`epsilon_rule`; passing
     epsilon explicitly lets tests certify that exactly one parity yields
     a curve automorphism.
     """
     p, g = ctx.p, ctx.gamma
     quot, rem = divmod(g * g + g + 1, p)
-    # can't happen: ctx.gamma is a root of g^2 + g + 1 mod p
-    assert rem == 0
+    if rem:
+        raise NoGammaError(f"{g} is not a root of g^2+g+1 mod {p}")
     if epsilon is None:
         epsilon = epsilon_rule(g)
     if epsilon not in (1, 2):

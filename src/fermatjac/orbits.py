@@ -114,12 +114,9 @@ def make_context(p: int) -> PrimeContext:
         x = 2
         while (g := pow(x, (p - 1) // 3, p)) == 1:
             x += 1
-        # can't happen: g^3 = x^(p-1) = 1 and g != 1, so g is a root of
-        # g^2 + g + 1, -1 - g being the other root and g (-1 - g) = 1
-        assert (g * g + g + 1) % p == 0, f"{x}^((p-1)/3) = {g} is no root of g^2+g+1 mod {p}"
-        lo, hi = sorted((g, p - 1 - g))
-        assert lo != hi and lo * hi % p == 1  # can't happen, as above
-        gamma_pair = (lo, hi)
+        # g^3 = x^(p-1) = 1 and g != 1, so g is a root of g^2 + g + 1,
+        # -1 - g being the other root and g (-1 - g) = 1
+        gamma_pair = tuple(sorted((g, p - 1 - g)))
     return PrimeContext(p=p, residue_class_mod_3=residue, gamma_pair=gamma_pair)
 
 

@@ -30,6 +30,8 @@ once held, the reference of the JSON writer's row templates.  The class table th
 per element, :class:`ListClassData`), the label walk over every
 translation and the cyclic classes walked over the table are the
 oracles of its classes by rule and of its line-orbit representatives.
+:func:`run_family_under_O` is the one runner of the ``python -O`` twins:
+it runs the case tables of test modules in one ``python -O`` child.
 """
 
 from fractions import Fraction
@@ -1501,24 +1503,131 @@ def mutated(fn, old, new):
     return namespace[fn.__name__]
 
 
-def run_under_O(script):
-    """Run a Python script with ``python -O``, the package and these
-    helpers on the path; the script exits 99 if asserts are not stripped
-    after all."""
+# -- the python -O twins, in one python -O child -------------------------------
+#
+# A module with python -O twins states their cases once, in a module-level
+# table {key: (mutation, commands)}.  The mutation, a function of a
+# MonkeyPatch (or None), is the one the twin's in-process sibling installs,
+# and each command is an argv for cli.main or a function that prints its
+# result (see printing).  run_family_under_O runs tables in one python -O
+# child, in process: each case installs its mutation through its own
+# MonkeyPatch, runs its commands with stdout and stderr captured, and undoes
+# it.  After each case an unmutated verify --p 13, the control, must pass,
+# so a mutation that leaks into the next case fails the case that left it.
+# conftest.py's under_O fixture runs the UNDER_O table of every collected
+# module in one such child.
+
+CONTROL = ["verify", "--p", "13"]
+
+
+def printing(action):
+    """action, a function of no arguments, as a command of a case table:
+    the command prints what action returns, or the type and text of what
+    it raises."""
+
+    def command():
+        try:
+            print(repr(action()))
+        except Exception as exc:
+            print(type(exc).__name__, exc)
+
+    return command
+
+
+def _captured(command):
+    """command in process, an argv for cli.main or a function: its exit
+    code (0 for a function that returns), stdout and stderr, with the
+    traceback of an exception in stderr and code 1, as a child's."""
+    import contextlib
+    import io
+    import traceback
+
+    from fermatjac import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            if callable(command):
+                command()
+                code = 0
+            else:
+                code = cli.main(command)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    return code, out.getvalue(), err.getvalue()
+
+
+def _table(name):
+    """The case table named "module.TABLE", its module imported."""
+    import importlib
+
+    module, _, table = name.rpartition(".")
+    return getattr(importlib.import_module(module), table)
+
+
+def _run_tables(names, undo=True):
+    """The child's half of run_family_under_O: every module imported first,
+    then each table's cases run, each followed by the control; with undo
+    False the mutations are left installed.  Prints a JSON list, per table,
+    of a list per case of the commands' codes, their stdout and stderr in
+    order, and the control's code and stdout."""
+    import json
+
+    import pytest
+
+    tables, rows = [_table(name) for name in names], []
+    for table in tables:
+        rows.append([])
+        for mutation, commands in table.values():
+            mp = pytest.MonkeyPatch()
+            if mutation is not None:
+                mutation(mp)
+            codes, outs, errs = zip(*[_captured(command) for command in commands])
+            if undo:
+                mp.undo()
+            control, control_out, _ = _captured(CONTROL)
+            rows[-1].append([codes, "".join(outs), "".join(errs), control, control_out])
+    print(json.dumps(rows))
+
+
+def run_family_under_O(names, undo=True):
+    """Run the case tables named (each "module.TABLE" of this directory) in
+    one python -O child, the package and these helpers on its path; the
+    child exits 99 if asserts are not stripped after all.  Returns {name:
+    {key: its run}}, each run with its commands' stdout and stderr, the
+    exit code of a single command as ``returncode`` (the tuple of codes of
+    several), and the control's exit code and stdout as ``control`` and
+    ``control_stdout``."""
+    import json
     import os
     import subprocess
     import sys
     from pathlib import Path
+    from types import SimpleNamespace
 
     import fermatjac
 
-    prelude = "import sys\nif not sys.flags.optimize:\n    sys.exit(99)\n"
+    script = (
+        "import sys\nif not sys.flags.optimize:\n    sys.exit(99)\n"
+        f"import helpers\nhelpers._run_tables({list(names)!r}, {undo!r})\n"
+    )
     src = str(Path(fermatjac.__file__).resolve().parents[1])
     here = str(Path(__file__).resolve().parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, here, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run(
-        [sys.executable, "-O", "-c", prelude + script], capture_output=True, text=True, env=env, timeout=120
-    )
+    run = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
+    runs = {}
+    for name, rows in zip(names, json.loads(run.stdout), strict=True):
+        runs[name] = {}
+        for key, (codes, out, err, control, control_out) in zip(_table(name), rows, strict=True):
+            returncode = codes[0] if len(codes) == 1 else tuple(codes)
+            runs[name][key] = SimpleNamespace(
+                returncode=returncode, stdout=out, stderr=err, control=control, control_stdout=control_out
+            )
+    return runs
 
 
 # -- the argparse parser as the package built it before its flag table -------

@@ -67,8 +67,8 @@ from helpers import (
     merge_axis_class,
     power_class_counts_by_element,
     primes_upto,
+    printing,
     rh_genus_by_element,
-    run_under_O,
     split_generic_class,
     split_generic_line_orbit,
     square_doubled_for_uv,
@@ -179,8 +179,12 @@ def test_class_rule_gap_serves_the_fermat_group_only():
         class_rule_gap(ClassData(Group(7, ctx.gamma)))
 
 
+def _merged_classes(mp):
+    mp.setattr(ClassData, "key", merge_axis_class(ClassData.key))
+
+
 def test_merged_classes_fail_verify(capsys, monkeypatch):
-    monkeypatch.setattr(ClassData, "key", merge_axis_class(ClassData.key))
+    _merged_classes(monkeypatch)
     code = cli.main(["verify", "--p", "13", "--depth", "full"])
     out, err = capsys.readouterr()
     assert code == 4
@@ -188,13 +192,9 @@ def test_merged_classes_fail_verify(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_merged_classes_fail_verify_under_python_O():
-    run = run_under_O(
-        "from fermatjac import cli, groups\n"
-        "from helpers import merge_axis_class\n"
-        "groups.ClassData.key = merge_axis_class(groups.ClassData.key)\n"
-        "sys.exit(cli.main(['verify', '--p', '13', '--depth', 'full']))\n"
-    )
+def test_merged_classes_fail_verify_under_python_O(under_O):
+    run = under_O["merged-classes"]
+    assert run.control == 0, run.control_stdout
     assert run.returncode == 4, run.stdout + run.stderr
     assert "FAIL generating-triple" in run.stdout
     assert "Traceback" not in run.stderr
@@ -229,33 +229,31 @@ def test_closed_form_power_classes_match_the_element_keys(p):
     assert by_key(data.meet_counts(a1v, {})) == by_key(data.class_counts(elements(a1v)))
 
 
-def test_a_class_rule_failure_in_the_coset_oracle_names_p_k_and_both_counts(monkeypatch):
+def _a1_class_of_four(mp):
     # a1's class {a1, a2, a3} claimed to have four members: the Frobenius
     # quotient 294 * 1 / (4 * 7) of <a1> is no integer
-    data, triple = ClassData(Group(7)), find_generating_triple(make_context(7))
     size = ClassData.size
-    monkeypatch.setattr(ClassData, "size", lambda self, key: 4 if key == 1 else size(self, key))
+    mp.setattr(ClassData, "size", lambda self, key: 4 if key == 1 else size(self, key))
+
+
+def _coset_genus_of_a1():
+    data = ClassData(Group(7))
+    return coset_genus(subgroup_closure(data.group, [index_of(fermat_a1(7))]), find_generating_triple(make_context(7)), data)
+
+
+def test_a_class_rule_failure_in_the_coset_oracle_names_p_k_and_both_counts(monkeypatch):
+    _a1_class_of_four(monkeypatch)
     with pytest.raises(InconsistentOrbifoldError) as caught:
-        coset_genus(subgroup_closure(data.group, [index_of(fermat_a1(7))]), triple, data)
+        _coset_genus_of_a1()
     assert str(caught.value) == (
         "|G| |C n K| / (|C| |K|) = 294 * 1 / (4 * 7) for class 1, at p = 7 on the subgroup of order 7"
         " generated by (1, 0, 0): not an integer"
     )
 
 
-def test_a_class_rule_failure_in_the_coset_oracle_names_p_k_and_both_counts_under_python_O():
-    run = run_under_O(
-        "from fermatjac.genus import coset_genus, find_generating_triple\n"
-        "from fermatjac.groups import ClassData, Group, subgroup_closure\n"
-        "from fermatjac.orbits import make_context\n"
-        "size = ClassData.size\n"
-        "ClassData.size = lambda self, key: 4 if key == 1 else size(self, key)\n"
-        "data = ClassData(Group(7))\n"
-        "try:\n"
-        "    coset_genus(subgroup_closure(data.group, [42]), find_generating_triple(make_context(7)), data)\n"
-        "except Exception as exc:\n"
-        "    print(type(exc).__name__, exc)\n"
-    )
+def test_a_class_rule_failure_in_the_coset_oracle_names_p_k_and_both_counts_under_python_O(under_O):
+    run = under_O["class-of-four"]
+    assert run.control == 0, run.control_stdout
     assert run.returncode == 0, run.stdout + run.stderr
     assert run.stdout == (
         "InconsistentOrbifoldError |G| |C n K| / (|C| |K|) = 294 * 1 / (4 * 7) for class 1, at p = 7 on the"
@@ -347,10 +345,14 @@ def test_line_orbit_kinds_are_one_type(p):
     assert kinds == sorted(o.kind.value for o in orbit_partition(make_context(p)).orbits)
 
 
-def test_a_dropped_deck_class_fails_verify(capsys, monkeypatch):
+def _dropped_deck_class(mp):
     # one deck representative fewer: the oracles agree on what is left,
     # but the certificates count the deck classes against the orbits
-    monkeypatch.setattr(groups_module, "cyclic_subgroup_classes", drop_deck_class(groups_module.cyclic_subgroup_classes))
+    mp.setattr(groups_module, "cyclic_subgroup_classes", drop_deck_class(groups_module.cyclic_subgroup_classes))
+
+
+def test_a_dropped_deck_class_fails_verify(capsys, monkeypatch):
+    _dropped_deck_class(monkeypatch)
     code = cli.main(["verify", "--p", "13", "--depth", "full"])
     out, err = capsys.readouterr()
     assert code == 4
@@ -360,23 +362,23 @@ def test_a_dropped_deck_class_fails_verify(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_a_dropped_deck_class_fails_verify_under_python_O():
-    run = run_under_O(
-        "from fermatjac import cli, groups\n"
-        "from helpers import drop_deck_class\n"
-        "groups.cyclic_subgroup_classes = drop_deck_class(groups.cyclic_subgroup_classes)\n"
-        "sys.exit(cli.main(['verify', '--p', '13', '--depth', 'full']))\n"
-    )
+def test_a_dropped_deck_class_fails_verify_under_python_O(under_O):
+    run = under_O["dropped-deck-class"]
+    assert run.control == 0, run.control_stdout
     assert run.returncode == 4, run.stdout + run.stderr
     assert "FAIL certificates: p = 13: 2 deck line classes for the 3 exponent orbits" in run.stdout
     assert "Traceback" not in run.stderr
 
 
-def test_split_class_fails_verify(capsys, monkeypatch):
+def _split_line_orbit(mp):
     # a generic line orbit split in two: the oracles agree on both halves,
     # but the certificates count the deck classes against the orbits (the
     # key split of the same orbit is the line walk's, in tests)
-    monkeypatch.setattr(groups_module, "line_orbits", split_generic_line_orbit(groups_module.line_orbits))
+    mp.setattr(groups_module, "line_orbits", split_generic_line_orbit(groups_module.line_orbits))
+
+
+def test_split_class_fails_verify(capsys, monkeypatch):
+    _split_line_orbit(monkeypatch)
     code = cli.main(["verify", "--p", "13", "--depth", "full"])
     out, err = capsys.readouterr()
     assert code == 4
@@ -386,22 +388,27 @@ def test_split_class_fails_verify(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_split_class_fails_verify_under_python_O():
-    run = run_under_O(
-        "from fermatjac import cli, groups\n"
-        "from helpers import split_generic_line_orbit\n"
-        "groups.line_orbits = split_generic_line_orbit(groups.line_orbits)\n"
-        "sys.exit(cli.main(['verify', '--p', '13', '--depth', 'full']))\n"
-    )
+def test_split_class_fails_verify_under_python_O(under_O):
+    run = under_O["split-line-orbit"]
+    assert run.control == 0, run.control_stdout
     assert run.returncode == 4, run.stdout + run.stderr
     assert "FAIL certificates: p = 13: 4 deck line classes for the 3 exponent orbits" in run.stdout
     assert "Traceback" not in run.stderr
 
 
+def _square_minus(mp):
+    # (I - A) x merges elements of order 2 and 2p
+    mp.setattr(groups_module, "square_matrix", square_minus)
+
+
+def _square_doubled_for_uv(mp):
+    mp.setattr(groups_module, "square_matrix", square_doubled_for_uv)
+
+
 def test_wrong_square_rule_fails_verify(capsys, monkeypatch):
-    # (I - A) x merges elements of order 2 and 2p: the Riemann-Hurwitz
-    # count of the first representative of order 2p is no integer
-    monkeypatch.setattr(groups_module, "square_matrix", square_minus)
+    # (I - A) x: the Riemann-Hurwitz count of the first representative of
+    # order 2p is no integer
+    _square_minus(monkeypatch)
     code = cli.main(["verify", "--p", "13", "--depth", "full"])
     out, err = capsys.readouterr()
     assert code == 4
@@ -413,7 +420,7 @@ def test_wrong_square_rule_fails_verify(capsys, monkeypatch):
     assert "Traceback" not in err
     # a rule that keeps every size and Frobenius quotient passes every
     # count; only the class-constancy argument catches it
-    monkeypatch.setattr(groups_module, "square_matrix", square_doubled_for_uv)
+    _square_doubled_for_uv(monkeypatch)
     code = cli.main(["verify", "--p", "13", "--depth", "full"])
     out, err = capsys.readouterr()
     assert code == 4
@@ -423,23 +430,22 @@ def test_wrong_square_rule_fails_verify(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_wrong_square_rule_fails_verify_under_python_O():
-    for rule, check in (("square_minus", "dual-oracle-genus"), ("square_doubled_for_uv", "fix-table-consistency")):
-        run = run_under_O(
-            "from fermatjac import cli, groups\n"
-            f"from helpers import {rule}\n"
-            f"groups.square_matrix = {rule}\n"
-            "sys.exit(cli.main(['verify', '--p', '13', '--depth', 'full']))\n"
-        )
+def test_wrong_square_rule_fails_verify_under_python_O(under_O):
+    for rule, check in (("square-minus", "dual-oracle-genus"), ("square-doubled-for-uv", "fix-table-consistency")):
+        run = under_O[rule]
+        assert run.control == 0, run.control_stdout
         assert run.returncode == 4, run.stdout + run.stderr
         assert f"FAIL {check}: p = 13" in run.stdout or f"FAIL {check}: 2g-2" in run.stdout
         assert "Traceback" not in run.stderr
 
 
+def _uv_with_the_matrix_of_v(mp):
+    # every check that reads the group law sees it
+    mp.setattr(groups_module, "ACTION", ACTION[:PERM_UV] + (ACTION[PERM_UV - 1],) + ACTION[PERM_UV + 1:])
+
+
 def test_patched_action_entry_fails_verify(capsys, monkeypatch):
-    # uv with the matrix of v: every check that reads the group law sees it
-    wrong = ACTION[:PERM_UV] + (ACTION[PERM_UV - 1],) + ACTION[PERM_UV + 1:]
-    monkeypatch.setattr(groups_module, "ACTION", wrong)
+    _uv_with_the_matrix_of_v(monkeypatch)
     code = cli.main(["verify", "--p", "13", "--depth", "full"])
     out, err = capsys.readouterr()
     assert code == 4
@@ -447,13 +453,9 @@ def test_patched_action_entry_fails_verify(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_patched_action_entry_fails_verify_under_python_O():
-    run = run_under_O(
-        "from fermatjac import cli, groups\n"
-        "uv = groups.PERM_UV\n"
-        "groups.ACTION = groups.ACTION[:uv] + (groups.ACTION[uv - 1],) + groups.ACTION[uv + 1:]\n"
-        "sys.exit(cli.main(['verify', '--p', '13', '--depth', 'full']))\n"
-    )
+def test_patched_action_entry_fails_verify_under_python_O(under_O):
+    run = under_O["uv-with-the-matrix-of-v"]
+    assert run.control == 0, run.control_stdout
     assert run.returncode == 4, run.stdout + run.stderr
     assert "verification failed at check: " in run.stderr
     assert "Traceback" not in run.stderr
@@ -546,3 +548,17 @@ def test_loops_that_raise_straight_keep_their_failure_text(monkeypatch):
     with pytest.raises(CheckFailedError) as caught:
         cli.check_s3_relations(ctx, {})
     assert str(caught.value) == "p = 13: V^2 moves 1"
+
+
+# -- the python -O twins' cases, run in one child (conftest.py's under_O) -----
+
+VERIFY_13_FULL = ["verify", "--p", "13", "--depth", "full"]
+UNDER_O = {
+    "merged-classes": (_merged_classes, [VERIFY_13_FULL]),
+    "class-of-four": (_a1_class_of_four, [printing(_coset_genus_of_a1)]),
+    "dropped-deck-class": (_dropped_deck_class, [VERIFY_13_FULL]),
+    "split-line-orbit": (_split_line_orbit, [VERIFY_13_FULL]),
+    "square-minus": (_square_minus, [VERIFY_13_FULL]),
+    "square-doubled-for-uv": (_square_doubled_for_uv, [VERIFY_13_FULL]),
+    "uv-with-the-matrix-of-v": (_uv_with_the_matrix_of_v, [VERIFY_13_FULL]),
+}

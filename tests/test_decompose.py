@@ -1,12 +1,7 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import fermatjac
 from fermatjac import cli
 from fermatjac import decompose as decompose_module
 from fermatjac import genus as genus_module
@@ -41,7 +36,6 @@ from helpers import (
     primes_upto,
     rh_genus_by_element,
     root_contexts,
-    run_under_O,
     sweep_primes,
 )
 
@@ -256,14 +250,9 @@ def test_each_audit_gate_makes_decompose_exit_3(monkeypatch, capsys, gate):
 
 
 @pytest.mark.parametrize("gate", GATE_MUTATIONS)
-def test_each_audit_gate_makes_decompose_exit_3_under_python_O(gate):
-    run = run_under_O(
-        "import pytest\n"
-        "from fermatjac import cli\n"
-        "from test_decompose import GATE_MUTATIONS\n"
-        f"GATE_MUTATIONS[{gate!r}][0](pytest.MonkeyPatch())\n"
-        "sys.exit(cli.main(['decompose', '--p', '7']))\n"
-    )
+def test_each_audit_gate_makes_decompose_exit_3_under_python_O(under_O, gate):
+    run = under_O["gate", gate]
+    assert run.control == 0, run.control_stdout
     assert (run.returncode, run.stdout, run.stderr) == (3, "", f"audit failure: {GATE_MUTATIONS[gate][1]}\n")
 
 
@@ -309,12 +298,17 @@ def test_gamma_refinement_tells_the_K_i_apart_as_their_elements_do(p):
         assert gamma_refinement_audit(ctx).summary()["set_products_commute"] is False
 
 
+def _equal_K_subgroups(mp):
+    # K_1 for every i
+    real = decompose_module.pgonal_K
+    mp.setattr(decompose_module, "pgonal_K", lambda i, ctx: real(1, ctx))
+
+
 def test_equal_K_subgroups_fail_the_gamma_gate(monkeypatch):
     # K_1 for every i: the quotient genera pass, so the first join gate
     # fails, as each pair joins to K_1 itself, of genus (p-1)/6, and commutes
     p = 13
-    real = decompose_module.pgonal_K
-    monkeypatch.setattr(decompose_module, "pgonal_K", lambda i, ctx: real(1, ctx))
+    _equal_K_subgroups(monkeypatch)
     for ctx in root_contexts(p):
         k1 = object_K_family(p, ctx.gamma)[0]
         oracle = object_gamma_pairs(p, ctx.gamma, family=[k1] * 3)
@@ -328,13 +322,9 @@ def test_equal_K_subgroups_fail_the_gamma_gate(monkeypatch):
         decompose_fine(decompose_coarse(make_context(p)))
 
 
-def test_equal_K_subgroups_exit_3_under_python_O():
-    run = run_under_O(
-        "from fermatjac import cli, decompose\n"
-        "real = decompose.pgonal_K\n"
-        "decompose.pgonal_K = lambda i, ctx: real(1, ctx)\n"
-        "sys.exit(cli.main(['decompose', '--p', '13']))\n"
-    )
+def test_equal_K_subgroups_exit_3_under_python_O(under_O):
+    run = under_O["equal-K-subgroups"]
+    assert run.control == 0, run.control_stdout
     assert run.returncode == 3, run.stdout + run.stderr
     assert "audit failure: gamma refinement hypotheses failed for p = 13" in run.stderr
     assert "Traceback" not in run.stderr and "JE(" not in run.stdout
@@ -515,21 +505,23 @@ def test_total_dimension_mismatch_raises(monkeypatch):
         decompose_coarse(ctx)
 
 
-def test_census_mismatch_raises_under_python_O():
+def _every_deck_exponent_one(mp):
+    mp.setattr(decompose_module, "deck_exponent", lambda j, p: 1)
+
+
+def test_census_mismatch_raises(capsys, monkeypatch):
+    # every deck quotient read as C_1: the census refuses the counts
+    _every_deck_exponent_one(monkeypatch)
+    assert cli.main(["decompose", "--p", "7"]) == 3
+    assert capsys.readouterr() == (
+        "", "audit failure: p = 7: deck quotients per isomorphism class {1: 5} != factor multiplicities {1: 3, 2: 2}\n"
+    )
+
+
+def test_census_mismatch_raises_under_python_O(under_O):
     # Under -O every assert is stripped; the census check must still refuse.
-    script = (
-        "import sys\n"
-        "from fermatjac import cli, decompose\n"
-        "if not sys.flags.optimize:\n"
-        "    sys.exit(99)\n"
-        "decompose.deck_exponent = lambda j, p: 1\n"
-        "sys.exit(cli.main(['decompose', '--p', '7']))\n"
-    )
-    src = str(Path(fermatjac.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    run = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
-    )
+    run = under_O["every-deck-exponent-one"]
+    assert run.control == 0, run.control_stdout
     assert run.returncode == 3, run.stdout + run.stderr
     assert "audit failure" in run.stderr and "JF(7)" not in run.stdout
 
@@ -583,3 +575,12 @@ def test_decompose_fine_refuses_a_foreign_coarse_decomposition():
     fine13 = decompose_fine(decompose_coarse(make_context(13)))
     with pytest.raises(OutOfRangeError, match="needs a coarse decomposition, got the fine one"):
         decompose_fine(fine13)
+
+
+# -- the python -O twins' cases, run in one child (conftest.py's under_O) -----
+
+UNDER_O = {
+    **{("gate", gate): (mutate, [["decompose", "--p", "7"]]) for gate, (mutate, _) in GATE_MUTATIONS.items()},
+    "equal-K-subgroups": (_equal_K_subgroups, [["decompose", "--p", "13"]]),
+    "every-deck-exponent-one": (_every_deck_exponent_one, [["decompose", "--p", "7"]]),
+}

@@ -64,7 +64,6 @@ from helpers import (
     labelled_fix_count,
     rh_genus_by_element,
     root_contexts,
-    run_under_O,
     trivial_subgroup,
 )
 
@@ -273,13 +272,18 @@ def _zero_axis_table(ctx):
     return FixTable(Group(ctx.p), lambda i: 0, "no translation fixes a point")
 
 
+def _zero_axis(mp):
+    # decompose imported the table by name, so only the full-depth check
+    # reads the patched one
+    mp.setattr(genus_module, "fermat_axis_fix_table", _zero_axis_table)
+
+
 ZERO_AXIS_FAIL = "FAIL fix-table-consistency: p = 13: fix(0, 1) is 13 in the full table and 0 in the axis table"
 
 
 def test_a_wrong_axis_table_fails_fix_table_consistency(capsys, monkeypatch):
-    # decompose imported the table by name, so only the full-depth check
-    # reads the patched one, at the first point of plane_lines
-    monkeypatch.setattr(genus_module, "fermat_axis_fix_table", _zero_axis_table)
+    # it fails at the first point of plane_lines
+    _zero_axis(monkeypatch)
     code = cli.main(["verify", "--p", "13", "--depth", "full"])
     out, err = capsys.readouterr()
     assert code == 4
@@ -288,12 +292,9 @@ def test_a_wrong_axis_table_fails_fix_table_consistency(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_a_wrong_axis_table_fails_fix_table_consistency_under_python_O():
-    run = run_under_O(
-        "from fermatjac import cli, genus\n"
-        "genus.fermat_axis_fix_table = lambda ctx: genus.FixTable(genus.Group(ctx.p), lambda i: 0, 'zeros')\n"
-        "sys.exit(cli.main(['verify', '--p', '13', '--depth', 'full']))\n"
-    )
+def test_a_wrong_axis_table_fails_fix_table_consistency_under_python_O(under_O):
+    run = under_O["zero-axis"]
+    assert run.control == 0, run.control_stdout
     assert run.returncode == 4, run.stdout + run.stderr
     assert ZERO_AXIS_FAIL in run.stdout
     assert "Traceback" not in run.stderr
@@ -603,3 +604,8 @@ def test_rh_genus_leaves_no_reference_cycle(p):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# -- the python -O twins' cases, run in one child (conftest.py's under_O) -----
+
+UNDER_O = {"zero-axis": (_zero_axis, [["verify", "--p", "13", "--depth", "full"]])}

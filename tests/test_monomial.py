@@ -14,6 +14,7 @@ from fermatjac.errors import (
     NonMonomialError,
     OutOfRangeError,
 )
+from fermatjac.groups import Group
 from fermatjac.monomial import (
     MOEBIUS_MONOMIALS,
     build_J,
@@ -34,17 +35,17 @@ from fermatjac.monomial import (
     word_map,
     x_label,
 )
-from fermatjac.orbits import make_context
+from fermatjac.orbits import PrimeContext, make_context
 
 from helpers import (
     MonomialFunction,
     conjugation_sweep,
     pgonal_elements,
     primes_upto,
+    printing,
     record_of,
     record_word,
     root_contexts,
-    run_under_O,
     substitute_by_chain,
 )
 
@@ -353,29 +354,84 @@ def test_monomial_map_rejects_bad_x_image():
         x_label((7, 2, Y, Y))
 
 
+def _compose_after_x_times_y():
+    # the outer x-image x y: no Moebius monomial, and it holds y
+    return compose((13, 3, (1, 0, 1, 0, 1), Y), identity_map(13, 3))
+
+
+X_TIMES_Y_REFUSED = "x-image (1, 0, 1, 0, 1) is not a Moebius monomial"
+
+
+def test_compose_refuses_an_outer_x_image_holding_y():
+    # compose labels the outer x-image before it substitutes it, which it
+    # does with no Y for the y it holds
+    with pytest.raises(NonMonomialError) as caught:
+        _compose_after_x_times_y()
+    assert str(caught.value) == X_TIMES_Y_REFUSED
+
+
+def test_compose_refuses_an_outer_x_image_holding_y_under_python_O(under_O):
+    run = under_O["compose-after-x-times-y"]
+    assert run.control == 0, run.control_stdout
+    assert (run.returncode, run.stdout, run.stderr) == (0, f"NonMonomialError {X_TIMES_Y_REFUSED}\n", "")
+
+
+def _R_at_a_false_root():
+    # 2 is no root of g^2 + g + 1 mod 13 (3 and 9 are)
+    return build_R(PrimeContext(13, 1, (2, 10)))
+
+
+FALSE_ROOT_REFUSED = "2 is not a root of g^2+g+1 mod 13"
+
+
+def test_build_R_refuses_a_gamma_that_is_no_root():
+    # in Group's words
+    with pytest.raises(NoGammaError) as caught:
+        _R_at_a_false_root()
+    assert str(caught.value) == FALSE_ROOT_REFUSED
+    with pytest.raises(NoGammaError) as caught:
+        Group(13, 2)
+    assert str(caught.value) == FALSE_ROOT_REFUSED
+
+
+def test_build_R_refuses_a_gamma_that_is_no_root_under_python_O(under_O):
+    run = under_O["R-at-a-false-root"]
+    assert run.control == 0, run.control_stdout
+    assert (run.returncode, run.stdout, run.stderr) == (0, f"NoGammaError {FALSE_ROOT_REFUSED}\n", "")
+
+
 def test_render_strings():
     assert render_monomial((1, 0, 0, 0, 0)) == "1"
     assert render_monomial((-1, 0, 0, 0, 0)) == "-1"
     assert render_monomial((-1, 2, -1, 3, 1)) == "-w^2*x^-1*(x-1)^3*y"
 
 
+def _every_map_an_automorphism(mp):
+    mp.setattr(monomial_module, "verify_curve_automorphism", lambda f: True)
+
+
+def _no_map_an_automorphism(mp):
+    mp.setattr(monomial_module, "verify_curve_automorphism", lambda f: False)
+
+
+# verdict -> the mutation that makes verify_curve_automorphism answer it for every map
+VERDICTS = {True: _every_map_an_automorphism, False: _no_map_an_automorphism}
+
+
 @pytest.mark.parametrize("verdict, passing", ((True, "[1, 2]"), (False, "[]")))
 def test_epsilon_parity_needs_exactly_one(monkeypatch, verdict, passing):
-    monkeypatch.setattr(monomial_module, "verify_curve_automorphism", lambda f: verdict)
+    VERDICTS[verdict](monkeypatch)
     ctx = make_context(13)
     with pytest.raises(CheckFailedError, match=rf"p = 13, gamma = {ctx.gamma}: .* got \{passing}"):
         epsilon_parity_report(ctx)
 
 
 @pytest.mark.parametrize("verdict", (True, False))
-def test_epsilon_parity_fails_verify_under_python_O(verdict):
+def test_epsilon_parity_fails_verify_under_python_O(under_O, verdict):
     # always False already fails at "J preserves the curve", before the
     # parity count; either way the check fails with no traceback
-    run = run_under_O(
-        "from fermatjac import cli, monomial\n"
-        f"monomial.verify_curve_automorphism = lambda f: {verdict}\n"
-        "sys.exit(cli.main(['verify', '--p', '13']))\n"
-    )
+    run = under_O["verdict", verdict]
+    assert run.control == 0, run.control_stdout
     assert run.returncode == 4, run.stdout + run.stderr
     assert "FAIL monomial-relations: p = 13" in run.stdout
     assert "Traceback" not in run.stderr
@@ -437,3 +493,12 @@ def test_moebius_table_gap_catches_every_sign_flip(monkeypatch):
             monkeypatch.setitem(MOEBIUS_MONOMIALS, label, tuple(wrong))
             assert moebius_table_gap(7) is not None, (label, i)
             monkeypatch.undo()
+
+
+# -- the python -O twins' cases, run in one child (conftest.py's under_O) -----
+
+UNDER_O = {
+    **{("verdict", verdict): (mutate, [["verify", "--p", "13"]]) for verdict, mutate in VERDICTS.items()},
+    "compose-after-x-times-y": (None, [printing(_compose_after_x_times_y)]),
+    "R-at-a-false-root": (None, [printing(_R_at_a_false_root)]),
+}

@@ -6,8 +6,11 @@ rules of U and V, a term of the orbit formula, the normalization rule,
 two Moebius labels' transport formulas, an entry of MOEBIUS_MONOMIALS,
 the epsilon rule and the maps T and J.  Each mutation is applied with a
 monkeypatch, in process and under ``python -O`` (where no assert is left
-to catch it).  p = 13 has a gamma root; p = 11 has none, so there only J
-and T stand for the monomial calculus and the epsilon rule is never read.
+to catch it): the twins under ``python -O`` read their runs from the
+table UNDER_O at the end, run in one child with every other module's
+(conftest.py's under_O).  p = 13 has a gamma root; p = 11 has none, so
+there only J and T stand for the monomial calculus and the epsilon rule
+is never read.
 
 ``sweep`` runs the same basic checks at each prime, so each of these
 mutations must make ``sweep --from 5 --to 61`` exit 4 too, its row for
@@ -62,12 +65,6 @@ survivor: no command reads a range from the identity, so ``verify`` passes
 it at both depths, and only the range-read tests of test_genus.py refuse it.
 """
 
-import contextlib
-import io
-import json
-import traceback
-from types import SimpleNamespace
-
 import pytest
 
 from fermatjac import cli, curves, decompose, genus, groups, monomial, orbits, report
@@ -75,7 +72,7 @@ from fermatjac.curves import MoebiusLabel
 from fermatjac.errors import FermatJacError
 from fermatjac.orbits import OrbitKind, make_context
 
-from helpers import mutated, parse, run_under_O
+from helpers import mutated, parse, run_family_under_O
 
 # U and V are the transport rules of 1/(1-x) and 1-x
 REAL_U, REAL_V = curves.MOEBIUS_TRANSPORT[MoebiusLabel.CYC], curves.MOEBIUS_TRANSPORT[MoebiusLabel.ONE_MINUS]
@@ -461,106 +458,16 @@ FULL_MUTATIONS = {
 }
 
 
-# -- the -O twins of a family, in one python -O child --------------------------
-#
-# A family of -O twins runs every case in one python -O child, in process:
-# each case installs its mutation through its own MonkeyPatch, runs its
-# commands with stdout and stderr captured, and undoes it.  After each case
-# an unmutated verify --p 13, the control, must pass, so a mutation that
-# leaks into the next case fails the case that left it.
-
-CONTROL = ["verify", "--p", "13"]
-
-
-def _captured(argv):
-    """cli.main(argv) in process: its exit code, stdout and stderr, with
-    the traceback of an exception in stderr and code 1, as a child's."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        except Exception:
-            traceback.print_exc()
-            code = 1
-    return code, out.getvalue(), err.getvalue()
-
-
-def _run_cases(cases, undo=True):
-    """The child's half of run_family_under_O: each case (mutation, commands)
-    run with the module function named mutation installed, then the control;
-    with undo False the mutations are left installed.  Prints a JSON list,
-    per case, of the commands' codes, their stdout and stderr in order, and
-    the control's code and stdout."""
-    rows = []
-    for mutation, commands in cases:
-        mp = pytest.MonkeyPatch()
-        globals()[mutation](mp)
-        runs = [_captured(argv) for argv in commands]
-        if undo:
-            mp.undo()
-        control, control_out, _ = _captured(CONTROL)
-        codes, outs, errs = zip(*runs)
-        rows.append([codes, "".join(outs), "".join(errs), control, control_out])
-    print(json.dumps(rows))
-
-
-def run_family_under_O(cases, undo=True):
-    """Run cases {key: (mutation, commands)}, each mutation a function of
-    this module and each command an argv, in one python -O child
-    (_run_cases): {key: its run}, with the commands' stdout and stderr, the
-    exit code of a single command as ``returncode`` (the tuple of codes of
-    several), and the control's exit code and stdout as ``control`` and
-    ``control_stdout``."""
-    named = [(mutation.__name__, commands) for mutation, commands in cases.values()]
-    run = run_under_O(f"import test_mutations\ntest_mutations._run_cases({named!r}, {undo!r})\n")
-    assert run.returncode == 0, run.stdout + run.stderr
-    runs = {}
-    for key, (codes, out, err, control, control_out) in zip(cases, json.loads(run.stdout)):
-        returncode = codes[0] if len(codes) == 1 else tuple(codes)
-        runs[key] = SimpleNamespace(returncode=returncode, stdout=out, stderr=err, control=control, control_stdout=control_out)
-    return runs
-
-
 VERIFY_13_FULL = ["verify", "--p", "13", "--depth", "full"]
 
-
-@pytest.fixture(scope="session")
-def verify_runs_under_O():
-    return run_family_under_O({(name, p): (MUTATIONS[name][0], [["verify", "--p", str(p)]]) for name, p in CASES})
-
-
-@pytest.fixture(scope="session")
-def sweep_runs_under_O():
-    return run_family_under_O({name: (BASIC_MUTATIONS[name][0], [SWEEP_61]) for name in BASIC_MUTATIONS})
-
-
-@pytest.fixture(scope="session")
-def full_runs_under_O():
-    return run_family_under_O({name: (FULL_MUTATIONS[name][0], [VERIFY_13_FULL]) for name in FULL_MUTATIONS})
-
-
-@pytest.fixture(scope="session")
-def single_runs_under_O():
-    """The twins that each run their own commands: the audit, kind and
-    factor families and the single tests, in one child."""
-    cases = {("audit", name, p): (AUDIT_MUTATIONS[name][0], [["verify", "--p", str(p)], ["decompose", "--p", str(p)]])
-             for name, p in AUDIT_CASES}
-    cases.update({("kind", name): (MUTATIONS[name][0], [["orbits", "--p", "13"], ["decompose", "--p", "13"]])
-                  for name in CENSUS_FAILURES_13})
-    cases.update({("factor", name): (MUTATIONS[name][0], [["decompose", "--p", "13"], VERIFY_13_FULL])
-                  for name in FACTOR_FAILURES_13})
-    for name in ("gamma-line-orbit-generic", "deck-exponent-rotated"):
-        cases[name] = (MUTATIONS[name][0], [["decompose", "--p", "13"], ["verify", "--p", "13"]])
-    cases["oracle-disagreement"] = (_coset_genus_off_on_H, [[*VERIFY_13_FULL, "--format", "json"]])
-    cases["at-range-from-the-identity"] = (_at_range_from_the_identity, [["verify", "--p", "13"], VERIFY_13_FULL])
-    return run_family_under_O(cases)
+# the one case whose mutation is left installed, in a python -O child of
+# its own: the case after it, of any table, would fail its control
+LEFT_INSTALLED = {"T-sign": (_T_with_minus_sign, [["verify", "--p", "11"]])}
 
 
 def test_a_mutation_left_installed_fails_the_control():
     # T with its sign flipped, not undone: the control fails where it reads T
-    run = run_family_under_O({"T-sign": (_T_with_minus_sign, [["verify", "--p", "11"]])}, undo=False)["T-sign"]
+    run = run_family_under_O(["test_mutations.LEFT_INSTALLED"], undo=False)["test_mutations.LEFT_INSTALLED"]["T-sign"]
     assert run.returncode == 4 and "FAIL monomial-relations: p = 11: " in run.stdout
     assert run.control == 4 and "FAIL monomial-relations: p = 13: " in run.control_stdout
 
@@ -576,9 +483,9 @@ def test_mutation_fails_verify(monkeypatch, capsys, name, p):
 
 
 @pytest.mark.parametrize("name, p", CASES)
-def test_mutation_fails_verify_under_python_O(verify_runs_under_O, name, p):
+def test_mutation_fails_verify_under_python_O(under_O, name, p):
     check = MUTATIONS[name][1]
-    run = verify_runs_under_O[name, p]
+    run = under_O["verify", name, p]
     assert run.control == 0, run.control_stdout
     assert run.returncode == 4, run.stdout + run.stderr
     assert f"FAIL {check}: p = {p}: " in run.stdout
@@ -618,9 +525,9 @@ def test_audit_mutation_fails_verify_and_decompose(monkeypatch, capsys, name, p)
 
 
 @pytest.mark.parametrize("name, p", AUDIT_CASES)
-def test_audit_mutation_fails_verify_and_decompose_under_python_O(single_runs_under_O, name, p):
+def test_audit_mutation_fails_verify_and_decompose_under_python_O(under_O, name, p):
     check = AUDIT_MUTATIONS[name][1]
-    run = single_runs_under_O["audit", name, p]
+    run = under_O["audit", name, p]
     assert run.control == 0, run.control_stdout
     assert run.returncode == (4, 3), run.stdout + run.stderr
     assert f"FAIL {check}: " in run.stdout
@@ -648,9 +555,9 @@ def test_basic_mutation_fails_sweep(monkeypatch, capsys, name):
 
 
 @pytest.mark.parametrize("name", BASIC_MUTATIONS)
-def test_basic_mutation_fails_sweep_under_python_O(sweep_runs_under_O, name):
+def test_basic_mutation_fails_sweep_under_python_O(under_O, name):
     check = BASIC_MUTATIONS[name][1]
-    run = sweep_runs_under_O[name]
+    run = under_O["sweep", name]
     assert run.control == 0, run.control_stdout
     assert run.returncode == 4, run.stdout + run.stderr
     assert f"\np=  13 FAIL  {check}: " in run.stdout
@@ -681,8 +588,8 @@ def test_kind_mutation_fails_orbits_and_decompose(monkeypatch, capsys, name):
 
 
 @pytest.mark.parametrize("name", CENSUS_FAILURES_13)
-def test_kind_mutation_fails_orbits_and_decompose_under_python_O(single_runs_under_O, name):
-    run = single_runs_under_O["kind", name]
+def test_kind_mutation_fails_orbits_and_decompose_under_python_O(under_O, name):
+    run = under_O["kind", name]
     assert run.control == 0, run.control_stdout
     assert run.returncode == (3, 3), run.stdout + run.stderr
     assert (run.stdout, run.stderr) == ("", f"audit failure: {_census_failure_13(name)}\n" * 2)
@@ -721,8 +628,8 @@ def test_gamma_line_orbit_generic_fails_decompose_naming_the_kinds(monkeypatch, 
     assert f"FAIL deck-quotient-audit: {GAMMA_LINE_GENERIC_13}\n" in capsys.readouterr().out
 
 
-def test_gamma_line_orbit_generic_fails_decompose_naming_the_kinds_under_python_O(single_runs_under_O):
-    run = single_runs_under_O["gamma-line-orbit-generic"]
+def test_gamma_line_orbit_generic_fails_decompose_naming_the_kinds_under_python_O(under_O):
+    run = under_O["gamma-line-orbit-generic"]
     assert run.control == 0, run.control_stdout
     assert run.returncode == (3, 4), run.stdout + run.stderr
     assert run.stderr == f"audit failure: {GAMMA_LINE_GENERIC_13}\nverification failed at check: deck-quotient-audit\n"
@@ -737,8 +644,8 @@ def test_deck_exponent_rotated_fails_decompose_naming_j_and_alpha(monkeypatch, c
     assert f"FAIL deck-quotient-audit: {DECK_ROTATED_13}\n" in capsys.readouterr().out
 
 
-def test_deck_exponent_rotated_fails_decompose_naming_j_and_alpha_under_python_O(single_runs_under_O):
-    run = single_runs_under_O["deck-exponent-rotated"]
+def test_deck_exponent_rotated_fails_decompose_naming_j_and_alpha_under_python_O(under_O):
+    run = under_O["deck-exponent-rotated"]
     assert run.control == 0, run.control_stdout
     assert run.returncode == (3, 4), run.stdout + run.stderr
     assert run.stderr == f"audit failure: {DECK_ROTATED_13}\nverification failed at check: deck-quotient-audit\n"
@@ -771,9 +678,9 @@ def test_factor_mutation_fails_decompose_naming_the_factors(monkeypatch, capsys,
 
 
 @pytest.mark.parametrize("name", FACTOR_FAILURES_13)
-def test_factor_mutation_fails_decompose_naming_the_factors_under_python_O(single_runs_under_O, name):
+def test_factor_mutation_fails_decompose_naming_the_factors_under_python_O(under_O, name):
     check = MUTATIONS[name][1]
-    run = single_runs_under_O["factor", name]
+    run = under_O["factor", name]
     assert run.control == 0, run.control_stdout
     assert run.returncode == (3, 4), run.stdout + run.stderr
     assert run.stderr == f"audit failure: {FACTOR_FAILURES_13[name]}\nverification failed at check: {check}\n"
@@ -797,9 +704,9 @@ def test_full_mutation_fails_verify(monkeypatch, capsys, name):
 
 
 @pytest.mark.parametrize("name", FULL_MUTATIONS)
-def test_full_mutation_fails_verify_under_python_O(full_runs_under_O, name):
+def test_full_mutation_fails_verify_under_python_O(under_O, name):
     check = FULL_MUTATIONS[name][1]
-    run = full_runs_under_O[name]
+    run = under_O["full", name]
     assert run.control == 0, run.control_stdout
     assert run.returncode == 4, run.stdout + run.stderr
     assert f"FAIL {check}: " in run.stdout
@@ -820,8 +727,8 @@ def test_involution_of_order_2p_fails_the_generating_triple_first(monkeypatch, c
     assert err == "verification failed at check: generating-triple\n"
 
 
-def test_involution_of_order_2p_fails_the_generating_triple_first_under_python_O(full_runs_under_O):
-    run = full_runs_under_O["involution-of-order-2p"]
+def test_involution_of_order_2p_fails_the_generating_triple_first_under_python_O(under_O):
+    run = under_O["full", "involution-of-order-2p"]
     assert run.control == 0, run.control_stdout
     assert run.returncode == 4 and run.stdout.endswith(ORDER_2P_13)
     assert run.stdout.count("PASS ") == len(cli.BASIC_CHECKS)
@@ -841,8 +748,8 @@ def test_at_range_from_the_identity_survives_verify(monkeypatch, capsys):
         assert out.count("PASS ") == len(checks) and "FAIL" not in out and err == ""
 
 
-def test_at_range_from_the_identity_survives_verify_under_python_O(single_runs_under_O):
-    run = single_runs_under_O["at-range-from-the-identity"]
+def test_at_range_from_the_identity_survives_verify_under_python_O(under_O):
+    run = under_O["at-range-from-the-identity"]
     assert run.control == 0, run.control_stdout
     assert run.returncode == (0, 0), run.stdout + run.stderr
     assert run.stdout.count("PASS ") == 2 * len(cli.BASIC_CHECKS) + len(cli.FULL_CHECKS)
@@ -870,9 +777,28 @@ def test_oracle_disagreement_is_named(monkeypatch, capsys):
     assert err == "verification failed at check: dual-oracle-genus\n"
 
 
-def test_oracle_disagreement_is_named_under_python_O(single_runs_under_O):
-    run = single_runs_under_O["oracle-disagreement"]
+def test_oracle_disagreement_is_named_under_python_O(under_O):
+    run = under_O["oracle-disagreement"]
     assert run.control == 0, run.control_stdout
     assert run.returncode == 4, run.stdout + run.stderr
     assert parse(run.stdout)["checks"][-1] == ORACLE_DISAGREEMENT_13
     assert run.stderr == "verification failed at check: dual-oracle-genus\n"
+
+
+# -- the python -O twins' cases, run in one child (conftest.py's under_O) -----
+
+UNDER_O = {
+    **{("verify", name, p): (MUTATIONS[name][0], [["verify", "--p", str(p)]]) for name, p in CASES},
+    **{("sweep", name): (BASIC_MUTATIONS[name][0], [SWEEP_61]) for name in BASIC_MUTATIONS},
+    **{("full", name): (FULL_MUTATIONS[name][0], [VERIFY_13_FULL]) for name in FULL_MUTATIONS},
+    **{("audit", name, p): (AUDIT_MUTATIONS[name][0], [["verify", "--p", str(p)], ["decompose", "--p", str(p)]])
+       for name, p in AUDIT_CASES},
+    **{("kind", name): (MUTATIONS[name][0], [["orbits", "--p", "13"], ["decompose", "--p", "13"]])
+       for name in CENSUS_FAILURES_13},
+    **{("factor", name): (MUTATIONS[name][0], [["decompose", "--p", "13"], VERIFY_13_FULL])
+       for name in FACTOR_FAILURES_13},
+    **{name: (MUTATIONS[name][0], [["decompose", "--p", "13"], ["verify", "--p", "13"]])
+       for name in ("gamma-line-orbit-generic", "deck-exponent-rotated")},
+    "oracle-disagreement": (_coset_genus_off_on_H, [[*VERIFY_13_FULL, "--format", "json"]]),
+    "at-range-from-the-identity": (_at_range_from_the_identity, [["verify", "--p", "13"], VERIFY_13_FULL]),
+}

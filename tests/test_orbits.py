@@ -1,5 +1,8 @@
 import pytest
 
+from fermatjac import cli, curves
+from fermatjac import orbits as orbits_module
+from fermatjac.curves import MoebiusLabel
 from fermatjac.errors import AuditFailError, NotPrimeError, OutOfRangeError, TooLargeError, TooSmallError
 from fermatjac.orbits import (
     MAX_P,
@@ -17,7 +20,6 @@ from helpers import (
     orbit,
     orbit_formula,
     primes_upto,
-    run_under_O,
     s3_apply,
     s3_images,
     scanned_gamma_pair,
@@ -214,31 +216,51 @@ def test_orbit_census_failures_are_audit_errors(monkeypatch):
         partial.orbit_of(part.orbits[1].representative)
 
 
-def test_orbit_census_fails_decompose_under_python_O():
-    # every a its own "inverse": the formula gives O(1) = {1, 5}, which is
-    # not the gamma pair (2, 4)
-    run = run_under_O(
-        "from fermatjac import cli, orbits\n"
-        "orbits.inverse_table = lambda p: list(range(p))\n"
-        "sys.exit(cli.main(['decompose', '--p', '7']))\n"
-    )
+def _every_a_its_own_inverse(mp):
+    # the formula then gives O(1) = {1, 5}, which is not the gamma pair (2, 4)
+    mp.setattr(orbits_module, "inverse_table", lambda p: list(range(p)))
+
+
+CENSUS_FAIL_7 = "audit failure: p = 7: size-2 orbit (1, 5) is not the gamma pair (2, 4)\n"
+
+
+def test_orbit_census_fails_decompose(capsys, monkeypatch):
+    _every_a_its_own_inverse(monkeypatch)
+    assert cli.main(["decompose", "--p", "7"]) == 3
+    assert capsys.readouterr() == ("", CENSUS_FAIL_7)
+
+
+def test_orbit_census_fails_decompose_under_python_O(under_O):
+    run = under_O["every-a-its-own-inverse"]
+    assert run.control == 0, run.control_stdout
     assert run.returncode == 3, run.stdout + run.stderr
-    assert "audit failure: p = 7: size-2 orbit (1, 5) is not the gamma pair (2, 4)" in run.stderr
+    assert CENSUS_FAIL_7 in run.stderr
     assert "Traceback" not in run.stderr
 
 
-def test_broken_orbit_closure_fails_verify_under_python_O():
-    # the partition comes from the formula; the closure under U and V is
+def _U_and_V_one_step(mp):
+    # a -> a + 1 on X_p, wrapping p - 2 to 1, for both U and V: the
+    # partition comes from the formula, and the closure under U and V is
     # what the orbit-partition-laws check holds it against
-    run = run_under_O(
-        "from fermatjac import cli, curves\n"
-        "from fermatjac.curves import MoebiusLabel\n"
-        "step = lambda a, inv, p: a % (p - 2) + 1\n"
-        "curves.MOEBIUS_TRANSPORT.update({MoebiusLabel.CYC: step, MoebiusLabel.ONE_MINUS: step})\n"
-        "sys.exit(cli.main(['verify', '--p', '7']))\n"
-    )
+    for label in (MoebiusLabel.CYC, MoebiusLabel.ONE_MINUS):
+        mp.setitem(curves.MOEBIUS_TRANSPORT, label, lambda a, inv, p: a % (p - 2) + 1)
+
+
+CLOSURE_FAIL_7 = "FAIL orbit-partition-laws: p = 7: U(1) = 2 leaves the orbit (1, 3, 5)"
+
+
+def test_broken_orbit_closure_fails_verify(capsys, monkeypatch):
+    _U_and_V_one_step(monkeypatch)
+    assert cli.main(["verify", "--p", "7"]) == 4
+    out, err = capsys.readouterr()
+    assert CLOSURE_FAIL_7 in out and err == "verification failed at check: orbit-partition-laws\n"
+
+
+def test_broken_orbit_closure_fails_verify_under_python_O(under_O):
+    run = under_O["U-and-V-one-step"]
+    assert run.control == 0, run.control_stdout
     assert run.returncode == 4, run.stdout + run.stderr
-    assert "FAIL orbit-partition-laws: p = 7: U(1) = 2 leaves the orbit (1, 3, 5)" in run.stdout
+    assert CLOSURE_FAIL_7 in run.stdout
     assert "Traceback" not in run.stderr
 
 
@@ -262,3 +284,11 @@ def test_shared_images_match_the_orbit_closures(p):
                     seen.add(image)
                     frontier.append(image)
         assert tuple(sorted(seen)) == orbit(a, ctx).elements
+
+
+# -- the python -O twins' cases, run in one child (conftest.py's under_O) -----
+
+UNDER_O = {
+    "every-a-its-own-inverse": (_every_a_its_own_inverse, [["decompose", "--p", "7"]]),
+    "U-and-V-one-step": (_U_and_V_one_step, [["verify", "--p", "7"]]),
+}

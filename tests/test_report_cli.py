@@ -542,13 +542,17 @@ def test_verify_full_builds_no_deck_joins(capsys, monkeypatch):
     assert closures == []
 
 
-def test_oracle_disagreement_is_a_typed_failure(capsys, monkeypatch):
+def _coset_genus_off_by_one(mp):
+    # off by one on every subgroup but the trivial one, which the
+    # dual-oracle check takes first
     from fermatjac import genus as genus_module
 
     real = genus_module.coset_genus
-    # off by one on every subgroup but the trivial one, which the
-    # dual-oracle check takes first
-    monkeypatch.setattr(genus_module, "coset_genus", lambda k, triple, data: real(k, triple, data) + (k.order > 1))
+    mp.setattr(genus_module, "coset_genus", lambda k, triple, data: real(k, triple, data) + (k.order > 1))
+
+
+def test_oracle_disagreement_is_a_typed_failure(capsys, monkeypatch):
+    _coset_genus_off_by_one(monkeypatch)
     code, out, err = run_cli(capsys, "verify", "--p", "7", "--depth", "full", "--format", "json")
     assert code == 4
     assert "dual-oracle-genus" in err
@@ -559,57 +563,36 @@ def test_oracle_disagreement_is_a_typed_failure(capsys, monkeypatch):
     assert "Riemann-Hurwitz genus" in failed["detail"] and "coset genus" in failed["detail"]
 
 
-def test_oracle_disagreement_fails_under_python_O():
+def test_oracle_disagreement_fails_under_python_O(under_O):
     # Under -O every assert is stripped; the dual-oracle check must still refuse.
-    import os
-    import subprocess
-    import sys
-
-    import fermatjac
-
-    script = (
-        "import sys\n"
-        "from fermatjac import cli, genus\n"
-        "if not sys.flags.optimize:\n"
-        "    sys.exit(99)\n"
-        "real = genus.coset_genus\n"
-        "genus.coset_genus = lambda k, triple, data: real(k, triple, data) + (k.order > 1)\n"
-        "sys.exit(cli.main(['verify', '--p', '7', '--depth', 'full']))\n"
-    )
-    src = str(Path(fermatjac.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    run = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
-    )
+    run = under_O["coset-genus-off-by-one"]
+    assert run.control == 0, run.control_stdout
     assert run.returncode == 4, run.stdout + run.stderr
     assert "FAIL dual-oracle-genus: p = 7, the subgroup of order" in run.stdout
     assert "verification failed at check: dual-oracle-genus" in run.stderr
 
 
-def test_basic_check_fails_under_python_O():
-    # an S3 action that leaves the orbits: orbit-partition-laws must refuse
-    # even with every assert stripped
-    import os
-    import subprocess
-    import sys
+def _S3_leaves_the_orbits(mp):
+    # U and V both a -> a + 1 mod p: an S3 action that leaves the orbits
+    from fermatjac import curves
+    from fermatjac.curves import MoebiusLabel
 
-    import fermatjac
+    for label in (MoebiusLabel.CYC, MoebiusLabel.ONE_MINUS):
+        mp.setitem(curves.MOEBIUS_TRANSPORT, label, lambda a, inv, p: (a + 1) % p)
 
-    script = (
-        "import sys\n"
-        "from fermatjac import cli, curves\n"
-        "from fermatjac.curves import MoebiusLabel\n"
-        "if not sys.flags.optimize:\n"
-        "    sys.exit(99)\n"
-        "step = lambda a, inv, p: (a + 1) % p\n"
-        "curves.MOEBIUS_TRANSPORT.update({MoebiusLabel.CYC: step, MoebiusLabel.ONE_MINUS: step})\n"
-        "sys.exit(cli.main(['verify', '--p', '7']))\n"
-    )
-    src = str(Path(fermatjac.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    run = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=120
-    )
+
+def test_basic_check_fails(capsys, monkeypatch):
+    _S3_leaves_the_orbits(monkeypatch)
+    code, out, err = run_cli(capsys, "verify", "--p", "7")
+    assert code == 4
+    assert "FAIL orbit-partition-laws: p = 7: U(1) = 2 leaves the orbit" in out
+    assert err == "verification failed at check: orbit-partition-laws\n"
+
+
+def test_basic_check_fails_under_python_O(under_O):
+    # orbit-partition-laws must refuse even with every assert stripped
+    run = under_O["S3-leaves-the-orbits"]
+    assert run.control == 0, run.control_stdout
     assert run.returncode == 4, run.stdout + run.stderr
     assert "FAIL orbit-partition-laws: p = 7: U(1) = 2 leaves the orbit" in run.stdout
     assert "verification failed at check: orbit-partition-laws" in run.stderr
@@ -739,3 +722,11 @@ def test_the_peak_script_fails_a_command_above_its_limit():
         assert run.returncode == code, run.stderr
         assert run.stdout.startswith("p = 13 (1 mod 3)\n")
         assert run.stderr.startswith("exit 0, VmHWM ") and run.stderr.endswith(f" MB, limit {limit} MB\n")
+
+
+# -- the python -O twins' cases, run in one child (conftest.py's under_O) -----
+
+UNDER_O = {
+    "coset-genus-off-by-one": (_coset_genus_off_by_one, [["verify", "--p", "7", "--depth", "full"]]),
+    "S3-leaves-the-orbits": (_S3_leaves_the_orbits, [["verify", "--p", "7"]]),
+}
